@@ -18,6 +18,9 @@ Layers:
   through a :class:`~repro.runtime.comm.SimulatedComm`, blocking
   (``refresh``) or posted nonblocking (``post`` ->
   :class:`PendingRefresh`);
+* :mod:`.rank_operator` -- :class:`RankOperator`: one rank's
+  communication-free kernel (row split, interior/boundary matvec,
+  cached block-DIC), shared by the driver-stepped and SPMD systems;
 * :mod:`.krylov` -- :class:`DistributedSystem`: the global operator
   (per-rank LDU blocks + halo-exchanging matvec + allreduce
   reductions) fed to the *unmodified* blocked Krylov solvers; the
@@ -37,6 +40,7 @@ from .balance import BALANCE_MODES, BalanceReport, ChemistryLoadBalancer
 from .decompose import Decomposition, Subdomain
 from .halo import HaloExchanger, PendingRefresh
 from .krylov import KRYLOV_VARIANTS, DistributedSystem, solve_distributed
+from .rank_operator import RankOperator
 from .solver import DecomposedSolver
 
 __all__ = [
@@ -49,6 +53,7 @@ __all__ = [
     "HaloExchanger",
     "KRYLOV_VARIANTS",
     "PendingRefresh",
+    "RankOperator",
     "Subdomain",
     "solve_distributed",
 ]

@@ -32,7 +32,9 @@ both orderings produce bitwise-equal products.
 Preconditioning is communication-free, as on a real machine: Jacobi
 uses the owned diagonal (identical to the serial operator's), and the
 PCG path uses block-Jacobi DIC -- DIC factorized on each rank's owned
-diagonal block, with the cut-face coupling dropped.  Iterates there
+diagonal block, with the cut-face coupling dropped (each rank's
+level-scheduled factor structure is built once per decomposition and
+value-refreshed per solve, see :mod:`.rank_operator`).  Iterates there
 differ from the serial DIC ones, but both converge to the same
 solution within the requested tolerance.
 """
@@ -42,7 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.settings import KRYLOV_VARIANTS
-from ..runtime import alloc
 from ..runtime.comm import SimulatedComm
 from ..solvers.blocked import (
     fused_pbicgstab_solve_multi,
@@ -51,25 +52,28 @@ from ..solvers.blocked import (
     pipelined_pcg_solve_multi,
 )
 from ..solvers.controls import SolverControls, SolverResult
-from ..solvers.preconditioners import DICPreconditioner
 from ..solvers.workspace import KrylovWorkspace
 from .decompose import Decomposition
 from .halo import HaloExchanger
+from .rank_operator import RankOperator, scratch_buffer
 
 __all__ = ["KRYLOV_VARIANTS", "DistributedSystem", "solve_distributed"]
 
 #: rotation depth of the matvec output pool -- results stay valid
 #: across this many subsequent matvecs (the blocked solvers hold a
-#: product across at most one further matvec; see ``_out``)
+#: product across at most one further matvec)
 _OUT_SLOTS = 3
 
 
-class _PendingFusedReduce:
-    """Wait handle of a posted fused reduction group.
+def _unpack_group(reduced: np.ndarray, n_dots: int):
+    """Split a reduced ``(n_items, k)`` group payload back into the
+    ``(dot_results, sum_results)`` lists the blocked solvers consume."""
+    return ([reduced[i] for i in range(n_dots)],
+            [reduced[i] for i in range(n_dots, reduced.shape[0])])
 
-    Unpacks the reduced ``(n_items, k)`` payload back into the
-    ``(dot_results, sum_results)`` lists the blocked solvers consume.
-    """
+
+class _PendingFusedReduce:
+    """Wait handle of a posted fused reduction group."""
 
     def __init__(self, pending, n_dots: int):
         self._pending = pending
@@ -77,13 +81,60 @@ class _PendingFusedReduce:
 
     def wait(self):
         """Complete the collective; returns ``(dots, sums)`` lists."""
-        reduced = self._pending.wait()
-        nd = self._n_dots
-        return ([reduced[i] for i in range(nd)],
-                [reduced[i] for i in range(nd, reduced.shape[0])])
+        return _unpack_group(self._pending.wait(), self._n_dots)
 
 
-class DistributedSystem:
+class SystemHooks:
+    """What the driver-stepped and the SPMD system share verbatim.
+
+    A subclass supplies ``n`` (its row count), ``comm`` and
+    ``_pack_group(dots, sums)`` (its per-rank partials of a reduction
+    group, packed into one payload); this base adds the persistent
+    scratch buffers, the rotating matvec output pool and the
+    grouped-reduction hooks of the blocked solvers.
+    """
+
+    def __init__(self, comm, n: int, scratch: dict | None):
+        self.comm = comm
+        self.n = n
+        self._scratch = scratch if scratch is not None else {}
+        self._out_rot = 0
+
+    def _buf(self, key: tuple, shape: tuple) -> np.ndarray:
+        return scratch_buffer(self._scratch, key, shape)
+
+    def _next_out(self, k: int) -> np.ndarray:
+        """The next ``(n, k)`` slot of the rotating output pool: valid
+        until ``_OUT_SLOTS - 1`` further matvecs, then reused."""
+        # size the whole pool, not just this call's slot: later matvecs
+        # of a solve see *compressed* blocks (converged columns retire),
+        # so a slot first hit late in an iteration would otherwise grow
+        # again when a wider solve lands on it steps later
+        for slot in range(_OUT_SLOTS):
+            self._buf(("out", slot), (self.n, k))
+        out = self._buf(("out", self._out_rot), (self.n, k))
+        self._out_rot = (self._out_rot + 1) % _OUT_SLOTS
+        return out
+
+    def fused_reduce(self, dots, sums):
+        """Grouped-reduction hook: one allreduce for the whole group
+        (the fused PBiCGStab's 2 collectives per iteration)."""
+        return _unpack_group(
+            self.comm.allreduce(self._pack_group(dots, sums), op="sum"),
+            len(dots))
+
+    def ifused_reduce(self, dots, sums) -> _PendingFusedReduce:
+        """Nonblocking grouped reduction: posts one ``iallreduce`` for
+        the group (tagged overlappable; the SPMD fabric stages it on
+        the reduction channel, so the matvec's halo exchanges cannot
+        clobber it) and returns a wait handle -- the pipelined PCG
+        computes its preconditioner and matvec between post and wait."""
+        return _PendingFusedReduce(
+            self.comm.iallreduce(self._pack_group(dots, sums), op="sum"),
+            len(dots))
+
+
+class DistributedSystem(SystemHooks):
     """The global operator of ``P`` per-rank LDU blocks.
 
     Quacks like the ``a`` argument of the blocked solvers (``n``,
@@ -95,11 +146,14 @@ class DistributedSystem:
     Parameters
     ----------
     scratch:
-        Optional dict holding the persistent work buffers and the
-        cached interior/boundary row split.  A driver that builds a
-        fresh system per solve (:class:`~repro.dist.DecomposedSolver`)
-        passes the *same* dict every time, so warm solves perform zero
-        buffer allocations; by default each system owns a private one.
+        Optional dict holding the persistent state of the solves on
+        this decomposition: the work buffers and one
+        :class:`~repro.dist.rank_operator.RankOperator` per rank (row
+        split, local blocks, cached block-DIC structure).  A driver
+        that builds a fresh system per solve
+        (:class:`~repro.dist.DecomposedSolver`) passes the *same* dict
+        every time, so warm solves allocate nothing and never rebuild
+        a structure; by default each system owns a private one.
     overlap_halo:
         Post the ghost refresh nonblocking and compute the interior
         rows while it is in flight (the messages are then tagged
@@ -111,135 +165,41 @@ class DistributedSystem:
                  scratch: dict | None = None, overlap_halo: bool = False):
         if len(mats) != decomp.nparts:
             raise ValueError("need one local matrix per rank")
+        super().__init__(comm, decomp.mesh.n_cells, scratch)
         self.decomp = decomp
-        self.comm = comm
         self.mats = mats
         self.exchanger = exchanger or HaloExchanger(decomp, comm)
         self.overlap_halo = bool(overlap_halo)
-        self.n = decomp.mesh.n_cells
         self.nnz = decomp.mesh.n_cells + 2 * decomp.mesh.n_internal_faces
-        self._scratch = scratch if scratch is not None else {}
-        self._out_rot = 0
-
-    # -- persistent buffers and the cached row split -------------------
-    def _buf(self, key: tuple, shape: tuple) -> np.ndarray:
-        """A view of the persistent scratch buffer for ``key``.
-
-        The backing buffer is sized to the largest shape requested so
-        far (column blocks *shrink* as converged columns retire, so in
-        practice the first solve of each kind allocates the final
-        size) and alloc-counted only when (re)grown.
-        """
-        buf = self._scratch.get(key)
-        if buf is None or any(b < s for b, s in zip(buf.shape, shape)):
-            alloc.count()
-            grown = shape if buf is None else tuple(
-                max(b, s) for b, s in zip(buf.shape, shape))
-            buf = self._scratch[key] = np.empty(grown)
-        return buf[tuple(slice(0, s) for s in shape)]
-
-    def _split(self, r: int) -> dict:
-        """Rank ``r``'s interior/boundary row split (cached: the
-        sparsity is the decomposition's, shared by every operator
-        assembled on it).
-
-        Interior faces couple two owned cells; each cut face
-        contributes ``coeff * x[ghost]`` to exactly one owned row --
-        ``upper`` into the owner's row when the owner is the owned
-        side, ``lower`` into the neighbour's row otherwise.
-        """
-        key = ("split", r)
-        cached = self._scratch.get(key)
-        if cached is None:
-            sub = self.decomp.subdomains[r]
-            m = self.mats[r]
-            own, nb = m.owner, m.neighbour
-            no = sub.n_owned
-            interior = np.nonzero((own < no) & (nb < no))[0]
-            cut_own = np.nonzero((own < no) & (nb >= no))[0]
-            cut_nb = np.nonzero((nb < no) & (own >= no))[0]
-            cached = self._scratch[key] = {
-                "own_i": own[interior], "nb_i": nb[interior],
-                "interior": interior,
-                "cut_own": cut_own, "rows_own": own[cut_own],
-                "cols_own": nb[cut_own],
-                "cut_nb": cut_nb, "rows_nb": nb[cut_nb],
-                "cols_nb": own[cut_nb],
-            }
-        return cached
+        self.ops = [RankOperator.bound(self._scratch, ("op", r), sub, m)
+                    for r, (sub, m) in enumerate(zip(decomp.subdomains, mats))]
 
     # -- hooks for the blocked solvers ---------------------------------
-    def _apply_interior(self, r: int, loc: np.ndarray,
-                        out: np.ndarray) -> None:
-        """Owned rows of rank ``r``'s product from owned data only."""
-        sub = self.decomp.subdomains[r]
-        m = self.mats[r]
-        sp = self._split(r)
-        no = sub.n_owned
-        np.multiply(m.diag[:no, None], loc[:no], out=out)
-        up = m.upper[sp["interior"], None] * loc[sp["nb_i"]]
-        lo = m.lower[sp["interior"], None] * loc[sp["own_i"]]
-        for j in range(loc.shape[1]):
-            out[:, j] += np.bincount(sp["own_i"], weights=up[:, j],
-                                     minlength=no)
-            out[:, j] += np.bincount(sp["nb_i"], weights=lo[:, j],
-                                     minlength=no)
-
-    def _apply_boundary(self, r: int, loc: np.ndarray,
-                        out: np.ndarray) -> None:
-        """Add rank ``r``'s cut-face (ghost-reading) contributions."""
-        sub = self.decomp.subdomains[r]
-        m = self.mats[r]
-        sp = self._split(r)
-        no = sub.n_owned
-        for coeff, rows, cols in (
-            (m.upper[sp["cut_own"]], sp["rows_own"], sp["cols_own"]),
-            (m.lower[sp["cut_nb"]], sp["rows_nb"], sp["cols_nb"]),
-        ):
-            if rows.size == 0:
-                continue
-            w = coeff[:, None] * loc[cols]
-            for j in range(loc.shape[1]):
-                out[:, j] += np.bincount(rows, weights=w[:, j],
-                                         minlength=no)
-
     def matvec_multi(self, x: np.ndarray) -> np.ndarray:
         """Y = A X on the stacked layout, with one ghost refresh.
 
-        The returned block is a slot of a small rotating buffer pool:
-        valid until ``_OUT_SLOTS - 1`` further matvecs, then reused.
+        The returned block is a slot of the rotating output pool.
         With ``overlap_halo``, the refresh is posted, the interior rows
         (no ghost dependency) are computed while it is in flight, and
         only the cut-face tail runs after ``wait()``.
         """
         dec = self.decomp
-        subs = dec.subdomains
-        k = x.shape[1]
-        locs = [self._buf(("loc", r), (s.n_local, k))
-                for r, s in enumerate(subs)]
-        for r, s in enumerate(subs):
-            locs[r][:s.n_owned] = x[dec.rank_slice(r)]
-        # size the whole pool, not just this call's slot: later matvecs
-        # of a solve see *compressed* blocks (converged columns retire),
-        # so a slot first hit late in an iteration would otherwise grow
-        # again when a wider solve lands on it steps later
-        for slot in range(_OUT_SLOTS):
-            self._buf(("out", slot), (self.n, k))
-        out = self._buf(("out", self._out_rot), (self.n, k))
-        self._out_rot = (self._out_rot + 1) % _OUT_SLOTS
+        locs = [op.load(x[dec.rank_slice(r)])
+                for r, op in enumerate(self.ops)]
+        out = self._next_out(x.shape[1])
         outs = [out[dec.rank_slice(r)] for r in range(dec.nparts)]
         if self.overlap_halo:
             handle = self.exchanger.post(locs)
-            for r in range(dec.nparts):           # interior, overlapped
-                self._apply_interior(r, locs[r], outs[r])
+            for op, loc, o in zip(self.ops, locs, outs):   # overlapped
+                op.apply_interior(loc, o)
             handle.wait()
-            for r in range(dec.nparts):           # ghost-reading tail
-                self._apply_boundary(r, locs[r], outs[r])
+            for op, loc, o in zip(self.ops, locs, outs):   # ghost tail
+                op.apply_boundary(loc, o)
         else:
             self.exchanger.refresh(locs)
-            for r in range(dec.nparts):
-                self._apply_interior(r, locs[r], outs[r])
-                self._apply_boundary(r, locs[r], outs[r])
+            for op, loc, o in zip(self.ops, locs, outs):
+                op.apply_interior(loc, o)
+                op.apply_boundary(loc, o)
         return out
 
     def coldot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -272,23 +232,6 @@ class DistributedSystem:
                 np.abs(s[sl]).sum(axis=0, out=parts[r, nd + i])
         return parts
 
-    def fused_reduce(self, dots, sums):
-        """Grouped-reduction hook: one allreduce for the whole group
-        (the fused PBiCGStab's 2 collectives per iteration)."""
-        reduced = self.comm.allreduce(self._pack_group(dots, sums), op="sum")
-        nd = len(dots)
-        return ([reduced[i] for i in range(nd)],
-                [reduced[i] for i in range(nd, reduced.shape[0])])
-
-    def ifused_reduce(self, dots, sums) -> _PendingFusedReduce:
-        """Nonblocking grouped reduction: posts one ``iallreduce`` for
-        the group (tagged overlappable) and returns a wait handle --
-        the pipelined PCG computes its preconditioner and matvec
-        between post and wait."""
-        pending = self.comm.iallreduce(self._pack_group(dots, sums),
-                                       op="sum")
-        return _PendingFusedReduce(pending, len(dots))
-
     # -- preconditioners ------------------------------------------------
     def jacobi(self):
         """Diagonal preconditioner on the stacked layout.  The owned
@@ -306,16 +249,19 @@ class DistributedSystem:
         return apply
 
     def block_dic(self):
-        """Block-Jacobi DIC: DIC on each rank's owned diagonal block
-        (processor-local preconditioning, no communication)."""
-        pres = [DICPreconditioner(s.interior_matrix(m))
-                for m, s in zip(self.mats, self.decomp.subdomains)]
+        """Block-Jacobi DIC: each rank's cached DIC factor, value-
+        refreshed from its owned diagonal block (processor-local
+        preconditioning, no communication)."""
+        blocks = [(op.block_dic(), self.decomp.rank_slice(q))
+                  for q, op in enumerate(self.ops)]
 
         def apply(r: np.ndarray) -> np.ndarray:
-            """Apply each rank's DIC factor to its stacked rows."""
-            return np.concatenate(
-                [pres[q].apply_multi(r[self.decomp.rank_slice(q)].copy())
-                 for q in range(self.decomp.nparts)], axis=0)
+            """Scale and sweep each rank's row slice of ``r`` in place
+            in one fresh stacked block."""
+            w = np.empty_like(r)
+            for pre, sl in blocks:
+                pre.apply_multi(r[sl], out=w[sl])
+            return w
 
         return apply
 

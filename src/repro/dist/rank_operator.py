@@ -1,0 +1,148 @@
+"""The rank-local operator kernel shared by both execution modes.
+
+:class:`RankOperator` is everything one rank does to its *own* rows of
+a distributed system without talking to anybody: the interior/boundary
+row split, the two halves of the matvec, the restriction to the owned
+diagonal block, and the block-Jacobi DIC factorized on it.  The
+driver-stepped :class:`~repro.dist.krylov.DistributedSystem` holds
+``P`` of them, the SPMD :class:`~repro.dist.spmd.RankSystem` holds
+one, so both modes run the same arithmetic by construction.
+
+What depends only on the decomposition's sparsity (the split, the
+local and interior-block buffers, the interior block's
+:class:`~repro.solvers.preconditioners.DICStructure`) is built once
+and lives, with the operator, in the solver's persistent Krylov
+scratch; a solve only rebinds the coefficient arrays and
+value-refreshes the factor.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..runtime import alloc
+from ..solvers.preconditioners import CachedDICPreconditioner
+from ..sparse.ldu import LDUMatrix
+
+__all__ = ["RankOperator", "scratch_buffer"]
+
+
+def scratch_buffer(scratch: dict, key, shape: tuple) -> np.ndarray:
+    """A view of the persistent buffer ``scratch[key]``.
+
+    The backing buffer is sized to the largest shape requested so far
+    (column blocks *shrink* as converged columns retire, so in practice
+    the first solve of each kind allocates the final size) and
+    alloc-counted only when (re)grown.
+    """
+    buf = scratch.get(key)
+    if buf is None or any(b < s for b, s in zip(buf.shape, shape)):
+        alloc.count()
+        grown = shape if buf is None else tuple(
+            max(b, s) for b, s in zip(buf.shape, shape))
+        buf = scratch[key] = np.empty(grown)
+    return buf[tuple(slice(0, s) for s in shape)]
+
+
+class RankOperator:
+    """One rank's owned rows of a distributed LDU operator.
+
+    The row split is cached at construction (the sparsity is the
+    decomposition's, shared by every operator assembled on it):
+    *interior* faces couple two owned cells; each *cut* face
+    contributes ``coeff * x[ghost]`` to exactly one owned row --
+    ``upper`` into the owner's row when the owner is the owned side,
+    ``lower`` into the neighbour's row otherwise.
+    """
+
+    def __init__(self, sub, mat: LDUMatrix):
+        self.sub = sub
+        self.mat = mat
+        own, nb = mat.owner, mat.neighbour
+        no = sub.n_owned
+        self.interior = np.nonzero((own < no) & (nb < no))[0]
+        self.own_i = own[self.interior]
+        self.nb_i = nb[self.interior]
+        cut_own = np.nonzero((own < no) & (nb >= no))[0]
+        cut_nb = np.nonzero((nb < no) & (own >= no))[0]
+        # (faces, rows, cols) of the upper- and the lower-coefficient group
+        self._cuts = [(cut_own, own[cut_own], nb[cut_own]),
+                      (cut_nb, nb[cut_nb], own[cut_nb])]
+        self._bufs: dict = {}
+        self._block: LDUMatrix | None = None
+        #: the cached block-DIC factor (``None`` until the first PCG solve)
+        self.dic: CachedDICPreconditioner | None = None
+
+    @classmethod
+    def bound(cls, scratch: dict, key, sub, mat: LDUMatrix) -> "RankOperator":
+        """The operator cached in ``scratch[key]`` (built on first use),
+        bound to the coefficient arrays of ``mat``."""
+        op = scratch.get(key)
+        if op is None:
+            op = scratch[key] = cls(sub, mat)
+        op.mat = mat
+        return op
+
+    # -- matvec halves ---------------------------------------------------
+    def load(self, x: np.ndarray) -> np.ndarray:
+        """Copy owned rows ``x`` into the persistent local (owned +
+        ghost) block and return it; the ghost rows await a refresh."""
+        loc = scratch_buffer(self._bufs, "loc",
+                             (self.sub.n_local, x.shape[1]))
+        loc[:self.sub.n_owned] = x
+        return loc
+
+    def apply_interior(self, loc: np.ndarray, out: np.ndarray) -> None:
+        """Owned rows of the product from owned data only."""
+        m = self.mat
+        no = self.sub.n_owned
+        np.multiply(m.diag[:no, None], loc[:no], out=out)
+        up = m.upper[self.interior, None] * loc[self.nb_i]
+        lo = m.lower[self.interior, None] * loc[self.own_i]
+        for j in range(loc.shape[1]):
+            out[:, j] += np.bincount(self.own_i, weights=up[:, j],
+                                     minlength=no)
+            out[:, j] += np.bincount(self.nb_i, weights=lo[:, j],
+                                     minlength=no)
+
+    def apply_boundary(self, loc: np.ndarray, out: np.ndarray) -> None:
+        """Add the cut-face (ghost-reading) contributions."""
+        no = self.sub.n_owned
+        for coeff, (faces, rows, cols) in zip(
+                (self.mat.upper, self.mat.lower), self._cuts):
+            if faces.size == 0:
+                continue
+            w = coeff[faces, None] * loc[cols]
+            for j in range(loc.shape[1]):
+                out[:, j] += np.bincount(rows, weights=w[:, j],
+                                         minlength=no)
+
+    # -- communication-free preconditioning ------------------------------
+    def interior_block(self) -> LDUMatrix:
+        """The owned diagonal block (faces with both cells owned) of
+        the bound matrix, restricted into persistent buffers."""
+        blk = self._block
+        if blk is None:
+            alloc.count(3)
+            m = self.interior.size
+            blk = self._block = LDUMatrix(
+                self.sub.n_owned, self.own_i, self.nb_i,
+                np.empty(self.sub.n_owned), np.empty(m), np.empty(m))
+        blk.diag[:] = self.mat.diag[:blk.n]
+        np.take(self.mat.lower, self.interior, out=blk.lower)
+        np.take(self.mat.upper, self.interior, out=blk.upper)
+        return blk
+
+    def block_dic(self) -> CachedDICPreconditioner:
+        """This rank's block-Jacobi DIC factor of the bound matrix.
+
+        The first call builds the interior block's ``DICStructure``;
+        every later one is a value-only ``refresh`` (which keeps the
+        symmetry check: an asymmetric block raises ``ValueError``).
+        """
+        blk = self.interior_block()
+        if self.dic is None:
+            self.dic = CachedDICPreconditioner(blk)
+        else:
+            self.dic.refresh(blk)
+        return self.dic

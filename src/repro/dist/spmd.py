@@ -50,15 +50,11 @@ from ..runtime import alloc
 from ..runtime.comm import CommLedger
 from ..runtime.executor import WorkerPool
 from ..runtime.shm import SharedArena, SharedMemComm
-from ..solvers.preconditioners import DICPreconditioner
 from ..solvers.workspace import KrylovWorkspace
-from .krylov import solve_distributed
+from .krylov import SystemHooks, solve_distributed
+from .rank_operator import RankOperator
 
 __all__ = ["RankHalo", "RankSystem", "RankStepper", "ParallelExecutor"]
-
-#: rotation depth of the matvec output pool (mirrors
-#: :data:`repro.dist.krylov._OUT_SLOTS`)
-_OUT_SLOTS = 3
 
 #: gatherable state fields and their per-rank accessors
 _FIELD_GETTERS = {
@@ -129,14 +125,15 @@ class RankHalo:
                                    self.comm.post_halo(outbox))
 
 
-class RankSystem:
+class RankSystem(SystemHooks):
     """One rank's block of the distributed operator.
 
     Quacks like the ``a`` argument of the blocked Krylov solvers for a
-    *rank-local* system (``n`` = owned rows): the same cached
-    interior/boundary row split and matvec as
-    :class:`~repro.dist.krylov.DistributedSystem`, with per-column
-    reductions routed through the shared-memory allreduce.  Because
+    *rank-local* system (``n`` = owned rows): the one
+    :class:`~repro.dist.rank_operator.RankOperator` kernel that
+    :class:`~repro.dist.krylov.DistributedSystem` runs per rank (kept
+    in ``scratch`` across solves), with per-column reductions routed
+    through the shared-memory allreduce.  Because
     contributions are stacked in rank order and reduced identically,
     every reduction scalar -- and with it the whole Krylov trajectory
     -- is bitwise equal to the driver-executed solve.
@@ -146,96 +143,29 @@ class RankSystem:
                  halo: RankHalo | None = None,
                  scratch: dict | None = None,
                  overlap_halo: bool = False):
+        super().__init__(comm, sub.n_owned, scratch)
         self.sub = sub
-        self.comm = comm
         self.mat = mat
         self.halo = halo or RankHalo(sub, comm)
         self.overlap_halo = bool(overlap_halo)
-        self.n = sub.n_owned
         # rank-local operator size: flop accounting prices this rank's
         # rows only (see the module parity contract)
         self.nnz = sub.mesh.n_cells + 2 * sub.mesh.n_internal_faces
-        self._scratch = scratch if scratch is not None else {}
-        self._out_rot = 0
-
-    # -- persistent buffers and the cached row split -------------------
-    def _buf(self, key: tuple, shape: tuple) -> np.ndarray:
-        buf = self._scratch.get(key)
-        if buf is None or any(b < s for b, s in zip(buf.shape, shape)):
-            alloc.count()
-            grown = shape if buf is None else tuple(
-                max(b, s) for b, s in zip(buf.shape, shape))
-            buf = self._scratch[key] = np.empty(grown)
-        return buf[tuple(slice(0, s) for s in shape)]
-
-    def _split(self) -> dict:
-        key = ("split",)
-        cached = self._scratch.get(key)
-        if cached is None:
-            m = self.mat
-            own, nb = m.owner, m.neighbour
-            no = self.sub.n_owned
-            interior = np.nonzero((own < no) & (nb < no))[0]
-            cut_own = np.nonzero((own < no) & (nb >= no))[0]
-            cut_nb = np.nonzero((nb < no) & (own >= no))[0]
-            cached = self._scratch[key] = {
-                "own_i": own[interior], "nb_i": nb[interior],
-                "interior": interior,
-                "cut_own": cut_own, "rows_own": own[cut_own],
-                "cols_own": nb[cut_own],
-                "cut_nb": cut_nb, "rows_nb": nb[cut_nb],
-                "cols_nb": own[cut_nb],
-            }
-        return cached
+        self.op = RankOperator.bound(self._scratch, ("op",), sub, mat)
 
     # -- hooks for the blocked solvers ---------------------------------
-    def _apply_interior(self, loc: np.ndarray, out: np.ndarray) -> None:
-        m = self.mat
-        sp = self._split()
-        no = self.sub.n_owned
-        np.multiply(m.diag[:no, None], loc[:no], out=out)
-        up = m.upper[sp["interior"], None] * loc[sp["nb_i"]]
-        lo = m.lower[sp["interior"], None] * loc[sp["own_i"]]
-        for j in range(loc.shape[1]):
-            out[:, j] += np.bincount(sp["own_i"], weights=up[:, j],
-                                     minlength=no)
-            out[:, j] += np.bincount(sp["nb_i"], weights=lo[:, j],
-                                     minlength=no)
-
-    def _apply_boundary(self, loc: np.ndarray, out: np.ndarray) -> None:
-        m = self.mat
-        sp = self._split()
-        no = self.sub.n_owned
-        for coeff, rows, cols in (
-            (m.upper[sp["cut_own"]], sp["rows_own"], sp["cols_own"]),
-            (m.lower[sp["cut_nb"]], sp["rows_nb"], sp["cols_nb"]),
-        ):
-            if rows.size == 0:
-                continue
-            w = coeff[:, None] * loc[cols]
-            for j in range(loc.shape[1]):
-                out[:, j] += np.bincount(rows, weights=w[:, j],
-                                         minlength=no)
-
     def matvec_multi(self, x: np.ndarray) -> np.ndarray:
         """y = A x on the owned rows, with one ghost refresh."""
-        sub = self.sub
-        k = x.shape[1]
-        loc = self._buf(("loc",), (sub.n_local, k))
-        loc[:sub.n_owned] = x
-        for slot in range(_OUT_SLOTS):
-            self._buf(("out", slot), (self.n, k))
-        out = self._buf(("out", self._out_rot), (self.n, k))
-        self._out_rot = (self._out_rot + 1) % _OUT_SLOTS
+        loc = self.op.load(x)
+        out = self._next_out(x.shape[1])
         if self.overlap_halo:
             handle = self.halo.post(loc)
-            self._apply_interior(loc, out)
+            self.op.apply_interior(loc, out)
             handle.wait()
-            self._apply_boundary(loc, out)
         else:
             self.halo.refresh(loc)
-            self._apply_interior(loc, out)
-            self._apply_boundary(loc, out)
+            self.op.apply_interior(loc, out)
+        self.op.apply_boundary(loc, out)
         return out
 
     def coldot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,33 +190,6 @@ class RankSystem:
             np.abs(s).sum(axis=0, out=parts[nd + i])
         return parts
 
-    def fused_reduce(self, dots, sums):
-        """Grouped reduction: one allreduce for the whole group."""
-        reduced = self.comm.allreduce(self._pack_group(dots, sums),
-                                      op="sum")
-        nd = len(dots)
-        return ([reduced[i] for i in range(nd)],
-                [reduced[i] for i in range(nd, reduced.shape[0])])
-
-    def ifused_reduce(self, dots, sums):
-        """Nonblocking grouped reduction (the pipelined-PCG hook).
-
-        The posted ``iallreduce`` stages on the reduction channel, so
-        the halo exchanges of the matvec running between post and wait
-        cannot clobber it.
-        """
-        pending = self.comm.iallreduce(self._pack_group(dots, sums),
-                                       op="sum")
-        nd = len(dots)
-
-        class _Pending:
-            def wait(_self):
-                reduced = pending.wait()
-                return ([reduced[i] for i in range(nd)],
-                        [reduced[i] for i in range(nd, reduced.shape[0])])
-
-        return _Pending()
-
     # -- preconditioners ------------------------------------------------
     def jacobi(self):
         """Diagonal preconditioner on the owned rows (bitwise equal to
@@ -300,14 +203,9 @@ class RankSystem:
         return apply
 
     def block_dic(self):
-        """Block-Jacobi DIC on this rank's owned diagonal block."""
-        pre = DICPreconditioner(self.sub.interior_matrix(self.mat))
-
-        def apply(r: np.ndarray) -> np.ndarray:
-            """Apply the rank's DIC factor to its residual rows."""
-            return pre.apply_multi(r.copy())
-
-        return apply
+        """Block-Jacobi DIC: this rank's cached factor, value-refreshed
+        from its owned diagonal block."""
+        return self.op.block_dic().apply_multi
 
 
 class RankStepper:

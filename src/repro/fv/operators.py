@@ -24,7 +24,8 @@ from ..solvers.blocked import pbicgstab_solve_multi, pcg_solve_multi
 from ..solvers.controls import SolverControls, SolverResult
 from ..solvers.pbicgstab import pbicgstab_solve
 from ..solvers.pcg import pcg_solve
-from ..solvers.preconditioners import DICPreconditioner, JacobiPreconditioner
+from ..solvers.preconditioners import (CachedDICPreconditioner,
+                                       JacobiPreconditioner)
 from ..sparse.ldu import LDUMatrix
 from .fields import MultiVolField, SurfaceField, VolField
 
@@ -114,8 +115,8 @@ class FVMatrix:
                 pre = (ws.dic(self.a) if self.a.n < 50_000
                        else ws.jacobi(self.a)).apply
             else:
-                pre = DICPreconditioner(self.a).apply if self.a.n < 50_000 \
-                    else JacobiPreconditioner(self.a).apply
+                pre = CachedDICPreconditioner(self.a).apply \
+                    if self.a.n < 50_000 else JacobiPreconditioner(self.a).apply
             x, res = pcg_solve(self.a, self.source, x0=self.field.values,
                                preconditioner=pre, controls=controls,
                                workspace=ws.krylov if ws else None)
@@ -241,8 +242,8 @@ class CoupledTransportEquation:
                 pre = ws.dic(self.a) if self.a.n < 50_000 \
                     else ws.jacobi(self.a)
             else:
-                pre = DICPreconditioner(self.a) if self.a.n < 50_000 else \
-                    JacobiPreconditioner(self.a)
+                pre = CachedDICPreconditioner(self.a) if self.a.n < 50_000 \
+                    else JacobiPreconditioner(self.a)
             x, results = pcg_solve_multi(
                 self.a, self.source, x0=self.field.values,
                 preconditioner=pre.apply_multi, controls=controls, matvec=mv,

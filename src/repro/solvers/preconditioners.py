@@ -81,6 +81,11 @@ class DICPreconditioner:
     owner < neighbour (periodic wrap faces may violate it) and
     processed in ascending-owner order, which guarantees each row's
     modified diagonal is final before it is used.
+
+    This sequential face-loop port is the **reference oracle** for
+    tests and ablation benches only (O(faces) Python iterations per
+    factorization and per sweep); every solver path in ``src/`` runs
+    the bitwise-identical :class:`CachedDICPreconditioner`.
     """
 
     def __init__(self, ldu: LDUMatrix):
@@ -255,11 +260,16 @@ class CachedDICPreconditioner:
         """Apply the DIC factor to a 1-D residual."""
         return self._sweeps(r * self.r_d)
 
-    def apply_multi(self, r: np.ndarray) -> np.ndarray:
-        """Apply to ``(n, k)``: one sweep pair covers all columns."""
-        if r.ndim == 1:
-            return self.apply(r)
-        return self._sweeps(r * self.r_d[:, None])
+    def apply_multi(self, r: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """Apply to ``(n, k)``: one sweep pair covers all columns.
+
+        ``out`` (same shape as ``r``; may be a view, e.g. one rank's
+        row slice of a stacked block) receives the scaled residual and
+        is swept in place, so no temporary is allocated.
+        """
+        rd = self.r_d[:, None] if r.ndim == 2 else self.r_d
+        return self._sweeps(np.multiply(r, rd, out=out))
 
     def apply_backend(self, r, backend=None):
         """Backend-generic DIC application (1-D or ``(n, k)``).

@@ -106,6 +106,24 @@ def make_laplacian_ldu(mesh, shift: float = 0.2) -> LDUMatrix:
     return ldu
 
 
+def make_random_spd_ldus(dec, rng) -> list:
+    """Per-rank SPD matrices with random symmetric off-diagonals."""
+    mats = [make_laplacian_ldu(s.mesh) for s in dec.subdomains]
+    for m in mats:
+        m.upper[:] = m.lower[:] = -(0.5 + rng.random(m.upper.size))
+        m.diag *= 1.5
+    return mats
+
+
+def checkerboard_parts(mesh) -> np.ndarray:
+    """2-part labels of a (non-periodic) box mesh under which no two
+    cells of a part share a face: every owned block of the resulting
+    decomposition has zero interior faces."""
+    ijk = [np.unique(mesh.cell_centres[:, a].round(12), return_inverse=True)[1]
+           for a in range(3)]
+    return (ijk[0] + ijk[1] + ijk[2]) % 2
+
+
 @pytest.fixture(scope="session")
 def spd_ldu(box_mesh):
     return make_laplacian_ldu(box_mesh)

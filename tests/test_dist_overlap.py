@@ -21,8 +21,11 @@ from repro.dist import (
     solve_distributed,
 )
 from repro.runtime import SimulatedComm, overlapped_phase_time
-from repro.solvers import SolverControls
-from tests.conftest import make_laplacian_ldu
+from repro.solvers import SolverControls, preconditioners
+from repro.solvers.preconditioners import (CachedDICPreconditioner,
+                                           DICPreconditioner)
+from tests.conftest import (checkerboard_parts, make_laplacian_ldu,
+                            make_random_spd_ldus)
 
 #: converge far below the 1e-8 agreement gates
 TIGHT = SolverControls(tolerance=1e-12, max_iterations=800)
@@ -275,16 +278,96 @@ class TestWarmAllocations:
     @pytest.mark.parametrize("variant", KRYLOV_VARIANTS)
     def test_zero_warm_solve_allocations(self, mech, variant):
         """After the first step sized every persistent buffer, warm
-        distributed solves perform zero tracked allocations."""
+        distributed solves perform zero tracked allocations -- with
+        each rank's cached block-DIC living in the Krylov scratch."""
         settings = SolverSettings(ranks=4, krylov_variant=variant,
                                   overlap_halo=(variant == "overlapped"))
         solver = DecomposedSolver(
             build_tgv_case(n=6, mech=mech), settings=settings,
             properties=IdealGasProperties(mech), chemistry=NoChemistry())
         solver.step(1e-8)   # sizes scratch buffers and the workspace
+        dics = [solver._krylov_scratch[("op", r)].dic for r in range(4)]
+        assert all(isinstance(d, CachedDICPreconditioner) for d in dics)
         for _ in range(3):
             solver.step(1e-8)
             assert solver.last_timings.alloc_solving == 0
+        assert [solver._krylov_scratch[("op", r)].dic
+                for r in range(4)] == dics
+
+
+class TestBlockDIC:
+    """The per-rank cached block-Jacobi DIC of the distributed PCG."""
+
+    @pytest.mark.parametrize("nparts", [2, 4])
+    def test_apply_matches_sequential_oracle(self, box_mesh, nparts):
+        """Per rank, bitwise equal to the reference face-loop DIC on
+        the owned diagonal block -- also after a value-only refresh
+        through the same scratch (no structure is rebuilt)."""
+        rng = np.random.default_rng(nparts)
+        dec = Decomposition.from_mesh(box_mesh, nparts)
+        comm = SimulatedComm(nparts)
+        scratch: dict = {}
+        structs = None
+        for _ in range(2):      # second pass: new values, same scratch
+            mats = make_random_spd_ldus(dec, rng)
+            system = DistributedSystem(dec, comm, mats, scratch=scratch)
+            apply = system.block_dic()
+            for r in (rng.standard_normal((system.n, 3)),
+                      rng.standard_normal(system.n)):
+                got = apply(r)
+                for q, (sub, m) in enumerate(zip(dec.subdomains, mats)):
+                    sl = dec.rank_slice(q)
+                    oracle = DICPreconditioner(sub.interior_matrix(m))
+                    assert np.array_equal(got[sl],
+                                          oracle.apply_multi(r[sl].copy()))
+            if structs is None:
+                structs = [op.dic.struct for op in system.ops]
+        assert [op.dic.struct for op in system.ops] == structs
+
+    @pytest.mark.parametrize("variant", KRYLOV_VARIANTS)
+    def test_structure_built_once_per_rank(self, mech, variant,
+                                           monkeypatch):
+        built = []
+        init = preconditioners.DICStructure.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(preconditioners.DICStructure, "__init__",
+                            counting)
+        solver = DecomposedSolver(
+            build_tgv_case(n=6, mech=mech),
+            settings=SolverSettings(ranks=2, krylov_variant=variant),
+            properties=IdealGasProperties(mech), chemistry=NoChemistry())
+        solver.run(3, 1e-8)
+        assert len(built) == 2
+
+    def test_asymmetric_block_rejected(self, box_mesh):
+        system = _make_system(box_mesh, 2)
+        system.mats[1].upper[system.ops[1].interior[0]] *= 2.0
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_distributed(system, np.ones((system.n, 1)), solver="PCG")
+
+    def test_no_interior_faces_is_diagonal_scaling(self, box_mesh):
+        """A rank whose owned cells share no face gets an empty DIC
+        structure: refresh works, apply is plain Jacobi, PCG converges."""
+        dec = Decomposition.from_mesh(box_mesh, 2,
+                                      parts=checkerboard_parts(box_mesh))
+        mats = [make_laplacian_ldu(s.mesh) for s in dec.subdomains]
+        system = DistributedSystem(dec, SimulatedComm(2), mats)
+        for _ in range(2):      # build, then value-only refresh
+            apply = system.block_dic()
+        assert all(op.dic.struct.order.size == 0 for op in system.ops)
+        rng = np.random.default_rng(0)
+        for r in (rng.standard_normal((system.n, 2)),
+                  rng.standard_normal(system.n)):
+            assert np.array_equal(apply(r), system.jacobi()(r))
+        b = rng.standard_normal((system.n, 2))
+        x, results = solve_distributed(system, b, solver="PCG",
+                                       controls=TIGHT)
+        assert all(res.converged for res in results)
+        assert np.abs(_stacked_reference(box_mesh, dec, x) - b).max() <= 1e-9
 
 
 class TestValidation:
