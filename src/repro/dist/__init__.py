@@ -1,13 +1,16 @@
 """Domain-decomposed execution.
 
-Runs the DeepFlame loop over ``P`` partitioned subdomains *in process*,
-the way the paper runs it over MPI ranks: each rank owns a contiguous
-block of cells plus a one-cell ghost (halo) layer, assembles its
-equations on the local-plus-halo mesh, and the Krylov solves become
-global systems whose matvecs trigger halo exchanges and whose dot
-products / convergence checks go through ``SimulatedComm.allreduce``.
-Every message lands in the :class:`~repro.runtime.comm.CommLedger`, so
-the strong-scaling benches can report *measured* communication volumes
+Runs the DeepFlame loop over ``P`` partitioned subdomains the way the
+paper runs it over MPI ranks: each rank owns a contiguous block of
+cells plus a one-cell ghost (halo) layer, assembles its equations on
+the local-plus-halo mesh, and the Krylov solves become global systems
+whose matvecs trigger halo exchanges and whose dot products /
+convergence checks go through ``comm.allreduce``.  The step is written
+once, over the ranks a communicator endpoint hosts (``comm.ranks``):
+all ``P`` in process over a ``SimulatedComm``, or one per forked worker
+over a ``SharedMemComm`` (``execution="parallel"``).  Every message
+lands in the :class:`~repro.runtime.comm.CommLedger`, so the
+strong-scaling benches can report *measured* communication volumes
 next to the alpha-beta cost model.
 
 Layers:
@@ -15,15 +18,14 @@ Layers:
 * :mod:`.decompose` -- :class:`Decomposition` / :class:`Subdomain`:
   per-rank local meshes with halo cells and symmetric exchange maps;
 * :mod:`.halo` -- :class:`HaloExchanger`: packed ghost-layer refreshes
-  through a :class:`~repro.runtime.comm.SimulatedComm`, blocking
-  (``refresh``) or posted nonblocking (``post`` ->
-  :class:`PendingRefresh`);
+  of the hosted ranks, blocking (``refresh``) or posted nonblocking
+  (``post`` -> :class:`PendingRefresh`);
 * :mod:`.rank_operator` -- :class:`RankOperator`: one rank's
   communication-free kernel (row split, interior/boundary matvec,
-  cached block-DIC), shared by the driver-stepped and SPMD systems;
-* :mod:`.krylov` -- :class:`DistributedSystem`: the global operator
-  (per-rank LDU blocks + halo-exchanging matvec + allreduce
-  reductions) fed to the *unmodified* blocked Krylov solvers; the
+  cached block-DIC);
+* :mod:`.krylov` -- :class:`DistributedSystem`: the hosted ranks'
+  LDU blocks (halo-exchanging matvec + allreduce reductions) fed to
+  the *unmodified* blocked Krylov solvers; the
   ``"overlapped"`` variant overlaps the ghost refresh with the
   interior matvec rows and runs the communication-avoiding solvers
   (pipelined PCG, fused-reduction PBiCGStab);
@@ -33,7 +35,9 @@ Layers:
 * :mod:`.solver` -- :class:`DecomposedSolver`: drives one
   :class:`~repro.core.DeepFlameSolver` per rank through the shared
   physics stages (``balance_chemistry="none"|"static"|"dynamic"``
-  selects the chemistry-balancing policy).
+  selects the chemistry-balancing policy);
+* :mod:`.spmd` -- ``ParallelExecutor``: forks one worker per rank,
+  each stepping a :class:`DecomposedSolver` over a one-rank endpoint.
 """
 
 from .balance import BALANCE_MODES, BalanceReport, ChemistryLoadBalancer

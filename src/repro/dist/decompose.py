@@ -230,16 +230,6 @@ class Decomposition:
         """Rows of rank ``r`` in the stacked (rank-blocked) vector."""
         return slice(int(self.offsets[r]), int(self.offsets[r + 1]))
 
-    def stack_owned(self, per_rank: list[np.ndarray]) -> np.ndarray:
-        """Concatenate per-rank owned rows into one stacked vector."""
-        return np.concatenate(
-            [np.asarray(a)[:s.n_owned]
-             for a, s in zip(per_rank, self.subdomains)], axis=0)
-
-    def split_owned(self, stacked: np.ndarray) -> list[np.ndarray]:
-        """Inverse of :meth:`stack_owned` (views into ``stacked``)."""
-        return [stacked[self.rank_slice(r)] for r in range(self.nparts)]
-
     def gather_cells(self, per_rank: list[np.ndarray]) -> np.ndarray:
         """Owned rows of per-rank local arrays -> one array in global
         cell order."""

@@ -1,8 +1,11 @@
 """Distributed Krylov solves over per-rank LDU blocks.
 
-:class:`DistributedSystem` presents ``P`` locally-assembled operators
-as one global system in the *stacked* layout (owned rows of rank 0,
-then rank 1, ...).  The blocked Krylov solvers
+:class:`DistributedSystem` presents the locally-assembled operators of
+the ranks its communicator endpoint hosts in the *stacked* layout
+(owned rows of the first hosted rank, then the next, ...): all ``P``
+ranks -- the whole global system -- when the driver steps them over a
+``SimulatedComm``, one rank's block in each worker of a parallel run
+over ``SharedMemComm``.  The blocked Krylov solvers
 (:mod:`repro.solvers.blocked`) run unmodified on that layout -- only
 their extension points change meaning:
 
@@ -10,12 +13,12 @@ their extension points change meaning:
   exchange** the ghost rows, apply each local LDU block, restack the
   owned rows (one packed message per neighbour pair per matvec);
 * ``coldot`` / ``colsum_abs`` -- per-rank partial reductions combined
-  through ``SimulatedComm.allreduce`` (one collective per reduction,
+  through ``comm.allreduce`` (one collective per reduction,
   exactly the pattern whose ``log2(P) + beta*P`` cost drives the
   paper's strong-scaling decay);
 * ``fused_reduce`` / ``ifused_reduce`` -- the grouped spellings for
   the communication-avoiding solver variants: the whole group's
-  per-rank partials are packed into **one** ``(P, n_items, k)``
+  per-rank partials are packed into **one** ``(hosted, n_items, k)``
   allreduce (posted nonblocking for the pipelined PCG, so the
   collective is in flight while the preconditioner and matvec run).
 
@@ -44,7 +47,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.settings import KRYLOV_VARIANTS
-from ..runtime.comm import SimulatedComm
 from ..solvers.blocked import (
     fused_pbicgstab_solve_multi,
     pbicgstab_solve_multi,
@@ -84,21 +86,64 @@ class _PendingFusedReduce:
         return _unpack_group(self._pending.wait(), self._n_dots)
 
 
-class SystemHooks:
-    """What the driver-stepped and the SPMD system share verbatim.
+class DistributedSystem:
+    """The operator rows of the ranks a communicator endpoint hosts.
 
-    A subclass supplies ``n`` (its row count), ``comm`` and
-    ``_pack_group(dots, sums)`` (its per-rank partials of a reduction
-    group, packed into one payload); this base adds the persistent
-    scratch buffers, the rotating matvec output pool and the
-    grouped-reduction hooks of the blocked solvers.
+    Quacks like the ``a`` argument of the blocked solvers (``n``,
+    ``nnz``) while routing every matvec through a halo exchange and
+    every reduction through an allreduce.  Rows are the owned rows of
+    ``comm.ranks`` stacked in rank order (see the module docstring);
+    both fabrics reduce the per-rank partials in rank order, so the
+    Krylov trajectory is bitwise the same either way.  ``nnz`` counts
+    the stored entries of the hosted rows; over all ranks it is the
+    undecomposed operator's count, so flop totals are comparable
+    across execution modes.
+
+    Parameters
+    ----------
+    mats:
+        One locally assembled LDU matrix per hosted rank, in
+        ``comm.ranks`` order.
+    scratch:
+        Optional dict holding the persistent state of the solves on
+        this decomposition: the work buffers, the stacked layout and
+        one :class:`~repro.dist.rank_operator.RankOperator` per hosted
+        rank (row split, local blocks, cached block-DIC structure)
+        under ``("op", rank id)``.  A driver that builds a fresh system
+        per solve (:class:`~repro.dist.DecomposedSolver`) passes the
+        *same* dict every time, so warm solves allocate nothing and
+        never rebuild a structure; by default each system owns a
+        private one.
+    overlap_halo:
+        Post the ghost refresh nonblocking and compute the interior
+        rows while it is in flight (the messages are then tagged
+        overlappable in the communication ledger).
     """
 
-    def __init__(self, comm, n: int, scratch: dict | None):
+    def __init__(self, decomp: Decomposition, comm, mats: list,
+                 exchanger: HaloExchanger | None = None,
+                 scratch: dict | None = None, overlap_halo: bool = False):
+        if len(mats) != len(comm.ranks):
+            raise ValueError("need one local matrix per hosted rank")
+        self.decomp = decomp
         self.comm = comm
-        self.n = n
+        self.mats = mats
+        self.exchanger = exchanger or HaloExchanger(decomp, comm)
+        self.overlap_halo = bool(overlap_halo)
         self._scratch = scratch if scratch is not None else {}
         self._out_rot = 0
+        self.ops = [
+            RankOperator.bound(self._scratch, ("op", r),
+                               decomp.subdomains[r], m)
+            for r, m in zip(comm.ranks, mats)]
+        layout = self._scratch.get("layout")
+        if layout is None:
+            ends = np.cumsum([op.sub.n_owned for op in self.ops]).tolist()
+            layout = self._scratch["layout"] = (
+                [slice(a, b) for a, b in zip([0] + ends, ends)],
+                ends[-1], sum(op.nnz for op in self.ops))
+        #: row slice of each hosted rank, the row count, the entry count
+        self.slices, self.n, self.nnz = layout
 
     def _buf(self, key: tuple, shape: tuple) -> np.ndarray:
         return scratch_buffer(self._scratch, key, shape)
@@ -116,64 +161,6 @@ class SystemHooks:
         self._out_rot = (self._out_rot + 1) % _OUT_SLOTS
         return out
 
-    def fused_reduce(self, dots, sums):
-        """Grouped-reduction hook: one allreduce for the whole group
-        (the fused PBiCGStab's 2 collectives per iteration)."""
-        return _unpack_group(
-            self.comm.allreduce(self._pack_group(dots, sums), op="sum"),
-            len(dots))
-
-    def ifused_reduce(self, dots, sums) -> _PendingFusedReduce:
-        """Nonblocking grouped reduction: posts one ``iallreduce`` for
-        the group (tagged overlappable; the SPMD fabric stages it on
-        the reduction channel, so the matvec's halo exchanges cannot
-        clobber it) and returns a wait handle -- the pipelined PCG
-        computes its preconditioner and matvec between post and wait."""
-        return _PendingFusedReduce(
-            self.comm.iallreduce(self._pack_group(dots, sums), op="sum"),
-            len(dots))
-
-
-class DistributedSystem(SystemHooks):
-    """The global operator of ``P`` per-rank LDU blocks.
-
-    Quacks like the ``a`` argument of the blocked solvers (``n``,
-    ``nnz``) while routing every matvec through a halo exchange and
-    every reduction through an allreduce.  ``nnz`` reports the serial
-    operator's count so flop accounting stays comparable across
-    execution modes (cut faces would otherwise be counted twice).
-
-    Parameters
-    ----------
-    scratch:
-        Optional dict holding the persistent state of the solves on
-        this decomposition: the work buffers and one
-        :class:`~repro.dist.rank_operator.RankOperator` per rank (row
-        split, local blocks, cached block-DIC structure).  A driver
-        that builds a fresh system per solve
-        (:class:`~repro.dist.DecomposedSolver`) passes the *same* dict
-        every time, so warm solves allocate nothing and never rebuild
-        a structure; by default each system owns a private one.
-    overlap_halo:
-        Post the ghost refresh nonblocking and compute the interior
-        rows while it is in flight (the messages are then tagged
-        overlappable in the communication ledger).
-    """
-
-    def __init__(self, decomp: Decomposition, comm: SimulatedComm,
-                 mats: list, exchanger: HaloExchanger | None = None,
-                 scratch: dict | None = None, overlap_halo: bool = False):
-        if len(mats) != decomp.nparts:
-            raise ValueError("need one local matrix per rank")
-        super().__init__(comm, decomp.mesh.n_cells, scratch)
-        self.decomp = decomp
-        self.mats = mats
-        self.exchanger = exchanger or HaloExchanger(decomp, comm)
-        self.overlap_halo = bool(overlap_halo)
-        self.nnz = decomp.mesh.n_cells + 2 * decomp.mesh.n_internal_faces
-        self.ops = [RankOperator.bound(self._scratch, ("op", r), sub, m)
-                    for r, (sub, m) in enumerate(zip(decomp.subdomains, mats))]
-
     # -- hooks for the blocked solvers ---------------------------------
     def matvec_multi(self, x: np.ndarray) -> np.ndarray:
         """Y = A X on the stacked layout, with one ghost refresh.
@@ -183,11 +170,9 @@ class DistributedSystem(SystemHooks):
         (no ghost dependency) are computed while it is in flight, and
         only the cut-face tail runs after ``wait()``.
         """
-        dec = self.decomp
-        locs = [op.load(x[dec.rank_slice(r)])
-                for r, op in enumerate(self.ops)]
+        locs = [op.load(x[sl]) for op, sl in zip(self.ops, self.slices)]
         out = self._next_out(x.shape[1])
-        outs = [out[dec.rank_slice(r)] for r in range(dec.nparts)]
+        outs = [out[sl] for sl in self.slices]
         if self.overlap_halo:
             handle = self.exchanger.post(locs)
             for op, loc, o in zip(self.ops, locs, outs):   # overlapped
@@ -204,43 +189,57 @@ class DistributedSystem(SystemHooks):
 
     def coldot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-column dot products via per-rank partials + allreduce."""
-        parts = self._buf(("red",), (self.decomp.nparts, a.shape[1]))
-        for r in range(self.decomp.nparts):
-            sl = self.decomp.rank_slice(r)
-            np.einsum("ij,ij->j", a[sl], b[sl], out=parts[r])
+        parts = self._buf(("red",), (len(self.slices), a.shape[1]))
+        for part, sl in zip(parts, self.slices):
+            np.einsum("ij,ij->j", a[sl], b[sl], out=part)
         return np.atleast_1d(self.comm.allreduce(parts, op="sum"))
 
     def colsum_abs(self, r: np.ndarray) -> np.ndarray:
         """Per-column L1 norms via per-rank partials + allreduce."""
-        parts = self._buf(("red",), (self.decomp.nparts, r.shape[1]))
-        for q in range(self.decomp.nparts):
-            np.abs(r[self.decomp.rank_slice(q)]).sum(axis=0, out=parts[q])
+        parts = self._buf(("red",), (len(self.slices), r.shape[1]))
+        for part, sl in zip(parts, self.slices):
+            np.abs(r[sl]).sum(axis=0, out=part)
         return np.atleast_1d(self.comm.allreduce(parts, op="sum"))
 
     def _pack_group(self, dots, sums) -> np.ndarray:
         """Per-rank partials of a whole reduction group, packed into
-        one ``(P, n_dots + n_sums, k)`` payload."""
+        one ``(hosted, n_dots + n_sums, k)`` payload."""
         k = (dots[0][0] if dots else sums[0]).shape[1]
         nd = len(dots)
         parts = self._buf(("fused",),
-                          (self.decomp.nparts, nd + len(sums), k))
-        for r in range(self.decomp.nparts):
-            sl = self.decomp.rank_slice(r)
+                          (len(self.slices), nd + len(sums), k))
+        for part, sl in zip(parts, self.slices):
             for i, (a, b) in enumerate(dots):
-                np.einsum("ij,ij->j", a[sl], b[sl], out=parts[r, i])
+                np.einsum("ij,ij->j", a[sl], b[sl], out=part[i])
             for i, s in enumerate(sums):
-                np.abs(s[sl]).sum(axis=0, out=parts[r, nd + i])
+                np.abs(s[sl]).sum(axis=0, out=part[nd + i])
         return parts
+
+    def fused_reduce(self, dots, sums):
+        """Grouped-reduction hook: one allreduce for the whole group
+        (the fused PBiCGStab's 2 collectives per iteration)."""
+        return _unpack_group(
+            self.comm.allreduce(self._pack_group(dots, sums), op="sum"),
+            len(dots))
+
+    def ifused_reduce(self, dots, sums) -> _PendingFusedReduce:
+        """Nonblocking grouped reduction: posts one ``iallreduce`` for
+        the group (tagged overlappable; the shared-memory fabric stages
+        it on the reduction channel, so the matvec's halo exchanges
+        cannot clobber it) and returns a wait handle -- the pipelined
+        PCG computes its preconditioner and matvec between post and
+        wait."""
+        return _PendingFusedReduce(
+            self.comm.iallreduce(self._pack_group(dots, sums), op="sum"),
+            len(dots))
 
     # -- preconditioners ------------------------------------------------
     def jacobi(self):
         """Diagonal preconditioner on the stacked layout.  The owned
         diagonal equals the serial operator's, so this matches the
         serial Jacobi entry for entry."""
-        diag = np.concatenate(
-            [m.diag[:s.n_owned]
-             for m, s in zip(self.mats, self.decomp.subdomains)])
-        r_diag = 1.0 / diag
+        r_diag = 1.0 / np.concatenate(
+            [op.mat.diag[:op.sub.n_owned] for op in self.ops])
 
         def apply(r: np.ndarray) -> np.ndarray:
             """Scale (stacked) residual columns by the inverse diagonal."""
@@ -252,8 +251,8 @@ class DistributedSystem(SystemHooks):
         """Block-Jacobi DIC: each rank's cached DIC factor, value-
         refreshed from its owned diagonal block (processor-local
         preconditioning, no communication)."""
-        blocks = [(op.block_dic(), self.decomp.rank_slice(q))
-                  for q, op in enumerate(self.ops)]
+        blocks = [(op.block_dic(), sl)
+                  for op, sl in zip(self.ops, self.slices)]
 
         def apply(r: np.ndarray) -> np.ndarray:
             """Scale and sweep each rank's row slice of ``r`` in place

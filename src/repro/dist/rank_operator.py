@@ -1,12 +1,12 @@
-"""The rank-local operator kernel shared by both execution modes.
+"""The rank-local operator kernel of the distributed system.
 
 :class:`RankOperator` is everything one rank does to its *own* rows of
 a distributed system without talking to anybody: the interior/boundary
 row split, the two halves of the matvec, the restriction to the owned
-diagonal block, and the block-Jacobi DIC factorized on it.  The
-driver-stepped :class:`~repro.dist.krylov.DistributedSystem` holds
-``P`` of them, the SPMD :class:`~repro.dist.spmd.RankSystem` holds
-one, so both modes run the same arithmetic by construction.
+diagonal block, and the block-Jacobi DIC factorized on it.
+:class:`~repro.dist.krylov.DistributedSystem` holds one per rank its
+communicator hosts -- ``P`` when the driver steps every rank, one in
+each worker of a parallel run.
 
 What depends only on the decomposition's sparsity (the split, the
 local and interior-block buffers, the interior block's
@@ -68,6 +68,10 @@ class RankOperator:
         # (faces, rows, cols) of the upper- and the lower-coefficient group
         self._cuts = [(cut_own, own[cut_own], nb[cut_own]),
                       (cut_nb, nb[cut_nb], own[cut_nb])]
+        #: stored entries of the owned rows; summed over all ranks this
+        #: is the undecomposed operator's ``n_cells + 2 n_internal_faces``
+        self.nnz = (no + 2 * self.interior.size
+                    + cut_own.size + cut_nb.size)
         self._bufs: dict = {}
         self._block: LDUMatrix | None = None
         #: the cached block-DIC factor (``None`` until the first PCG solve)

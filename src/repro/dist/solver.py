@@ -24,6 +24,14 @@ with the serial one to solver tolerance -- the agreement tests pin it
 at <= 1e-8 over multiple steps.  Every exchange and reduction lands in
 the communicator's ledger; :attr:`last_comm` carries the per-step
 totals the executed strong-scaling bench reports.
+
+**One step, two schedulings.**  The step is written once, over the
+ranks the communicator endpoint *hosts* (``comm.ranks``): all ``P`` in
+lockstep over a :class:`~repro.runtime.comm.SimulatedComm`
+(``execution="serial"``), one per forked worker over a
+:class:`~repro.runtime.shm.SharedMemComm` under
+``execution="parallel"`` (:mod:`.spmd`).  Both fabrics reduce per-rank
+partials stacked in rank order, so the two agree bitwise.
 """
 
 from __future__ import annotations
@@ -53,6 +61,16 @@ __all__ = ["DecomposedSolver"]
 #: property-set arrays exchanged after a per-cell property evaluation
 _PROP_FIELDS = ("rho", "temperature", "mu", "alpha", "cp")
 
+#: gatherable state fields and their per-rank accessors
+_FIELD_GETTERS = {
+    "y": lambda r: r.y,
+    "h": lambda r: r.h,
+    "p": lambda r: r.p.values,
+    "u": lambda r: r.u.values,
+    "rho": lambda r: r.rho,
+    "T": lambda r: r.props.temperature,
+}
+
 
 def _localize_case(case: Case, sub) -> Case:
     """Restrict a case to one subdomain (owned + halo cells)."""
@@ -69,7 +87,14 @@ def _localize_case(case: Case, sub) -> Case:
 
 
 class DecomposedSolver:
-    """P-rank decomposed execution of the DeepFlame time step."""
+    """P-rank decomposed execution of the DeepFlame time step.
+
+    ``comm`` and ``decomp`` are injected objects: by default the solver
+    partitions the case mesh and hosts all ``P`` ranks on a fresh
+    ``SimulatedComm``; a worker of a parallel run gets the driver's
+    decomposition and a one-rank endpoint.  ``ranks`` / ``subs`` list
+    the hosted rank solvers / subdomains, in ``comm.ranks`` order.
+    """
 
     def __init__(
         self,
@@ -77,7 +102,8 @@ class DecomposedSolver:
         nparts: int = _UNSET,
         method: str = _UNSET,
         seed: int = _UNSET,
-        comm: SimulatedComm | None = None,
+        comm=None,
+        decomp: Decomposition | None = None,
         properties=None,
         chemistry=None,
         scalar_controls: SolverControls = _UNSET,
@@ -111,11 +137,14 @@ class DecomposedSolver:
         self.settings = settings
         self.case = case
         self.mech = case.mech
-        self.decomp = Decomposition.from_mesh(
-            case.mesh, settings.ranks, method=settings.partition_method,
-            seed=settings.partition_seed)
+        self.decomp = decomp if decomp is not None else \
+            Decomposition.from_mesh(
+                case.mesh, settings.ranks,
+                method=settings.partition_method,
+                seed=settings.partition_seed)
         self.comm = comm or SimulatedComm(settings.ranks)
         self.exchanger = HaloExchanger(self.decomp, self.comm)
+        self.subs = self.exchanger.subs
         self.scalar_controls = settings.scalar_controls
         self.pressure_controls = settings.pressure_controls
         self.n_correctors = settings.n_correctors
@@ -137,9 +166,10 @@ class DecomposedSolver:
         self.properties = properties
         self._parallel = None
         if settings.execution == "parallel":
-            # SPMD execution: the rank solvers live in forked worker
-            # processes (one per rank); the driver keeps self.comm as
-            # the ledger holder the per-rank ledgers merge back into.
+            # The rank solvers live in forked worker processes, each
+            # running this class over a one-rank endpoint; the driver
+            # keeps self.comm as the ledger holder the per-rank
+            # ledgers merge back into.
             from .spmd import ParallelExecutor
 
             self.ranks = []
@@ -158,7 +188,7 @@ class DecomposedSolver:
                 DeepFlameSolver(
                     _localize_case(case, sub), properties=properties,
                     chemistry=chemistry, settings=rank_settings)
-                for sub in self.decomp.subdomains
+                for sub in self.subs
             ]
             # The rank constructors evaluated properties/enthalpy over
             # local-plus-halo batches; re-sync the ghost rows from
@@ -175,6 +205,10 @@ class DecomposedSolver:
 
         self.balancer: ChemistryLoadBalancer | None = None
         if settings.balance_chemistry != "none":
+            if len(self.subs) != self.decomp.nparts:
+                raise ValueError(
+                    "balance_chemistry plans over all ranks at once: the "
+                    "communicator must host every rank")
             if not all(isinstance(r.chemistry, BackendChemistry)
                        for r in self.ranks):
                 raise ValueError(
@@ -222,24 +256,26 @@ class DecomposedSolver:
 
     # -- helpers --------------------------------------------------------
     def _pairs(self):
-        return zip(self.ranks, self.decomp.subdomains)
+        return zip(self.ranks, self.subs)
 
     def _refresh(self, per_rank) -> None:
         self.exchanger.refresh(per_rank)
 
     def _solve(self, eqns, solver: str, controls: SolverControls,
-               x0_per_rank, tm: StepTimings) -> tuple[np.ndarray, int, int]:
-        """One distributed solve; returns (stacked solution, flops,
-        iterations summed over columns)."""
-        dec = self.decomp
-        b = dec.stack_owned([np.asarray(e.source, dtype=float)
-                             for e in eqns])
-        x0 = dec.stack_owned([np.asarray(x, dtype=float)
-                              for x in x0_per_rank])
+               x0_per_rank, tm: StepTimings) -> tuple[list, int, int]:
+        """One distributed solve; returns (per-rank views of the
+        stacked solution, flops, iterations summed over columns)."""
+        b = np.concatenate(
+            [np.asarray(e.source, dtype=float)[:s.n_owned]
+             for e, s in zip(eqns, self.subs)])
+        x0 = np.concatenate(
+            [np.asarray(x, dtype=float)[:s.n_owned]
+             for x, s in zip(x0_per_rank, self.subs)])
         if b.ndim == 1:
             b = b[:, None]
             x0 = x0[:, None]
-        system = DistributedSystem(dec, self.comm, [e.a for e in eqns],
+        system = DistributedSystem(self.decomp, self.comm,
+                                   [e.a for e in eqns],
                                    exchanger=self.exchanger,
                                    scratch=self._krylov_scratch,
                                    overlap_halo=self.overlap_halo)
@@ -251,19 +287,19 @@ class DecomposedSolver:
                                        workspace=self._krylov_workspace)
         tm.solving += time.perf_counter() - t0
         tm.alloc_solving += alloc.snapshot() - a0
-        return (x, sum(r.flops for r in results),
+        return ([x[sl] for sl in system.slices],
+                sum(r.flops for r in results),
                 sum(r.iterations for r in results))
 
     # -- one time step ---------------------------------------------------
     def step(self, dt: float) -> StepDiagnostics:
-        """Advance all ranks by one dt (collectively)."""
+        """Advance the hosted ranks by one dt (collectively)."""
         if self._parallel is not None:
             return self._step_parallel(dt)
         led = self.comm.ledger
         led0 = led.totals()
         tm = StepTimings()
         flops = iters = 0
-        dec = self.decomp
 
         # (1) properties on owned rows, ghost rows by exchange
         rho_olds = [r.stage_properties(tm, cells=sub.owned)
@@ -286,23 +322,23 @@ class DecomposedSolver:
         # (3) species transport: one distributed blocked solve
         eqns = [r.assemble_species_eqn(dt, rho_olds[i], r.props.alpha, tm)
                 for i, r in enumerate(self.ranks)]
-        x, fl, it = self._solve(eqns, "PBiCGStab", self.scalar_controls,
-                                [r.y for r in self.ranks], tm)
+        xs, fl, it = self._solve(eqns, "PBiCGStab", self.scalar_controls,
+                                 [r.y for r in self.ranks], tm)
         flops += fl
         iters += it
-        for i, (r, sub) in enumerate(self._pairs()):
-            r.finish_species(x[dec.rank_slice(i)], tm, cells=sub.owned)
+        for x, (r, sub) in zip(xs, self._pairs()):
+            r.finish_species(x, tm, cells=sub.owned)
         self._refresh([r.y for r in self.ranks])
 
         # (4) energy
         eqns = [r.assemble_energy_eqn(dt, rho_olds[i], tm)
                 for i, r in enumerate(self.ranks)]
-        x, fl, it = self._solve(eqns, "PBiCGStab", self.scalar_controls,
-                                [r.h for r in self.ranks], tm)
+        xs, fl, it = self._solve(eqns, "PBiCGStab", self.scalar_controls,
+                                 [r.h for r in self.ranks], tm)
         flops += fl
         iters += it
-        for i, (r, sub) in enumerate(self._pairs()):
-            r.h[:sub.n_owned] = x[dec.rank_slice(i), 0]
+        for x, (r, sub) in zip(xs, self._pairs()):
+            r.h[:sub.n_owned] = x[:, 0]
         self._refresh([r.h for r in self.ranks])
 
         # (5) momentum + pressure correction
@@ -327,37 +363,33 @@ class DecomposedSolver:
         return diag
 
     def _step_parallel(self, dt: float) -> StepDiagnostics:
-        """One SPMD step on the worker pool (ledger merged back here).
+        """One step on the worker pool (ledgers merged back here).
 
-        The returned diagnostics are rank 0's view: every field except
-        ``solver_flops`` is bitwise identical across ranks (and to the
-        serial path); the flop count prices rank 0's local rows only.
+        The diagnostics equal the driver-stepped ones field for field:
+        the reduced fields are bitwise identical on every rank, and
+        ``solver_flops`` is summed over the workers' hosted rows.
         """
         led = self.comm.ledger
         led0 = led.totals()
-        res = self._parallel.step(dt)
-        diag = res["diag"]
+        diag, self.last_timings = self._parallel.step(dt)
         self.current_time = diag.time
         self.step_count = diag.step
-        self.last_timings = res["timings"]
         self.last_diag = diag
         self.last_comm = led.delta(led0)
         return diag
 
     def _momentum_pressure(self, dt, rho_olds, tm) -> tuple[int, int]:
-        dec = self.decomp
-
         # predictor
         grad_ps = [fvc_grad(r.p) for r in self.ranks]
         eqn_raus = [r.assemble_momentum_eqn(dt, rho_olds[i], grad_ps[i], tm)
                     for i, r in enumerate(self.ranks)]
         eqns = [e for e, _ in eqn_raus]
         r_aus = [ra for _, ra in eqn_raus]
-        x, flops, iters = self._solve(eqns, "PBiCGStab",
-                                      self.scalar_controls,
-                                      [r.u.values for r in self.ranks], tm)
-        for i, (r, sub) in enumerate(self._pairs()):
-            r.u.values[:sub.n_owned] = x[dec.rank_slice(i)]
+        xs, flops, iters = self._solve(eqns, "PBiCGStab",
+                                       self.scalar_controls,
+                                       [r.u.values for r in self.ranks], tm)
+        for x, (r, sub) in zip(xs, self._pairs()):
+            r.u.values[:sub.n_owned] = x
         # ghost rows of U, 1/A and grad(p): a rank cannot form them
         # locally (ghost cells lack their full face sets)
         self._refresh([[r.u.values, r_aus[i], grad_ps[i]]
@@ -378,12 +410,12 @@ class DecomposedSolver:
                 for i, r in enumerate(self.ranks)]
             eqns = [e for e, _ in eqn_auxs]
             auxs = [a for _, a in eqn_auxs]
-            x, fl, it = self._solve(eqns, "PCG", self.pressure_controls,
-                                    [r.p.values for r in self.ranks], tm)
+            xs, fl, it = self._solve(eqns, "PCG", self.pressure_controls,
+                                     [r.p.values for r in self.ranks], tm)
             flops += fl
             iters += it
-            for i, (r, sub) in enumerate(self._pairs()):
-                r.p.values[:sub.n_owned] = x[dec.rank_slice(i), 0]
+            for x, (r, sub) in zip(xs, self._pairs()):
+                r.p.values[:sub.n_owned] = x[:, 0]
             self._refresh([r.p.values for r in self.ranks])
             grad_ps = [r.finish_pressure(dt, r_aus[i], psis[i], auxs[i], tm)
                        for i, r in enumerate(self.ranks)]
@@ -421,22 +453,25 @@ class DecomposedSolver:
         """Advance ``n_steps`` collective steps of size ``dt``."""
         return [self.step(dt) for _ in range(n_steps)]
 
-    def gather(self, name: str) -> np.ndarray:
+    def gather(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
         """A state field in global cell order ('y', 'h', 'p', 'u',
-        'rho' or 'T')."""
+        'rho' or 'T').
+
+        Writes the owned rows of the hosted ranks into ``out`` (a fresh
+        global array by default) -- a worker of a parallel run passes
+        the shared gather buffer and fills its own rank's rows.
+        """
         if self._parallel is not None:
             return self._parallel.gather(name)
-        per = {
-            "y": lambda r: r.y,
-            "h": lambda r: r.h,
-            "p": lambda r: r.p.values,
-            "u": lambda r: r.u.values,
-            "rho": lambda r: r.rho,
-            "T": lambda r: r.props.temperature,
-        }
-        if name not in per:
+        if name not in _FIELD_GETTERS:
             raise KeyError(f"unknown field {name!r}")
-        return self.decomp.gather_cells([per[name](r) for r in self.ranks])
+        local = [_FIELD_GETTERS[name](r) for r in self.ranks]
+        if out is None:
+            out = np.empty((self.decomp.mesh.n_cells,) + local[0].shape[1:],
+                           local[0].dtype)
+        for a, sub in zip(local, self.subs):
+            out[sub.owned_global] = a[:sub.n_owned]
+        return out
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

@@ -175,10 +175,21 @@ class SimulatedComm:
     Ranks are slots in this object; exchanges move numpy arrays between
     them synchronously (the simulation is sequential, the *pattern* is
     what is being exercised and audited).
+
+    **The endpoint contract** (shared with
+    :class:`~repro.runtime.shm.SharedMemComm`): ``ranks`` is the
+    ascending tuple of rank ids this endpoint hosts -- here all ``P``
+    of them, one per shared-memory endpoint.  ``halo_exchange`` /
+    ``post_halo`` take one outbox per hosted rank and return the
+    inboxes in the same order; ``allreduce`` / ``iallreduce`` take
+    contributions whose leading axis is the hosted ranks and return
+    the reduction over all ``P``.  Code written against ``comm.ranks``
+    runs unchanged on either fabric.
     """
 
     def __init__(self, n_ranks: int):
         self.n_ranks = int(n_ranks)
+        self.ranks = tuple(range(self.n_ranks))
         self.ledger = CommLedger()
 
     def _deliver(self, outboxes, overlappable: bool):
@@ -188,7 +199,7 @@ class SimulatedComm:
         inboxes: list[dict[int, np.ndarray]] = [dict() for _ in range(self.n_ranks)]
         for src, box in enumerate(outboxes):
             for dst, payload in box.items():
-                if not 0 <= dst < self.n_ranks:
+                if not 0 <= dst < self.n_ranks or dst == src:
                     raise ValueError(f"rank {src} sends to invalid rank {dst}")
                 inboxes[dst][src] = payload
                 self.ledger.charge_message(src, payload.nbytes,

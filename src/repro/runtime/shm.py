@@ -11,17 +11,19 @@ This is the real-parallelism counterpart of the driver-centric
   chemistry ``(T, p, Y)`` batches.  Created before the worker pool
   forks, the whole arena is inherited by every worker -- no pickling,
   no re-attach -- and only the creating process unlinks it.
-* :class:`SharedMemComm` -- the SPMD spelling of the
-  :class:`~repro.runtime.comm.SimulatedComm` interface.  Where the
-  simulated fabric sees *all* ranks' outboxes at once, each
-  ``SharedMemComm`` lives in one worker and sees one rank's side:
-  ``halo_exchange(outbox)`` takes this rank's ``{dst: array}`` and
-  returns its ``{src: array}`` inbox; ``allreduce(contribution)``
-  takes this rank's partial and returns the same reduced value on
-  every rank.  Collectives run a stage -> barrier -> read -> barrier
-  protocol on the arena; a barrier timeout raises
-  ``BrokenBarrierError`` so a deadlocked rank fails fast instead of
-  hanging the run.
+* :class:`SharedMemComm` -- the one-hosted-rank endpoint of the
+  :class:`~repro.runtime.comm.SimulatedComm` contract.  Where the
+  simulated fabric hosts *all* ranks (``comm.ranks == range(P)``),
+  each ``SharedMemComm`` lives in one worker and hosts one
+  (``comm.ranks == (rank,)``): ``halo_exchange([outbox])`` takes the
+  list-of-one ``{dst: array}`` and returns the list-of-one
+  ``{src: array}`` inbox; ``allreduce(contributions)`` takes a
+  leading axis of length one and returns the reduction over all ``P``
+  ranks, the same value on every endpoint.  Code that iterates
+  ``comm.ranks`` therefore runs unchanged on either fabric.
+  Collectives run a stage -> barrier -> read -> barrier protocol on
+  the arena; a barrier timeout raises ``BrokenBarrierError`` so a
+  deadlocked rank fails fast instead of hanging the run.
 
 **Ledger parity.**  Each comm accounts its own rank's traffic in a
 private :class:`~repro.runtime.comm.CommLedger`: every rank charges
@@ -314,19 +316,19 @@ class ShmPendingExchange:
     """Wait handle of a posted shared-memory halo exchange.
 
     Mirrors :class:`~repro.runtime.comm.PendingExchange`: completes
-    exactly once (double ``wait`` raises), but returns *this rank's*
-    inbox ``{src: array}`` -- the SPMD view of the exchange.
+    exactly once (double ``wait`` raises) and returns the inboxes of
+    the hosted ranks -- here the list-of-one ``[{src: array}]``.
     """
 
     def __init__(self, comm: "SharedMemComm"):
         self._comm = comm
 
-    def wait(self) -> dict[int, np.ndarray]:
-        """Complete the exchange; returns ``{src: payload}``."""
+    def wait(self) -> list[dict[int, np.ndarray]]:
+        """Complete the exchange; returns ``[{src: payload}]``."""
         if self._comm is None:
             raise RuntimeError("exchange handle already waited on")
         comm, self._comm = self._comm, None
-        return comm._collect_halo()
+        return [comm._collect_halo()]
 
 
 class ShmPendingReduce:
@@ -346,6 +348,12 @@ class ShmPendingReduce:
 
 class SharedMemComm:
     """One rank's endpoint of the shared-memory fabric.
+
+    Implements the endpoint contract of
+    :class:`~repro.runtime.comm.SimulatedComm` for exactly one hosted
+    rank: ``ranks == (rank,)``, outboxes / inboxes are lists of one,
+    contributions carry a leading axis of length one (any other length
+    is a ``ValueError``).
 
     Every collective must be entered by **all ranks in the same
     order** (the SPMD contract); a rank that skips one deadlocks the
@@ -369,6 +377,7 @@ class SharedMemComm:
                  timeout: float = 120.0):
         self.arena = arena
         self.rank = int(rank)
+        self.ranks = (self.rank,)
         self.n_ranks = arena.n_ranks
         self._barrier = barrier
         self._timeout = float(timeout)
@@ -389,8 +398,11 @@ class SharedMemComm:
         self._sync()
 
     # -- halo exchange --------------------------------------------------
-    def _post_halo(self, outbox: dict[int, np.ndarray],
+    def _post_halo(self, outboxes: list[dict[int, np.ndarray]],
                    overlappable: bool) -> None:
+        if len(outboxes) != 1:
+            raise ValueError("need one outbox per hosted rank (one)")
+        (outbox,) = outboxes
         entries = []
         for dst, payload in outbox.items():
             if not 0 <= int(dst) < self.n_ranks or int(dst) == self.rank:
@@ -416,31 +428,35 @@ class SharedMemComm:
         self._sync()  # all read; slabs reusable
         return inbox
 
-    def halo_exchange(self, outbox: dict[int, np.ndarray]
-                      ) -> dict[int, np.ndarray]:
-        """Blocking exchange of this rank's outbox; returns its inbox.
+    def halo_exchange(self, outboxes: list[dict[int, np.ndarray]]
+                      ) -> list[dict[int, np.ndarray]]:
+        """Blocking exchange of the hosted rank's outbox.
 
-        The SPMD spelling of
-        :meth:`~repro.runtime.comm.SimulatedComm.halo_exchange`:
-        ``outbox[q]`` is the array this rank sends to rank ``q``, and
-        the result maps each sender to the payload it sent here.
+        ``outboxes[0][q]`` is the array this rank sends to rank ``q``;
+        ``result[0]`` maps each sender to the payload it sent here
+        (:meth:`~repro.runtime.comm.SimulatedComm.halo_exchange` with
+        one hosted rank).
         """
-        self._post_halo(outbox, overlappable=False)
-        return self._collect_halo()
+        self._post_halo(outboxes, overlappable=False)
+        return [self._collect_halo()]
 
-    def post_halo(self, outbox: dict[int, np.ndarray]) -> ShmPendingExchange:
+    def post_halo(self, outboxes: list[dict[int, np.ndarray]]
+                  ) -> ShmPendingExchange:
         """Post the exchange nonblocking; returns a wait handle.
 
         Messages are ledger-tagged overlappable; the caller computes
         its interior work between post and
         :meth:`ShmPendingExchange.wait`.
         """
-        self._post_halo(outbox, overlappable=True)
+        self._post_halo(outboxes, overlappable=True)
         return ShmPendingExchange(self)
 
     # -- allreduce ------------------------------------------------------
-    def _post_reduce(self, contribution: np.ndarray, overlappable: bool):
-        contribution = np.asarray(contribution, dtype=np.float64)
+    def _post_reduce(self, contributions: np.ndarray, overlappable: bool):
+        contributions = np.asarray(contributions, dtype=np.float64)
+        if contributions.ndim < 1 or contributions.shape[0] != 1:
+            raise ValueError("one contribution per hosted rank (one)")
+        contribution = contributions[0]
         self.ledger.allreduce_bytes += contribution.nbytes
         if self.rank == 0:
             self.ledger.allreduces += 1
@@ -471,19 +487,20 @@ class SharedMemComm:
             raise ValueError(f"unknown allreduce op {op!r}")
         return float(out) if np.ndim(out) == 0 else out
 
-    def allreduce(self, contribution: np.ndarray, op: str = "sum"):
-        """Allreduce of this rank's contribution (same result everywhere).
+    def allreduce(self, contributions: np.ndarray, op: str = "sum"):
+        """Allreduce of the hosted rank's contribution.
 
-        Contributions are stacked in rank order and reduced along axis
-        0 exactly as :meth:`SimulatedComm.allreduce` reduces its
-        ``(n_ranks, ...)`` payload, so the SPMD result is bitwise equal
-        to the driver-executed one.  A scalar (0-d) payload returns a
-        float, matching the historical convention.
+        ``contributions`` has shape ``(1,)`` (scalar payload -- returns
+        a float) or ``(1, ...)`` (array payload).  The ranks' payloads
+        are stacked in rank order and reduced along axis 0 exactly as
+        :meth:`SimulatedComm.allreduce` reduces its ``(n_ranks, ...)``
+        payload, so the result is the same on every endpoint and
+        bitwise equal to the driver-executed one.
         """
-        self._post_reduce(contribution, overlappable=False)
+        self._post_reduce(contributions, overlappable=False)
         return self._collect_reduce(op)
 
-    def iallreduce(self, contribution: np.ndarray,
+    def iallreduce(self, contributions: np.ndarray,
                    op: str = "sum") -> ShmPendingReduce:
         """Post an allreduce nonblocking; returns a wait handle.
 
@@ -491,5 +508,5 @@ class SharedMemComm:
         between post and wait (the channels stage separately), which is
         exactly what the pipelined PCG does.
         """
-        self._post_reduce(contribution, overlappable=True)
+        self._post_reduce(contributions, overlappable=True)
         return ShmPendingReduce(self, op)

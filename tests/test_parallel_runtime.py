@@ -3,9 +3,11 @@ semantics under real concurrency, stateless seeding, and parallel-vs-
 serial agreement for decomposed solves, chemistry batches and
 ensembles."""
 
+import contextlib
 import multiprocessing
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ import pytest
 from repro.chemistry.backends import (DirectBatchBackend, HybridBackend,
                                       ParallelChemistryBackend,
                                       SurrogateBackend)
-from repro.core import IdealGasProperties, build_tgv_case
-from repro.core.settings import SolverSettings
+from repro.core import IdealGasProperties, NoChemistry, build_tgv_case
+from repro.core.settings import KRYLOV_VARIANTS, SolverSettings
 from repro.dist import DecomposedSolver, Decomposition, DistributedSystem
-from repro.dist.spmd import RankSystem
+from repro.dist import spmd
+from repro.dist.spmd import ParallelExecutor
 from repro.orchestrate import Ensemble
 from repro.runtime import (CommLedger, SharedArena, SharedMemComm,
                            SimulatedComm, WorkerError, WorkerPool,
@@ -174,15 +177,15 @@ def _comm_worker_factory(arena, barrier):
         def handles(self):
             """Both ranks concurrently post, wait, and double-wait."""
             me, other = self.comm.rank, 1 - self.comm.rank
-            h = self.comm.post_halo({other: np.arange(3.0) + 10 * me})
-            inbox = h.wait()
+            h = self.comm.post_halo([{other: np.arange(3.0) + 10 * me}])
+            (inbox,) = h.wait()
             ok = np.array_equal(inbox[other], np.arange(3.0) + 10 * other)
             try:
                 h.wait()
                 halo_double = "no error"
             except RuntimeError as err:
                 halo_double = str(err)
-            r = self.comm.iallreduce(np.float64(me + 1.0), op="sum")
+            r = self.comm.iallreduce(np.array([me + 1.0]), op="sum")
             total = r.wait()
             try:
                 r.wait()
@@ -194,23 +197,32 @@ def _comm_worker_factory(arena, barrier):
         def ledgered_exchange(self):
             """One exchange + one allreduce; returns this rank's ledger."""
             me, other = self.comm.rank, 1 - self.comm.rank
-            self.comm.halo_exchange({other: np.ones(4) * me})
-            self.comm.allreduce(np.float64(me), op="max")
+            self.comm.halo_exchange([{other: np.ones(4) * me}])
+            self.comm.allreduce(np.array([float(me)]), op="max")
             return self.comm.ledger
+
+        def script(self):
+            return _conformance_script(self.comm) + (self.comm.ledger,)
+
+        def misuse(self):
+            _assert_breaches_raise(self.comm)
+            return self.comm.ledger.totals()
 
     return _Exercise
 
 
-class TestSharedMemComm:
-    @pytest.fixture()
-    def pair(self):
-        arena = SharedArena(2)
-        barrier = multiprocessing.get_context("fork").Barrier(2)
-        pool = WorkerPool(2, _comm_worker_factory(arena, barrier))
-        yield pool
-        pool.close()
-        arena.close()
+@pytest.fixture()
+def pair():
+    """Two forked workers, each holding one SharedMemComm endpoint."""
+    arena = SharedArena(2)
+    barrier = multiprocessing.get_context("fork").Barrier(2)
+    pool = WorkerPool(2, _comm_worker_factory(arena, barrier))
+    yield pool
+    pool.close()
+    arena.close()
 
+
+class TestSharedMemComm:
     def test_handles_complete_exactly_once(self, pair):
         for ok, halo_double, total, reduce_double in \
                 pair.broadcast("handles"):
@@ -233,33 +245,149 @@ class TestSharedMemComm:
 
 
 # ---------------------------------------------------------------------
-# SPMD block-Jacobi DIC: each worker's RankSystem vs the driver's
+# one endpoint contract, two fabrics
 # ---------------------------------------------------------------------
-class _RankDic:
-    """Pool handler: worker ``w`` holds rank ``w``'s RankSystem (the
-    preconditioner is communication-free, so no fabric is needed)."""
+def _conformance_script(comm):
+    """The scripted collective sequence, written against ``comm.ranks``
+    only; returns ``(per hosted rank results, reductions)``."""
+    def outboxes(shift):
+        return [{q: np.arange(3.0) + 10 * r + shift
+                 for q in range(comm.n_ranks) if q != r}
+                for r in comm.ranks]
 
-    def __init__(self, rank, dec, mats):
-        self.system = RankSystem(dec.subdomains[rank], None, mats[rank])
+    def once(handle):
+        value = handle.wait()
+        with pytest.raises(RuntimeError, match="already waited"):
+            handle.wait()
+        return value
+
+    scalars = np.array([r + 1.0 for r in comm.ranks])           # (hosted,)
+    arrays = np.array([[r + 1.0, -2.0 * r, 0.5] for r in comm.ranks])
+    blocking = comm.halo_exchange(outboxes(0.0))
+    posted = once(comm.post_halo(outboxes(100.0)))
+    reductions = []
+    for op in ("sum", "max", "min"):
+        reductions += [comm.allreduce(scalars, op=op),
+                       comm.allreduce(arrays, op=op)]
+    pending = comm.iallreduce(arrays, op="sum")
+    interleaved = comm.halo_exchange(outboxes(200.0))   # must not clobber
+    reductions.append(once(pending))
+    per_rank = [
+        {"blocking": blocking[i], "posted": posted[i],
+         "interleaved": interleaved[i]} for i in range(len(comm.ranks))]
+    return per_rank, reductions
+
+
+def _assert_breaches_raise(comm):
+    """Every breach of the endpoint contract is a ``ValueError``."""
+    me = comm.ranks[0]
+    good = [dict() for _ in comm.ranks]
+    for breach in (
+            lambda: comm.halo_exchange(good + [{}]),        # outbox count
+            lambda: comm.post_halo(good + [{}]),
+            lambda: comm.allreduce(np.ones(len(good) + 1)),  # contributions
+            lambda: comm.iallreduce(np.ones((len(good) + 1, 2))),
+            lambda: comm.halo_exchange([{me: np.ones(1)}] + good[1:]),
+            lambda: comm.halo_exchange(
+                [{comm.n_ranks: np.ones(1)}] + good[1:])):
+        with pytest.raises(ValueError):
+            breach()
+
+
+class TestCommConformance:
+    """``SimulatedComm`` (hosts all ranks) and ``SharedMemComm`` (hosts
+    one) implement one contract: the same script, written against
+    ``comm.ranks``, gives every rank the same results and the same
+    merged ledger on both."""
+
+    def test_same_script_same_results_and_ledger(self, pair):
+        sim = SimulatedComm(2)
+        assert sim.ranks == (0, 1)
+        want_ranks, want_red = _conformance_script(sim)
+        merged = CommLedger()
+        for rank, (got_ranks, got_red, led) in enumerate(
+                pair.broadcast("script")):
+            (got,) = got_ranks              # one hosted rank per endpoint
+            want = want_ranks[rank]
+            for key in want:
+                assert got[key].keys() == want[key].keys()
+                for src in want[key]:
+                    assert np.array_equal(got[key][src], want[key][src])
+            assert len(got_red) == len(want_red)
+            for a, b in zip(got_red, want_red):
+                assert type(a) is type(b)
+                assert np.array_equal(a, b)
+            merged.merge(led)
+        assert merged.totals() == sim.ledger.totals()
+        assert merged.by_src == sim.ledger.by_src
+
+    def test_contract_breaches_raise_on_both_fabrics(self, pair):
+        """Wrong outbox / contribution counts, a send to oneself and an
+        out-of-range destination raise before anything is sent."""
+        sim = SimulatedComm(2)
+        _assert_breaches_raise(sim)
+        assert sim.ledger.messages == sim.ledger.allreduces == 0
+        for totals in pair.broadcast("misuse"):     # raises -> WorkerError
+            assert totals["messages"] == totals["allreduces"] == 0
+
+
+# ---------------------------------------------------------------------
+# written once: the all-rank objects vs the same classes over one-rank
+# endpoints, row for row
+# ---------------------------------------------------------------------
+class _OneRankSystem:
+    """Pool handler: worker ``w`` holds a ``DistributedSystem`` (and
+    through it a ``HaloExchanger``) over its one-rank endpoint."""
+
+    def __init__(self, rank, dec, mats, arena, barrier):
+        comm = SharedMemComm(arena, rank, barrier, timeout=60.0)
+        self.system = DistributedSystem(dec, comm, [mats[rank]])
 
     def apply(self, r):
         return self.system.block_dic()(r)
+
+    def jacobi(self, r):
+        return self.system.jacobi()(r)
+
+    def matvec(self, x, overlap_halo):
+        self.system.overlap_halo = overlap_halo
+        return self.system.matvec_multi(x).copy()
+
+    def coldot(self, a, b):
+        return self.system.coldot(a, b)
+
+    def nnz(self):
+        return self.system.nnz
+
+
+@contextlib.contextmanager
+def _one_rank_pool(dec, mats):
+    arena = SharedArena(dec.nparts)
+    barrier = multiprocessing.get_context("fork").Barrier(dec.nparts)
+    try:
+        with WorkerPool(dec.nparts, lambda w: _OneRankSystem(
+                w, dec, mats, arena, barrier)) as pool:
+            yield pool
+    finally:
+        arena.close()
 
 
 class TestSpmdBlockDIC:
     @pytest.mark.parametrize("checkerboard", [False, True])
     def test_matches_driver_bitwise(self, box_mesh, checkerboard):
-        """Both modes run the one rank-local kernel: per rank, the
-        worker's apply equals the driver's stacked apply bitwise --
-        also on owned blocks with zero interior faces, where it is
-        plain diagonal scaling (1-D and ``(n, k)`` residuals)."""
+        """Both modes run the one system class: per rank, the worker's
+        apply equals the driver's stacked apply bitwise -- also on
+        owned blocks with zero interior faces, where it is plain
+        diagonal scaling (1-D and ``(n, k)`` residuals) -- and so do
+        the Jacobi rows, the matvec rows (blocking and posted ghost
+        refresh) and the reduced column dots."""
         parts = checkerboard_parts(box_mesh) if checkerboard else None
         dec = Decomposition.from_mesh(box_mesh, 2, parts=parts)
         mats = [make_laplacian_ldu(s.mesh) for s in dec.subdomains]
         system = DistributedSystem(dec, SimulatedComm(2), mats)
         driver = system.block_dic()
         rng = np.random.default_rng(0)
-        with WorkerPool(2, lambda w: _RankDic(w, dec, mats)) as pool:
+        with _one_rank_pool(dec, mats) as pool:
             for r in (rng.standard_normal((system.n, 3)),
                       rng.standard_normal(system.n)):
                 want = driver(r)
@@ -269,6 +397,26 @@ class TestSpmdBlockDIC:
                     assert np.array_equal(got[q], want[dec.rank_slice(q)])
                 if checkerboard:
                     assert np.array_equal(want, system.jacobi()(r))
+                want = system.jacobi()(r)
+                got = pool.scatter(
+                    "jacobi", [(r[dec.rank_slice(q)],) for q in range(2)])
+                for q in range(2):
+                    assert np.array_equal(got[q], want[dec.rank_slice(q)])
+            x, y = rng.standard_normal((2, system.n, 3))
+            for overlap in (False, True):
+                system.overlap_halo = overlap
+                want = system.matvec_multi(x)
+                got = pool.scatter("matvec", [
+                    (x[dec.rank_slice(q)], overlap) for q in range(2)])
+                for q in range(2):
+                    assert np.array_equal(got[q], want[dec.rank_slice(q)])
+            want = system.coldot(x, y)
+            for got in pool.scatter("coldot", [
+                    (x[dec.rank_slice(q)], y[dec.rank_slice(q)])
+                    for q in range(2)]):
+                assert np.array_equal(got, want)
+            assert sum(pool.broadcast("nnz")) == system.nnz \
+                == box_mesh.n_cells + 2 * box_mesh.n_internal_faces
 
     def test_asymmetric_block_surfaces_as_worker_error(self, box_mesh):
         dec = Decomposition.from_mesh(box_mesh, 2)
@@ -276,7 +424,7 @@ class TestSpmdBlockDIC:
         interior = DistributedSystem(
             dec, SimulatedComm(2), mats).ops[1].interior
         mats[1].upper[interior[0]] *= 2.0
-        with WorkerPool(2, lambda w: _RankDic(w, dec, mats)) as pool:
+        with _one_rank_pool(dec, mats) as pool:
             ones = [np.ones(s.n_owned) for s in dec.subdomains]
             assert np.isfinite(pool.call(0, "apply", ones[0])).all()
             with pytest.raises(WorkerError, match="DIC requires a symmetric"):
@@ -301,6 +449,7 @@ def _run_pair(mech, settings, properties_builder, n_steps=2, dt=1e-8):
         assert serial.last_comm == par.last_comm
         assert ds.solver_iterations == dp.solver_iterations
         assert ds.total_mass == dp.total_mass
+        assert dp == ds
     worst = 0.0
     for f in ("y", "h", "p", "u", "rho", "T"):
         worst = max(worst,
@@ -351,6 +500,122 @@ class TestSpmdParity:
         with pytest.raises(ValueError, match="driver-centric"):
             SolverSettings(ranks=2, execution="parallel",
                            balance_chemistry="dynamic")
+
+
+class TestWrittenOnce:
+    """The parallel mode schedules the one step; it does not copy it."""
+
+    def test_spmd_exports_only_the_executor(self):
+        assert spmd.__all__ == ["ParallelExecutor"]
+        for gone in ("RankStepper", "RankSystem", "RankHalo"):
+            assert not hasattr(spmd, gone)
+
+    def test_worker_steps_a_decomposed_solver(self, mech, monkeypatch):
+        """With one rank the fabric needs no peer, so the executor's
+        handlers can be built and inspected in this process."""
+        class InlinePool:
+            def __init__(self, n_workers, factory, **kwargs):
+                self.handlers = [factory(w) for w in range(n_workers)]
+
+            def broadcast(self, method, *args):
+                return [getattr(h, method)(*args) for h in self.handlers]
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(spmd, "WorkerPool", InlinePool)
+
+        def build(**overlay):
+            return DecomposedSolver(
+                build_tgv_case(n=6, mech=mech),
+                settings=SolverSettings(ranks=1, **TIGHT).overlay(**overlay),
+                properties=IdealGasProperties(mech))
+
+        with build(execution="parallel") as par:
+            (handler,) = par._parallel.pool.handlers
+            worker = handler.solver
+            assert type(worker) is DecomposedSolver
+            assert worker.step.__func__ is DecomposedSolver.step
+            assert isinstance(worker.comm, SharedMemComm)
+            assert worker.comm.ranks == (0,)
+            assert worker.decomp is par.decomp
+            assert worker._parallel is None and len(worker.ranks) == 1
+            driver = build()
+            for _ in range(2):
+                assert par.step(1e-8) == driver.step(1e-8)
+                assert par.last_comm == driver.last_comm
+            for f in ("y", "h", "p", "u", "rho", "T"):
+                assert np.array_equal(par.gather(f), driver.gather(f))
+
+    @pytest.mark.parametrize("variant", KRYLOV_VARIANTS)
+    def test_zero_warm_allocations_in_every_worker(self, mech, variant):
+        """The warm-step invariant of the driver-stepped mode holds in
+        each worker: no tracked allocation while solving, the cached
+        per-rank preconditioner keeps its identity."""
+        settings = SolverSettings(ranks=2, krylov_variant=variant,
+                                  overlap_halo=(variant == "overlapped"),
+                                  execution="parallel")
+        with DecomposedSolver(
+                build_tgv_case(n=6, mech=mech), settings=settings,
+                properties=IdealGasProperties(mech),
+                chemistry=NoChemistry()) as solver:
+            solver.step(1e-8)   # sizes scratch buffers and the workspace
+            for _ in range(3):
+                solver.step(1e-8)
+                assert solver.last_timings.alloc_solving == 0
+            for res in solver._parallel.pool.broadcast("step", 1e-8):
+                assert res["timings"].alloc_solving == 0
+
+
+class _FailingProperties(IdealGasProperties):
+    """``h_from_t`` raises for batches of ``fail_len`` cells (any batch
+    when ``None``) -- a rank constructor that dies mid-way."""
+
+    def __init__(self, mech, fail_len=None):
+        super().__init__(mech)
+        self.fail_len = fail_len
+
+    def h_from_t(self, t, p, y):
+        if self.fail_len is None or len(t) == self.fail_len:
+            raise RuntimeError("h_from_t failed")
+        return super().h_from_t(t, p, y)
+
+
+def _shm_entries():
+    return sorted(f for f in os.listdir("/dev/shm") if f.startswith("repro"))
+
+
+class TestFailedConstruction:
+    """A parallel construction that fails leaves no shared-memory
+    segment behind and surfaces as ``WorkerError``, never as a hang."""
+
+    def test_every_rank_fails(self, mech):
+        before = _shm_entries()
+        with pytest.raises(WorkerError, match="h_from_t failed"):
+            DecomposedSolver.from_settings(
+                build_tgv_case(n=6, mech=mech),
+                SolverSettings(ranks=2, execution="parallel"),
+                properties=_FailingProperties(mech))
+        assert _shm_entries() == before
+
+    def test_one_rank_fails_while_its_peer_waits(self, mech):
+        """Rank 1 dies in its constructor; rank 0 reaches the
+        construction-time ghost sync, whose barrier times out."""
+        case = build_tgv_case(n=6, mech=mech)
+        n = case.mesh.n_cells
+        dec = Decomposition.from_mesh(
+            case.mesh, 2, parts=(np.arange(n) >= n // 3).astype(int))
+        sizes = [s.n_local for s in dec.subdomains]
+        assert sizes[0] != sizes[1]
+        before = _shm_entries()
+        t0 = time.perf_counter()
+        with pytest.raises(WorkerError):
+            ParallelExecutor(
+                case, dec, SolverSettings(ranks=2, execution="parallel"),
+                SimulatedComm(2), _FailingProperties(mech, sizes[1]), None,
+                barrier_timeout=2.0, pool_timeout=60.0)
+        assert time.perf_counter() - t0 < 30.0
+        assert _shm_entries() == before
 
 
 # ---------------------------------------------------------------------
