@@ -37,6 +37,12 @@ class PropertySet:
 class DirectRealFluidProperties:
     """Iterative Peng-Robinson property evaluation (the PRNet target).
 
+    One ``evaluate`` is one :meth:`RealFluidMixture.properties_hp`: the
+    composition is converted once, each Newton sweep on T builds one
+    cubic state (``a/a'/a''`` in closed form, one cubic solve, analytic
+    h and cp departures), and rho, cp, mu and alpha are read off the
+    last sweep's state without solving it again.
+
     ``batched_eos`` selects the batched companion-eigenvalue cubic
     solve (bitwise identical to the per-cell ``np.roots`` loop it
     replaces); ``False`` keeps the reference loop for validation and
@@ -113,7 +119,7 @@ class IdealGasProperties:
         rho = p_arr * w / (R_UNIVERSAL * t)
         cp = self.mech.cp_mass_mixture(t, y)
         mu = self.mu0 * (t / 300.0) ** 0.7
-        alpha = mu / (rho * self.pr) * cp / cp  # nu/Pr
+        alpha = mu / (rho * self.pr)  # nu/Pr
         return PropertySet(rho, t, mu, alpha, cp)
 
     def h_from_t(self, t, p, y) -> np.ndarray:

@@ -15,12 +15,21 @@ rank order and reduce them identically, so every Krylov iterate,
 convergence decision and iteration count -- and with them the fields,
 the step diagnostics and the merged ledger -- are bitwise identical to
 driver-stepped execution.
+
+**Core binding.**  Each rank worker binds itself to one core, round
+robin over the CPUs its process may use (what ``mpirun --bind-to core``
+does).  A step is a few hundred blocking barriers; unbound, the kernel's
+wake-affine placement keeps pulling the woken rank onto the waker's core,
+and the same bitwise-identical step then takes anywhere between the
+one-core-per-rank and the two-ranks-on-one-core time from one window to
+the next (61 vs 81 ms on the 2-rank TGV of ``bench/``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing as mp
+import os
 
 import numpy as np
 
@@ -30,6 +39,13 @@ from ..runtime.shm import SharedArena, SharedMemComm
 from .solver import _FIELD_GETTERS, DecomposedSolver
 
 __all__ = ["ParallelExecutor"]
+
+
+def _bind_to_core(rank: int) -> None:
+    """Bind the calling rank worker to one of the CPUs it may run on."""
+    if hasattr(os, "sched_setaffinity"):  # Linux only
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
 
 
 class _RankWorker:
@@ -90,6 +106,7 @@ class ParallelExecutor:
             rank_settings = settings.overlay(execution="serial")
 
             def factory(w: int) -> _RankWorker:
+                _bind_to_core(w)
                 rank_comm = SharedMemComm(arena, w, barrier,
                                           timeout=barrier_timeout)
                 return _RankWorker(

@@ -60,11 +60,10 @@ def sample_property_manifold(
     i_ch4 = mech.species_index["CH4"]
     i_o2 = mech.species_index["O2"]
 
-    feats, rho_t, trans_t = [], [], []
+    temps, ys = [], []
     for k in range(n_mix):
         t_lo = tmix[k]
-        temps = np.linspace(t_lo, t_max, n_temp)
-        for temp in temps:
+        for temp in np.linspace(t_lo, t_max, n_temp):
             # Progress toward products increases with temperature.
             prog = np.clip((temp - t_lo) / (t_max - t_lo), 0.0, 1.0)
             y = ymix[k].copy()
@@ -80,16 +79,18 @@ def sample_property_manifold(
             burnt[i_h2o] = 2 * react * mech.molecular_weights[i_h2o]
             y = (1 - prog) * y + prog * burnt
             y = np.clip(y, 0.0, None)
-            y = y / y.sum()
-            props = rf.properties_tp(np.array([temp]), pressure, y[None, :])
-            z = mech.element_mass_fractions(y[None, :])
-            z_fuel = float(z[0, mech.elements.index("C")]
-                           + z[0, mech.elements.index("H")])
-            feats.append([float(props.h_mass[0]), pressure, z_fuel])
-            rho_t.append([float(props.rho[0])])
-            trans_t.append([temp, float(props.mu[0]),
-                            float(props.alpha[0]), float(props.cp_mass[0])])
-    return np.array(feats), np.array(rho_t), np.array(trans_t)
+            temps.append(temp)
+            ys.append(y / y.sum())
+    # one batched EoS evaluation for the whole manifold (the kernels are
+    # row-independent, so this equals the per-sample calls)
+    temps, ys = np.array(temps), np.array(ys)
+    props = rf.properties_tp(temps, pressure, ys)
+    z = mech.element_mass_fractions(ys)
+    z_fuel = z[:, mech.elements.index("C")] + z[:, mech.elements.index("H")]
+    feats = np.column_stack([props.h_mass, np.full(temps.shape, float(pressure)),
+                             z_fuel])
+    trans_t = np.column_stack([temps, props.mu, props.alpha, props.cp_mass])
+    return feats, props.rho[:, None], trans_t
 
 
 class PRNet:

@@ -12,11 +12,26 @@ Both are expressed in the generalized two-parameter cubic form
 with (u, w) = (2, -1) for PR and (1, 0) for SRK.  Mixture parameters
 come from van der Waals one-fluid mixing rules
 (:mod:`repro.thermo.mixing`).
+
+Data flow.  Everything the pressure-explicit relations share is
+evaluated once and handed down as a :class:`CubicState`:
+
+    y --composition--> (x, W_mix, b)                      once per call
+    T --attraction---> a(T), a'(T), a''(T)                once per T
+    (T, p, a, b) --solve_density--> Z --> rho             once per (T, p)
+    state --> p, (dp/dT)_v, (dp/dv)_T, (drho/dp)_T, departures
+
+The ``(t, rho, y)``-taking methods (``density``, ``pressure``,
+``dp_dt_const_v``, ...) build a state and call the same kernels, so a
+caller that evaluates several quantities at one point should build the
+state itself.  Every kernel is row-independent: a cell's result never
+depends on what else shares its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +40,66 @@ from ..constants import R_UNIVERSAL
 from ..chemistry.species import Species
 from .mixing import VanDerWaalsMixing
 
-__all__ = ["CubicEos", "PengRobinson", "SoaveRedlichKwong"]
+__all__ = ["Composition", "CubicState", "CubicEos", "PengRobinson",
+           "SoaveRedlichKwong"]
+
+
+class Composition(NamedTuple):
+    """The temperature-independent part of a mixture state."""
+
+    x: np.ndarray       #: mole fractions, ``(n, ns)``
+    w_mix: np.ndarray   #: mixture molecular weight [kg/mol], ``(n,)``
+    b: np.ndarray       #: mixture covolume [m^3/mol], ``(n,)``
+
+
+@dataclass
+class CubicState:
+    """A batch of cells at ``(T, x[, rho])`` with its mixture parameters.
+
+    Built by :meth:`CubicEos.state`; ``rho`` is either given or filled
+    in by :meth:`CubicEos.solve_density`.  ``da_dt`` / ``d2a_dt2`` are
+    ``None`` when the state was built at a lower ``order``.
+    """
+
+    eos: "CubicEos"
+    t: np.ndarray
+    comp: Composition
+    a: np.ndarray
+    da_dt: np.ndarray | None
+    d2a_dt2: np.ndarray | None
+    rho: np.ndarray | None = None
+
+    @property
+    def v(self) -> np.ndarray:
+        """Molar volume [m^3/mol]."""
+        return self.comp.w_mix / self.rho
+
+    def _attraction_volume(self, v: np.ndarray) -> np.ndarray:
+        b = self.comp.b
+        return v * v + self.eos.u * b * v + self.eos.w * b**2
+
+    def pressure(self) -> np.ndarray:
+        """Pressure [Pa]."""
+        v = self.v
+        return (R_UNIVERSAL * self.t / (v - self.comp.b)
+                - self.a / self._attraction_volume(v))
+
+    def dp_dt(self) -> np.ndarray:
+        """(dp/dT)_v,x."""
+        v = self.v
+        return (R_UNIVERSAL / (v - self.comp.b)
+                - self.da_dt / self._attraction_volume(v))
+
+    def dp_dv(self) -> np.ndarray:
+        """(dp/dv)_T,x per mole; negative for mechanically stable states."""
+        v, b = self.v, self.comp.b
+        return -R_UNIVERSAL * self.t / (v - b) ** 2 + self.a * (
+            2.0 * v + self.eos.u * b
+        ) / self._attraction_volume(v) ** 2
+
+    def drho_dp(self) -> np.ndarray:
+        """(drho/dp)_T,x [s^2/m^2] = 1 / [(dp/dv)_T (dv/drho)]."""
+        return 1.0 / (self.dp_dv() * (-self.comp.w_mix / self.rho**2))
 
 
 @dataclass
@@ -43,6 +117,7 @@ class CubicEos:
     omega_b: float = 0.07780
 
     def __post_init__(self) -> None:
+        """Derive the per-species constants from the critical data."""
         self.t_crit = np.array([s.t_crit for s in self.species])
         self.p_crit = np.array([s.p_crit for s in self.species])
         self.omega = np.array([s.omega for s in self.species])
@@ -51,25 +126,66 @@ class CubicEos:
         self.a_crit = self.omega_a * r2 * self.t_crit**2 / self.p_crit
         self.b_pure = self.omega_b * R_UNIVERSAL * self.t_crit / self.p_crit
         self.mixing = VanDerWaalsMixing(len(self.species))
+        # sqrt(alpha_i) = |g_i|, g_i = (1 + m_i) - (m_i / sqrt(Tc_i)) sqrt(T)
+        m = self.m_factor(self.omega)
+        self._g_const = 1.0 + m
+        self._g_slope = m / np.sqrt(self.t_crit)
+        self._sqrt_a_crit = np.sqrt(self.a_crit)
 
     # -- subclass hooks ----------------------------------------------
     def m_factor(self, omega: np.ndarray) -> np.ndarray:
+        """Alpha-function slope ``m(omega)`` of the concrete EoS."""
         raise NotImplementedError
 
-    # ----------------------------------------------------------------
-    def alpha(self, t: np.ndarray) -> np.ndarray:
-        """Temperature correction alpha_i(T), shape ``t.shape + (ns,)``."""
-        tr = np.asarray(t, dtype=float)[..., None] / self.t_crit
-        m = self.m_factor(self.omega)
-        return (1.0 + m * (1.0 - np.sqrt(tr))) ** 2
+    # -- the state and its kernels ------------------------------------
+    def composition(self, y) -> Composition:
+        """Mole fractions, mixture weight and covolume from *mass* fractions."""
+        x = self._mole_from_mass(np.atleast_2d(y))
+        return Composition(x, (x * self.mol_weights).sum(axis=-1),
+                           self._covolume(x))
 
-    def dalpha_dt(self, t: np.ndarray) -> np.ndarray:
-        """d(alpha_i)/dT, analytic."""
-        t = np.asarray(t, dtype=float)
-        tr = t[..., None] / self.t_crit
-        m = self.m_factor(self.omega)
-        sq = np.sqrt(tr)
-        return -(1.0 + m * (1.0 - sq)) * m / (sq * self.t_crit)
+    def attraction(self, t, x, order: int = 2):
+        """Mixture ``(a, da/dT, d2a/dT2)`` at ``t`` for mole fractions ``x``.
+
+        ``sqrt(a_i(T)) = sqrt(a_crit_i) |g_i|`` with ``g_i`` linear in
+        ``sqrt(T)``, so one square root of ``t`` gives ``r_i = x_i
+        sqrt(a_i)`` and both of its temperature derivatives in closed
+        form; :meth:`VanDerWaalsMixing.attraction` turns them into the
+        mixture values.  Derivatives above ``order`` are ``None``.
+
+        The sign of ``g_i`` is kept: above ``Tc_i ((1 + m_i)/m_i)^2``
+        (1836 K for O2 under PR) ``g_i`` is negative and ``sqrt(a_i)``
+        grows again.  Exactly at ``g_i = 0`` species ``i`` contributes
+        nothing to ``a`` or its derivatives.
+        """
+        t = np.asarray(t, dtype=float)[..., None]
+        sqrt_t = np.sqrt(t)
+        g = self._g_const - self._g_slope * sqrt_t
+        r = x * (self._sqrt_a_crit * np.abs(g))
+        if order == 0:
+            return self.mixing.attraction(r)
+        # r_i' = -c_i / (2 sqrt T), r_i'' = c_i / (4 T sqrt T)
+        c = x * (self._sqrt_a_crit * self._g_slope * np.sign(g))
+        dr = c * (-0.5 / sqrt_t)
+        d2r = c * (0.25 / (t * sqrt_t)) if order >= 2 else None
+        return self.mixing.attraction(r, dr, d2r)
+
+    def state(self, t, comp: Composition, rho=None,
+              order: int = 2) -> CubicState:
+        """The :class:`CubicState` at ``t`` for a prebuilt composition."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if rho is not None:
+            rho = np.atleast_1d(np.asarray(rho, dtype=float))
+        a, da_dt, d2a_dt2 = self.attraction(t, comp.x, order)
+        return CubicState(self, t, comp, a, da_dt, d2a_dt2, rho)
+
+    def solve_density(self, state: CubicState, p,
+                      root: str = "vapor") -> np.ndarray:
+        """Solve the cubic at ``(state.t, p)``; stores and returns ``rho``."""
+        p = np.broadcast_to(np.asarray(p, dtype=float), state.t.shape)
+        z = self._solve_cubic(state.t, p, state.a, state.comp.b, root)
+        state.rho = p * state.comp.w_mix / (z * R_UNIVERSAL * state.t)
+        return state.rho
 
     def mixture_ab(self, t: np.ndarray, x: np.ndarray):
         """Mixture a(T), b and da/dT from mole fractions ``x``.
@@ -77,13 +193,8 @@ class CubicEos:
         Returns ``(a_mix, b_mix, da_dt)`` each with the batch shape of
         ``t``.
         """
-        a_i = self.a_crit * self.alpha(t)  # (..., ns)
-        a_mix, b_mix = self.mixing.mix(a_i, self.b_pure, x)
-        # da/dT via the same mixing rule applied to d(a_i alpha_i)/dT,
-        # using d sqrt(a_i a_j)/dT = (a_j da_i + a_i da_j)/(2 sqrt(a_i a_j)).
-        da_i = self.a_crit * self.dalpha_dt(t)
-        da_dt = self.mixing.mix_derivative(a_i, da_i, x)
-        return a_mix, b_mix, da_dt
+        a_mix, da_dt, _ = self.attraction(t, x, order=1)
+        return a_mix, self._covolume(x), da_dt
 
     #: Solve all cells' cubics with one batched companion-matrix
     #: eigenvalue call (the hot path).  False falls back to the
@@ -109,7 +220,11 @@ class CubicEos:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         p = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
         x = np.atleast_2d(x)
-        a_mix, b_mix, _ = self.mixture_ab(t, x)
+        a_mix, _, _ = self.attraction(t, x, order=0)
+        return self._solve_cubic(t, p, a_mix, self._covolume(x), root)
+
+    def _solve_cubic(self, t, p, a_mix, b_mix, root: str) -> np.ndarray:
+        """Z at ``(t, p)`` for given mixture parameters (all ``(n,)``)."""
         rt = R_UNIVERSAL * t
         big_a = a_mix * p / rt**2
         big_b = b_mix * p / rt
@@ -264,54 +379,23 @@ class CubicEos:
 
     def density(self, t, p, y, root: str = "vapor") -> np.ndarray:
         """Mass density [kg/m^3] from T, p and *mass* fractions ``y``."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        y = np.atleast_2d(y)
-        x = self._mole_from_mass(y)
-        w_mix = (x * self.mol_weights).sum(axis=-1)
-        z = self.compressibility(t, p, x, root=root)
-        p_arr = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
-        return p_arr * w_mix / (z * R_UNIVERSAL * t)
+        state = self.state(t, self.composition(y), order=0)
+        return self.solve_density(state, p, root)
 
     def pressure(self, t, rho, y) -> np.ndarray:
         """Pressure [Pa] from T, mass density and mass fractions."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        y = np.atleast_2d(y)
-        x = self._mole_from_mass(y)
-        w_mix = (x * self.mol_weights).sum(axis=-1)
-        v = w_mix / rho  # molar volume
-        a_mix, b_mix, _ = self.mixture_ab(t, x)
-        return (
-            R_UNIVERSAL * t / (v - b_mix)
-            - a_mix / (v * v + self.u * b_mix * v + self.w * b_mix**2)
-        )
+        return self.state(t, self.composition(y), rho, order=0).pressure()
 
     def dp_dt_const_v(self, t, rho, y) -> np.ndarray:
         """(dp/dT)_v,x -- needed for departure cp and sound speed."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        y = np.atleast_2d(y)
-        x = self._mole_from_mass(y)
-        w_mix = (x * self.mol_weights).sum(axis=-1)
-        v = w_mix / rho
-        _, b_mix, da_dt = self.mixture_ab(t, x)
-        return R_UNIVERSAL / (v - b_mix) - da_dt / (
-            v * v + self.u * b_mix * v + self.w * b_mix**2
-        )
+        return self.state(t, self.composition(y), rho, order=1).dp_dt()
 
     def dp_dv_const_t(self, t, rho, y) -> np.ndarray:
         """(dp/dv)_T,x per mole; negative for mechanically stable states."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        y = np.atleast_2d(y)
-        x = self._mole_from_mass(y)
-        w_mix = (x * self.mol_weights).sum(axis=-1)
-        v = w_mix / rho
-        a_mix, b_mix, _ = self.mixture_ab(t, x)
-        denom = v * v + self.u * b_mix * v + self.w * b_mix**2
-        return -R_UNIVERSAL * t / (v - b_mix) ** 2 + a_mix * (
-            2.0 * v + self.u * b_mix
-        ) / denom**2
+        return self.state(t, self.composition(y), rho, order=0).dp_dv()
+
+    def _covolume(self, x: np.ndarray) -> np.ndarray:
+        return (x * self.b_pure).sum(axis=-1)
 
     def _mole_from_mass(self, y: np.ndarray) -> np.ndarray:
         moles = y / self.mol_weights
@@ -325,6 +409,7 @@ class PengRobinson(CubicEos):
         super().__init__(species, u=2.0, w=-1.0, omega_a=0.45724, omega_b=0.07780)
 
     def m_factor(self, omega: np.ndarray) -> np.ndarray:
+        """Peng-Robinson (1976) ``m(omega)``."""
         return 0.37464 + 1.54226 * omega - 0.26992 * omega**2
 
 
@@ -335,4 +420,5 @@ class SoaveRedlichKwong(CubicEos):
         super().__init__(species, u=1.0, w=0.0, omega_a=0.42748, omega_b=0.08664)
 
     def m_factor(self, omega: np.ndarray) -> np.ndarray:
+        """Soave (1972) ``m(omega)``."""
         return 0.480 + 1.574 * omega - 0.176 * omega**2

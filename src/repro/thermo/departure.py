@@ -1,14 +1,20 @@
 """Departure functions for the generalized cubic equation of state.
 
 Real-fluid enthalpy and heat capacity are the ideal-gas (NASA-7) values
-plus a departure computed analytically from the cubic EoS:
+plus a departure, both in closed form from one
+:class:`~repro.thermo.cubic_eos.CubicState` (per mole; the
+mass-specific callers divide by the mixture molecular weight).  With
+``d = sqrt(u^2 - 4 w)`` (PR: u=2, w=-1, d = 2 sqrt(2)) and
+``L = ln[(2v + b(u+d)) / (2v + b(u-d))]``:
 
-    h_dep = p v - R T + (T da/dT - a) / (b d) * ln[(2v + b(u-d)) / (2v + b(u+d))]
+    h  - h_ig  = p v - R T + (T a' - a) / (b d) * L
+    cp - cp_ig = T a'' / (b d) * L - T (dp/dT)_v^2 / (dp/dv)_T - R
 
-with d = sqrt(u^2 - 4 w) (for PR: u=2, w=-1, d = 2 sqrt(2)).
-cp departure follows from differentiating h_dep and the triple-product
-rule, all per mole; mass-specific wrappers divide by the mixture
-molecular weight.
+The first cp term is the cv departure (``T`` times the volume integral
+of ``(d2p/dT2)_v``), the second is ``cp - cv`` from the triple-product
+rule; ``a'`` and ``a''`` are the mixture attraction's exact temperature
+derivatives (:meth:`CubicEos.attraction`), so no finite difference and
+no step size is involved.
 """
 
 from __future__ import annotations
@@ -16,14 +22,40 @@ from __future__ import annotations
 import numpy as np
 
 from ..constants import R_UNIVERSAL
-from .cubic_eos import CubicEos
+from .cubic_eos import CubicEos, CubicState
 
-__all__ = ["enthalpy_departure", "cp_departure"]
+__all__ = ["enthalpy_departure", "cp_departure",
+           "state_enthalpy_departure", "state_cp_departure"]
 
 
-def _geometry(eos: CubicEos):
-    d = np.sqrt(eos.u * eos.u - 4.0 * eos.w)
-    return eos.u, eos.w, d
+def _log_term_over_bd(state: CubicState) -> np.ndarray:
+    """``L / (b d)``: the volume integral of 1/(v^2 + u b v + w b^2)."""
+    u, w = state.eos.u, state.eos.w
+    d = np.sqrt(u * u - 4.0 * w)
+    v, b = state.v, state.comp.b
+    log_term = np.log(
+        np.maximum(2.0 * v + b * (u + d), 1e-300)
+        / np.maximum(2.0 * v + b * (u - d), 1e-300)
+    )
+    return log_term / (b * d)
+
+
+def state_enthalpy_departure(state: CubicState) -> np.ndarray:
+    """Molar enthalpy departure h - h_ig [J/mol] of a state with ``rho``.
+
+    The pressure is the state's own (evaluated from ``T, rho``), so the
+    departure is consistent with the density it is given even when that
+    density is not an exact root of the cubic.
+    """
+    return (state.pressure() * state.v - R_UNIVERSAL * state.t
+            + (state.t * state.da_dt - state.a) * _log_term_over_bd(state))
+
+
+def state_cp_departure(state: CubicState) -> np.ndarray:
+    """Molar cp departure cp - cp_ig [J/(mol K)] of a state with ``rho``."""
+    return (state.t * state.d2a_dt2 * _log_term_over_bd(state)
+            - state.t * state.dp_dt() ** 2 / state.dp_dv()
+            - R_UNIVERSAL)
 
 
 def enthalpy_departure(eos: CubicEos, t, rho, y) -> np.ndarray:
@@ -31,47 +63,10 @@ def enthalpy_departure(eos: CubicEos, t, rho, y) -> np.ndarray:
 
     ``t`` [K], ``rho`` mass density [kg/m^3], ``y`` mass fractions.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    y = np.atleast_2d(y)
-    x = eos._mole_from_mass(y)
-    w_mix = (x * eos.mol_weights).sum(axis=-1)
-    v = w_mix / rho
-    a_mix, b_mix, da_dt = eos.mixture_ab(t, x)
-    u, w, d = _geometry(eos)
-    p = eos.pressure(t, rho, y)
-    log_term = np.log(
-        np.maximum(2.0 * v + b_mix * (u + d), 1e-300)
-        / np.maximum(2.0 * v + b_mix * (u - d), 1e-300)
-    )
-    return p * v - R_UNIVERSAL * t + (t * da_dt - a_mix) / (b_mix * d) * log_term
+    return state_enthalpy_departure(
+        eos.state(t, eos.composition(y), rho, order=1))
 
 
-def cp_departure(eos: CubicEos, t, rho, y, dt: float = 1e-3) -> np.ndarray:
-    """Molar cp departure cp - cp_ig [J/(mol K)].
-
-    Computed as the constant-pressure temperature derivative of the
-    enthalpy departure: the analytic (dp/dT)_v / (dp/dv)_T terms handle
-    the density change with temperature at fixed pressure, and a small
-    centered difference handles d2a/dT2 (avoiding a long closed form
-    while staying accurate to O(dt^2); validated against finite
-    differences of h_dep in the tests).
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    y = np.atleast_2d(y)
-    p = eos.pressure(t, rho, y)
-    # rho(T+dt, p, y) via Newton from the current rho as initial guess:
-    # drho/dT at constant p = -(dp/dT)_v / (dp/drho)_T
-    x = eos._mole_from_mass(y)
-    w_mix = (x * eos.mol_weights).sum(axis=-1)
-    dp_dt = eos.dp_dt_const_v(t, rho, y)
-    dp_dv = eos.dp_dv_const_t(t, rho, y)  # per molar volume
-    dv_drho = -w_mix / rho**2
-    dp_drho = dp_dv * dv_drho
-    drho_dt = -dp_dt / dp_drho
-    h_plus = enthalpy_departure(eos, t + dt, rho + drho_dt * dt, y)
-    h_minus = enthalpy_departure(eos, t - dt, rho - drho_dt * dt, y)
-    # Pressure drifts at O(dt^2) with this linearization; good enough.
-    del p
-    return (h_plus - h_minus) / (2.0 * dt)
+def cp_departure(eos: CubicEos, t, rho, y) -> np.ndarray:
+    """Molar cp departure cp - cp_ig [J/(mol K)]."""
+    return state_cp_departure(eos.state(t, eos.composition(y), rho))

@@ -6,6 +6,11 @@
 Binary interaction coefficients ``k_ij`` default to zero (the standard
 choice for LOX/CH4 supercritical simulations when no regression data
 is available).
+
+The quadratic form is evaluated in exactly one place,
+:meth:`VanDerWaalsMixing.attraction`, from ``r_i = x_i sqrt(a_i)`` and
+its temperature derivatives; :meth:`mix` and :meth:`mix_derivative`
+are the per-species-``a_i`` spellings of the same call.
 """
 
 from __future__ import annotations
@@ -29,6 +34,36 @@ class VanDerWaalsMixing:
             raise ValueError("k_ij must be symmetric")
         self.k_ij = k_ij
 
+    def attraction(self, r: np.ndarray, dr: np.ndarray | None = None,
+                   d2r: np.ndarray | None = None):
+        """``(a_mix, da_mix/dT, d2a_mix/dT2)`` from ``r_i = x_i sqrt(a_i)``.
+
+        ``r``, ``dr = dr/dT`` and ``d2r = d2r/dT2`` have shape
+        ``(..., ns)``; a derivative whose input is ``None`` comes back
+        ``None``.  With ``K = 1 - k_ij`` (symmetric)::
+
+            a   = r K r
+            a'  = 2 r K r'
+            a'' = 2 (r' K r' + r K r'')
+
+        so the three share the two products ``r K`` and ``r' K``.  The
+        products are spelled as einsums, not ``@``: a BLAS product of a
+        row subset is not bitwise the subset of the full product, and
+        every cell's result must be independent of what else shares
+        its batch.
+        """
+        one_minus_k = 1.0 - self.k_ij
+        rk = np.einsum("...i,ij->...j", r, one_minus_k)
+        a = (rk * r).sum(axis=-1)
+        if dr is None:
+            return a, None, None
+        da = 2.0 * (rk * dr).sum(axis=-1)
+        if d2r is None:
+            return a, da, None
+        drk = np.einsum("...i,ij->...j", dr, one_minus_k)
+        d2a = 2.0 * ((drk * dr).sum(axis=-1) + (rk * d2r).sum(axis=-1))
+        return a, da, d2a
+
     def mix(self, a_i: np.ndarray, b_i: np.ndarray, x: np.ndarray):
         """Mixture a and b.
 
@@ -41,24 +76,14 @@ class VanDerWaalsMixing:
         x:
             Mole fractions, shape ``(..., ns)``.
         """
-        sqrt_a = np.sqrt(np.maximum(a_i, 0.0))
-        one_minus_k = 1.0 - self.k_ij
-        # a_mix = (x*sqrt_a) (1-k) (x*sqrt_a)^T  done batched
-        xs = x * sqrt_a
-        a_mix = np.einsum("...i,ij,...j->...", xs, one_minus_k, xs)
-        b_mix = (x * b_i).sum(axis=-1)
-        return a_mix, b_mix
+        a_mix, _, _ = self.attraction(x * np.sqrt(np.maximum(a_i, 0.0)))
+        return a_mix, (x * b_i).sum(axis=-1)
 
     def mix_derivative(self, a_i: np.ndarray, da_i: np.ndarray, x: np.ndarray):
         """d(a_mix)/dT given per-species a_i and da_i/dT.
 
-        Uses d sqrt(a_i a_j)/dT = (a_j da_i + a_i da_j) / (2 sqrt(a_i a_j)).
+        Uses d sqrt(a_i)/dT = da_i / (2 sqrt(a_i)).
         """
         sqrt_a = np.sqrt(np.maximum(a_i, 1e-300))
-        # d sqrt(a_i)/dT = da_i / (2 sqrt(a_i))
-        dsqrt = da_i / (2.0 * sqrt_a)
-        one_minus_k = 1.0 - self.k_ij
-        xs = x * sqrt_a
-        xds = x * dsqrt
-        # d/dT sum x_i x_j sqrt_i sqrt_j = 2 sum x_i x_j sqrt_i dsqrt_j
-        return 2.0 * np.einsum("...i,ij,...j->...", xs, one_minus_k, xds)
+        _, da_dt, _ = self.attraction(x * sqrt_a, x * (da_i / (2.0 * sqrt_a)))
+        return da_dt

@@ -7,20 +7,30 @@ needs each time step -- and that PRNet is trained to shortcut:
 * ``(T, p, Y) -> rho, h, cp, mu, alpha``  (direct evaluation)
 * ``(e or h, p, Y) -> T, rho, ...``       (the implicit solve PRNet
   replaces; a Newton iteration on temperature)
+
+Every entry point builds one :class:`~repro.thermo.cubic_eos.CubicState`
+per distinct ``(T, p)`` -- composition once per call, ``a/a'/a''`` and
+one cubic solve once per temperature -- and reads all of rho, h, cp and
+psi off it.  The Newton loop of the ``(h, p, Y)`` solve hands its last
+state to the property bundle, so ``properties_hp`` solves the cubic
+once per sweep and never again.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..chemistry.mechanism import Mechanism
-from .cubic_eos import CubicEos, PengRobinson
-from .departure import cp_departure, enthalpy_departure
+from .cubic_eos import Composition, CubicEos, CubicState, PengRobinson
+from .departure import state_cp_departure, state_enthalpy_departure
 from .transport import TransportModel
 
 __all__ = ["RealFluidProperties", "RealFluidMixture"]
+
+_log = logging.getLogger("repro.thermo")
 
 
 @dataclass
@@ -43,44 +53,94 @@ class RealFluidMixture:
         self.eos = eos if eos is not None else PengRobinson(mech.species)
         self.transport = TransportModel(mech)
 
+    # -- one state per (T, p); everything below reads it -----------------
+    def _state_tp(self, t, p, comp: Composition, order: int = 2) -> CubicState:
+        state = self.eos.state(t, comp, order=order)
+        self.eos.solve_density(state, p)
+        return state
+
+    def _h(self, state: CubicState, y) -> np.ndarray:
+        return (self.mech.h_mass_mixture(state.t, y)
+                + state_enthalpy_departure(state) / state.comp.w_mix)
+
+    def _cp(self, state: CubicState, y) -> np.ndarray:
+        return (self.mech.cp_mass_mixture(state.t, y)
+                + state_cp_departure(state) / state.comp.w_mix)
+
+    def _properties(self, state: CubicState, y, h=None) -> RealFluidProperties:
+        if h is None:
+            h = self._h(state, y)
+        cp = self._cp(state, y)
+        mu, lam = self.transport.viscosity_conductivity(state.t, state.rho, y)
+        return RealFluidProperties(state.rho, state.t, cp, h, mu,
+                                   lam / (state.rho * cp))
+
     # ----------------------------------------------------------------
     def h_mass(self, t, p, y) -> np.ndarray:
         """Real-fluid specific enthalpy [J/kg] at (T, p, Y)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         y = np.atleast_2d(y)
-        rho = self.eos.density(t, p, y)
-        h_ig = self.mech.h_mass_mixture(t, y)
-        w_mix = self.mech.mean_molecular_weight(y)
-        h_dep = enthalpy_departure(self.eos, t, rho, y) / w_mix
-        return h_ig + h_dep
+        return self._h(self._state_tp(t, p, self.eos.composition(y), order=1), y)
 
     def cp_mass(self, t, p, y) -> np.ndarray:
         """Real-fluid specific heat [J/(kg K)] at (T, p, Y)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         y = np.atleast_2d(y)
-        rho = self.eos.density(t, p, y)
-        cp_ig = self.mech.cp_mass_mixture(t, y)
-        w_mix = self.mech.mean_molecular_weight(y)
-        cp_dep = cp_departure(self.eos, t, rho, y) / w_mix
-        return cp_ig + cp_dep
+        return self._cp(self._state_tp(t, p, self.eos.composition(y)), y)
 
     def properties_tp(self, t, p, y) -> RealFluidProperties:
         """All properties from (T, p, Y) -- the PRNet training target."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         y = np.atleast_2d(y)
-        rho = self.eos.density(t, p, y)
-        w_mix = self.mech.mean_molecular_weight(y)
-        h = self.mech.h_mass_mixture(t, y) + enthalpy_departure(
-            self.eos, t, rho, y
-        ) / w_mix
-        cp = self.mech.cp_mass_mixture(t, y) + cp_departure(
-            self.eos, t, rho, y
-        ) / w_mix
-        mu = self.transport.viscosity(t, rho, y)
-        alpha = self.transport.thermal_diffusivity(t, rho, y, cp)
-        return RealFluidProperties(rho, t, cp, h, mu, alpha)
+        return self._properties(
+            self._state_tp(t, p, self.eos.composition(y)), y)
 
     # ----------------------------------------------------------------
+    def _solve_t(self, h_target, p, y, t_guess=None, tol=1e-8, max_iter=50):
+        """Newton on T at fixed (p, Y); returns ``(state, h)`` at the
+        final temperatures -- on convergence the loop's own last
+        evaluation, so the caller never solves that cubic again."""
+        h_target = np.atleast_1d(np.asarray(h_target, dtype=float))
+        comp = self.eos.composition(y)
+        t = (
+            np.full(h_target.shape, 1000.0)
+            if t_guess is None
+            else np.array(np.broadcast_to(t_guess, h_target.shape), dtype=float)
+        )
+        t_lo = np.full_like(t, 60.0)
+        t_hi = np.full_like(t, 5000.0)
+        h_scale = tol * np.maximum(np.abs(h_target), 1e3)
+        # Cells freeze the moment *their own* criterion holds (instead
+        # of iterating everyone until the slowest cell converges): a
+        # cell's converged T then depends only on its own state, never
+        # on what else shares the batch -- which is what keeps serial
+        # and decomposed property evaluations in agreement.
+        for _ in range(max_iter):
+            state = self._state_tp(t, p, comp)
+            h = self._h(state, y)
+            resid = h - h_target
+            done = np.abs(resid) <= h_scale
+            if done.all():
+                return state, h
+            cp = np.maximum(self._cp(state, y), 50.0)
+            above = resid > 0
+            t_hi = np.where(above & ~done, np.minimum(t_hi, t), t_hi)
+            t_lo = np.where(~above & ~done, np.maximum(t_lo, t), t_lo)
+            t_new = t - resid / cp
+            # Fall back to bisection when Newton leaves the bracket.
+            bad = (t_new <= t_lo) | (t_new >= t_hi)
+            t_new = np.where(bad, 0.5 * (t_lo + t_hi), t_new)
+            t = np.where(done, t, t_new)
+        # Sweeps exhausted: the last update has not been evaluated yet.
+        state = self._state_tp(t, p, comp)
+        h = self._h(state, y)
+        resid = np.abs(h - h_target)
+        failed = ~(resid <= h_scale)
+        if failed.any():
+            _log.warning(
+                "temperature_from_h: %d of %d cells unconverged after %d "
+                "sweeps (worst relative enthalpy residual %.3e, tol %.1e)",
+                int(failed.sum()), failed.size, max_iter,
+                float(np.max(resid[failed] / h_scale[failed]) * tol), tol)
+        return state, h
+
     def temperature_from_h(
         self,
         h_target: np.ndarray,
@@ -95,45 +155,21 @@ class RealFluidMixture:
         This is the per-cell iterative solve whose cost PRNet removes.
         Newton with the real cp as the slope, safeguarded by bisection
         bounds; converges in a handful of iterations for flame states.
+        Cells still outside ``tol`` after ``max_iter`` sweeps are
+        reported once on the ``repro.thermo`` logger (a warning, not an
+        error: the returned temperatures are the last iterate).
         """
-        h_target = np.atleast_1d(np.asarray(h_target, dtype=float))
         y = np.atleast_2d(y)
-        t = (
-            np.full(h_target.shape, 1000.0)
-            if t_guess is None
-            else np.array(np.broadcast_to(t_guess, h_target.shape), dtype=float)
-        )
-        t_lo = np.full_like(t, 60.0)
-        t_hi = np.full_like(t, 5000.0)
-        # Cells freeze the moment *their own* criterion holds (instead
-        # of iterating everyone until the slowest cell converges): a
-        # cell's converged T then depends only on its own state, never
-        # on what else shares the batch -- which is what keeps serial
-        # and decomposed property evaluations in agreement.
-        for _ in range(max_iter):
-            h = self.h_mass(t, p, y)
-            resid = h - h_target
-            done = np.abs(resid) <= tol * np.maximum(np.abs(h_target), 1e3)
-            if done.all():
-                break
-            cp = np.maximum(self.cp_mass(t, p, y), 50.0)
-            above = resid > 0
-            t_hi = np.where(above & ~done, np.minimum(t_hi, t), t_hi)
-            t_lo = np.where(~above & ~done, np.maximum(t_lo, t), t_lo)
-            t_new = t - resid / cp
-            # Fall back to bisection when Newton leaves the bracket.
-            bad = (t_new <= t_lo) | (t_new >= t_hi)
-            t_new = np.where(bad, 0.5 * (t_lo + t_hi), t_new)
-            t = np.where(done, t, t_new)
-        return t
+        state, _ = self._solve_t(h_target, p, y, t_guess, tol, max_iter)
+        return state.t
 
     def properties_hp(self, h, p, y, t_guess=None) -> RealFluidProperties:
         """All properties from (h, p, Y): the full PRNet-replaced path."""
-        t = self.temperature_from_h(h, p, y, t_guess=t_guess)
-        return self.properties_tp(t, p, y)
+        y = np.atleast_2d(y)
+        state, h_found = self._solve_t(h, p, y, t_guess)
+        return self._properties(state, y, h_found)
 
-    def psi_compressibility(self, t, p, y, dp: float = 100.0) -> np.ndarray:
+    def psi_compressibility(self, t, p, y) -> np.ndarray:
         """psi = (d rho / d p)_T [s^2/m^2], used by the pressure equation."""
-        rho_p = self.eos.density(t, np.asarray(p) + dp, y)
-        rho_m = self.eos.density(t, np.asarray(p) - dp, y)
-        return (rho_p - rho_m) / (2.0 * dp)
+        comp = self.eos.composition(y)
+        return self._state_tp(t, p, comp, order=0).drho_dp()

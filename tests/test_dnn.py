@@ -286,6 +286,35 @@ class TestPRNet:
         assert net.density_net.sizes == (3, 1024, 512, 256, 1)
         assert net.transport_net.sizes == (3, 2048, 1024, 512, 4)
 
+    def test_manifold_is_one_batched_evaluation(self, mech):
+        """One ``properties_tp`` over the whole manifold, row for row what
+        the per-sample single-cell calls return."""
+        from repro.dnn.prnet import sample_property_manifold
+        from repro.thermo import RealFluidMixture
+
+        class Recording(RealFluidMixture):
+            calls = []
+
+            def properties_tp(self, t, p, y):
+                self.calls.append((t, p, y))
+                return super().properties_tp(t, p, y)
+
+        rf = Recording(mech)
+        feats, rho_t, trans_t = sample_property_manifold(
+            mech, rf, 10e6, n_mix=4, n_temp=5)
+        assert feats.shape == (20, 3) and rho_t.shape == (20, 1)
+        assert trans_t.shape == (20, 4)
+        (t, p, y), = rf.calls
+        i_c, i_h = mech.elements.index("C"), mech.elements.index("H")
+        for k in range(20):
+            one = RealFluidMixture.properties_tp(rf, t[k:k + 1], p, y[k:k + 1])
+            z = mech.element_mass_fractions(y[k:k + 1])[0]
+            np.testing.assert_allclose(
+                feats[k], [one.h_mass[0], p, z[i_c] + z[i_h]], rtol=1e-12)
+            assert rho_t[k, 0] == one.rho[0]
+            np.testing.assert_array_equal(
+                trans_t[k], [t[k], one.mu[0], one.alpha[0], one.cp_mass[0]])
+
     @pytest.mark.slow
     def test_density_accuracy_on_manifold(self, tiny_prnet, mech):
         from repro.dnn.prnet import sample_property_manifold

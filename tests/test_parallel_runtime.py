@@ -524,6 +524,8 @@ class TestWrittenOnce:
                 pass
 
         monkeypatch.setattr(spmd, "WorkerPool", InlinePool)
+        # the factory runs in this process here: leave pytest unbound
+        monkeypatch.setattr(spmd, "_bind_to_core", lambda rank: None)
 
         def build(**overlay):
             return DecomposedSolver(
@@ -546,6 +548,24 @@ class TestWrittenOnce:
                 assert par.last_comm == driver.last_comm
             for f in ("y", "h", "p", "u", "rho", "T"):
                 assert np.array_equal(par.gather(f), driver.gather(f))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="core binding is Linux-only")
+    def test_rank_workers_bind_round_robin(self):
+        """Each rank worker runs on exactly one of the driver's CPUs,
+        rank r on the (r mod n)-th; the driver itself stays unbound."""
+        class Bound:
+            def __init__(self, rank):
+                spmd._bind_to_core(rank)
+
+            def cpus(self):
+                return sorted(os.sched_getaffinity(0))
+
+        allowed = sorted(os.sched_getaffinity(0))
+        with WorkerPool(3, Bound) as pool:
+            bound = pool.broadcast("cpus")
+        assert bound == [[allowed[r % len(allowed)]] for r in range(3)]
+        assert sorted(os.sched_getaffinity(0)) == allowed
 
     @pytest.mark.parametrize("variant", KRYLOV_VARIANTS)
     def test_zero_warm_allocations_in_every_worker(self, mech, variant):

@@ -63,6 +63,24 @@ class TestThermoProperties:
         cp = rf_global.cp_mass([t], 10e6, y[None, :])
         assert cp[0] > 0
 
+    @given(y=mass_fractions(), t=st.floats(100.0, 3000.0),
+           p=st.floats(9e6, 2e7), miss=st.floats(0.6, 1.6))
+    @settings(**SETTINGS)
+    def test_temperature_from_h_inverts_h_mass(self, rf_global, mech_global,
+                                               y, t, p, miss):
+        # keep every draw at supercritical pressure, where the cubic has
+        # one real root and h(T) is smooth: drop the three species whose
+        # critical pressure (8-22 MPa) reaches into the sampled range
+        y = y.copy()
+        for name in ("H2O", "H2O2", "OH"):
+            y[mech_global.species_index[name]] = 0.0
+        y[mech_global.species_index["O2"]] += 1e-6
+        y /= y.sum()
+        h = rf_global.h_mass([t], p, y[None, :])
+        t_back = rf_global.temperature_from_h(
+            h, p, y[None, :], t_guess=np.array([t * miss]))
+        assert t_back[0] == pytest.approx(t, rel=1e-5)
+
 
 class TestPartitionProperties:
     @given(nparts=st.integers(2, 12), seed=st.integers(0, 5))

@@ -14,6 +14,7 @@ from repro.thermo import (
     cp_departure,
     enthalpy_departure,
 )
+from tests.conftest import MATVEC_RTOL
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +226,280 @@ class TestRealFluidState:
         psi = rf.psi_compressibility(t, 1e6, pure_o2[None, :])
         ig = 31.998e-3 / (R_UNIVERSAL * 1500.0)
         assert psi[0] == pytest.approx(ig, rel=0.05)
+
+
+# -- the state-taking kernels vs the composed reference ---------------------
+def _within(actual, ref, rtol, floor=0.0):
+    """|actual - ref| <= rtol * max(|ref|, floor), elementwise."""
+    err = np.abs(np.asarray(actual) - np.asarray(ref))
+    bound = rtol * np.maximum(np.abs(ref), floor)
+    worst = np.argmax(err - bound)
+    assert np.all(err <= bound), (
+        f"cell {worst}: {np.ravel(actual)[worst]!r} vs "
+        f"{np.ravel(ref)[worst]!r}")
+
+
+#: rho, T, h, mu, a, a': the same sums accumulated in another order
+RESPELLED = MATVEC_RTOL
+#: cp, alpha, psi: the reference itself is a centred difference
+FD_NOISE = 1e-8
+PROPS = ("rho", "temperature", "cp_mass", "h_mass", "mu", "alpha")
+
+
+@pytest.fixture(scope="module")
+def oracle(rf):
+    from tests.thermo_oracle import OracleMixture
+
+    return OracleMixture(rf)
+
+
+@pytest.fixture(scope="module")
+def batch(mech):
+    """Seeded (T, p, Y): 90-3000 K, 1-20 MPa, random 17-species cells plus
+    pure cryogenic O2, a near-critical cell and hot O2-rich cells (the
+    ``g_i < 0`` branch of the alpha function, above 1836 K for O2)."""
+    rng = np.random.default_rng(20250928)
+    n = 96
+    y = rng.random((n, mech.n_species)) ** 3
+    t = rng.uniform(90.0, 3000.0, n)
+    p = rng.uniform(1e6, 20e6, n)
+    o2 = mech.species_index["O2"]
+    y[:3] = 0.0
+    y[:3, o2] = 1.0
+    t[:3] = (120.0, 150.0, 160.0)
+    p[:3] = (10e6, 10e6, 6e6)
+    y[3:15] *= 0.05
+    y[3:15, o2] = 1.0
+    t[3:15] = np.linspace(1800.0, 2500.0, 12)
+    y /= y.sum(axis=1, keepdims=True)
+    return t, p, y
+
+
+class TestStateKernelsAgainstOracle:
+    def test_mixture_ab(self, rf, oracle, batch):
+        t, _, y = batch
+        x = rf.eos._mole_from_mass(y)
+        a, b, da = rf.eos.mixture_ab(t, x)
+        a_ref, b_ref, da_ref = oracle.eos.mixture_ab(t, x)
+        _within(a, a_ref, RESPELLED)
+        _within(da, da_ref, RESPELLED)
+        assert np.array_equal(b, b_ref)
+
+    def test_hot_o2_uses_the_negative_branch(self, rf, batch):
+        """Guard the fixture: some cells really have g_O2 < 0."""
+        t, _, _ = batch
+        eos = rf.eos
+        g = eos._g_const - eos._g_slope * np.sqrt(t)[:, None]
+        o2 = [s.name for s in eos.species].index("O2")
+        assert (g[:, o2] < 0).sum() >= 10 and (g[:, o2] > 0).sum() >= 10
+
+    def test_properties_tp(self, rf, oracle, batch):
+        new, ref = rf.properties_tp(*batch), oracle.properties_tp(*batch)
+        _within(new.rho, ref.rho, RESPELLED)
+        _within(new.h_mass, ref.h_mass, RESPELLED, floor=1e5)
+        _within(new.mu, ref.mu, RESPELLED)
+        _within(new.cp_mass, ref.cp_mass, FD_NOISE)
+        _within(new.alpha, ref.alpha, FD_NOISE)
+
+    def test_h_cp_psi(self, rf, oracle, batch):
+        _within(rf.h_mass(*batch), oracle.h_mass(*batch), RESPELLED, floor=1e5)
+        _within(rf.cp_mass(*batch), oracle.cp_mass(*batch), FD_NOISE)
+        # the reference's centred difference has an O(dp^2) truncation
+        # error that reaches 1.6e-8 in the near-critical cell; one
+        # Richardson step removes it
+        psi_ref = (4.0 * oracle.psi_compressibility(*batch, dp=50.0)
+                   - oracle.psi_compressibility(*batch, dp=100.0)) / 3.0
+        _within(rf.psi_compressibility(*batch), psi_ref, FD_NOISE)
+
+    def test_properties_hp(self, rf, oracle, batch):
+        t, p, y = batch
+        h = oracle.h_mass(t, p, y)
+        guess = np.clip(t * 1.25, 70.0, 4500.0)
+        new = rf.properties_hp(h, p, y, t_guess=guess)
+        ref = oracle.properties_hp(h, p, y, t_guess=guess)
+        np.testing.assert_allclose(new.temperature, t, rtol=1e-5)
+        _within(new.temperature, ref.temperature, RESPELLED)
+        _within(new.rho, ref.rho, RESPELLED)
+        _within(new.h_mass, ref.h_mass, RESPELLED, floor=1e5)
+        _within(new.mu, ref.mu, RESPELLED)
+        _within(new.cp_mass, ref.cp_mass, FD_NOISE)
+        _within(new.alpha, ref.alpha, FD_NOISE)
+
+    def test_departures(self, rf, oracle, batch):
+        from tests.thermo_oracle import (oracle_cp_departure,
+                                         oracle_enthalpy_departure)
+
+        t, p, y = batch
+        rho = oracle.eos.density(t, p, y)
+        _within(enthalpy_departure(rf.eos, t, rho, y),
+                oracle_enthalpy_departure(oracle.eos, t, rho, y),
+                RESPELLED, floor=R_UNIVERSAL * 300.0)
+        _within(cp_departure(rf.eos, t, rho, y),
+                oracle_cp_departure(oracle.eos, t, rho, y),
+                FD_NOISE, floor=R_UNIVERSAL)
+
+    def test_transport(self, rf, oracle, batch):
+        t, p, y = batch
+        rho = oracle.eos.density(t, p, y)
+        tr, ref = rf.transport, oracle.transport
+        _within(tr.viscosity(t, rho, y), ref.viscosity(t, rho, y), RESPELLED)
+        _within(tr.mixture_viscosity_dilute(t, y),
+                ref.mixture_viscosity_dilute(t, y), RESPELLED)
+        _within(tr.thermal_conductivity(t, rho, y),
+                ref.thermal_conductivity(t, rho, y), RESPELLED)
+        mu, lam = tr.viscosity_conductivity(t, rho, y)
+        assert np.array_equal(mu, tr.viscosity(t, rho, y))
+        assert np.array_equal(lam, tr.thermal_conductivity(t, rho, y))
+
+    def test_second_derivative_of_attraction(self, mech, batch):
+        """Closed-form a'' vs a centred difference of a', with k_ij != 0."""
+        t, _, y = batch
+        eos = PengRobinson(mech.species)
+        eos.mixing = VanDerWaalsMixing(mech.n_species,
+                                       _random_kij(mech.n_species))
+        x = eos._mole_from_mass(y)
+        a0, _, _ = PengRobinson(mech.species).attraction(t, x)
+        a, _, d2a = eos.attraction(t, x)
+        assert not np.allclose(a, a0, rtol=1e-3)    # k_ij took effect
+        dt = 1e-2
+        _, da_p, _ = eos.attraction(t + dt, x, order=1)
+        _, da_m, _ = eos.attraction(t - dt, x, order=1)
+        _within(d2a, (da_p - da_m) / (2 * dt), 1e-6)
+
+
+def _random_kij(ns, seed=5):
+    k = np.random.default_rng(seed).uniform(-0.05, 0.15, (ns, ns))
+    k = 0.5 * (k + k.T)
+    np.fill_diagonal(k, 0.0)
+    return k
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("interacting", [False, True])
+    def test_batch_independence_is_bitwise(self, mech, batch, interacting):
+        """A cell's result never depends on what else shares its batch
+        (with k_ij != 0 a BLAS product in the mixing rule breaks this)."""
+        t, p, y = batch
+        rf = RealFluidMixture(mech)
+        if interacting:
+            rf.eos.mixing = VanDerWaalsMixing(mech.n_species,
+                                              _random_kij(mech.n_species))
+        rows = slice(1, None, 3)
+        guess = np.clip(t * 1.25, 70.0, 4500.0)
+        h = rf.h_mass(t, p, y)
+
+        def everything(sel):
+            tp = rf.properties_tp(t[sel], p[sel], y[sel])
+            hp = rf.properties_hp(h[sel], p[sel], y[sel], t_guess=guess[sel])
+            x = rf.eos._mole_from_mass(y[sel])
+            return ([getattr(tp, k) for k in PROPS]
+                    + [getattr(hp, k) for k in PROPS]
+                    + list(rf.eos.attraction(t[sel], x))
+                    + [rf.psi_compressibility(t[sel], p[sel], y[sel]),
+                       rf.cp_mass(t[sel], p[sel], y[sel]), h[sel]])
+
+        full = everything(slice(None))
+        for whole, part in zip(full, everything(rows)):
+            assert np.array_equal(whole[rows], part)
+        for cell in range(0, t.size, 5):
+            for whole, part in zip(full, everything(slice(cell, cell + 1))):
+                assert np.array_equal(whole[cell:cell + 1], part)
+
+    def test_wrappers_and_fused_path_agree_bitwise(self, rf, batch):
+        t, p, y = batch
+        hp = rf.properties_hp(rf.h_mass(t, p, y), p, y, t_guess=t * 1.1)
+        t_conv = hp.temperature
+        assert np.array_equal(rf.eos.density(t_conv, p, y), hp.rho)
+        assert np.array_equal(rf.h_mass(t_conv, p, y), hp.h_mass)
+        assert np.array_equal(rf.cp_mass(t_conv, p, y), hp.cp_mass)
+        tp = rf.properties_tp(t_conv, p, y)
+        for k in PROPS:
+            assert np.array_equal(getattr(tp, k), getattr(hp, k))
+        assert np.array_equal(
+            rf.temperature_from_h(rf.h_mass(t, p, y), p, y, t_guess=t * 1.1),
+            t_conv)
+
+    def test_np_roots_loop_through_the_fused_path(self, mech, batch):
+        t, p, y = (v[:24] for v in batch)
+        fast, ref = RealFluidMixture(mech), RealFluidMixture(mech)
+        ref.eos.batched_roots = False
+        h = fast.h_mass(t, p, y)
+        a = fast.properties_hp(h, p, y, t_guess=t * 1.2)
+        b = ref.properties_hp(h, p, y, t_guess=t * 1.2)
+        for k in PROPS:
+            assert np.array_equal(getattr(a, k), getattr(b, k))
+        assert np.array_equal(fast.psi_compressibility(t, p, y),
+                              ref.psi_compressibility(t, p, y))
+
+    def test_one_composition_one_cubic_per_sweep(self, mech, batch, monkeypatch):
+        """properties_hp converts the composition once per consumer and
+        solves the cubic once per Newton sweep -- not 2*sweeps + 1."""
+        t, p, y = batch
+        rf = RealFluidMixture(mech)
+        h = rf.h_mass(t, p, y)
+        calls = {}
+
+        def counted(obj, name):
+            inner = getattr(obj, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(obj, name, wrapper)
+
+        counted(rf.eos, "_mole_from_mass")
+        counted(rf.mech, "mole_fractions")
+        counted(rf.eos, "_solve_cubic")
+        counted(rf.eos, "attraction")
+        counted(rf.mech, "h_mass_mixture")      # once per Newton sweep
+        counted(rf.transport, "species_viscosity")
+        rf.properties_hp(h, p, y, t_guess=t * 1.3)
+        sweeps = calls["h_mass_mixture"]
+        assert sweeps >= 3
+        assert calls["_solve_cubic"] == sweeps
+        assert calls["attraction"] == sweeps
+        assert calls["_mole_from_mass"] == 1
+        assert calls["mole_fractions"] == 1
+        assert calls["species_viscosity"] == 1
+
+    def test_no_species_squared_temporary(self, mech):
+        """O(n ns) memory: the explicit Wilke phi_ij of 4000 x 17 x 17
+        doubles is 9.2 MiB alone, and several used to be live at once."""
+        import tracemalloc
+
+        rng = np.random.default_rng(1)
+        n = 4000
+        y = rng.random((n, mech.n_species))
+        y /= y.sum(axis=1, keepdims=True)
+        t = rng.uniform(120.0, 2500.0, n)
+        rf = RealFluidMixture(mech)
+        rf.properties_tp(t[:8], 10e6, y[:8])        # warm imports / caches
+        tracemalloc.start()
+        try:
+            rf.properties_tp(t, 10e6, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class TestTemperatureSolveReporting:
+    def test_unreachable_enthalpy_warns_once(self, rf, pure_o2, caplog):
+        y = np.tile(pure_o2, (3, 1))
+        h = rf.h_mass(np.array([300.0, 800.0, 5000.0]), 10e6, y)
+        h[2] += 5e6                                  # beyond the 5000 K bracket
+        with caplog.at_level("WARNING", logger="repro.thermo"):
+            t = rf.temperature_from_h(h, 10e6, y, t_guess=np.full(3, 600.0))
+        records = [r for r in caplog.records if r.name == "repro.thermo"]
+        assert len(records) == 1
+        assert "1 of 3 cells unconverged" in records[0].getMessage()
+        np.testing.assert_allclose(t[:2], [300.0, 800.0], rtol=1e-6)
+        assert t[2] == pytest.approx(5000.0, rel=1e-6)
+
+    def test_converged_batch_is_silent(self, rf, pure_o2, caplog):
+        h = rf.h_mass([150.0], 10e6, pure_o2[None, :])
+        with caplog.at_level("DEBUG", logger="repro.thermo"):
+            rf.temperature_from_h(h, 10e6, pure_o2[None, :],
+                                  t_guess=np.array([400.0]))
+        assert not caplog.records
