@@ -27,7 +27,11 @@ Run:  pytest benchmarks/bench_chemistry_balance.py [--smoke]
 import numpy as np
 
 from repro.chemistry import DirectBatchBackend
-from repro.core import IdealGasProperties, build_hotspot_tgv_case
+from repro.core import (
+    IdealGasProperties,
+    SolverSettings,
+    build_hotspot_tgv_case,
+)
 from repro.dist import DecomposedSolver
 from repro.runtime import SUNWAY, price_balance_report
 
@@ -36,10 +40,10 @@ from .conftest import emit
 
 def _run(mech, n, nparts, mode, steps, dt):
     solver = DecomposedSolver(
-        build_hotspot_tgv_case(n=n, mech=mech, radius=0.4), nparts,
+        build_hotspot_tgv_case(n=n, mech=mech, radius=0.4),
+        SolverSettings(ranks=nparts, balance_chemistry=mode),
         properties=IdealGasProperties(mech),
-        chemistry=DirectBatchBackend(mech),
-        balance_chemistry=mode)
+        chemistry=DirectBatchBackend(mech))
     for _ in range(steps):
         solver.step(dt)
     return solver

@@ -45,7 +45,7 @@ DT = 1e-8  # the paper's 10 ns chemistry step
 
 
 def _hybrid_chemistry(mech, **overrides):
-    """The hybrid-trained adapter exactly as the settings path builds it."""
+    """The hybrid-trained backend exactly as the settings path builds it."""
     settings = SolverSettings(chemistry="hybrid-trained",
                               trust_gate=overrides.pop("trust_gate",
                                                        "domain"),
@@ -64,9 +64,7 @@ def live_states(mech, smoke):
     n = 8 if smoke else 12
     steps = 2 if smoke else 3
     case = build_hotspot_tgv_case(n=n, mech=mech)
-    chem = _hybrid_chemistry(mech)
-    solver = DeepFlameSolver.from_settings(
-        case, SolverSettings(chemistry="none"), chemistry=chem)
+    solver = DeepFlameSolver(case, chemistry=_hybrid_chemistry(mech))
     batches = []
     for _ in range(steps):
         batches.append((solver.props.temperature.copy(),
@@ -81,7 +79,7 @@ class TestTrainedHybrid:
         from repro.chemistry import DirectBatchBackend
 
         direct = DirectBatchBackend(mech)
-        hybrid = _hybrid_chemistry(mech).backend
+        hybrid = _hybrid_chemistry(mech)
         # warm both paths (BLAS threads, engine buffers, CSR caches)
         t0, p0, y0 = live_states[0]
         hybrid.advance(y0, t0, p0, DT)
@@ -125,7 +123,7 @@ class TestTrainedHybrid:
 
     def test_ood_states_fully_gated_out(self, mech):
         """Far-off-manifold states: exact direct results + OOD buffer."""
-        hybrid = _hybrid_chemistry(mech).backend
+        hybrid = _hybrid_chemistry(mech)
         rng = np.random.default_rng(11)
         n = 32
         y = rng.random((n, mech.n_species))
@@ -144,7 +142,7 @@ class TestTrainedHybrid:
     def test_audited_cells_adopt_direct(self, mech, live_states):
         """Spot audits re-run cells through direct and keep its answer."""
         hybrid = _hybrid_chemistry(mech, trust_gate="domain+audit",
-                                   audit_fraction=0.05).backend
+                                   audit_fraction=0.05)
         t, p, y = live_states[0]
         y_h, _, st = hybrid.advance(y, t, p, DT)
         assert st.gate["audited_cells"] >= 1

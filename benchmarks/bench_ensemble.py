@@ -57,7 +57,7 @@ def test_ensemble_sweep(smoke):
     # -- per-instance match vs an equivalent standalone solver --------
     worst = 0.0
     for pick in (0, N_INSTANCES - 1):
-        solo = DeepFlameSolver.from_settings(
+        solo = DeepFlameSolver(
             _build(n)(), base.overlay(
                 **{"scalar_controls.tolerance": values[pick]}))
         solo.run(steps, dt)

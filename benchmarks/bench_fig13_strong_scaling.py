@@ -99,7 +99,12 @@ def test_fig13_executed_ledger(executed, smoke, mech):
     analytic sweep uses."""
     if not executed:
         pytest.skip("pass --executed to run the decomposed-execution bench")
-    from repro.core import IdealGasProperties, NoChemistry, build_tgv_case
+    from repro.core import (
+        IdealGasProperties,
+        NoChemistry,
+        SolverSettings,
+        build_tgv_case,
+    )
     from repro.dist import DecomposedSolver
 
     n = 8 if smoke else 12
@@ -112,7 +117,7 @@ def test_fig13_executed_ledger(executed, smoke, mech):
     per_p = {}
     for nparts in rank_counts:
         solver = DecomposedSolver(
-            build_tgv_case(n=n, mech=mech), nparts,
+            build_tgv_case(n=n, mech=mech), SolverSettings(ranks=nparts),
             properties=IdealGasProperties(mech), chemistry=NoChemistry())
         solver.step(dt)   # warm-up: settle fields
         solver.step(dt)   # measured step
@@ -168,7 +173,7 @@ def test_fig13_parallel_measured(executed, parallel, smoke, mech):
         settings = SolverSettings(ranks=workers, chemistry="direct")
 
         def build(execution):
-            return DecomposedSolver.from_settings(
+            return DecomposedSolver(
                 build_tgv_case(n=n, mech=mech),
                 settings.overlay(execution=execution),
                 properties=IdealGasProperties(mech))
@@ -279,9 +284,9 @@ def test_fig13_overlap_comparison(executed, smoke, mech):
                 ranks=nparts, krylov_variant=variant,
                 overlap_halo=(variant == "overlapped"))
             solver = DecomposedSolver(
-                build_tgv_case(n=n, mech=mech),
+                build_tgv_case(n=n, mech=mech), settings,
                 properties=IdealGasProperties(mech),
-                chemistry=NoChemistry(), settings=settings)
+                chemistry=NoChemistry())
             solver.step(dt)   # warm-up: settle fields
             solver.step(dt)   # measured step
             comm = solver.last_comm

@@ -32,16 +32,16 @@ def _chemistry_cost_per_cell(mech, flame_manifold, method: str) -> float:
     """Wall seconds to advance one cell's chemistry by DT_CFD."""
     import time
 
-    from repro.core import DirectChemistry
+    from repro.chemistry.backends import PerCellBDFBackend
 
     t = flame_manifold["T"][8:40:4]
     y = flame_manifold["Y"][8:40:4]
     p = flame_manifold["p"]
     n = t.shape[0]
-    chem = DirectChemistry(mech, rtol=1e-6, atol=1e-9)
+    chem = PerCellBDFBackend(mech, rtol=1e-6, atol=1e-9)
     t0 = time.perf_counter()
     if method == "bdf":
-        chem.advance(t, p, y, DT_CFD)
+        chem.advance(y, t, p, DT_CFD)
     elif method == "rk4":
         for c in range(n):
             rhs = chem._cell_rhs(p)

@@ -139,13 +139,13 @@ def flame_manifold(mech):
 def reference_advance(mech, flame_manifold):
     """Direct BDF advance of every profile state over one CFD step
     (the paper's 'Cantara' reference)."""
-    from repro.core import DirectChemistry
+    from repro.chemistry.backends import PerCellBDFBackend
 
     dt = 1e-6
-    chem = DirectChemistry(mech, rtol=1e-8, atol=1e-11)
-    t_new, y_new = chem.advance(flame_manifold["T"], flame_manifold["p"],
-                                flame_manifold["Y"], dt)
-    return {"dt": dt, "T": t_new, "Y": y_new, "stats": chem.last_stats}
+    y_new, t_new, stats = PerCellBDFBackend(
+        mech, rtol=1e-8, atol=1e-11).advance(
+            flame_manifold["Y"], flame_manifold["T"], flame_manifold["p"], dt)
+    return {"dt": dt, "T": t_new, "Y": y_new, "stats": stats}
 
 
 @pytest.fixture(scope="session")
@@ -153,7 +153,7 @@ def trained_odenet(mech, flame_manifold, reference_advance):
     """ODENet trained on the flame-manifold neighbourhood (small
     architecture -- the accuracy experiment is architecture-insensitive
     at this scale; see DESIGN.md)."""
-    from repro.core import DirectChemistry
+    from repro.chemistry.backends import PerCellBDFBackend
     from repro.dnn import ODENet
 
     rng = np.random.default_rng(0)
@@ -170,8 +170,8 @@ def trained_odenet(mech, flame_manifold, reference_advance):
         ys.append(jitter_y)
     t_all = np.concatenate(ts)
     y_all = np.concatenate(ys)
-    chem = DirectChemistry(mech, rtol=1e-8, atol=1e-11)
-    t_adv, y_adv = chem.advance(t_all, flame_manifold["p"], y_all, dt)
+    y_adv, _, _ = PerCellBDFBackend(mech, rtol=1e-8, atol=1e-11).advance(
+        y_all, t_all, flame_manifold["p"], dt)
     net = ODENet(mech, hidden=(96, 96), seed=0)
     net.fit(t_all, np.full(t_all.shape, flame_manifold["p"]), y_all,
             y_adv - y_all, dt=dt, epochs=400, lr=2e-3, batch_size=32)

@@ -18,16 +18,6 @@ batched backend subsystem (``repro.chemistry.backends``):
                               ends with the gate hit/audit/fallback
                               counters
 
-The transport path is selectable too:
-
-  --transport coupled      one shared-operator assembly + one blocked
-                           multi-RHS Krylov solve for all species (and
-                           for the 3 momentum components); default
-  --transport per-species  the sequential assemble+solve reference
-
-Either way the run ends with the measured per-step transport speedup
-of coupled over per-species on this case.
-
 With ``--ranks N`` the same case is *also* advanced by the
 domain-decomposed executor (``repro.dist.DecomposedSolver``): N
 partitioned subdomains with real halo exchanges and allreduce-based
@@ -44,8 +34,8 @@ executed vs static rank imbalance).
 
 Every flag above sets one field of a single validated
 ``repro.core.SolverSettings`` object -- the unified configuration the
-solvers are built from (``DeepFlameSolver.from_settings`` /
-``DecomposedSolver.from_settings``).  ``--sweep key=v1,v2,...`` fans
+solvers are built from (``DeepFlameSolver(case, settings)`` /
+``DecomposedSolver(case, settings)``).  ``--sweep key=v1,v2,...`` fans
 that settings object out over an in-process ensemble
 (``repro.orchestrate.Ensemble``): one instance per value, sharing one
 mesh/mechanism/workspace, with the per-instance cost table and the
@@ -65,39 +55,16 @@ import numpy as np
 
 from repro.core import (
     TRUST_GATE_MODES,
-    BatchedChemistry,
     DeepFlameSolver,
-    DirectChemistry,
-    HybridChemistry,
     NoChemistry,
-    ODENetChemistry,
     SolverSettings,
     build_tgv_case,
 )
-from repro.core import build_chemistry as chemistry_from_settings
 from repro.orchestrate import Ensemble
 from repro.solvers import SolverControls
 
 CHOICES = ("none", "percell", "direct", "surrogate", "hybrid",
            "hybrid-trained")
-TRANSPORT_CHOICES = ("coupled", "per-species")
-
-
-def measure_transport_speedup(case_builder, dt: float, steps: int = 2):
-    """Per-step (construction + solving) wall time of each transport
-    mode on fresh solvers over identical frozen-chemistry steps."""
-    per_step = {}
-    for mode in TRANSPORT_CHOICES:
-        solver = DeepFlameSolver.from_settings(
-            case_builder(), SolverSettings(transport=mode))
-        total = 0.0
-        for _ in range(steps):
-            solver.step(dt)
-            tm = solver.last_timings
-            total += tm.construction + tm.solving
-        per_step[mode] = total / steps
-    return per_step
-
 
 def _quick_odenet(mech, case, dt):
     """Train a small ODENet on the case's own state manifold (labels
@@ -123,28 +90,28 @@ def _quick_odenet(mech, case, dt):
     return net
 
 
-def build_chemistry(name: str, mech, case, dt, trust_gate: str):
-    if name == "none":
-        return NoChemistry()
-    if name == "percell":
-        return DirectChemistry(mech)
-    if name == "direct":
-        return BatchedChemistry(mech)
+def chemistry_settings(name: str, mech, case, dt,
+                       trust_gate: str) -> SolverSettings:
+    """The settings that select chemistry backend ``name``.
+
+    ``none``/``percell``/``direct`` need nothing else; the
+    ``hybrid-trained`` artifact, its fp32 fused-GeLU engine and the
+    trust gate all come from the validated settings fields; the
+    ``surrogate``/``hybrid`` demos carry a net trained here in
+    ``chemistry_options``.
+    """
+    options = {}
     if name == "hybrid-trained":
-        # Everything here is settings-driven: the registered artifact,
-        # the fp32/tabulated-GeLU engine and the trust gate all come
-        # from the validated SolverSettings fields.
         print("Loading the registered 'tgv-hotspot' surrogate artifact ...")
-        return chemistry_from_settings(
-            SolverSettings(chemistry="hybrid-trained",
-                           trust_gate=trust_gate), mech)
-    print(f"Training a demo ODENet for the {name!r} backend ...")
-    net = _quick_odenet(mech, case, dt)
-    if name == "surrogate":
-        return ODENetChemistry(net)
-    # TGV cells start at 150-300 K: put the window over the cold
-    # manifold the net was just trained on so the split is visible.
-    return HybridChemistry(mech, net, t_window=(140.0, 250.0))
+    elif name in ("surrogate", "hybrid"):
+        print(f"Training a demo ODENet for the {name!r} backend ...")
+        options["odenet"] = _quick_odenet(mech, case, dt)
+        if name == "hybrid":
+            # TGV cells start at 150-300 K: put the window over the cold
+            # manifold the net was just trained on so the split is visible.
+            options["t_window"] = (140.0, 250.0)
+    return SolverSettings(chemistry=name, chemistry_options=options,
+                          trust_gate=trust_gate)
 
 
 def run_decomposed(args, mech, dt: float) -> None:
@@ -183,11 +150,10 @@ def run_decomposed(args, mech, dt: float) -> None:
 
     print(f"\nDecomposed execution over {args.ranks} ranks "
           "(vs the serial solver, tight tolerances) ...")
-    serial = DeepFlameSolver.from_settings(
+    serial = DeepFlameSolver(
         case(), settings.overlay(ranks=0, balance_chemistry="none"),
         chemistry=chem())
-    dist = DecomposedSolver.from_settings(case(), settings,
-                                          chemistry=chem())
+    dist = DecomposedSolver(case(), settings, chemistry=chem())
     stats = dist.decomp.stats()
     print(f"  partition: cells/rank {stats['cells_per_rank']}, "
           f"{stats['cut_faces']} cut faces, "
@@ -283,10 +249,6 @@ def main() -> None:
                          "the artifact's training manifold, optionally "
                          "plus direct-backend spot audits "
                          "(default: domain+audit)")
-    ap.add_argument("--transport", choices=TRANSPORT_CHOICES,
-                    default="coupled",
-                    help="species/momentum transport path "
-                         "(default: coupled)")
     ap.add_argument("--ranks", type=int, default=0,
                     help="also run the domain-decomposed executor over "
                          "N ranks -- executed halo exchanges and "
@@ -303,13 +265,9 @@ def main() -> None:
                          "(default: none)")
     ap.add_argument("--profile", action="store_true",
                     help="print the per-stage time + hot-path allocation "
-                         "table from StepTimings after the run (the "
-                         "fast-assembly path reports ~zero "
-                         "construction/solving allocations once warm; "
-                         "compare with --no-fast-assembly)")
-    ap.add_argument("--no-fast-assembly", action="store_true",
-                    help="use the allocating reference assembly path "
-                         "instead of the zero-reassembly workspace")
+                         "table from StepTimings after the run (a "
+                         "warm step reports zero construction/solving "
+                         "allocations)")
     ap.add_argument("--sweep", metavar="KEY=V1,V2,...", default=None,
                     help="instead of one run, fan the configured "
                          "settings over an in-process ensemble: one "
@@ -324,16 +282,10 @@ def main() -> None:
     if args.balance != "none" and args.ranks <= 0:
         ap.error("--balance requires --ranks N")
 
-    # Every flag lands in one validated settings object; the solvers
-    # below are built from it.
-    settings = SolverSettings(
-        chemistry="none",  # the demo backends are built explicitly
-        transport=args.transport,
-        fast_assembly=not args.no_fast_assembly)
     dt = 1e-8  # the paper's 10 ns step
 
     if args.sweep:
-        run_sweep(args, settings, dt)
+        run_sweep(args, SolverSettings(), dt)
         return
 
     print(f"Building the supercritical TGV case ({args.n}^3 cells, 10 MPa)...")
@@ -344,15 +296,15 @@ def main() -> None:
           f"{case.temperature.max():.0f}] K, p = "
           f"{case.pressure.values[0]/1e6:.0f} MPa")
 
-    chemistry = build_chemistry(args.chemistry, case.mech, case, dt,
-                                args.trust_gate)
-    solver = DeepFlameSolver.from_settings(case, settings,
-                                           chemistry=chemistry)
+    # Every flag lands in one validated settings object; the solver is
+    # built from it.
+    solver = DeepFlameSolver(case, chemistry_settings(
+        args.chemistry, case.mech, case, dt, args.trust_gate))
     print(f"  initial density range: [{solver.rho.min():.1f}, "
           f"{solver.rho.max():.1f}] kg/m^3 (real-fluid Peng-Robinson)")
 
     print(f"\nRunning {args.steps} steps at dt = {dt:.0e} s "
-          f"(chemistry: {args.chemistry}, transport: {args.transport}) ...")
+          f"(chemistry: {args.chemistry}) ...")
     for _ in range(args.steps):
         d = solver.step(dt)
         print(f"  step {d.step}: mass {d.total_mass:.6e} kg, "
@@ -371,9 +323,8 @@ def main() -> None:
             print(f"  {name:15s} {t*1e3:8.2f} ms  ({t/total*100:4.1f} %)")
 
     if args.profile:
-        mode = "reference" if args.no_fast_assembly else "fast-assembly"
-        print(f"\nPer-stage profile of the last step ({mode} path; "
-              "allocs = hot-path buffers materialized):")
+        print("\nPer-stage profile of the last step "
+              "(allocs = hot-path buffers materialized):")
         print(f"  {'stage':15s} {'time [ms]':>10s} {'allocs':>7s}")
         for name, secs, allocs in tm.rows():
             print(f"  {name:15s} {secs*1e3:10.2f} {allocs:7d}")
@@ -381,15 +332,6 @@ def main() -> None:
 
     if args.ranks > 0:
         run_decomposed(args, case.mech, dt)
-
-    print("\nMeasuring the per-step transport speedup "
-          "(coupled vs per-species, frozen chemistry) ...")
-    per_step = measure_transport_speedup(
-        lambda: build_tgv_case(n=args.n, mech=case.mech), dt)
-    print(f"  per-species: {per_step['per-species']*1e3:7.2f} ms/step "
-          "(construction + solving)")
-    print(f"  coupled:     {per_step['coupled']*1e3:7.2f} ms/step")
-    print(f"  speedup:     {per_step['per-species']/per_step['coupled']:.2f}x")
 
     stats = getattr(solver.chemistry, "last_backend_stats", None)
     if stats is not None:
@@ -402,8 +344,9 @@ def main() -> None:
         for child, st in stats.per_backend.items():
             print(f"  {child}: {st.n_cells} cells, work {st.total_work:.0f}")
 
-    counters = getattr(solver.chemistry, "gate_counters", None)
-    if counters is not None:
+    counters = getattr(getattr(solver.chemistry, "backend", None),
+                       "counters", None)
+    if counters:
         print("\nTrust-gate counters (cumulative over the run):")
         for key, val in counters.items():
             print(f"  {key:16s} {val}")

@@ -11,7 +11,13 @@ Run:  python examples/rocket_sector.py
 
 import numpy as np
 
-from repro.core import DeepFlameSolver, IdealGasProperties, NoChemistry, build_rocket_case
+from repro.core import (
+    DeepFlameSolver,
+    IdealGasProperties,
+    NoChemistry,
+    SolverSettings,
+    build_rocket_case,
+)
 from repro.mesh import cell_graph_from_mesh, partition_renumbering
 from repro.partition import balance_stats, decompose_two_level, offdiag_fraction
 from repro.sparse import build_block_converter
@@ -58,10 +64,11 @@ def main() -> None:
 
     print("\nAdvancing the sector flow 3 steps...")
     solver = DeepFlameSolver(
-        case, properties=IdealGasProperties(case.mech),
-        chemistry=NoChemistry(), solve_momentum=False,
-        scalar_controls=SolverControls(tolerance=1e-9, rel_tol=1e-4,
-                                       max_iterations=300))
+        case, SolverSettings(
+            solve_momentum=False,
+            scalar_controls=SolverControls(tolerance=1e-9, rel_tol=1e-4,
+                                           max_iterations=300)),
+        properties=IdealGasProperties(case.mech), chemistry=NoChemistry())
     for _ in range(3):
         d = solver.step(2e-8)
         print(f"  step {d.step}: mass {d.total_mass:.4e} kg, "

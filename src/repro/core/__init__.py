@@ -10,19 +10,13 @@ from .cases import (
 )
 from .chemistry_source import (
     BackendChemistry,
-    BatchedChemistry,
-    ChemistryStats,
-    DirectChemistry,
-    HybridChemistry,
     NoChemistry,
-    ODENetChemistry,
 )
 from .deepflame import DeepFlameSolver, StepDiagnostics, StepTimings
 from .settings import (
     BALANCE_MODES,
     CHEMISTRY_MODES,
     PARTITION_METHODS,
-    TRANSPORT_MODES,
     TRUST_GATE_MODES,
     SolverSettings,
     build_chemistry,
@@ -38,24 +32,18 @@ from .properties import (
 __all__ = [
     "BALANCE_MODES",
     "BackendChemistry",
-    "BatchedChemistry",
     "CHEMISTRY_MODES",
     "Case",
-    "ChemistryStats",
     "DeepFlameSolver",
-    "DirectChemistry",
-    "HybridChemistry",
     "DirectRealFluidProperties",
     "IdealGasProperties",
     "NoChemistry",
-    "ODENetChemistry",
     "PARTITION_METHODS",
     "PRNetProperties",
     "PropertySet",
     "SolverSettings",
     "StepDiagnostics",
     "StepTimings",
-    "TRANSPORT_MODES",
     "TRUST_GATE_MODES",
     "build_chemistry",
     "build_hotspot_tgv_case",

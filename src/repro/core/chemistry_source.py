@@ -1,169 +1,47 @@
-"""Solver-facing chemistry adapters over the batched backend subsystem.
+"""The solver's chemistry seam over the batched backend subsystem.
 
-All chemistry now flows through :mod:`repro.chemistry.backends`: the
+All chemistry flows through :mod:`repro.chemistry.backends`: the
 solver hands a whole mesh's worth of cells to a
 :class:`~repro.chemistry.backends.ChemistryBackend` in one call and
-gets back per-cell work statistics.  The classes here only adapt the
-backend batch API to the solver's historical calling convention
-``advance(T, p, Y, dt) -> (T_new, Y_new)`` and keep the
-:class:`ChemistryStats` record the diagnostics and benchmarks consume.
+gets back per-cell work statistics.  :class:`BackendChemistry` is the
+one adapter between that batch API and the solver's calling convention
+``advance(T, p, Y, dt) -> (T_new, Y_new)``; it holds the last call's
+:class:`~repro.chemistry.backends.BackendStats` for the diagnostics
+and benchmarks.  Every solver wraps its backend in its own adapter, so
+ranks sharing one backend keep separate statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..chemistry.backends import (
-    BackendStats,
-    ChemistryBackend,
-    DirectBatchBackend,
-    HybridBackend,
-    PerCellBDFBackend,
-    SurrogateBackend,
-)
-from ..chemistry.mechanism import Mechanism
-from ..dnn.inference import InferenceEngine
-from ..dnn.odenet import ODENet
+from ..chemistry.backends import BackendStats, ChemistryBackend
 
-__all__ = [
-    "ChemistryStats",
-    "BackendChemistry",
-    "DirectChemistry",
-    "BatchedChemistry",
-    "ODENetChemistry",
-    "HybridChemistry",
-    "NoChemistry",
-]
-
-
-@dataclass
-class ChemistryStats:
-    """Per-call work statistics (per-cell where applicable)."""
-
-    n_cells: int = 0
-    steps_per_cell: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    wall_time: float = 0.0
-
-    @property
-    def load_imbalance(self) -> float:
-        """max/mean - 1 of per-cell integration steps (0 when uniform)."""
-        if self.steps_per_cell.size == 0 or self.steps_per_cell.mean() == 0:
-            return 0.0
-        return float(self.steps_per_cell.max() / self.steps_per_cell.mean() - 1.0)
+__all__ = ["BackendChemistry", "NoChemistry"]
 
 
 class BackendChemistry:
     """Adapt any :class:`ChemistryBackend` to the solver interface.
 
-    Exposes the historical ``advance(T, p, Y, dt) -> (T_new, Y_new)``
-    call plus ``last_stats`` (:class:`ChemistryStats`) and
-    ``last_backend_stats`` (the full :class:`BackendStats`).
+    Exposes ``advance(T, p, Y, dt) -> (T_new, Y_new)`` plus
+    ``last_backend_stats``, the :class:`BackendStats` of the last call.
     """
 
     def __init__(self, backend: ChemistryBackend):
         self.backend = backend
-        self.last_stats = ChemistryStats()
         self.last_backend_stats: BackendStats | None = None
 
     def advance(self, t, p, y, dt) -> tuple[np.ndarray, np.ndarray]:
         """Advance every cell by ``dt``; returns ``(T_new, Y_new)``."""
         y_new, t_new, stats = self.backend.advance(y, t, p, dt)
         self.last_backend_stats = stats
-        self.last_stats = ChemistryStats(
-            stats.n_cells, stats.work_per_cell, stats.wall_time)
         return t_new, y_new
-
-
-class DirectChemistry(BackendChemistry):
-    """Per-cell stiff BDF integration (the CVODE-style baseline)."""
-
-    def __init__(self, mech: Mechanism, rtol: float = 1e-6, atol: float = 1e-10,
-                 t_floor: float = 200.0, jacobian: str = "analytic"):
-        super().__init__(PerCellBDFBackend(mech, rtol=rtol, atol=atol,
-                                           t_floor=t_floor,
-                                           jacobian=jacobian))
-        self.mech = mech
-        self.kinetics = self.backend.kinetics
-        self.rtol, self.atol = rtol, atol
-        self.t_floor = t_floor
-
-    def _cell_rhs(self, pressure: float):
-        """Per-cell reactor RHS closure (kept for the integrator-family
-        benchmarks that time single-cell solves)."""
-        return self.backend._cell_rhs(pressure)
-
-    def _cell_jac(self, pressure: float):
-        return self.backend._cell_jac(pressure)
-
-
-class BatchedChemistry(BackendChemistry):
-    """Vectorized stiffness-graded direct integration."""
-
-    def __init__(self, mech: Mechanism, **kwargs):
-        super().__init__(DirectBatchBackend(mech, **kwargs))
-        self.mech = mech
-
-
-class ODENetChemistry(BackendChemistry):
-    """Batched ODENet inference (the paper's chemistry path).
-
-    T is re-derived from (h, p, Y) by the solver; the backend returns
-    the input temperatures untouched.
-    """
-
-    def __init__(self, odenet: ODENet, engine: InferenceEngine | None = None):
-        super().__init__(SurrogateBackend(odenet, engine=engine))
-        self.odenet = odenet
-        self.engine = engine
-
-
-class HybridChemistry(BackendChemistry):
-    """Trust-gated temperature/stiffness-split DNN + direct integration.
-
-    ``trust_gate``/``audit_*``/``ood_capacity`` configure the per-cell
-    trust gate of the underlying
-    :class:`~repro.chemistry.backends.HybridBackend`; the cumulative
-    gate counters are exposed as :attr:`gate_counters`.
-    """
-
-    def __init__(
-        self,
-        mech: Mechanism,
-        odenet: ODENet,
-        engine: InferenceEngine | None = None,
-        t_window: tuple[float, float] = (500.0, 3000.0),
-        z_max: float | None = None,
-        trust_gate: str = "off",
-        audit_fraction: float = 0.02,
-        audit_tol: float = 1e-6,
-        audit_seed: int = 0,
-        ood_capacity: int = 4096,
-        **direct_kwargs,
-    ):
-        super().__init__(HybridBackend(
-            SurrogateBackend(odenet, engine=engine),
-            DirectBatchBackend(mech, **direct_kwargs),
-            t_window=t_window, z_max=z_max, trust_gate=trust_gate,
-            audit_fraction=audit_fraction, audit_tol=audit_tol,
-            audit_seed=audit_seed, ood_capacity=ood_capacity,
-        ))
-        self.mech = mech
-        self.odenet = odenet
-
-    @property
-    def gate_counters(self) -> dict:
-        """Cumulative trust-gate hit/audit/fallback counters."""
-        return self.backend.counters
 
 
 class NoChemistry:
     """Frozen chemistry (non-reactive comparisons)."""
 
-    def __init__(self) -> None:
-        self.last_stats = ChemistryStats()
-        self.last_backend_stats: BackendStats | None = None
+    last_backend_stats: BackendStats | None = None
 
     def advance(self, t, p, y, dt):
         t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -10,15 +10,18 @@ Per time step:
    graded direct, or hybrid; operator splitting at constant
    enthalpy; also "DNN"),
 3. **Species transport** -- implicit ddt + div - laplacian; all
-   n_species equations share one operator, so by default they are
-   assembled once and solved as a single blocked (multi-RHS) Krylov
-   solve (``transport="coupled"``); ``transport="per-species"`` keeps
-   the sequential per-equation reference path,
+   n_species equations share one operator, so they are assembled once
+   and solved as a single blocked (multi-RHS) Krylov solve,
 4. **Energy transport** -- implicit equation for specific enthalpy,
 5. **Momentum + pressure** -- PISO-style predictor (the 3 components
-   again share one operator and are solved blocked in coupled mode)
-   + compressible pressure correction with the EoS compressibility
+   again share one operator and are solved blocked) + compressible
+   pressure correction with the EoS compressibility
    psi = (drho/dp)_T.
+
+Every equation is assembled in one fused pass into the persistent
+buffers of an :class:`~repro.fv.workspace.EquationWorkspace` (LDU
+coefficients, sources, CSR pattern, cached preconditioners, Krylov
+vector pool), so a warm step allocates nothing on the hot path.
 
 Every step records the paper's component timings (DNN / Construction /
 Solving / Other) plus solver flop counts -- this instrumented breakdown
@@ -49,19 +52,13 @@ from ..fv.operators import (
     FVMatrix,
     fvc_grad,
     fvc_surface_integral,
-    fvm_ddt,
-    fvm_div,
-    fvm_laplacian,
-    fvm_sp,
 )
 from ..fv.workspace import EquationWorkspace
 from ..runtime import alloc
-from ..solvers.controls import SolverControls
 from .cases import Case
-from .chemistry_source import BackendChemistry, ChemistryStats, NoChemistry
+from .chemistry_source import BackendChemistry
 from .properties import DirectRealFluidProperties
-from .settings import _UNSET, SolverSettings, build_chemistry, \
-    resolve_settings
+from .settings import SolverSettings, build_chemistry
 
 __all__ = ["StepTimings", "StepDiagnostics", "DeepFlameSolver"]
 
@@ -72,10 +69,8 @@ class StepTimings:
     plus per-stage *buffer allocation* counts (``alloc_*``): the number
     of fresh hot-path arrays (LDU coefficient sets, equation sources,
     CSR conversions, Krylov vectors, preconditioner state) the stage
-    materialized.  A warm ``fast_assembly`` step reports near-zero
-    construction/solving allocations; the reference path reports
-    hundreds -- the difference is what the zero-reassembly work
-    removed, and the ``price``-style profile reports print it."""
+    materialized.  A warm step reports zero construction/solving
+    allocations; the profile reports print the counts per stage."""
 
     dnn: float = 0.0          # properties + chemistry (surrogate-able)
     construction: float = 0.0
@@ -152,41 +147,41 @@ class StepDiagnostics:
 
 
 class DeepFlameSolver:
-    """Compressible low-Mach reactive solver over a :class:`Case`."""
+    """Compressible low-Mach reactive solver over a :class:`Case`.
+
+    ``settings`` is the whole configuration (the defaults when
+    ``None``).  ``properties``, ``chemistry`` and ``workspace`` are
+    injected objects: the property evaluator (direct Peng-Robinson by
+    default), a chemistry backend or adapter replacing the one
+    ``settings.chemistry`` describes, and an
+    :class:`~repro.fv.workspace.EquationWorkspace` to step through
+    instead of a private one.
+    """
 
     def __init__(
         self,
         case: Case,
+        settings: SolverSettings | None = None,
+        *,
         properties=None,
         chemistry=None,
-        scalar_controls: SolverControls = _UNSET,
-        pressure_controls: SolverControls = _UNSET,
-        n_correctors: int = _UNSET,
-        solve_momentum: bool = _UNSET,
-        transport: str = _UNSET,
-        fast_assembly: bool = _UNSET,
-        settings: SolverSettings | None = None,
         workspace: EquationWorkspace | None = None,
     ):
-        # Every spelling funnels into one validated settings object
-        # (defaults < settings < explicit kwarg; mixing the two
-        # spellings warns -- see resolve_settings).
-        settings = resolve_settings(
-            settings, where="DeepFlameSolver",
-            scalar_controls=scalar_controls,
-            pressure_controls=pressure_controls,
-            n_correctors=n_correctors, solve_momentum=solve_momentum,
-            transport=transport, fast_assembly=fast_assembly)
+        if settings is None:
+            settings = SolverSettings()
+        if settings.is_decomposed:
+            raise ValueError(
+                f"settings.ranks = {settings.ranks}: use DecomposedSolver "
+                f"(or repro.core.settings.build_solver) for decomposed runs")
         self.settings = settings
-        self.transport = settings.transport
-        self.fast_assembly = bool(settings.fast_assembly)
         self.case = case
         self.mesh = case.mesh
         self.mech = case.mech
         self.properties = properties or DirectRealFluidProperties(case.mech)
-        chemistry = chemistry or NoChemistry()
-        # A raw batched backend is adapted on the fly: the solver
-        # consumes the uniform backend API either way.
+        if chemistry is None:
+            chemistry = build_chemistry(settings, case.mech)
+        # Each solver holds its own stats adapter, so ranks handed one
+        # shared raw backend keep separate statistics.
         if isinstance(chemistry, ChemistryBackend):
             chemistry = BackendChemistry(chemistry)
         self.chemistry = chemistry
@@ -194,23 +189,16 @@ class DeepFlameSolver:
         self.pressure_controls = settings.pressure_controls
         self.n_correctors = settings.n_correctors
         self.solve_momentum = settings.solve_momentum
-        # Zero-reassembly hot path: one workspace owns the persistent
-        # LDU/source buffers, the CSR pattern, cached preconditioners
-        # and the Krylov vector pool.  fast_assembly=False keeps the
-        # allocating operator-chain path as a validation reference.
+        # One workspace owns the persistent LDU/source buffers, the CSR
+        # pattern, cached preconditioners and the Krylov vector pool.
         # An ensemble may inject a shared workspace: instances step
         # strictly sequentially, and every workspace buffer is zeroed,
         # refilled or value-refreshed per use, so sharing is
         # bitwise-neutral (asserted by the orchestration tests).
         ws_backend = settings.workspace_backend
-        if ws_backend is not None and not self.fast_assembly:
-            raise ValueError(
-                "a non-numpy backend rides the fused workspace path; "
-                "set fast_assembly=True")
-        if workspace is not None:
-            if not self.fast_assembly:
-                raise ValueError(
-                    "workspace sharing requires fast_assembly=True")
+        if workspace is None:
+            workspace = EquationWorkspace(self.mesh, backend=ws_backend)
+        else:
             if workspace.mesh is not self.mesh:
                 raise ValueError(
                     "shared workspace was built for a different mesh")
@@ -223,12 +211,8 @@ class DeepFlameSolver:
                     f"shared workspace runs backend "
                     f"{workspace.backend!r} but settings ask for "
                     f"{settings.backend!r}")
-            self._ws = workspace
-        else:
-            self._ws = EquationWorkspace(self.mesh, backend=ws_backend) \
-                if self.fast_assembly else None
+        self._ws = workspace
 
-        mesh = self.mesh
         self.u = case.velocity
         self.p = case.pressure
         self.y = np.array(case.mass_fractions, dtype=float)
@@ -245,33 +229,6 @@ class DeepFlameSolver:
         self.last_timings = StepTimings()
         self.last_diag: StepDiagnostics | None = None
         self._psi = None
-
-    # -- construction from settings ---------------------------------------
-    @classmethod
-    def from_settings(
-        cls,
-        case: Case,
-        settings: SolverSettings,
-        properties=None,
-        chemistry=None,
-        workspace: EquationWorkspace | None = None,
-    ) -> "DeepFlameSolver":
-        """Build a serial solver from one :class:`SolverSettings`.
-
-        Unlike the legacy constructor, the chemistry backend is built
-        from ``settings.chemistry`` (an explicit ``chemistry`` object
-        still wins).  Produces steps bitwise identical to an
-        equivalently-kwarg'd legacy construction.
-        """
-        if settings.is_decomposed:
-            raise ValueError(
-                f"settings.ranks = {settings.ranks}: use "
-                f"DecomposedSolver.from_settings (or "
-                f"repro.core.settings.build_solver) for decomposed runs")
-        if chemistry is None:
-            chemistry = build_chemistry(settings, case.mech)
-        return cls(case, properties=properties, chemistry=chemistry,
-                   settings=settings, workspace=workspace)
 
     # -- helpers --------------------------------------------------------
     def _face_mass_flux(self) -> SurfaceField:
@@ -368,28 +325,21 @@ class DeepFlameSolver:
         self.y[cells] = np.asarray(y_new, dtype=float)
         if stats is not None and isinstance(self.chemistry, BackendChemistry):
             self.chemistry.last_backend_stats = stats
-            self.chemistry.last_stats = ChemistryStats(
-                stats.n_cells, stats.work_per_cell, stats.wall_time)
 
     # -- assembly / finish stages ------------------------------------------
     def assemble_species_eqn(self, dt: float, rho_old: np.ndarray,
                              d_eff: np.ndarray,
                              tm: StepTimings) -> CoupledTransportEquation:
         """All n_species equations share one ``ddt + div - laplacian``
-        operator: assemble it once as a blocked system (into the
-        persistent workspace buffers on the fast-assembly path)."""
+        operator: assemble it once as a blocked system into the
+        persistent workspace buffers."""
         with _StageTimer(tm, "construction"):
             yf = MultiVolField(
                 [f"Y_{s}" for s in self.mech.species_names], self.mesh,
                 self.y)
-            if self._ws is not None:
-                eqn = self._ws.transport_multi(
-                    yf, self.rho, dt, phi=self.phi, gamma=self.rho * d_eff,
-                    rho_old=rho_old, scheme="upwind")
-            else:
-                eqn = CoupledTransportEquation.transport(
-                    yf, self.rho, dt, phi=self.phi, gamma=self.rho * d_eff,
-                    rho_old=rho_old, scheme="upwind")
+            eqn = self._ws.transport_multi(
+                yf, self.rho, dt, phi=self.phi, gamma=self.rho * d_eff,
+                rho_old=rho_old, scheme="upwind")
         return eqn
 
     def finish_species(self, y: np.ndarray, tm: StepTimings,
@@ -402,21 +352,14 @@ class DeepFlameSolver:
 
     def assemble_energy_eqn(self, dt: float, rho_old: np.ndarray,
                             tm: StepTimings) -> FVMatrix:
-        """Implicit specific-enthalpy transport equation (a single
-        fused pass into workspace buffers on the fast-assembly path;
-        the ``fvm_ddt + fvm_div - fvm_laplacian`` operator chain is the
-        validation reference)."""
+        """Implicit specific-enthalpy transport equation (``ddt + div -
+        laplacian`` in a single fused pass into workspace buffers)."""
         h_field = VolField("h", self.mesh, self.h)
         with _StageTimer(tm, "construction"):
-            if self._ws is not None:
-                eqn = self._ws.transport(
-                    h_field, self.rho, dt, phi=self.phi,
-                    gamma=self.rho * self.props.alpha, rho_old=rho_old,
-                    scheme="upwind")
-            else:
-                eqn = (fvm_ddt(self.rho, h_field, dt, rho_old=rho_old)
-                       + fvm_div(self.phi, h_field, scheme="upwind")
-                       - fvm_laplacian(self.rho * self.props.alpha, h_field))
+            eqn = self._ws.transport(
+                h_field, self.rho, dt, phi=self.phi,
+                gamma=self.rho * self.props.alpha, rho_old=rho_old,
+                scheme="upwind")
         return eqn
 
     def assemble_momentum_eqn(
@@ -427,14 +370,9 @@ class DeepFlameSolver:
         mesh = self.mesh
         with _StageTimer(tm, "construction"):
             uf = MultiVolField.from_vector(self.u)
-            if self._ws is not None:
-                eqn = self._ws.transport_multi(
-                    uf, self.rho, dt, phi=self.phi, gamma=self.props.mu,
-                    rho_old=rho_old, scheme="upwind")
-            else:
-                eqn = CoupledTransportEquation.transport(
-                    uf, self.rho, dt, phi=self.phi, gamma=self.props.mu,
-                    rho_old=rho_old, scheme="upwind")
+            eqn = self._ws.transport_multi(
+                uf, self.rho, dt, phi=self.phi, gamma=self.props.mu,
+                rho_old=rho_old, scheme="upwind")
             eqn.source -= grad_p * mesh.cell_volumes[:, None]
             r_au = mesh.cell_volumes / eqn.a.diag
         return eqn, r_au
@@ -457,20 +395,13 @@ class DeepFlameSolver:
             phi_hby_a = rho_f * np.einsum("fi,fi->f", hby_a_f,
                                           mesh.face_areas)
             r_au_f = VolField("rAU", mesh, r_au).face_values()
-            if self._ws is not None:
-                # Fused: ddt(psi, p) reproduces fvm_sp(psi/dt, p) plus
-                # the explicit psi*p*V/dt source term in one pass.
-                p_eqn = self._ws.transport(self.p, psi, dt,
-                                           gamma=rho_f * r_au_f)
-                p_eqn.source += (
-                    -(self.rho - rho_old) * mesh.cell_volumes / dt
-                    - fvc_surface_integral(mesh, phi_hby_a))
-            else:
-                p_eqn = (fvm_sp(psi / dt, self.p)
-                         - fvm_laplacian(rho_f * r_au_f, self.p))
-                p_eqn.source += (psi * self.p.values * mesh.cell_volumes / dt
-                                 - (self.rho - rho_old) * mesh.cell_volumes / dt
-                                 - fvc_surface_integral(mesh, phi_hby_a))
+            # ddt(psi, p) is the implicit psi/dt diagonal plus the
+            # explicit psi*p*V/dt source term in one fused pass.
+            p_eqn = self._ws.transport(self.p, psi, dt,
+                                       gamma=rho_f * r_au_f)
+            p_eqn.source += (
+                -(self.rho - rho_old) * mesh.cell_volumes / dt
+                - fvc_surface_integral(mesh, phi_hby_a))
             aux = {"hby_a": hby_a, "rho_f": rho_f, "r_au_f": r_au_f,
                    "phi_hby_a": phi_hby_a, "p_old": self.p.values.copy()}
         return p_eqn, aux
@@ -508,10 +439,7 @@ class DeepFlameSolver:
 
         # (3) species transport
         d_eff = self.props.alpha  # unity Lewis number
-        if self.transport == "coupled":
-            sf, si = self._species_transport_coupled(dt, rho_old, d_eff, tm)
-        else:
-            sf, si = self._species_transport_sequential(dt, rho_old, d_eff, tm)
+        sf, si = self._species_transport(dt, rho_old, d_eff, tm)
         solver_flops += sf
         solver_iters += si
         self.finish_species(self.y, tm)
@@ -547,43 +475,21 @@ class DeepFlameSolver:
         return diag
 
     # -- transport stages -------------------------------------------------
-    def _species_transport_coupled(self, dt, rho_old, d_eff,
-                                   tm) -> tuple[int, int]:
+    def _species_transport(self, dt, rho_old, d_eff,
+                           tm) -> tuple[int, int]:
         """Assemble once, solve one blocked Krylov system."""
         eqn = self.assemble_species_eqn(dt, rho_old, d_eff, tm)
         with _StageTimer(tm, "solving"):
             x, results = eqn.solve(solver="PBiCGStab",
                                    controls=self.scalar_controls)
-        # Adopt the solution block explicitly rather than relying on
-        # yf.values aliasing self.y (asarray copies on dtype mismatch).
-        # On the pooled path x is the workspace's block buffer; copy it
-        # so self.y survives the next blocked solve of the same shape.
-        self.y = x if eqn.workspace is None else x.copy()
+        # x is the workspace's block buffer; copy it so self.y survives
+        # the next blocked solve of the same shape.
+        self.y = x.copy()
         return (sum(r.flops for r in results),
                 sum(r.iterations for r in results))
 
-    def _species_transport_sequential(self, dt, rho_old, d_eff,
-                                      tm) -> tuple[int, int]:
-        """Per-species reference path (validation baseline)."""
-        flops = 0
-        iters = 0
-        for i in range(self.mech.n_species):
-            yi = VolField(f"Y_{self.mech.species_names[i]}", self.mesh,
-                          self.y[:, i])
-            with _StageTimer(tm, "construction"):
-                eqn = (fvm_ddt(self.rho, yi, dt, rho_old=rho_old)
-                       + fvm_div(self.phi, yi, scheme="upwind")
-                       - fvm_laplacian(self.rho * d_eff, yi))
-            with _StageTimer(tm, "solving"):
-                _, res = eqn.solve(solver="PBiCGStab",
-                                   controls=self.scalar_controls)
-            flops += res.flops
-            iters += res.iterations
-            self.y[:, i] = yi.values
-        return flops, iters
-
-    def _momentum_predictor_coupled(self, dt, rho_old, grad_p,
-                                    tm) -> tuple[np.ndarray, int, int]:
+    def _momentum_predictor(self, dt, rho_old, grad_p,
+                            tm) -> tuple[np.ndarray, int, int]:
         """The 3 momentum components as one blocked solve."""
         eqn, r_au = self.assemble_momentum_eqn(dt, rho_old, grad_p, tm)
         with _StageTimer(tm, "solving"):
@@ -593,37 +499,10 @@ class DeepFlameSolver:
         return (r_au, sum(r.flops for r in results),
                 sum(r.iterations for r in results))
 
-    def _momentum_predictor_sequential(self, dt, rho_old, grad_p,
-                                       tm) -> tuple[np.ndarray, int, int]:
-        mesh = self.mesh
-        flops = 0
-        iters = 0
-        r_au = None
-        for comp in range(3):
-            uc = self.u.component(comp)
-            with _StageTimer(tm, "construction"):
-                eqn = (fvm_ddt(self.rho, uc, dt, rho_old=rho_old)
-                       + fvm_div(self.phi, uc, scheme="upwind")
-                       - fvm_laplacian(self.props.mu, uc))
-                eqn.source -= grad_p[:, comp] * mesh.cell_volumes
-            if r_au is None:
-                r_au = mesh.cell_volumes / eqn.a.diag
-            with _StageTimer(tm, "solving"):
-                _, res = eqn.solve(solver="PBiCGStab",
-                                   controls=self.scalar_controls)
-            flops += res.flops
-            iters += res.iterations
-            self.u.values[:, comp] = uc.values
-        return r_au, flops, iters
-
     def _momentum_pressure(self, dt, rho_old, tm) -> tuple[int, int]:
         grad_p = fvc_grad(self.p)
-        if self.transport == "coupled":
-            r_au, flops, iters = self._momentum_predictor_coupled(
-                dt, rho_old, grad_p, tm)
-        else:
-            r_au, flops, iters = self._momentum_predictor_sequential(
-                dt, rho_old, grad_p, tm)
+        r_au, flops, iters = self._momentum_predictor(
+            dt, rho_old, grad_p, tm)
 
         psi = self._psi_field()
         for _ in range(self.n_correctors):

@@ -42,21 +42,11 @@ class DirectRealFluidProperties:
     cubic state (``a/a'/a''`` in closed form, one cubic solve, analytic
     h and cp departures), and rho, cp, mu and alpha are read off the
     last sweep's state without solving it again.
-
-    ``batched_eos`` selects the batched companion-eigenvalue cubic
-    solve (bitwise identical to the per-cell ``np.roots`` loop it
-    replaces); ``False`` keeps the reference loop for validation and
-    baseline benchmarking.  ``None`` (default) leaves a caller-supplied
-    mixture's EoS untouched -- pass an explicit value only to override
-    it (the override mutates the shared ``rf.eos``).
     """
 
-    def __init__(self, mech: Mechanism, rf: RealFluidMixture | None = None,
-                 batched_eos: bool | None = None):
+    def __init__(self, mech: Mechanism, rf: RealFluidMixture | None = None):
         self.mech = mech
         self.rf = rf if rf is not None else RealFluidMixture(mech)
-        if batched_eos is not None:
-            self.rf.eos.batched_roots = bool(batched_eos)
 
     def evaluate(self, h, p, y, t_guess=None) -> PropertySet:
         props = self.rf.properties_hp(h, p, y, t_guess=t_guess)

@@ -1,16 +1,15 @@
 """Unified solver configuration: the :class:`SolverSettings` object.
 
-Historically the knobs describing one solver run were scattered across
-~10 constructor kwargs on :class:`~repro.core.DeepFlameSolver` and
-:class:`~repro.dist.DecomposedSolver` (chemistry backend, transport
-mode, fast assembly, corrector counts, two
-:class:`~repro.solvers.controls.SolverControls`, rank counts, balance
-mode, ...).  :class:`SolverSettings` gathers the full surface into one
-typed, validated, serializable value object so that
+:class:`SolverSettings` is the whole configuration surface of one
+solver run (chemistry backend, corrector counts, two
+:class:`~repro.solvers.controls.SolverControls`, rank count,
+partitioner, balance mode, ...) as one typed, validated, serializable
+value object, so that
 
-* a solver is constructible from one argument
-  (``DeepFlameSolver.from_settings`` /
-  ``DecomposedSolver.from_settings`` / :func:`build_solver`),
+* a solver is constructed from one argument
+  (``DeepFlameSolver(case, settings)`` /
+  ``DecomposedSolver(case, settings)`` / :func:`build_solver`, which
+  picks between the two from ``settings.ranks``),
 * configurations compose: :meth:`SolverSettings.overlay` produces a
   derived settings object, which is what parameter sweeps, UQ
   ensembles and per-instance overrides in
@@ -20,38 +19,37 @@ typed, validated, serializable value object so that
   (:meth:`SolverSettings.to_dict` / :meth:`SolverSettings.from_dict`)
   for files, CLIs and wire formats.
 
-Resolution precedence everywhere is
-``defaults < base settings < per-instance overlay < explicit kwarg``;
-mixing a ``settings=`` object with explicit legacy kwargs still works
-(the kwarg wins) but raises a :class:`DeprecationWarning` naming the
-conflicting spellings.
+Resolution precedence is
+``defaults < base settings < per-instance overlay``.
 """
 
 from __future__ import annotations
 
-import copy
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 from ..backend import backend_names
+from ..chemistry.backends import (
+    DirectBatchBackend,
+    HybridBackend,
+    ParallelChemistryBackend,
+    PerCellBDFBackend,
+    SurrogateBackend,
+)
 from ..solvers.controls import SolverControls
+from .chemistry_source import NoChemistry
 
 __all__ = [
     "SolverSettings",
-    "TRANSPORT_MODES",
     "CHEMISTRY_MODES",
     "BALANCE_MODES",
     "PARTITION_METHODS",
     "KRYLOV_VARIANTS",
     "TRUST_GATE_MODES",
     "EXECUTION_MODES",
-    "resolve_settings",
     "build_chemistry",
     "build_solver",
 ]
 
-#: accepted ``SolverSettings.transport`` values
-TRANSPORT_MODES = ("coupled", "per-species")
 #: accepted ``SolverSettings.chemistry`` values; ``"hybrid-trained"``
 #: loads a registered surrogate artifact and trust-gates the split
 CHEMISTRY_MODES = ("none", "percell", "direct", "surrogate", "hybrid",
@@ -73,10 +71,6 @@ KRYLOV_VARIANTS = ("synchronous", "overlapped")
 #: worker process per rank over the shared-memory fabric
 EXECUTION_MODES = ("serial", "parallel")
 
-#: sentinel distinguishing "caller did not pass this kwarg" from any
-#: real value (including None) in the legacy constructor signatures
-_UNSET = object()
-
 
 def _default_scalar_controls() -> SolverControls:
     return SolverControls(tolerance=1e-9, rel_tol=1e-4, max_iterations=300)
@@ -92,9 +86,8 @@ class SolverSettings:
 
     A frozen value object: derive variants with :meth:`overlay`
     (never mutate).  The two :class:`SolverControls` fields use
-    per-instance ``default_factory`` construction -- unlike the old
-    constructor signatures, no two settings objects ever share a
-    class-level mutable default.
+    per-instance ``default_factory`` construction: no two settings
+    objects share a mutable default.
 
     Parameters
     ----------
@@ -113,10 +106,6 @@ class SolverSettings:
         (one of :data:`TRUST_GATE_MODES`): domain check of each cell
         against the artifact's trained manifold, optionally plus
         direct-backend spot audits.  Other chemistry modes ignore it.
-    transport:
-        ``"coupled"`` (blocked multi-RHS solves) or ``"per-species"``.
-    fast_assembly:
-        Use the zero-reassembly workspace hot path.
     n_correctors:
         PISO pressure corrector count.
     solve_momentum:
@@ -174,8 +163,6 @@ class SolverSettings:
     chemistry: str = "none"
     chemistry_options: dict = field(default_factory=dict)
     trust_gate: str = "domain+audit"
-    transport: str = "coupled"
-    fast_assembly: bool = True
     n_correctors: int = 2
     solve_momentum: bool = True
     scalar_controls: SolverControls = field(
@@ -206,7 +193,6 @@ class SolverSettings:
         """Raise ``ValueError``/``TypeError`` on any invalid field."""
         _check_choice("chemistry", self.chemistry, CHEMISTRY_MODES)
         _check_choice("trust_gate", self.trust_gate, TRUST_GATE_MODES)
-        _check_choice("transport", self.transport, TRANSPORT_MODES)
         _check_choice("balance_chemistry", self.balance_chemistry,
                       BALANCE_MODES)
         _check_choice("partition_method", self.partition_method,
@@ -214,10 +200,13 @@ class SolverSettings:
         _check_choice("krylov_variant", self.krylov_variant,
                       KRYLOV_VARIANTS)
         _check_choice("execution", self.execution, EXECUTION_MODES)
-        if not isinstance(self.chemistry_workers, int) \
-                or self.chemistry_workers < 0:
-            raise ValueError(f"chemistry_workers must be a non-negative "
-                             f"int (got {self.chemistry_workers!r})")
+        _check_int("chemistry_workers", self.chemistry_workers, 0)
+        _check_int("ranks", self.ranks, 0)
+        _check_int("n_correctors", self.n_correctors, 1)
+        _check_int("partition_seed", self.partition_seed)
+        if not isinstance(self.solve_momentum, bool):
+            raise ValueError(f"solve_momentum must be True or False "
+                             f"(got {self.solve_momentum!r})")
         if not isinstance(self.backend, str):
             raise TypeError(
                 f"backend must be a registry name string "
@@ -234,11 +223,6 @@ class SolverSettings:
         for name in ("chemistry_options", "balance_options"):
             if not isinstance(getattr(self, name), dict):
                 raise TypeError(f"{name} must be a dict")
-        if not isinstance(self.ranks, int) or self.ranks < 0:
-            raise ValueError(f"ranks must be a non-negative int "
-                             f"(got {self.ranks!r})")
-        if self.n_correctors < 1:
-            raise ValueError("n_correctors must be >= 1")
         if self.balance_chemistry != "none" and self.ranks < 2:
             raise ValueError(
                 "balance_chemistry requires a decomposed run (ranks >= 2)")
@@ -315,9 +299,11 @@ class SolverSettings:
     def to_dict(self) -> dict:
         """A plain-dict form that :meth:`from_dict` round-trips.
 
-        Controls become nested dicts; option dicts are deep-copied.
-        Non-serializable chemistry options (a trained ``odenet``
-        object, say) are carried through by reference.
+        Controls become nested dicts; option dicts are copied down
+        through their nested ``dict``/``list`` containers, so editing
+        the output never reaches this object.  Non-container option
+        values (a trained ``odenet`` object, say) are carried through
+        by reference.
         """
         out: dict = {}
         for f in fields(self):
@@ -326,7 +312,7 @@ class SolverSettings:
                 val = {"tolerance": val.tolerance, "rel_tol": val.rel_tol,
                        "max_iterations": val.max_iterations}
             elif isinstance(val, dict):
-                val = copy.copy(val)
+                val = _plain_copy(val)
             out[f.name] = val
         return out
 
@@ -346,33 +332,38 @@ def _check_choice(name: str, value, choices: tuple) -> None:
         raise ValueError(f"unknown {name} {value!r}; use one of {choices}")
 
 
-# ----------------------------------------------------------------------
-def resolve_settings(settings: SolverSettings | None,
-                     where: str = "solver", **explicit) -> SolverSettings:
-    """Merge a constructor's explicit kwargs onto a settings object.
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    """An ``int`` that is not a ``bool``, optionally bounded below."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an int{bound} (got {value!r})")
 
-    ``explicit`` holds the constructor's keyword arguments *including*
-    the :data:`_UNSET` sentinels; only the ones a caller actually
-    passed participate.  Precedence: defaults < ``settings`` <
-    explicit kwarg.  Passing both a settings object and legacy kwargs
-    works (the kwarg wins) but is deprecated -- the caller should fold
-    the kwarg into ``settings.overlay(...)`` instead.
-    """
-    passed = {k: v for k, v in explicit.items() if v is not _UNSET}
-    if settings is None:
-        return SolverSettings().overlay(**passed)
-    if passed:
-        warnings.warn(
-            f"{where}: legacy keyword(s) {sorted(passed)} override the "
-            f"settings object; fold them into "
-            f"SolverSettings.overlay(...) instead",
-            DeprecationWarning, stacklevel=3)
-        return settings.overlay(**passed)
-    return settings
+
+def _plain_copy(value):
+    """Copy nested plain ``dict``/``list`` containers; anything else
+    (a trained net, an engine) is carried by reference."""
+    if isinstance(value, dict):
+        return {k: _plain_copy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain_copy(v) for v in value]
+    return value
+
+
+# ----------------------------------------------------------------------
+#: ``chemistry_options`` keys of the hybrid modes that configure the
+#: :class:`~repro.chemistry.backends.HybridBackend` split itself; every
+#: other key goes to its :class:`~repro.chemistry.backends.DirectBatchBackend`
+_HYBRID_KEYS = ("t_window", "z_max", "trust_gate", "audit_fraction",
+                "audit_tol", "audit_seed", "ood_capacity")
 
 
 def build_chemistry(settings: SolverSettings, mech):
-    """The chemistry adapter a :class:`SolverSettings` describes.
+    """The chemistry a :class:`SolverSettings` describes: a raw
+    :class:`~repro.chemistry.backends.ChemistryBackend`
+    (:class:`~repro.core.NoChemistry` for ``"none"``), which the
+    solver wraps in its own stats-holding
+    :class:`~repro.core.BackendChemistry`.
 
     ``"none"``/``"percell"``/``"direct"`` need only the mechanism;
     ``"surrogate"``/``"hybrid"`` additionally require a trained
@@ -385,62 +376,54 @@ def build_chemistry(settings: SolverSettings, mech):
     wires up the optimized fp32 fused-GeLU inference engine and
     applies ``settings.trust_gate`` (see
     ``examples/train_hybrid_model.py`` for producing artifacts).
+    ``settings.chemistry_workers >= 2`` fans the batched backends out
+    over that many worker processes.
     """
-    from .chemistry_source import (
-        BatchedChemistry,
-        DirectChemistry,
-        HybridChemistry,
-        NoChemistry,
-        ODENetChemistry,
-    )
-
-    def wrap(adapter):
-        """Fan the adapter's backend out over worker processes when
-        ``settings.chemistry_workers`` asks for >= 2 workers."""
-        if settings.chemistry_workers >= 2:
-            from ..chemistry.backends import ParallelChemistryBackend
-
-            adapter.backend = ParallelChemistryBackend(
-                adapter.backend, settings.chemistry_workers,
-                base_seed=settings.partition_seed)
-        return adapter
-
     opts = dict(settings.chemistry_options)
     kind = settings.chemistry
     if kind == "none":
         return NoChemistry()
     if kind == "percell":
-        return DirectChemistry(mech, **opts)
+        return PerCellBDFBackend(mech, **opts)
     if kind == "direct":
-        return wrap(BatchedChemistry(mech, **opts))
-    if kind == "hybrid-trained":
+        backend = DirectBatchBackend(mech, **opts)
+    else:
         odenet = opts.pop("odenet", None)
-        if odenet is None:
-            from ..dnn import ModelRegistry
+        if kind == "hybrid-trained":
+            if odenet is None:
+                from ..dnn import ModelRegistry
 
-            registry = (ModelRegistry(opts.pop("registry"))
-                        if "registry" in opts else ModelRegistry.default())
-            odenet = registry.load(opts.pop("model", "tgv-hotspot"), mech,
-                                   opts.pop("model_version", None))
-        if "engine" not in opts:
-            # fused beats the paper's table on hosts with vectorized
-            # transcendentals (the table targets machines without
-            # them) and adds zero approximation error
-            opts["engine"] = odenet.make_engine(precision="fp32",
-                                                gelu="fused")
-        # the domain gate replaces the coarse temperature proxy: keep
-        # the window wide open unless the caller narrows it
-        opts.setdefault("t_window", (0.0, 1e9))
-        opts.setdefault("trust_gate", settings.trust_gate)
-        return wrap(HybridChemistry(mech, odenet, **opts))
-    odenet = opts.pop("odenet", None)
-    if odenet is None:
-        raise ValueError(
-            f"chemistry={kind!r} needs a trained net in "
-            f"chemistry_options['odenet']")
-    if kind == "surrogate":
-        return wrap(ODENetChemistry(odenet, **opts))
-    return wrap(HybridChemistry(mech, odenet, **opts))
+                registry = (ModelRegistry(opts.pop("registry"))
+                            if "registry" in opts
+                            else ModelRegistry.default())
+                odenet = registry.load(opts.pop("model", "tgv-hotspot"),
+                                       mech, opts.pop("model_version", None))
+            if "engine" not in opts:
+                # fused beats the paper's table on hosts with vectorized
+                # transcendentals (the table targets machines without
+                # them) and adds zero approximation error
+                opts["engine"] = odenet.make_engine(precision="fp32",
+                                                    gelu="fused")
+            # the domain gate replaces the coarse temperature proxy:
+            # keep the window wide open unless the caller narrows it
+            opts.setdefault("t_window", (0.0, 1e9))
+            opts.setdefault("trust_gate", settings.trust_gate)
+        elif odenet is None:
+            raise ValueError(
+                f"chemistry={kind!r} needs a trained net in "
+                f"chemistry_options['odenet']")
+        if kind == "surrogate":
+            backend = SurrogateBackend(odenet, **opts)
+        else:
+            split = {k: opts.pop(k) for k in _HYBRID_KEYS if k in opts}
+            backend = HybridBackend(
+                SurrogateBackend(odenet, engine=opts.pop("engine", None)),
+                DirectBatchBackend(mech, **opts), **split)
+    if settings.chemistry_workers >= 2:
+        backend = ParallelChemistryBackend(
+            backend, settings.chemistry_workers,
+            base_seed=settings.partition_seed)
+    return backend
 
 
 def build_solver(case, settings: SolverSettings, properties=None,
@@ -461,13 +444,11 @@ def build_solver(case, settings: SolverSettings, properties=None,
         if workspace is not None:
             raise ValueError(
                 "workspace sharing applies to serial solvers only")
-        return DecomposedSolver.from_settings(
-            case, settings, comm=comm, properties=properties,
-            chemistry=chemistry)
+        return DecomposedSolver(case, settings, comm=comm,
+                                properties=properties, chemistry=chemistry)
     from .deepflame import DeepFlameSolver
 
     if comm is not None:
         raise ValueError("comm applies to decomposed solvers only")
-    return DeepFlameSolver.from_settings(
-        case, settings, properties=properties, chemistry=chemistry,
-        workspace=workspace)
+    return DeepFlameSolver(case, settings, properties=properties,
+                           chemistry=chemistry, workspace=workspace)

@@ -43,8 +43,7 @@ import numpy as np
 from ..core.cases import Case
 from ..core.chemistry_source import BackendChemistry
 from ..core.deepflame import DeepFlameSolver, StepDiagnostics, StepTimings
-from ..core.settings import _UNSET, SolverSettings, build_chemistry, \
-    resolve_settings
+from ..core.settings import SolverSettings, build_chemistry
 from ..fv.fields import VolField
 from ..fv.operators import fvc_grad
 from ..runtime import alloc
@@ -89,51 +88,31 @@ def _localize_case(case: Case, sub) -> Case:
 class DecomposedSolver:
     """P-rank decomposed execution of the DeepFlame time step.
 
-    ``comm`` and ``decomp`` are injected objects: by default the solver
-    partitions the case mesh and hosts all ``P`` ranks on a fresh
-    ``SimulatedComm``; a worker of a parallel run gets the driver's
-    decomposition and a one-rank endpoint.  ``ranks`` / ``subs`` list
-    the hosted rank solvers / subdomains, in ``comm.ranks`` order.
+    ``settings`` is the whole configuration (``settings.ranks`` is the
+    rank count).  ``comm`` and ``decomp`` are injected objects: by
+    default the solver partitions the case mesh and hosts all ``P``
+    ranks on a fresh ``SimulatedComm``; a worker of a parallel run gets
+    the driver's decomposition and a one-rank endpoint.  ``chemistry``
+    replaces the backend ``settings.chemistry`` describes; either way
+    one raw backend is shared by the hosted ranks, each wrapping it in
+    its own stats adapter.  ``ranks`` / ``subs`` list the hosted rank
+    solvers / subdomains, in ``comm.ranks`` order.
     """
 
     def __init__(
         self,
         case: Case,
-        nparts: int = _UNSET,
-        method: str = _UNSET,
-        seed: int = _UNSET,
+        settings: SolverSettings,
+        *,
         comm=None,
         decomp: Decomposition | None = None,
         properties=None,
         chemistry=None,
-        scalar_controls: SolverControls = _UNSET,
-        pressure_controls: SolverControls = _UNSET,
-        n_correctors: int = _UNSET,
-        solve_momentum: bool = _UNSET,
-        balance_chemistry: str = _UNSET,
-        balance_kwargs: dict | None = _UNSET,
-        fast_assembly: bool = _UNSET,
-        execution: str = _UNSET,
-        settings: SolverSettings | None = None,
     ):
-        # Legacy spellings (nparts/method/seed/balance_kwargs) map onto
-        # the canonical settings fields; everything funnels through one
-        # validated object (defaults < settings < explicit kwarg).
-        if balance_kwargs is None:  # legacy "no extra kwargs" spelling
-            balance_kwargs = {}
-        settings = resolve_settings(
-            settings, where="DecomposedSolver",
-            ranks=nparts, partition_method=method, partition_seed=seed,
-            scalar_controls=scalar_controls,
-            pressure_controls=pressure_controls,
-            n_correctors=n_correctors, solve_momentum=solve_momentum,
-            balance_chemistry=balance_chemistry,
-            balance_options=balance_kwargs, fast_assembly=fast_assembly,
-            execution=execution)
         if settings.ranks < 1:
             raise ValueError(
-                "DecomposedSolver needs a rank count: pass nparts or "
-                "settings with ranks >= 1")
+                "DecomposedSolver needs a rank count: pass settings "
+                "with ranks >= 1")
         self.settings = settings
         self.case = case
         self.mech = case.mech
@@ -167,8 +146,9 @@ class DecomposedSolver:
         self._parallel = None
         if settings.execution == "parallel":
             # The rank solvers live in forked worker processes, each
-            # running this class over a one-rank endpoint; the driver
-            # keeps self.comm as the ledger holder the per-rank
+            # running this class over a one-rank endpoint (and building
+            # its own chemistry backend when none is injected); the
+            # driver keeps self.comm as the ledger holder the per-rank
             # ledgers merge back into.
             from .spmd import ParallelExecutor
 
@@ -177,17 +157,16 @@ class DecomposedSolver:
                 case, self.decomp, settings, self.comm, properties,
                 chemistry)
         else:
-            # Rank solvers always run the blocked coupled-transport
-            # path (the distributed Krylov layer solves the stacked
-            # block system); per-rank balance/decomposition fields are
-            # stripped.
+            # Rank solvers are serial solvers: the per-rank
+            # balance/decomposition fields are stripped.
             rank_settings = settings.overlay(
-                transport="coupled", ranks=0, balance_chemistry="none",
-                balance_options={})
+                ranks=0, balance_chemistry="none", balance_options={})
+            if chemistry is None:
+                chemistry = build_chemistry(settings, case.mech)
             self.ranks = [
                 DeepFlameSolver(
-                    _localize_case(case, sub), properties=properties,
-                    chemistry=chemistry, settings=rank_settings)
+                    _localize_case(case, sub), rank_settings,
+                    properties=properties, chemistry=chemistry)
                 for sub in self.subs
             ]
             # The rank constructors evaluated properties/enthalpy over
@@ -224,35 +203,6 @@ class DecomposedSolver:
         self.last_diag: StepDiagnostics | None = None
         self.last_comm: dict | None = None
         self.last_balance: BalanceReport | None = None
-
-    # -- construction from settings ---------------------------------------
-    @classmethod
-    def from_settings(
-        cls,
-        case: Case,
-        settings: SolverSettings,
-        comm: SimulatedComm | None = None,
-        properties=None,
-        chemistry=None,
-    ) -> "DecomposedSolver":
-        """Build a decomposed solver from one :class:`SolverSettings`.
-
-        The chemistry backend comes from ``settings.chemistry`` (an
-        explicit ``chemistry`` object still wins); the *raw* backend is
-        shared across ranks and each rank solver wraps it in its own
-        stats adapter, exactly as the legacy constructor does.
-        """
-        if not settings.is_decomposed:
-            raise ValueError(
-                f"settings.ranks = {settings.ranks}: a decomposed run "
-                f"needs ranks >= 2 (use DeepFlameSolver.from_settings "
-                f"for serial runs)")
-        if chemistry is None and settings.chemistry != "none":
-            adapter = build_chemistry(settings, case.mech)
-            chemistry = adapter.backend \
-                if isinstance(adapter, BackendChemistry) else adapter
-        return cls(case, comm=comm, properties=properties,
-                   chemistry=chemistry, settings=settings)
 
     # -- helpers --------------------------------------------------------
     def _pairs(self):

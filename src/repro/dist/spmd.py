@@ -110,10 +110,9 @@ class ParallelExecutor:
                 rank_comm = SharedMemComm(arena, w, barrier,
                                           timeout=barrier_timeout)
                 return _RankWorker(
-                    DecomposedSolver(case, comm=rank_comm, decomp=decomp,
-                                     properties=properties,
-                                     chemistry=chemistry,
-                                     settings=rank_settings), arena)
+                    DecomposedSolver(case, rank_settings, comm=rank_comm,
+                                     decomp=decomp, properties=properties,
+                                     chemistry=chemistry), arena)
 
             self.pool = WorkerPool(nparts, factory,
                                    base_seed=settings.partition_seed,

@@ -162,7 +162,7 @@ def _build_case(regime: str, mech, n: int, case_kwargs: dict | None):
     raise ValueError(f"unknown regime {regime!r}; use one of {REGIMES}")
 
 
-def _solver_run_states(case, mech, dt: float, steps: int, chemistry=None
+def _solver_run_states(case, dt: float, steps: int, chemistry=None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Post-step ``(T, p, Y)`` batches from a real solver run.
 
@@ -173,12 +173,10 @@ def _solver_run_states(case, mech, dt: float, steps: int, chemistry=None
     drift that chemistry-only trajectories (constant ``p``) cannot
     produce.
     """
-    from ..core import DeepFlameSolver, SolverSettings, build_chemistry
+    from ..core import DeepFlameSolver, SolverSettings
 
-    chem = chemistry or build_chemistry(
-        SolverSettings(chemistry="direct"), mech)
-    solver = DeepFlameSolver.from_settings(
-        case, SolverSettings(chemistry="none"), chemistry=chem)
+    solver = DeepFlameSolver(case, SolverSettings(chemistry="direct"),
+                             chemistry=chemistry)
     ts, ps, ys = [], [], []
     for _ in range(steps):
         # strongly transient cases (the hotspot's initial acoustic
@@ -227,7 +225,7 @@ def sample_solver_states(
     """
     backend = backend or DirectBatchBackend(mech)
     case = _build_case(regime, mech, n, case_kwargs)
-    t_in, p_in, y_in = _solver_run_states(case, mech, dt, steps,
+    t_in, p_in, y_in = _solver_run_states(case, dt, steps,
                                           chemistry=chemistry)
     z = backend.stiffness_indicator(y_in, t_in, p_in, dt)
     y_adv, _, _ = backend.advance(y_in, t_in, p_in, dt)
@@ -285,7 +283,7 @@ def sample_regime(
     y_all = np.vstack(ys)
     p_all = np.full(t_all.shape, p)
     if transport_steps > 0:
-        t_tr, p_tr, y_tr = _solver_run_states(case, mech, dt,
+        t_tr, p_tr, y_tr = _solver_run_states(case, dt,
                                               transport_steps)
         t_all = np.concatenate([t_all, t_tr])
         p_all = np.concatenate([p_all, p_tr])

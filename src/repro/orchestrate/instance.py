@@ -49,8 +49,8 @@ class SolverInstance:
         The resolved, validated settings this instance runs under.
     resources:
         Shared backing objects; the instance clones its private case
-        state from the prototype and -- for serial fast-assembly
-        configurations -- steps through the shared equation workspace.
+        state from the prototype and -- when it runs serial -- steps
+        through the shared equation workspace.
     chemistry:
         Optional explicit chemistry adapter/backend; by default the
         backend is built from ``settings.chemistry``.
@@ -70,9 +70,7 @@ class SolverInstance:
         self.settings = settings
         self.resources = resources
         self.case = resources.make_case(name)
-        workspace = resources.workspace \
-            if (settings.fast_assembly and not settings.is_decomposed) \
-            else None
+        workspace = None if settings.is_decomposed else resources.workspace
         self.subcomm = SimulatedComm(settings.ranks) \
             if settings.is_decomposed else None
         self.solver = build_solver(

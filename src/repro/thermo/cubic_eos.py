@@ -196,11 +196,6 @@ class CubicEos:
         a_mix, da_dt, _ = self.attraction(t, x, order=1)
         return a_mix, self._covolume(x), da_dt
 
-    #: Solve all cells' cubics with one batched companion-matrix
-    #: eigenvalue call (the hot path).  False falls back to the
-    #: per-cell ``np.roots`` loop kept as the validation reference.
-    batched_roots: bool = True
-
     # ----------------------------------------------------------------
     def compressibility(self, t, p, x, root: str = "vapor") -> np.ndarray:
         """Compressibility factor Z from the cubic, vectorized.
@@ -210,12 +205,11 @@ class CubicEos:
         At supercritical conditions the cubic generally has a single
         real root and the choice is moot.
 
-        With :attr:`batched_roots` (default) every cell's cubic is
-        solved by one batched eigenvalue call on the stacked 3x3
-        companion matrices -- the *same* matrix ``np.roots`` builds per
-        cell, so the roots (and the selected Z) are bitwise identical
-        to the reference loop while the per-cell Python and
-        ``np.roots`` overhead (~100 us/cell) disappears.
+        Every cell's cubic is solved by one batched eigenvalue call on
+        the stacked 3x3 companion matrices -- the *same* matrix
+        ``np.roots`` builds per cell, so the roots (and the selected Z)
+        are bitwise identical to a per-cell ``np.roots`` loop without
+        its per-cell Python overhead (~100 us/cell).
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         p = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
@@ -233,26 +227,11 @@ class CubicEos:
         c2 = -(1.0 + big_b - u * big_b)
         c1 = big_a + w * big_b**2 - u * big_b - u * big_b**2
         c0 = -(big_a * big_b + w * big_b**2 + w * big_b**3)
-        if self.batched_roots:
-            return self._select_roots_batched(c2, c1, c0, big_a, big_b, root)
-        z = np.empty_like(t)
-        for k in range(t.size):
-            roots = np.roots([1.0, c2[k], c1[k], c0[k]])
-            real = roots[np.abs(roots.imag) < 1e-9].real
-            real = real[real > big_b[k]]
-            if real.size == 0:
-                z[k] = max(roots.real.max(), big_b[k] * 1.001)
-            elif real.size == 1 or root == "vapor":
-                z[k] = real.max()
-            elif root == "liquid":
-                z[k] = real.min()
-            else:  # gibbs: pick the root with lower fugacity
-                z[k] = self._gibbs_root(real, big_a[k], big_b[k])
-        return z
+        return self._select_roots_batched(c2, c1, c0, big_a, big_b, root)
 
     def _select_roots_batched(self, c2, c1, c0, big_a, big_b,
                               root: str) -> np.ndarray:
-        """Batched cubic roots + the reference selection logic.
+        """Batched cubic roots + root selection.
 
         Builds the stacked companion matrices (first row
         ``[-c2, -c1, -c0]``, ones on the subdiagonal -- exactly what
@@ -289,9 +268,9 @@ class CubicEos:
                                 backend=None, dtype="fp64"):
         """Backend-generic batched compressibility factor.
 
-        The portable spelling of :meth:`compressibility` with
-        :attr:`batched_roots`: the cubic coefficients, the stacked
-        companion matrices and the root-selection logic
+        The portable spelling of :meth:`compressibility`: the cubic
+        coefficients, the stacked companion matrices and the
+        root-selection logic
         (``where``/``max``/``min`` sweeps) run on the backend in the
         requested dtype.  Two pieces stay on the host, documented:
 

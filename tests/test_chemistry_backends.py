@@ -240,20 +240,20 @@ class TestRegistryAndSolver:
     def test_solver_accepts_raw_backend(self, mech):
         """DeepFlameSolver wraps a bare ChemistryBackend on the fly."""
         from repro.core import DeepFlameSolver, IdealGasProperties, \
-            build_tgv_case
+            SolverSettings, build_tgv_case
         from repro.solvers import SolverControls
 
         case = build_tgv_case(n=6, mech=mech)
         s = DeepFlameSolver(
-            case, properties=IdealGasProperties(mech),
-            chemistry=DirectBatchBackend(mech),
-            scalar_controls=SolverControls(tolerance=1e-10, rel_tol=1e-5,
-                                           max_iterations=400))
+            case, SolverSettings(scalar_controls=SolverControls(
+                tolerance=1e-10, rel_tol=1e-5, max_iterations=400)),
+            properties=IdealGasProperties(mech),
+            chemistry=DirectBatchBackend(mech))
         d = s.step(1e-8)
         assert np.isfinite(d.total_mass)
         st = s.chemistry.last_backend_stats
         assert st is not None and st.n_cells == case.mesh.n_cells
-        assert s.chemistry.last_stats.steps_per_cell.shape == (216,)
+        assert s.chemistry.last_backend_stats.work_per_cell.shape == (216,)
 
 
 class TestLoadBalanceMetrics:

@@ -14,6 +14,7 @@ from repro.chemistry.redistribute import (
 from repro.core import (
     DeepFlameSolver,
     IdealGasProperties,
+    SolverSettings,
     build_hotspot_tgv_case,
     build_tgv_case,
 )
@@ -111,9 +112,10 @@ class TestMigrationPlan:
 class TestBalancedExecution:
     def _solver(self, mech, case, mode, **kw):
         return DecomposedSolver(
-            case, 4, properties=IdealGasProperties(mech),
-            chemistry=DirectBatchBackend(mech), balance_chemistry=mode,
-            **TIGHT, **kw)
+            case, SolverSettings(ranks=4, balance_chemistry=mode,
+                                 **TIGHT, **kw),
+            properties=IdealGasProperties(mech),
+            chemistry=DirectBatchBackend(mech))
 
     def test_rejects_unknown_mode(self, mech):
         with pytest.raises(ValueError, match="balance_chemistry"):
@@ -123,10 +125,11 @@ class TestBalancedExecution:
         from repro.core import NoChemistry
 
         with pytest.raises(ValueError, match="batched chemistry"):
-            DecomposedSolver(build_tgv_case(n=6, mech=mech), 2,
+            DecomposedSolver(build_tgv_case(n=6, mech=mech),
+                             SolverSettings(ranks=2,
+                                            balance_chemistry="dynamic"),
                              properties=IdealGasProperties(mech),
-                             chemistry=NoChemistry(),
-                             balance_chemistry="dynamic")
+                             chemistry=NoChemistry())
 
     def test_zero_imbalance_is_noop_no_messages(self, mech):
         """A uniformly cold case has uniform chemistry work: the
@@ -207,8 +210,9 @@ class TestBalancedExecution:
         """Decomposed-vs-serial agreement <= 1e-8 with
         balance_chemistry='dynamic' and live chemistry on the TGV."""
         serial = DeepFlameSolver(
-            skewed_tgv_case(mech), properties=IdealGasProperties(mech),
-            chemistry=DirectBatchBackend(mech), **TIGHT)
+            skewed_tgv_case(mech), SolverSettings(**TIGHT),
+            properties=IdealGasProperties(mech),
+            chemistry=DirectBatchBackend(mech))
         dyn = self._solver(mech, skewed_tgv_case(mech), "dynamic")
         serial.run(3, 1e-7)
         dyn.run(3, 1e-7)
@@ -224,7 +228,7 @@ class TestBalancedExecution:
 
     def test_ema_updates_from_measurements(self, mech):
         solver = self._solver(mech, skewed_tgv_case(mech), "dynamic",
-                              balance_kwargs=dict(ema=1.0))
+                              balance_options=dict(ema=1.0))
         solver.step(1e-7)
         est_after = [e.copy() for e in solver.balancer.work_est]
         # with ema=1.0 the estimate is exactly the measured work, whose

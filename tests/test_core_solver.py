@@ -4,18 +4,20 @@ solver end to end."""
 import numpy as np
 import pytest
 
+from repro.chemistry.backends import PerCellBDFBackend, SurrogateBackend
 from repro.core import (
+    BackendChemistry,
     DeepFlameSolver,
-    DirectChemistry,
     DirectRealFluidProperties,
     IdealGasProperties,
     NoChemistry,
-    ODENetChemistry,
     PRNetProperties,
+    SolverSettings,
     build_rocket_case,
     build_tgv_case,
 )
 from repro.solvers import SolverControls
+from tests.step_oracle import OracleSolver
 
 
 class TestCases:
@@ -91,7 +93,7 @@ class TestPropertyPaths:
 
 class TestChemistryPaths:
     def test_direct_chemistry_ignites_hot_cell(self, mech):
-        chem = DirectChemistry(mech, rtol=1e-6, atol=1e-9)
+        chem = BackendChemistry(PerCellBDFBackend(mech, rtol=1e-6, atol=1e-9))
         y = np.zeros((2, 17))
         y[:, mech.species_index["CH4"]] = 0.2
         y[:, mech.species_index["O2"]] = 0.8
@@ -104,28 +106,28 @@ class TestChemistryPaths:
     def test_direct_chemistry_load_imbalance(self, mech):
         """Hot cells need far more BDF steps than cold ones -- the
         imbalance ODENet removes."""
-        chem = DirectChemistry(mech, rtol=1e-6, atol=1e-9)
+        chem = BackendChemistry(PerCellBDFBackend(mech, rtol=1e-6, atol=1e-9))
         y = np.zeros((4, 17))
         y[:, mech.species_index["CH4"]] = 0.2
         y[:, mech.species_index["O2"]] = 0.8
         t = np.array([300.0, 300.0, 300.0, 1800.0])
         chem.advance(t, np.full(4, 10e6), y, 2e-5)
-        steps = chem.last_stats.steps_per_cell
+        steps = chem.last_backend_stats.work_per_cell
         assert steps[3] > 5 * steps[0]
-        assert chem.last_stats.load_imbalance > 1.0
+        assert chem.last_backend_stats.load_imbalance > 1.0
 
     @pytest.mark.slow
     def test_odenet_chemistry_uniform_work(self, tiny_odenet):
-        chem = ODENetChemistry(tiny_odenet)
+        chem = BackendChemistry(SurrogateBackend(tiny_odenet))
         xs = tiny_odenet._train_x
         chem.advance(xs[:6, 0], xs[:6, 1], xs[:6, 2:], 1e-7)
-        assert chem.last_stats.load_imbalance == 0.0
+        assert chem.last_backend_stats.load_imbalance == 0.0
 
     def test_untrained_odenet_rejected(self, mech):
         from repro.dnn import ODENet
 
         with pytest.raises(ValueError):
-            ODENetChemistry(ODENet(mech))
+            SurrogateBackend(ODENet(mech))
 
 
 class TestDeepFlameSolver:
@@ -136,8 +138,9 @@ class TestDeepFlameSolver:
 
     def test_ideal_gas_stability_and_conservation(self, mech):
         case = build_tgv_case(n=8, mech=mech)
-        s = DeepFlameSolver(case, properties=IdealGasProperties(mech),
-                            chemistry=NoChemistry(), **self.CTL)
+        s = DeepFlameSolver(case, SolverSettings(**self.CTL),
+                            properties=IdealGasProperties(mech),
+                            chemistry=NoChemistry())
         mass0 = float((s.rho * case.mesh.cell_volumes).sum())
         for _ in range(5):
             d = s.step(1e-8)
@@ -147,7 +150,8 @@ class TestDeepFlameSolver:
 
     def test_real_fluid_stability(self, mech):
         case = build_tgv_case(n=8, mech=mech)
-        s = DeepFlameSolver(case, chemistry=NoChemistry(), **self.CTL)
+        s = DeepFlameSolver(case, SolverSettings(**self.CTL),
+                            chemistry=NoChemistry())
         for _ in range(4):
             d = s.step(1e-8)
         assert 140.0 < d.t_min < d.t_max < 320.0
@@ -156,22 +160,25 @@ class TestDeepFlameSolver:
 
     def test_species_bounds_preserved(self, mech):
         case = build_tgv_case(n=8, mech=mech)
-        s = DeepFlameSolver(case, chemistry=NoChemistry(), **self.CTL)
+        s = DeepFlameSolver(case, SolverSettings(**self.CTL),
+                            chemistry=NoChemistry())
         s.run(3, 1e-8)
         np.testing.assert_allclose(s.y.sum(axis=1), 1.0, atol=1e-12)
         assert s.y.min() >= 0.0
 
     def test_timings_recorded(self, mech):
         case = build_tgv_case(n=8, mech=mech)
-        s = DeepFlameSolver(case, chemistry=NoChemistry(), **self.CTL)
+        s = DeepFlameSolver(case, SolverSettings(**self.CTL),
+                            chemistry=NoChemistry())
         s.step(1e-8)
         tm = s.last_timings
         assert tm.dnn > 0 and tm.construction > 0 and tm.solving > 0
 
     def test_measure_workload(self, mech):
         case = build_tgv_case(n=8, mech=mech)
-        s = DeepFlameSolver(case, properties=IdealGasProperties(mech),
-                            chemistry=NoChemistry(), **self.CTL)
+        s = DeepFlameSolver(case, SolverSettings(**self.CTL),
+                            properties=IdealGasProperties(mech),
+                            chemistry=NoChemistry())
         wl = s.measure_workload(1e-8)
         assert wl["pde_flops_per_cell"] > 100
         assert wl["n_cells"] == 512
@@ -181,8 +188,9 @@ class TestDeepFlameSolver:
         measure_workload() must match a run() on a fresh solver."""
         def fresh():
             return DeepFlameSolver(build_tgv_case(n=8, mech=mech),
+                                   SolverSettings(**self.CTL),
                                    properties=IdealGasProperties(mech),
-                                   chemistry=NoChemistry(), **self.CTL)
+                                   chemistry=NoChemistry())
 
         probed = fresh()
         before = probed.state_snapshot()
@@ -203,8 +211,8 @@ class TestDeepFlameSolver:
     def test_odenet_coupled_run(self, mech, tiny_odenet):
         """The full surrogate-coupled solver holds physical bounds."""
         case = build_tgv_case(n=6, mech=mech)
-        s = DeepFlameSolver(case, chemistry=ODENetChemistry(tiny_odenet),
-                            **self.CTL)
+        s = DeepFlameSolver(case, SolverSettings(**self.CTL),
+                            chemistry=SurrogateBackend(tiny_odenet))
         for _ in range(2):
             d = s.step(1e-7)
         assert np.isfinite(d.total_mass)
@@ -214,9 +222,10 @@ class TestDeepFlameSolver:
     def test_rocket_case_steps(self, mech):
         case = build_rocket_case(n_sectors=1, nr=4, ntheta_per_sector=6,
                                  nz=10, mech=mech)
-        s = DeepFlameSolver(case, properties=IdealGasProperties(mech),
-                            chemistry=NoChemistry(), solve_momentum=False,
-                            **self.CTL)
+        s = DeepFlameSolver(case,
+                            SolverSettings(solve_momentum=False, **self.CTL),
+                            properties=IdealGasProperties(mech),
+                            chemistry=NoChemistry())
         d = s.step(1e-8)
         assert np.isfinite(d.total_mass)
         assert d.y_min >= 0.0
@@ -224,22 +233,15 @@ class TestDeepFlameSolver:
     def test_coupled_matches_per_species(self, mech):
         """The blocked transport path is a pure refactor: multi-step
         fields must match the sequential reference to solver accuracy."""
-        ctl = dict(scalar_controls=SolverControls(tolerance=1e-12,
-                                                  max_iterations=500))
-        runs = {}
-        for mode in ("coupled", "per-species"):
-            case = build_tgv_case(n=8, mech=mech)
-            s = DeepFlameSolver(case, chemistry=NoChemistry(),
-                                transport=mode, **ctl)
-            s.run(3, 1e-8)
-            runs[mode] = s
-        c, p = runs["coupled"], runs["per-species"]
+        ctl = SolverSettings(scalar_controls=SolverControls(
+            tolerance=1e-12, max_iterations=500))
+        c = DeepFlameSolver(build_tgv_case(n=8, mech=mech), ctl,
+                            chemistry=NoChemistry())
+        p = OracleSolver(build_tgv_case(n=8, mech=mech), ctl,
+                         chemistry=NoChemistry(), column_solves=True)
+        c.run(3, 1e-8)
+        p.run(3, 1e-8)
         np.testing.assert_allclose(c.y, p.y, atol=1e-10)
         np.testing.assert_allclose(c.u.values, p.u.values, atol=1e-8)
         np.testing.assert_allclose(c.p.values, p.p.values, rtol=1e-10)
         np.testing.assert_allclose(c.h, p.h, rtol=1e-10)
-
-    def test_unknown_transport_mode_rejected(self, mech):
-        case = build_tgv_case(n=6, mech=mech)
-        with pytest.raises(ValueError):
-            DeepFlameSolver(case, transport="fused")

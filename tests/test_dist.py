@@ -8,6 +8,7 @@ from repro.core import (
     DeepFlameSolver,
     IdealGasProperties,
     NoChemistry,
+    SolverSettings,
     build_rocket_case,
     build_tgv_case,
 )
@@ -151,13 +152,12 @@ class TestDecomposedSolver:
     def test_matches_serial_tgv(self, mech, nparts):
         """5 decomposed steps of the TGV agree with serial <= 1e-8."""
         serial = DeepFlameSolver(
-            build_tgv_case(n=8, mech=mech),
-            properties=IdealGasProperties(mech), chemistry=NoChemistry(),
-            **TIGHT)
+            build_tgv_case(n=8, mech=mech), SolverSettings(**TIGHT),
+            properties=IdealGasProperties(mech), chemistry=NoChemistry())
         dist = DecomposedSolver(
-            build_tgv_case(n=8, mech=mech), nparts,
-            properties=IdealGasProperties(mech), chemistry=NoChemistry(),
-            **TIGHT)
+            build_tgv_case(n=8, mech=mech),
+            SolverSettings(ranks=nparts, **TIGHT),
+            properties=IdealGasProperties(mech), chemistry=NoChemistry())
         serial.run(5, 1e-8)
         dist.run(5, 1e-8)
         diffs = self._max_diffs(dist, serial)
@@ -166,9 +166,11 @@ class TestDecomposedSolver:
     def test_matches_serial_real_fluid(self, mech):
         """The default (Peng-Robinson) property path, 4 ranks."""
         serial = DeepFlameSolver(build_tgv_case(n=8, mech=mech),
-                                 chemistry=NoChemistry(), **TIGHT)
-        dist = DecomposedSolver(build_tgv_case(n=8, mech=mech), 4,
-                                chemistry=NoChemistry(), **TIGHT)
+                                 SolverSettings(**TIGHT),
+                                 chemistry=NoChemistry())
+        dist = DecomposedSolver(build_tgv_case(n=8, mech=mech),
+                                SolverSettings(ranks=4, **TIGHT),
+                                chemistry=NoChemistry())
         serial.run(5, 1e-8)
         dist.run(5, 1e-8)
         diffs = self._max_diffs(dist, serial)
@@ -178,20 +180,23 @@ class TestDecomposedSolver:
         """Non-periodic mesh with Dirichlet boundary patches."""
         kw = dict(n_sectors=1, nr=4, ntheta_per_sector=6, nz=10, mech=mech)
         serial = DeepFlameSolver(build_rocket_case(**kw),
+                                 SolverSettings(**TIGHT),
                                  properties=IdealGasProperties(mech),
-                                 chemistry=NoChemistry(), **TIGHT)
-        dist = DecomposedSolver(build_rocket_case(**kw), 3,
+                                 chemistry=NoChemistry())
+        dist = DecomposedSolver(build_rocket_case(**kw),
+                                SolverSettings(ranks=3, **TIGHT),
                                 properties=IdealGasProperties(mech),
-                                chemistry=NoChemistry(), **TIGHT)
+                                chemistry=NoChemistry())
         serial.run(3, 1e-8)
         dist.run(3, 1e-8)
         diffs = self._max_diffs(dist, serial)
         assert all(d <= 1e-8 for d in diffs.values()), diffs
 
     def test_ledger_records_real_traffic(self, mech):
-        dist = DecomposedSolver(build_tgv_case(n=6, mech=mech), 2,
+        dist = DecomposedSolver(build_tgv_case(n=6, mech=mech),
+                                SolverSettings(ranks=2, **TIGHT),
                                 properties=IdealGasProperties(mech),
-                                chemistry=NoChemistry(), **TIGHT)
+                                chemistry=NoChemistry())
         dist.step(1e-8)
         comm = dist.last_comm
         assert comm["messages"] > 0 and comm["bytes"] > 0
@@ -202,11 +207,13 @@ class TestDecomposedSolver:
 
     def test_diagnostics_match_serial(self, mech):
         serial = DeepFlameSolver(build_tgv_case(n=6, mech=mech),
+                                 SolverSettings(**TIGHT),
                                  properties=IdealGasProperties(mech),
-                                 chemistry=NoChemistry(), **TIGHT)
-        dist = DecomposedSolver(build_tgv_case(n=6, mech=mech), 2,
+                                 chemistry=NoChemistry())
+        dist = DecomposedSolver(build_tgv_case(n=6, mech=mech),
+                                SolverSettings(ranks=2, **TIGHT),
                                 properties=IdealGasProperties(mech),
-                                chemistry=NoChemistry(), **TIGHT)
+                                chemistry=NoChemistry())
         d_ser = serial.step(1e-8)
         d_dec = dist.step(1e-8)
         assert d_dec.total_mass == pytest.approx(d_ser.total_mass,
@@ -220,7 +227,8 @@ class TestDecomposedSolver:
         """Between steps the pressure matrix changes; each rank's
         cached factor, value-refreshed in place, equals one built from
         scratch by the sequential reference -- bitwise."""
-        dist = DecomposedSolver(build_tgv_case(n=6, mech=mech), 2,
+        dist = DecomposedSolver(build_tgv_case(n=6, mech=mech),
+                                SolverSettings(ranks=2),
                                 properties=IdealGasProperties(mech),
                                 chemistry=NoChemistry())
         seen = []

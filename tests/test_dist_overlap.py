@@ -240,7 +240,7 @@ class TestDecomposedAgreement:
             pressure_controls=SolverControls(tolerance=1e-12,
                                              max_iterations=1000))
         return DecomposedSolver(build_tgv_case(n=6, mech=mech),
-                                settings=settings, **kw)
+                                settings, **kw)
 
     def _diffs(self, a, b):
         return {f: np.abs(a.gather(f) - b.gather(f)).max()
@@ -283,7 +283,7 @@ class TestWarmAllocations:
         settings = SolverSettings(ranks=4, krylov_variant=variant,
                                   overlap_halo=(variant == "overlapped"))
         solver = DecomposedSolver(
-            build_tgv_case(n=6, mech=mech), settings=settings,
+            build_tgv_case(n=6, mech=mech), settings,
             properties=IdealGasProperties(mech), chemistry=NoChemistry())
         solver.step(1e-8)   # sizes scratch buffers and the workspace
         dics = [solver._krylov_scratch[("op", r)].dic for r in range(4)]
@@ -338,7 +338,7 @@ class TestBlockDIC:
                             counting)
         solver = DecomposedSolver(
             build_tgv_case(n=6, mech=mech),
-            settings=SolverSettings(ranks=2, krylov_variant=variant),
+            SolverSettings(ranks=2, krylov_variant=variant),
             properties=IdealGasProperties(mech), chemistry=NoChemistry())
         solver.run(3, 1e-8)
         assert len(built) == 2

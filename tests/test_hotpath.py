@@ -5,10 +5,10 @@ The contract under test is *exactness where promised*: pattern-cached
 CSR conversions, level-scheduled DIC and pooled Krylov solves are
 bitwise identical to their allocating references; the fused equation
 assembly matches the operator chain to rounding; the analytic Jacobian
-matches finite differences to FD truncation error; and the
-fast-assembly solver reproduces the reference step to <= 1e-12
-(transport/pressure) and <= 1e-8 (live chemistry), serial and
-decomposed.
+matches finite differences to FD truncation error; and the solver
+reproduces the operator-chain reference step of
+``tests/step_oracle.py`` to <= 1e-12 (transport/pressure) and <= 1e-8
+(live chemistry), serial and decomposed.
 """
 
 import numpy as np
@@ -23,7 +23,12 @@ from repro.chemistry import (
     mixture_line,
     premixed_state,
 )
-from repro.core import DeepFlameSolver, NoChemistry, build_tgv_case
+from repro.core import (
+    DeepFlameSolver,
+    NoChemistry,
+    SolverSettings,
+    build_tgv_case,
+)
 from repro.fv import (
     CoupledTransportEquation,
     EquationWorkspace,
@@ -46,6 +51,8 @@ from repro.solvers import (
 )
 from repro.solvers.blocked import pbicgstab_solve_multi
 from repro.sparse import CSRPattern, GaussSeidelSmoother, LDUMatrix
+from tests.step_oracle import OracleSolver
+from tests.thermo_oracle import oracle_solve_cubic
 
 SETTINGS = dict(deadline=None, max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -332,7 +339,8 @@ class TestVectorizedKinetics:
 
 # ---------------------------------------------------------------------
 class TestBatchedEosRoots:
-    def test_batched_roots_bitwise_equal_to_np_roots_loop(self, mech):
+    def test_batched_roots_bitwise_equal_to_np_roots_loop(self, mech,
+                                                          monkeypatch):
         from repro.thermo import RealFluidMixture
 
         rf = RealFluidMixture(mech)
@@ -342,10 +350,11 @@ class TestBatchedEosRoots:
         p = np.full(n, 10e6)
         y = rng.dirichlet(np.ones(mech.n_species), size=n)
         for mode in ("vapor", "liquid", "gibbs"):
-            rf.eos.batched_roots = False
-            ref = rf.eos.density(t, p, y, root=mode)
-            rf.eos.batched_roots = True
             fast = rf.eos.density(t, p, y, root=mode)
+            with monkeypatch.context() as m:
+                m.setattr(rf.eos, "_solve_cubic",
+                          lambda *args: oracle_solve_cubic(rf.eos, *args))
+                ref = rf.eos.density(t, p, y, root=mode)
             np.testing.assert_array_equal(ref, fast)
 
 
@@ -439,10 +448,9 @@ class TestFastAssemblySolver:
         mech = None
         case = build_tgv_case(n=6)
         mech = case.mech
-        fast = DeepFlameSolver(case, chemistry=NoChemistry(),
-                               fast_assembly=True)
-        ref = DeepFlameSolver(build_tgv_case(n=6, mech=mech),
-                              chemistry=NoChemistry(), fast_assembly=False)
+        fast = DeepFlameSolver(case, chemistry=NoChemistry())
+        ref = OracleSolver(build_tgv_case(n=6, mech=mech),
+                           chemistry=NoChemistry())
         for _ in range(5):
             fast.step(1e-8)
             ref.step(1e-8)
@@ -460,12 +468,10 @@ class TestFastAssemblySolver:
         case = build_hotspot_tgv_case(n=6)
         mech = case.mech
         fast = DeepFlameSolver(
-            case, chemistry=DirectBatchBackend(mech, jacobian="analytic"),
-            fast_assembly=True)
-        ref = DeepFlameSolver(
+            case, chemistry=DirectBatchBackend(mech, jacobian="analytic"))
+        ref = OracleSolver(
             build_hotspot_tgv_case(n=6, mech=mech),
-            chemistry=DirectBatchBackend(mech, jacobian="fd"),
-            fast_assembly=False)
+            chemistry=DirectBatchBackend(mech, jacobian="fd"))
         for _ in range(3):
             fast.step(1e-8)
             ref.step(1e-8)
@@ -485,11 +491,11 @@ class TestFastAssemblySolver:
                                              max_iterations=1000))
         case = build_tgv_case(n=6)
         mech = case.mech
-        serial = DeepFlameSolver(case, chemistry=NoChemistry(),
-                                 fast_assembly=True, **tight)
-        dist = DecomposedSolver(build_tgv_case(n=6, mech=mech), nparts,
-                                chemistry=NoChemistry(), fast_assembly=True,
-                                **tight)
+        serial = DeepFlameSolver(case, SolverSettings(**tight),
+                                 chemistry=NoChemistry())
+        dist = DecomposedSolver(build_tgv_case(n=6, mech=mech),
+                                SolverSettings(ranks=nparts, **tight),
+                                chemistry=NoChemistry())
         for _ in range(3):
             serial.step(1e-8)
             dist.step(1e-8)
@@ -498,16 +504,9 @@ class TestFastAssemblySolver:
                       / serial.p.values).max() <= 1e-8
 
     def test_warm_step_has_zero_hotpath_allocations(self):
-        s = DeepFlameSolver(build_tgv_case(n=5), chemistry=NoChemistry(),
-                            fast_assembly=True)
+        s = DeepFlameSolver(build_tgv_case(n=5), chemistry=NoChemistry())
         s.step(1e-8)  # warm the pools
         s.step(1e-8)
         tm = s.last_timings
         assert tm.alloc_construction == 0
         assert tm.alloc_solving == 0
-        ref = DeepFlameSolver(build_tgv_case(n=5, mech=s.mech),
-                              chemistry=NoChemistry(), fast_assembly=False)
-        ref.step(1e-8)
-        ref.step(1e-8)
-        assert ref.last_timings.alloc_construction > 0
-        assert ref.last_timings.alloc_solving > 0

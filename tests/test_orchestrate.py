@@ -47,14 +47,14 @@ class TestSettingsManager:
     def test_precedence_chain(self):
         mgr = SettingsManager(
             SolverSettings(n_correctors=3),
-            overlays={"sw": {"n_correctors": 4, "transport": "per-species"},
+            overlays={"sw": {"n_correctors": 4, "solve_momentum": False},
                       "sw[1]": {"n_correctors": 5}})
         # base < name overlay
         assert mgr.resolve("sw", 0).n_correctors == 4
         # name overlay < name[i] overlay (other fields survive)
         s1 = mgr.resolve("sw", 1)
         assert s1.n_correctors == 5
-        assert s1.transport == "per-species"
+        assert s1.solve_momentum is False
         # name[i] overlay < explicit overrides
         assert mgr.resolve("sw", 1, {"n_correctors": 6}).n_correctors == 6
         # unaddressed instances get the base
@@ -68,9 +68,9 @@ class TestSettingsManager:
     def test_set_overlay_merges(self):
         mgr = SettingsManager()
         mgr.set_overlay("m", {"n_correctors": 3})
-        mgr.set_overlay("m", {"transport": "per-species"})
+        mgr.set_overlay("m", {"solve_momentum": False})
         s = mgr.resolve("m")
-        assert (s.n_correctors, s.transport) == (3, "per-species")
+        assert (s.n_correctors, s.solve_momentum) == (3, False)
 
     def test_dotted_overlay(self):
         mgr = SettingsManager(
@@ -153,7 +153,7 @@ class TestStandaloneAgreement:
     def test_serial_instances_match_standalone_bitwise(self, swept, tgv):
         ens, values = swept
         for pick in (0, 3):
-            solo = DeepFlameSolver.from_settings(
+            solo = DeepFlameSolver(
                 tgv(), BASE.overlay(
                     **{"scalar_controls.tolerance": values[pick]}))
             solo.run(2, DT)
@@ -171,7 +171,7 @@ class TestStandaloneAgreement:
         ens = Ensemble(tgv, BASE)
         ens.add_instance("d", overrides={"ranks": 2})
         ens.run(1, DT)
-        solo = DecomposedSolver.from_settings(tgv(), settings)
+        solo = DecomposedSolver(tgv(), settings)
         solo.step(DT)
         for f in ("y", "h", "p", "u"):
             assert np.array_equal(ens["d"].field(f), solo.gather(f)), f

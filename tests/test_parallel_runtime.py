@@ -435,10 +435,10 @@ class TestSpmdBlockDIC:
 # SPMD DecomposedSolver: parallel vs serial
 # ---------------------------------------------------------------------
 def _run_pair(mech, settings, properties_builder, n_steps=2, dt=1e-8):
-    serial = DecomposedSolver.from_settings(
+    serial = DecomposedSolver(
         build_tgv_case(n=6, mech=mech), settings,
         properties=properties_builder())
-    par = DecomposedSolver.from_settings(
+    par = DecomposedSolver(
         build_tgv_case(n=6, mech=mech),
         settings.overlay(execution="parallel"),
         properties=properties_builder())
@@ -489,7 +489,7 @@ class TestSpmdParity:
     def test_serial_default_unchanged(self, mech):
         """execution defaults to 'serial' and builds no executor."""
         assert SolverSettings().execution == "serial"
-        solver = DecomposedSolver.from_settings(
+        solver = DecomposedSolver(
             build_tgv_case(n=6, mech=mech),
             SolverSettings(ranks=2, **TIGHT),
             properties=IdealGasProperties(mech))
@@ -530,7 +530,7 @@ class TestWrittenOnce:
         def build(**overlay):
             return DecomposedSolver(
                 build_tgv_case(n=6, mech=mech),
-                settings=SolverSettings(ranks=1, **TIGHT).overlay(**overlay),
+                SolverSettings(ranks=1, **TIGHT).overlay(**overlay),
                 properties=IdealGasProperties(mech))
 
         with build(execution="parallel") as par:
@@ -576,7 +576,7 @@ class TestWrittenOnce:
                                   overlap_halo=(variant == "overlapped"),
                                   execution="parallel")
         with DecomposedSolver(
-                build_tgv_case(n=6, mech=mech), settings=settings,
+                build_tgv_case(n=6, mech=mech), settings,
                 properties=IdealGasProperties(mech),
                 chemistry=NoChemistry()) as solver:
             solver.step(1e-8)   # sizes scratch buffers and the workspace
@@ -612,7 +612,7 @@ class TestFailedConstruction:
     def test_every_rank_fails(self, mech):
         before = _shm_entries()
         with pytest.raises(WorkerError, match="h_from_t failed"):
-            DecomposedSolver.from_settings(
+            DecomposedSolver(
                 build_tgv_case(n=6, mech=mech),
                 SolverSettings(ranks=2, execution="parallel"),
                 properties=_FailingProperties(mech))
@@ -741,13 +741,13 @@ class TestParallelChemistry:
         """chemistry_workers >= 2 wraps the built backend."""
         from repro.core.settings import build_chemistry
 
-        adapter = build_chemistry(
+        backend = build_chemistry(
             SolverSettings(chemistry="direct", chemistry_workers=2), mech)
-        assert isinstance(adapter.backend, ParallelChemistryBackend)
-        adapter.backend.close()
-        adapter = build_chemistry(
+        assert isinstance(backend, ParallelChemistryBackend)
+        backend.close()
+        backend = build_chemistry(
             SolverSettings(chemistry="direct"), mech)
-        assert isinstance(adapter.backend, DirectBatchBackend)
+        assert isinstance(backend, DirectBatchBackend)
 
 
 # ---------------------------------------------------------------------

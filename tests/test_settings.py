@@ -1,14 +1,18 @@
 """The unified SolverSettings API: validation, overlay/roundtrip,
-precedence (defaults < settings < explicit kwarg), legacy-kwarg
-equivalence and the settings-driven builders."""
+precedence (defaults < settings), the one constructor surface and the
+settings-driven builders."""
+
+import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import repro.core
+import repro.core.settings
+from repro.chemistry.backends import DirectBatchBackend, PerCellBDFBackend
 from repro.core import (
-    BatchedChemistry,
     DeepFlameSolver,
-    DirectChemistry,
     NoChemistry,
     SolverSettings,
     build_chemistry,
@@ -16,7 +20,6 @@ from repro.core import (
     build_tgv_case,
 )
 from repro.core.chemistry_source import BackendChemistry
-from repro.core.settings import resolve_settings
 from repro.dist import DecomposedSolver
 from repro.solvers import SolverControls
 
@@ -32,17 +35,19 @@ class TestValidation:
     def test_defaults_are_valid(self):
         s = SolverSettings()
         assert s.chemistry == "none"
-        assert s.transport == "coupled"
-        assert s.fast_assembly is True
         assert not s.is_decomposed
 
     @pytest.mark.parametrize("field,value", [
         ("chemistry", "magic"),
-        ("transport", "spectral"),
         ("partition_method", "voronoi"),
         ("balance_chemistry", "always"),
         ("ranks", -1),
         ("n_correctors", 0),
+        ("n_correctors", 2.5),
+        ("n_correctors", True),
+        ("solve_momentum", "no"),
+        ("ranks", True),
+        ("partition_seed", "x"),
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -96,40 +101,34 @@ class TestOverlayRoundtrip:
         assert d["scalar_controls"]["tolerance"] == 1e-10
         assert SolverSettings.from_dict(d) == s
 
+    def test_to_dict_copies_nested_containers_only(self):
+        net = object()      # stands in for a trained odenet
+        s = SolverSettings(chemistry_options={
+            "a": {"b": 1}, "bins": [[1.0, 2], [3.0, 4]], "odenet": net})
+        d = s.to_dict()
+        d["chemistry_options"]["a"]["b"] = 2
+        d["chemistry_options"]["bins"][0][1] = 99
+        d["chemistry_options"]["new"] = 0
+        assert s.chemistry_options == {
+            "a": {"b": 1}, "bins": [[1.0, 2], [3.0, 4]], "odenet": net}
+        assert d["chemistry_options"]["odenet"] is net  # by reference
+
 
 class TestPrecedence:
-    def test_explicit_kwarg_beats_settings_with_warning(self, tgv):
-        base = SolverSettings(n_correctors=1)
-        with pytest.warns(DeprecationWarning):
-            solver = DeepFlameSolver(tgv(), settings=base, n_correctors=3)
-        assert solver.n_correctors == 3
-        assert solver.settings.n_correctors == 3
-
     def test_settings_beat_defaults(self, tgv):
-        solver = DeepFlameSolver(tgv(),
-                                 settings=SolverSettings(n_correctors=1))
+        solver = DeepFlameSolver(tgv(), SolverSettings(n_correctors=1))
         assert solver.n_correctors == 1
-
-    def test_legacy_kwargs_alone_do_not_warn(self, tgv, recwarn):
-        solver = DeepFlameSolver(tgv(), n_correctors=1,
-                                 transport="per-species")
-        assert solver.n_correctors == 1
-        assert solver.transport == "per-species"
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_resolve_settings_plain(self):
-        s = resolve_settings(None, where="test", n_correctors=5)
-        assert s.n_correctors == 5
 
 
 class TestLegacyEquivalence:
     def test_serial_bitwise_match(self, tgv):
         dt = 1e-7
         legacy = DeepFlameSolver(
-            tgv(), chemistry=NoChemistry(), n_correctors=1,
-            scalar_controls=SolverControls(tolerance=1e-10))
-        modern = DeepFlameSolver.from_settings(
+            tgv(), SolverSettings(
+                n_correctors=1,
+                scalar_controls=SolverControls(tolerance=1e-10)),
+            chemistry=NoChemistry())
+        modern = build_solver(
             tgv(), SolverSettings(
                 n_correctors=1, scalar_controls={"tolerance": 1e-10}))
         for _ in range(2):
@@ -142,21 +141,60 @@ class TestLegacyEquivalence:
 
     def test_decomposed_bitwise_match(self, tgv):
         dt = 1e-7
-        legacy = DecomposedSolver(tgv(), 2, n_correctors=1)
-        modern = DecomposedSolver.from_settings(
+        legacy = DecomposedSolver(tgv(),
+                                  SolverSettings(ranks=2, n_correctors=1))
+        modern = build_solver(
             tgv(), SolverSettings(ranks=2, n_correctors=1))
         legacy.step(dt)
         modern.step(dt)
         for f in ("y", "h", "p", "u"):
             assert np.array_equal(legacy.gather(f), modern.gather(f)), f
 
-    def test_decomposed_legacy_balance_kwargs_none(self, tgv):
-        solver = DecomposedSolver(tgv(), 2, balance_kwargs=None)
-        assert solver.settings.balance_options == {}
-
     def test_decomposed_needs_rank_count(self, tgv):
         with pytest.raises(ValueError, match="rank count"):
-            DecomposedSolver(tgv())
+            DecomposedSolver(tgv(), SolverSettings())
+
+
+class TestOneSurface:
+    """One way to build a solver: the settings object is the whole
+    configuration surface, and the superseded spellings are gone."""
+
+    def test_field_count(self):
+        assert len(fields(SolverSettings)) == 17
+
+    def test_constructor_signatures(self):
+        def surface(cls):
+            return [(p.name, p.kind.name, p.default)
+                    for p in inspect.signature(cls).parameters.values()]
+
+        required = inspect.Parameter.empty
+        assert surface(DeepFlameSolver) == [
+            ("case", "POSITIONAL_OR_KEYWORD", required),
+            ("settings", "POSITIONAL_OR_KEYWORD", None),
+            ("properties", "KEYWORD_ONLY", None),
+            ("chemistry", "KEYWORD_ONLY", None),
+            ("workspace", "KEYWORD_ONLY", None)]
+        assert surface(DecomposedSolver) == [
+            ("case", "POSITIONAL_OR_KEYWORD", required),
+            ("settings", "POSITIONAL_OR_KEYWORD", required),
+            ("comm", "KEYWORD_ONLY", None),
+            ("decomp", "KEYWORD_ONLY", None),
+            ("properties", "KEYWORD_ONLY", None),
+            ("chemistry", "KEYWORD_ONLY", None)]
+
+    def test_removed_field_is_an_unknown_field(self):
+        d = SolverSettings().to_dict()
+        d["transport"] = "coupled"
+        with pytest.raises(KeyError, match="transport"):
+            SolverSettings.from_dict(d)
+
+    @pytest.mark.parametrize("name", [
+        "resolve_settings", "TRANSPORT_MODES", "DirectChemistry",
+        "BatchedChemistry", "ODENetChemistry", "HybridChemistry"])
+    def test_removed_names_not_exported(self, name):
+        for module in (repro.core, repro.core.settings):
+            assert not hasattr(module, name)
+            assert name not in module.__all__
 
 
 class TestBuilders:
@@ -166,10 +204,10 @@ class TestBuilders:
             NoChemistry)
         assert isinstance(
             build_chemistry(SolverSettings(chemistry="percell"), mech),
-            DirectChemistry)
+            PerCellBDFBackend)
         assert isinstance(
             build_chemistry(SolverSettings(chemistry="direct"), mech),
-            BatchedChemistry)
+            DirectBatchBackend)
 
     def test_build_chemistry_surrogate_needs_net(self, mech):
         with pytest.raises(ValueError, match="odenet"):
@@ -185,12 +223,12 @@ class TestBuilders:
 
     def test_from_settings_wrong_archetype(self, tgv):
         with pytest.raises(ValueError):
-            DeepFlameSolver.from_settings(tgv(), SolverSettings(ranks=2))
+            DeepFlameSolver(tgv(), SolverSettings(ranks=2))
         with pytest.raises(ValueError):
-            DecomposedSolver.from_settings(tgv(), SolverSettings())
+            DecomposedSolver(tgv(), SolverSettings())
 
     def test_decomposed_ranks_share_raw_backend(self, tgv):
-        dist = DecomposedSolver.from_settings(
+        dist = DecomposedSolver(
             tgv(), SolverSettings(ranks=2, chemistry="direct"))
         adapters = [r.chemistry for r in dist.ranks]
         assert all(isinstance(a, BackendChemistry) for a in adapters)

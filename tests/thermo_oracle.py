@@ -25,7 +25,8 @@ from repro.constants import K_BOLTZMANN, N_AVOGADRO, R_UNIVERSAL
 from repro.thermo.real_fluid import RealFluidProperties
 
 __all__ = ["OracleEos", "OracleMixture", "OracleTransport",
-           "oracle_enthalpy_departure", "oracle_cp_departure"]
+           "oracle_enthalpy_departure", "oracle_cp_departure",
+           "oracle_solve_cubic"]
 
 
 def _mix(k_ij, a_i, b_i, x):
@@ -44,6 +45,36 @@ def _mix_derivative(k_ij, a_i, da_i, x):
     xs = x * sqrt_a
     xds = x * dsqrt
     return 2.0 * np.einsum("...i,ij,...j->...", xs, one_minus_k, xds)
+
+
+def oracle_solve_cubic(eos, t, p, a_mix, b_mix, root="vapor"):
+    """Z at ``(t, p)`` for given mixture parameters through the per-cell
+    ``np.roots`` loop -- the reference of the batched companion
+    eigenvalue solve, with ``CubicEos._solve_cubic``'s signature so a
+    test can swap it in.  ``eos`` supplies ``u``, ``w`` and
+    ``_gibbs_root`` (a production ``CubicEos`` or an :class:`OracleEos`).
+    """
+    rt = R_UNIVERSAL * t
+    big_a = a_mix * p / rt**2
+    big_b = b_mix * p / rt
+    u, w = eos.u, eos.w
+    c2 = -(1.0 + big_b - u * big_b)
+    c1 = big_a + w * big_b**2 - u * big_b - u * big_b**2
+    c0 = -(big_a * big_b + w * big_b**2 + w * big_b**3)
+    z = np.empty_like(t)
+    for k in range(t.size):
+        roots = np.roots([1.0, c2[k], c1[k], c0[k]])
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        real = real[real > big_b[k]]
+        if real.size == 0:
+            z[k] = max(roots.real.max(), big_b[k] * 1.001)
+        elif real.size == 1 or root == "vapor":
+            z[k] = real.max()
+        elif root == "liquid":
+            z[k] = real.min()
+        else:
+            z[k] = eos._gibbs_root(real, big_a[k], big_b[k])
+    return z
 
 
 class OracleEos:
@@ -80,27 +111,7 @@ class OracleEos:
         p = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
         x = np.atleast_2d(x)
         a_mix, b_mix, _ = self.mixture_ab(t, x)
-        rt = R_UNIVERSAL * t
-        big_a = a_mix * p / rt**2
-        big_b = b_mix * p / rt
-        u, w = self.u, self.w
-        c2 = -(1.0 + big_b - u * big_b)
-        c1 = big_a + w * big_b**2 - u * big_b - u * big_b**2
-        c0 = -(big_a * big_b + w * big_b**2 + w * big_b**3)
-        z = np.empty_like(t)
-        for k in range(t.size):
-            roots = np.roots([1.0, c2[k], c1[k], c0[k]])
-            real = roots[np.abs(roots.imag) < 1e-9].real
-            real = real[real > big_b[k]]
-            if real.size == 0:
-                z[k] = max(roots.real.max(), big_b[k] * 1.001)
-            elif real.size == 1 or root == "vapor":
-                z[k] = real.max()
-            elif root == "liquid":
-                z[k] = real.min()
-            else:
-                z[k] = self._gibbs_root(real, big_a[k], big_b[k])
-        return z
+        return oracle_solve_cubic(self, t, p, a_mix, b_mix, root)
 
     def _gibbs_root(self, zs, big_a, big_b):
         u, w = self.u, self.w
