@@ -7,9 +7,16 @@ pytest's output capture.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, set before numpy loads (as ``bench/run.py`` does): the
+# ratio gates price small-batch kernels, and an unpinned OpenBLAS on a
+# shared host spreads e.g. the trained-hybrid speedup from 9x to 36x.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"

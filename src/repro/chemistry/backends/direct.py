@@ -15,8 +15,12 @@ stiffness indicator and integrates whole sub-batches at once:
   BDF reference so accuracy never degrades where it matters.
 
 Classification uses only each cell's own initial state, so a cell's
-trajectory is independent of what other cells share its batch — the
-batched result is bitwise-identical to advancing the cell alone.
+trajectory is independent of what other cells share its batch -- the
+batched result equals advancing the cell alone to BLAS last-bit
+reproducibility.  All ROS2 sub-batches *and* their half-step validation
+twins advance as rows of one lockstep batch with a per-row step size:
+the sequential depth of an ``advance`` is the largest step count
+present, not the sum over bins.
 """
 
 from __future__ import annotations
@@ -101,6 +105,11 @@ class DirectBatchBackend(ChemistryBackend):
     ):
         if jacobian not in ("analytic", "fd"):
             raise ValueError(f"unknown jacobian mode {jacobian!r}")
+        if rk4_steps < 1 or any(n_steps < 1 for _, n_steps in ros2_bins):
+            raise ValueError("rk4_steps and ros2_bins step counts must be >= 1")
+        if any(hi[0] <= lo[0] for lo, hi in zip(ros2_bins, ros2_bins[1:])):
+            # a cell lands in the first bin that admits it
+            raise ValueError("ros2_bins z_max must be strictly ascending")
         self.mech = mech
         self.kinetics = KineticsEvaluator(mech)
         self.rtol, self.atol = rtol, atol
@@ -113,8 +122,9 @@ class DirectBatchBackend(ChemistryBackend):
         self.val_tol_t = val_tol_t
         self.val_tol_y = val_tol_y
         self.jacobian = jacobian
+        # mechanisms with non-integer orders take the FD sweep
         self._ajac = AnalyticJacobian(mech, t_floor=t_floor) \
-            if jacobian == "analytic" else None
+            if jacobian == "analytic" and self.kinetics._vector_ok else None
         self._fallback = PerCellBDFBackend(mech, rtol=rtol, atol=atol,
                                            t_floor=t_floor, jacobian=jacobian)
         self._rhs_evals = 0
@@ -149,50 +159,85 @@ class DirectBatchBackend(ChemistryBackend):
         return (f[:, 1:, :] - f[:, :1, :]).transpose(0, 2, 1) / dy[:, None, :]
 
     # -- batched integrators -------------------------------------------
-    def _rk4_batch(self, s, p, dt, n_steps):
+    def _rk4_batch(self, s, p, f0, dt, n_steps):
+        """``n_steps`` classical RK4 steps; ``f0`` is ``f(s)``."""
         h = dt / n_steps
-        for _ in range(n_steps):
-            k1 = self._rhs(s, p)
+        for step in range(n_steps):
+            k1 = f0 if step == 0 else self._rhs(s, p)
             k2 = self._rhs(s + 0.5 * h * k1, p)
             k3 = self._rhs(s + 0.5 * h * k2, p)
             k4 = self._rhs(s + h * k3, p)
             s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return s
 
-    def _ros2_batch(self, s, p, dt, n_steps):
+    def _ros2_batch(self, s, p, f0, jac0, h, n_steps):
+        """Fixed-step ROS2 over rows that each carry their own step size
+        ``h`` and step count ``n_steps`` (ascending), in lockstep: rows
+        that are done drop off the front, so the active set is always
+        the suffix ``s[lo:]``.  ``f0`` / ``jac0`` are the RHS and the
+        Jacobian at the initial rows; ``s`` is advanced in place."""
         gamma = Rosenbrock2.GAMMA
-        h = dt / n_steps
-        m = s.shape[1]
-        eye = np.eye(m)
-        a_inv = None
-        for step in range(n_steps):
-            f0 = self._rhs(s, p)
+        eye = np.eye(s.shape[1])
+        hc = h[:, None]
+        a_inv = np.empty((s.shape[0],) + eye.shape)
+        for step in range(int(n_steps[-1])):
+            lo = int(np.searchsorted(n_steps, step, side="right"))
+            sa, pa, ha = s[lo:], p[lo:], hc[lo:]
+            f = f0[lo:] if step == 0 else self._rhs(sa, pa)
             if step % self.jac_every == 0:
                 # Chemistry Jacobians vary smoothly; freezing J between
                 # refreshes (a W-method) keeps the L-stable stage
                 # matrix while amortizing its dominant cost.
-                jac = self._jac(s, p)
-                a_inv = np.linalg.inv(eye[None, :, :] - gamma * h * jac)
-            self._linear_solves += 2 * s.shape[0]
-            k1 = np.einsum("cij,cj->ci", a_inv, f0)
-            f1 = self._rhs(s + h * k1, p)
-            k2 = np.einsum("cij,cj->ci", a_inv, f1 - 2.0 * k1)
-            s = s + h * (1.5 * k1 + 0.5 * k2)
+                jac = jac0[lo:] if step == 0 else self._jac(sa, pa)
+                a_inv[lo:] = np.linalg.inv(
+                    eye - (gamma * ha)[:, :, None] * jac)
+            self._linear_solves += 2 * sa.shape[0]
+            k1 = np.einsum("cij,cj->ci", a_inv[lo:], f)
+            f1 = self._rhs(sa + ha * k1, pa)
+            k2 = np.einsum("cij,cj->ci", a_inv[lo:], f1 - 2.0 * k1)
+            sa += ha * (1.5 * k1 + 0.5 * k2)
         return s
 
+    def _ros2_lockstep(self, s, p, f0, dt, bins, full, half):
+        """Integrate every ROS2 bin ``(n_steps, cells)`` -- and, when
+        validating, its half-step twin -- as rows of one
+        :meth:`_ros2_batch`; fills the cells' rows of ``full``/``half``."""
+        if not bins:
+            return
+        cells = np.concatenate([idx for _, idx in bins])
+        steps = np.concatenate([np.full(idx.size, k) for k, idx in bins])
+        jac0 = self._jac(s[cells], p[cells])
+        if self.validate:  # the twins follow the full rows
+            steps = np.concatenate((steps, np.maximum(1, steps // 2)))
+        order = np.argsort(steps, kind="stable")
+        src = order % cells.size  # a row's cell, as a position in ``cells``
+        rows = cells[src]
+        out = np.empty((steps.size, s.shape[1]))
+        out[order] = self._ros2_batch(
+            s[rows], p[rows], f0[rows], jac0[src], dt / steps[order],
+            steps[order])
+        full[cells] = out[:cells.size]
+        if self.validate:
+            half[cells] = out[cells.size:]
+
     # -- stiffness classification --------------------------------------
+    def _stiffness(self, s, p, dt):
+        """``(z, f(s))`` for packed states: the indicator and the RHS
+        evaluation it is made of."""
+        f = self._rhs(s, p)
+        z_t = np.abs(f[:, 0]) * dt / np.maximum(s[:, 0], self.t_floor)
+        z_y = (np.abs(f[:, 1:]) * dt
+               / np.maximum(np.abs(s[:, 1:]), 1e-3)).max(axis=1)
+        return np.maximum(z_t, z_y), f
+
     def stiffness_indicator(self, y, t, p, dt) -> np.ndarray:
         """Per-cell nondimensional activity ``z``: the largest relative
         state change the initial rates would produce over ``dt``.
         Depends only on each cell's own state (batch-composition
         independent)."""
         y, t, p = self._as_batch(y, t, p)
-        s = np.concatenate((t[:, None], y), axis=1)
-        f = self._rhs(s, p)
-        z_t = np.abs(f[:, 0]) * dt / np.maximum(t, self.t_floor)
-        z_y = (np.abs(f[:, 1:]) * dt
-               / np.maximum(np.abs(y), 1e-3)).max(axis=1)
-        return np.maximum(z_t, z_y)
+        return self._stiffness(np.concatenate((t[:, None], y), axis=1),
+                               p, dt)[0]
 
     def work_estimate(self, y, t, p, dt) -> np.ndarray:
         """Graded per-cell work estimate from the stiffness classifier.
@@ -250,40 +295,50 @@ class DirectBatchBackend(ChemistryBackend):
         self._rhs_evals = self._jac_evals = self._linear_solves = 0
         t0 = time.perf_counter()
 
-        z = self.stiffness_indicator(y, t, p, dt)
-        groups = self._classify(z)
-
         s = np.concatenate((t[:, None], y), axis=1)
-        s_new = s.copy()
+        z, f0 = self._stiffness(s, p, dt)
+        bad = np.flatnonzero(~np.isfinite(z))
+        if bad.size:
+            ids = bad if cell_ids is None else np.asarray(cell_ids)[bad]
+            raise FloatingPointError(
+                f"{bad.size} of {n} cells have a non-finite state or "
+                f"reaction rate; first cells: {ids[:5].tolist()}")
+        groups = self._classify(z)
+        dt = float(dt)
+        full, half = s.copy(), s.copy()
+        for method, n_steps, idx in groups:
+            if method == "rk4":
+                args = s[idx], p[idx], f0[idx], dt
+                full[idx] = self._rk4_batch(*args, n_steps)
+                if self.validate:
+                    half[idx] = self._rk4_batch(*args, max(1, n_steps // 2))
+        self._ros2_lockstep(s, p, f0, dt, [g[1:] for g in groups
+                                           if g[0] == "ros2"], full, half)
+        # cells whose two integrations disagree, or classified beyond
+        # the last bin, go to the per-cell BDF fallback
+        bad = np.zeros(n, dtype=bool)
+        if self.validate:
+            bad = (~np.isfinite(full).all(axis=1)
+                   | ~np.isfinite(half).all(axis=1)
+                   | (np.abs(full[:, 0] - half[:, 0]) > self.val_tol_t)
+                   | (np.abs(full[:, 1:] - half[:, 1:]).max(axis=1)
+                      > self.val_tol_y))
         work = np.zeros(n)
         sub_batches: list[tuple[str, int, int]] = []
-        fallback_stats: BackendStats | None = None
-        bdf_cells: list[np.ndarray] = []
         for method, n_steps, idx in groups:
             if method == "bdf":
-                bdf_cells.append(idx)
+                bad[idx] = True
                 continue
-            integ = self._rk4_batch if method == "rk4" else self._ros2_batch
-            full = integ(s[idx], p[idx], float(dt), n_steps)
-            cell_work = n_steps
-            if self.validate:
-                half = integ(s[idx], p[idx], float(dt), max(1, n_steps // 2))
-                bad = (~np.isfinite(full).all(axis=1)
-                       | ~np.isfinite(half).all(axis=1)
-                       | (np.abs(full[:, 0] - half[:, 0]) > self.val_tol_t)
-                       | (np.abs(full[:, 1:] - half[:, 1:]).max(axis=1)
-                          > self.val_tol_y))
-                if bad.any():
-                    bdf_cells.append(idx[bad])
-                    idx = idx[~bad]
-                    full = full[~bad]
-                cell_work = n_steps + max(1, n_steps // 2)
-            s_new[idx] = full
+            idx = idx[~bad[idx]]
+            cell_work = n_steps + (max(1, n_steps // 2) if self.validate
+                                   else 0)
             work[idx] = cell_work
             sub_batches.append((f"{method}x{n_steps}", idx.size,
                                 cell_work * idx.size))
-        if bdf_cells:
-            idx = np.concatenate(bdf_cells)
+        s_new = full
+        fallback_stats: BackendStats | None = None
+        idx = np.flatnonzero(bad)
+        if idx.size:
             yb, tb, fallback_stats = self._fallback.advance(
                 y[idx], t[idx], p[idx], dt)
             s_new[idx, 0] = tb

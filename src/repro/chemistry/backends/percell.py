@@ -44,8 +44,9 @@ class PerCellBDFBackend(ChemistryBackend):
         self.rtol, self.atol = rtol, atol
         self.t_floor = t_floor
         self.jacobian = jacobian
+        # mechanisms with non-integer orders take the FD columns
         self._ajac = AnalyticJacobian(mech, t_floor=t_floor) \
-            if jacobian == "analytic" else None
+            if jacobian == "analytic" and self.kinetics._vector_ok else None
 
     # -- per-cell RHS/Jacobian closures --------------------------------
     def _cell_rhs(self, pressure: float):

@@ -2,14 +2,15 @@
 
 The stiff BDF/ROS2 chemistry integrators spend most of their time on
 Jacobians: the finite-difference path evaluates the full kinetics RHS
-once per state component -- ``1 + n_species`` vectorized sweeps with
-all their exp-heavy Arrhenius re-evaluation -- every refresh.  This
-module assembles the same Jacobian *analytically* from precomputed
-stoichiometry matrices: one pass over the reactions produces
-``dq/dT`` and ``dq/dc`` per reaction from closed-form derivatives of
-the Arrhenius rates, the falloff/Troe blending, the equilibrium
-constants and the concentration products, which the chain rule then
-maps to the packed ``(T, Y)`` state at constant pressure.
+once per state component -- ``1 + n_species`` vectorized sweeps --
+every refresh.  This module assembles the same Jacobian *analytically*
+with no loop over reactions: ``k_f``, ``K_c`` and their temperature
+derivatives come from the kinetics rate table and its differentiated
+twin (``d ln k_f/dT = b/T + E_a/RT^2`` costs no second exponential),
+the falloff/Troe derivatives are evaluated over the falloff subset,
+the slot-wise concentration-product gradients are scattered into
+``dq/dc`` and ``d(wdot)/dc = nu_net^T dq/dc`` is one matrix product;
+the chain rule then maps to the packed ``(T, Y)`` state.
 
 The Jacobian differentiates exactly the RHS the integrators use
 (:meth:`~repro.chemistry.kinetics.KineticsEvaluator.constant_pressure_rhs`
@@ -25,11 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..constants import R_UNIVERSAL
+from .kinetics import _LN10, KineticsEvaluator
 from .mechanism import Mechanism
 
 __all__ = ["AnalyticJacobian"]
-
-_LN10 = np.log(10.0)
 
 
 class AnalyticJacobian:
@@ -39,6 +39,9 @@ class AnalyticJacobian:
     ----------
     mech:
         Reaction mechanism (stoichiometry is precomputed once here).
+        Needs what the rate table needs -- integer reaction orders and
+        single-range NASA-7 thermo; other mechanisms raise
+        ``ValueError`` and take the finite-difference Jacobian.
     t_floor:
         Temperature floor of the calling integrator's RHS wrapper; the
         state is evaluated at ``max(T, t_floor)`` and the temperature
@@ -48,40 +51,30 @@ class AnalyticJacobian:
     def __init__(self, mech: Mechanism, t_floor: float = 200.0):
         self.mech = mech
         self.t_floor = float(t_floor)
-        # Per-reaction sparse stoichiometric term lists (species, power).
-        self._fwd_terms = [
-            [(i, p) for i, p in enumerate(row) if p > 0]
-            for row in mech.nu_forward
-        ]
-        self._rev_terms = [
-            [(i, p) for i, p in enumerate(row) if p > 0]
-            for row in mech.nu_reverse
-        ]
-        self._net_terms = [
-            [(i, nu) for i, nu in enumerate(row) if nu != 0.0]
-            for row in mech.nu_net
-        ]
-        self._dn = mech.nu_net.sum(axis=1)
+        self._kin = kin = KineticsEvaluator(mech)
+        if not kin._vector_ok:
+            raise ValueError(
+                "the analytic Jacobian needs integer reaction orders and "
+                "NASA-7 thermo; use the finite-difference Jacobian")
+        # dq/dc is assembled species-major, (n, ns + 1, nr) flattened:
+        # flat scatter target of every product slot (row ns collects
+        # the padding slots and is dropped).
+        nr = mech.n_reactions
+        rows = np.arange(nr)[:, None]
+        self._fwd_flat = kin._fwd_slots * nr + rows
+        self._rev_flat = kin._rev_slots * nr + rows
+        # reactions whose rate sees [M] (third body and/or falloff), and
+        # the 0/1 mask of those where [M] multiplies the rate of progress
+        self._m_rows = np.flatnonzero(mech.efficiencies.any(axis=1))
+        self._third = 1.0 - kin._m_ext[-1, :nr]
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _arrhenius(rate, t):
-        """``(k, dk/dT)`` for a modified Arrhenius rate."""
-        k = rate.a * np.power(t, rate.b) * np.exp(
-            -rate.ea / (R_UNIVERSAL * t))
-        dk = k * (rate.b / t + rate.ea / (R_UNIVERSAL * t * t))
-        return k, dk
-
-    def _rate_constant(self, rxn, t, m):
-        """``(kf, dkf/dT, dkf/dM)`` including falloff/Troe blending.
-
-        ``m`` is the effective third-body concentration (used only by
-        falloff reactions).
-        """
-        kinf, dkinf = self._arrhenius(rxn.rate, t)
-        if not rxn.is_falloff:
-            return kinf, dkinf, 0.0
-        k0, dk0 = self._arrhenius(rxn.low_rate, t)
+    def _falloff(self, tc, kinf, dkinf, k0, dk0, m):
+        """``(kf, dkf/dT, dkf/dM)`` of the Troe/Lindemann blend over the
+        falloff subset, ``(n, n_falloff)`` arrays; ``m`` is the
+        effective third-body concentration, ``tc`` the ``(n, 1)``
+        temperature column."""
+        alpha, t3, t1, t2 = self._kin._troe
         kinf_s = np.maximum(kinf, 1e-300)
         pr_raw = k0 * m / kinf_s
         pr = np.maximum(pr_raw, 1e-300)
@@ -92,60 +85,46 @@ class AnalyticJacobian:
         dpr_dm = np.where(live, k0 / kinf_s, 0.0)
         blend = pr / (1.0 + pr)
         dblend_dpr = 1.0 / (1.0 + pr) ** 2
-        if rxn.troe is not None:
-            troe = rxn.troe
-            fc = np.maximum(troe.f_cent(t), 1e-300)
-            lfc = np.log10(fc)
-            c = -0.4 - 0.67 * lfc
-            nn = 0.75 - 1.27 * lfc
-            log_pr = np.log10(pr)
-            u = log_pr + c
-            den = nn - 0.14 * u
-            f1 = u / den
-            one_f1 = 1.0 + f1 * f1
-            f = np.power(10.0, lfc / one_f1)
-            dlnf_df1 = -_LN10 * lfc * 2.0 * f1 / one_f1 ** 2
-            df1_dlog_pr = nn / den ** 2
-            # u and den both move with lfc: du/dlfc = -0.67,
-            # dden/dlfc = -1.27 + 0.14 * 0.67.
-            df1_dlfc = (-0.67 * den - u * (-1.27 + 0.14 * 0.67)) / den ** 2
-            dlnf_dlfc = _LN10 / one_f1 + dlnf_df1 * df1_dlfc
-            dfc_dt = -(1.0 - troe.alpha) / troe.t3 * np.exp(-t / troe.t3) \
-                - troe.alpha / troe.t1 * np.exp(-t / troe.t1)
-            if troe.t2 is not None:
-                dfc_dt = dfc_dt + (troe.t2 / (t * t)) * np.exp(-troe.t2 / t)
-            dlfc_dt = dfc_dt / (fc * _LN10)
-            df_dpr = f * dlnf_df1 * df1_dlog_pr / (pr * _LN10)
-            df_dt_partial = f * dlnf_dlfc * dlfc_dt
-        else:
-            f = 1.0
-            df_dpr = 0.0
-            df_dt_partial = 0.0
+        e3, e1, e2 = np.exp(-tc / t3), np.exp(-tc / t1), np.exp(-t2 / tc)
+        fc = np.maximum((1.0 - alpha) * e3 + alpha * e1 + e2, 1e-300)
+        lfc = np.log10(fc)
+        nn = 0.75 - 1.27 * lfc
+        u = np.log10(pr) - 0.4 - 0.67 * lfc
+        den = nn - 0.14 * u
+        f1 = u / den
+        one_f1 = 1.0 + f1 * f1
+        f = np.exp(_LN10 * lfc / one_f1)
+        dlnf_df1 = -_LN10 * lfc * 2.0 * f1 / one_f1 ** 2
+        # u and den both move with lfc: du/dlfc = -0.67,
+        # dden/dlfc = -1.27 + 0.14 * 0.67.
+        df1_dlfc = (-0.67 * den - u * (-1.27 + 0.14 * 0.67)) / den ** 2
+        dlnf_dlfc = _LN10 / one_f1 + dlnf_df1 * df1_dlfc
+        # a missing T2 (inf) contributes exp(-inf) = 0 and no slope
+        dfc_dt = -(1.0 - alpha) / t3 * e3 - alpha / t1 * e1 \
+            + np.where(np.isfinite(t2), t2, 0.0) / (tc * tc) * e2
+        df_dpr = f * dlnf_df1 * (nn / den ** 2) / (pr * _LN10)
+        df_dt_partial = f * dlnf_dlfc * dfc_dt / (fc * _LN10)
         kf = kinf * blend * f
         dkf_dpr = kinf * (dblend_dpr * f + blend * df_dpr)
         dkf_dt = dkinf * blend * f + dkf_dpr * dpr_dt \
             + kinf * blend * df_dt_partial
-        dkf_dm = dkf_dpr * dpr_dm
-        return kf, dkf_dt, dkf_dm
+        return kf, dkf_dt, dkf_dpr * dpr_dm
 
     @staticmethod
-    def _product_and_grads(conc, terms):
-        """``(prod, dprod)`` of the concentration product ``prod_i
-        c_i^p_i``; ``dprod`` is ``(n, len(terms))`` with the derivative
-        w.r.t. each participating species."""
-        n = conc.shape[0]
-        prod = np.ones(n)
-        for i, p in terms:
-            prod = prod * (conc[:, i] if p == 1 else conc[:, i] ** p)
-        grads = np.empty((n, len(terms)))
-        for idx, (i, p) in enumerate(terms):
-            g = p * conc[:, i] ** (p - 1) if p != 1 else np.ones(n)
-            for i2, p2 in terms:
-                if i2 == i:
-                    continue
-                g = g * (conc[:, i2] if p2 == 1 else conc[:, i2] ** p2)
-            grads[:, idx] = g
-        return prod, grads
+    def _slot_products(conc_ext, slots):
+        """``(prod, grads)`` of the slot-expanded concentration
+        products: ``grads[s]`` is the derivative w.r.t. the species in
+        slot column ``s`` (the product of the other slots), ``(n, nr)``
+        each; a species filling two slots collects both."""
+        cols = [conc_ext[:, slots[:, s]] for s in range(slots.shape[1])]
+        grads = []
+        for s in range(len(cols)):
+            g = np.ones_like(cols[0])
+            for s2, col in enumerate(cols):
+                if s2 != s:
+                    g = g * col
+            grads.append(g)
+        return grads[0] * cols[0], grads
 
     # ------------------------------------------------------------------
     def wdot_derivatives(self, t, conc):
@@ -156,71 +135,59 @@ class AnalyticJacobian:
         ``c(T)`` dependence).
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        conc = np.maximum(np.atleast_2d(np.asarray(conc, dtype=float)), 0.0)
-        n = t.shape[0]
-        mech = self.mech
-        ns = mech.n_species
+        conc = np.atleast_2d(np.asarray(conc, dtype=float))
+        wdot, dwdot_dc, dwdot_dt = self._wdot_derivatives(
+            t, conc, *self._kin._rate_table(t, deriv=True))
+        return wdot, dwdot_dc.transpose(0, 2, 1), dwdot_dt
 
-        kc = mech.equilibrium_constants(t)  # (n, nr)
-        kc_safe = np.maximum(kc, 1e-300)
-        # dKc/dT = Kc (sum_i nu_i h_i/RT - dn) / T; where the -dg clip
+    def _wdot_derivatives(self, t, conc, tab, dtab):
+        """:meth:`wdot_derivatives` given the rate table and its
+        temperature derivative at ``t``; ``dwdot_dc`` comes back
+        concentration-major, ``[n, k, i] = d wdot_i / d c_k``."""
+        kin, mech = self._kin, self.mech
+        nr, ns, n = mech.n_reactions, mech.n_species, t.shape[0]
+        cols, fall = kin._cols, kin._falloff_idx
+        conc_ext, m, k, kc = kin._rate_inputs(conc, tab)
+        mfac = m[:, :nr]  # [M] where it multiplies q, 1 elsewhere
+        dk = k * dtab[:, cols[0]]
+        kf, dkf_dt = k[:, :nr], dk[:, :nr]
+        if fall.size:
+            kf[:, fall], dkf_dt[:, fall], dkf_dm = self._falloff(
+                t[:, None], kf[:, fall], dkf_dt[:, fall], k[:, nr:],
+                dk[:, nr:], m[:, nr:])
+        # d ln Kc/dT = (sum_i nu_i h_i/RT - dn) / T; where the -dg clip
         # saturates, only the c_ref^dn factor still moves with T.
-        g_rt = mech.g_rt_all(t)
-        h_rt = mech.h_rt_all(t)
-        delta_g = g_rt @ mech.nu_net.T
-        unclipped = np.abs(delta_g) < 300.0
-        nuh = h_rt @ mech.nu_net.T
-        dkc_dt = kc * (np.where(unclipped, nuh, 0.0) - self._dn) / t[:, None]
+        dkc_dt = kc * (np.where(np.abs(tab[:, cols[1]]) < 300.0,
+                                dtab[:, cols[1]], 0.0) + dtab[:, cols[2]])
+        inv_kc = kin._rev / np.maximum(kc, 1e-300)  # 0: irreversible
+        kr = kf * inv_kc
+        dkr_dt = (dkf_dt - kr * dkc_dt) * inv_kc
 
-        m_eff = conc @ mech.efficiencies.T  # (n, nr)
+        pf, grads_f = self._slot_products(conc_ext, kin._fwd_slots)
+        pr, grads_r = self._slot_products(conc_ext, kin._rev_slots)
+        body = kf * pf - kr * pr  # q / mfac
+        q = mfac * body
+        dq_dt = mfac * (dkf_dt * pf - dkr_dt * pr)
 
-        wdot = np.zeros((n, ns))
-        dwdot_dc = np.zeros((n, ns, ns))
-        dwdot_dt = np.zeros((n, ns))
-        dq_dc = np.empty((n, ns))
+        dq_dc = np.zeros((n, (ns + 1) * nr))
+        mkf, mkr = mfac * kf, mfac * kr
+        for s, grad in enumerate(grads_f):
+            dq_dc[:, self._fwd_flat[:, s]] += mkf * grad
+        for s, grad in enumerate(grads_r):
+            dq_dc[:, self._rev_flat[:, s]] -= mkr * grad
+        dq_dc = dq_dc.reshape(n, ns + 1, nr)
+        # d[M]/dc_k = eff_jk enters via the third-body factor and/or
+        # the falloff blending of kf (and kr = kf/Kc).
+        rows = self._m_rows
+        dq_dm = body * self._third
+        if fall.size:
+            dq_dm[:, fall] += mfac[:, fall] * dkf_dm * (
+                pf[:, fall] - inv_kc[:, fall] * pr[:, fall])
+        dq_dc[:, :ns, rows] += dq_dm[:, None, rows] * mech.efficiencies[rows].T
 
-        for j, rxn in enumerate(mech.reactions):
-            needs_m = rxn.third_body or rxn.is_falloff
-            m_j = m_eff[:, j] if needs_m else None
-            kf, dkf_dt, dkf_dm = self._rate_constant(rxn, t, m_j)
-            pf, dpf = self._product_and_grads(conc, self._fwd_terms[j])
-            if rxn.reversible:
-                kr = kf / kc_safe[:, j]
-                dkr_dt = dkf_dt / kc_safe[:, j] \
-                    - kr * dkc_dt[:, j] / kc_safe[:, j]
-                dkr_dm = dkf_dm / kc_safe[:, j] if rxn.is_falloff else 0.0
-                pr_prod, dpr = self._product_and_grads(
-                    conc, self._rev_terms[j])
-            else:
-                kr = dkr_dt = dkr_dm = 0.0
-                pr_prod = 0.0
-                dpr = None
-            mfac = m_j if rxn.third_body else 1.0
-            body = kf * pf - kr * pr_prod      # q / mfac
-            q = mfac * body
-            dq_dt = mfac * (dkf_dt * pf - dkr_dt * pr_prod)
-
-            dq_dc[:] = 0.0
-            for idx, (i, _p) in enumerate(self._fwd_terms[j]):
-                dq_dc[:, i] += mfac * kf * dpf[:, idx]
-            if dpr is not None:
-                for idx, (i, _p) in enumerate(self._rev_terms[j]):
-                    dq_dc[:, i] -= mfac * kr * dpr[:, idx]
-            if needs_m:
-                # d[M]/dc_k = eff_jk enters via the third-body factor
-                # and/or the falloff blending of kf (and kr = kf/Kc).
-                dq_dm = np.zeros(n)
-                if rxn.third_body:
-                    dq_dm += body
-                if rxn.is_falloff:
-                    dq_dm += mfac * (dkf_dm * pf - dkr_dm * pr_prod)
-                dq_dc += dq_dm[:, None] * mech.efficiencies[j][None, :]
-
-            for i, nu in self._net_terms[j]:
-                wdot[:, i] += nu * q
-                dwdot_dt[:, i] += nu * dq_dt
-                dwdot_dc[:, i, :] += nu * dq_dc
-        return wdot, dwdot_dc, dwdot_dt
+        dwdot_dc = (dq_dc.reshape(n * (ns + 1), nr) @ mech.nu_net).reshape(
+            n, ns + 1, ns)[:, :ns]
+        return q @ mech.nu_net, dwdot_dc, dq_dt @ mech.nu_net
 
     # ------------------------------------------------------------------
     def jacobian(self, t, p, y):
@@ -237,50 +204,45 @@ class AnalyticJacobian:
         t = np.maximum(t_state, self.t_floor)
         y = np.clip(y_state, 0.0, 1.0)
         n, ns = y.shape
-        mech = self.mech
-        w = mech.molecular_weights
+        w = self.mech.molecular_weights
+        yw, wbar, rho, conc = self._kin._molar_state(t, p, y)
 
-        inv_wbar = (y / w).sum(axis=1)
-        wbar = 1.0 / np.maximum(inv_wbar, 1e-300)
-        rho = p * wbar / (R_UNIVERSAL * t)
-        conc = rho[:, None] * y / w
-
-        wdot, dwdot_dc, dwdot_dt_c = self.wdot_derivatives(t, conc)
+        tab, dtab = self._kin._rate_table(t, deriv=True)
+        wdot, dwdot_dc, dwdot_dt_c = self._wdot_derivatives(
+            t, conc, tab, dtab)
 
         # Chain to the state variables.  Directional derivative along c
         # appears in both chains: G_i = sum_k c_k dwdot_i/dc_k.
-        g_dir = np.einsum("nik,nk->ni", dwdot_dc, conc)
+        g_dir = np.matmul(conc[:, None, :], dwdot_dc)[:, 0, :]
         # T at fixed Y: c_k = -c_k/T per unit T.
         dwdot_dt = dwdot_dt_c - g_dir / t[:, None]
-        # Y_j at fixed T: dc_k/dy_j = rho delta_kj / W_j - c_k Wbar/W_j.
-        dwdot_dy = dwdot_dc * (rho[:, None, None] / w[None, None, :]) \
-            - g_dir[:, :, None] * (wbar[:, None, None] / w[None, None, :])
+        # Y_j at fixed T: dc_k/dy_j = rho delta_kj / W_j - c_k Wbar/W_j,
+        # so dwdot_i/dy_j = dwdot_i/dc_j rho/W_j - G_i Wbar/W_j.
+        wbar_w = wbar[:, None] / w
 
-        # dY/dt rows.
+        # dY/dt rows, d(dY_i/dt)/dy_j: times W_i/rho, and the rho^-1
+        # prefactor contributes +ydot_i * Wbar/W_j (since drho/dy_j =
+        # -rho Wbar/W_j).  Assembled [j, i] like dwdot_dc.
         ydot = wdot * w / rho[:, None]
         jac = np.empty((n, 1 + ns, 1 + ns))
-        # d(dY_i/dt)/dy_j: the rho^-1 prefactor contributes
-        # +ydot_i * Wbar/W_j (since drho/dy_j = -rho Wbar/W_j).
-        jac[:, 1:, 1:] = dwdot_dy * (w[None, :, None] / rho[:, None, None]) \
-            + ydot[:, :, None] * (wbar[:, None, None] / w[None, None, :])
+        jac[:, 1:, 1:] = (
+            dwdot_dc * (w / w[:, None])
+            + wbar_w[:, :, None] * (ydot - g_dir * w / rho[:, None])[:, None, :]
+        ).transpose(0, 2, 1)
         # d(dY_i/dt)/dT: drho/dT = -rho/T adds +ydot_i/T.
-        jac[:, 1:, 0] = dwdot_dt * w[None, :] / rho[:, None] \
-            + ydot / t[:, None]
+        jac[:, 1:, 0] = dwdot_dt * w / rho[:, None] + ydot / t[:, None]
 
         # dT/dt row: Tdot = -sum_i h_i wdot_i / (rho cp).
-        h_rt = mech.h_rt_all(t)
-        h_mole = h_rt * R_UNIVERSAL * t[:, None]
-        cp_mole = mech.cp_r_all(t) * R_UNIVERSAL
-        cp_mass = ((y / w) * cp_mole).sum(axis=1)
-        s_heat = (h_mole * wdot).sum(axis=1)
-        tdot = -s_heat / (rho * cp_mass)
-        ds_dy = np.einsum("ni,nij->nj", h_mole, dwdot_dy)
-        dcp_dy = cp_mole / w[None, :]
+        cols = self._kin._cols
+        h_mole = tab[:, cols[3]] * R_UNIVERSAL * t[:, None]
+        cp_mole = tab[:, cols[4]] * R_UNIVERSAL
+        cp_mass = (yw * cp_mole).sum(axis=1)
+        tdot = -(h_mole * wdot).sum(axis=1) / (rho * cp_mass)
+        ds_dy = np.matmul(dwdot_dc, h_mole[:, :, None])[:, :, 0] \
+            * (rho[:, None] / w) - wbar_w * (h_mole * g_dir).sum(axis=1)[:, None]
         jac[:, 0, 1:] = -ds_dy / (rho * cp_mass)[:, None] \
-            - tdot[:, None] * (-(wbar[:, None] / w[None, :])
-                               + dcp_dy / cp_mass[:, None])
-        dcp_mole_dt = mech.cp_r_dt_all(t) * R_UNIVERSAL
-        dcp_dt = ((y / w) * dcp_mole_dt).sum(axis=1)
+            - tdot[:, None] * (cp_mole / w / cp_mass[:, None] - wbar_w)
+        dcp_dt = (yw * dtab[:, cols[4]]).sum(axis=1) * R_UNIVERSAL
         ds_dt = (cp_mole * wdot).sum(axis=1) + (h_mole * dwdot_dt).sum(axis=1)
         jac[:, 0, 0] = -ds_dt / (rho * cp_mass) \
             - tdot * (-1.0 / t + dcp_dt / cp_mass)

@@ -4,6 +4,15 @@ This is the "conventional" (non-DNN) chemistry path: the exact
 evaluation of species net production rates that the stiff ODE
 integrator and the reference solutions use, and the ground truth the
 ODENet surrogate is trained against.
+
+Everything that depends on temperature alone -- ``ln k_f``, the
+low-pressure limits, ``-dg/RT``, ``dn ln(p_ref/RT)`` and ``dh/RT`` per
+reaction, ``h/RT`` and ``cp/R`` per species -- is one row of a *rate
+table*: the basis ``[1, ln T, 1/T, T, T^2, T^3, T^4]`` times constants
+folded once from the NASA-7 coefficients, the stoichiometry and the
+Arrhenius parameters.  A state batch costs one ``(n, 7) @ (7, k)``
+product and one ``exp`` each for ``k_f`` and ``K_c``: no ``pow``, and
+the thermo is evaluated once per right-hand side.
 """
 
 from __future__ import annotations
@@ -11,10 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend import get_backend
-from ..constants import R_UNIVERSAL
+from ..constants import P_REF, R_UNIVERSAL
 from .mechanism import Mechanism
 
 __all__ = ["KineticsEvaluator"]
+
+#: rows per block of the row-wise kernels: keeps a block's rate table and
+#: ``(n, nr)`` temporaries cache-resident (a 1700-row RHS runs ~1.5x faster)
+_CHUNK = 512
+_LN10 = np.log(10.0)
 
 
 class KineticsEvaluator:
@@ -36,31 +50,18 @@ class KineticsEvaluator:
             [(i, p) for i, p in enumerate(row) if p > 0]
             for row in mechanism.nu_reverse
         ]
-        # Reaction-vectorized precomputation: Arrhenius parameter
-        # arrays, padded (species, power) term tables and per-class
-        # column masks, so one call evaluates every plain reaction's
-        # rate with a handful of (n, nr) array ops instead of a Python
-        # loop over reactions (the exp-heavy inner kernel of the stiff
-        # integrators).  Falloff reactions keep the per-reaction
-        # reference formulas (there are only a few per mechanism).
-        nr = mechanism.n_reactions
-        self._arr_a = np.array([r.rate.a for r in mechanism.reactions])
-        self._arr_b = np.array([r.rate.b for r in mechanism.reactions])
-        self._arr_ea = np.array([r.rate.ea for r in mechanism.reactions])
-        self._third_body = np.array(
-            [r.third_body for r in mechanism.reactions])
+        nr, ns = mechanism.n_reactions, mechanism.n_species
         self._falloff_idx = np.flatnonzero(
             [r.is_falloff for r in mechanism.reactions])
-        self._reversible = mechanism.reversible_mask.copy()
+        self._rev = mechanism.reversible_mask.astype(float)  # 0: irreversible
 
         # Integer stoichiometric powers are expanded into repeated
         # linear slots (a power-2 term becomes two gathers of the same
         # species), with a sentinel column of ones for padding -- the
         # concentration product is then pure gathers + multiplies with
         # no pow and no masking.  Mechanisms with non-integer orders
-        # fall back to the reference loop.
-        ns = mechanism.n_species
-
+        # (or thermo that is not single-range NASA-7) fall back to the
+        # reference loop.
         def _expand(term_lists):
             orders = [sum(p for _, p in terms) for terms in term_lists]
             if any(abs(o - round(o)) > 1e-12 for o in orders) or any(
@@ -80,7 +81,52 @@ class KineticsEvaluator:
         self._fwd_slots = _expand(self._fwd_terms)
         self._rev_slots = _expand(self._rev_terms)
         self._vector_ok = self._fwd_slots is not None \
-            and self._rev_slots is not None
+            and self._rev_slots is not None \
+            and mechanism._thermo_coeffs is not None
+        if self._vector_ok:
+            self._build_table()
+
+    def _build_table(self) -> None:
+        """Fold the T-only constants into ``_table`` ``(7, k)``; column
+        blocks ``_cols``: ``ln|k_inf|`` per reaction then ``ln|k_0|`` per
+        falloff reaction, ``-dg/RT``, ``dn ln(p_ref/RT)``, ``h/RT`` and
+        ``cp/R`` per species, ``dh/RT`` per reaction.  The sign of ``A``
+        stays outside the exponential."""
+        mech, nr = self.mech, self.mech.n_reactions
+        falloff = [mech.reactions[j] for j in self._falloff_idx]
+        a = mech._thermo_coeffs.T  # (7, ns)
+        zero = np.zeros(mech.n_species)
+        h_rt = np.array([a[0], zero, a[5], a[1] / 2, a[2] / 3, a[3] / 4,
+                         a[4] / 5])
+        s_r = np.array([a[6], a[0], zero, a[1], a[2] / 2, a[3] / 3, a[4] / 4])
+        cp_r = np.array([a[0], zero, zero, a[1], a[2], a[3], a[4]])
+        ln_c_ref = np.array([np.log(P_REF / R_UNIVERSAL), -1.0, 0, 0, 0, 0, 0])
+        rates = [r.rate for r in mech.reactions] + [r.low_rate for r in falloff]
+        pre = np.array([r.a for r in rates])
+        ln_k = np.zeros((7, pre.size))
+        ln_k[0] = np.log(np.where(pre != 0.0, np.abs(pre), 1.0))
+        ln_k[1] = [r.b for r in rates]
+        ln_k[2] = [-r.ea / R_UNIVERSAL for r in rates]
+        self._k_sign = np.sign(pre)  # 0 for A = 0
+        blocks = [ln_k, (s_r - h_rt) @ mech.nu_net.T,
+                  np.outer(ln_c_ref, mech.nu_net.sum(axis=1)), h_rt, cp_r,
+                  h_rt @ mech.nu_net.T]
+        self._table = np.concatenate(blocks, axis=1)
+        edges = np.cumsum([0] + [b.shape[1] for b in blocks]).tolist()
+        self._cols = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        # (alpha, T3, T1, T2) per falloff reaction; Lindemann is Troe
+        # with F_cent = 1 (alpha = 0, T3 = inf), a missing T2 is inf
+        troe = [(tr.alpha, tr.t3, tr.t1, np.inf if tr.t2 is None else tr.t2)
+                if tr else (0.0, np.inf, 1.0, np.inf)
+                for tr in (r.troe for r in falloff)]
+        self._troe = tuple(np.array(troe, dtype=float).reshape(-1, 4).T)
+        # conc_ext @ _m_ext: [M] where it multiplies the rate of progress (1
+        # elsewhere, from the ones column), then [M] per falloff reaction
+        third = np.array([r.third_body for r in mech.reactions], dtype=bool)
+        self._m_ext = np.zeros((mech.n_species + 1, pre.size))
+        self._m_ext[:-1, :nr] = (mech.efficiencies * third[:, None]).T
+        self._m_ext[-1, :nr] = ~third
+        self._m_ext[:-1, nr:] = mech.efficiencies[self._falloff_idx].T
 
     # ----------------------------------------------------------------
     def concentrations(self, rho: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -94,22 +140,57 @@ class KineticsEvaluator:
         return np.asarray(p) * w / (R_UNIVERSAL * np.asarray(t))
 
     # ----------------------------------------------------------------
+    @staticmethod
+    def _blocks(kernel, *rows):
+        """Apply a row-wise ``kernel`` in blocks of ``_CHUNK`` rows."""
+        n = rows[0].shape[0]
+        if n <= _CHUNK:
+            return kernel(*rows)
+        parts = [kernel(*(r[s:s + _CHUNK] for r in rows))
+                 for s in range(0, n, _CHUNK)]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    def _rate_table(self, t: np.ndarray, deriv: bool = False):
+        """The ``(n, k)`` rate table at ``t``; with ``deriv`` also its
+        T-derivative (the constants times the differentiated basis)."""
+        tc = t[:, None]
+        one, inv, t2 = np.ones_like(tc), 1.0 / tc, tc * tc
+        tab = np.concatenate([one, np.log(tc), inv, tc, t2, t2 * tc, t2 * t2],
+                             axis=1) @ self._table
+        if not deriv:
+            return tab
+        return tab, np.concatenate(
+            [0.0 * one, inv, -inv * inv, one, 2.0 * tc, 3.0 * t2,
+             4.0 * t2 * tc], axis=1) @ self._table
+
+    @staticmethod
+    def _falloff_blend(xp, tiny, troe, tc, k_inf, k_0, m):
+        """Troe/Lindemann-blended ``k_f`` over the falloff subset:
+        ``(n, n_falloff)`` arrays of namespace ``xp``, ``tc`` the
+        ``(n, 1)`` temperatures, ``tiny`` the 1e-300 floor."""
+        alpha, t3, t1, t2 = troe
+        pr = xp.maximum(k_0 * m / xp.maximum(k_inf, tiny), tiny)
+        f_cent = (1.0 - alpha) * xp.exp(-tc / t3) \
+            + alpha * xp.exp(-tc / t1) + xp.exp(-t2 / tc)
+        log_fc = xp.log10(xp.maximum(f_cent, tiny))
+        u = xp.log10(pr) - 0.4 - 0.67 * log_fc
+        f1 = u / (0.75 - 1.27 * log_fc - 0.14 * u)
+        return k_inf * (pr / (1.0 + pr)) \
+            * xp.exp(_LN10 * log_fc / (1.0 + f1 * f1))
+
     def rates_of_progress(
         self, t: np.ndarray, conc: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Forward and net rates of progress, shape ``(n, n_reactions)``.
 
-        Reaction-vectorized: all plain-Arrhenius rate constants come
-        from one ``(n, nr)`` power/exp sweep and the concentration
-        products from padded gather-product tables, so a call costs a
-        handful of array kernels instead of a Python loop over
-        reactions -- the stiff integrators evaluate this hundreds of
-        times per step.  Agrees with the per-reaction reference loop
-        (:meth:`rates_of_progress_reference`) to ULP-level rounding
-        (numpy's pow/exp SIMD kernels differ by ~1 ulp between scalar-
-        and array-exponent shapes); only the few falloff reactions
-        keep their per-reaction formula.  Large batches are processed
-        in row chunks to bound the gather temporaries.
+        Reaction-vectorized: rate constants from the rate table, the
+        falloff blend over the falloff subset as ``(n, n_falloff)``
+        arrays, concentration products from padded gather-product
+        tables -- a few dozen array kernels per call, which the stiff
+        integrators make hundreds of times per step.  Agrees with the
+        per-reaction loop (:meth:`rates_of_progress_reference`, taken
+        by mechanisms with non-integer orders) to rounding of the
+        exponent (< 1e-13 relative at 150 K).
 
         Parameters
         ----------
@@ -122,124 +203,103 @@ class KineticsEvaluator:
         conc = np.atleast_2d(np.asarray(conc, dtype=float))
         if not self._vector_ok:
             return self.rates_of_progress_reference(t, conc)
-        n = t.shape[0]
-        chunk = 8192
-        if n <= chunk:
-            return self._rates_block(t, conc)
-        nr = self.mech.n_reactions
-        q_fwd = np.empty((n, nr))
-        q_net = np.empty((n, nr))
-        for s in range(0, n, chunk):
-            sl = slice(s, min(s + chunk, n))
-            q_fwd[sl], q_net[sl] = self._rates_block(t[sl], conc[sl])
-        return q_fwd, q_net
+        return self._blocks(self._rates_block, t, conc)
 
-    def _rates_block(
-        self, t: np.ndarray, conc: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One reaction-vectorized block of :meth:`rates_of_progress`."""
-        conc_pos = np.maximum(conc, 0.0)
-        mech = self.mech
-        kc = mech.equilibrium_constants(t)  # (n, nr)
-        m_eff = conc_pos @ mech.efficiencies.T  # (n, nr); zero rows unused
-
-        rt = R_UNIVERSAL * t[:, None]
-        kf = self._arr_a * np.power(t[:, None], self._arr_b) \
-            * np.exp(-self._arr_ea / rt)
-        for j in self._falloff_idx:
-            kf[:, j] = mech.reactions[j].forward_rate_constant(
-                t, m_eff[:, j])
-
+    def _rate_inputs(self, conc, tab):
+        """``(conc_ext, [M], k, K_c)`` of one block: the clipped
+        concentrations with their ones column, the third-body sums
+        ``conc_ext @ _m_ext``, the signed ``k_inf``/``k_0`` and the
+        equilibrium constants, from the block's rate table."""
         conc_ext = np.concatenate(
-            [conc_pos, np.ones((conc_pos.shape[0], 1))], axis=1)
-        q_fwd = kf * self._conc_products(conc_ext, self._fwd_slots)
-        tb = self._third_body
-        q_fwd[:, tb] *= m_eff[:, tb]
+            [np.maximum(conc, 0.0), np.ones((conc.shape[0], 1))], axis=1)
+        k = np.exp(tab[:, self._cols[0]])
+        k *= self._k_sign
+        kc = np.exp(np.clip(tab[:, self._cols[1]], -300.0, 300.0)
+                    + tab[:, self._cols[2]])
+        return conc_ext, conc_ext @ self._m_ext, k, kc
 
-        kr = kf / np.maximum(kc, 1e-300)
-        q_rev = kr * self._conc_products(conc_ext, self._rev_slots)
-        q_rev[:, tb] *= m_eff[:, tb]
-        q_rev[:, ~self._reversible] = 0.0
+    def _rates_block(self, t, conc, tab=None):
+        """One block of :meth:`rates_of_progress` (``tab``: its rate
+        table, when the caller already has it)."""
+        if tab is None:
+            tab = self._rate_table(t)
+        nr, fall = self.mech.n_reactions, self._falloff_idx
+        conc_ext, m, k, kc = self._rate_inputs(conc, tab)
+        kf = k[:, :nr]
+        if fall.size:
+            kf[:, fall] = self._falloff_blend(
+                np, 1e-300, self._troe, t[:, None], kf[:, fall], k[:, nr:],
+                m[:, nr:])
+        q_fwd = kf * self._conc_products(conc_ext, self._fwd_slots)
+        q_fwd *= m[:, :nr]
+        q_rev = kf * self._rev / np.maximum(kc, 1e-300)
+        q_rev *= self._conc_products(conc_ext, self._rev_slots)
+        q_rev *= m[:, :nr]
         return q_fwd, q_fwd - q_rev
 
     def rates_of_progress_backend(self, t, conc, backend=None):
         """Backend-generic forward/net rates of progress.
 
-        The portable spelling of :meth:`_rates_block`: the Arrhenius
-        sweep (``pow``/``exp``), the third-body matmul, the padded
-        gather-product tables (``take`` along the species axis) and the
-        third-body / reversibility masking (``where`` instead of
-        boolean-mask in-place updates) all run on the backend in the
-        dtype of ``conc``.  Host-side pieces, documented: the
-        equilibrium constants (NASA-7 polynomial evaluation) and the
-        few per-reaction falloff closures are evaluated in host numpy
-        and shipped over, exactly as the legacy path computes them.
-
-        Returns device ``(q_fwd, q_net)``; the NumPy backend at fp64
-        reproduces :meth:`rates_of_progress` bitwise.  Mechanisms with
-        non-integer orders fall back to the host reference loop and
-        transfer the result.
+        The portable spelling of :meth:`rates_of_progress`, same
+        formulation: rate table, third-body matmul, falloff blend and
+        gather-product tables (``take`` along the species axis) all run
+        on the backend in the dtype of ``conc``; only constants cross
+        from the host.  Returns device ``(q_fwd, q_net)``; the NumPy
+        backend at fp64 reproduces :meth:`rates_of_progress` bitwise.
+        Mechanisms with non-integer orders take the host reference
+        loop and transfer the result.
         """
         be = get_backend(backend)
         xp = be.xp
         t_host = np.atleast_1d(np.asarray(t, dtype=float))
-        if not self._vector_ok:
-            q_fwd, q_net = self.rates_of_progress_reference(t_host, conc)
-            dt_ = be.to_device(conc).dtype
-            return be.to_device(q_fwd, dtype=dt_), \
-                be.to_device(q_net, dtype=dt_)
-        mech = self.mech
         conc_d = be.to_device(conc)
         dt_ = conc_d.dtype
-        t_d = be.to_device(t_host, dtype=dt_)
-        n = t_host.shape[0]
 
-        conc_pos = xp.maximum(conc_d, xp.zeros(conc_d.shape, dtype=dt_))
-        kc = be.to_device(mech.equilibrium_constants(t_host), dtype=dt_)
-        eff_t = be.to_device(mech.efficiencies.T, dtype=dt_)
-        m_eff = be.matmul(conc_pos, eff_t)
+        def dev(a):
+            return be.to_device(a, dtype=dt_)
 
-        rt = R_UNIVERSAL * t_d[:, None]
-        arr_a = be.to_device(self._arr_a, dtype=dt_)
-        arr_b = be.to_device(self._arr_b, dtype=dt_)
-        arr_ea = be.to_device(self._arr_ea, dtype=dt_)
-        kf = arr_a * xp.pow(t_d[:, None], arr_b) * xp.exp(-arr_ea / rt)
-        if self._falloff_idx.size:
-            m_eff_host = be.from_device(m_eff).astype(float)
-            for j in self._falloff_idx:
-                col = mech.reactions[j].forward_rate_constant(
-                    t_host, m_eff_host[:, j])
-                kf[:, int(j)] = be.to_device(col, dtype=dt_)
-
+        if not self._vector_ok:
+            q_fwd, q_net = self.rates_of_progress_reference(t_host, conc)
+            return dev(q_fwd), dev(q_net)
+        n, nr = t_host.shape[0], self.mech.n_reactions
+        tc = dev(t_host)[:, None]
+        one, t2 = xp.ones((n, 1), dtype=dt_), tc * tc
+        tab = be.matmul(xp.concat(
+            [one, xp.log(tc), 1.0 / tc, tc, t2, t2 * tc, t2 * t2], axis=1),
+            dev(self._table))
         conc_ext = xp.concat(
-            [conc_pos, xp.ones((n, 1), dtype=dt_)], axis=1)
+            [xp.maximum(conc_d, xp.zeros((1, 1), dtype=dt_)), one], axis=1)
+        m = be.matmul(conc_ext, dev(self._m_ext))
 
-        def products(slots):
-            prod = be.take(conc_ext, be.to_device(slots[:, 0]), axis=1)
-            for k in range(1, slots.shape[1]):
-                prod = prod * be.take(
-                    conc_ext, be.to_device(slots[:, k]), axis=1)
-            return prod
+        def take(x, idx):
+            return be.take(x, be.to_device(idx), axis=1)
 
-        tb = be.to_device(self._third_body)
-        q_fwd = kf * products(self._fwd_slots)
-        q_fwd = xp.where(tb, q_fwd * m_eff, q_fwd)
+        k = xp.exp(tab[:, self._cols[0]]) * dev(self._k_sign)
+        kf = k[:, :nr]
+        tiny = xp.full((1, 1), max(1e-300, float(
+            xp.finfo(dt_).smallest_normal)), dtype=dt_)
+        if self._falloff_idx.size:
+            blend = self._falloff_blend(
+                xp, tiny, [dev(v) for v in self._troe], tc,
+                take(kf, self._falloff_idx), k[:, nr:], m[:, nr:])
+            for c, j in enumerate(self._falloff_idx):
+                kf[:, int(j)] = blend[:, c]
+        kc = xp.exp(xp.clip(tab[:, self._cols[1]], -300.0, 300.0)
+                    + tab[:, self._cols[2]])
 
-        kr = kf / xp.maximum(kc, xp.full(kc.shape, 1e-300, dtype=dt_))
-        q_rev = kr * products(self._rev_slots)
-        q_rev = xp.where(tb, q_rev * m_eff, q_rev)
-        q_rev = xp.where(be.to_device(self._reversible), q_rev,
-                         xp.zeros(q_rev.shape, dtype=dt_))
+        q_fwd = kf * self._conc_products(conc_ext, self._fwd_slots, take) \
+            * m[:, :nr]
+        q_rev = kf * dev(self._rev) / xp.maximum(kc, tiny) \
+            * self._conc_products(conc_ext, self._rev_slots, take) * m[:, :nr]
         return q_fwd, q_fwd - q_rev
 
     @staticmethod
-    def _conc_products(conc_ext: np.ndarray,
-                       slots: np.ndarray) -> np.ndarray:
+    def _conc_products(conc_ext, slots, take=lambda x, idx: x[:, idx]):
         """``prod_i c_i^p_i`` per reaction via expanded linear slots:
         one gather + one multiply per slot column, shape ``(n, nr)``."""
-        prod = conc_ext[:, slots[:, 0]]
+        prod = take(conc_ext, slots[:, 0])
         for k in range(1, slots.shape[1]):
-            prod = prod * conc_ext[:, slots[:, k]]
+            prod = prod * take(conc_ext, slots[:, k])
         return prod
 
     def rates_of_progress_reference(
@@ -319,11 +379,32 @@ class KineticsEvaluator:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         p = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
-        rho = self.density_ideal(t, p, y)
-        conc = self.concentrations(rho, y)
-        wdot = self.wdot(t, conc)
-        dydt = wdot * self.mech.molecular_weights / rho[..., None]
-        h_mole = self.mech.h_rt_all(t) * R_UNIVERSAL * t[..., None]
-        cp_mass = self.mech.cp_mass_mixture(t, y)
-        dtdt = -(wdot * h_mole).sum(axis=-1) / (rho * cp_mass)
+        return self._blocks(self._rhs_block, t, p, y)
+
+    def _molar_state(self, t, p, y):
+        """``(Y/W [mol/kg], Wbar, rho, c)`` of ideal-gas state rows."""
+        yw = y / self.mech.molecular_weights
+        wbar = 1.0 / np.maximum(yw.sum(axis=1), 1e-300)
+        rho = p * wbar / (R_UNIVERSAL * t)
+        return yw, wbar, rho, rho[:, None] * yw
+
+    def _rhs_block(self, t, p, y):
+        """One block of :meth:`constant_pressure_rhs`: rates and thermo
+        from one rate table."""
+        mech = self.mech
+        yw, _, rho, conc = self._molar_state(t, p, y)
+        if self._vector_ok:
+            tab = self._rate_table(t)
+            q_net = self._rates_block(t, conc, tab)[1]
+            dh_rt, cp_r = tab[:, self._cols[5]], tab[:, self._cols[4]]
+        else:
+            q_net = self.rates_of_progress_reference(t, conc)[1]
+            dh_rt, cp_r = mech.h_rt_all(t) @ mech.nu_net.T, mech.cp_r_all(t)
+        wdot = q_net @ mech.nu_net
+        dydt = wdot * mech.molecular_weights / rho[:, None]
+        # Heat release per reaction, sum_j q_j dh_j: the species form
+        # sum_i h_i wdot_i cancels formation enthalpies ~25x on a burning
+        # state, with that much more rounding noise.  (R cancels.)
+        dtdt = -(q_net * dh_rt).sum(axis=1) * t \
+            / (rho * (yw * cp_r).sum(axis=1))
         return dtdt, dydt

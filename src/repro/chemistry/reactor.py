@@ -98,7 +98,8 @@ class ConstantPressureReactor:
         self.rtol = rtol
         self.atol = atol
         self.jacobian = jacobian
-        if jacobian == "analytic":
+        if jacobian == "analytic" and self.kinetics._vector_ok:
+            # mechanisms with non-integer orders take the FD columns
             from .jacobian import AnalyticJacobian
 
             self._ajac = AnalyticJacobian(mech, t_floor=self.T_FLOOR)

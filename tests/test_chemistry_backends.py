@@ -6,12 +6,20 @@ import pytest
 
 from repro.chemistry import (
     BACKEND_NAMES,
+    AnalyticJacobian,
+    Arrhenius,
+    ConstantPressureReactor,
     DirectBatchBackend,
     HybridBackend,
+    KineticsEvaluator,
+    Mechanism,
     PerCellBDFBackend,
+    Reaction,
+    ReactorState,
     SurrogateBackend,
     create_backend,
     mixture_line,
+    premixed_state,
 )
 from repro.runtime import (
     chemistry_balance_report,
@@ -50,6 +58,31 @@ def lox_ch4_batch(mech):
     return t, y
 
 
+@pytest.fixture(scope="module")
+def graded_batch(mech):
+    """16 premixed cells at 1600 K whose radical pool is scaled over
+    five decades: at dt = 1e-8 they spread over five ROS2 bins."""
+    n = 16
+    y = np.tile(premixed_state(mech, 1400.0, PRESSURE).mass_fractions,
+                (n, 1))
+    scale = 10.0 ** np.linspace(-5.0, 0.0, n)
+    for sp, val in [("OH", 1e-3), ("H", 1e-4), ("O", 1e-4),
+                    ("CO", 2e-2), ("H2O", 5e-2), ("CO2", 3e-2)]:
+        y[:, mech.species_index[sp]] = val * scale
+    return np.full(n, 1600.0), y / y.sum(axis=1, keepdims=True)
+
+
+@pytest.fixture(scope="module")
+def half_order_mech(mech):
+    """``H2 + 0.5 O2 => H2O``: a non-integer order, which the slot
+    tables and the rate table cannot express."""
+    species = [mech.species[mech.species_index[s]]
+               for s in ("H2", "O2", "H2O")]
+    rxn = Reaction("H2 + 0.5 O2 => H2O", {"H2": 1.0, "O2": 0.5},
+                   {"H2O": 1.0}, Arrhenius(1e6, 0.0, 6e4), reversible=False)
+    return Mechanism(species, [rxn], name="half-order")
+
+
 class TestDirectBatch:
     def test_batch_composition_invariance(self, mech, lox_ch4_batch):
         """Advancing a cell inside a batch gives the same answer as
@@ -85,6 +118,54 @@ class TestDirectBatch:
         y_p, t_p, _ = PerCellBDFBackend(mech).advance(y, t, PRESSURE, dt)
         np.testing.assert_allclose(t_b, t_p, atol=0.5)
         np.testing.assert_allclose(y_b, y_p, atol=5e-4)
+
+    def test_lockstep_matches_each_bin_alone(self, mech, graded_batch):
+        """All ROS2 bins and their validation twins advance as rows of
+        one batch; every cell ends where its bin, integrated alone,
+        puts it."""
+        t, y = graded_batch
+        db = DirectBatchBackend(mech)
+        dt = 1e-8
+        y_b, t_b, st = db.advance(y, t, PRESSURE, dt)
+        groups = db._classify(db.stiffness_indicator(y, t, PRESSURE, dt))
+        assert sum(method == "ros2" for method, _, _ in groups) >= 4
+        assert all(label.startswith("ros2") for label, _, _ in st.sub_batches)
+        for _, n_steps, idx in groups:
+            y_1, t_1, st_1 = db.advance(y[idx], t[idx], PRESSURE, dt)
+            assert st_1.sub_batches == [
+                (f"ros2x{n_steps}", idx.size, idx.size * (n_steps * 3 // 2))]
+            np.testing.assert_allclose(t_1, t_b[idx], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(y_1, y_b[idx], rtol=0, atol=1e-12)
+
+    def test_validation_failures_escalate_out_of_lockstep(self, mech,
+                                                          graded_batch):
+        """A tight ``val_tol_y`` fails the half-step check of most cells:
+        they leave the lockstep batch for the per-cell BDF fallback and
+        match it; the others keep their ROS2 answer."""
+        t, y = graded_batch
+        dt = 1e-8
+        y_v, t_v, st = DirectBatchBackend(mech, val_tol_y=1e-9).advance(
+            y, t, PRESSURE, dt)
+        y_r, _, _ = DirectBatchBackend(mech).advance(y, t, PRESSURE, dt)
+        y_p, _, _ = PerCellBDFBackend(mech).advance(y, t, PRESSURE, dt)
+        as_bdf = np.abs(y_v - y_p).max(axis=1) <= 1e-12
+        as_ros2 = np.abs(y_v - y_r).max(axis=1) <= 1e-12
+        assert (as_bdf ^ as_ros2).all()
+        n_bdf = dict((label, cells) for label, cells, _ in st.sub_batches)["bdf"]
+        assert 0 < n_bdf < t.size and as_bdf.sum() == n_bdf
+        assert st.per_backend["bdf-fallback"].n_cells == n_bdf
+
+    def test_non_finite_cell_raises_typed_error(self, mech, lox_ch4_batch):
+        """A NaN state is refused at entry, naming the cell, instead of
+        dying inside the BDF fallback's LU factorisation."""
+        t, y = lox_ch4_batch
+        y = y.copy()
+        y[3, 2] = np.nan
+        db = DirectBatchBackend(mech)
+        with pytest.raises(FloatingPointError, match=r"1 of 12 cells.*\[3\]"):
+            db.advance(y, t, PRESSURE, 1e-7)
+        with pytest.raises(FloatingPointError, match=r"\[103\]"):
+            db.advance(y, t, PRESSURE, 1e-7, cell_ids=np.arange(100, 112))
 
     def test_simplex_preserved(self, mech, lox_ch4_batch):
         t, y = lox_ch4_batch
@@ -131,6 +212,44 @@ class TestDirectBatch:
         assert t_b[1] > 3000.0
         np.testing.assert_allclose(t_b, t_p, atol=1e-6)
         np.testing.assert_allclose(y_b, y_p, atol=1e-9)
+
+
+class TestNonIntegerOrders:
+    """The path the *input* selects: a mechanism with a non-integer
+    order takes the per-reaction reference loop and the
+    finite-difference Jacobian."""
+
+    def test_reference_loop_and_fd_jacobian_selected(self, half_order_mech):
+        kin = KineticsEvaluator(half_order_mech)
+        assert not kin._vector_ok
+        t = np.array([900.0, 1500.0])
+        conc = np.array([[300.0, 200.0, 50.0], [100.0, 0.0, 400.0]])
+        for fast, ref in zip(kin.rates_of_progress(t, conc),
+                             kin.rates_of_progress_reference(t, conc)):
+            np.testing.assert_array_equal(fast, ref)
+        assert DirectBatchBackend(half_order_mech)._ajac is None
+        assert PerCellBDFBackend(half_order_mech)._ajac is None
+        reactor = ConstantPressureReactor(half_order_mech,
+                                          jacobian="analytic")
+        assert reactor._ajac is None
+        _, temps, _ = reactor.advance(
+            ReactorState(1500.0, PRESSURE, np.array([0.1, 0.8, 0.1])), 1e-6)
+        assert np.isfinite(temps).all() and temps[-1] > 1500.0
+        with pytest.raises(ValueError, match="integer reaction orders"):
+            AnalyticJacobian(half_order_mech)
+
+    def test_batch_agrees_with_percell(self, half_order_mech):
+        n = 10
+        t = np.linspace(600.0, 1800.0, n)
+        y = np.tile([0.1, 0.8, 0.1], (n, 1))
+        dt = 1e-6
+        y_b, t_b, st = DirectBatchBackend(half_order_mech).advance(
+            y, t, PRESSURE, dt)
+        y_p, t_p, _ = PerCellBDFBackend(half_order_mech).advance(
+            y, t, PRESSURE, dt)
+        assert st.jac_evals > 0  # ROS2 cells went through the FD sweep
+        np.testing.assert_allclose(t_b, t_p, atol=0.5)
+        np.testing.assert_allclose(y_b, y_p, atol=5e-4)
 
 
 class TestSurrogateBackend:
@@ -236,6 +355,14 @@ class TestRegistryAndSolver:
             create_backend("direct")
         with pytest.raises(ValueError):
             create_backend("hybrid", mech=mech)
+        # arguments that used to fail late (ZeroDivisionError inside
+        # advance) or silently (a finer bin listed later never fills)
+        for bad in (dict(rk4_steps=0),
+                    dict(ros2_bins=((1e-3, 6), (1e-2, 0))),
+                    dict(ros2_bins=((1e-2, 12), (1e-3, 6))),
+                    dict(ros2_bins=((1e-3, 6), (1e-3, 12)))):
+            with pytest.raises(ValueError):
+                create_backend("direct", mech=mech, **bad)
 
     def test_solver_accepts_raw_backend(self, mech):
         """DeepFlameSolver wraps a bare ChemistryBackend on the fly."""
