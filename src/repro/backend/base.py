@@ -3,8 +3,8 @@
 Every hot-path kernel in this reproduction is written against the
 `Python Array API standard <https://data-apis.org/array-api/>`_ subset
 plus a handful of named helper operations that the standard does not
-cover (scatter-add, general eigenvalues, fused reductions).  An
-:class:`ArrayBackend` bundles
+cover (scatter-add, fused reductions).  An :class:`ArrayBackend`
+bundles
 
 * ``xp`` -- the array namespace itself (``numpy``,
   ``array_api_strict``, ``cupy``, ``torch`` in numpy-compat mode),
@@ -50,11 +50,6 @@ class BackendCapabilities:
     #: duplicate-accumulating scatter).  Without it, scatter_add runs
     #: on the host.
     scatter_add: bool = False
-    #: general (non-symmetric) eigenvalues -- ``np.linalg.eigvals``.
-    #: The Array API linalg extension only mandates the Hermitian
-    #: ``eigvalsh``, so the batched companion-matrix root kernel of
-    #: :mod:`repro.thermo.cubic_eos` falls back to the host without it.
-    eigvals: bool = False
     #: views + in-place updates are cheap and well-defined (the
     #: zero-allocation buffer pools assume this; pool-less backends
     #: allocate per call instead).
@@ -127,17 +122,6 @@ class ArrayBackend:
         if axis is None:
             return self.xp.take(self.xp.reshape(x, (-1,)), idx)
         return self.xp.take(x, idx, axis=axis)
-
-    def eigvals(self, m):
-        """General eigenvalues of stacked square matrices.
-
-        Host fallback (capability flag
-        :attr:`BackendCapabilities.eigvals`): the companion-matrix
-        batch is shipped to numpy's LAPACK gufunc and the complex
-        spectrum shipped back, so every backend sees the *same* roots.
-        """
-        roots = np.linalg.eigvals(self.from_device(m))
-        return self.xp.asarray(roots)
 
     def coldot(self, a, b):
         """Per-column dot products of two ``(n, k)`` blocks.

@@ -24,7 +24,7 @@ class CupyBackend(ArrayBackend):
 
     name = "cupy"
     capabilities = BackendCapabilities(
-        scatter_add=True, eigvals=False, inplace_buffers=True, einsum=True)
+        scatter_add=True, inplace_buffers=True, einsum=True)
 
     def __init__(self):
         import cupy

@@ -3,9 +3,9 @@
 NumPy is both the default execution backend and the *validation
 reference*: every other backend's kernel output is compared against
 this one by the conformance suite.  The helper kernels here are the
-exact pre-shim spellings (``np.add.at`` scatter, einsum column dots,
-LAPACK ``eigvals``), so routing a kernel through this backend is
-bitwise-identical to the legacy code path and adds no allocations.
+exact pre-shim spellings (``np.add.at`` scatter, einsum column dots),
+so routing a kernel through this backend is bitwise-identical to the
+legacy code path and adds no allocations.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class NumpyBackend(ArrayBackend):
     name = "numpy"
     xp = np
     capabilities = BackendCapabilities(
-        scatter_add=True, eigvals=True, inplace_buffers=True, einsum=True)
+        scatter_add=True, inplace_buffers=True, einsum=True)
 
     def to_device(self, x, dtype=None):
         """No-op transfer (``np.asarray``)."""
@@ -43,10 +43,6 @@ class NumpyBackend(ArrayBackend):
     def take(self, x, idx, axis=None):
         """Native gather (``np.take``)."""
         return np.take(x, idx, axis=axis)
-
-    def eigvals(self, m):
-        """Native batched general eigenvalues (LAPACK gufunc)."""
-        return np.linalg.eigvals(m)
 
     def coldot(self, a, b):
         """The blocked solvers' einsum fast path (pre-shim spelling)."""

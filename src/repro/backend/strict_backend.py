@@ -12,8 +12,8 @@ Data lives in host memory (the module wraps numpy), so
 :meth:`from_device` is a cheap unwrap; the value of the backend is
 *API* strictness, not device placement.  None of the beyond-spec
 capabilities are advertised, which exercises every host-fallback path
-(scatter-add, companion eigvals) exactly as a real accelerator
-without those primitives would.
+(scatter-add) exactly as a real accelerator without that primitive
+would.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ class ArrayApiStrictBackend(ArrayBackend):
 
     name = "array-api-strict"
     capabilities = BackendCapabilities(
-        scatter_add=False, eigvals=False, inplace_buffers=False,
-        einsum=False)
+        scatter_add=False, inplace_buffers=False, einsum=False)
 
     def __init__(self):
         import array_api_strict

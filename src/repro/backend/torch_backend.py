@@ -25,8 +25,7 @@ class TorchBackend(ArrayBackend):
 
     name = "torch"
     capabilities = BackendCapabilities(
-        scatter_add=True, eigvals=False, inplace_buffers=True,
-        einsum=True)
+        scatter_add=True, inplace_buffers=True, einsum=True)
 
     def __init__(self):
         import torch

@@ -21,6 +21,10 @@ evaluated once and handed down as a :class:`CubicState`:
     (T, p, a, b) --solve_density--> Z --> rho             once per (T, p)
     state --> p, (dp/dT)_v, (dp/dv)_T, (drho/dp)_T, departures
 
+``Z`` is the closed-form (Cardano / Viete) root of the cubic, polished
+by Newton on the original polynomial: one elementwise kernel,
+:func:`cubic_real_roots`, for every root mode and array backend.
+
 The ``(t, rho, y)``-taking methods (``density``, ``pressure``,
 ``dp_dt_const_v``, ...) build a state and call the same kernels, so a
 caller that evaluates several quantities at one point should build the
@@ -41,7 +45,65 @@ from ..chemistry.species import Species
 from .mixing import VanDerWaalsMixing
 
 __all__ = ["Composition", "CubicState", "CubicEos", "PengRobinson",
-           "SoaveRedlichKwong"]
+           "SoaveRedlichKwong", "ROOT_MODES", "cubic_real_roots"]
+
+#: the ``root=`` selections of the cubic solve
+ROOT_MODES = ("vapor", "liquid", "gibbs")
+
+
+def cubic_real_roots(xp, c2, c1, c0, lower: bool = True):
+    """Real roots of ``Z^3 + c2 Z^2 + c1 Z + c0`` in closed form, polished.
+
+    Returns ``(z0, [z1, z2], three)``: ``z0`` is the largest real
+    root; where ``three`` holds the cubic has three real roots and
+    ``z0 >= z1 >= z2`` (elsewhere ``z1``, ``z2`` are meaningless).  The
+    list is empty when ``lower`` is false.
+
+    The depressed cubic ``y^3 + P y + Q`` (``Z = y - c2/3``) is solved
+    per row by the sign of its discriminant: one real root through the
+    cancellation-free Cardano form, three through Viete's cosines.
+    Each root is then polished by two Newton sweeps on the *original*
+    polynomial, a sweep being kept only where it lowers ``|f|``.
+    Two roots closer than ~1e-8 of ``sqrt(-P/3)`` (the spread of the
+    three) are below the resolution of the cosine form and come back
+    as their midpoint; for EoS coefficients with ``A, B >= 1e-6`` that
+    only happens at a true double root.
+    Elementwise and inside the portable Array API subset of the
+    namespace ``xp``: it runs unchanged on every backend, and a row's
+    roots never depend on what shares its batch.
+    """
+    ones, zeros = xp.ones_like(c2), xp.zeros_like(c2)
+    shift = c2 / 3.0
+    p3 = c1 / 3.0 - shift * shift                         # P / 3
+    q2 = (shift * shift - 0.5 * c1) * shift + 0.5 * c0    # Q / 2
+    disc = q2 * q2 + p3 * p3 * p3
+    one = disc > 0.0
+    # one real root: y = v - P / (3 v), v^3 = -Q/2 - sgn(Q) sqrt(disc)
+    s = xp.sqrt(xp.where(one, disc, zeros))
+    v3 = -(q2 + xp.where(q2 < 0.0, -s, s))
+    v = xp.sign(v3) * xp.abs(v3) ** (1.0 / 3.0)
+    y_one = v - p3 / xp.where(v == 0.0, ones, v)
+    # three: y_k = 2 sqrt(-P/3) cos((theta - 2 pi k) / 3), k = 0, 1, 2
+    m = xp.sqrt(xp.where(one, zeros, -p3))
+    m3 = m * m * m
+    acos = getattr(xp, "acos", None) or xp.arccos         # numpy < 2
+    theta = acos(xp.clip(-q2 / xp.where(m3 > 0.0, m3, ones), -1.0, 1.0))
+
+    def polished(z):
+        f = ((z + c2) * z + c1) * z + c0
+        for _ in range(2):
+            df = (3.0 * z + 2.0 * c2) * z + c1
+            cand = z - f / xp.where(df == 0.0, ones, df)
+            f_cand = ((cand + c2) * cand + c1) * cand + c0
+            better = xp.abs(f_cand) < xp.abs(f)
+            z, f = xp.where(better, cand, z), xp.where(better, f_cand, f)
+        return z
+
+    z0 = polished(
+        xp.where(one, y_one, 2.0 * m * xp.cos(theta / 3.0)) - shift)
+    rest = [polished(2.0 * m * xp.cos((theta - 2.0 * np.pi * k) / 3.0)
+                     - shift) for k in (1, 2)] if lower else []
+    return z0, rest, ~one
 
 
 class Composition(NamedTuple):
@@ -181,9 +243,19 @@ class CubicEos:
 
     def solve_density(self, state: CubicState, p,
                       root: str = "vapor") -> np.ndarray:
-        """Solve the cubic at ``(state.t, p)``; stores and returns ``rho``."""
+        """Solve the cubic at ``(state.t, p)``; stores and returns ``rho``.
+
+        Raises :class:`FloatingPointError` naming the offending rows
+        when a cell has ``T <= 0``, ``p <= 0`` or a non-finite state.
+        """
         p = np.broadcast_to(np.asarray(p, dtype=float), state.t.shape)
         z = self._solve_cubic(state.t, p, state.a, state.comp.b, root)
+        bad = np.flatnonzero(~((state.t > 0.0) & (p > 0.0) & np.isfinite(z)))
+        if bad.size:
+            raise FloatingPointError(
+                f"{bad.size} of {z.size} cells have a non-positive or "
+                f"non-finite temperature, pressure or compressibility "
+                f"factor; first cells: {bad[:5].tolist()}")
         state.rho = p * state.comp.w_mix / (z * R_UNIVERSAL * state.t)
         return state.rho
 
@@ -204,12 +276,6 @@ class CubicEos:
         (smallest valid root) or ``"gibbs"`` (minimum Gibbs energy).
         At supercritical conditions the cubic generally has a single
         real root and the choice is moot.
-
-        Every cell's cubic is solved by one batched eigenvalue call on
-        the stacked 3x3 companion matrices -- the *same* matrix
-        ``np.roots`` builds per cell, so the roots (and the selected Z)
-        are bitwise identical to a per-cell ``np.roots`` loop without
-        its per-cell Python overhead (~100 us/cell).
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         p = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
@@ -219,6 +285,20 @@ class CubicEos:
 
     def _solve_cubic(self, t, p, a_mix, b_mix, root: str) -> np.ndarray:
         """Z at ``(t, p)`` for given mixture parameters (all ``(n,)``)."""
+        return self._cubic_z(np, t, p, a_mix, b_mix, root)
+
+    def _cubic_z(self, xp, t, p, a_mix, b_mix, root: str):
+        """Z on the array namespace ``xp``: :func:`cubic_real_roots` of
+        the cubic in Z, then the root ``root`` names, elementwise.
+
+        Since ``f(B) = -(1 + u + w) B^2 < 0`` the largest real root
+        exceeds ``B``, so ``"vapor"`` asks for that one root alone;
+        the other modes pick among the roots ``> B``.  A largest root
+        rounded to ``<= B`` becomes ``max(Z, 1.001 B)``.
+        """
+        if root not in ROOT_MODES:
+            raise ValueError(
+                f"root must be one of {ROOT_MODES}, got {root!r}")
         rt = R_UNIVERSAL * t
         big_a = a_mix * p / rt**2
         big_b = b_mix * p / rt
@@ -227,134 +307,49 @@ class CubicEos:
         c2 = -(1.0 + big_b - u * big_b)
         c1 = big_a + w * big_b**2 - u * big_b - u * big_b**2
         c0 = -(big_a * big_b + w * big_b**2 + w * big_b**3)
-        return self._select_roots_batched(c2, c1, c0, big_a, big_b, root)
+        z0, lower, three = cubic_real_roots(xp, c2, c1, c0,
+                                            lower=root != "vapor")
+        z = z0
+        valid = [three & (zk > big_b) for zk in lower]
+        if root == "liquid":
+            for zk, ok in zip(lower, valid):
+                z = xp.where(ok, zk, z)
+        elif root == "gibbs":
+            d = float(np.sqrt(u * u - 4.0 * w))
+            inf = xp.full_like(z0, float("inf"))
 
-    def _select_roots_batched(self, c2, c1, c0, big_a, big_b,
-                              root: str) -> np.ndarray:
-        """Batched cubic roots + root selection.
+            def gibbs(zk, ok):
+                zk = xp.where(ok, zk, big_b + 1.0)
+                lo = xp.log((2.0 * zk + big_b * (u - d))
+                            / (2.0 * zk + big_b * (u + d)))
+                return xp.where(ok, zk - 1.0 - xp.log(zk - big_b)
+                                + big_a / (big_b * d) * lo, inf)
 
-        Builds the stacked companion matrices (first row
-        ``[-c2, -c1, -c0]``, ones on the subdiagonal -- exactly what
-        ``np.roots`` constructs) and takes their eigenvalues in one
-        LAPACK gufunc sweep.
-        """
-        n = c2.size
-        comp = np.zeros((n, 3, 3))
-        comp[:, 0, 0] = -c2
-        comp[:, 0, 1] = -c1
-        comp[:, 0, 2] = -c0
-        comp[:, 1, 0] = 1.0
-        comp[:, 2, 1] = 1.0
-        roots = np.linalg.eigvals(comp)  # (n, 3) complex
-        real = roots.real
-        valid = (np.abs(roots.imag) < 1e-9) & (real > big_b[:, None])
-        count = valid.sum(axis=1)
-        z_vapor = np.where(valid, real, -np.inf).max(axis=1)
-        z_none = np.maximum(real.max(axis=1), big_b * 1.001)
-        if root == "vapor":
-            z = np.where(count == 0, z_none, z_vapor)
-        else:
-            z_liquid = np.where(valid, real, np.inf).min(axis=1)
-            z = np.where(count == 0, z_none,
-                         np.where(count == 1, z_vapor,
-                                  z_liquid if root == "liquid" else z_vapor))
-            if root == "gibbs":
-                for k in np.flatnonzero(count > 1):
-                    z[k] = self._gibbs_root(real[k][valid[k]],
-                                            big_a[k], big_b[k])
-        return z
+            g = gibbs(z0, z0 > big_b)
+            for zk, ok in zip(lower, valid):
+                gk = gibbs(zk, ok)
+                z, g = xp.where(gk < g, zk, z), xp.where(gk < g, gk, g)
+        return xp.where(z0 > big_b, z, xp.maximum(z0, 1.001 * big_b))
 
     def compressibility_backend(self, t, p, x, root: str = "vapor",
                                 backend=None, dtype="fp64"):
         """Backend-generic batched compressibility factor.
 
-        The portable spelling of :meth:`compressibility`: the cubic
-        coefficients, the stacked companion matrices and the
-        root-selection logic
-        (``where``/``max``/``min`` sweeps) run on the backend in the
-        requested dtype.  Two pieces stay on the host, documented:
-
-        * the mixture parameters ``(a_mix, b_mix)`` -- the van der
-          Waals mixing machinery is host numpy, exactly as the legacy
-          path evaluates it;
-        * the **companion eigenvalue call** on backends that do not
-          advertise the ``eigvals`` capability (the Array API linalg
-          extension only mandates the Hermitian ``eigvalsh``), which
-          round-trips through :meth:`ArrayBackend.eigvals`'s numpy
-          LAPACK fallback -- every backend therefore sees the same
-          spectrum.
-
-        ``root="gibbs"`` additionally resolves multi-root cells with
-        the host :meth:`_gibbs_root` loop (a handful of cells near
-        coexistence).  The NumPy backend at fp64 reproduces
-        :meth:`compressibility` bitwise.
+        The portable spelling of :meth:`compressibility`: the same
+        root kernel on the backend's namespace in the requested dtype.
+        One piece stays on the host, documented: the mixture
+        parameters ``(a_mix, b_mix)`` -- the van der Waals mixing
+        machinery is host numpy.  The NumPy backend at fp64
+        reproduces :meth:`compressibility` bitwise.
         """
         be = get_backend(backend)
-        xp = be.xp
         dt_ = be.dtype_of(dtype)
         t_host = np.atleast_1d(np.asarray(t, dtype=float))
         p_host = np.broadcast_to(np.asarray(p, dtype=float), t_host.shape)
-        x_host = np.atleast_2d(x)
-        a_mix, b_mix, _ = self.mixture_ab(t_host, x_host)
-
-        t_d = be.to_device(t_host, dtype=dt_)
-        p_d = be.to_device(p_host, dtype=dt_)
-        am = be.to_device(a_mix, dtype=dt_)
-        bm = be.to_device(b_mix, dtype=dt_)
-        rt = R_UNIVERSAL * t_d
-        big_a = am * p_d / rt**2
-        big_b = bm * p_d / rt
-        u, w = self.u, self.w
-        c2 = -(1.0 + big_b - u * big_b)
-        c1 = big_a + w * big_b**2 - u * big_b - u * big_b**2
-        c0 = -(big_a * big_b + w * big_b**2 + w * big_b**3)
-
-        n = t_host.shape[0]
-        comp = xp.zeros((n, 3, 3), dtype=dt_)
-        comp[:, 0, 0] = -c2
-        comp[:, 0, 1] = -c1
-        comp[:, 0, 2] = -c0
-        comp[:, 1, 0] = xp.ones((n,), dtype=dt_)
-        comp[:, 2, 1] = xp.ones((n,), dtype=dt_)
-        roots = be.eigvals(comp)  # (n, 3) complex
-        real = xp.astype(xp.real(roots), dt_)
-        imag = xp.astype(xp.imag(roots), dt_)
-
-        valid = (xp.abs(imag) < 1e-9) & (real > big_b[:, None])
-        count = xp.sum(xp.astype(valid, xp.int64), axis=1)
-        neg_inf = xp.full(real.shape, float("-inf"), dtype=dt_)
-        z_vapor = xp.max(xp.where(valid, real, neg_inf), axis=1)
-        z_none = xp.maximum(xp.max(real, axis=1), big_b * 1.001)
-        if root == "vapor":
-            return xp.where(count == 0, z_none, z_vapor)
-        pos_inf = xp.full(real.shape, float("inf"), dtype=dt_)
-        z_liquid = xp.min(xp.where(valid, real, pos_inf), axis=1)
-        z = xp.where(count == 0, z_none,
-                     xp.where(count == 1, z_vapor,
-                              z_liquid if root == "liquid" else z_vapor))
-        if root == "gibbs":
-            zh = np.array(be.from_device(z))
-            real_h = be.from_device(real)
-            valid_h = be.from_device(valid)
-            ba_h = be.from_device(big_a)
-            bb_h = be.from_device(big_b)
-            count_h = be.from_device(count)
-            for k in np.flatnonzero(count_h > 1):
-                zh[k] = self._gibbs_root(real_h[k][valid_h[k]],
-                                         float(ba_h[k]), float(bb_h[k]))
-            z = be.to_device(zh, dtype=dt_)
-        return z
-
-    def _gibbs_root(self, zs: np.ndarray, big_a: float, big_b: float) -> float:
-        u, w = self.u, self.w
-        d = np.sqrt(u * u - 4.0 * w)
-        best, best_g = zs[0], np.inf
-        for z in zs:
-            lo = np.log((2 * z + big_b * (u - d)) / (2 * z + big_b * (u + d)))
-            g = z - 1.0 - np.log(max(z - big_b, 1e-300)) + big_a / (big_b * d) * lo
-            if g < best_g:
-                best, best_g = z, g
-        return float(best)
+        a_mix, b_mix, _ = self.mixture_ab(t_host, np.atleast_2d(x))
+        on_device = (be.to_device(v, dtype=dt_)
+                     for v in (t_host, p_host, a_mix, b_mix))
+        return self._cubic_z(be.xp, *on_device, root)
 
     def density(self, t, p, y, root: str = "vapor") -> np.ndarray:
         """Mass density [kg/m^3] from T, p and *mass* fractions ``y``."""

@@ -426,8 +426,10 @@ class TestVectorizedKinetics:
 
 # ---------------------------------------------------------------------
 class TestBatchedEosRoots:
-    def test_batched_roots_bitwise_equal_to_np_roots_loop(self, mech,
-                                                          monkeypatch):
+    def test_batched_roots_match_np_roots_loop(self, mech, monkeypatch):
+        """Closed-form + Newton roots vs the per-cell eigenvalue solve:
+        two algorithms, so agreement is to rounding (measured max
+        1.8e-15 relative on rho in all three modes), not bitwise."""
         from repro.thermo import RealFluidMixture
 
         rf = RealFluidMixture(mech)
@@ -442,7 +444,7 @@ class TestBatchedEosRoots:
                 m.setattr(rf.eos, "_solve_cubic",
                           lambda *args: oracle_solve_cubic(rf.eos, *args))
                 ref = rf.eos.density(t, p, y, root=mode)
-            np.testing.assert_array_equal(ref, fast)
+            np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------

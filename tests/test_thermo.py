@@ -3,6 +3,9 @@ real-fluid state solves."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.constants import R_UNIVERSAL
 from repro.thermo import (
@@ -14,6 +17,7 @@ from repro.thermo import (
     cp_departure,
     enthalpy_departure,
 )
+from repro.thermo.cubic_eos import ROOT_MODES, cubic_real_roots
 from tests.conftest import MATVEC_RTOL
 
 
@@ -82,6 +86,38 @@ class TestCubicEos:
         y[0, mech.species_index["CH4"]] = 0.5
         rho_mix = pr.density([300.0], 10e6, y)
         assert 0 < rho_mix[0] < 200.0
+
+    @pytest.mark.parametrize("root", ["Liquid", "vapour", "stable"])
+    def test_unknown_root_mode_is_an_error(self, pr, pure_o2, root):
+        """Pure O2 at 120 K / 2 MPa has Z_liquid = 0.0597, Z_vapor =
+        0.5497: a misspelt mode used to return the vapor root."""
+        t, x = np.array([120.0]), pr._mole_from_mass(pure_o2[None, :])
+        for solve in (lambda: pr.density(t, 2e6, pure_o2[None, :], root=root),
+                      lambda: pr.compressibility(t, 2e6, x, root=root),
+                      lambda: pr.compressibility_backend(t, 2e6, x, root=root)):
+            with pytest.raises(ValueError, match="vapor.*liquid.*gibbs"):
+                solve()
+
+    @pytest.mark.parametrize("t_bad, p, via_h", [
+        (np.nan, 1e7, False), (np.inf, 1e7, False), (0.0, 1e7, False),
+        (-5.0, 1e7, False), (200.0, (1e7, -1e6, 0.0), False),
+        (np.nan, 1e7, True)])
+    def test_nonphysical_state_raises_naming_the_cells(self, rf, pure_o2,
+                                                       t_bad, p, via_h):
+        """NaN/inf/non-positive T or p used to surface as LAPACK's
+        LinAlgError (p < 0 as a silent negative density)."""
+        y = np.tile(pure_o2, (3, 1))
+        t = np.array([150.0, t_bad, 300.0])
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=r"of 3 cells .*first cells: \[1") \
+                as err:
+            if via_h:
+                h = rf.h_mass([150.0, 200.0, 300.0], p, y)
+                h[1] = t_bad
+                rf.properties_hp(h, p, y)
+            else:
+                rf.eos.density(t, p, y)
+        assert str(err.value).startswith("2 of" if np.ndim(p) else "1 of")
 
 
 class TestMixing:
@@ -431,10 +467,14 @@ class TestOneKernel:
         h = fast.h_mass(t, p, y)
         a = fast.properties_hp(h, p, y, t_guess=t * 1.2)
         b = ref.properties_hp(h, p, y, t_guess=t * 1.2)
+        # two root algorithms agree to rounding, not bitwise; the T(h)
+        # Newton freeze criterion (1e-8) sits between the solves, hence
+        # the looser bundle bound.  Measured maxima: 3.5e-15 (mu) over
+        # the bundle, 8.2e-15 on psi.
         for k in PROPS:
-            assert np.array_equal(getattr(a, k), getattr(b, k))
-        assert np.array_equal(fast.psi_compressibility(t, p, y),
-                              ref.psi_compressibility(t, p, y))
+            _within(getattr(a, k), getattr(b, k), 1e-9)
+        _within(fast.psi_compressibility(t, p, y),
+                ref.psi_compressibility(t, p, y), 1e-12)
 
     def test_one_composition_one_cubic_per_sweep(self, mech, batch, monkeypatch):
         """properties_hp converts the composition once per consumer and
@@ -487,6 +527,89 @@ class TestOneKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+# -- the closed-form root kernel vs the eigenvalue oracle -------------------
+EPS = np.finfo(float).eps
+
+
+def _residual(z, c2, c1, c0):
+    """``|f(z)|`` and the magnitude of the terms it sums."""
+    return (np.abs(((z + c2) * z + c1) * z + c0),
+            np.abs(z) ** 3 + np.abs(c2) * z * z + np.abs(c1 * z) + np.abs(c0))
+
+
+def _check_against_oracle(eos, big_a, big_b, mode):
+    """Solve at ``R T = p = 1`` (so ``a_mix, b_mix`` are ``A, B``) with
+    the kernel and with the ``np.roots`` loop; returns the kernel's Z."""
+    from tests.thermo_oracle import oracle_solve_cubic
+
+    t, p = np.full(big_a.shape, 1.0 / R_UNIVERSAL), np.ones(big_a.shape)
+    z = eos._solve_cubic(t, p, big_a, big_b, mode)
+    ref = oracle_solve_cubic(eos, t, p, big_a, big_b, mode)
+    rt = R_UNIVERSAL * t
+    a, b, u, w = big_a * p / rt**2, big_b * p / rt, eos.u, eos.w
+    c2 = -(1.0 + b - u * b)
+    c1 = a + w * b**2 - u * b - u * b**2
+    c0 = -(a * b + w * b**2 + w * b**3)
+    assert np.isfinite(z).all() and (z > b).all()
+    res, scale = _residual(z, c2, c1, c0)
+    assert (res <= 64 * EPS * scale).all()
+    # no worse than LAPACK's (to one rounding of the sum, where its
+    # residual happens to vanish); measured worst ratio 0.81
+    assert (res <= 4 * np.maximum(_residual(ref, c2, c1, c0)[0],
+                                  EPS * scale)).all()
+    # the two may pick different members of a (near-)multiple root
+    terms = np.array([18 * c2 * c1 * c0, -4 * c2**3 * c0, c2**2 * c1**2,
+                      -4 * c1**3, -27 * c0**2])
+    simple = np.abs(terms.sum(axis=0)) > 1e-10 * np.abs(terms).sum(axis=0)
+    _within(z[simple], ref[simple], 1e-12)   # measured max 2.8e-13
+    return z
+
+
+class TestCubicRootKernel:
+    @pytest.fixture(scope="class", params=[PengRobinson, SoaveRedlichKwong])
+    def eos(self, request, mech):
+        return request.param(mech.species)
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_a=arrays(float, 8, elements=st.floats(1e-6, 30.0)),
+           big_b=arrays(float, 8, elements=st.floats(1e-6, 1.0)),
+           mode=st.sampled_from(ROOT_MODES))
+    def test_matches_np_roots_loop(self, eos, big_a, big_b, mode):
+        _check_against_oracle(eos, big_a, big_b, mode)
+
+    @pytest.mark.parametrize("mode", ROOT_MODES)
+    def test_named_states(self, eos, mode):
+        # the critical point (a near-triple root: the 5-digit Omegas
+        # move Z_c = 0.3074 / 0.3333 by ~(1e-5)^(1/3)), the ideal-gas
+        # limit, a dense liquid (Z - B small), a sub-critical 3-root state
+        big_a = np.array([eos.omega_a, 1e-6, 30.0, 0.2])
+        big_b = np.array([eos.omega_b, 1e-6, 1.0, 0.02])
+        z = _check_against_oracle(eos, big_a, big_b, mode)
+        z_crit = {2.0: 0.3074, 1.0: 1.0 / 3.0}[eos.u]
+        assert z[0] == pytest.approx(z_crit, abs=0.02)
+        assert z[1] == pytest.approx(1.0, abs=1e-5)
+        assert 0.0 < z[2] - big_b[2] < 0.1
+        assert (z[3] < 0.1) == (mode != "vapor")
+
+    def test_multiple_roots(self):
+        """``disc = 0`` exactly -- (Z-1)(Z-1/4)^2, (Z-5/8)^2 (Z-1/4) --
+        and ``P = Q = 0``, (Z-1/2)^3: every coefficient, the shift and
+        the discriminant are exact in binary."""
+        c2 = np.full(3, -1.5)
+        c1 = np.array([0.5625, 0.703125, 0.75])
+        c0 = np.array([-0.0625, -0.09765625, -0.125])
+        z0, (z1, z2), three = cubic_real_roots(np, c2, c1, c0)
+        assert three.all()
+        exact = np.array([[1.0, 0.625, 0.5], [0.25, 0.625, 0.5],
+                          [0.25, 0.25, 0.5]])
+        for z, ref in zip((z0, z1, z2), exact):
+            res, scale = _residual(z, c2, c1, c0)
+            assert (res <= 64 * EPS * scale).all()
+            np.testing.assert_allclose(z, ref, rtol=0.0, atol=1e-7)
+        top, rest, _ = cubic_real_roots(np, c2, c1, c0, lower=False)
+        assert rest == [] and np.array_equal(top, z0)
 
 
 class TestTemperatureSolveReporting:

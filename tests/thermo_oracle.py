@@ -49,10 +49,10 @@ def _mix_derivative(k_ij, a_i, da_i, x):
 
 def oracle_solve_cubic(eos, t, p, a_mix, b_mix, root="vapor"):
     """Z at ``(t, p)`` for given mixture parameters through the per-cell
-    ``np.roots`` loop -- the reference of the batched companion
-    eigenvalue solve, with ``CubicEos._solve_cubic``'s signature so a
-    test can swap it in.  ``eos`` supplies ``u``, ``w`` and
-    ``_gibbs_root`` (a production ``CubicEos`` or an :class:`OracleEos`).
+    ``np.roots`` loop (companion-matrix eigenvalues) -- the reference of
+    the closed-form root kernel, with ``CubicEos._solve_cubic``'s
+    signature so a test can swap it in.  ``eos`` supplies ``u`` and
+    ``w`` (a production ``CubicEos`` or an :class:`OracleEos`).
     """
     rt = R_UNIVERSAL * t
     big_a = a_mix * p / rt**2
@@ -73,8 +73,19 @@ def oracle_solve_cubic(eos, t, p, a_mix, b_mix, root="vapor"):
         elif root == "liquid":
             z[k] = real.min()
         else:
-            z[k] = eos._gibbs_root(real, big_a[k], big_b[k])
+            z[k] = _gibbs_root(eos.u, eos.w, real, big_a[k], big_b[k])
     return z
+
+
+def _gibbs_root(u, w, zs, big_a, big_b):
+    d = np.sqrt(u * u - 4.0 * w)
+    best, best_g = zs[0], np.inf
+    for z in zs:
+        lo = np.log((2 * z + big_b * (u - d)) / (2 * z + big_b * (u + d)))
+        g = z - 1.0 - np.log(max(z - big_b, 1e-300)) + big_a / (big_b * d) * lo
+        if g < best_g:
+            best, best_g = z, g
+    return float(best)
 
 
 class OracleEos:
@@ -112,17 +123,6 @@ class OracleEos:
         x = np.atleast_2d(x)
         a_mix, b_mix, _ = self.mixture_ab(t, x)
         return oracle_solve_cubic(self, t, p, a_mix, b_mix, root)
-
-    def _gibbs_root(self, zs, big_a, big_b):
-        u, w = self.u, self.w
-        d = np.sqrt(u * u - 4.0 * w)
-        best, best_g = zs[0], np.inf
-        for z in zs:
-            lo = np.log((2 * z + big_b * (u - d)) / (2 * z + big_b * (u + d)))
-            g = z - 1.0 - np.log(max(z - big_b, 1e-300)) + big_a / (big_b * d) * lo
-            if g < best_g:
-                best, best_g = z, g
-        return float(best)
 
     def density(self, t, p, y, root="vapor"):
         t = np.atleast_1d(np.asarray(t, dtype=float))
