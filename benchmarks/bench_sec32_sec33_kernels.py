@@ -47,15 +47,11 @@ def _block_setup(t=8, smoke=False):
 def test_sec322_conversion_cost_vs_spmv(benchmark, bench_backend, smoke):
     ldu, conv, blk = _block_setup(smoke=smoke)
     x = np.random.default_rng(0).random(ldu.n)
-    # "numpy" runs the pre-shim LDU matvec (legacy IS the numpy
-    # backend); any other selection times the generic Array-API body,
-    # checked against the legacy result before timing
-    be = None if bench_backend.name == "numpy" else bench_backend
-    if be is not None:
-        got = np.asarray(
-            bench_backend.from_device(spmv_ldu(ldu, x, backend=be)))
-        np.testing.assert_allclose(got, spmv_ldu(ldu, x),
-                                   rtol=1e-12, atol=1e-12)
+    # the one face-loop kernel on the selected backend, checked against
+    # its numpy run before timing
+    got = np.asarray(
+        bench_backend.from_device(spmv_ldu(ldu, x, backend=bench_backend)))
+    np.testing.assert_allclose(got, spmv_ldu(ldu, x), rtol=1e-12, atol=1e-12)
 
     def update():
         conv.update_values(blk, ldu)
@@ -65,7 +61,7 @@ def test_sec322_conversion_cost_vs_spmv(benchmark, bench_backend, smoke):
     reps = 20
     t0 = time.perf_counter()
     for _ in range(reps):
-        spmv_ldu(ldu, x, backend=be)
+        spmv_ldu(ldu, x, backend=bench_backend)
     t_spmv = (time.perf_counter() - t0) / reps
     lines = [
         f"LDU->block value update: {t_update*1e6:9.1f} us",
@@ -137,15 +133,12 @@ def test_sec332_gelu_tabulation(benchmark, bench_backend, smoke):
     x = np.random.default_rng(3).normal(size=n).astype(np.float32)
     tab = GeLUTable(precision="fp32")
 
-    # legacy table lookup on "numpy", the shimmed apply elsewhere --
-    # with a one-shot parity check of the shimmed path either way
+    # the one table body on the selected backend, with a one-shot
+    # parity check against its numpy run
     np.testing.assert_array_equal(
         np.asarray(bench_backend.from_device(
-            tab.apply_backend(x, backend=bench_backend))), tab(x))
-    if bench_backend.name == "numpy":
-        benchmark(tab, x)
-    else:
-        benchmark(tab.apply_backend, x, backend=bench_backend)
+            tab(x, backend=bench_backend))), tab(x))
+    benchmark(tab, x, backend=bench_backend)
     t_tab = benchmark.stats["mean"]
     t0 = time.perf_counter()
     gelu_exact(x)

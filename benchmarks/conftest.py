@@ -76,9 +76,10 @@ def parallel(request) -> bool:
 def bench_backend(request):
     """The ArrayBackend selected with ``--backend``.
 
-    Skips the requesting bench when the backend is registered but its
-    optional dependency is missing on this host (CuPy, torch,
-    array-api-strict).
+    Each kernel has one body, so this only selects the namespace it
+    runs on.  Skips the requesting bench when the backend is
+    registered but its optional dependency is missing on this host
+    (``array-api-strict``, or a third-party adapter's package).
     """
     from repro.backend import get_backend
 

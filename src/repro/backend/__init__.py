@@ -4,32 +4,26 @@
 allocation-free, batch-shaped kernels (CSR scatter/gather, blocked
 Krylov reductions, fused assembly, vectorized kinetics, batched EoS
 roots, the DNN matmul/GeLU stack) run on any Array-API-compatible
-namespace.  NumPy is the default *and* the validation reference;
-``array-api-strict`` is the CI compliance backend; CuPy and torch
-adapters import lazily and can be extended through the
-``repro.array_backends`` entry-point group.
+namespace.  Each kernel has **one body**, written against
+:class:`ArrayBackend`; NumPy is the default backend *and* the
+validation reference, ``array-api-strict`` is the CI compliance
+backend, and accelerator adapters (CuPy, torch, ...) are third-party
+packages registered through the ``repro.array_backends`` entry-point
+group or :func:`register_backend`.
 
 Select a backend per solver via ``SolverSettings.backend`` or per
-kernel call via the ``backend=`` parameter; ``get_backend(None)``
-resolves to numpy everywhere, keeping the pre-shim call sites
-bitwise-unchanged.
+kernel call via the ``backend=`` parameter; ``backend=None`` means
+``get_backend("numpy")`` everywhere -- the same body on the default
+backend, never a different function.
 """
 
 from .base import ArrayBackend, BackendCapabilities
-from .registry import (
-    available_backends,
-    backend_names,
-    default_backend,
-    get_backend,
-    register_backend,
-)
+from .registry import backend_names, get_backend, register_backend
 
 __all__ = [
     "ArrayBackend",
     "BackendCapabilities",
-    "available_backends",
     "backend_names",
-    "default_backend",
     "get_backend",
     "register_backend",
 ]

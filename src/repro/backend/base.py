@@ -7,7 +7,7 @@ cover (scatter-add, fused reductions).  An :class:`ArrayBackend`
 bundles
 
 * ``xp`` -- the array namespace itself (``numpy``,
-  ``array_api_strict``, ``cupy``, ``torch`` in numpy-compat mode),
+  ``array_api_strict``, or whatever a third-party adapter binds),
 * a **dtype policy** (:meth:`dtype_of` maps the ``"fp32"``/``"fp64"``
   spellings used throughout the repo onto namespace dtypes; kernels
   must *preserve* the input dtype -- no silent fp32 -> fp64 upcasts),
@@ -18,11 +18,12 @@ bundles
   missing, so the *same* kernel code runs -- and computes the same
   answer -- on every backend.
 
-NumPy remains the validation reference: a kernel run through the
-NumPy backend is bitwise-identical to the pre-shim implementation
-(reductions may differ by documented ulps where the generic spelling
-reassociates), which is what ``tests/test_backend_conformance.py``
-enforces over the full kernel inventory.
+NumPy is the default backend and the validation reference: every
+kernel has one body, ``backend=None`` runs it on the NumPy backend,
+and ``tests/test_backend_conformance.py`` compares every other
+backend against that run over the full kernel inventory (reductions
+may differ by documented ulps where the generic spelling
+reassociates).
 """
 
 from __future__ import annotations
@@ -47,17 +48,9 @@ class BackendCapabilities:
     """
 
     #: ``x[idx] op= v`` with an integer index array (np.add.at-style
-    #: duplicate-accumulating scatter).  Without it, scatter_add runs
-    #: on the host.
+    #: duplicate-accumulating scatter).  Without it, scatter_add and
+    #: the DIC wavefront sweeps run on the host.
     scatter_add: bool = False
-    #: views + in-place updates are cheap and well-defined (the
-    #: zero-allocation buffer pools assume this; pool-less backends
-    #: allocate per call instead).
-    inplace_buffers: bool = False
-    #: ``einsum`` is available (the NumPy blocked-dot fast path);
-    #: without it column dots use the generic ``sum(a * b, axis=0)``
-    #: spelling, which may differ from einsum by reduction-order ulps.
-    einsum: bool = False
 
 
 class ArrayBackend:
@@ -81,10 +74,14 @@ class ArrayBackend:
     # -- dtype policy --------------------------------------------------
     def dtype_of(self, spec):
         """Map ``"fp32"``/``"fp64"`` (or a dtype) to a namespace dtype."""
-        if spec == "fp32":
-            return self.xp.float32
-        if spec == "fp64":
-            return self.xp.float64
+        # strings only: comparing a numpy dtype with "fp32" makes numpy
+        # try (and fail) to parse the string as a dtype, ~10x the cost
+        # of the whole no-op transfer this sits in
+        if isinstance(spec, str):
+            if spec == "fp32":
+                return self.xp.float32
+            if spec == "fp64":
+                return self.xp.float64
         return spec
 
     # -- device transfer -----------------------------------------------
@@ -93,11 +90,6 @@ class ArrayBackend:
         if dtype is not None:
             dtype = self.dtype_of(dtype)
         return self.xp.asarray(x, dtype=dtype)
-
-    #: alias: the standard's name for the inbound transfer
-    def asarray(self, x, dtype=None):
-        """Alias of :meth:`to_device`."""
-        return self.to_device(x, dtype=dtype)
 
     def from_device(self, x) -> np.ndarray:
         """Backend array -> host numpy array (no copy when possible)."""
@@ -140,12 +132,6 @@ class ArrayBackend:
     def matmul(self, a, b):
         """Matrix product (namespace ``matmul``)."""
         return self.xp.matmul(a, b)
-
-    # -- introspection -------------------------------------------------
-    @property
-    def is_numpy(self) -> bool:
-        """True for the NumPy reference backend."""
-        return self.xp is np
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ArrayBackend {self.name}>"

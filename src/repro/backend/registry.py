@@ -1,13 +1,15 @@
 """Backend registry: name -> lazily-constructed :class:`ArrayBackend`.
 
-The four built-in backends self-register below; third-party packages
-add theirs through the ``repro.array_backends`` entry-point group (a
-factory callable returning an :class:`~repro.backend.base.ArrayBackend`).
-Construction is lazy and memoized: registering costs nothing, and an
-optional dependency (CuPy, torch, array-api-strict) is only imported
-when its backend is actually selected -- :func:`get_backend` converts
-the ``ImportError`` into a message naming the missing package instead
-of silently falling back to numpy.
+The two built-in backends (``numpy``, ``array-api-strict``)
+self-register below; third-party packages add theirs through the
+``repro.array_backends`` entry-point group (a factory callable
+returning an :class:`~repro.backend.base.ArrayBackend`) or
+:func:`register_backend`.  Construction is lazy and memoized:
+registering costs nothing, and an optional dependency (CuPy, torch,
+array-api-strict) is only imported when its backend is actually
+selected -- :func:`get_backend` converts the ``ImportError`` into a
+message naming the missing package instead of silently falling back
+to numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "backend_names",
-    "available_backends",
-    "default_backend",
 ]
 
 #: name -> factory (lazy); populated by built-ins + entry points
@@ -85,14 +85,15 @@ def get_backend(name: str | ArrayBackend | None = None) -> ArrayBackend:
     but-unavailable backends raise ``ValueError`` with the candidates
     / the missing dependency named.
     """
-    if name is None:
-        return get_backend("numpy")
     if isinstance(name, ArrayBackend):
         return name
-    _load_entry_points()
+    if name is None:
+        name = "numpy"
+    # the memoized instance first: this sits on every kernel's entry
     inst = _INSTANCES.get(name)
     if inst is not None:
         return inst
+    _load_entry_points()
     factory = _FACTORIES.get(name)
     if factory is None:
         raise ValueError(
@@ -108,23 +109,6 @@ def get_backend(name: str | ArrayBackend | None = None) -> ArrayBackend:
     return inst
 
 
-def available_backends() -> tuple[str, ...]:
-    """The subset of :func:`backend_names` constructible on this host."""
-    out = []
-    for name in backend_names():
-        try:
-            get_backend(name)
-        except ValueError:
-            continue
-        out.append(name)
-    return tuple(out)
-
-
-def default_backend() -> ArrayBackend:
-    """The numpy reference backend."""
-    return get_backend("numpy")
-
-
 # -- built-in registrations (all lazy) ---------------------------------
 def _numpy_factory() -> ArrayBackend:
     from .numpy_backend import NumpyBackend
@@ -138,19 +122,5 @@ def _strict_factory() -> ArrayBackend:
     return ArrayApiStrictBackend()
 
 
-def _cupy_factory() -> ArrayBackend:
-    from .cupy_backend import CupyBackend
-
-    return CupyBackend()
-
-
-def _torch_factory() -> ArrayBackend:
-    from .torch_backend import TorchBackend
-
-    return TorchBackend()
-
-
 register_backend("numpy", _numpy_factory)
 register_backend("array-api-strict", _strict_factory)
-register_backend("cupy", _cupy_factory)
-register_backend("torch", _torch_factory)

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..backend import get_backend
 from ..chemistry.backends import ChemistryBackend
 from ..fv.fields import MultiVolField, SurfaceField, VolField
 from ..fv.operators import (
@@ -173,6 +174,9 @@ class DeepFlameSolver:
             raise ValueError(
                 f"settings.ranks = {settings.ranks}: use DecomposedSolver "
                 f"(or repro.core.settings.build_solver) for decomposed runs")
+        # resolved first: a backend this host cannot construct raises
+        # the registry's ValueError before chemistry or properties run
+        backend = get_backend(settings.backend)
         self.settings = settings
         self.case = case
         self.mesh = case.mesh
@@ -195,21 +199,16 @@ class DeepFlameSolver:
         # strictly sequentially, and every workspace buffer is zeroed,
         # refilled or value-refreshed per use, so sharing is
         # bitwise-neutral (asserted by the orchestration tests).
-        ws_backend = settings.workspace_backend
         if workspace is None:
-            workspace = EquationWorkspace(self.mesh, backend=ws_backend)
+            workspace = EquationWorkspace(self.mesh, backend=backend)
         else:
             if workspace.mesh is not self.mesh:
                 raise ValueError(
                     "shared workspace was built for a different mesh")
-            # None (the legacy hot path) and "numpy" are the same
-            # numbers; anything else must match the settings exactly
-            def _norm(b):
-                return getattr(b, "name", b) or "numpy"
-            if _norm(workspace.backend) != _norm(ws_backend):
+            if workspace.backend is not backend:
                 raise ValueError(
                     f"shared workspace runs backend "
-                    f"{workspace.backend!r} but settings ask for "
+                    f"{workspace.backend.name!r} but settings ask for "
                     f"{settings.backend!r}")
         self._ws = workspace
 

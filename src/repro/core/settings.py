@@ -150,14 +150,14 @@ class SolverSettings:
         backend untouched.
     backend:
         Array backend name for the hot-path kernels (a
-        :mod:`repro.backend` registry name).  ``"numpy"`` (default) is
-        the legacy in-place numpy hot path -- bitwise and
-        allocation-identical to the pre-shim solver; any other name
-        routes the fused assembly and the blocked-Krylov reductions
-        through that backend's array namespace.  Validated against
-        the registered names only -- whether the backend's runtime
-        dependency imports is checked at first use, so settings for a
-        GPU run can be built (and serialized) on a GPU-less host.
+        :mod:`repro.backend` registry name).  The fused assembly and
+        the blocked-Krylov reductions have one body each and run it
+        through this backend's array namespace; ``"numpy"`` (default)
+        is the reference backend.  Validated here against the
+        registered names only, so settings for a GPU run can be built
+        (and serialized) on a GPU-less host; whether the backend's
+        runtime dependency imports is checked when a solver is
+        constructed from the settings, before anything else is built.
     """
 
     chemistry: str = "none"
@@ -237,17 +237,6 @@ class SolverSettings:
     def is_decomposed(self) -> bool:
         """True when these settings describe a multi-rank run."""
         return self.ranks >= 2
-
-    @property
-    def workspace_backend(self) -> str | None:
-        """The backend to hand the assembly/solve layer.
-
-        ``None`` for ``"numpy"``: the legacy hot path IS the numpy
-        backend (same kernels, zero dispatch overhead), so the
-        default settings keep the solver bitwise and
-        allocation-identical to the pre-shim code.
-        """
-        return None if self.backend == "numpy" else self.backend
 
     # -- derivation ----------------------------------------------------
     def overlay(self, **overrides) -> "SolverSettings":

@@ -40,6 +40,7 @@ import time
 
 import numpy as np
 
+from ..backend import get_backend
 from ..core.cases import Case
 from ..core.chemistry_source import BackendChemistry
 from ..core.deepflame import DeepFlameSolver, StepDiagnostics, StepTimings
@@ -113,6 +114,10 @@ class DecomposedSolver:
             raise ValueError(
                 "DecomposedSolver needs a rank count: pass settings "
                 "with ranks >= 1")
+        # fail here, with the registry's ValueError, on a backend this
+        # host cannot construct -- before a decomposition, a worker
+        # pool or a shared-memory arena exists
+        get_backend(settings.backend)
         self.settings = settings
         self.case = case
         self.mech = case.mech

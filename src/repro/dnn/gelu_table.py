@@ -67,82 +67,72 @@ class GeLUTable:
         self._b = gelu_grad(mids).astype(dtype)
         self._c = (0.5 * _gelu_second_derivative(mids)).astype(dtype)
         self.n_entries = n
-        # per-backend device copies of (a, b, c), transferred once
-        self._device_tables: dict[str, tuple] = {}
+        # per-backend device copies of (a, b, c), transferred once;
+        # keyed by the backend object: two instances sharing a name
+        # must not serve each other's device arrays
+        self._device_tables: dict = {}
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Tabulated GeLU of ``x`` (identity/zero outside the range).
+    def __call__(self, x, backend=None):
+        """Tabulated GeLU of ``x`` (identity/zero outside the range),
+        on ``backend`` (``None`` = numpy), backend-native result.
 
         The hot path is gather-bound: index math runs in fp32 (no
         fp64 round-trip), the interval midpoint is recomputed from the
-        index instead of gathered, and the coefficient lookups go
-        through ``np.take`` -- one fewer gather and markedly less
-        temporary traffic than naive fancy indexing.
-        """
-        x = np.asarray(x)
-        dtype = self._a.dtype
-        xq = x.astype(dtype)
-        xi = xq.astype(np.float32, copy=False)
-        idx = ((xi - np.float32(self.x_min))
-               * np.float32(1.0 / self.interval)).astype(np.intp)
-        np.clip(idx, 0, self.n_entries - 1, out=idx)
-        # same formula that built self._mids, so bitwise-equal to the
-        # gathered midpoints at a fraction of the memory traffic
-        mid = (self.x_min + (idx + 0.5) * self.interval).astype(dtype)
-        d = xq - mid
-        val = (np.take(self._a, idx)
-               + d * (np.take(self._b, idx) + d * np.take(self._c, idx)))
-        out = np.where(x < self.x_min, dtype.type(0.0),
-                       np.where(x > self.x_max, xq, val))
-        return out
+        index instead of gathered (same formula that built the stored
+        midpoints, so bitwise-equal to gathering them at a fraction of
+        the memory traffic), and the coefficient lookups are flattened
+        ``take`` gathers.  Spelled in the Array API subset: truncating
+        ``astype`` for the index, an explicit float cast of the index
+        for the midpoint (mixed int-array/float-scalar arithmetic is
+        outside the spec), ``where`` range handling.  The coefficient
+        tables are shipped to the device once per backend and cached.
 
-    def apply_backend(self, x, backend=None):
-        """Backend-generic tabulated GeLU (fp64 / fp32 tables).
-
-        Same index math and two-term Horner as :meth:`__call__`, spelled
-        in the Array API subset: fp32 index computation, truncating
-        ``astype`` instead of ``.astype(np.intp)``, flattened ``take``
-        gathers and ``where`` range handling (the midpoint recompute
-        goes through an explicit float cast of the index -- mixed
-        int-array/float-scalar arithmetic is outside the spec).  The
-        coefficient tables are shipped to the device once per backend
-        and cached.  The NumPy backend reproduces :meth:`__call__`
-        bitwise.
-
-        fp16 tables take a documented host fallback (``float16`` is
-        optional in the Array API standard and ``array-api-strict``
-        omits it): the legacy numpy path runs on host data and the
-        result is transferred.
+        fp16 tables need a namespace with ``float16`` (optional in the
+        Array API standard; ``array-api-strict`` omits it): elsewhere
+        they take a documented host fallback -- the numpy backend runs
+        on host data and the result is transferred.
         """
         be = get_backend(backend)
         xp = be.xp
         xd = be.to_device(x)
         if self.precision == "fp16":
-            return be.to_device(self(be.from_device(xd)))
-        dt = be.dtype_of(self.precision)
-        tabs = self._device_tables.get(be.name)
+            dt = getattr(xp, "float16", None)
+            if dt is None:
+                return be.to_device(self(be.from_device(xd)))
+        else:
+            dt = be.dtype_of(self.precision)
+        tabs = self._device_tables.get(be)
         if tabs is None:
-            tabs = tuple(be.to_device(tab)
-                         for tab in (self._a, self._b, self._c))
-            self._device_tables[be.name] = tabs
+            tabs = self._device_tables[be] = tuple(
+                be.to_device(tab) for tab in (self._a, self._b, self._c))
         a_d, b_d, c_d = tabs
 
-        xq = xp.astype(xd, dt)
-        xi = xp.astype(xq, xp.float32)
-        idx = xp.astype((xi - float(np.float32(self.x_min)))
-                        * float(np.float32(1.0 / self.interval)), xp.int64)
-        idx = xp.clip(idx, 0, self.n_entries - 1)
-        idx_f = xp.astype(idx, xp.float64)
-        mid = xp.astype(self.x_min + (idx_f + 0.5) * self.interval, dt)
-        d = xq - mid
+        xq = xp.astype(xd, dt, copy=False)
+        # explicit in-place updates below: each step reuses its (n, w)
+        # temporary on every backend instead of relying on numpy's
+        # temporary elision, which a helper-call boundary defeats
+        pos = xp.astype(xq, xp.float32, copy=False) \
+            - float(np.float32(self.x_min))
+        pos *= float(np.float32(1.0 / self.interval))
+        idx = xp.clip(xp.astype(pos, xp.int64), 0, self.n_entries - 1)
+        mid = xp.astype(idx, xp.float64)
+        mid += 0.5
+        mid *= self.interval
+        mid += self.x_min
+        d = xq - xp.astype(mid, dt)
         shp = xq.shape
         idx1 = xp.reshape(idx, (-1,))
 
         def gather(tab):
             return xp.reshape(be.take(tab, idx1), shp)
 
-        val = gather(a_d) + d * (gather(b_d) + d * gather(c_d))
-        zero = xp.zeros(shp, dtype=dt)
+        # a + d (b + d c), two-term Horner
+        val = gather(c_d)
+        val *= d
+        val += gather(b_d)
+        val *= d
+        val += gather(a_d)
+        zero = xp.zeros((), dtype=dt)
         return xp.where(xd < self.x_min, zero,
                         xp.where(xd > self.x_max, xq, val))
 

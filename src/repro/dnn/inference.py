@@ -72,18 +72,17 @@ class InferenceEngine:
             raise ValueError(f"unknown precision {precision!r}")
         if gelu not in ("exact", "fused", "table"):
             raise ValueError(f"unknown gelu mode {gelu!r}")
-        if backend is not None and precision == "fp16":
+        #: array backend of the matmul/GeLU stack (resolved; None = numpy)
+        self.backend = get_backend(backend)
+        if precision == "fp16" and self.backend.xp is not np:
             # the fp16 path quantizes through numpy-specific scaling
             # machinery and float16 is optional in the Array API
-            raise ValueError("precision='fp16' runs on the host path "
-                             "only; drop the backend selection")
+            raise ValueError("precision='fp16' runs on the numpy "
+                             "namespace only; drop the backend selection")
         self.net = net
         self.precision = precision
         self.gelu_mode = gelu
         self.batch_size = int(batch_size)
-        #: array backend for the matmul/GeLU stack (None = legacy numpy)
-        self.backend = backend
-        self._dev_weights: list | None = None
         self._quantized = QuantizedMLPWeights(net) if precision == "fp16" else None
         if gelu == "table":
             table_prec = "fp16" if precision == "fp16" else "fp32"
@@ -93,65 +92,33 @@ class InferenceEngine:
         self.last_stats: InferenceStats | None = None
 
     # ----------------------------------------------------------------
-    def _activation(self, x: np.ndarray) -> np.ndarray:
-        if self.table is not None:
-            return self.table(x)
-        if self.gelu_mode == "fused":
-            return gelu_fused(x)
-        return gelu_exact(x)
-
     def _forward_batch(self, x: np.ndarray) -> np.ndarray:
-        if self.backend is not None:
-            return self._forward_batch_backend(x)
-        linear_idx = 0
-        if self.precision == "fp32":
-            x = x.astype(np.float32)
-        for layer in self.net.layers:
-            if isinstance(layer, Linear):
-                if self._quantized is not None:
-                    x = self._quantized.linear(linear_idx, x)
-                elif self.precision == "fp32":
-                    x = x @ layer.weight.astype(np.float32).T \
-                        + layer.bias.astype(np.float32)
-                else:
-                    x = layer.forward(x)
-                linear_idx += 1
-            elif isinstance(layer, GeLU):
-                x = self._activation(x)
-        return np.asarray(x, dtype=np.float64)
+        """The matmul/GeLU stack for one batch, on :attr:`backend`.
 
-    def _forward_batch_backend(self, x: np.ndarray) -> np.ndarray:
-        """The matmul/GeLU stack on the selected array backend.
-
-        The fp32 weight policy matches the legacy path exactly: weights
-        and biases are cast on the host, shipped to the device once
-        (cached for the engine's lifetime) and every layer computes
-        ``x @ W^T + b`` via the backend ``matmul``.  On the NumPy
-        backend the cached transposes are the same views the legacy
-        expression builds, so fp32 results are bitwise-identical;
-        matmul reduction order on other backends carries the documented
-        ulp budget.  Output returns to the host as fp64, as the legacy
-        path does.
+        Every layer computes ``x @ W^T + b`` via the backend
+        ``matmul`` in the engine's precision.  Weights and biases are
+        cast on the host and shipped per batch, not cached: the net
+        may be fine-tuned in place between runs
+        (:func:`~repro.dnn.registry.retrain_incremental`), and an
+        engine must see the weights its net holds now.  Matmul
+        reduction order on non-numpy backends carries the documented
+        ulp budget.  Output returns to the host as fp64.
         """
-        be = get_backend(self.backend)
-        if self._dev_weights is None:
-            cast = np.float32 if self.precision == "fp32" else np.float64
-            self._dev_weights = [
-                (be.to_device(layer.weight.astype(cast).T),
-                 be.to_device(layer.bias.astype(cast)))
-                for layer in self.net.layers if isinstance(layer, Linear)
-            ]
+        be = self.backend
         dt = "fp32" if self.precision == "fp32" else "fp64"
         xd = be.to_device(x, dtype=dt)
         linear_idx = 0
         for layer in self.net.layers:
             if isinstance(layer, Linear):
-                wt, bias = self._dev_weights[linear_idx]
-                xd = be.matmul(xd, wt) + bias
+                if self._quantized is not None:
+                    xd = self._quantized.linear(linear_idx, xd)
+                else:
+                    xd = be.matmul(xd, be.to_device(layer.weight, dtype=dt).T)
+                    xd += be.to_device(layer.bias, dtype=dt)
                 linear_idx += 1
             elif isinstance(layer, GeLU):
                 if self.table is not None:
-                    xd = self.table.apply_backend(xd, backend=be)
+                    xd = self.table(xd, backend=be)
                 elif self.gelu_mode == "fused":
                     xd = gelu_fused(xd, backend=be)
                 else:

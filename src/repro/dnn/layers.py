@@ -19,69 +19,49 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _C = 0.044715
 
 
-def gelu_exact(x: np.ndarray, backend=None) -> np.ndarray:
+def gelu_exact(x, backend=None):
     """GeLU via the tanh approximation (the transcendental-heavy form
     whose cost motivates the paper's tabulation).
 
-    ``backend=None`` is the untouched legacy numpy body; an explicit
-    backend evaluates the same expression through the array namespace
-    (``pow`` spelled with a dtype-matched 0-D exponent, so the NumPy
-    backend reproduces ``x**3``'s pow-ufunc path bitwise).
+    Evaluated through ``backend``'s array namespace (``None`` =
+    numpy) and returned as a backend-native fp64 array: the cube is
+    a ``pow`` in the input dtype (a dtype-matched 0-D exponent keeps
+    numpy on ``x**3``'s pow-ufunc path), the tanh argument is
+    promoted to fp64 through the ``sqrt(2/pi)`` constant.
     """
-    if backend is None:
-        inner = _SQRT_2_OVER_PI * (x + _C * x**3)
-        return 0.5 * x * (1.0 + np.tanh(inner))
     be = get_backend(backend)
     xp = be.xp
     xd = be.to_device(x)
     cube = xp.pow(xd, xp.asarray(3.0, dtype=xd.dtype))
-    # the legacy body promotes through the float64 sqrt(2/pi) constant
-    # AFTER the cube, so the cube is computed in the input dtype and
-    # the tanh in float64 -- reproduce that promotion point explicitly
-    # (a raw np.float64 constant binds weakly on strict backends and
-    # would silently skip the upcast there)
+    # the promotion to fp64 happens AFTER the cube, so it is spelled
+    # explicitly: a raw np.float64 constant binds weakly on strict
+    # backends and would silently skip the upcast there
     inner = float(_SQRT_2_OVER_PI) * xp.astype(xd + _C * cube, xp.float64)
     return 0.5 * xp.astype(xd, xp.float64) * (1.0 + xp.tanh(inner))
 
 
-def gelu_fused(x: np.ndarray, backend=None) -> np.ndarray:
+def gelu_fused(x, backend=None):
     """The same tanh-form GeLU with fused dtype-preserving arithmetic.
 
     Mathematically identical to :func:`gelu_exact` but written for
     hosts *with* vectorized transcendentals: the cube is expanded to
     multiplies (numpy's ``x**3`` takes the generic ``pow`` path, two
-    orders of magnitude slower than ``x*x*x``) and the constants are
-    cast to the input dtype so an fp32 activation stays in fp32 all
-    the way through SIMD ``tanh``.  On such hosts this beats the
-    paper's table -- the table exists for machines where ``tanh``
-    itself is the bottleneck.
-
-    With an explicit ``backend``, the identical multiply-expanded
-    expression runs through the array namespace; Python-scalar
+    orders of magnitude slower than ``x*x*x``) and the Python-scalar
     constants bind to the input dtype per the Array API promotion
-    rules, so fp32 stays fp32 on every backend.
+    rules, so an fp32 activation stays in fp32 all the way through
+    SIMD ``tanh`` on every backend (``None`` = numpy).  On such hosts
+    this beats the paper's table -- the table exists for machines
+    where ``tanh`` itself is the bottleneck.
     """
-    if backend is not None:
-        be = get_backend(backend)
-        xp = be.xp
-        xd = be.to_device(x)
-        # python-float constants bind to the array dtype (Array API
-        # promotion), matching the legacy dt.type(...) casts bitwise
-        with np.errstate(over="ignore"):
-            inner = xp.tanh(float(_SQRT_2_OVER_PI)
-                            * (xd + _C * (xd * xd * xd)))
-        return 0.5 * xd * (1.0 + inner)
-    x = np.asarray(x)
-    dt = x.dtype if x.dtype.kind == "f" else np.float64
-    c1 = dt.type(_SQRT_2_OVER_PI)
-    c2 = dt.type(_C)
-    half = dt.type(0.5)
-    one = dt.type(1.0)
+    be = get_backend(backend)
+    xp = be.xp
+    xd = be.to_device(x)
     # the cube can overflow narrow dtypes on far-out-of-domain inputs;
     # the inf saturates tanh to +-1, which IS the correct asymptote
     with np.errstate(over="ignore"):
-        inner = np.tanh(c1 * (x + c2 * (x * x * x)))
-    return half * x * (one + inner)
+        inner = xp.tanh(float(_SQRT_2_OVER_PI)
+                        * (xd + _C * (xd * xd * xd)))
+    return 0.5 * xd * (1.0 + inner)
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:

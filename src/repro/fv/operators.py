@@ -231,7 +231,7 @@ class CoupledTransportEquation:
         csr = self.a.to_csr(pattern=self.pattern)
         kws = ws.krylov if ws else None
         # the workspace's array backend supplies the blocked-reduction
-        # kernels (None = the legacy numpy spellings, bitwise)
+        # kernels (no workspace: numpy)
         be = ws.backend if ws is not None else None
 
         def mv(x: np.ndarray) -> np.ndarray:
@@ -290,90 +290,18 @@ def assemble_transport(
     ``(n,)`` -- the scalar case fuses what ``fvm_ddt + fvm_div -
     fvm_laplacian`` builds through three temporaries and an add chain.
 
-    ``backend=None`` is the untouched legacy numpy path.  An explicit
-    backend routes the coefficient accumulation through
-    :func:`_assemble_transport_backend`: the same term sequence runs
-    against device mirrors of ``(diag, upper, lower, b)`` in *their*
-    dtype, with every face scatter going through
-    :meth:`ArrayBackend.scatter_add`.  Boundary-condition coefficient
-    evaluation stays host-side (it queries Python BC objects); only
-    the resulting per-patch products are shipped to the device.  The
-    NumPy backend mutates the buffers in place (bitwise-identical to
-    the legacy path); other backends write the mirrors back on exit.
-    """
-    if backend is not None:
-        _assemble_transport_backend(
-            a, b, field, rho, dt, phi=phi, gamma=gamma, rho_old=rho_old,
-            old_values=old_values, scheme=scheme, backend=backend)
-        return
-    mesh = field.mesh
-    n = mesh.n_cells
-    nif = mesh.n_internal_faces
-    v = mesh.cell_volumes
-    multi = b.ndim == 2
-
-    # ddt
-    rho_b = np.broadcast_to(np.asarray(rho, float), (n,))
-    rho_old_b = rho_b if rho_old is None else np.broadcast_to(
-        np.asarray(rho_old, float), (n,))
-    old = field.values if old_values is None else \
-        np.asarray(old_values, float)
-    a.diag += rho_b * v / dt
-    if multi:
-        b += (rho_old_b * v / dt)[:, None] * old
-    else:
-        b += rho_old_b * v / dt * old
-
-    deltas = mesh.boundary_delta_coeffs()
-
-    # div (convection)
-    if phi is not None:
-        _div_internal(a, mesh, phi.internal, scheme)
-        for p in mesh.patches:
-            sl = slice(p.start - nif, p.start - nif + p.size)
-            cells = mesh.owner[p.slice]
-            if multi:
-                vi, vb = field.patch_value_coeffs(p.name, deltas[sl])
-            else:
-                vi, vb = field.boundary[p.name].value_coeffs(deltas[sl])
-            phib = phi.boundary[sl]
-            np.add.at(a.diag, cells, phib * vi)
-            np.add.at(b, cells, -phib[:, None] * vb if multi else -phib * vb)
-
-    # - laplacian (diffusion), subtracted as in the PDE
-    if gamma is not None:
-        gamma_f = _face_gamma(mesh, gamma)
-        coeff = _laplacian_coeff(mesh, gamma_f)
-        a.upper -= coeff
-        a.lower -= coeff
-        np.add.at(a.diag, mesh.owner[:nif], coeff)
-        np.add.at(a.diag, mesh.neighbour, coeff)
-        mag_sf_b = mesh.face_area_mags()[nif:]
-        for p in mesh.patches:
-            sl = slice(p.start - nif, p.start - nif + p.size)
-            cells = mesh.owner[p.slice]
-            if multi:
-                gi, gb = field.patch_gradient_coeffs(p.name, deltas[sl])
-            else:
-                gi, gb = field.boundary[p.name].gradient_coeffs(deltas[sl])
-            gsf = gamma_f[p.slice] * mag_sf_b[sl]
-            np.add.at(a.diag, cells, -gsf * gi)
-            np.add.at(b, cells, gsf[:, None] * gb if multi else gsf * gb)
-
-
-def _assemble_transport_backend(
-    a, b, field, rho, dt, phi=None, gamma=None, rho_old=None,
-    old_values=None, scheme="upwind", backend=None,
-) -> None:
-    """Backend-generic body of :func:`assemble_transport`.
-
-    Accumulates the same terms in the same order as the legacy path,
-    but against backend arrays mirroring ``(a.diag, a.upper, a.lower,
-    b)`` in the dtype those buffers carry (fp32 buffers stay fp32 --
-    host-computed coefficients are cast on transfer, never the
-    buffers).  On the NumPy backend the mirrors *are* the buffers, so
-    the result is bitwise-identical to ``backend=None``; on other
-    backends the mirrors are written back at the end.
+    The coefficient accumulation runs on ``backend`` (``None`` =
+    numpy): the term sequence below works on backend arrays mirroring
+    ``(a.diag, a.upper, a.lower, b)`` in the dtype those buffers carry
+    (fp32 buffers stay fp32 -- host-computed coefficients are cast on
+    transfer, never the buffers), with every face scatter going
+    through :meth:`ArrayBackend.scatter_add`.  Boundary-condition
+    coefficient evaluation stays host-side (it queries Python BC
+    objects); only the resulting per-patch products are shipped to
+    the device.  Where ``to_device`` is a no-op (numpy) the mirrors
+    *are* the buffers and are mutated in place; otherwise they are
+    written back on exit.  Term order is identical on every backend,
+    so the assembled coefficients are bitwise-equal across backends.
     """
     be = get_backend(backend)
     mesh = field.mesh
@@ -408,14 +336,14 @@ def _assemble_transport_backend(
     if phi is not None:
         xp = be.xp
         phi_d = be.to_device(phi.internal, dtype=dt_)
-        zero = xp.zeros(phi_d.shape, dtype=dt_)
         if scheme == "upwind":
+            zero = xp.zeros((), dtype=dt_)
             pos = xp.maximum(phi_d, zero)
             neg = xp.minimum(phi_d, zero)
             be.scatter_add(dd, own, pos)
             du += neg
             be.scatter_add(dd, nb, -neg)
-            dl += -pos
+            dl -= pos
         elif scheme == "linear":
             w = be.to_device(mesh.face_interpolation_weights(), dtype=dt_)
             be.scatter_add(dd, own, phi_d * w)
@@ -459,7 +387,7 @@ def _assemble_transport_backend(
             be.scatter_add(db, cells, be.to_device(
                 gsf[:, None] * gb if multi else gsf * gb, dtype=dt_))
 
-    if not be.is_numpy:
+    if dd is not a.diag:
         a.diag[...] = be.from_device(dd)
         a.upper[...] = be.from_device(du)
         a.lower[...] = be.from_device(dl)

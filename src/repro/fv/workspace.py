@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backend import get_backend
 from ..runtime import alloc
 from ..solvers.preconditioners import CachedDICPreconditioner, \
     JacobiPreconditioner
@@ -47,18 +48,17 @@ __all__ = ["EquationWorkspace"]
 class EquationWorkspace:
     """Persistent assembly + solve buffers for one mesh.
 
-    ``backend`` (a registry name or :class:`ArrayBackend`; default
-    ``None``) selects the array backend the fused assembly runs on.
-    ``None`` keeps the legacy in-place numpy hot path -- bitwise and
-    allocation-identical to the pre-shim workspace; an explicit
-    backend routes every :func:`assemble_transport` through the
-    backend-generic body (see
-    ``repro.fv.operators._assemble_transport_backend``).
+    ``backend`` (a registry name or :class:`ArrayBackend`; ``None`` =
+    numpy) selects the array backend the fused assembly and the
+    blocked-Krylov reductions run on.  It is resolved here, once, so
+    :attr:`backend` is always an :class:`ArrayBackend` and a backend
+    this host cannot construct raises the registry's ``ValueError``
+    before any buffer exists.
     """
 
     def __init__(self, mesh, backend=None):
         self.mesh = mesh
-        self.backend = backend
+        self.backend = get_backend(backend)
         self.pattern = CSRPattern.from_mesh(mesh)
         self.ldu = LDUMatrix.from_mesh(mesh)
         self.krylov = KrylovWorkspace()

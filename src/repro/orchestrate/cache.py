@@ -76,8 +76,8 @@ class SharedResources:
     backend:
         Array backend the shared workspace assembles on (as accepted
         by :class:`~repro.fv.workspace.EquationWorkspace`; ``None`` =
-        the legacy numpy hot path).  Instances whose settings select a
-        different backend refuse the shared workspace at construction.
+        numpy).  Instances whose settings select a different backend
+        refuse the shared workspace at construction.
     """
 
     def __init__(self, case: Case, properties=None, backend=None):

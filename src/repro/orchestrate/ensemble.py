@@ -144,8 +144,7 @@ class Ensemble:
         # per-instance backend overlays refuse the shared workspace at
         # solver construction (sharing device buffers across namespaces
         # has no meaning)
-        self._ws_backend = (base.workspace_backend
-                            if base is not None else None)
+        self._ws_backend = self.manager.base.backend
         if case_builder is not None:
             self.cache.get(self.DEFAULT_CASE, builder=case_builder,
                            properties=properties,

@@ -21,7 +21,6 @@ from .preconditioners import (
     DICStructure,
     JacobiPreconditioner,
     SymGaussSeidelPreconditioner,
-    jacobi_apply,
 )
 from .workspace import KrylovWorkspace
 
@@ -42,7 +41,6 @@ __all__ = [
     "backend_fused_reduce",
     "backend_ifused_reduce",
     "backend_reductions",
-    "jacobi_apply",
     "pbicgstab_solve",
     "pbicgstab_solve_multi",
     "pcg_solve",

@@ -73,26 +73,6 @@ def _block_x(name: str, workspace: KrylovWorkspace | None,
         workspace.copy_of(name, x0)
 
 
-def _colsum_abs(r: np.ndarray) -> np.ndarray:
-    return np.abs(r).sum(axis=0)
-
-
-def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", a, b)
-
-
-def _fused_reduce(dots, sums):
-    """Serial fused reduction (the single-process reference hook).
-
-    ``dots`` is a list of ``(a, b)`` multi-vector pairs, ``sums`` a
-    list of multi-vectors; returns ``(dot_results, sum_results)`` --
-    per-column dot products and L1 norms.  A distributed caller
-    replaces this with one packed allreduce for the whole group.
-    """
-    return ([_coldot(a, b) for a, b in dots],
-            [_colsum_abs(s) for s in sums])
-
-
 class _ImmediateReduce:
     """Wait handle of the serial ``ifused_reduce`` hook (already done)."""
 
@@ -104,60 +84,56 @@ class _ImmediateReduce:
         return self._value
 
 
-def _ifused_reduce(dots, sums):
-    """Serial nonblocking fused reduction: compute now, wait later."""
-    return _ImmediateReduce(_fused_reduce(dots, sums))
-
-
 def backend_reductions(backend=None):
     """``(coldot, colsum_abs)`` hooks that execute on ``backend``.
 
     The blocked solvers keep their control flow (convergence masking,
     column compaction) on the host; the backend supplies the *reduction
-    kernels*.  For the NumPy backend this returns the pre-shim einsum /
-    L1 spellings unchanged (bitwise, zero-copy); other backends
+    kernels* (:meth:`ArrayBackend.coldot` / ``colsum_abs``): the hooks
     transfer the ``(n, k)`` blocks, reduce on device, and return host
-    ``(k,)`` results.  Reduction order may differ from the einsum path
-    by documented ulps (see the conformance suite's ulp budget).
+    ``(k,)`` results -- on the NumPy backend both transfers are no-ops
+    around the einsum / L1 spellings.  Reduction order on other
+    backends may differ from einsum by documented ulps (see the
+    conformance suite's ulp budget).
     """
     be = get_backend(backend)
-    if be.is_numpy:
-        return _coldot, _colsum_abs
 
     def cdot(a, b):
-        """Device per-column dot products (host in, host out)."""
+        """Per-column dot products (host in, host out)."""
         return be.from_device(be.coldot(be.to_device(a), be.to_device(b)))
 
     def csum(r):
-        """Device per-column L1 norms (host in, host out)."""
+        """Per-column L1 norms (host in, host out)."""
         return be.from_device(be.colsum_abs(be.to_device(r)))
 
     return cdot, csum
 
 
 def backend_fused_reduce(backend=None):
-    """A ``fused_reduce`` hook whose reductions run on ``backend``."""
-    be = get_backend(backend)
-    if be.is_numpy:
-        return _fused_reduce
-    cdot, csum = backend_reductions(be)
+    """The serial ``fused_reduce`` hook, reducing on ``backend``.
+
+    The hook takes ``dots``, a list of ``(a, b)`` multi-vector pairs,
+    and ``sums``, a list of multi-vectors, and returns ``(dot_results,
+    sum_results)`` -- per-column dot products and L1 norms.  A
+    distributed caller replaces it with one packed allreduce for the
+    whole group.
+    """
+    cdot, csum = backend_reductions(backend)
 
     def freduce(dots, sums):
-        """Serial fused reduction with device reduction kernels."""
+        """Every reduction of the group, one after the other."""
         return ([cdot(a, b) for a, b in dots], [csum(s) for s in sums])
 
     return freduce
 
 
 def backend_ifused_reduce(backend=None):
-    """An ``ifused_reduce`` hook whose reductions run on ``backend``."""
-    be = get_backend(backend)
-    if be.is_numpy:
-        return _ifused_reduce
-    freduce = backend_fused_reduce(be)
+    """The serial nonblocking ``ifused_reduce`` hook on ``backend``:
+    compute now, wait later."""
+    freduce = backend_fused_reduce(backend)
 
     def ifreduce(dots, sums):
-        """Immediate (already-computed) device fused reduction."""
+        """Immediate (already-computed) fused reduction."""
         return _ImmediateReduce(freduce(dots, sums))
 
     return ifreduce
@@ -201,7 +177,7 @@ def pbicgstab_solve_multi(
     ``coldot``/``colsum_abs`` override the per-column reductions (for
     distributed execution, where they allreduce per-rank partials);
     ``backend`` picks their default implementations via
-    :func:`backend_reductions` (``None``/numpy is the pre-shim path).
+    :func:`backend_reductions` (``None`` = numpy).
     With ``workspace``, the ``(n, k)`` solution block is a pooled
     buffer that the next pooled solve will overwrite.
     """
@@ -327,7 +303,7 @@ def pcg_solve_multi(
     masked out.  Per-column reduction counts are reported in
     ``details["reductions"]`` exactly as the scalar PCG does.
     ``backend`` selects the default reduction kernels through
-    :func:`backend_reductions` (``None``/numpy is the pre-shim path).
+    :func:`backend_reductions` (``None`` = numpy).
     With ``workspace``, the ``(n, k)`` solution block is a pooled
     buffer that the next pooled solve will overwrite.
     """
@@ -439,9 +415,9 @@ def fused_pbicgstab_solve_multi(
     preconditioner + matvec per solve for the reduction count; the
     iterates themselves are unchanged, so results agree with the
     synchronous variant to solver tolerance.  ``fused_reduce`` is the
-    grouped-reduction hook (see :func:`_fused_reduce` for the serial
-    reference; a distributed caller packs each group into a single
-    allreduce).
+    grouped-reduction hook (see :func:`backend_fused_reduce` for the
+    serial reference; a distributed caller packs each group into a
+    single allreduce).
     """
     controls = controls if controls is not None else SolverControls()
     b = _check_rhs(a, b)

@@ -26,24 +26,7 @@ __all__ = [
     "DICStructure",
     "CachedDICPreconditioner",
     "SymGaussSeidelPreconditioner",
-    "jacobi_apply",
 ]
-
-
-def jacobi_apply(r_diag, r, backend=None):
-    """``w = r * r_diag`` on any backend (1-D or ``(n, k)`` residual).
-
-    The backend-generic Jacobi application: the reciprocal diagonal is
-    cast to the residual's dtype (never the other way -- no silent
-    fp32 upcast) and broadcast across columns.  The NumPy backend
-    reproduces :meth:`JacobiPreconditioner.apply_multi` bitwise.
-    """
-    be = get_backend(backend)
-    rdev = be.to_device(r)
-    rd = be.to_device(r_diag, dtype=rdev.dtype)
-    if rdev.ndim == 2:
-        return rdev * rd[:, None]
-    return rdev * rd
 
 
 class JacobiPreconditioner:
@@ -59,19 +42,23 @@ class JacobiPreconditioner:
         np.divide(1.0, ldu.diag, out=self.r_diag)
         return self
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """Scale the residual by the inverse diagonal."""
-        return r * self.r_diag
+    def apply(self, r, backend=None):
+        """Scale a 1-D residual by the inverse diagonal."""
+        return self._apply(r, backend)
 
-    def apply_multi(self, r: np.ndarray) -> np.ndarray:
-        """Apply to a multi-vector ``(n, k)`` residual block."""
-        if r.ndim == 1:
-            return self.apply(r)
-        return r * self.r_diag[:, None]
+    def apply_multi(self, r, backend=None):
+        """Scale an ``(n, k)`` residual block by the inverse diagonal."""
+        return self._apply(r, backend)
 
-    def apply_backend(self, r, backend=None):
-        """Backend-generic application (see :func:`jacobi_apply`)."""
-        return jacobi_apply(self.r_diag, r, backend=backend)
+    def _apply(self, r, backend):
+        """The one body of :meth:`apply` / :meth:`apply_multi` (neither
+        calls the other: a tracer wraps both names), on any backend:
+        the reciprocal diagonal is cast to the residual's dtype (never
+        the other way -- no silent fp32 upcast)."""
+        be = get_backend(backend)
+        rdev = be.to_device(r)
+        rd = be.to_device(self.r_diag, dtype=rdev.dtype)
+        return rdev * (rd[:, None] if rdev.ndim == 2 else rd)
 
 
 class DICPreconditioner:
@@ -167,7 +154,7 @@ class DICStructure:
         self.fwd_sort = np.argsort(lev, kind="stable")
         self.fwd_own = self.own[self.fwd_sort]
         self.fwd_nb = self.nb[self.fwd_sort]
-        self.fwd_bounds = self._bounds(lev[self.fwd_sort])
+        self.fwd_levels = self._levels(lev[self.fwd_sort])
 
         # Backward schedule (backward sweep): descending face order,
         # face f reads nb[f], read-modify-writes own[f].
@@ -180,14 +167,16 @@ class DICStructure:
         self.bwd_sort = np.argsort(levb, kind="stable")
         self.bwd_own = self.own[self.bwd_sort]
         self.bwd_nb = self.nb[self.bwd_sort]
-        self.bwd_bounds = self._bounds(levb[self.bwd_sort])
+        self.bwd_levels = self._levels(levb[self.bwd_sort])
 
     @staticmethod
-    def _bounds(sorted_levels: np.ndarray) -> np.ndarray:
-        if sorted_levels.size == 0:
-            return np.zeros(1, dtype=np.int64)
-        counts = np.bincount(sorted_levels)[1:]
-        return np.concatenate(([0], np.cumsum(counts)))
+    def _levels(sorted_levels: np.ndarray) -> list[slice]:
+        """One slice of the level-sorted face arrays per wavefront
+        level (plain ints, built once: the sweeps walk this list
+        hundreds of times per solve)."""
+        edges = np.concatenate(
+            ([0], np.cumsum(np.bincount(sorted_levels)[1:]))).tolist()
+        return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
     @classmethod
     def from_ldu(cls, ldu: LDUMatrix) -> "DICStructure":
@@ -231,9 +220,7 @@ class CachedDICPreconditioner:
         np.take(self._upper, s.bwd_sort, out=self._bwd_up)
         dfac = self._dfac
         dfac[:] = ldu.diag
-        b = s.fwd_bounds
-        for i in range(b.size - 1):
-            sl = slice(b[i], b[i + 1])
+        for sl in s.fwd_levels:
             dfac[s.fwd_nb[sl]] -= self._fwd_up[sl] ** 2 / dfac[s.fwd_own[sl]]
         np.divide(1.0, dfac, out=self.r_d)
         # rd[target] * up fused once per refresh; the sweeps below then
@@ -242,87 +229,61 @@ class CachedDICPreconditioner:
         np.multiply(self.r_d[s.bwd_own], self._bwd_up, out=self._bwd_coef)
         return self
 
-    def _sweeps(self, w: np.ndarray) -> np.ndarray:
+    def _sweeps(self, w, be):
+        """Forward then backward wavefront sweeps over ``w`` (1-D or
+        ``(n, k)``, a ``be`` array), in place.
+
+        The level updates are integer-array setitems (unique targets
+        within a level, so nothing accumulates, but the indexing form
+        is the beyond-spec primitive ``scatter_add`` names).  Backends
+        without it take the **documented host fallback**: the same
+        sweeps run on a host copy in the residual's dtype and the
+        result is shipped back.
+        """
+        if not be.capabilities.scatter_add:
+            host = np.array(be.from_device(w))
+            return be.to_device(self._sweeps(host, get_backend("numpy")),
+                                dtype=w.dtype)
         s = self.struct
-        fwd = self._fwd_coef[:, None] if w.ndim == 2 else self._fwd_coef
-        bwd = self._bwd_coef[:, None] if w.ndim == 2 else self._bwd_coef
-        b = s.fwd_bounds
-        for i in range(b.size - 1):
-            sl = slice(b[i], b[i + 1])
-            w[s.fwd_nb[sl]] -= fwd[sl] * w[s.fwd_own[sl]]
-        b = s.bwd_bounds
-        for i in range(b.size - 1):
-            sl = slice(b[i], b[i + 1])
-            w[s.bwd_own[sl]] -= bwd[sl] * w[s.bwd_nb[sl]]
+        fwd = be.to_device(self._fwd_coef, dtype=w.dtype)
+        bwd = be.to_device(self._bwd_coef, dtype=w.dtype)
+        if w.ndim == 2:
+            fwd, bwd = fwd[:, None], bwd[:, None]
+        own, nb = be.to_device(s.fwd_own), be.to_device(s.fwd_nb)
+        for sl in s.fwd_levels:
+            w[nb[sl]] -= fwd[sl] * be.take(w, own[sl], axis=0)
+        own, nb = be.to_device(s.bwd_own), be.to_device(s.bwd_nb)
+        for sl in s.bwd_levels:
+            w[own[sl]] -= bwd[sl] * be.take(w, nb[sl], axis=0)
         return w
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
+    def apply(self, r, backend=None):
         """Apply the DIC factor to a 1-D residual."""
-        return self._sweeps(r * self.r_d)
+        return self._apply(r, None, backend)
 
-    def apply_multi(self, r: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
+    def apply_multi(self, r, out=None, backend=None):
         """Apply to ``(n, k)``: one sweep pair covers all columns.
 
         ``out`` (same shape as ``r``; may be a view, e.g. one rank's
         row slice of a stacked block) receives the scaled residual and
         is swept in place, so no temporary is allocated.
         """
-        rd = self.r_d[:, None] if r.ndim == 2 else self.r_d
-        return self._sweeps(np.multiply(r, rd, out=out))
+        return self._apply(r, out, backend)
 
-    def apply_backend(self, r, backend=None):
-        """Backend-generic DIC application (1-D or ``(n, k)``).
-
-        Diagonal scaling and the wavefront-level sweeps run on the
-        device when the backend advertises ``scatter_add`` (the level
-        updates are integer-array setitems -- unique targets within a
-        level, so no accumulation is needed, but the indexing form is
-        the same beyond-spec primitive).  Backends without it
-        (``array-api-strict``) take the **documented host fallback**:
-        the sweeps execute on a host copy in the residual's dtype and
-        the result is shipped back.  The NumPy backend at fp64
-        reproduces :meth:`apply_multi` bitwise (same level order, same
-        per-level arithmetic).
-        """
+    def _apply(self, r, out, backend):
+        """The one body of :meth:`apply` / :meth:`apply_multi` (neither
+        calls the other: a tracer wraps both names): diagonal scaling
+        then the sweeps, on any backend, in the residual's dtype."""
         be = get_backend(backend)
-        s = self.struct
         rdev = be.to_device(r)
-        dt = rdev.dtype
-        rd = be.to_device(self.r_d, dtype=dt)
-        w = rdev * (rd[:, None] if rdev.ndim == 2 else rd)
-        if not be.capabilities.scatter_add:
-            wh = np.array(be.from_device(w))
-            fwd = self._fwd_coef.astype(wh.dtype)
-            bwd = self._bwd_coef.astype(wh.dtype)
-            if wh.ndim == 2:
-                fwd, bwd = fwd[:, None], bwd[:, None]
-            b = s.fwd_bounds
-            for i in range(b.size - 1):
-                sl = slice(b[i], b[i + 1])
-                wh[s.fwd_nb[sl]] -= fwd[sl] * wh[s.fwd_own[sl]]
-            b = s.bwd_bounds
-            for i in range(b.size - 1):
-                sl = slice(b[i], b[i + 1])
-                wh[s.bwd_own[sl]] -= bwd[sl] * wh[s.bwd_nb[sl]]
-            return be.to_device(wh, dtype=dt)
-        fwd = be.to_device(self._fwd_coef, dtype=dt)
-        bwd = be.to_device(self._bwd_coef, dtype=dt)
-        fwd_own = be.to_device(s.fwd_own)
-        fwd_nb = be.to_device(s.fwd_nb)
-        bwd_own = be.to_device(s.bwd_own)
-        bwd_nb = be.to_device(s.bwd_nb)
+        rd = be.to_device(self.r_d, dtype=rdev.dtype)
         if rdev.ndim == 2:
-            fwd, bwd = fwd[:, None], bwd[:, None]
-        b = s.fwd_bounds
-        for i in range(b.size - 1):
-            sl = slice(int(b[i]), int(b[i + 1]))
-            w[fwd_nb[sl]] -= fwd[sl] * be.take(w, fwd_own[sl], axis=0)
-        b = s.bwd_bounds
-        for i in range(b.size - 1):
-            sl = slice(int(b[i]), int(b[i + 1]))
-            w[bwd_own[sl]] -= bwd[sl] * be.take(w, bwd_nb[sl], axis=0)
-        return w
+            rd = rd[:, None]
+        if out is None:
+            return self._sweeps(rdev * rd, be)
+        out[...] = rdev
+        out *= rd
+        return self._sweeps(out, be)
 
 
 class SymGaussSeidelPreconditioner:

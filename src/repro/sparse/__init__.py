@@ -21,7 +21,6 @@ from .ldu import LDUMatrix
 from .pattern import CSRPattern
 from .spmv import (
     SpmvCost,
-    spmv_block,
     spmv_cost,
     spmv_faces,
     spmv_ldu,
@@ -40,7 +39,6 @@ __all__ = [
     "gauss_seidel_block",
     "gauss_seidel_csr",
     "row_ranges_from_membership",
-    "spmv_block",
     "spmv_cost",
     "spmv_faces",
     "spmv_ldu",

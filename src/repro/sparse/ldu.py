@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..runtime import alloc
+from .spmv import spmv_faces
 
 __all__ = ["LDUMatrix"]
 
@@ -61,14 +62,11 @@ class LDUMatrix:
 
     # ----------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """y = A x using the face-loop formulation (2 flops per nnz)."""
-        x = np.asarray(x, dtype=float)
-        y = self.diag * x
-        y += np.bincount(self.owner, weights=self.upper * x[self.neighbour],
-                         minlength=self.n)
-        y += np.bincount(self.neighbour, weights=self.lower * x[self.owner],
-                         minlength=self.n)
-        return y
+        """y = A x using the face-loop formulation (2 flops per nnz):
+        :func:`~repro.sparse.spmv.spmv_faces` on the numpy backend, in
+        fp64 like the coefficient arrays."""
+        return spmv_faces(self.diag, self.lower, self.upper, self.owner,
+                          self.neighbour, np.asarray(x, dtype=float))
 
     def matvec_multi(self, x: np.ndarray) -> np.ndarray:
         """Y = A X for a multi-vector ``X`` of shape ``(n, k)``.
@@ -81,15 +79,8 @@ class LDUMatrix:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return self.matvec(x)
-        y = self.diag[:, None] * x
-        up = self.upper[:, None] * x[self.neighbour]
-        lo = self.lower[:, None] * x[self.owner]
-        for j in range(x.shape[1]):
-            y[:, j] += np.bincount(self.owner, weights=up[:, j],
-                                   minlength=self.n)
-            y[:, j] += np.bincount(self.neighbour, weights=lo[:, j],
-                                   minlength=self.n)
-        return y
+        return spmv_faces(self.diag, self.lower, self.upper, self.owner,
+                          self.neighbour, x)
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.asarray(b, float) - self.matvec(x)

@@ -4,9 +4,10 @@ Every solve in the step loop used to rebuild a scipy CSR from the LDU
 face arrays -- a sort plus several allocations per conversion even
 though the sparsity pattern *is* the mesh connectivity and never
 changes between steps (Sec. 3.2.2).  :class:`CSRPattern` is built once
-per mesh: it precomputes the face -> nnz-slot scatter map so refreshing
-the CSR is an O(nnz) value gather into a preallocated ``data`` array,
-with no sorting, no duplicate summation pass and no new matrix object.
+per mesh: it precomputes the face -> nnz-slot map (and its inverse
+gather permutation) so refreshing the CSR is an O(nnz) value gather
+into a preallocated ``data`` array, with no sorting, no duplicate
+summation pass and no new matrix object.
 
 The pattern also caches the lower/upper triangle *views* used by the
 Gauss-Seidel smoother and the symmetric-GS preconditioner: the triangle
@@ -49,7 +50,6 @@ class CSRPattern:
         self.n = int(n)
         self.owner = np.asarray(owner, dtype=np.int64)
         self.neighbour = np.asarray(neighbour, dtype=np.int64)
-        nif = self.owner.size
 
         diag_idx = np.arange(self.n, dtype=np.int64)
         rows = np.concatenate([diag_idx, self.owner, self.neighbour])
@@ -92,13 +92,12 @@ class CSRPattern:
         self._lower_slots = np.flatnonzero(self.indices <= row_of_slot)
         self._upper_slots = np.flatnonzero(self.indices > row_of_slot)
 
-        # Persistent buffers: the value vector in source order and the
-        # scatter target.  Both live as long as the pattern.
-        self._vals = np.empty(self.n + 2 * nif)
+        # Persistent buffer the cached CSR matrix views as its ``data``;
+        # it lives as long as the pattern.
         self._data = np.zeros(self.nnz)
         self._csr: sp.csr_matrix | None = None
         self._tri: tuple[sp.csr_matrix, sp.csr_matrix] | None = None
-        alloc.count(4)
+        alloc.count(3)
 
     # ----------------------------------------------------------------
     @classmethod
@@ -117,39 +116,31 @@ class CSRPattern:
 
     # ----------------------------------------------------------------
     def fill(self, ldu) -> np.ndarray:
-        """Scatter the LDU values into the pattern's ``data`` buffer.
+        """Refresh the pattern's ``data`` buffer from the LDU values
+        (:meth:`fill_values` on the numpy backend, copied into the
+        persistent buffer the cached CSR matrix views).
 
-        O(nnz) with zero allocation after the first call; returns the
-        buffer (owned by the pattern -- treat as read-only).
+        O(nnz); returns the buffer (owned by the pattern -- treat as
+        read-only).
         """
         if not self.matches(ldu):
             raise ValueError("LDU matrix does not match this pattern")
-        n, nif = self.n, self.owner.size
-        self._vals[:n] = ldu.diag
-        self._vals[n:n + nif] = ldu.upper
-        self._vals[n + nif:] = ldu.lower
-        if self.has_duplicates:
-            self._data[:] = 0.0
-            np.add.at(self._data, self.slots, self._vals)
-        else:
-            self._data[self.slots] = self._vals
+        self._data[:] = self.fill_values(ldu.diag, ldu.upper, ldu.lower)
         return self._data
 
     def fill_values(self, diag, upper, lower, backend=None):
-        """Backend-generic CSR value refresh from raw coefficient arrays.
+        """CSR values from raw coefficient arrays, on any backend.
 
-        The portable counterpart of :meth:`fill`: on patterns without
-        duplicate coordinates the precomputed :attr:`gather_src`
-        permutation turns the slot scatter into a pure ``take`` gather
-        (Array-API clean, runs fully on device).  Patterns *with*
+        On patterns without duplicate coordinates the precomputed
+        :attr:`gather_src` permutation makes the refresh a pure ``take``
+        gather (Array-API clean, runs fully on device).  Patterns *with*
         duplicates need an accumulating scatter, which routes through
         :meth:`ArrayBackend.scatter_add` -- a documented host round-trip
         on backends without that capability (e.g. ``array-api-strict``).
 
         Computes in the dtype of ``diag`` (``upper``/``lower`` are cast
         to it) and returns a freshly allocated backend-native ``data``
-        array -- unlike :meth:`fill` it does not reuse the pattern's
-        fp64 buffers, so fp32 inputs yield fp32 output.
+        array, so fp32 inputs yield fp32 output.
         """
         be = get_backend(backend)
         xp = be.xp

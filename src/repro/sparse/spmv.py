@@ -8,27 +8,30 @@ model (the PDE solver is bandwidth-bound on all three paper machines).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..backend import get_backend
-from .block_csr import BlockCSRMatrix
-from .ldu import LDUMatrix
 
-__all__ = ["spmv_ldu", "spmv_ldu_multi", "spmv_faces", "spmv_block",
+if TYPE_CHECKING:  # ldu.py imports this module for its matvec body
+    from .ldu import LDUMatrix
+
+__all__ = ["spmv_ldu", "spmv_ldu_multi", "spmv_faces",
            "SpmvCost", "spmv_cost"]
 
 
 def spmv_faces(diag, lower, upper, owner, neighbour, x, backend=None):
-    """Backend-generic LDU face-loop SpMV (``x`` 1-D or ``(n, k)``).
+    """The LDU face-loop SpMV (``x`` 1-D or ``(n, k)``) on any backend.
 
-    The portable spelling of :meth:`LDUMatrix.matvec` /
-    :meth:`~LDUMatrix.matvec_multi`: gather ``x`` at the face endpoints
-    (``take``), form the face products, and accumulate them onto the
-    owner/neighbour rows through :meth:`ArrayBackend.scatter_add`.  Each
-    triangle is accumulated into its own zero buffer and then added --
-    the same association order as the legacy ``np.bincount`` path, so
-    the NumPy backend reproduces it bitwise.
+    The one body behind :meth:`LDUMatrix.matvec` /
+    :meth:`~LDUMatrix.matvec_multi` and :func:`spmv_ldu`: gather ``x``
+    at the face endpoints (``take``), form the face products, and
+    accumulate them onto the owner/neighbour rows through
+    :meth:`ArrayBackend.scatter_add`.  Each triangle is accumulated
+    into its own zero buffer in face order and then added to the
+    diagonal product, so the association order -- and with it every
+    bit of the result -- is the same on every backend.
 
     Computes in the dtype of ``x`` (coefficients are cast to it, never
     the other way -- no silent fp32 -> fp64 upcasts) and returns a
@@ -39,63 +42,32 @@ def spmv_faces(diag, lower, upper, owner, neighbour, x, backend=None):
     xp = be.xp
     xd = be.to_device(x)
     dt = xd.dtype
-    dg = be.to_device(diag, dtype=dt)
-    lo = be.to_device(lower, dtype=dt)
-    up = be.to_device(upper, dtype=dt)
+    col = (slice(None), None) if xd.ndim == 2 else slice(None)
     own = be.to_device(np.asarray(owner, dtype=np.int64))
     nb = be.to_device(np.asarray(neighbour, dtype=np.int64))
-    x_nb = be.take(xd, nb, axis=0)
-    x_own = be.take(xd, own, axis=0)
-    if xd.ndim == 2:
-        y = dg[:, None] * xd
-        face_up = up[:, None] * x_nb
-        face_lo = lo[:, None] * x_own
-    else:
-        y = dg * xd
-        face_up = up * x_nb
-        face_lo = lo * x_own
-    acc = be.scatter_add(xp.zeros(y.shape, dtype=dt), own, face_up)
-    y = y + acc
-    acc = be.scatter_add(xp.zeros(y.shape, dtype=dt), nb, face_lo)
-    return y + acc
+    y = be.to_device(diag, dtype=dt)[col] * xd
+    y += be.scatter_add(
+        xp.zeros(y.shape, dtype=dt), own,
+        be.to_device(upper, dtype=dt)[col] * be.take(xd, nb, axis=0))
+    y += be.scatter_add(
+        xp.zeros(y.shape, dtype=dt), nb,
+        be.to_device(lower, dtype=dt)[col] * be.take(xd, own, axis=0))
+    return y
 
 
 def spmv_ldu(ldu: LDUMatrix, x: np.ndarray, backend=None) -> np.ndarray:
-    """y = A x via the LDU face loop.
-
-    ``backend=None`` keeps the legacy in-process numpy path (bitwise
-    and allocation-identical to the pre-shim code); an explicit backend
-    routes through the generic :func:`spmv_faces` kernel.
-    """
-    if backend is None:
-        return ldu.matvec(x)
+    """y = A x via the LDU face loop (:func:`spmv_faces` on the
+    matrix's arrays, in the dtype of ``x``)."""
     return spmv_faces(ldu.diag, ldu.lower, ldu.upper,
                       ldu.owner, ldu.neighbour, x, backend=backend)
 
 
-def spmv_ldu_multi(ldu: LDUMatrix, x: np.ndarray, backend=None) -> np.ndarray:
-    """Y = A X for ``X`` of shape ``(n, k)`` — the multi-RHS reference
-    kernel (exact per-column match with :func:`spmv_ldu`).
-
-    This is the validation path: it reuses the face products across
-    columns but still accumulates column by column.  The performance
-    path for blocked solves is a one-off CSR conversion + sparse-dense
-    product (~15x at 5k cells, k=17), which is what
-    ``CoupledTransportEquation.solve`` passes to the blocked Krylov
-    solvers as their ``matvec``.
-
-    As with :func:`spmv_ldu`, ``backend=None`` is the untouched legacy
-    path and an explicit backend selects :func:`spmv_faces`.
-    """
-    if backend is None:
-        return ldu.matvec_multi(x)
-    return spmv_faces(ldu.diag, ldu.lower, ldu.upper,
-                      ldu.owner, ldu.neighbour, x, backend=backend)
-
-
-def spmv_block(block: BlockCSRMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A x via per-thread block rows."""
-    return block.matvec(x)
+#: ``Y = A X`` for ``X`` of shape ``(n, k)`` is the same kernel: column
+#: ``j`` equals ``spmv_ldu(ldu, X[:, j])`` bitwise.  This is the
+#: validation path; blocked solves use a one-off CSR conversion +
+#: sparse-dense product (~15x at 5k cells, k=17), which is what
+#: ``CoupledTransportEquation.solve`` hands the blocked Krylov solvers.
+spmv_ldu_multi = spmv_ldu
 
 
 @dataclass(frozen=True)

@@ -269,19 +269,29 @@ class CubicEos:
         return a_mix, self._covolume(x), da_dt
 
     # ----------------------------------------------------------------
-    def compressibility(self, t, p, x, root: str = "vapor") -> np.ndarray:
+    def compressibility(self, t, p, x, root: str = "vapor",
+                        backend=None, dtype="fp64"):
         """Compressibility factor Z from the cubic, vectorized.
 
         ``root`` selects ``"vapor"`` (largest real root), ``"liquid"``
         (smallest valid root) or ``"gibbs"`` (minimum Gibbs energy).
         At supercritical conditions the cubic generally has a single
         real root and the choice is moot.
+
+        The root kernel runs on ``backend`` (``None`` = numpy) in
+        ``dtype`` and returns a backend-native array.  One piece stays
+        on the host, documented: the mixture parameters ``(a_mix,
+        b_mix)`` -- the van der Waals mixing machinery is host numpy.
         """
+        be = get_backend(backend)
+        dt_ = be.dtype_of(dtype)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         p = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
         x = np.atleast_2d(x)
         a_mix, _, _ = self.attraction(t, x, order=0)
-        return self._solve_cubic(t, p, a_mix, self._covolume(x), root)
+        on_device = (be.to_device(v, dtype=dt_)
+                     for v in (t, p, a_mix, self._covolume(x)))
+        return self._cubic_z(be.xp, *on_device, root)
 
     def _solve_cubic(self, t, p, a_mix, b_mix, root: str) -> np.ndarray:
         """Z at ``(t, p)`` for given mixture parameters (all ``(n,)``)."""
@@ -330,26 +340,6 @@ class CubicEos:
                 gk = gibbs(zk, ok)
                 z, g = xp.where(gk < g, zk, z), xp.where(gk < g, gk, g)
         return xp.where(z0 > big_b, z, xp.maximum(z0, 1.001 * big_b))
-
-    def compressibility_backend(self, t, p, x, root: str = "vapor",
-                                backend=None, dtype="fp64"):
-        """Backend-generic batched compressibility factor.
-
-        The portable spelling of :meth:`compressibility`: the same
-        root kernel on the backend's namespace in the requested dtype.
-        One piece stays on the host, documented: the mixture
-        parameters ``(a_mix, b_mix)`` -- the van der Waals mixing
-        machinery is host numpy.  The NumPy backend at fp64
-        reproduces :meth:`compressibility` bitwise.
-        """
-        be = get_backend(backend)
-        dt_ = be.dtype_of(dtype)
-        t_host = np.atleast_1d(np.asarray(t, dtype=float))
-        p_host = np.broadcast_to(np.asarray(p, dtype=float), t_host.shape)
-        a_mix, b_mix, _ = self.mixture_ab(t_host, np.atleast_2d(x))
-        on_device = (be.to_device(v, dtype=dt_)
-                     for v in (t_host, p_host, a_mix, b_mix))
-        return self._cubic_z(be.xp, *on_device, root)
 
     def density(self, t, p, y, root: str = "vapor") -> np.ndarray:
         """Mass density [kg/m^3] from T, p and *mass* fractions ``y``."""

@@ -93,8 +93,7 @@ class TestCubicEos:
         0.5497: a misspelt mode used to return the vapor root."""
         t, x = np.array([120.0]), pr._mole_from_mass(pure_o2[None, :])
         for solve in (lambda: pr.density(t, 2e6, pure_o2[None, :], root=root),
-                      lambda: pr.compressibility(t, 2e6, x, root=root),
-                      lambda: pr.compressibility_backend(t, 2e6, x, root=root)):
+                      lambda: pr.compressibility(t, 2e6, x, root=root)):
             with pytest.raises(ValueError, match="vapor.*liquid.*gibbs"):
                 solve()
 
