@@ -28,6 +28,7 @@ reassociates).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,18 @@ class ArrayBackend:
                   self.from_device(vals))
         target[...] = self.to_device(host, dtype=target.dtype)
         return target
+
+    def sparse_matmul(self, a, x):
+        """``a @ x`` in the dtype of ``x`` (shape ``(m, ...)``) for a host
+        scipy sparse ``a`` (a structural operator: mesh incidence,
+        interpolation).  One body: a host round trip through the compiled
+        scipy product -- free where transfers are no-ops (numpy); a
+        device backend overrides it with its native sparse product."""
+        host = self.from_device(x)
+        y = a.astype(host.dtype, copy=False) @ host.reshape(
+            (host.shape[0], math.prod(host.shape[1:])))
+        return self.to_device(y.reshape(a.shape[:1] + host.shape[1:]),
+                              dtype=x.dtype)
 
     def take(self, x, idx, axis=None):
         """Gather ``x`` at integer indices ``idx`` (1-D) along ``axis``."""

@@ -15,7 +15,46 @@ from ..constants import P_REF, R_UNIVERSAL
 from .rates import Reaction
 from .species import Species
 
-__all__ = ["Mechanism"]
+__all__ = ["Mechanism", "MixtureThermo"]
+
+
+class MixtureThermo:
+    """Ideal-gas ``cp(T)`` and ``h(T)`` per unit mass at one composition.
+
+    Mixing is linear in the NASA-7 coefficients: with single-range
+    polynomials the species sum is contracted **once** into six mixture
+    coefficients per cell, and each later temperature (every sweep of a
+    T(h) Newton) is an O(n) Horner pass, not ``(n, n_species)``
+    temporaries.  Other thermo types keep the per-species sums.
+    """
+
+    def __init__(self, mech: "Mechanism", y: np.ndarray):
+        self._mech, self._y = mech, y
+        a = mech._thermo_coeffs
+        # un-optimised einsum: one fixed loop over species per cell and
+        # no (n, n_species) temporary.  A BLAS gemm picks its kernel by
+        # batch size; a cell's coefficients must not depend on its batch.
+        self._c = None if a is None else np.einsum(
+            "...j,jk->k...", y, a[:, :6] * (
+                R_UNIVERSAL / mech.molecular_weights)[:, None], optimize=False)
+
+    def cp_mass(self, t: np.ndarray) -> np.ndarray:
+        """Mixture specific heat [J/(kg K)] at temperature(s) ``t``."""
+        c = self._c
+        if c is None:
+            return ((self._y / self._mech.molecular_weights)
+                    * (self._mech.cp_r_all(t) * R_UNIVERSAL)).sum(axis=-1)
+        return c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * c[4])))
+
+    def h_mass(self, t: np.ndarray) -> np.ndarray:
+        """Mixture specific enthalpy [J/kg] at temperature(s) ``t``."""
+        c = self._c
+        if c is None:
+            return ((self._y / self._mech.molecular_weights) * (
+                self._mech.h_rt_all(t) * R_UNIVERSAL
+                * np.asarray(t)[..., None])).sum(axis=-1)
+        return c[5] + t * (c[0] + t * (c[1] / 2.0 + t * (c[2] / 3.0 + t * (
+            c[3] / 4.0 + t * c[4] / 5.0))))
 
 
 @dataclass
@@ -184,16 +223,17 @@ class Mechanism:
         num = x * self.molecular_weights
         return num / np.maximum(num.sum(axis=-1, keepdims=True), 1e-300)
 
+    def mixture_thermo(self, y: np.ndarray) -> MixtureThermo:
+        """``cp(T)`` / ``h(T)`` at mass fractions ``y`` ``(..., n_species)``."""
+        return MixtureThermo(self, y)
+
     def cp_mass_mixture(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Ideal-gas mixture specific heat [J/(kg K)]."""
-        cp_moles = self.cp_r_all(t) * R_UNIVERSAL  # (..., ns)
-        return ((y / self.molecular_weights) * cp_moles).sum(axis=-1)
+        return self.mixture_thermo(y).cp_mass(np.asarray(t, dtype=float))
 
     def h_mass_mixture(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Ideal-gas mixture specific enthalpy [J/kg]."""
-        t = np.asarray(t, dtype=float)
-        h_moles = self.h_rt_all(t) * R_UNIVERSAL * t[..., None]
-        return ((y / self.molecular_weights) * h_moles).sum(axis=-1)
+        return self.mixture_thermo(y).h_mass(np.asarray(t, dtype=float))
 
     def element_mass_fractions(self, y: np.ndarray) -> np.ndarray:
         """Element mass fractions Z_e from species mass fractions."""

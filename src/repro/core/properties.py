@@ -9,6 +9,7 @@ substitution, reproduced end to end.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from ..thermo.real_fluid import RealFluidMixture
 
 __all__ = ["PropertySet", "DirectRealFluidProperties", "PRNetProperties",
            "IdealGasProperties"]
+
+_log = logging.getLogger("repro.thermo")
 
 
 @dataclass
@@ -81,6 +84,9 @@ class PRNetProperties:
 class IdealGasProperties:
     """Ideal-gas path (cheap; for ideal-gas comparison rows of Table 1)."""
 
+    #: T(h) Newton cap; cells still unconverged then are reported once
+    max_sweeps = 40
+
     def __init__(self, mech: Mechanism, mu0: float = 2e-5, pr: float = 0.7):
         self.mech = mech
         self.mu0 = mu0
@@ -97,17 +103,28 @@ class IdealGasProperties:
         # depend on what else shares its batch -- breaking
         # serial-vs-decomposed agreement when one rank holds a hot
         # region).
-        for _ in range(40):
-            resid = self.mech.h_mass_mixture(t, y) - h
-            done = np.abs(resid) <= 1e-13 * (np.abs(h) + 1e3)
+        mix = self.mech.mixture_thermo(y)   # Y is fixed across the sweeps
+        tol = 1e-13 * (np.abs(h) + 1e3)
+        for _ in range(self.max_sweeps):
+            resid = mix.h_mass(t) - h
+            done = np.abs(resid) <= tol
             if done.all():
                 break
-            cp = self.mech.cp_mass_mixture(t, y)
-            t = np.where(done, t, np.clip(t - resid / cp, 60.0, 5000.0))
+            t = np.where(done, t,
+                         np.clip(t - resid / mix.cp_mass(t), 60.0, 5000.0))
+        else:   # sweeps exhausted; the last update is not evaluated yet
+            resid = np.abs(mix.h_mass(t) - h) / tol
+            failed = ~(resid <= 1.0)
+            if failed.any():
+                _log.warning(
+                    "IdealGasProperties.evaluate: %d of %d cells unconverged "
+                    "after %d sweeps (worst relative enthalpy residual %.3e, "
+                    "tol %.1e)", int(failed.sum()), failed.size,
+                    self.max_sweeps, float(resid[failed].max()) * 1e-13, 1e-13)
         w = self.mech.mean_molecular_weight(y)
         p_arr = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
         rho = p_arr * w / (R_UNIVERSAL * t)
-        cp = self.mech.cp_mass_mixture(t, y)
+        cp = mix.cp_mass(t)
         mu = self.mu0 * (t / 300.0) ** 0.7
         alpha = mu / (rho * self.pr)  # nu/Pr
         return PropertySet(rho, t, mu, alpha, cp)

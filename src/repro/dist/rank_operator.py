@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..mesh.face_operators import structural_csr
 from ..runtime import alloc
 from ..solvers.preconditioners import CachedDICPreconditioner
 from ..sparse.ldu import LDUMatrix
+from ..sparse.pattern import CSRPattern
 
 __all__ = ["RankOperator", "scratch_buffer"]
 
@@ -65,17 +67,34 @@ class RankOperator:
         self.nb_i = nb[self.interior]
         cut_own = np.nonzero((own < no) & (nb >= no))[0]
         cut_nb = np.nonzero((nb < no) & (own >= no))[0]
-        # (faces, rows, cols) of the upper- and the lower-coefficient group
-        self._cuts = [(cut_own, own[cut_own], nb[cut_own]),
-                      (cut_nb, nb[cut_nb], own[cut_nb])]
+        # owned rows x local (ghost) columns, value-refreshed per bind from
+        # the cut faces' ``upper`` (owner owned) / ``lower`` coefficients
+        self._cut_faces = (cut_own, cut_nb)
+        self._cut, self._cut_order = structural_csr(
+            np.r_[own[cut_own], nb[cut_nb]], np.r_[nb[cut_own], own[cut_nb]],
+            np.zeros(cut_own.size + cut_nb.size), (no, sub.n_local))
         #: stored entries of the owned rows; summed over all ranks this
         #: is the undecomposed operator's ``n_cells + 2 n_internal_faces``
         self.nnz = (no + 2 * self.interior.size
                     + cut_own.size + cut_nb.size)
         self._bufs: dict = {}
-        self._block: LDUMatrix | None = None
+        alloc.count(3)
+        m = self.interior.size
+        self._block = LDUMatrix(no, self.own_i, self.nb_i,
+                                np.empty(no), np.empty(m), np.empty(m))
+        self._pattern = CSRPattern.from_ldu(self._block)
         #: the cached block-DIC factor (``None`` until the first PCG solve)
         self.dic: CachedDICPreconditioner | None = None
+        self.bind(mat)
+
+    def bind(self, mat: LDUMatrix) -> None:
+        """Adopt the coefficients ``mat`` holds *now*, gathered once per
+        solve into the CSR buffers the matvec halves multiply with."""
+        self.mat = mat
+        self._csr = self._pattern.csr(self.interior_block())
+        cut_own, cut_nb = self._cut_faces
+        self._cut.data[:] = np.r_[mat.upper[cut_own],
+                                  mat.lower[cut_nb]][self._cut_order]
 
     @classmethod
     def bound(cls, scratch: dict, key, sub, mat: LDUMatrix) -> "RankOperator":
@@ -84,7 +103,8 @@ class RankOperator:
         op = scratch.get(key)
         if op is None:
             op = scratch[key] = cls(sub, mat)
-        op.mat = mat
+        else:
+            op.bind(mat)
         return op
 
     # -- matvec halves ---------------------------------------------------
@@ -98,40 +118,17 @@ class RankOperator:
 
     def apply_interior(self, loc: np.ndarray, out: np.ndarray) -> None:
         """Owned rows of the product from owned data only."""
-        m = self.mat
-        no = self.sub.n_owned
-        np.multiply(m.diag[:no, None], loc[:no], out=out)
-        up = m.upper[self.interior, None] * loc[self.nb_i]
-        lo = m.lower[self.interior, None] * loc[self.own_i]
-        for j in range(loc.shape[1]):
-            out[:, j] += np.bincount(self.own_i, weights=up[:, j],
-                                     minlength=no)
-            out[:, j] += np.bincount(self.nb_i, weights=lo[:, j],
-                                     minlength=no)
+        out[:] = self._csr @ loc[:self.sub.n_owned]
 
     def apply_boundary(self, loc: np.ndarray, out: np.ndarray) -> None:
         """Add the cut-face (ghost-reading) contributions."""
-        no = self.sub.n_owned
-        for coeff, (faces, rows, cols) in zip(
-                (self.mat.upper, self.mat.lower), self._cuts):
-            if faces.size == 0:
-                continue
-            w = coeff[faces, None] * loc[cols]
-            for j in range(loc.shape[1]):
-                out[:, j] += np.bincount(rows, weights=w[:, j],
-                                         minlength=no)
+        out += self._cut @ loc
 
     # -- communication-free preconditioning ------------------------------
     def interior_block(self) -> LDUMatrix:
         """The owned diagonal block (faces with both cells owned) of
         the bound matrix, restricted into persistent buffers."""
         blk = self._block
-        if blk is None:
-            alloc.count(3)
-            m = self.interior.size
-            blk = self._block = LDUMatrix(
-                self.sub.n_owned, self.own_i, self.nb_i,
-                np.empty(self.sub.n_owned), np.empty(m), np.empty(m))
         blk.diag[:] = self.mat.diag[:blk.n]
         np.take(self.mat.lower, self.interior, out=blk.lower)
         np.take(self.mat.upper, self.interior, out=blk.upper)

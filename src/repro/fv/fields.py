@@ -87,18 +87,11 @@ class VolField:
             )
         return out
 
-    def face_values(self, weights: np.ndarray | None = None) -> np.ndarray:
+    def face_values(self) -> np.ndarray:
         """Linear interpolation to all faces (internal + boundary)."""
-        mesh = self.mesh
-        w = mesh.face_interpolation_weights() if weights is None else weights
-        nif = mesh.n_internal_faces
-        own = self.values[mesh.owner[:nif]]
-        nb = self.values[mesh.neighbour]
-        if self.is_vector:
-            internal = w[:, None] * own + (1 - w)[:, None] * nb
-        else:
-            internal = w * own + (1 - w) * nb
-        return np.concatenate([internal, self.boundary_face_values()], axis=0)
+        out = self.mesh.face_operators().interpolate(self.values)
+        out[self.mesh.n_internal_faces:] = self.boundary_face_values()
+        return out
 
     def min(self) -> float:
         return float(self.values.min())

@@ -110,29 +110,29 @@ class FVMatrix:
             solver = "PCG" if self.a.is_symmetric_cached(tol=1e-14) \
                 else "PBiCGStab"
         ws = self.workspace
-        if solver == "PCG":
-            if ws is not None:
-                pre = (ws.dic(self.a) if self.a.n < 50_000
-                       else ws.jacobi(self.a)).apply
-            else:
-                pre = CachedDICPreconditioner(self.a).apply \
-                    if self.a.n < 50_000 else JacobiPreconditioner(self.a).apply
-            x, res = pcg_solve(self.a, self.source, x0=self.field.values,
-                               preconditioner=pre, controls=controls,
-                               workspace=ws.krylov if ws else None)
-        elif solver == "PBiCGStab":
-            pre = ws.jacobi(self.a) if ws is not None \
-                else JacobiPreconditioner(self.a)
-            x, res = pbicgstab_solve(
-                self.a, self.source, x0=self.field.values,
-                preconditioner=pre.apply, controls=controls,
-                workspace=ws.krylov if ws else None)
-        elif solver == "GAMG":
+        if solver == "GAMG":
             from ..solvers.gamg import GAMGSolver
 
             x, res = GAMGSolver(
                 self.a, pattern=ws.pattern if ws else None,
             ).solve(self.source, x0=self.field.values, controls=controls)
+        elif solver in ("PCG", "PBiCGStab"):
+            # one compiled CSR product per iteration, as the coupled solve
+            csr = self.a.to_csr(pattern=ws.pattern if ws else None)
+
+            def mv(x: np.ndarray) -> np.ndarray:
+                return csr @ x
+
+            dic = solver == "PCG" and self.a.n < 50_000
+            if ws is not None:
+                pre = ws.dic(self.a) if dic else ws.jacobi(self.a)
+            else:
+                pre = (CachedDICPreconditioner if dic
+                       else JacobiPreconditioner)(self.a)
+            krylov = pcg_solve if solver == "PCG" else pbicgstab_solve
+            x, res = krylov(self.a, self.source, x0=self.field.values,
+                            preconditioner=pre.apply, controls=controls,
+                            matvec=mv, workspace=ws.krylov if ws else None)
         else:
             raise ValueError(f"unknown solver {solver!r}")
         if update:
@@ -294,12 +294,12 @@ def assemble_transport(
     numpy): the term sequence below works on backend arrays mirroring
     ``(a.diag, a.upper, a.lower, b)`` in the dtype those buffers carry
     (fp32 buffers stay fp32 -- host-computed coefficients are cast on
-    transfer, never the buffers), with every face scatter going
-    through :meth:`ArrayBackend.scatter_add`.  Boundary-condition
-    coefficient evaluation stays host-side (it queries Python BC
-    objects); only the resulting per-patch products are shipped to
-    the device.  Where ``to_device`` is a no-op (numpy) the mirrors
-    *are* the buffers and are mutated in place; otherwise they are
+    transfer, never the buffers), every face -> cell reduction one
+    product with :meth:`~repro.mesh.UnstructuredMesh.face_operators`.
+    Boundary-condition coefficients are evaluated host-side (Python BC
+    objects); their per-face products are shipped and reduced once.
+    Where ``to_device`` is a no-op (numpy) the mirrors *are* the
+    buffers and are mutated in place; otherwise they are
     written back on exit.  Term order is identical on every backend,
     so the assembled coefficients are bitwise-equal across backends.
     """
@@ -315,8 +315,13 @@ def assemble_transport(
     dl = be.to_device(a.lower)
     db = be.to_device(b)
     dt_ = dd.dtype
-    own = be.to_device(np.asarray(mesh.owner[:nif], dtype=np.int64))
-    nb = be.to_device(np.asarray(mesh.neighbour, dtype=np.int64))
+    # per-face contributions of both terms to the owner's / neighbour's
+    # diagonal and (boundary faces) to the sources, reduced once at the end
+    xp = be.xp
+    to_own = xp.zeros((nif,), dtype=dt_)
+    to_nb = xp.zeros((nif,), dtype=dt_)
+    diag_b = np.zeros(mesh.n_boundary_faces)
+    src_b = np.zeros((mesh.n_boundary_faces,) + b.shape[1:])
 
     # ddt
     rho_b = np.broadcast_to(np.asarray(rho, float), (n,))
@@ -325,45 +330,36 @@ def assemble_transport(
     old = field.values if old_values is None else \
         np.asarray(old_values, float)
     dd += be.to_device(rho_b * v / dt, dtype=dt_)
-    if multi:
-        db += be.to_device((rho_old_b * v / dt)[:, None] * old, dtype=dt_)
-    else:
-        db += be.to_device(rho_old_b * v / dt * old, dtype=dt_)
+    ddt_old = rho_old_b * v / dt
+    db += be.to_device((ddt_old[:, None] if multi else ddt_old) * old, dtype=dt_)
 
     deltas = mesh.boundary_delta_coeffs()
 
     # div (convection)
     if phi is not None:
-        xp = be.xp
         phi_d = be.to_device(phi.internal, dtype=dt_)
         if scheme == "upwind":
             zero = xp.zeros((), dtype=dt_)
             pos = xp.maximum(phi_d, zero)
             neg = xp.minimum(phi_d, zero)
-            be.scatter_add(dd, own, pos)
-            du += neg
-            be.scatter_add(dd, nb, -neg)
-            dl -= pos
         elif scheme == "linear":
             w = be.to_device(mesh.face_interpolation_weights(), dtype=dt_)
-            be.scatter_add(dd, own, phi_d * w)
-            du += phi_d * (1.0 - w)
-            be.scatter_add(dd, nb, -(phi_d * (1.0 - w)))
-            dl += -(phi_d * w)
+            pos, neg = phi_d * w, phi_d * (1.0 - w)
         else:
             raise ValueError(f"unknown div scheme {scheme!r}")
+        to_own += pos
+        du += neg
+        to_nb -= neg
+        dl -= pos
         for p in mesh.patches:
             sl = slice(p.start - nif, p.start - nif + p.size)
-            cells = be.to_device(
-                np.asarray(mesh.owner[p.slice], dtype=np.int64))
             if multi:
                 vi, vb = field.patch_value_coeffs(p.name, deltas[sl])
             else:
                 vi, vb = field.boundary[p.name].value_coeffs(deltas[sl])
             phib = phi.boundary[sl]
-            be.scatter_add(dd, cells, be.to_device(phib * vi, dtype=dt_))
-            be.scatter_add(db, cells, be.to_device(
-                -phib[:, None] * vb if multi else -phib * vb, dtype=dt_))
+            diag_b[sl] += phib * vi
+            src_b[sl] -= phib[:, None] * vb if multi else phib * vb
 
     # - laplacian (diffusion), subtracted as in the PDE
     if gamma is not None:
@@ -371,21 +367,24 @@ def assemble_transport(
         coeff = be.to_device(_laplacian_coeff(mesh, gamma_f), dtype=dt_)
         du -= coeff
         dl -= coeff
-        be.scatter_add(dd, own, coeff)
-        be.scatter_add(dd, nb, coeff)
+        to_own += coeff
+        to_nb += coeff
         mag_sf_b = mesh.face_area_mags()[nif:]
         for p in mesh.patches:
             sl = slice(p.start - nif, p.start - nif + p.size)
-            cells = be.to_device(
-                np.asarray(mesh.owner[p.slice], dtype=np.int64))
             if multi:
                 gi, gb = field.patch_gradient_coeffs(p.name, deltas[sl])
             else:
                 gi, gb = field.boundary[p.name].gradient_coeffs(deltas[sl])
             gsf = gamma_f[p.slice] * mag_sf_b[sl]
-            be.scatter_add(dd, cells, be.to_device(-gsf * gi, dtype=dt_))
-            be.scatter_add(db, cells, be.to_device(
-                gsf[:, None] * gb if multi else gsf * gb, dtype=dt_))
+            diag_b[sl] -= gsf * gi
+            src_b[sl] += gsf[:, None] * gb if multi else gsf * gb
+
+    ops = mesh.face_operators()
+    dd += ops.owner_sum(to_own, be) + ops.neighbour_sum(to_nb, be)
+    if mesh.n_boundary_faces:
+        dd += ops.boundary_sum(be.to_device(diag_b, dtype=dt_), be)
+        db += ops.boundary_sum(be.to_device(src_b, dtype=dt_), be)
 
     if dd is not a.diag:
         a.diag[...] = be.from_device(dd)
@@ -410,28 +409,6 @@ def fvm_ddt(rho: np.ndarray | float, field: VolField, dt: float,
     return FVMatrix(field, a, rho_old_b * v / dt * old)
 
 
-def _div_internal(a: LDUMatrix, mesh, phi_i: np.ndarray, scheme: str) -> None:
-    """Accumulate the internal-face convection coefficients into ``a``
-    (shared by the per-field and the coupled assembly paths)."""
-    nif = mesh.n_internal_faces
-    if scheme == "upwind":
-        pos = np.maximum(phi_i, 0.0)
-        neg = np.minimum(phi_i, 0.0)
-        # owner row: +phi * psi_f ; neighbour row: -phi * psi_f
-        np.add.at(a.diag, mesh.owner[:nif], pos)
-        a.upper += neg
-        np.add.at(a.diag, mesh.neighbour, -neg)
-        a.lower += -pos
-    elif scheme == "linear":
-        w = mesh.face_interpolation_weights()
-        np.add.at(a.diag, mesh.owner[:nif], phi_i * w)
-        a.upper += phi_i * (1.0 - w)
-        np.add.at(a.diag, mesh.neighbour, -phi_i * (1.0 - w))
-        a.lower += -phi_i * w
-    else:
-        raise ValueError(f"unknown div scheme {scheme!r}")
-
-
 def _laplacian_coeff(mesh, gamma_f: np.ndarray) -> np.ndarray:
     """Internal-face diffusion coefficient gamma |Sf| / delta.
 
@@ -452,21 +429,30 @@ def fvm_div(phi: SurfaceField, field: VolField, scheme: str = "upwind") -> FVMat
     """
     mesh = field.mesh
     nif = mesh.n_internal_faces
+    ops = mesh.face_operators()
     a = LDUMatrix.from_mesh(mesh)
-    b = np.zeros(mesh.n_cells)
     alloc.count()
-    _div_internal(a, mesh, phi.internal, scheme)
+    if scheme == "upwind":
+        to_own, to_nb = np.maximum(phi.internal, 0.0), \
+            np.minimum(phi.internal, 0.0)
+    elif scheme == "linear":
+        w = mesh.face_interpolation_weights()
+        to_own, to_nb = phi.internal * w, phi.internal * (1.0 - w)
+    else:
+        raise ValueError(f"unknown div scheme {scheme!r}")
+    # owner row: +phi * psi_f ; neighbour row: -phi * psi_f
+    a.diag += ops.owner_sum(to_own) - ops.neighbour_sum(to_nb)
+    a.upper += to_nb
+    a.lower -= to_own
 
     # Boundary faces: psi_f from the BC, flux from phi.
     deltas = mesh.boundary_delta_coeffs()
+    vi, vb = np.empty(mesh.n_boundary_faces), np.empty(mesh.n_boundary_faces)
     for p in mesh.patches:
         sl = slice(p.start - nif, p.start - nif + p.size)
-        cells = mesh.owner[p.slice]
-        vi, vb = field.boundary[p.name].value_coeffs(deltas[sl])
-        phib = phi.boundary[sl]
-        np.add.at(a.diag, cells, phib * vi)
-        np.add.at(b, cells, -phib * vb)
-    return FVMatrix(field, a, b)
+        vi[sl], vb[sl] = field.boundary[p.name].value_coeffs(deltas[sl])
+    a.diag += ops.boundary_sum(phi.boundary * vi)
+    return FVMatrix(field, a, -ops.boundary_sum(phi.boundary * vb))
 
 
 def fvm_laplacian(gamma: np.ndarray | float, field: VolField) -> FVMatrix:
@@ -477,27 +463,24 @@ def fvm_laplacian(gamma: np.ndarray | float, field: VolField) -> FVMatrix:
     """
     mesh = field.mesh
     nif = mesh.n_internal_faces
+    ops = mesh.face_operators()
     gamma_f = _face_gamma(mesh, gamma)
     a = LDUMatrix.from_mesh(mesh)
-    b = np.zeros(mesh.n_cells)
     alloc.count()
 
     coeff = _laplacian_coeff(mesh, gamma_f)
     a.upper[:] = coeff
     a.lower[:] = coeff
-    np.add.at(a.diag, mesh.owner[:nif], -coeff)
-    np.add.at(a.diag, mesh.neighbour, -coeff)
+    a.diag -= ops.owner_sum(coeff) + ops.neighbour_sum(coeff)
 
     deltas = mesh.boundary_delta_coeffs()
-    mag_sf_b = mesh.face_area_mags()[nif:]
+    gi, gb = np.empty(mesh.n_boundary_faces), np.empty(mesh.n_boundary_faces)
     for p in mesh.patches:
         sl = slice(p.start - nif, p.start - nif + p.size)
-        cells = mesh.owner[p.slice]
-        gi, gb = field.boundary[p.name].gradient_coeffs(deltas[sl])
-        gsf = gamma_f[p.slice] * mag_sf_b[sl]
-        np.add.at(a.diag, cells, gsf * gi)
-        np.add.at(b, cells, -gsf * gb)
-    return FVMatrix(field, a, b)
+        gi[sl], gb[sl] = field.boundary[p.name].gradient_coeffs(deltas[sl])
+    gsf = gamma_f[nif:] * mesh.face_area_mags()[nif:]
+    a.diag += ops.boundary_sum(gsf * gi)
+    return FVMatrix(field, a, -ops.boundary_sum(gsf * gb))
 
 
 def fvm_sp(coeff: np.ndarray | float, field: VolField) -> FVMatrix:
@@ -517,19 +500,14 @@ def _face_gamma(mesh, gamma) -> np.ndarray:
     if gamma.shape[0] == mesh.n_faces:
         return gamma
     if gamma.shape[0] == mesh.n_cells:
-        f = VolField("_gamma", mesh, gamma)
-        return f.face_values()
+        return mesh.face_operators().interpolate(gamma)
     raise ValueError("gamma must be scalar, per-cell or per-face")
 
 
 # -- explicit operators -------------------------------------------------
 def fvc_surface_integral(mesh, face_values: np.ndarray) -> np.ndarray:
     """Sum of signed face values into cells (divergence building block)."""
-    nif = mesh.n_internal_faces
-    out = np.zeros((mesh.n_cells,) + face_values.shape[1:])
-    np.add.at(out, mesh.owner, face_values)
-    np.add.at(out, mesh.neighbour, -face_values[:nif])
-    return out
+    return mesh.face_operators().surface_sum(face_values)
 
 
 def fvc_div(phi: SurfaceField, field: VolField | None = None,
@@ -553,9 +531,10 @@ def fvc_div(phi: SurfaceField, field: VolField | None = None,
             face_psi = field.face_values()
         face_vals = phi.values * face_psi if face_psi.ndim == 1 \
             else phi.values[:, None] * face_psi
-    return fvc_surface_integral(mesh, face_vals) / (
-        mesh.cell_volumes[:, None] if face_vals.ndim == 2
-        else mesh.cell_volumes)
+    out = fvc_surface_integral(mesh, face_vals)
+    out /= mesh.cell_volumes[:, None] if face_vals.ndim == 2 \
+        else mesh.cell_volumes
+    return out
 
 
 def fvc_grad(field: VolField) -> np.ndarray:
@@ -569,7 +548,8 @@ def fvc_grad(field: VolField) -> np.ndarray:
         face_t = mesh.face_areas * fv[:, None]
     acc = fvc_surface_integral(mesh, face_t)
     vol = mesh.cell_volumes
-    return acc / (vol[:, None, None] if field.is_vector else vol[:, None])
+    acc /= vol[:, None, None] if field.is_vector else vol[:, None]
+    return acc
 
 
 def fvc_laplacian(gamma, field: VolField) -> np.ndarray:
@@ -579,18 +559,14 @@ def fvc_laplacian(gamma, field: VolField) -> np.ndarray:
     gamma_f = _face_gamma(mesh, gamma)
     grad_n = (field.values[mesh.neighbour] - field.values[mesh.owner[:nif]]) \
         * mesh.face_delta_coeffs()
-    mag_sf = np.linalg.norm(mesh.face_areas, axis=1)
-    flux_i = gamma_f[:nif] * mag_sf[:nif] * grad_n
+    mag_sf = mesh.face_area_mags()
     deltas = mesh.boundary_delta_coeffs()
-    flux_b = np.zeros(mesh.n_boundary_faces)
+    flux = np.empty(mesh.n_faces)
+    flux[:nif] = gamma_f[:nif] * mag_sf[:nif] * grad_n
     for p in mesh.patches:
         sl = slice(p.start - nif, p.start - nif + p.size)
         cells = mesh.owner[p.slice]
         gi, gb = field.boundary[p.name].gradient_coeffs(deltas[sl])
-        flux_b[sl] = gamma_f[p.slice] * mag_sf[nif:][sl] * (
+        flux[p.slice] = gamma_f[p.slice] * mag_sf[p.slice] * (
             gi * field.values[cells] + gb)
-    out = np.zeros(mesh.n_cells)
-    np.add.at(out, mesh.owner[:nif], flux_i)
-    np.add.at(out, mesh.neighbour, -flux_i)
-    np.add.at(out, mesh.owner[nif:], flux_b)
-    return out / mesh.cell_volumes
+    return fvc_surface_integral(mesh, flux) / mesh.cell_volumes

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .face_operators import FaceCellOperators
+
 __all__ = ["Patch", "UnstructuredMesh"]
 
 
@@ -231,6 +233,13 @@ class UnstructuredMesh:
         if cached is None:
             cached = np.linalg.norm(self.face_areas, axis=1)
             self._memo_face_area_mags = cached
+        return cached
+
+    def face_operators(self) -> FaceCellOperators:
+        """The structural face <-> cell operators, memoized likewise."""
+        cached = getattr(self, "_memo_face_operators", None)
+        if cached is None:
+            cached = self._memo_face_operators = FaceCellOperators(self)
         return cached
 
     def renumbered(self, perm: np.ndarray) -> "UnstructuredMesh":

@@ -62,25 +62,17 @@ class LDUMatrix:
 
     # ----------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """y = A x using the face-loop formulation (2 flops per nnz):
+        """y = A x through the LDU face loop (2 flops per nnz):
         :func:`~repro.sparse.spmv.spmv_faces` on the numpy backend, in
-        fp64 like the coefficient arrays."""
+        fp64 like the coefficient arrays.  ``x`` may be an ``(n, k)``
+        multi-vector: column ``j`` of the result equals
+        ``matvec(x[:, j])`` bit for bit.  (The Sec. 3.2 reference
+        kernel: solves apply the patterned CSR of :meth:`to_csr`.)
+        """
         return spmv_faces(self.diag, self.lower, self.upper, self.owner,
                           self.neighbour, np.asarray(x, dtype=float))
 
-    def matvec_multi(self, x: np.ndarray) -> np.ndarray:
-        """Y = A X for a multi-vector ``X`` of shape ``(n, k)``.
-
-        Column ``j`` of the result equals ``matvec(x[:, j])`` (same
-        face-loop accumulation order), so blocked Krylov solves see
-        exactly the per-column operator.  1-D inputs fall through to
-        :meth:`matvec`.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.matvec(x)
-        return spmv_faces(self.diag, self.lower, self.upper, self.owner,
-                          self.neighbour, x)
+    matvec_multi = matvec
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.asarray(b, float) - self.matvec(x)

@@ -66,31 +66,22 @@ class CSRPattern:
         self.nnz = int(slot_of_sorted[-1]) + 1
         self.has_duplicates = self.nnz != order.size
 
-        #: slot in ``data`` for each source entry (diag, upper, lower order)
-        self.slots = np.empty(order.size, dtype=np.int64)
-        self.slots[order] = slot_of_sorted
-
-        #: inverse of ``slots`` when it is a bijection (no duplicate
-        #: coordinates): ``data = vals[gather_src]`` -- a pure gather,
-        #: expressible as Array-API ``take`` on any backend.  ``None``
-        #: when duplicates force the accumulating scatter.
+        #: duplicates: slot in ``data`` of each source entry (diag, upper,
+        #: lower order) for the accumulating scatter.  None: ``data =
+        #: vals[gather_src]``, a pure gather (Array-API ``take``), and the
+        #: sort order *is* that permutation -- one index array, not three
         if self.has_duplicates:
+            self.slots = np.empty(order.size, dtype=np.int64)
+            self.slots[order] = slot_of_sorted
             self.gather_src = None
         else:
-            self.gather_src = np.empty(self.nnz, dtype=np.int64)
-            self.gather_src[self.slots] = np.arange(
-                order.size, dtype=np.int64)
+            self.slots, self.gather_src = None, order
             alloc.count(1)
 
         self.indices = c_sorted[new_entry].astype(np.int32)
         row_counts = np.bincount(r_sorted[new_entry], minlength=self.n)
         self.indptr = np.zeros(self.n + 1, dtype=np.int32)
         np.cumsum(row_counts, out=self.indptr[1:])
-
-        # Row index of every slot (for the triangle masks).
-        row_of_slot = np.repeat(np.arange(self.n), row_counts)
-        self._lower_slots = np.flatnonzero(self.indices <= row_of_slot)
-        self._upper_slots = np.flatnonzero(self.indices > row_of_slot)
 
         # Persistent buffer the cached CSR matrix views as its ``data``;
         # it lives as long as the pattern.
@@ -185,6 +176,10 @@ class CSRPattern:
                     shape=(self.n, self.n))
             self._tri = (sp.tril(self._csr, 0, format="csr"),
                          sp.triu(self._csr, 1, format="csr"))
+            lower = self.indices <= np.repeat(np.arange(self.n),
+                                              np.diff(self.indptr))
+            self._lower_slots = np.flatnonzero(lower)
+            self._upper_slots = np.flatnonzero(~lower)
             alloc.count(2)
         else:
             dl, u = self._tri

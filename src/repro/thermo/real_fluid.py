@@ -59,18 +59,18 @@ class RealFluidMixture:
         self.eos.solve_density(state, p)
         return state
 
-    def _h(self, state: CubicState, y) -> np.ndarray:
-        return (self.mech.h_mass_mixture(state.t, y)
+    def _h(self, state: CubicState, mix) -> np.ndarray:
+        return (mix.h_mass(state.t)
                 + state_enthalpy_departure(state) / state.comp.w_mix)
 
-    def _cp(self, state: CubicState, y) -> np.ndarray:
-        return (self.mech.cp_mass_mixture(state.t, y)
+    def _cp(self, state: CubicState, mix) -> np.ndarray:
+        return (mix.cp_mass(state.t)
                 + state_cp_departure(state) / state.comp.w_mix)
 
-    def _properties(self, state: CubicState, y, h=None) -> RealFluidProperties:
+    def _properties(self, state: CubicState, y, mix, h=None) -> RealFluidProperties:
         if h is None:
-            h = self._h(state, y)
-        cp = self._cp(state, y)
+            h = self._h(state, mix)
+        cp = self._cp(state, mix)
         mu, lam = self.transport.viscosity_conductivity(state.t, state.rho, y)
         return RealFluidProperties(state.rho, state.t, cp, h, mu,
                                    lam / (state.rho * cp))
@@ -79,26 +79,31 @@ class RealFluidMixture:
     def h_mass(self, t, p, y) -> np.ndarray:
         """Real-fluid specific enthalpy [J/kg] at (T, p, Y)."""
         y = np.atleast_2d(y)
-        return self._h(self._state_tp(t, p, self.eos.composition(y), order=1), y)
+        return self._h(self._state_tp(t, p, self.eos.composition(y), order=1),
+                       self.mech.mixture_thermo(y))
 
     def cp_mass(self, t, p, y) -> np.ndarray:
         """Real-fluid specific heat [J/(kg K)] at (T, p, Y)."""
         y = np.atleast_2d(y)
-        return self._cp(self._state_tp(t, p, self.eos.composition(y)), y)
+        return self._cp(self._state_tp(t, p, self.eos.composition(y)),
+                        self.mech.mixture_thermo(y))
 
     def properties_tp(self, t, p, y) -> RealFluidProperties:
         """All properties from (T, p, Y) -- the PRNet training target."""
         y = np.atleast_2d(y)
         return self._properties(
-            self._state_tp(t, p, self.eos.composition(y)), y)
+            self._state_tp(t, p, self.eos.composition(y)), y,
+            self.mech.mixture_thermo(y))
 
     # ----------------------------------------------------------------
     def _solve_t(self, h_target, p, y, t_guess=None, tol=1e-8, max_iter=50):
-        """Newton on T at fixed (p, Y); returns ``(state, h)`` at the
+        """Newton on T at fixed (p, Y); returns ``(state, h, mix)`` at the
         final temperatures -- on convergence the loop's own last
-        evaluation, so the caller never solves that cubic again."""
+        evaluation, so the caller never solves that cubic (nor contracts
+        the ideal-gas mixture coefficients ``mix``) again."""
         h_target = np.atleast_1d(np.asarray(h_target, dtype=float))
         comp = self.eos.composition(y)
+        mix = self.mech.mixture_thermo(y)
         t = (
             np.full(h_target.shape, 1000.0)
             if t_guess is None
@@ -114,12 +119,12 @@ class RealFluidMixture:
         # and decomposed property evaluations in agreement.
         for _ in range(max_iter):
             state = self._state_tp(t, p, comp)
-            h = self._h(state, y)
+            h = self._h(state, mix)
             resid = h - h_target
             done = np.abs(resid) <= h_scale
             if done.all():
-                return state, h
-            cp = np.maximum(self._cp(state, y), 50.0)
+                return state, h, mix
+            cp = np.maximum(self._cp(state, mix), 50.0)
             above = resid > 0
             t_hi = np.where(above & ~done, np.minimum(t_hi, t), t_hi)
             t_lo = np.where(~above & ~done, np.maximum(t_lo, t), t_lo)
@@ -130,7 +135,7 @@ class RealFluidMixture:
             t = np.where(done, t, t_new)
         # Sweeps exhausted: the last update has not been evaluated yet.
         state = self._state_tp(t, p, comp)
-        h = self._h(state, y)
+        h = self._h(state, mix)
         resid = np.abs(h - h_target)
         failed = ~(resid <= h_scale)
         if failed.any():
@@ -139,7 +144,7 @@ class RealFluidMixture:
                 "sweeps (worst relative enthalpy residual %.3e, tol %.1e)",
                 int(failed.sum()), failed.size, max_iter,
                 float(np.max(resid[failed] / h_scale[failed]) * tol), tol)
-        return state, h
+        return state, h, mix
 
     def temperature_from_h(
         self,
@@ -160,14 +165,13 @@ class RealFluidMixture:
         error: the returned temperatures are the last iterate).
         """
         y = np.atleast_2d(y)
-        state, _ = self._solve_t(h_target, p, y, t_guess, tol, max_iter)
-        return state.t
+        return self._solve_t(h_target, p, y, t_guess, tol, max_iter)[0].t
 
     def properties_hp(self, h, p, y, t_guess=None) -> RealFluidProperties:
         """All properties from (h, p, Y): the full PRNet-replaced path."""
         y = np.atleast_2d(y)
-        state, h_found = self._solve_t(h, p, y, t_guess)
-        return self._properties(state, y, h_found)
+        state, h_found, mix = self._solve_t(h, p, y, t_guess)
+        return self._properties(state, y, mix, h_found)
 
     def psi_compressibility(self, t, p, y) -> np.ndarray:
         """psi = (d rho / d p)_T [s^2/m^2], used by the pressure equation."""

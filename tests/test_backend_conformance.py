@@ -173,6 +173,32 @@ class TestSpmv:
             assert np.array_equal(got, ref)
 
 
+class TestStructuralProduct:
+    """``ArrayBackend.sparse_matmul`` behind the mesh's face <-> cell
+    operators: every backend takes the same compiled host product (a
+    round trip where the arrays live off-host), so the result is
+    bitwise the numpy backend's and carries the input's dtype."""
+
+    @pytest.mark.parametrize("trailing", [(), (3,), (3, 3)])
+    def test_matches_reference_every_dtype(self, box_mesh, be, dtype_name,
+                                           trailing):
+        ops = box_mesh.face_operators()
+        dt = _NP_DTYPES[dtype_name]
+        rng = np.random.default_rng(2)
+        faces = rng.standard_normal((box_mesh.n_faces,) + trailing).astype(dt)
+        cells = rng.standard_normal((box_mesh.n_cells,) + trailing).astype(dt)
+        nif = box_mesh.n_internal_faces
+        for method, host in [("surface_sum", faces), ("interpolate", cells),
+                             ("owner_sum", faces[:nif]),
+                             ("neighbour_sum", faces[:nif]),
+                             ("boundary_sum", faces[nif:])]:
+            ref = getattr(ops, method)(host)
+            got = _host(be, getattr(ops, method)(
+                be.to_device(host, dtype=dtype_name), be))
+            assert got.dtype == dt, "silent dtype upcast"
+            assert np.array_equal(got, ref)
+
+
 class TestCSRPattern:
     @pytest.fixture(params=["plain", "periodic"])
     def pattern_and_ldu(self, request, box_mesh, periodic_mesh):

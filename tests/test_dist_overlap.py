@@ -24,6 +24,7 @@ from repro.runtime import SimulatedComm, overlapped_phase_time
 from repro.solvers import SolverControls, preconditioners
 from repro.solvers.preconditioners import (CachedDICPreconditioner,
                                            DICPreconditioner)
+from tests import face_oracle
 from tests.conftest import (checkerboard_parts, make_laplacian_ldu,
                             make_random_spd_ldus)
 
@@ -120,6 +121,44 @@ class TestOverlappedMatvec:
         y = system.matvec_multi(x)
         ref = _stacked_reference(box_mesh, system.decomp, x)
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mesh_name", ["box_mesh", "periodic_mesh"])
+    def test_matvec_halves_match_bincount_spelling(self, mesh_name, request):
+        """The interior-block CSR and the cut-face CSR vs the parent's
+        per-column ``np.bincount`` loops (``tests/face_oracle.py``), on
+        asymmetric random coefficients: <= 1e-14 (the CSR rows add in
+        column order, the bincounts upper triangle first)."""
+        mesh = request.getfixturevalue(mesh_name)
+        dec = Decomposition.from_mesh(mesh, 3)
+        rng = np.random.default_rng(5)
+        mats = make_random_spd_ldus(dec, rng)
+        for m in mats:
+            m.lower[:] = -(0.5 + rng.random(m.lower.size))
+        system = DistributedSystem(dec, SimulatedComm(3), mats)
+        for op in system.ops:
+            loc = rng.normal(size=(op.sub.n_local, 4))
+            interior = np.empty((op.sub.n_owned, 4))
+            op.apply_interior(loc, interior)
+            total = interior.copy()
+            op.apply_boundary(loc, total)
+            ref_i, ref_b = face_oracle.rank_matvec_halves(op, loc)
+            scale = np.abs(ref_i).max()
+            assert np.abs(interior - ref_i).max() <= 1e-14 * scale
+            assert np.abs(total - interior - ref_b).max() <= 1e-14 * scale
+
+    def test_rebinding_follows_the_coefficients(self, box_mesh):
+        """``RankOperator.bound`` re-gathers the CSR values: a system
+        built on mutated matrices multiplies with the new ones."""
+        system = _make_system(box_mesh, 2)
+        x = np.random.default_rng(6).normal(size=(system.n, 2))
+        y = system.matvec_multi(x).copy()
+        for m in system.mats:
+            m.diag *= 2.0
+            m.upper *= 2.0
+            m.lower *= 2.0
+        again = DistributedSystem(system.decomp, system.comm, system.mats,
+                                  scratch=system._scratch)
+        np.testing.assert_array_equal(again.matvec_multi(x), 2.0 * y)
 
     def test_overlap_is_bitwise_equal_to_sync(self, box_mesh):
         """Only the post/wait placement differs between the paths; the

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.chemistry.mechanism import MixtureThermo
 from repro.constants import R_UNIVERSAL
+from repro.core import IdealGasProperties, build_tgv_case
 from repro.thermo import (
     PengRobinson,
     RealFluidMixture,
@@ -19,6 +21,9 @@ from repro.thermo import (
 )
 from repro.thermo.cubic_eos import ROOT_MODES, cubic_real_roots
 from tests.conftest import MATVEC_RTOL
+from tests.thermo_oracle import (oracle_cp_mass_mixture,
+                                 oracle_h_mass_mixture,
+                                 oracle_ideal_gas_temperature)
 
 
 @pytest.fixture(scope="module")
@@ -496,11 +501,13 @@ class TestOneKernel:
         counted(rf.mech, "mole_fractions")
         counted(rf.eos, "_solve_cubic")
         counted(rf.eos, "attraction")
-        counted(rf.mech, "h_mass_mixture")      # once per Newton sweep
+        counted(rf.mech, "mixture_thermo")      # once per composition
+        counted(MixtureThermo, "h_mass")        # once per Newton sweep
         counted(rf.transport, "species_viscosity")
         rf.properties_hp(h, p, y, t_guess=t * 1.3)
-        sweeps = calls["h_mass_mixture"]
+        sweeps = calls["h_mass"]
         assert sweeps >= 3
+        assert calls["mixture_thermo"] == 1
         assert calls["_solve_cubic"] == sweeps
         assert calls["attraction"] == sweeps
         assert calls["_mole_from_mass"] == 1
@@ -611,7 +618,129 @@ class TestCubicRootKernel:
         assert rest == [] and np.array_equal(top, z0)
 
 
+class TestMixtureThermo:
+    """``Mechanism.mixture_thermo``: the species sum contracted once per
+    composition vs the per-species path of ``tests/thermo_oracle.py``."""
+
+    #: documented bound, relative to the size of the summands (h is an
+    #: absolute enthalpy: formation and sensible parts cancel, so |h|
+    #: itself can be arbitrarily small next to them)
+    RTOL = 1e-13
+
+    @pytest.fixture(scope="class")
+    def states(self, mech):
+        rng = np.random.default_rng(3)
+        n, ns = 600, mech.n_species
+        pure = np.eye(ns)[rng.integers(0, ns, n // 2)]
+        mixed = rng.random((n // 2, ns)) ** 3
+        y = np.concatenate([pure, mixed / mixed.sum(axis=1, keepdims=True)])
+        return rng.uniform(60.0, 5000.0, n), y
+
+    def test_matches_per_species_path(self, mech, states):
+        t, y = states
+        mix = mech.mixture_thermo(y)
+        moles = y / mech.molecular_weights
+        a5 = mech._thermo_coeffs[:, 5]
+        h_scale = R_UNIVERSAL * (moles * (
+            np.abs(a5) + np.abs(mech.h_rt_all(t) * t[:, None] - a5))).sum(axis=1)
+        h_ref = oracle_h_mass_mixture(mech, t, y)
+        cp_ref = oracle_cp_mass_mixture(mech, t, y)
+        assert (np.abs(mix.h_mass(t) - h_ref) <= self.RTOL * h_scale).all()
+        assert (np.abs(mix.cp_mass(t) - cp_ref) <= self.RTOL * cp_ref).all()
+        # the array-level entry points are the same evaluation
+        assert np.array_equal(mech.h_mass_mixture(t, y), mix.h_mass(t))
+        assert np.array_equal(mech.cp_mass_mixture(t, y), mix.cp_mass(t))
+
+    def test_broadcasts_like_the_species_sum(self, mech, states):
+        """One composition against many temperatures, and one
+        temperature against many compositions."""
+        t, y = states
+        np.testing.assert_allclose(
+            mech.h_mass_mixture(t, y[-1]),
+            oracle_h_mass_mixture(mech, t, y[-1]), rtol=1e-10)
+        np.testing.assert_allclose(
+            mech.cp_mass_mixture(np.float64(300.0), y),
+            oracle_cp_mass_mixture(mech, np.float64(300.0), y), rtol=1e-13)
+
+    def test_rows_are_independent_of_their_batch(self, mech, states):
+        """The contraction is an un-optimised einsum, not a BLAS gemm
+        (whose kernel -- and last bit -- depends on the batch size):
+        row i of a batch equals the batch of row i alone."""
+        t, y = states
+        ig = IdealGasProperties(mech)
+        h = ig.h_from_t(t, 10e6, y)
+        full = ig.evaluate(h, 10e6, y, t_guess=t * 1.05)
+        for i in (0, 1, 299, 300, 417, 599):
+            one = ig.evaluate(h[i:i + 1], 10e6, y[i:i + 1],
+                              t_guess=t[i:i + 1] * 1.05)
+            for name in ("rho", "temperature", "mu", "alpha", "cp"):
+                assert getattr(full, name)[i] == getattr(one, name)[0]
+
+    @pytest.mark.parametrize("off", [5.0, 40.0])
+    def test_temperature_matches_the_per_species_newton(self, mech, off):
+        """Converged T(h) on the ``tgv_transport`` fields (n = 12 here)
+        vs the parent's Newton: within 1e-10 K from a guess a step's
+        worth off (measured 1e-12); from 40 K off single cells freeze
+        one sweep apart, and then the two differ by the width of the
+        freeze criterion, ``1e-13 (|h| + 1e3) / cp`` = 2e-10 K."""
+        case = build_tgv_case(n=12, mech=mech)
+        ig = IdealGasProperties(mech)
+        y, t0 = case.mass_fractions, case.temperature
+        h = ig.h_from_t(t0, case.pressure.values, y)
+        guess = t0 + np.random.default_rng(4).uniform(-off, off, t0.shape)
+        got = ig.evaluate(h, case.pressure.values, y, t_guess=guess)
+        ref = oracle_ideal_gas_temperature(mech, h, y, guess)
+        width = 1e-13 * (np.abs(h) + 1e3) / got.cp
+        bound = 1e-10 if off <= 5.0 else 2.0 * width
+        assert (np.abs(got.temperature - ref) <= bound).all()
+        assert np.abs(got.temperature - t0).max() <= 1e-9
+
+    def test_other_thermo_types_keep_the_per_species_path(self, mech, states,
+                                                          monkeypatch):
+        t, y = states
+        calls = []
+        monkeypatch.setattr(mech, "_thermo_coeffs", None)
+        inner = mech.h_rt_all
+        monkeypatch.setattr(mech, "h_rt_all",
+                            lambda tt: calls.append(1) or inner(tt))
+        mix = mech.mixture_thermo(y)
+        assert mix._c is None
+        np.testing.assert_array_equal(mix.h_mass(t),
+                                      oracle_h_mass_mixture(mech, t, y))
+        np.testing.assert_array_equal(mix.cp_mass(t),
+                                      oracle_cp_mass_mixture(mech, t, y))
+        assert len(calls) == 2      # once for mix.h_mass, once for the oracle
+
+
 class TestTemperatureSolveReporting:
+    def test_ideal_gas_sweep_cap_warns_once(self, mech, pure_o2, caplog,
+                                            monkeypatch):
+        """``IdealGasProperties.evaluate`` used to leave its Newton
+        silently; with the cap forced low the far-off cell is reported
+        (count, worst relative residual, tolerance) and the converged
+        one is not."""
+        ig = IdealGasProperties(mech)
+        y = np.tile(pure_o2, (2, 1))
+        h = ig.h_from_t(np.array([300.0, 2500.0]), 1e6, y)
+        monkeypatch.setattr(ig, "max_sweeps", 2)
+        with caplog.at_level("WARNING", logger="repro.thermo"):
+            props = ig.evaluate(h, 1e6, y, t_guess=np.array([300.0, 400.0]))
+        records = [r for r in caplog.records if r.name == "repro.thermo"]
+        assert len(records) == 1
+        msg = records[0].getMessage()
+        assert "1 of 2 cells unconverged after 2 sweeps" in msg
+        assert "tol 1.0e-13" in msg
+        assert props.temperature[0] == pytest.approx(300.0, abs=1e-9)
+        assert abs(props.temperature[1] - 2500.0) > 1.0
+
+    def test_ideal_gas_converged_batch_is_silent(self, mech, pure_o2, caplog):
+        ig = IdealGasProperties(mech)
+        h = ig.h_from_t(np.array([700.0]), 1e6, pure_o2[None, :])
+        with caplog.at_level("DEBUG", logger="repro.thermo"):
+            ig.evaluate(h, 1e6, pure_o2[None, :], t_guess=np.array([300.0]))
+        assert not caplog.records
+
+
     def test_unreachable_enthalpy_warns_once(self, rf, pure_o2, caplog):
         y = np.tile(pure_o2, (3, 1))
         h = rf.h_mass(np.array([300.0, 800.0, 5000.0]), 10e6, y)

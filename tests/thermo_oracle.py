@@ -26,7 +26,38 @@ from repro.thermo.real_fluid import RealFluidProperties
 
 __all__ = ["OracleEos", "OracleMixture", "OracleTransport",
            "oracle_enthalpy_departure", "oracle_cp_departure",
-           "oracle_solve_cubic"]
+           "oracle_solve_cubic", "oracle_h_mass_mixture",
+           "oracle_cp_mass_mixture", "oracle_ideal_gas_temperature"]
+
+
+def oracle_h_mass_mixture(mech, t, y):
+    """Ideal-gas mixture enthalpy [J/kg] through the per-species path:
+    all ``h_i/(RT)`` at ``t``, then the mass-weighted sum (what
+    ``Mechanism.h_mass_mixture`` did before the mixture coefficients)."""
+    t = np.asarray(t, dtype=float)
+    h_moles = mech.h_rt_all(t) * R_UNIVERSAL * t[..., None]
+    return ((y / mech.molecular_weights) * h_moles).sum(axis=-1)
+
+
+def oracle_cp_mass_mixture(mech, t, y):
+    """Per-species-path twin of ``Mechanism.cp_mass_mixture``."""
+    cp_moles = mech.cp_r_all(np.asarray(t, dtype=float)) * R_UNIVERSAL
+    return ((y / mech.molecular_weights) * cp_moles).sum(axis=-1)
+
+
+def oracle_ideal_gas_temperature(mech, h, y, t_guess, sweeps=40):
+    """The ``IdealGasProperties`` T(h) Newton as it was: per-cell
+    freeze at ``1e-13 (|h| + 1e3)``, the ``(n, n_species)`` species
+    sums rebuilt every sweep."""
+    t = np.array(t_guess, dtype=float)
+    for _ in range(sweeps):
+        resid = oracle_h_mass_mixture(mech, t, y) - h
+        done = np.abs(resid) <= 1e-13 * (np.abs(h) + 1e3)
+        if done.all():
+            break
+        t = np.where(done, t, np.clip(
+            t - resid / oracle_cp_mass_mixture(mech, t, y), 60.0, 5000.0))
+    return t
 
 
 def _mix(k_ij, a_i, b_i, x):
