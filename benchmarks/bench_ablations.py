@@ -21,7 +21,7 @@ from repro.solvers import (
     DICPreconditioner,
     GAMGSolver,
     SolverControls,
-    pcg_solve,
+    pcg_solve_multi,
 )
 from repro.sparse import build_block_converter
 from tests.conftest import make_laplacian_ldu
@@ -102,8 +102,9 @@ def test_ablation_pressure_solver_choice(benchmark):
 
     gamg = GAMGSolver(ldu)
     _, res_g = benchmark(gamg.solve, b, None, ctl)
-    _, res_p = pcg_solve(ldu, b, preconditioner=DICPreconditioner(ldu).apply,
-                         controls=ctl)
+    _, (res_p,) = pcg_solve_multi(
+        ldu, b[:, None], preconditioner=DICPreconditioner(ldu).apply_multi,
+        controls=ctl)
     lines = [
         f"GAMG     : {res_g.iterations:4d} cycles, flops {res_g.flops:.2e}",
         f"PCG(DIC) : {res_p.iterations:4d} iters,  flops {res_p.flops:.2e}",

@@ -29,19 +29,18 @@ is what the Fig. 11 bench measures at laptop scale.
 
 The step is split into reusable **physics stages** -- per-cell updates
 (``stage_properties`` / ``stage_chemistry``), equation assemblies
-(``assemble_*_eqn``) and post-solve updates (``finish_*``) -- so the
-same code drives two execution modes: the serial :meth:`step` below,
-and the domain-decomposed driver
-(:class:`repro.dist.DecomposedSolver`), which runs one instance of
-this class per subdomain and replaces the local ``solve`` calls with
-distributed Krylov solves + halo exchanges.
+(``assemble_*_eqn``) and post-solve updates (``finish_*``) -- and the
+order they run in is written once, in :func:`repro.core.step.advance_step`.
+:meth:`DeepFlameSolver.step` hosts itself through it (every row owned,
+nothing to exchange, each equation solved locally); the
+domain-decomposed driver (:class:`repro.dist.DecomposedSolver`) runs
+one instance of this class per subdomain through the same sequence
+with halo exchanges and distributed Krylov solves plugged in.
 """
 
 from __future__ import annotations
 
 import copy
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,96 +54,19 @@ from ..fv.operators import (
     fvc_surface_integral,
 )
 from ..fv.workspace import EquationWorkspace
-from ..runtime import alloc
 from .cases import Case
 from .chemistry_source import BackendChemistry
 from .properties import DirectRealFluidProperties
 from .settings import SolverSettings, build_chemistry
+from .step import (
+    PROP_FIELDS,
+    StageTimer,
+    StepDiagnostics,
+    StepTimings,
+    advance_step,
+)
 
 __all__ = ["StepTimings", "StepDiagnostics", "DeepFlameSolver"]
-
-
-@dataclass
-class StepTimings:
-    """Wall time per component of one step (the Fig. 11 categories),
-    plus per-stage *buffer allocation* counts (``alloc_*``): the number
-    of fresh hot-path arrays (LDU coefficient sets, equation sources,
-    CSR conversions, Krylov vectors, preconditioner state) the stage
-    materialized.  A warm step reports zero construction/solving
-    allocations; the profile reports print the counts per stage."""
-
-    dnn: float = 0.0          # properties + chemistry (surrogate-able)
-    construction: float = 0.0
-    solving: float = 0.0
-    other: float = 0.0
-    alloc_dnn: int = 0
-    alloc_construction: int = 0
-    alloc_solving: int = 0
-    alloc_other: int = 0
-
-    @property
-    def total(self) -> float:
-        return self.dnn + self.construction + self.solving + self.other
-
-    @property
-    def total_allocs(self) -> int:
-        return (self.alloc_dnn + self.alloc_construction
-                + self.alloc_solving + self.alloc_other)
-
-    def accumulate(self, other: "StepTimings") -> None:
-        self.dnn += other.dnn
-        self.construction += other.construction
-        self.solving += other.solving
-        self.other += other.other
-        self.alloc_dnn += other.alloc_dnn
-        self.alloc_construction += other.alloc_construction
-        self.alloc_solving += other.alloc_solving
-        self.alloc_other += other.alloc_other
-
-    def rows(self) -> list[tuple[str, float, int]]:
-        """``(stage, seconds, allocations)`` rows for profile tables."""
-        return [("DNN/properties", self.dnn, self.alloc_dnn),
-                ("Construction", self.construction, self.alloc_construction),
-                ("Solving", self.solving, self.alloc_solving),
-                ("Other", self.other, self.alloc_other)]
-
-
-class _StageTimer:
-    """Times a block *and* attributes hot-path buffer allocations to
-    one :class:`StepTimings` stage."""
-
-    __slots__ = ("tm", "name", "t0", "a0")
-
-    def __init__(self, tm: StepTimings, name: str):
-        self.tm = tm
-        self.name = name
-
-    def __enter__(self) -> "_StageTimer":
-        self.t0 = time.perf_counter()
-        self.a0 = alloc.snapshot()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        tm, name = self.tm, self.name
-        setattr(tm, name, getattr(tm, name) + time.perf_counter() - self.t0)
-        aname = "alloc_" + name
-        setattr(tm, aname, getattr(tm, aname) + alloc.snapshot() - self.a0)
-
-
-@dataclass
-class StepDiagnostics:
-    """Physical diagnostics after one step."""
-
-    step: int
-    time: float
-    total_mass: float
-    t_min: float
-    t_max: float
-    y_min: float
-    y_max: float
-    max_velocity: float
-    solver_flops: int
-    solver_iterations: int
 
 
 class DeepFlameSolver:
@@ -252,9 +174,10 @@ class DeepFlameSolver:
                     * np.maximum(self.props.temperature[cells], 100.0))
 
     # -- per-cell stages ---------------------------------------------------
-    def stage_properties(self, tm: StepTimings, cells=None) -> np.ndarray:
-        """Property evaluation ("DNN" component); returns the previous
-        density field (the ddt ``rho_old``).
+    def stage_properties(self, tm: StepTimings, cells=None) -> None:
+        """Property evaluation ("DNN" component) into ``self.props``;
+        the step sequence adopts ``props.rho`` as the new density once
+        the ghost rows are in.
 
         With ``cells``, only those rows of the property arrays are
         recomputed.  The decomposed driver restricts the evaluation to
@@ -265,7 +188,7 @@ class DeepFlameSolver:
         bitwise-consistent -- and skipping the ghost rows avoids
         redundant work.
         """
-        with _StageTimer(tm, "dnn"):
+        with StageTimer(tm, "dnn"):
             if cells is None:
                 self.props = self.properties.evaluate(
                     self.h, self.p.values, self.y,
@@ -274,11 +197,8 @@ class DeepFlameSolver:
                 part = self.properties.evaluate(
                     self.h[cells], self.p.values[cells], self.y[cells],
                     t_guess=self.props.temperature[cells])
-                for name in ("rho", "temperature", "mu", "alpha", "cp"):
+                for name in PROP_FIELDS:
                     getattr(self.props, name)[cells] = getattr(part, name)
-            rho_old = self.rho.copy()
-            self.rho = self.props.rho.copy()
-        return rho_old
 
     def stage_chemistry(self, dt: float, tm: StepTimings,
                         cells=None) -> None:
@@ -289,7 +209,7 @@ class DeepFlameSolver:
         the one stage expensive enough that no rank recomputes it for
         its ghost layer.
         """
-        with _StageTimer(tm, "dnn"):
+        with StageTimer(tm, "dnn"):
             if cells is None:
                 _, y_new = self.chemistry.advance(
                     self.props.temperature, self.p.values, self.y, dt)
@@ -332,7 +252,7 @@ class DeepFlameSolver:
         """All n_species equations share one ``ddt + div - laplacian``
         operator: assemble it once as a blocked system into the
         persistent workspace buffers."""
-        with _StageTimer(tm, "construction"):
+        with StageTimer(tm, "construction"):
             yf = MultiVolField(
                 [f"Y_{s}" for s in self.mech.species_names], self.mesh,
                 self.y)
@@ -344,7 +264,7 @@ class DeepFlameSolver:
     def finish_species(self, y: np.ndarray, tm: StepTimings,
                        cells=slice(None)) -> None:
         """Adopt a solved mass-fraction block: clip + renormalize."""
-        with _StageTimer(tm, "other"):
+        with StageTimer(tm, "other"):
             y = np.clip(y, 0.0, 1.0)
             y /= y.sum(axis=1, keepdims=True)
             self.y[cells] = y
@@ -354,7 +274,7 @@ class DeepFlameSolver:
         """Implicit specific-enthalpy transport equation (``ddt + div -
         laplacian`` in a single fused pass into workspace buffers)."""
         h_field = VolField("h", self.mesh, self.h)
-        with _StageTimer(tm, "construction"):
+        with StageTimer(tm, "construction"):
             eqn = self._ws.transport(
                 h_field, self.rho, dt, phi=self.phi,
                 gamma=self.rho * self.props.alpha, rho_old=rho_old,
@@ -367,7 +287,7 @@ class DeepFlameSolver:
         """The 3 momentum components as one blocked equation; returns
         ``(eqn, r_au)`` with ``r_au = V / diag(A)`` (the PISO 1/A)."""
         mesh = self.mesh
-        with _StageTimer(tm, "construction"):
+        with StageTimer(tm, "construction"):
             uf = MultiVolField.from_vector(self.u)
             eqn = self._ws.transport_multi(
                 uf, self.rho, dt, phi=self.phi, gamma=self.props.mu,
@@ -386,7 +306,7 @@ class DeepFlameSolver:
         the pre-solve pressure that :meth:`finish_pressure` consumes.
         """
         mesh = self.mesh
-        with _StageTimer(tm, "construction"):
+        with StageTimer(tm, "construction"):
             hby_a = self.u.values + r_au[:, None] * grad_p
             rho_f = VolField("rho", mesh, self.rho).face_values()
             hby_a_f = VolField("HbyA", mesh, hby_a,
@@ -411,7 +331,7 @@ class DeepFlameSolver:
         velocity and density corrections.  Returns the new pressure
         gradient (input to the next corrector)."""
         mesh = self.mesh
-        with _StageTimer(tm, "other"):
+        with StageTimer(tm, "other"):
             nif = mesh.n_internal_faces
             coeff = (aux["rho_f"] * aux["r_au_f"])[:nif] \
                 * mesh.face_area_mags()[:nif] * mesh.face_delta_coeffs()
@@ -427,93 +347,21 @@ class DeepFlameSolver:
 
     # -- one time step ---------------------------------------------------
     def step(self, dt: float) -> StepDiagnostics:
-        mesh = self.mesh
-        tm = StepTimings()
-        solver_flops = 0
-        solver_iters = 0
+        """One time step: the shared sequence over this solver alone."""
+        return advance_step(
+            [(self, None)], dt, refresh=lambda per_rank: None,
+            solve=self._solve,
+            reduce=lambda parts, op: getattr(parts, op)(axis=0))
 
-        # (1) properties + (2) chemistry ("DNN" component)
-        rho_old = self.stage_properties(tm)
-        self.stage_chemistry(dt, tm)
-
-        # (3) species transport
-        d_eff = self.props.alpha  # unity Lewis number
-        sf, si = self._species_transport(dt, rho_old, d_eff, tm)
-        solver_flops += sf
-        solver_iters += si
-        self.finish_species(self.y, tm)
-
-        # (4) energy (specific enthalpy)
-        eqn_h = self.assemble_energy_eqn(dt, rho_old, tm)
-        with _StageTimer(tm, "solving"):
-            _, res = eqn_h.solve(solver="PBiCGStab",
-                                 controls=self.scalar_controls)
-        solver_flops += res.flops
-        solver_iters += res.iterations
-        self.h = eqn_h.field.values
-
-        # (5) momentum + pressure correction
-        if self.solve_momentum:
-            sf, si = self._momentum_pressure(dt, rho_old, tm)
-            solver_flops += sf
-            solver_iters += si
-
-        self.current_time += dt
-        self.step_count += 1
-        self.last_timings = tm
-        diag = StepDiagnostics(
-            step=self.step_count, time=self.current_time,
-            total_mass=float((self.rho * mesh.cell_volumes).sum()),
-            t_min=float(self.props.temperature.min()),
-            t_max=float(self.props.temperature.max()),
-            y_min=float(self.y.min()), y_max=float(self.y.max()),
-            max_velocity=float(np.linalg.norm(self.u.values, axis=1).max()),
-            solver_flops=solver_flops, solver_iterations=solver_iters,
-        )
-        self.last_diag = diag
-        return diag
-
-    # -- transport stages -------------------------------------------------
-    def _species_transport(self, dt, rho_old, d_eff,
-                           tm) -> tuple[int, int]:
-        """Assemble once, solve one blocked Krylov system."""
-        eqn = self.assemble_species_eqn(dt, rho_old, d_eff, tm)
-        with _StageTimer(tm, "solving"):
-            x, results = eqn.solve(solver="PBiCGStab",
-                                   controls=self.scalar_controls)
-        # x is the workspace's block buffer; copy it so self.y survives
-        # the next blocked solve of the same shape.
-        self.y = x.copy()
-        return (sum(r.flops for r in results),
-                sum(r.iterations for r in results))
-
-    def _momentum_predictor(self, dt, rho_old, grad_p,
-                            tm) -> tuple[np.ndarray, int, int]:
-        """The 3 momentum components as one blocked solve."""
-        eqn, r_au = self.assemble_momentum_eqn(dt, rho_old, grad_p, tm)
-        with _StageTimer(tm, "solving"):
-            x, results = eqn.solve(solver="PBiCGStab",
-                                   controls=self.scalar_controls)
-        self.u.values[:] = x
-        return (r_au, sum(r.flops for r in results),
-                sum(r.iterations for r in results))
-
-    def _momentum_pressure(self, dt, rho_old, tm) -> tuple[int, int]:
-        grad_p = fvc_grad(self.p)
-        r_au, flops, iters = self._momentum_predictor(
-            dt, rho_old, grad_p, tm)
-
-        psi = self._psi_field()
-        for _ in range(self.n_correctors):
-            p_eqn, aux = self.assemble_pressure_eqn(
-                dt, rho_old, r_au, psi, grad_p, tm)
-            with _StageTimer(tm, "solving"):
-                _, res = p_eqn.solve(solver="PCG",
-                                     controls=self.pressure_controls)
-            flops += res.flops
-            iters += res.iterations
-            grad_p = self.finish_pressure(dt, r_au, psi, aux, tm)
-        return flops, iters
+    def _solve(self, eqns, solver: str, controls) -> tuple[list, list]:
+        """The serial solve hook: the one hosted equation's own solve,
+        as ``([(n, k) block], [per-column results])``.  The block is a
+        pooled workspace buffer, valid until the next solve."""
+        x, results = eqns[0].solve(solver=solver, controls=controls,
+                                   update=False)
+        if x.ndim == 1:
+            x, results = x[:, None], [results]
+        return [x], results
 
     # -- state snapshot ----------------------------------------------------
     def state_snapshot(self) -> dict:

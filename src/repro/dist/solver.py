@@ -25,9 +25,10 @@ at <= 1e-8 over multiple steps.  Every exchange and reduction lands in
 the communicator's ledger; :attr:`last_comm` carries the per-step
 totals the executed strong-scaling bench reports.
 
-**One step, two schedulings.**  The step is written once, over the
-ranks the communicator endpoint *hosts* (``comm.ranks``): all ``P`` in
-lockstep over a :class:`~repro.runtime.comm.SimulatedComm`
+**One step, two schedulings.**  The stage sequence is
+:func:`repro.core.step.advance_step` -- the one the serial solver runs
+-- over the ranks the communicator endpoint *hosts* (``comm.ranks``):
+all ``P`` in lockstep over a :class:`~repro.runtime.comm.SimulatedComm`
 (``execution="serial"``), one per forked worker over a
 :class:`~repro.runtime.shm.SharedMemComm` under
 ``execution="parallel"`` (:mod:`.spmd`).  Both fabrics reduce per-rank
@@ -36,8 +37,6 @@ partials stacked in rank order, so the two agree bitwise.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..backend import get_backend
@@ -45,9 +44,8 @@ from ..core.cases import Case
 from ..core.chemistry_source import BackendChemistry
 from ..core.deepflame import DeepFlameSolver, StepDiagnostics, StepTimings
 from ..core.settings import SolverSettings, build_chemistry
+from ..core.step import PROP_FIELDS, advance_step
 from ..fv.fields import VolField
-from ..fv.operators import fvc_grad
-from ..runtime import alloc
 from ..runtime.comm import SimulatedComm
 from ..solvers.controls import SolverControls
 from ..solvers.workspace import KrylovWorkspace
@@ -57,9 +55,6 @@ from .halo import HaloExchanger
 from .krylov import DistributedSystem, solve_distributed
 
 __all__ = ["DecomposedSolver"]
-
-#: property-set arrays exchanged after a per-cell property evaluation
-_PROP_FIELDS = ("rho", "temperature", "mu", "alpha", "cp")
 
 #: gatherable state fields and their per-rank accessors
 _FIELD_GETTERS = {
@@ -129,10 +124,6 @@ class DecomposedSolver:
         self.comm = comm or SimulatedComm(settings.ranks)
         self.exchanger = HaloExchanger(self.decomp, self.comm)
         self.subs = self.exchanger.subs
-        self.scalar_controls = settings.scalar_controls
-        self.pressure_controls = settings.pressure_controls
-        self.n_correctors = settings.n_correctors
-        self.solve_momentum = settings.solve_momentum
         self.krylov_variant = settings.krylov_variant
         self.overlap_halo = settings.overlap_halo
         # Persistent Krylov scratch (local blocks, matvec outputs,
@@ -181,9 +172,10 @@ class DecomposedSolver:
             # the owner's actual value is *bitwise* identical) and
             # rebuild the face mass flux so every cut face starts
             # bitwise-consistent across its pair.
-            self._refresh([[*(getattr(r.props, f) for f in _PROP_FIELDS),
-                            r.h] for r in self.ranks])
-            for r, sub in self._pairs():
+            self.exchanger.refresh(
+                [[*(getattr(r.props, f) for f in PROP_FIELDS), r.h]
+                 for r in self.ranks])
+            for r, sub in zip(self.ranks, self.subs):
                 r.rho[sub.n_owned:] = r.props.rho[sub.n_owned:]
                 r.phi = r._face_mass_flux()
 
@@ -210,41 +202,30 @@ class DecomposedSolver:
         self.last_balance: BalanceReport | None = None
 
     # -- helpers --------------------------------------------------------
-    def _pairs(self):
-        return zip(self.ranks, self.subs)
-
-    def _refresh(self, per_rank) -> None:
-        self.exchanger.refresh(per_rank)
-
-    def _solve(self, eqns, solver: str, controls: SolverControls,
-               x0_per_rank, tm: StepTimings) -> tuple[list, int, int]:
-        """One distributed solve; returns (per-rank views of the
-        stacked solution, flops, iterations summed over columns)."""
-        b = np.concatenate(
-            [np.asarray(e.source, dtype=float)[:s.n_owned]
-             for e, s in zip(eqns, self.subs)])
-        x0 = np.concatenate(
-            [np.asarray(x, dtype=float)[:s.n_owned]
-             for x, s in zip(x0_per_rank, self.subs)])
+    def _solve(self, eqns, solver: str,
+               controls: SolverControls) -> tuple[list, list]:
+        """The decomposed solve hook: the hosted equations as one
+        distributed system; returns (per-rank views of the stacked
+        ``(N, k)`` solution, per-column results)."""
+        b = np.concatenate([e.source[:s.n_owned]
+                            for e, s in zip(eqns, self.subs)])
+        x0 = np.concatenate([e.field.values[:s.n_owned]
+                             for e, s in zip(eqns, self.subs)])
         if b.ndim == 1:
-            b = b[:, None]
-            x0 = x0[:, None]
+            b, x0 = b[:, None], x0[:, None]
         system = DistributedSystem(self.decomp, self.comm,
                                    [e.a for e in eqns],
                                    exchanger=self.exchanger,
                                    scratch=self._krylov_scratch,
                                    overlap_halo=self.overlap_halo)
-        a0 = alloc.snapshot()
-        t0 = time.perf_counter()
         x, results = solve_distributed(system, b, x0=x0, solver=solver,
                                        controls=controls,
                                        variant=self.krylov_variant,
                                        workspace=self._krylov_workspace)
-        tm.solving += time.perf_counter() - t0
-        tm.alloc_solving += alloc.snapshot() - a0
-        return ([x[sl] for sl in system.slices],
-                sum(r.flops for r in results),
-                sum(r.iterations for r in results))
+        return [x[sl] for sl in system.slices], results
+
+    def _balanced_chemistry(self, dt: float, tm: StepTimings) -> None:
+        self.last_balance = self.balancer.advance(self.ranks, dt, tm)
 
     # -- one time step ---------------------------------------------------
     def step(self, dt: float) -> StepDiagnostics:
@@ -253,67 +234,15 @@ class DecomposedSolver:
             return self._step_parallel(dt)
         led = self.comm.ledger
         led0 = led.totals()
-        tm = StepTimings()
-        flops = iters = 0
-
-        # (1) properties on owned rows, ghost rows by exchange
-        rho_olds = [r.stage_properties(tm, cells=sub.owned)
-                    for r, sub in self._pairs()]
-        self._refresh([[getattr(r.props, f) for f in _PROP_FIELDS]
-                       for r in self.ranks])
-        for r, sub in self._pairs():
-            r.rho[sub.n_owned:] = r.props.rho[sub.n_owned:]
-
-        # (2) chemistry on owned rows only (never recomputed for
-        # ghosts); with a balancer, stiff cells migrate to underloaded
-        # ranks first and their advanced state is scattered back
-        if self.balancer is not None:
-            self.last_balance = self.balancer.advance(self.ranks, dt, tm)
-        else:
-            for r, sub in self._pairs():
-                r.stage_chemistry(dt, tm, cells=sub.owned)
-        self._refresh([r.y for r in self.ranks])
-
-        # (3) species transport: one distributed blocked solve
-        eqns = [r.assemble_species_eqn(dt, rho_olds[i], r.props.alpha, tm)
-                for i, r in enumerate(self.ranks)]
-        xs, fl, it = self._solve(eqns, "PBiCGStab", self.scalar_controls,
-                                 [r.y for r in self.ranks], tm)
-        flops += fl
-        iters += it
-        for x, (r, sub) in zip(xs, self._pairs()):
-            r.finish_species(x, tm, cells=sub.owned)
-        self._refresh([r.y for r in self.ranks])
-
-        # (4) energy
-        eqns = [r.assemble_energy_eqn(dt, rho_olds[i], tm)
-                for i, r in enumerate(self.ranks)]
-        xs, fl, it = self._solve(eqns, "PBiCGStab", self.scalar_controls,
-                                 [r.h for r in self.ranks], tm)
-        flops += fl
-        iters += it
-        for x, (r, sub) in zip(xs, self._pairs()):
-            r.h[:sub.n_owned] = x[:, 0]
-        self._refresh([r.h for r in self.ranks])
-
-        # (5) momentum + pressure correction
-        if self.solve_momentum:
-            fl, it = self._momentum_pressure(dt, rho_olds, tm)
-            flops += fl
-            iters += it
-
-        self.current_time += dt
-        self.step_count += 1
-        for r in self.ranks:
-            r.current_time = self.current_time
-            r.step_count = self.step_count
-            r.last_timings = tm
-        self.last_timings = tm
-
-        diag = self._diagnostics(flops, iters)
+        diag = advance_step(
+            [(r, s.owned) for r, s in zip(self.ranks, self.subs)], dt,
+            refresh=self.exchanger.refresh, solve=self._solve,
+            reduce=self.comm.allreduce,
+            chemistry=self._balanced_chemistry if self.balancer else None)
+        self.current_time = diag.time
+        self.step_count = diag.step
+        self.last_timings = self.ranks[0].last_timings
         self.last_diag = diag
-        for r in self.ranks:
-            r.last_diag = diag
         self.last_comm = led.delta(led0)
         return diag
 
@@ -332,76 +261,6 @@ class DecomposedSolver:
         self.last_diag = diag
         self.last_comm = led.delta(led0)
         return diag
-
-    def _momentum_pressure(self, dt, rho_olds, tm) -> tuple[int, int]:
-        # predictor
-        grad_ps = [fvc_grad(r.p) for r in self.ranks]
-        eqn_raus = [r.assemble_momentum_eqn(dt, rho_olds[i], grad_ps[i], tm)
-                    for i, r in enumerate(self.ranks)]
-        eqns = [e for e, _ in eqn_raus]
-        r_aus = [ra for _, ra in eqn_raus]
-        xs, flops, iters = self._solve(eqns, "PBiCGStab",
-                                       self.scalar_controls,
-                                       [r.u.values for r in self.ranks], tm)
-        for x, (r, sub) in zip(xs, self._pairs()):
-            r.u.values[:sub.n_owned] = x
-        # ghost rows of U, 1/A and grad(p): a rank cannot form them
-        # locally (ghost cells lack their full face sets)
-        self._refresh([[r.u.values, r_aus[i], grad_ps[i]]
-                       for i, r in enumerate(self.ranks)])
-
-        # correctors
-        psis = []
-        for r, sub in self._pairs():
-            psi = np.empty(sub.n_local)
-            psi[:sub.n_owned] = r._psi_field(cells=sub.owned)
-            psis.append(psi)
-        self._refresh(psis)
-
-        for _ in range(self.n_correctors):
-            eqn_auxs = [
-                r.assemble_pressure_eqn(dt, rho_olds[i], r_aus[i], psis[i],
-                                        grad_ps[i], tm)
-                for i, r in enumerate(self.ranks)]
-            eqns = [e for e, _ in eqn_auxs]
-            auxs = [a for _, a in eqn_auxs]
-            xs, fl, it = self._solve(eqns, "PCG", self.pressure_controls,
-                                     [r.p.values for r in self.ranks], tm)
-            flops += fl
-            iters += it
-            for x, (r, sub) in zip(xs, self._pairs()):
-                r.p.values[:sub.n_owned] = x[:, 0]
-            self._refresh([r.p.values for r in self.ranks])
-            grad_ps = [r.finish_pressure(dt, r_aus[i], psis[i], auxs[i], tm)
-                       for i, r in enumerate(self.ranks)]
-            self._refresh([[r.u.values, grad_ps[i]]
-                           for i, r in enumerate(self.ranks)])
-        return flops, iters
-
-    def _diagnostics(self, flops: int, iters: int) -> StepDiagnostics:
-        """Global step diagnostics via 3 allreduces (sum / min / max
-        with packed array payloads)."""
-        sums = np.array([
-            [float((r.rho[:s.n_owned]
-                    * s.mesh.cell_volumes[:s.n_owned]).sum())]
-            for r, s in self._pairs()])
-        mins = np.array([
-            [float(r.props.temperature[:s.n_owned].min()),
-             float(r.y[:s.n_owned].min())]
-            for r, s in self._pairs()])
-        maxs = np.array([
-            [float(r.props.temperature[:s.n_owned].max()),
-             float(r.y[:s.n_owned].max()),
-             float(np.linalg.norm(r.u.values[:s.n_owned], axis=1).max())]
-            for r, s in self._pairs()])
-        total_mass = self.comm.allreduce(sums, op="sum")[0]
-        t_min, y_min = self.comm.allreduce(mins, op="min")
-        t_max, y_max, u_max = self.comm.allreduce(maxs, op="max")
-        return StepDiagnostics(
-            step=self.step_count, time=self.current_time,
-            total_mass=total_mass, t_min=t_min, t_max=t_max,
-            y_min=y_min, y_max=y_max, max_velocity=u_max,
-            solver_flops=flops, solver_iterations=iters)
 
     # -- multi-step driver / gathers ------------------------------------
     def run(self, n_steps: int, dt: float) -> list[StepDiagnostics]:

@@ -28,6 +28,7 @@ the next (61 vs 81 ms on the 2-rank TGV of ``bench/``).
 from __future__ import annotations
 
 import dataclasses
+import logging
 import multiprocessing as mp
 import os
 
@@ -107,6 +108,9 @@ class ParallelExecutor:
 
             def factory(w: int) -> _RankWorker:
                 _bind_to_core(w)
+                if w:   # solver results are identical on every rank:
+                    # rank 0 alone reports an unconverged solve
+                    logging.getLogger("repro.solvers").setLevel(logging.ERROR)
                 rank_comm = SharedMemComm(arena, w, barrier,
                                           timeout=barrier_timeout)
                 return _RankWorker(

@@ -22,8 +22,6 @@ from ..backend import get_backend
 from ..runtime import alloc
 from ..solvers.blocked import pbicgstab_solve_multi, pcg_solve_multi
 from ..solvers.controls import SolverControls, SolverResult
-from ..solvers.pbicgstab import pbicgstab_solve
-from ..solvers.pcg import pcg_solve
 from ..solvers.preconditioners import (CachedDICPreconditioner,
                                        JacobiPreconditioner)
 from ..sparse.ldu import LDUMatrix
@@ -103,38 +101,19 @@ class FVMatrix:
         update: bool = True,
     ) -> tuple[np.ndarray, SolverResult]:
         """Solve the system; optionally write back into the field."""
-        if solver == "auto":
-            # Cached: correctors / outer iterations re-solve the same
-            # LDUMatrix instance, and its off-diagonal symmetry does
-            # not change between solves.
-            solver = "PCG" if self.a.is_symmetric_cached(tol=1e-14) \
-                else "PBiCGStab"
         ws = self.workspace
+        pattern = ws.pattern if ws else None
         if solver == "GAMG":
             from ..solvers.gamg import GAMGSolver
 
-            x, res = GAMGSolver(
-                self.a, pattern=ws.pattern if ws else None,
-            ).solve(self.source, x0=self.field.values, controls=controls)
-        elif solver in ("PCG", "PBiCGStab"):
-            # one compiled CSR product per iteration, as the coupled solve
-            csr = self.a.to_csr(pattern=ws.pattern if ws else None)
-
-            def mv(x: np.ndarray) -> np.ndarray:
-                return csr @ x
-
-            dic = solver == "PCG" and self.a.n < 50_000
-            if ws is not None:
-                pre = ws.dic(self.a) if dic else ws.jacobi(self.a)
-            else:
-                pre = (CachedDICPreconditioner if dic
-                       else JacobiPreconditioner)(self.a)
-            krylov = pcg_solve if solver == "PCG" else pbicgstab_solve
-            x, res = krylov(self.a, self.source, x0=self.field.values,
-                            preconditioner=pre.apply, controls=controls,
-                            matvec=mv, workspace=ws.krylov if ws else None)
+            x, res = GAMGSolver(self.a, pattern=pattern).solve(
+                self.source, x0=self.field.values, controls=controls)
         else:
-            raise ValueError(f"unknown solver {solver!r}")
+            # a scalar equation is a blocked solve with one column
+            x, results = _krylov_solve(
+                self.a, self.source[:, None], self.field.values[:, None],
+                solver, controls, ws, pattern)
+            x, res = x[:, 0], results[0]
         if update:
             self.field.values[:] = x
         return x, res
@@ -224,42 +203,47 @@ class CoupledTransportEquation:
         so every iteration applies it to the whole block with a single
         sparse-times-dense product.
         """
-        if solver == "auto":
-            solver = "PCG" if self.a.is_symmetric_cached(tol=1e-14) \
-                else "PBiCGStab"
-        ws = self.workspace
-        csr = self.a.to_csr(pattern=self.pattern)
-        kws = ws.krylov if ws else None
-        # the workspace's array backend supplies the blocked-reduction
-        # kernels (no workspace: numpy)
-        be = ws.backend if ws is not None else None
-
-        def mv(x: np.ndarray) -> np.ndarray:
-            return csr @ x
-
-        if solver == "PCG":
-            if ws is not None:
-                pre = ws.dic(self.a) if self.a.n < 50_000 \
-                    else ws.jacobi(self.a)
-            else:
-                pre = CachedDICPreconditioner(self.a) if self.a.n < 50_000 \
-                    else JacobiPreconditioner(self.a)
-            x, results = pcg_solve_multi(
-                self.a, self.source, x0=self.field.values,
-                preconditioner=pre.apply_multi, controls=controls, matvec=mv,
-                workspace=kws, backend=be)
-        elif solver == "PBiCGStab":
-            pre = ws.jacobi(self.a) if ws is not None \
-                else JacobiPreconditioner(self.a)
-            x, results = pbicgstab_solve_multi(
-                self.a, self.source, x0=self.field.values,
-                preconditioner=pre.apply_multi,
-                controls=controls, matvec=mv, workspace=kws, backend=be)
-        else:
-            raise ValueError(f"unknown blocked solver {solver!r}")
+        x, results = _krylov_solve(self.a, self.source, self.field.values,
+                                   solver, controls, self.workspace,
+                                   self.pattern)
         if update:
             self.field.values[:] = x
         return x, results
+
+
+_KRYLOV = {"PCG": pcg_solve_multi, "PBiCGStab": pbicgstab_solve_multi}
+
+
+def _krylov_solve(a: LDUMatrix, source: np.ndarray, x0: np.ndarray,
+                  solver: str, controls: SolverControls, ws, pattern,
+                  ) -> tuple[np.ndarray, list[SolverResult]]:
+    """The one Krylov dispatch behind :meth:`FVMatrix.solve` (``k = 1``)
+    and :meth:`CoupledTransportEquation.solve`: method, preconditioner,
+    CSR product and workspace plumbing for an ``(n, k)`` block.
+
+    ``"auto"`` picks PCG for a symmetric operator (cached: correctors
+    re-solve the same :class:`LDUMatrix` instance, whose off-diagonal
+    symmetry does not change between solves), PBiCGStab otherwise; PCG
+    is DIC-preconditioned below 50 000 rows, everything else Jacobi.
+    The operator is converted to CSR once, so every iteration applies
+    it to the whole block with a single sparse-times-dense product.
+    With a workspace ``ws`` the preconditioners, the solution block and
+    the array backend of the blocked reductions are its cached ones.
+    """
+    if solver == "auto":
+        solver = "PCG" if a.is_symmetric_cached(tol=1e-14) else "PBiCGStab"
+    if solver not in _KRYLOV:
+        raise ValueError(f"unknown solver {solver!r}")
+    csr = a.to_csr(pattern=pattern)
+    dic = solver == "PCG" and a.n < 50_000
+    if ws is not None:
+        pre = ws.dic(a) if dic else ws.jacobi(a)
+    else:
+        pre = (CachedDICPreconditioner if dic else JacobiPreconditioner)(a)
+    return _KRYLOV[solver](
+        a, source, x0=x0, preconditioner=pre.apply_multi, controls=controls,
+        matvec=lambda x: csr @ x, workspace=ws.krylov if ws else None,
+        backend=ws.backend if ws else None)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Linear solvers for the FV systems: PCG, PBiCGStab and GAMG with
-Jacobi / DIC / (block-)symmetric-GS preconditioning, plus blocked
-multi-RHS PCG/PBiCGStab for shared-operator transport solves."""
+"""Linear solvers for the FV systems: one blocked (multi-RHS) Krylov
+family -- PCG and PBiCGStab on ``(n, k)`` blocks, ``k = 1`` for scalar
+equations, synchronous and communication-avoiding variants -- plus
+GAMG, with Jacobi / DIC / (block-)symmetric-GS preconditioning."""
 
 from .blocked import (
+    REDUCTIONS_PER_PCG_ITER,
     backend_fused_reduce,
     backend_ifused_reduce,
     backend_reductions,
@@ -13,8 +15,6 @@ from .blocked import (
 )
 from .controls import SolverControls, SolverResult
 from .gamg import GAMGSolver, agglomerate
-from .pbicgstab import pbicgstab_solve
-from .pcg import REDUCTIONS_PER_PCG_ITER, pcg_solve
 from .preconditioners import (
     CachedDICPreconditioner,
     DICPreconditioner,
@@ -41,8 +41,6 @@ __all__ = [
     "backend_fused_reduce",
     "backend_ifused_reduce",
     "backend_reductions",
-    "pbicgstab_solve",
     "pbicgstab_solve_multi",
-    "pcg_solve",
     "pcg_solve_multi",
 ]

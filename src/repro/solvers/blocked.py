@@ -10,12 +10,15 @@ for all k systems, and every dot product / axpy is a fused ``(n, k)``
 array operation instead of k Python-level loops.
 
 Each column iterates exactly the per-column algorithm (PBiCGStab or
-PCG, same update formulas and convergence criteria as the scalar
-solvers in :mod:`.pbicgstab` / :mod:`.pcg`), with **per-column
-convergence masking**: columns that converge are retired from the
-active block — their solution stops being touched, their
-:class:`SolverResult` is finalized with their own iteration count, and
-the remaining columns keep iterating on a compacted block.
+PCG: the update formulas and convergence criteria a column solved
+alone would see), with **per-column convergence masking**: columns
+that converge are retired from the active block — their solution stops
+being touched, their :class:`SolverResult` is finalized with their own
+iteration count, and the remaining columns keep iterating on a
+compacted block.  This is the only Krylov family in ``src/``: a scalar
+equation is a block with ``k = 1`` (``b[:, None]``), whether it is
+solved on one core or over a decomposition; the 1-D per-column
+reference bodies live in ``tests/krylov_oracle.py``.
 
 All solvers accept reduction hooks in addition to the ``matvec``
 override: a distributed caller (the ``repro.dist`` subsystem) passes
@@ -48,10 +51,10 @@ from ..backend import get_backend
 from ..runtime import alloc
 from ..sparse.ldu import LDUMatrix
 from .controls import SolverControls, SolverResult
-from .pcg import REDUCTIONS_PER_PCG_ITER
 from .workspace import KrylovWorkspace
 
 __all__ = [
+    "REDUCTIONS_PER_PCG_ITER",
     "backend_fused_reduce",
     "backend_ifused_reduce",
     "backend_reductions",
@@ -60,6 +63,11 @@ __all__ = [
     "pcg_solve_multi",
     "pipelined_pcg_solve_multi",
 ]
+
+
+#: Global reductions per PCG iteration (two dot products + one norm) --
+#: the allreduces that dominate strong-scaling communication (Sec. 5.3).
+REDUCTIONS_PER_PCG_ITER = 3
 
 
 def _block_x(name: str, workspace: KrylovWorkspace | None,
@@ -147,11 +155,19 @@ def _converged_mask(controls: SolverControls, res: np.ndarray,
     return mask
 
 
+def _active_columns(act: np.ndarray, k: int):
+    """Column selector of the still-active block inside ``x``: the
+    plain slice while every column iterates (an in-place update, no
+    gather/scatter copy -- the only case a ``k = 1`` solve ever sees),
+    the index array once a column has retired."""
+    return slice(None) if act.size == k else act
+
+
 def _check_rhs(a: LDUMatrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
-        raise ValueError("multi-RHS solver needs b of shape (n, k); "
-                         "use the scalar solver for a single RHS")
+        raise ValueError("blocked solver needs b of shape (n, k); "
+                         "pass a single right-hand side as b[:, None]")
     if b.shape[0] != a.n:
         raise ValueError(f"rhs has {b.shape[0]} rows for a {a.n}-row matrix")
     return b
@@ -216,6 +232,7 @@ def pbicgstab_solve_multi(
     res_a = res[act]
     nf = norm_factor[act]
     fl = fl[act]
+    cols = _active_columns(act, k)
 
     def retire(mask: np.ndarray, it: int, converged: bool) -> np.ndarray:
         """Finalize results for masked columns; return the keep mask."""
@@ -228,11 +245,11 @@ def pbicgstab_solve_multi(
     def compress(keep: np.ndarray) -> None:
         """Drop retired columns from every recurrence vector."""
         nonlocal r, r_hat, rho_old, alpha, omega, v, p
-        nonlocal res0_a, res_a, nf, fl, act
+        nonlocal res0_a, res_a, nf, fl, act, cols
         r, r_hat, v, p = r[:, keep], r_hat[:, keep], v[:, keep], p[:, keep]
         rho_old, alpha, omega = rho_old[keep], alpha[keep], omega[keep]
         res0_a, res_a, nf, fl = res0_a[keep], res_a[keep], nf[keep], fl[keep]
-        act = act[keep]
+        cols = act = act[keep]
 
     it = 0
     for it in range(1, controls.max_iterations + 1):
@@ -267,7 +284,7 @@ def pbicgstab_solve_multi(
         tt = cdot(t, t)
         pos = tt > 0
         omega = np.where(pos, cdot(t, s) / np.where(pos, tt, 1.0), 0.0)
-        x[:, act] += alpha * p_hat + omega * s_hat
+        x[:, cols] += alpha * p_hat + omega * s_hat
         r = s - omega * t
         rho_old = rho
         fl += 2 * a.nnz + 10 * n
@@ -300,8 +317,11 @@ def pcg_solve_multi(
 
     One ``(n, k)`` SpMV and one preconditioner application per
     iteration serve every still-active column; converged columns are
-    masked out.  Per-column reduction counts are reported in
-    ``details["reductions"]`` exactly as the scalar PCG does.
+    masked out, and a column whose search direction breaks down
+    (``|p.Ap| < 1e-300``, e.g. a right-hand side in the operator's
+    null space) is retired unconverged with its ``x`` untouched.
+    Per-column reduction counts are reported in
+    ``details["reductions"]``.
     ``backend`` selects the default reduction kernels through
     :func:`backend_reductions` (``None`` = numpy).
     With ``workspace``, the ``(n, k)`` solution block is a pooled
@@ -329,12 +349,15 @@ def pcg_solve_multi(
         results[j] = SolverResult("PCG", 0, float(res0[j]), float(res[j]),
                                   True, int(fl[j]))
     act = np.nonzero(~conv)[0]
+    if act.size == 0:   # converged on entry: no sweep over an empty block
+        return x, results  # type: ignore[return-value]
 
     r = r[:, act]
     res0_a = res0[act]
     res_a = res[act]
     nf = norm_factor[act]
     fl = fl[act]
+    cols = _active_columns(act, k)
 
     z = precond(r)
     p = z.copy()
@@ -351,19 +374,27 @@ def pcg_solve_multi(
 
     def compress(keep: np.ndarray) -> None:
         """Drop retired columns from every recurrence vector."""
-        nonlocal r, p, rz, res0_a, res_a, nf, fl, act
+        nonlocal r, p, rz, res0_a, res_a, nf, fl, act, cols
         r, p = r[:, keep], p[:, keep]
         rz = rz[keep]
         res0_a, res_a, nf, fl = res0_a[keep], res_a[keep], nf[keep], fl[keep]
-        act = act[keep]
+        cols = act = act[keep]
 
     it = 0
     for it in range(1, controls.max_iterations + 1):
         if act.size == 0:
             break
         ap = mv(p)
-        alpha = rz / cdot(p, ap)
-        x[:, act] += alpha * p
+        pap = cdot(p, ap)
+        broke = np.abs(pap) < 1e-300
+        if broke.any():
+            keep = retire(broke, it, converged=False)
+            compress(keep)
+            ap, pap = ap[:, keep], pap[keep]
+            if act.size == 0:
+                break
+        alpha = rz / pap
+        x[:, cols] += alpha * p
         r -= alpha * ap
         fl += 2 * a.nnz + 6 * n
         res_a = csum(r) / nf
@@ -436,6 +467,7 @@ def fused_pbicgstab_solve_multi(
     fl = np.full(k, 2 * a.nnz + 2 * n, dtype=np.int64)
     results: list[SolverResult | None] = [None] * k
     act = np.arange(k)
+    cols = _active_columns(act, k)
     # set on the first fused group (|b| and |r0| ride along with it)
     nf = res0_a = res_a = None
 
@@ -450,11 +482,11 @@ def fused_pbicgstab_solve_multi(
 
     def compress(keep: np.ndarray) -> None:
         """Drop retired columns from every recurrence vector."""
-        nonlocal r, r_hat, p, v, rho, res0_a, res_a, nf, fl, act
+        nonlocal r, r_hat, p, v, rho, res0_a, res_a, nf, fl, act, cols
         r, r_hat, p, v = r[:, keep], r_hat[:, keep], p[:, keep], v[:, keep]
         rho = rho[keep]
         res0_a, res_a, nf, fl = res0_a[keep], res_a[keep], nf[keep], fl[keep]
-        act = act[keep]
+        cols = act = act[keep]
 
     first = True
     it = 0
@@ -510,7 +542,7 @@ def fused_pbicgstab_solve_multi(
                 break
         pos = tt > 0
         omega = np.where(pos, ts / np.where(pos, tt, 1.0), 0.0)
-        x[:, act] += alpha * p_hat + omega * s_hat
+        x[:, cols] += alpha * p_hat + omega * s_hat
         r = s - omega * t
         # rho for the next iteration, recovered without a collective
         rho_new = rhs - omega * rht
@@ -587,6 +619,7 @@ def pipelined_pcg_solve_multi(
     fl = np.full(k, 4 * a.nnz + 2 * n, dtype=np.int64)
     results: list[SolverResult | None] = [None] * k
     act = np.arange(k)
+    cols = _active_columns(act, k)
     # set on the first fused reduction (|b| rides along with it)
     nf = res0_a = res_a = None
 
@@ -602,12 +635,12 @@ def pipelined_pcg_solve_multi(
     def compress(keep: np.ndarray) -> None:
         """Drop retired columns from every recurrence vector."""
         nonlocal r, u, w, z, q, s, p, gamma_old, alpha_old
-        nonlocal res0_a, res_a, nf, fl, act
+        nonlocal res0_a, res_a, nf, fl, act, cols
         r, u, w = r[:, keep], u[:, keep], w[:, keep]
         z, q, s, p = z[:, keep], q[:, keep], s[:, keep], p[:, keep]
         gamma_old, alpha_old = gamma_old[keep], alpha_old[keep]
         res0_a, res_a, nf, fl = res0_a[keep], res_a[keep], nf[keep], fl[keep]
-        act = act[keep]
+        cols = act = act[keep]
 
     first = True
     it = 0
@@ -649,7 +682,7 @@ def pipelined_pcg_solve_multi(
         q = m_ + beta * q
         s = w + beta * s
         p = u + beta * p
-        x[:, act] += alpha * p
+        x[:, cols] += alpha * p
         r -= alpha * s
         u -= alpha * q
         w -= alpha * z

@@ -244,6 +244,11 @@ class CachedDICPreconditioner:
             host = np.array(be.from_device(w))
             return be.to_device(self._sweeps(host, get_backend("numpy")),
                                 dtype=w.dtype)
+        if w.ndim == 2 and w.shape[1] == 1:
+            # one column (every scalar equation): sweep its 1-D view --
+            # same arithmetic, without the 2-D fancy-indexing price
+            self._sweeps(w[:, 0], be)
+            return w
         s = self.struct
         fwd = be.to_device(self._fwd_coef, dtype=w.dtype)
         bwd = be.to_device(self._bwd_coef, dtype=w.dtype)

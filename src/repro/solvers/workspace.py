@@ -1,11 +1,10 @@
 """Persistent Krylov vector workspace.
 
-Every PCG / PBiCGStab call used to allocate its full working set
-(``x``, ``r``, ``p``, ``v``, ``s``, ...) with ``np.zeros`` / ``copy``;
-over a DeepFlame step that is dozens of allocations per solve times
-~10 solves per step.  :class:`KrylovWorkspace` is a tiny named-buffer
-pool: a solver asks for ``("pcg.r", (n,))`` and gets the *same* array
-every call, so a warm step performs zero solver-vector allocations.
+A Krylov solve that allocates its solution block per call costs a
+tracked allocation per solve times ~10 solves per DeepFlame step.
+:class:`KrylovWorkspace` is a tiny named-buffer pool: a solver asks
+for ``("pcgm.x", (n, k))`` and gets the *same* array every call, so a
+warm step performs zero tracked solver-vector allocations.
 
 The pooled paths are arranged to be **bitwise identical** to the cold
 paths: buffers are refilled with the exact values the cold code would

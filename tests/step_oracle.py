@@ -17,13 +17,17 @@ Two solve orders:
   solved blocked (no workspace).  The production step matches this to
   <= 1e-12 (frozen chemistry) / <= 1e-8 (live chemistry).
 * ``column_solves=True`` -- every species and every momentum component
-  is assembled and solved on its own with ``FVMatrix.solve``, the
-  sequential order the blocked solve replaced.  The production step
-  matches this to solver accuracy (<= 1e-10 at a 1e-12 tolerance).
+  is solved on its own with ``FVMatrix.solve`` (its column of the
+  stacked sources over the operator the stacking verified the columns
+  share), the sequential order the blocked solve replaced.  The
+  production step matches this to solver accuracy (<= 1e-10 at a 1e-12
+  tolerance).
 
 The per-cell stages (properties, chemistry), the post-solve updates
-(``finish_species`` / ``finish_pressure``) and the step driver are the
-production ones: they never forked.  It is slow on purpose:
+(``finish_species`` / ``finish_pressure``) and the stage sequence
+(:func:`repro.core.step.advance_step`) are the production ones: they
+never forked, and the oracle plugs in by overriding the serial solve
+hook.  It is slow on purpose:
 ``tests/test_hotpath.py`` and ``tests/test_core_solver.py`` compare the
 production step against it.
 """
@@ -35,6 +39,7 @@ import numpy as np
 from repro.core import DeepFlameSolver
 from repro.fv import (
     CoupledTransportEquation,
+    FVMatrix,
     MultiVolField,
     VolField,
     fvc_surface_integral,
@@ -106,34 +111,19 @@ class OracleSolver(DeepFlameSolver):
         return p_eqn, aux
 
     # -- column-by-column solves ---------------------------------------------
-    def _species_transport(self, dt, rho_old, d_eff, tm):
-        if not self.column_solves:
-            return super()._species_transport(dt, rho_old, d_eff, tm)
-        flops = iters = 0
-        for i, name in enumerate(self.mech.species_names):
-            yi = VolField(f"Y_{name}", self.mesh, self.y[:, i])
-            eqn = self._transport_chain(yi, dt, rho_old, self.rho * d_eff)
-            _, res = eqn.solve(solver="PBiCGStab",
-                               controls=self.scalar_controls)
-            flops += res.flops
-            iters += res.iterations
-            self.y[:, i] = yi.values
-        return flops, iters
-
-    def _momentum_predictor(self, dt, rho_old, grad_p, tm):
-        if not self.column_solves:
-            return super()._momentum_predictor(dt, rho_old, grad_p, tm)
-        flops = iters = 0
-        r_au = None
-        for comp in range(3):
-            uc = self.u.component(comp)
-            eqn = self._transport_chain(uc, dt, rho_old, self.props.mu)
-            eqn.source -= grad_p[:, comp] * self.mesh.cell_volumes
-            if r_au is None:
-                r_au = self.mesh.cell_volumes / eqn.a.diag
-            _, res = eqn.solve(solver="PBiCGStab",
-                               controls=self.scalar_controls)
-            flops += res.flops
-            iters += res.iterations
-            self.u.values[:, comp] = uc.values
-        return r_au, flops, iters
+    def _solve(self, eqns, solver, controls):
+        """The serial solve hook; with ``column_solves`` a blocked
+        equation is solved one column at a time, each as its own scalar
+        equation over the shared operator."""
+        eqn = eqns[0]
+        if not (self.column_solves
+                and isinstance(eqn, CoupledTransportEquation)):
+            return super()._solve(eqns, solver, controls)
+        xs, results = [], []
+        for j in range(eqn.field.k):
+            column = FVMatrix(eqn.field.column(j), eqn.a, eqn.source[:, j])
+            x, res = column.solve(solver=solver, controls=controls,
+                                  update=False)
+            xs.append(x)
+            results.append(res)
+        return [np.stack(xs, axis=1)], results

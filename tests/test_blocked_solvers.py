@@ -18,20 +18,23 @@ from repro.fv import (
     fvm_div,
     fvm_laplacian,
 )
+from repro.mesh import build_box_mesh
 from repro.solvers import (
+    CachedDICPreconditioner,
     DICPreconditioner,
     JacobiPreconditioner,
+    KrylovWorkspace,
     SolverControls,
     SymGaussSeidelPreconditioner,
     fused_pbicgstab_solve_multi,
-    pbicgstab_solve,
     pbicgstab_solve_multi,
-    pcg_solve,
     pcg_solve_multi,
     pipelined_pcg_solve_multi,
 )
 from repro.sparse import spmv_ldu_multi
 from tests.conftest import make_laplacian_ldu
+from tests.krylov_oracle import oracle_pbicgstab_solve as pbicgstab_solve
+from tests.krylov_oracle import oracle_pcg_solve as pcg_solve
 
 SETTINGS = dict(deadline=None, max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow,
@@ -186,6 +189,100 @@ class TestBlockedMatchesColumns:
     def test_1d_rhs_rejected(self, spd_ldu):
         with pytest.raises(ValueError):
             pcg_solve_multi(spd_ldu, np.ones(spd_ldu.n))
+
+
+class TestOneColumn:
+    """A scalar equation is a block with k = 1: the blocked bodies on
+    one column against the 1-D reference bodies, and what the one-column
+    case asks of the preconditioner and the breakdown guards."""
+
+    CTL = SolverControls(tolerance=1e-10, max_iterations=500)
+
+    @staticmethod
+    def _upwind_operator(mesh):
+        """ddt + upwind div - laplacian: the asymmetric operator of a
+        transported scalar."""
+        rng = np.random.default_rng(31)
+        f = VolField("c", mesh, rng.random(mesh.n_cells),
+                     boundary={"xmin": FixedValue(0.3)})
+        phi = SurfaceField("phi", mesh, rng.standard_normal(mesh.n_faces))
+        eqn = (fvm_ddt(1.0 + rng.random(mesh.n_cells), f, 1e-3)
+               + fvm_div(phi, f, scheme="upwind")
+               - fvm_laplacian(0.1 + rng.random(mesh.n_cells), f))
+        return eqn.a, eqn.source, f.values.copy()
+
+    def _check(self, body, oracle, a, b, x0, pre, pooled):
+        x_ref, res_ref = oracle(a, b, x0=x0, preconditioner=pre.apply,
+                                controls=self.CTL)
+        assert res_ref.converged and res_ref.iterations > 1
+        ws = KrylovWorkspace() if pooled else None
+        for _ in range(2 if pooled else 1):   # second pass: warm pool
+            x, (res,) = body(a, b[:, None], x0=x0[:, None],
+                             preconditioner=pre.apply_multi,
+                             controls=self.CTL, workspace=ws)
+            assert res.converged
+            assert res.iterations == res_ref.iterations
+            assert np.abs(x[:, 0] - x_ref).max() \
+                <= 1e-12 * np.abs(x_ref).max()
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["cold", "pooled"])
+    def test_pcg_k1_matches_scalar_oracle(self, spd_ldu, pooled):
+        rng = np.random.default_rng(32)
+        b, x0 = rng.standard_normal((2, spd_ldu.n))
+        self._check(pcg_solve_multi, pcg_solve, spd_ldu, b, x0,
+                    CachedDICPreconditioner(spd_ldu), pooled)
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["cold", "pooled"])
+    def test_pbicgstab_k1_matches_scalar_oracle(self, box_mesh, pooled):
+        a, b, x0 = self._upwind_operator(box_mesh)
+        assert not a.is_symmetric(tol=1e-14)
+        self._check(pbicgstab_solve_multi, pbicgstab_solve, a, b, x0,
+                    JacobiPreconditioner(a), pooled)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_dic_one_column_sweeps_its_1d_view(self, spd_ldu, dtype):
+        """``(n, 1)``, a strided ``out=`` row slice and 1-D all run the
+        same arithmetic, in the residual's dtype."""
+        pre = CachedDICPreconditioner(spd_ldu)
+        n = spd_ldu.n
+        r = np.random.default_rng(33).standard_normal(n).astype(dtype)
+        ref = pre.apply(r)
+        assert ref.dtype == dtype
+        col = pre.apply_multi(r[:, None])
+        assert col.shape == (n, 1) and col.dtype == dtype
+        np.testing.assert_array_equal(col[:, 0], ref)
+        # a row slice of one column of a wider stacked block: strided
+        w = np.zeros((n + 5, 3), dtype=dtype)
+        out = pre.apply_multi(r[:, None], out=w[2:n + 2, 1:2])
+        assert np.shares_memory(out, w)
+        np.testing.assert_array_equal(w[2:n + 2, 1], ref)
+        assert not w[:, [0, 2]].any() and not w[:2].any()
+        # and k > 1 still sweeps the block, column for column
+        blk = pre.apply_multi(np.stack([r, 2 * r], axis=1))
+        np.testing.assert_array_equal(blk[:, 0], ref)
+
+    def test_pcg_breakdown_retires_the_column(self):
+        """A right-hand side in the null space of the periodic
+        Laplacian makes ``p.Ap`` vanish: that column retires
+        unconverged with a finite ``x``; its healthy neighbour is
+        unaffected."""
+        mesh = build_box_mesh(4, 4, 4, periodic=(True, True, True))
+        f = VolField("p", mesh, np.zeros(mesh.n_cells))
+        a = (fvm_laplacian(1.0, f) * -1.0).a
+        rng = np.random.default_rng(34)
+        b = np.ones((mesh.n_cells, 2))
+        b[:, 1] = a.matvec(rng.standard_normal(mesh.n_cells))
+        ctl = SolverControls(tolerance=1e-10, max_iterations=50)
+        with np.errstate(all="raise"):
+            x, (dead, alive) = pcg_solve_multi(a, b, controls=ctl)
+        assert not dead.converged and dead.iterations == 1
+        assert np.isfinite(x).all() and not x[:, 0].any()
+        assert alive.converged and 1 < alive.iterations < 50
+        x_alone, (alone,) = pcg_solve_multi(a, b[:, 1:], controls=ctl)
+        assert alive.iterations == alone.iterations
+        np.testing.assert_array_equal(x[:, 1], x_alone[:, 0])
+        with pytest.raises(ZeroDivisionError):   # the unguarded oracle
+            pcg_solve(a, b[:, 0], controls=ctl)
 
 
 class TestCommunicationAvoidingVariants:

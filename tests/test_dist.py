@@ -10,6 +10,7 @@ from repro.core import (
     NoChemistry,
     SolverSettings,
     build_rocket_case,
+    build_solver,
     build_tgv_case,
 )
 from repro.dist import DecomposedSolver, Decomposition, HaloExchanger
@@ -222,6 +223,55 @@ class TestDecomposedSolver:
         assert d_dec.t_max == pytest.approx(d_ser.t_max, abs=1e-8)
         assert d_dec.max_velocity == pytest.approx(d_ser.max_velocity,
                                                    abs=1e-8)
+
+    def test_one_rank_matches_serial(self, mech):
+        """Same stage sequence, different solve hook: one hosted rank
+        through the distributed Krylov path vs the serial solver."""
+        serial = DeepFlameSolver(build_tgv_case(n=6, mech=mech),
+                                 SolverSettings(**TIGHT),
+                                 properties=IdealGasProperties(mech),
+                                 chemistry=NoChemistry())
+        dist = DecomposedSolver(build_tgv_case(n=6, mech=mech),
+                                SolverSettings(ranks=1, **TIGHT),
+                                properties=IdealGasProperties(mech),
+                                chemistry=NoChemistry())
+        d_ser = serial.run(3, 1e-8)[-1]
+        d_dec = dist.run(3, 1e-8)[-1]
+        diffs = self._max_diffs(dist, serial)
+        assert all(d <= 1e-10 for d in diffs.values()), diffs
+        assert d_dec.solver_iterations == d_ser.solver_iterations
+        assert d_dec.solver_unconverged == d_ser.solver_unconverged == 0
+
+    @pytest.mark.parametrize("ranks", [0, 2])
+    def test_unconverged_solves_counted_and_logged(self, mech, ranks,
+                                                   caplog):
+        """``max_iterations=1`` starves every solve: the step counts
+        the unconverged columns and warns once, naming the worst."""
+        starved = SolverControls(tolerance=1e-14, max_iterations=1)
+        solver = build_solver(
+            build_tgv_case(n=6, mech=mech),
+            SolverSettings(ranks=ranks, scalar_controls=starved,
+                           pressure_controls=starved),
+            properties=IdealGasProperties(mech), chemistry=NoChemistry())
+        with caplog.at_level("WARNING", logger="repro.solvers"):
+            diag = solver.step(1e-6)
+        assert diag.solver_unconverged > 0
+        assert solver.last_diag.solver_unconverged == diag.solver_unconverged
+        records = [r for r in caplog.records if r.name == "repro.solvers"]
+        assert len(records) == 1
+        msg = records[0].getMessage()
+        assert f"{diag.solver_unconverged} linear-solve column(s)" in msg
+        assert "after 1 iterations" in msg and "final residual" in msg
+
+    def test_converged_step_is_silent(self, mech, caplog):
+        solver = DeepFlameSolver(build_tgv_case(n=6, mech=mech),
+                                 SolverSettings(**TIGHT),
+                                 properties=IdealGasProperties(mech),
+                                 chemistry=NoChemistry())
+        with caplog.at_level("DEBUG", logger="repro.solvers"):
+            diag = solver.step(1e-8)
+        assert diag.solver_unconverged == 0
+        assert not [r for r in caplog.records if r.name == "repro.solvers"]
 
     def test_block_dic_refresh_tracks_matrix_values(self, mech):
         """Between steps the pressure matrix changes; each rank's

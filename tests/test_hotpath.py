@@ -12,6 +12,7 @@ reproduces the operator-chain reference step of
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -52,21 +53,25 @@ from repro.solvers import (
     JacobiPreconditioner,
     KrylovWorkspace,
     SolverControls,
-    pbicgstab_solve,
-    pcg_solve,
+    pbicgstab_solve_multi,
+    pcg_solve_multi,
 )
-from repro.solvers.blocked import pbicgstab_solve_multi
 from repro.sparse import CSRPattern, GaussSeidelSmoother, LDUMatrix
 from tests.kinetics_oracle import (
     oracle_rates,
     oracle_rhs,
     oracle_wdot_derivatives,
 )
+from tests.krylov_oracle import solve_k1
 from tests.step_oracle import OracleSolver
 from tests.thermo_oracle import oracle_solve_cubic
 
 SETTINGS = dict(deadline=None, max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow])
+
+# the scalar calling convention over the one Krylov family: k = 1
+pcg_solve = partial(solve_k1, pcg_solve_multi)
+pbicgstab_solve = partial(solve_k1, pbicgstab_solve_multi)
 
 
 def _random_ldu(mesh, rng, symmetric=False, spd=False):

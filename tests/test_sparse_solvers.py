@@ -1,5 +1,7 @@
 """Unit tests: LDU/block-CSR formats, smoothers, Krylov + GAMG solvers."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from repro.solvers import (
     SolverControls,
     SymGaussSeidelPreconditioner,
     agglomerate,
-    pbicgstab_solve,
-    pcg_solve,
+    pbicgstab_solve_multi,
+    pcg_solve_multi,
 )
 from repro.sparse import (
     LDUMatrix,
@@ -33,6 +35,11 @@ from tests.conftest import (
     SWEEP_RTOL,
     make_laplacian_ldu,
 )
+from tests.krylov_oracle import solve_k1
+
+# the scalar calling convention over the one Krylov family: k = 1
+pcg_solve = partial(solve_k1, pcg_solve_multi)
+pbicgstab_solve = partial(solve_k1, pbicgstab_solve_multi)
 
 
 @pytest.fixture(scope="module")
