@@ -20,6 +20,7 @@ from repro.partition import edge_cut, offdiag_fraction, partition_graph
 from repro.solvers import (
     DICPreconditioner,
     GAMGSolver,
+    LocalSystem,
     SolverControls,
     pcg_solve_multi,
 )
@@ -103,7 +104,7 @@ def test_ablation_pressure_solver_choice(benchmark):
     gamg = GAMGSolver(ldu)
     _, res_g = benchmark(gamg.solve, b, None, ctl)
     _, (res_p,) = pcg_solve_multi(
-        ldu, b[:, None], preconditioner=DICPreconditioner(ldu).apply_multi,
+        LocalSystem(ldu), b[:, None], preconditioner=DICPreconditioner(ldu).apply_multi,
         controls=ctl)
     lines = [
         f"GAMG     : {res_g.iterations:4d} cycles, flops {res_g.flops:.2e}",

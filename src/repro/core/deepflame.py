@@ -137,12 +137,11 @@ class DeepFlameSolver:
         self.u = case.velocity
         self.p = case.pressure
         self.y = np.array(case.mass_fractions, dtype=float)
-        self.temperature = np.array(case.temperature, dtype=float)
         # Initialize enthalpy/properties consistently.
-        self.h = self.properties.h_from_t(
-            self.temperature, self.p.values, self.y)
+        t0 = np.array(case.temperature, dtype=float)
+        self.h = self.properties.h_from_t(t0, self.p.values, self.y)
         self.props = self.properties.evaluate(
-            self.h, self.p.values, self.y, t_guess=self.temperature)
+            self.h, self.p.values, self.y, t_guess=t0)
         self.rho = self.props.rho.copy()
         self.phi = self._face_mass_flux()
         self.current_time = 0.0
@@ -152,6 +151,11 @@ class DeepFlameSolver:
         self._psi = None
 
     # -- helpers --------------------------------------------------------
+    @property
+    def temperature(self) -> np.ndarray:
+        """The current temperature field (``props.temperature``)."""
+        return self.props.temperature
+
     def _face_mass_flux(self) -> SurfaceField:
         mesh = self.mesh
         rho_f = VolField("rho", mesh, self.rho).face_values()
@@ -162,16 +166,9 @@ class DeepFlameSolver:
 
     def _psi_field(self, cells=slice(None)) -> np.ndarray:
         """Compressibility psi = drho/dp at the current state."""
-        if hasattr(self.properties, "rf"):
-            return np.maximum(self.properties.rf.psi_compressibility(
-                self.props.temperature[cells], self.p.values[cells],
-                self.y[cells]), 1e-9)
-        # surrogate/ideal paths: ideal-gas estimate
-        from ..constants import R_UNIVERSAL
-
-        w = self.mech.mean_molecular_weight(self.y[cells])
-        return w / (R_UNIVERSAL
-                    * np.maximum(self.props.temperature[cells], 100.0))
+        return np.maximum(self.properties.psi(
+            self.props.temperature[cells], self.p.values[cells],
+            self.y[cells]), 1e-9)
 
     # -- per-cell stages ---------------------------------------------------
     def stage_properties(self, tm: StepTimings, cells=None) -> None:
@@ -357,8 +354,9 @@ class DeepFlameSolver:
         """The serial solve hook: the one hosted equation's own solve,
         as ``([(n, k) block], [per-column results])``.  The block is a
         pooled workspace buffer, valid until the next solve."""
-        x, results = eqns[0].solve(solver=solver, controls=controls,
-                                   update=False)
+        x, results = eqns[0].solve(
+            solver=solver, controls=controls, update=False,
+            variant=self.settings.krylov_variant)
         if x.ndim == 1:
             x, results = x[:, None], [results]
         return [x], results

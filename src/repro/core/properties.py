@@ -1,10 +1,12 @@
 """Property evaluation paths: direct Peng-Robinson vs. PRNet.
 
-Both expose the same call the solver makes once per time step:
-``(h, p, Y) -> (rho, T, mu, alpha, cp)``.  The direct path performs the
-Newton temperature inversion and cubic-EoS solves per cell; the PRNet
-path is two batched MLP inferences -- the paper's computational
-substitution, reproduced end to end.
+Every evaluator exposes the three calls a solver makes: ``evaluate``,
+once per time step, ``(h, p, Y) -> (rho, T, mu, alpha, cp)``;
+``h_from_t`` (the initial enthalpy); and ``psi(t, p, y)``, the
+compressibility ``(drho/dp)_T`` of the pressure equation.  The direct
+path performs the Newton temperature inversion and cubic-EoS solves
+per cell; the PRNet path is two batched MLP inferences -- the paper's
+computational substitution, reproduced end to end.
 """
 
 from __future__ import annotations
@@ -59,15 +61,21 @@ class DirectRealFluidProperties:
     def h_from_t(self, t, p, y) -> np.ndarray:
         return self.rf.h_mass(t, p, y)
 
+    def psi(self, t, p, y) -> np.ndarray:
+        return self.rf.psi_compressibility(t, p, y)
 
-class PRNetProperties:
-    """PRNet-surrogate property evaluation."""
 
-    def __init__(self, prnet: PRNet,
+class PRNetProperties(DirectRealFluidProperties):
+    """PRNet-surrogate property evaluation: the per-step ``evaluate``
+    is the networks'; ``h_from_t`` and ``psi`` stay the real-fluid
+    mixture's (``rf``, by default one built on the PRNet's mechanism)."""
+
+    def __init__(self, prnet: PRNet, rf: RealFluidMixture | None = None,
                  density_engine: InferenceEngine | None = None,
                  transport_engine: InferenceEngine | None = None):
         if not prnet.trained:
             raise ValueError("PRNet must be trained before use")
+        super().__init__(prnet.mech, rf)
         self.prnet = prnet
         self.density_engine = density_engine
         self.transport_engine = transport_engine
@@ -132,3 +140,7 @@ class IdealGasProperties:
     def h_from_t(self, t, p, y) -> np.ndarray:
         return self.mech.h_mass_mixture(np.atleast_1d(np.asarray(t, float)),
                                         np.atleast_2d(y))
+
+    def psi(self, t, p, y) -> np.ndarray:
+        w = self.mech.mean_molecular_weight(y)
+        return w / (R_UNIVERSAL * np.maximum(t, 100.0))

@@ -35,6 +35,7 @@ from ..chemistry.backends import (
     PerCellBDFBackend,
     SurrogateBackend,
 )
+from ..solvers.blocked import KRYLOV_VARIANTS
 from ..solvers.controls import SolverControls
 from .chemistry_source import NoChemistry
 
@@ -62,9 +63,6 @@ TRUST_GATE_MODES = ("off", "domain", "domain+audit")
 BALANCE_MODES = ("none", "static", "dynamic")
 #: accepted ``SolverSettings.partition_method`` values
 PARTITION_METHODS = ("multilevel", "spectral", "greedy", "blocks")
-#: accepted ``SolverSettings.krylov_variant`` values (canonical home;
-#: ``repro.dist.krylov`` re-exports this tuple)
-KRYLOV_VARIANTS = ("synchronous", "overlapped")
 #: accepted ``SolverSettings.execution`` values: ``"serial"`` executes
 #: decomposed ranks rank-by-rank in the driver process over
 #: :class:`~repro.runtime.comm.SimulatedComm`; ``"parallel"`` runs one
@@ -124,7 +122,8 @@ class SolverSettings:
     balance_options:
         Forwarded to the :class:`~repro.dist.ChemistryLoadBalancer`.
     krylov_variant:
-        Distributed Krylov dispatch (decomposed path only):
+        Krylov dispatch, serial and decomposed (one of
+        :data:`repro.solvers.blocked.KRYLOV_VARIANTS`):
         ``"synchronous"`` runs the blocked solvers with one allreduce
         per reduction; ``"overlapped"`` the communication-avoiding
         variants (pipelined PCG for pressure, fused-reduction

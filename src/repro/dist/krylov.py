@@ -5,11 +5,12 @@ the ranks its communicator endpoint hosts in the *stacked* layout
 (owned rows of the first hosted rank, then the next, ...): all ``P``
 ranks -- the whole global system -- when the driver steps them over a
 ``SimulatedComm``, one rank's block in each worker of a parallel run
-over ``SharedMemComm``.  The blocked Krylov solvers
-(:mod:`repro.solvers.blocked`) run unmodified on that layout -- only
-their extension points change meaning:
+over ``SharedMemComm``.  It is the distributed implementation of the
+*system* the blocked Krylov bodies are handed (see
+:class:`repro.solvers.blocked.LocalSystem` for the protocol), so they
+run unmodified on that layout -- only what the system does changes:
 
-* ``matvec``   -- scatter the stacked iterate to the ranks, **halo
+* ``matvec_multi`` -- scatter the stacked iterate to the ranks, **halo
   exchange** the ghost rows, apply each local LDU block, restack the
   owned rows (one packed message per neighbour pair per matvec);
 * ``coldot`` / ``colsum_abs`` -- per-rank partial reductions combined
@@ -44,17 +45,11 @@ solution within the requested tolerance.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from ..core.settings import KRYLOV_VARIANTS
-from ..solvers.blocked import (
-    fused_pbicgstab_solve_multi,
-    pbicgstab_solve_multi,
-    pcg_solve_multi,
-    pipelined_pcg_solve_multi,
-)
-from ..solvers.controls import SolverControls, SolverResult
-from ..solvers.workspace import KrylovWorkspace
+from ..solvers.blocked import KRYLOV_VARIANTS, krylov_solve
 from .decompose import Decomposition
 from .halo import HaloExchanger
 from .rank_operator import RankOperator, scratch_buffer
@@ -74,46 +69,30 @@ def _unpack_group(reduced: np.ndarray, n_dots: int):
             [reduced[i] for i in range(n_dots, reduced.shape[0])])
 
 
-class _PendingFusedReduce:
-    """Wait handle of a posted fused reduction group."""
-
-    def __init__(self, pending, n_dots: int):
-        self._pending = pending
-        self._n_dots = n_dots
-
-    def wait(self):
-        """Complete the collective; returns ``(dots, sums)`` lists."""
-        return _unpack_group(self._pending.wait(), self._n_dots)
-
-
 class DistributedSystem:
     """The operator rows of the ranks a communicator endpoint hosts.
 
-    Quacks like the ``a`` argument of the blocked solvers (``n``,
-    ``nnz``) while routing every matvec through a halo exchange and
-    every reduction through an allreduce.  Rows are the owned rows of
-    ``comm.ranks`` stacked in rank order (see the module docstring);
-    both fabrics reduce the per-rank partials in rank order, so the
-    Krylov trajectory is bitwise the same either way.  ``nnz`` counts
-    the stored entries of the hosted rows; over all ranks it is the
-    undecomposed operator's count, so flop totals are comparable
-    across execution modes.
+    The system of a distributed Krylov solve: every matvec goes through
+    a halo exchange and every reduction through an allreduce.  Rows are
+    the owned rows of ``comm.ranks`` stacked in rank order (see the
+    module docstring); both fabrics reduce the per-rank partials in
+    rank order, so the Krylov trajectory is bitwise the same either
+    way.  ``nnz`` counts the stored entries of the hosted rows; over
+    all ranks it is the undecomposed operator's count, so flop totals
+    are comparable across execution modes.
+
+    A system is persistent: it owns the work buffers, the stacked
+    layout and one :class:`~repro.dist.rank_operator.RankOperator` per
+    hosted rank (row split, local blocks, cached block-DIC structure),
+    all fixed by the decomposition's sparsity.  A driver builds it once
+    and re-binds it (:meth:`bind`) to each solve's matrices, so warm
+    solves allocate nothing and never rebuild a structure.
 
     Parameters
     ----------
     mats:
         One locally assembled LDU matrix per hosted rank, in
         ``comm.ranks`` order.
-    scratch:
-        Optional dict holding the persistent state of the solves on
-        this decomposition: the work buffers, the stacked layout and
-        one :class:`~repro.dist.rank_operator.RankOperator` per hosted
-        rank (row split, local blocks, cached block-DIC structure)
-        under ``("op", rank id)``.  A driver that builds a fresh system
-        per solve (:class:`~repro.dist.DecomposedSolver`) passes the
-        *same* dict every time, so warm solves allocate nothing and
-        never rebuild a structure; by default each system owns a
-        private one.
     overlap_halo:
         Post the ghost refresh nonblocking and compute the interior
         rows while it is in flight (the messages are then tagged
@@ -122,7 +101,7 @@ class DistributedSystem:
 
     def __init__(self, decomp: Decomposition, comm, mats: list,
                  exchanger: HaloExchanger | None = None,
-                 scratch: dict | None = None, overlap_halo: bool = False):
+                 overlap_halo: bool = False):
         if len(mats) != len(comm.ranks):
             raise ValueError("need one local matrix per hosted rank")
         self.decomp = decomp
@@ -130,23 +109,24 @@ class DistributedSystem:
         self.mats = mats
         self.exchanger = exchanger or HaloExchanger(decomp, comm)
         self.overlap_halo = bool(overlap_halo)
-        self._scratch = scratch if scratch is not None else {}
+        self._bufs: dict = {}
         self._out_rot = 0
-        self.ops = [
-            RankOperator.bound(self._scratch, ("op", r),
-                               decomp.subdomains[r], m)
-            for r, m in zip(comm.ranks, mats)]
-        layout = self._scratch.get("layout")
-        if layout is None:
-            ends = np.cumsum([op.sub.n_owned for op in self.ops]).tolist()
-            layout = self._scratch["layout"] = (
-                [slice(a, b) for a, b in zip([0] + ends, ends)],
-                ends[-1], sum(op.nnz for op in self.ops))
+        self.ops = [RankOperator(decomp.subdomains[r], m)
+                    for r, m in zip(comm.ranks, mats)]
+        ends = np.cumsum([op.sub.n_owned for op in self.ops]).tolist()
         #: row slice of each hosted rank, the row count, the entry count
-        self.slices, self.n, self.nnz = layout
+        self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self.n, self.nnz = ends[-1], sum(op.nnz for op in self.ops)
+
+    def bind(self, mats: list) -> None:
+        """Adopt the matrices of the next solve (same sparsity, the
+        coefficients they hold *now*)."""
+        self.mats = mats
+        for op, m in zip(self.ops, mats):
+            op.bind(m)
 
     def _buf(self, key: tuple, shape: tuple) -> np.ndarray:
-        return scratch_buffer(self._scratch, key, shape)
+        return scratch_buffer(self._bufs, key, shape)
 
     def _next_out(self, k: int) -> np.ndarray:
         """The next ``(n, k)`` slot of the rotating output pool: valid
@@ -161,7 +141,7 @@ class DistributedSystem:
         self._out_rot = (self._out_rot + 1) % _OUT_SLOTS
         return out
 
-    # -- hooks for the blocked solvers ---------------------------------
+    # -- product and reductions ----------------------------------------
     def matvec_multi(self, x: np.ndarray) -> np.ndarray:
         """Y = A X on the stacked layout, with one ghost refresh.
 
@@ -216,30 +196,39 @@ class DistributedSystem:
         return parts
 
     def fused_reduce(self, dots, sums):
-        """Grouped-reduction hook: one allreduce for the whole group
+        """Grouped reduction: one allreduce for the whole group
         (the fused PBiCGStab's 2 collectives per iteration)."""
         return _unpack_group(
             self.comm.allreduce(self._pack_group(dots, sums), op="sum"),
             len(dots))
 
-    def ifused_reduce(self, dots, sums) -> _PendingFusedReduce:
+    def ifused_reduce(self, dots, sums):
         """Nonblocking grouped reduction: posts one ``iallreduce`` for
         the group (tagged overlappable; the shared-memory fabric stages
         it on the reduction channel, so the matvec's halo exchanges
         cannot clobber it) and returns a wait handle -- the pipelined
         PCG computes its preconditioner and matvec between post and
         wait."""
-        return _PendingFusedReduce(
-            self.comm.iallreduce(self._pack_group(dots, sums), op="sum"),
-            len(dots))
+        pending = self.comm.iallreduce(self._pack_group(dots, sums),
+                                       op="sum")
+        return SimpleNamespace(
+            wait=lambda: _unpack_group(pending.wait(), len(dots)))
 
     # -- preconditioners ------------------------------------------------
+    def preconditioner(self, kind: str):
+        """The stacked-block apply of the ``kind`` preconditioner:
+        ``"DIC"`` is block-Jacobi DIC here, ``"Jacobi"`` the owned
+        diagonal -- both communication-free."""
+        return self.block_dic() if kind == "DIC" else self.jacobi()
+
     def jacobi(self):
         """Diagonal preconditioner on the stacked layout.  The owned
         diagonal equals the serial operator's, so this matches the
         serial Jacobi entry for entry."""
-        r_diag = 1.0 / np.concatenate(
-            [op.mat.diag[:op.sub.n_owned] for op in self.ops])
+        r_diag = self._buf(("rdiag",), (self.n,))
+        np.concatenate([op.mat.diag[:op.sub.n_owned] for op in self.ops],
+                       out=r_diag)
+        np.reciprocal(r_diag, out=r_diag)
 
         def apply(r: np.ndarray) -> np.ndarray:
             """Scale (stacked) residual columns by the inverse diagonal."""
@@ -265,60 +254,7 @@ class DistributedSystem:
         return apply
 
 
-def solve_distributed(
-    system: DistributedSystem,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    solver: str = "PBiCGStab",
-    controls: SolverControls | None = None,
-    variant: str = "synchronous",
-    workspace: KrylovWorkspace | None = None,
-) -> tuple[np.ndarray, list[SolverResult]]:
-    """One distributed blocked Krylov solve on the stacked layout.
-
-    ``b``/``x0`` are stacked ``(N, k)`` blocks (``k = 1`` for scalar
-    equations).  Dispatches on ``solver`` and ``variant``:
-
-    * ``"PBiCGStab"`` -- Jacobi-preconditioned; ``"synchronous"`` runs
-      the blocked solver with one allreduce per reduction (6 per
-      iteration), ``"overlapped"`` the fused-reduction variant (2
-      grouped collectives per iteration);
-    * ``"PCG"`` -- block-Jacobi-DIC-preconditioned; ``"synchronous"``
-      costs 3 allreduces per iteration, ``"overlapped"`` the pipelined
-      (Ghysels--Vanroose) variant with a single fused ``iallreduce``
-      per iteration, posted before the preconditioner and matvec it
-      hides behind.
-
-    Both variants of a method converge to the same solution within the
-    requested tolerance (the agreement tests pin them at <= 1e-8).
-    ``workspace`` pools the solution block across solves (the per-step
-    driver passes a persistent one, so warm distributed solves perform
-    zero tracked allocations).
-    """
-    controls = controls if controls is not None else SolverControls()
-    if variant not in KRYLOV_VARIANTS:
-        raise ValueError(f"unknown krylov variant {variant!r}; "
-                         f"use one of {KRYLOV_VARIANTS}")
-    if solver == "PBiCGStab":
-        if variant == "overlapped":
-            return fused_pbicgstab_solve_multi(
-                system, b, x0=x0, preconditioner=system.jacobi(),
-                controls=controls, matvec=system.matvec_multi,
-                fused_reduce=system.fused_reduce, workspace=workspace)
-        return pbicgstab_solve_multi(
-            system, b, x0=x0, preconditioner=system.jacobi(),
-            controls=controls, matvec=system.matvec_multi,
-            coldot=system.coldot, colsum_abs=system.colsum_abs,
-            workspace=workspace)
-    if solver == "PCG":
-        if variant == "overlapped":
-            return pipelined_pcg_solve_multi(
-                system, b, x0=x0, preconditioner=system.block_dic(),
-                controls=controls, matvec=system.matvec_multi,
-                ifused_reduce=system.ifused_reduce, workspace=workspace)
-        return pcg_solve_multi(
-            system, b, x0=x0, preconditioner=system.block_dic(),
-            controls=controls, matvec=system.matvec_multi,
-            coldot=system.coldot, colsum_abs=system.colsum_abs,
-            workspace=workspace)
-    raise ValueError(f"unknown distributed solver {solver!r}")
+#: :func:`~repro.solvers.blocked.krylov_solve` on a distributed system,
+#: under the name ``DecomposedSolver`` looks up in :mod:`.solver` (where
+#: a tracer can wrap it); ``b`` / ``x0`` are stacked ``(N, k)`` blocks
+solve_distributed = krylov_solve

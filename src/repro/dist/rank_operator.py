@@ -11,9 +11,9 @@ each worker of a parallel run.
 What depends only on the decomposition's sparsity (the split, the
 local and interior-block buffers, the interior block's
 :class:`~repro.solvers.preconditioners.DICStructure`) is built once
-and lives, with the operator, in the solver's persistent Krylov
-scratch; a solve only rebinds the coefficient arrays and
-value-refreshes the factor.
+and lives, with the operator, in the solver's persistent system; a
+solve only rebinds the coefficient arrays (:meth:`RankOperator.bind`)
+and value-refreshes the factor.
 """
 
 from __future__ import annotations
@@ -95,17 +95,6 @@ class RankOperator:
         cut_own, cut_nb = self._cut_faces
         self._cut.data[:] = np.r_[mat.upper[cut_own],
                                   mat.lower[cut_nb]][self._cut_order]
-
-    @classmethod
-    def bound(cls, scratch: dict, key, sub, mat: LDUMatrix) -> "RankOperator":
-        """The operator cached in ``scratch[key]`` (built on first use),
-        bound to the coefficient arrays of ``mat``."""
-        op = scratch.get(key)
-        if op is None:
-            op = scratch[key] = cls(sub, mat)
-        else:
-            op.bind(mat)
-        return op
 
     # -- matvec halves ---------------------------------------------------
     def load(self, x: np.ndarray) -> np.ndarray:

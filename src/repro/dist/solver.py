@@ -126,12 +126,12 @@ class DecomposedSolver:
         self.subs = self.exchanger.subs
         self.krylov_variant = settings.krylov_variant
         self.overlap_halo = settings.overlap_halo
-        # Persistent Krylov scratch (local blocks, matvec outputs,
-        # packed reduction partials, the cached interior/boundary row
-        # split) and solution-block pool: every per-solve
-        # DistributedSystem reuses them, so warm solves allocate
-        # nothing.
-        self._krylov_scratch: dict = {}
+        # The persistent distributed system (local blocks, matvec
+        # outputs, packed reduction partials, the cached
+        # interior/boundary row split; built by the first solve, which
+        # brings the sparsity) and the solution-block pool: warm solves
+        # allocate nothing.
+        self._system: DistributedSystem | None = None
         self._krylov_workspace = KrylovWorkspace()
 
         if properties is None:
@@ -213,16 +213,18 @@ class DecomposedSolver:
                              for e, s in zip(eqns, self.subs)])
         if b.ndim == 1:
             b, x0 = b[:, None], x0[:, None]
-        system = DistributedSystem(self.decomp, self.comm,
-                                   [e.a for e in eqns],
-                                   exchanger=self.exchanger,
-                                   scratch=self._krylov_scratch,
-                                   overlap_halo=self.overlap_halo)
-        x, results = solve_distributed(system, b, x0=x0, solver=solver,
+        mats = [e.a for e in eqns]
+        if self._system is None:
+            self._system = DistributedSystem(
+                self.decomp, self.comm, mats, exchanger=self.exchanger,
+                overlap_halo=self.overlap_halo)
+        else:
+            self._system.bind(mats)
+        x, results = solve_distributed(self._system, b, x0=x0, solver=solver,
                                        controls=controls,
                                        variant=self.krylov_variant,
                                        workspace=self._krylov_workspace)
-        return [x[sl] for sl in system.slices], results
+        return [x[sl] for sl in self._system.slices], results
 
     def _balanced_chemistry(self, dt: float, tm: StepTimings) -> None:
         self.last_balance = self.balancer.advance(self.ranks, dt, tm)

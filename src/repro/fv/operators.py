@@ -20,10 +20,8 @@ import numpy as np
 
 from ..backend import get_backend
 from ..runtime import alloc
-from ..solvers.blocked import pbicgstab_solve_multi, pcg_solve_multi
+from ..solvers.blocked import LocalSystem, krylov_solve
 from ..solvers.controls import SolverControls, SolverResult
-from ..solvers.preconditioners import (CachedDICPreconditioner,
-                                       JacobiPreconditioner)
 from ..sparse.ldu import LDUMatrix
 from .fields import MultiVolField, SurfaceField, VolField
 
@@ -40,6 +38,9 @@ __all__ = [
     "fvc_laplacian",
     "fvc_surface_integral",
 ]
+
+_DEFAULT_CONTROLS = SolverControls(tolerance=1e-7, rel_tol=1e-3,
+                                   max_iterations=500)
 
 
 class FVMatrix:
@@ -96,23 +97,23 @@ class FVMatrix:
     def solve(
         self,
         solver: str = "auto",
-        controls: SolverControls = SolverControls(tolerance=1e-7, rel_tol=1e-3,
-                                                  max_iterations=500),
+        controls: SolverControls = _DEFAULT_CONTROLS,
         update: bool = True,
+        variant: str = "synchronous",
     ) -> tuple[np.ndarray, SolverResult]:
         """Solve the system; optionally write back into the field."""
         ws = self.workspace
-        pattern = ws.pattern if ws else None
         if solver == "GAMG":
             from ..solvers.gamg import GAMGSolver
 
-            x, res = GAMGSolver(self.a, pattern=pattern).solve(
+            x, res = GAMGSolver(
+                self.a, pattern=ws.pattern if ws else None).solve(
                 self.source, x0=self.field.values, controls=controls)
         else:
             # a scalar equation is a blocked solve with one column
-            x, results = _krylov_solve(
+            x, results = _solve_local(
                 self.a, self.source[:, None], self.field.values[:, None],
-                solver, controls, ws, pattern)
+                solver, variant, controls, ws)
             x, res = x[:, 0], results[0]
         if update:
             self.field.values[:] = x
@@ -128,26 +129,24 @@ class CoupledTransportEquation:
     *sources* differ.  This class assembles that LDU operator **once**
     for a :class:`MultiVolField` and carries an ``(n, k)`` source
     block, so the whole group is solved with one blocked Krylov solve
-    (:func:`~repro.solvers.blocked.pbicgstab_solve_multi` /
-    :func:`~repro.solvers.blocked.pcg_solve_multi`) instead of k
+    (:func:`~repro.solvers.blocked.krylov_solve`) instead of k
     sequential assemble+solve passes.
 
     Columns must share the implicit part of their boundary conditions
     (same BC type per patch); :class:`MultiVolField` verifies this at
     assembly time and raises otherwise.
 
-    ``pattern`` (a :class:`~repro.sparse.pattern.CSRPattern`) makes
-    the per-solve LDU->CSR conversion an O(nnz) value scatter into
-    cached buffers; ``workspace`` additionally reuses preconditioners
-    and the Krylov vector pool across solves.
+    ``workspace`` (an :class:`~repro.fv.workspace.EquationWorkspace`)
+    makes the per-solve LDU->CSR conversion an O(nnz) value scatter
+    into cached buffers and reuses preconditioners and the Krylov
+    vector pool across solves.
     """
 
     def __init__(self, field: MultiVolField, a: LDUMatrix,
-                 source: np.ndarray, pattern=None, workspace=None):
+                 source: np.ndarray, workspace=None):
         self.field = field
         self.a = a
         self.source = np.asarray(source, dtype=float)
-        self.pattern = pattern
         self.workspace = workspace
         if self.source.shape != field.values.shape:
             raise ValueError("source block must match the field block")
@@ -191,10 +190,9 @@ class CoupledTransportEquation:
     def solve(
         self,
         solver: str = "auto",
-        controls: SolverControls = SolverControls(tolerance=1e-7,
-                                                  rel_tol=1e-3,
-                                                  max_iterations=500),
+        controls: SolverControls = _DEFAULT_CONTROLS,
         update: bool = True,
+        variant: str = "synchronous",
     ) -> tuple[np.ndarray, list[SolverResult]]:
         """One blocked Krylov solve for all k columns.
 
@@ -203,47 +201,30 @@ class CoupledTransportEquation:
         so every iteration applies it to the whole block with a single
         sparse-times-dense product.
         """
-        x, results = _krylov_solve(self.a, self.source, self.field.values,
-                                   solver, controls, self.workspace,
-                                   self.pattern)
+        x, results = _solve_local(self.a, self.source, self.field.values,
+                                  solver, variant, controls, self.workspace)
         if update:
             self.field.values[:] = x
         return x, results
 
 
-_KRYLOV = {"PCG": pcg_solve_multi, "PBiCGStab": pbicgstab_solve_multi}
-
-
-def _krylov_solve(a: LDUMatrix, source: np.ndarray, x0: np.ndarray,
-                  solver: str, controls: SolverControls, ws, pattern,
-                  ) -> tuple[np.ndarray, list[SolverResult]]:
-    """The one Krylov dispatch behind :meth:`FVMatrix.solve` (``k = 1``)
-    and :meth:`CoupledTransportEquation.solve`: method, preconditioner,
-    CSR product and workspace plumbing for an ``(n, k)`` block.
+def _solve_local(a: LDUMatrix, source: np.ndarray, x0: np.ndarray,
+                 solver: str, variant: str, controls: SolverControls,
+                 ws) -> tuple[np.ndarray, list[SolverResult]]:
+    """What :meth:`FVMatrix.solve` (``k = 1``) and
+    :meth:`CoupledTransportEquation.solve` hand
+    :func:`~repro.solvers.blocked.krylov_solve`: the operator as a
+    :class:`~repro.solvers.blocked.LocalSystem` on the workspace ``ws``
+    (cached CSR pattern, preconditioners, backend, solution-block pool).
 
     ``"auto"`` picks PCG for a symmetric operator (cached: correctors
     re-solve the same :class:`LDUMatrix` instance, whose off-diagonal
-    symmetry does not change between solves), PBiCGStab otherwise; PCG
-    is DIC-preconditioned below 50 000 rows, everything else Jacobi.
-    The operator is converted to CSR once, so every iteration applies
-    it to the whole block with a single sparse-times-dense product.
-    With a workspace ``ws`` the preconditioners, the solution block and
-    the array backend of the blocked reductions are its cached ones.
+    symmetry does not change between solves), PBiCGStab otherwise.
     """
     if solver == "auto":
         solver = "PCG" if a.is_symmetric_cached(tol=1e-14) else "PBiCGStab"
-    if solver not in _KRYLOV:
-        raise ValueError(f"unknown solver {solver!r}")
-    csr = a.to_csr(pattern=pattern)
-    dic = solver == "PCG" and a.n < 50_000
-    if ws is not None:
-        pre = ws.dic(a) if dic else ws.jacobi(a)
-    else:
-        pre = (CachedDICPreconditioner if dic else JacobiPreconditioner)(a)
-    return _KRYLOV[solver](
-        a, source, x0=x0, preconditioner=pre.apply_multi, controls=controls,
-        matvec=lambda x: csr @ x, workspace=ws.krylov if ws else None,
-        backend=ws.backend if ws else None)
+    return krylov_solve(LocalSystem(a, ws), source, x0, solver, variant,
+                        controls, ws.krylov if ws else None)
 
 
 # ----------------------------------------------------------------------

@@ -122,8 +122,7 @@ class EquationWorkspace:
         assemble_transport(a, b, field, rho, dt, phi=phi, gamma=gamma,
                            rho_old=rho_old, old_values=old_values,
                            scheme=scheme, backend=self.backend)
-        return CoupledTransportEquation(field, a, b, pattern=self.pattern,
-                                        workspace=self)
+        return CoupledTransportEquation(field, a, b, workspace=self)
 
     # -- cached preconditioners ----------------------------------------
     def dic(self, a: LDUMatrix) -> CachedDICPreconditioner:

@@ -4,11 +4,11 @@ equations, synchronous and communication-avoiding variants -- plus
 GAMG, with Jacobi / DIC / (block-)symmetric-GS preconditioning."""
 
 from .blocked import (
+    KRYLOV_VARIANTS,
     REDUCTIONS_PER_PCG_ITER,
-    backend_fused_reduce,
-    backend_ifused_reduce,
-    backend_reductions,
+    LocalSystem,
     fused_pbicgstab_solve_multi,
+    krylov_solve,
     pbicgstab_solve_multi,
     pcg_solve_multi,
     pipelined_pcg_solve_multi,
@@ -29,8 +29,11 @@ __all__ = [
     "DICPreconditioner",
     "DICStructure",
     "GAMGSolver",
+    "KRYLOV_VARIANTS",
     "KrylovWorkspace",
+    "LocalSystem",
     "fused_pbicgstab_solve_multi",
+    "krylov_solve",
     "pipelined_pcg_solve_multi",
     "JacobiPreconditioner",
     "REDUCTIONS_PER_PCG_ITER",
@@ -38,9 +41,6 @@ __all__ = [
     "SolverResult",
     "SymGaussSeidelPreconditioner",
     "agglomerate",
-    "backend_fused_reduce",
-    "backend_ifused_reduce",
-    "backend_reductions",
     "pbicgstab_solve_multi",
     "pcg_solve_multi",
 ]

@@ -20,45 +20,40 @@ equation is a block with ``k = 1`` (``b[:, None]``), whether it is
 solved on one core or over a decomposition; the 1-D per-column
 reference bodies live in ``tests/krylov_oracle.py``.
 
-All solvers accept reduction hooks in addition to the ``matvec``
-override: a distributed caller (the ``repro.dist`` subsystem) passes
-hooks that compute per-rank partial reductions and combine them
-through ``SimulatedComm.allreduce``, so the *same* Krylov code drives
-the serial and the domain-decomposed solves and every global reduction
-hits the communication ledger.  The synchronous solvers take
-per-reduction hooks (``coldot``, ``colsum_abs`` -- one collective
-each); the communication-avoiding variants take *fused* hooks:
-
-* :func:`fused_pbicgstab_solve_multi` -- same update formulas as the
-  synchronous blocked PBiCGStab, but the 6 reductions per iteration
-  are grouped into 2 (one per half-iteration) via ``fused_reduce``,
-  with the residual-norm check deferred by half an iteration and
-  ``rho`` recovered locally from the fused ``(r_hat, s)`` /
-  ``(r_hat, t)`` dot products;
-* :func:`pipelined_pcg_solve_multi` -- Ghysels--Vanroose pipelined
-  CG: one fused reduction per iteration, *posted* through
-  ``ifused_reduce`` (returning a wait handle) so a distributed caller
-  overlaps it with the preconditioner and matvec that follow.
+Every body is handed one *system* -- :class:`LocalSystem` here,
+:class:`~repro.dist.krylov.DistributedSystem` over a decomposition --
+and asks it for everything that touches the operator or spans ranks:
+the ``(n, k)`` product, the per-column reductions and their grouped
+spellings.  The *same* Krylov code therefore drives the serial and the
+domain-decomposed solves, and every global reduction of the latter
+hits the communication ledger.  :func:`krylov_solve` is the one
+dispatch: its table maps ``(method, variant)`` to a body and the
+preconditioner kind the system is asked for.  The synchronous bodies
+reduce one collective at a time (``coldot``, ``colsum_abs``); the
+communication-avoiding ones (:func:`fused_pbicgstab_solve_multi`,
+:func:`pipelined_pcg_solve_multi`) use the grouped spellings
+``fused_reduce`` / ``ifused_reduce``.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from ..backend import get_backend
-from ..runtime import alloc
 from ..sparse.ldu import LDUMatrix
 from .controls import SolverControls, SolverResult
+from .preconditioners import CachedDICPreconditioner, JacobiPreconditioner
 from .workspace import KrylovWorkspace
 
 __all__ = [
+    "KRYLOV_VARIANTS",
     "REDUCTIONS_PER_PCG_ITER",
-    "backend_fused_reduce",
-    "backend_ifused_reduce",
-    "backend_reductions",
+    "LocalSystem",
     "fused_pbicgstab_solve_multi",
+    "krylov_solve",
     "pbicgstab_solve_multi",
     "pcg_solve_multi",
     "pipelined_pcg_solve_multi",
@@ -70,198 +65,198 @@ __all__ = [
 REDUCTIONS_PER_PCG_ITER = 3
 
 
-def _block_x(name: str, workspace: KrylovWorkspace | None,
-             x0: np.ndarray | None, n: int, k: int) -> np.ndarray:
-    """The solution block, pooled when a workspace is supplied."""
-    if workspace is None:
-        alloc.count()
-        return np.zeros((n, k)) if x0 is None else \
-            np.array(x0, dtype=float, copy=True)
-    return workspace.zeros(name, (n, k)) if x0 is None else \
-        workspace.copy_of(name, x0)
+class LocalSystem:
+    """One process's whole operator as the *system* of a Krylov solve.
 
+    The system protocol is everything a body asks of its operator:
+    ``n`` / ``nnz``, ``matvec_multi`` on an ``(n, k)`` block, the
+    per-column reductions ``coldot`` / ``colsum_abs``, their grouped
+    spellings ``fused_reduce`` / ``ifused_reduce`` and
+    ``preconditioner(kind)``.  This is the serial implementation: the
+    product is the CSR of ``a``, converted once per solve, and the
+    reductions are the *kernels* of an array backend
+    (:meth:`ArrayBackend.coldot` / ``colsum_abs``): blocks go to the
+    device, ``(k,)`` results come back, and the bodies keep their
+    control flow on the host.  On the NumPy backend both transfers are
+    no-ops around the einsum / L1 spellings; other backends may differ
+    from einsum by the conformance suite's documented ulps.
 
-class _ImmediateReduce:
-    """Wait handle of the serial ``ifused_reduce`` hook (already done)."""
-
-    def __init__(self, value):
-        self._value = value
-
-    def wait(self):
-        """Return the (already computed) fused-reduction results."""
-        return self._value
-
-
-def backend_reductions(backend=None):
-    """``(coldot, colsum_abs)`` hooks that execute on ``backend``.
-
-    The blocked solvers keep their control flow (convergence masking,
-    column compaction) on the host; the backend supplies the *reduction
-    kernels* (:meth:`ArrayBackend.coldot` / ``colsum_abs``): the hooks
-    transfer the ``(n, k)`` blocks, reduce on device, and return host
-    ``(k,)`` results -- on the NumPy backend both transfers are no-ops
-    around the einsum / L1 spellings.  Reduction order on other
-    backends may differ from einsum by documented ulps (see the
-    conformance suite's ulp budget).
+    With ``workspace`` (an :class:`~repro.fv.workspace.EquationWorkspace`)
+    the CSR pattern, the preconditioners and the backend are its cached
+    ones; without, ``backend`` names the backend (``None`` = numpy).
     """
-    be = get_backend(backend)
 
-    def cdot(a, b):
+    def __init__(self, a: LDUMatrix, workspace=None, backend=None):
+        self.a, self.n, self.nnz = a, a.n, a.nnz
+        self.workspace = ws = workspace
+        self.backend = ws.backend if ws else get_backend(backend)
+        self._csr = a.to_csr(pattern=ws.pattern if ws else None)
+
+    def matvec_multi(self, x: np.ndarray) -> np.ndarray:
+        """``A X`` as a single sparse-times-dense product."""
+        return self._csr @ x
+
+    def coldot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-column dot products (host in, host out)."""
+        be = self.backend
         return be.from_device(be.coldot(be.to_device(a), be.to_device(b)))
 
-    def csum(r):
+    def colsum_abs(self, r: np.ndarray) -> np.ndarray:
         """Per-column L1 norms (host in, host out)."""
+        be = self.backend
         return be.from_device(be.colsum_abs(be.to_device(r)))
 
-    return cdot, csum
+    def fused_reduce(self, dots, sums):
+        """A whole reduction group -- ``dots``, a list of ``(a, b)``
+        multi-vector pairs, and ``sums``, a list of multi-vectors -- as
+        ``(dot_results, sum_results)``, one after the other (a
+        distributed system packs the group into one allreduce)."""
+        return ([self.coldot(a, b) for a, b in dots],
+                [self.colsum_abs(s) for s in sums])
+
+    def ifused_reduce(self, dots, sums):
+        """The nonblocking spelling: compute now, ``wait()`` later."""
+        done = self.fused_reduce(dots, sums)
+        return SimpleNamespace(wait=lambda: done)
+
+    def preconditioner(self, kind: str) -> Callable[[np.ndarray], np.ndarray]:
+        """The ``(n, k)`` apply of the ``kind`` (``"DIC"`` | ``"Jacobi"``)
+        preconditioner of ``a``: DIC below 50 000 rows, Jacobi
+        otherwise -- the workspace's cached ones, value-refreshed, or
+        fresh ones without a workspace."""
+        a, ws = self.a, self.workspace
+        if kind == "DIC" and a.n < 50_000:
+            pre = ws.dic(a) if ws else CachedDICPreconditioner(a)
+        else:
+            pre = ws.jacobi(a) if ws else JacobiPreconditioner(a)
+        return pre.apply_multi
 
 
-def backend_fused_reduce(backend=None):
-    """The serial ``fused_reduce`` hook, reducing on ``backend``.
+def _block_x(name: str, workspace: KrylovWorkspace | None,
+             x0: np.ndarray | None, n: int, k: int) -> np.ndarray:
+    """The solution block: pooled when a workspace is supplied, else
+    the one (counted) buffer of a throwaway pool."""
+    ws = workspace if workspace is not None else KrylovWorkspace()
+    return ws.zeros(name, (n, k)) if x0 is None else ws.copy_of(name, x0)
 
-    The hook takes ``dots``, a list of ``(a, b)`` multi-vector pairs,
-    and ``sums``, a list of multi-vectors, and returns ``(dot_results,
-    sum_results)`` -- per-column dot products and L1 norms.  A
-    distributed caller replaces it with one packed allreduce for the
-    whole group.
+
+class _Columns:
+    """The per-column bookkeeping of one blocked solve.
+
+    Which columns still iterate -- ``act``, their indices in the
+    caller's ``(n, k)`` blocks, and ``cols``, the selector of the
+    active block inside ``x``: the plain slice while every column
+    iterates (an in-place update, no gather/scatter copy -- the only
+    case a ``k = 1`` solve ever sees), the index array once a column
+    has retired -- plus their ``|b|`` normalisation ``nf``, initial and
+    current residuals ``res0`` / ``res`` and flop counts ``fl``, all
+    compacted to the active columns.  ``details(it)`` is the
+    method-specific part of a column's :class:`SolverResult`.
     """
-    cdot, csum = backend_reductions(backend)
 
-    def freduce(dots, sums):
-        """Every reduction of the group, one after the other."""
-        return ([cdot(a, b) for a, b in dots], [csum(s) for s in sums])
+    def __init__(self, method: str, k: int, flops: int,
+                 details: Callable[[int], dict] = lambda it: {}):
+        self.method, self.k, self.details = method, k, details
+        self.results: list[SolverResult | None] = [None] * k
+        self.act = np.arange(k)
+        self.cols: slice | np.ndarray = slice(None)
+        self.fl = np.full(k, flops, dtype=np.int64)
+        # set by start(): the overlapped bodies learn |b| and |r0| from
+        # their first fused group
+        self.nf = self.res0 = self.res = None
 
-    return freduce
+    def start(self, nf: np.ndarray, res: np.ndarray) -> None:
+        """Adopt the normalisation and the initial residuals."""
+        self.nf, self.res0, self.res = nf, res.copy(), res
+
+    def converged(self, controls: SolverControls) -> np.ndarray:
+        """Mask of the active columns that meet ``controls`` now."""
+        mask = self.res <= controls.tolerance
+        if controls.rel_tol > 0.0:
+            mask = mask | (self.res <= controls.rel_tol * self.res0)
+        return mask
+
+    def retire(self, mask: np.ndarray, it: int, converged: bool) -> np.ndarray:
+        """Finalize results for masked columns; return the keep mask."""
+        for i in np.nonzero(mask)[0]:
+            self.results[int(self.act[i])] = SolverResult(
+                self.method, it, float(self.res0[i]), float(self.res[i]),
+                converged, int(self.fl[i]), self.details(it))
+        return ~mask
+
+    def compress(self, keep: np.ndarray, *state: np.ndarray) -> list:
+        """Drop retired columns from the bookkeeping and from the
+        caller's recurrence ``state`` (``(n, k)`` blocks by column,
+        per-column scalars by entry), returned compacted."""
+        self.res0, self.res, self.nf, self.fl = (
+            self.res0[keep], self.res[keep], self.nf[keep], self.fl[keep])
+        self.act = self.act[keep]
+        self.cols = slice(None) if self.act.size == self.k else self.act
+        return [v[..., keep] for v in state]
+
+    def finish(self, it: int) -> list[SolverResult]:
+        """Retire what still iterates as unconverged; the results."""
+        if self.res0 is None:   # max_iterations == 0: nothing ever reduced
+            self.res0 = self.res = np.full(self.act.size, np.inf)
+        if self.act.size:
+            self.retire(np.ones(self.act.size, bool), it, converged=False)
+        return self.results  # type: ignore[return-value]
 
 
-def backend_ifused_reduce(backend=None):
-    """The serial nonblocking ``ifused_reduce`` hook on ``backend``:
-    compute now, wait later."""
-    freduce = backend_fused_reduce(backend)
-
-    def ifreduce(dots, sums):
-        """Immediate (already-computed) fused reduction."""
-        return _ImmediateReduce(freduce(dots, sums))
-
-    return ifreduce
-
-
-def _converged_mask(controls: SolverControls, res: np.ndarray,
-                    res0: np.ndarray) -> np.ndarray:
-    mask = res <= controls.tolerance
-    if controls.rel_tol > 0.0:
-        mask = mask | (res <= controls.rel_tol * res0)
-    return mask
-
-
-def _active_columns(act: np.ndarray, k: int):
-    """Column selector of the still-active block inside ``x``: the
-    plain slice while every column iterates (an in-place update, no
-    gather/scatter copy -- the only case a ``k = 1`` solve ever sees),
-    the index array once a column has retired."""
-    return slice(None) if act.size == k else act
-
-
-def _check_rhs(a: LDUMatrix, b: np.ndarray) -> np.ndarray:
+def _check_rhs(system, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
         raise ValueError("blocked solver needs b of shape (n, k); "
                          "pass a single right-hand side as b[:, None]")
-    if b.shape[0] != a.n:
-        raise ValueError(f"rhs has {b.shape[0]} rows for a {a.n}-row matrix")
+    if b.shape[0] != system.n:
+        raise ValueError(
+            f"rhs has {b.shape[0]} rows for a {system.n}-row matrix")
     return b
 
 
 def pbicgstab_solve_multi(
-    a: LDUMatrix,
+    system,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
-    controls: SolverControls | None = None,
-    matvec: Callable[[np.ndarray], np.ndarray] | None = None,
-    coldot: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    colsum_abs: Callable[[np.ndarray], np.ndarray] | None = None,
+    controls: SolverControls = SolverControls(),
     workspace: KrylovWorkspace | None = None,
-    backend=None,
 ) -> tuple[np.ndarray, list[SolverResult]]:
     """Solve ``A X = B`` for k right-hand sides with blocked BiCGStab.
 
     Returns ``(X, results)`` where ``results[j]`` reports column j's
     own iteration count, residuals and flops (one
     :class:`SolverResult` per column, as if it had been solved alone).
-    ``coldot``/``colsum_abs`` override the per-column reductions (for
-    distributed execution, where they allreduce per-rank partials);
-    ``backend`` picks their default implementations via
-    :func:`backend_reductions` (``None`` = numpy).
-    With ``workspace``, the ``(n, k)`` solution block is a pooled
-    buffer that the next pooled solve will overwrite.
+    ``system`` supplies the product and the per-column reductions (see
+    :class:`LocalSystem`).  With ``workspace``, the ``(n, k)`` solution
+    block is a pooled buffer that the next pooled solve will overwrite.
     """
-    controls = controls if controls is not None else SolverControls()
-    b = _check_rhs(a, b)
+    b = _check_rhs(system, b)
     n, k = b.shape
-    mv = matvec if matvec is not None else a.matvec_multi
-    be_cdot, be_csum = backend_reductions(backend)
-    cdot = coldot if coldot is not None else be_cdot
-    csum = colsum_abs if colsum_abs is not None else be_csum
+    mv, cdot, csum = system.matvec_multi, system.coldot, system.colsum_abs
     precond = preconditioner if preconditioner is not None else (lambda r: r)
     x = _block_x("bicgm.x", workspace, x0, n, k)
 
-    norm_factor = csum(b) + 1e-300
+    col = _Columns("PBiCGStab", k, 2 * system.nnz + 2 * n)
+    nf = csum(b) + 1e-300
     r = b - mv(x)
-    res0 = csum(r) / norm_factor
-    res = res0.copy()
-    fl = np.full(k, 2 * a.nnz + 2 * n, dtype=np.int64)
-    results: list[SolverResult | None] = [None] * k
-
-    conv = _converged_mask(controls, res, res0)
-    for j in np.nonzero(conv)[0]:
-        results[j] = SolverResult("PBiCGStab", 0, float(res0[j]),
-                                  float(res[j]), True, int(fl[j]))
-    act = np.nonzero(~conv)[0]
-
-    # Compacted per-column state over the active columns.
-    r = r[:, act]
+    col.start(nf, csum(r) / nf)
+    r, = col.compress(col.retire(col.converged(controls), 0, True), r)
     r_hat = r.copy()
-    rho_old = np.ones(act.size)
-    alpha = np.ones(act.size)
-    omega = np.ones(act.size)
-    v = np.zeros((n, act.size))
-    p = np.zeros((n, act.size))
-    res0_a = res0[act]
-    res_a = res[act]
-    nf = norm_factor[act]
-    fl = fl[act]
-    cols = _active_columns(act, k)
-
-    def retire(mask: np.ndarray, it: int, converged: bool) -> np.ndarray:
-        """Finalize results for masked columns; return the keep mask."""
-        for i in np.nonzero(mask)[0]:
-            j = int(act[i])
-            results[j] = SolverResult("PBiCGStab", it, float(res0_a[i]),
-                                      float(res_a[i]), converged, int(fl[i]))
-        return ~mask
-
-    def compress(keep: np.ndarray) -> None:
-        """Drop retired columns from every recurrence vector."""
-        nonlocal r, r_hat, rho_old, alpha, omega, v, p
-        nonlocal res0_a, res_a, nf, fl, act, cols
-        r, r_hat, v, p = r[:, keep], r_hat[:, keep], v[:, keep], p[:, keep]
-        rho_old, alpha, omega = rho_old[keep], alpha[keep], omega[keep]
-        res0_a, res_a, nf, fl = res0_a[keep], res_a[keep], nf[keep], fl[keep]
-        cols = act = act[keep]
+    rho_old, alpha, omega = (np.ones(col.act.size) for _ in range(3))
+    v, p = np.zeros((n, col.act.size)), np.zeros((n, col.act.size))
 
     it = 0
     for it in range(1, controls.max_iterations + 1):
-        if act.size == 0:
+        if col.act.size == 0:
             break
         rho = cdot(r_hat, r)
         broke = np.abs(rho) < 1e-300
         if broke.any():
-            keep = retire(broke, it, converged=False)
-            compress(keep)
-            rho = rho[keep]
-            if act.size == 0:
+            r, r_hat, v, p, rho_old, alpha, omega, rho = col.compress(
+                col.retire(broke, it, converged=False),
+                r, r_hat, v, p, rho_old, alpha, omega, rho)
+            if col.act.size == 0:
                 break
         beta = (rho / rho_old) * (alpha / omega)
         p = r + beta * (p - omega * v)
@@ -269,48 +264,44 @@ def pbicgstab_solve_multi(
         v = mv(p_hat)
         alpha = rho / cdot(r_hat, v)
         s = r - alpha * v
-        fl += 2 * a.nnz + 10 * n
-        res_a = csum(s) / nf
-        conv = _converged_mask(controls, res_a, res0_a)
+        col.fl += 2 * system.nnz + 10 * n
+        col.res = csum(s) / col.nf
+        conv = col.converged(controls)
         if conv.any():
-            x[:, act[conv]] += alpha[conv] * p_hat[:, conv]
-            keep = retire(conv, it, converged=True)
-            compress(keep)  # also compacts alpha/omega/rho_old
-            s, p_hat, rho = s[:, keep], p_hat[:, keep], rho[keep]
-            if act.size == 0:
+            x[:, col.act[conv]] += alpha[conv] * p_hat[:, conv]
+            r, r_hat, v, p, rho_old, alpha, omega, s, p_hat, rho = \
+                col.compress(col.retire(conv, it, converged=True), r, r_hat,
+                             v, p, rho_old, alpha, omega, s, p_hat, rho)
+            if col.act.size == 0:
                 break
         s_hat = precond(s)
         t = mv(s_hat)
         tt = cdot(t, t)
         pos = tt > 0
         omega = np.where(pos, cdot(t, s) / np.where(pos, tt, 1.0), 0.0)
-        x[:, cols] += alpha * p_hat + omega * s_hat
+        x[:, col.cols] += alpha * p_hat + omega * s_hat
         r = s - omega * t
         rho_old = rho
-        fl += 2 * a.nnz + 10 * n
-        res_a = csum(r) / nf
-        conv = _converged_mask(controls, res_a, res0_a)
+        col.fl += 2 * system.nnz + 10 * n
+        col.res = csum(r) / col.nf
+        conv = col.converged(controls)
         broke = (np.abs(omega) < 1e-300) & ~conv
         if conv.any() or broke.any():
-            keep = retire(conv, it, converged=True)
-            keep &= retire(broke, it, converged=False)
-            compress(keep)
+            keep = col.retire(conv, it, converged=True)
+            keep &= col.retire(broke, it, converged=False)
+            r, r_hat, v, p, rho_old, alpha, omega = col.compress(
+                keep, r, r_hat, v, p, rho_old, alpha, omega)
 
-    retire(np.ones(act.size, dtype=bool), it, converged=False)
-    return x, results  # type: ignore[return-value]
+    return x, col.finish(it)
 
 
 def pcg_solve_multi(
-    a: LDUMatrix,
+    system,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
-    controls: SolverControls | None = None,
-    matvec: Callable[[np.ndarray], np.ndarray] | None = None,
-    coldot: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    colsum_abs: Callable[[np.ndarray], np.ndarray] | None = None,
+    controls: SolverControls = SolverControls(),
     workspace: KrylovWorkspace | None = None,
-    backend=None,
 ) -> tuple[np.ndarray, list[SolverResult]]:
     """Solve ``A X = B`` (A symmetric positive definite) for k
     right-hand sides with blocked preconditioned CG.
@@ -322,109 +313,68 @@ def pcg_solve_multi(
     null space) is retired unconverged with its ``x`` untouched.
     Per-column reduction counts are reported in
     ``details["reductions"]``.
-    ``backend`` selects the default reduction kernels through
-    :func:`backend_reductions` (``None`` = numpy).
     With ``workspace``, the ``(n, k)`` solution block is a pooled
     buffer that the next pooled solve will overwrite.
     """
-    controls = controls if controls is not None else SolverControls()
-    b = _check_rhs(a, b)
+    b = _check_rhs(system, b)
     n, k = b.shape
-    mv = matvec if matvec is not None else a.matvec_multi
-    be_cdot, be_csum = backend_reductions(backend)
-    cdot = coldot if coldot is not None else be_cdot
-    csum = colsum_abs if colsum_abs is not None else be_csum
+    mv, cdot, csum = system.matvec_multi, system.coldot, system.colsum_abs
     precond = preconditioner if preconditioner is not None else (lambda r: r)
     x = _block_x("pcgm.x", workspace, x0, n, k)
 
-    norm_factor = csum(b) + 1e-300
+    col = _Columns(
+        "PCG", k, 2 * system.nnz + 2 * n,
+        details=lambda it: {"reductions": it * REDUCTIONS_PER_PCG_ITER})
+    nf = csum(b) + 1e-300
     r = b - mv(x)
-    res0 = csum(r) / norm_factor
-    res = res0.copy()
-    fl = np.full(k, 2 * a.nnz + 2 * n, dtype=np.int64)
-    results: list[SolverResult | None] = [None] * k
-
-    conv = _converged_mask(controls, res, res0)
-    for j in np.nonzero(conv)[0]:
-        results[j] = SolverResult("PCG", 0, float(res0[j]), float(res[j]),
-                                  True, int(fl[j]))
-    act = np.nonzero(~conv)[0]
-    if act.size == 0:   # converged on entry: no sweep over an empty block
-        return x, results  # type: ignore[return-value]
-
-    r = r[:, act]
-    res0_a = res0[act]
-    res_a = res[act]
-    nf = norm_factor[act]
-    fl = fl[act]
-    cols = _active_columns(act, k)
-
+    col.start(nf, csum(r) / nf)
+    r, = col.compress(col.retire(col.converged(controls), 0, True), r)
+    if col.act.size == 0:   # converged on entry: no sweep over an empty block
+        return x, col.finish(0)
     z = precond(r)
     p = z.copy()
     rz = cdot(r, z)
 
-    def retire(mask: np.ndarray, it: int, converged: bool) -> np.ndarray:
-        """Record results for finished columns; returns the keep mask."""
-        for i in np.nonzero(mask)[0]:
-            j = int(act[i])
-            results[j] = SolverResult(
-                "PCG", it, float(res0_a[i]), float(res_a[i]), converged,
-                int(fl[i]), {"reductions": it * REDUCTIONS_PER_PCG_ITER})
-        return ~mask
-
-    def compress(keep: np.ndarray) -> None:
-        """Drop retired columns from every recurrence vector."""
-        nonlocal r, p, rz, res0_a, res_a, nf, fl, act, cols
-        r, p = r[:, keep], p[:, keep]
-        rz = rz[keep]
-        res0_a, res_a, nf, fl = res0_a[keep], res_a[keep], nf[keep], fl[keep]
-        cols = act = act[keep]
-
     it = 0
     for it in range(1, controls.max_iterations + 1):
-        if act.size == 0:
+        if col.act.size == 0:
             break
         ap = mv(p)
         pap = cdot(p, ap)
         broke = np.abs(pap) < 1e-300
         if broke.any():
-            keep = retire(broke, it, converged=False)
-            compress(keep)
-            ap, pap = ap[:, keep], pap[keep]
-            if act.size == 0:
+            r, p, rz, ap, pap = col.compress(
+                col.retire(broke, it, converged=False), r, p, rz, ap, pap)
+            if col.act.size == 0:
                 break
         alpha = rz / pap
-        x[:, cols] += alpha * p
+        x[:, col.cols] += alpha * p
         r -= alpha * ap
-        fl += 2 * a.nnz + 6 * n
-        res_a = csum(r) / nf
-        conv = _converged_mask(controls, res_a, res0_a)
+        col.fl += 2 * system.nnz + 6 * n
+        col.res = csum(r) / col.nf
+        conv = col.converged(controls)
         if conv.any():
-            keep = retire(conv, it, converged=True)
-            compress(keep)
-            if act.size == 0:
+            r, p, rz = col.compress(
+                col.retire(conv, it, converged=True), r, p, rz)
+            if col.act.size == 0:
                 break
         z = precond(r)
         rz_new = cdot(r, z)
         beta = rz_new / rz
         p = z + beta * p
         rz = rz_new
-        fl += 4 * n
+        col.fl += 4 * n
 
-    retire(np.ones(act.size, dtype=bool), it, converged=False)
-    return x, results  # type: ignore[return-value]
+    return x, col.finish(it)
 
 
 def fused_pbicgstab_solve_multi(
-    a: LDUMatrix,
+    system,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
-    controls: SolverControls | None = None,
-    matvec: Callable[[np.ndarray], np.ndarray] | None = None,
-    fused_reduce: Callable | None = None,
+    controls: SolverControls = SolverControls(),
     workspace: KrylovWorkspace | None = None,
-    backend=None,
 ) -> tuple[np.ndarray, list[SolverResult]]:
     """Blocked BiCGStab with grouped reductions: 2 collectives per
     iteration instead of the synchronous variant's 6.
@@ -445,17 +395,14 @@ def fused_pbicgstab_solve_multi(
     Deferring the ``|r|`` check trades at most one extra (discarded)
     preconditioner + matvec per solve for the reduction count; the
     iterates themselves are unchanged, so results agree with the
-    synchronous variant to solver tolerance.  ``fused_reduce`` is the
-    grouped-reduction hook (see :func:`backend_fused_reduce` for the
-    serial reference; a distributed caller packs each group into a
-    single allreduce).
+    synchronous variant to solver tolerance.  Each group is one
+    ``system.fused_reduce`` (see :meth:`LocalSystem.fused_reduce` for
+    the serial reference; a distributed system packs it into a single
+    allreduce).
     """
-    controls = controls if controls is not None else SolverControls()
-    b = _check_rhs(a, b)
+    b = _check_rhs(system, b)
     n, k = b.shape
-    mv = matvec if matvec is not None else a.matvec_multi
-    freduce = fused_reduce if fused_reduce is not None \
-        else backend_fused_reduce(backend)
+    mv, freduce = system.matvec_multi, system.fused_reduce
     precond = preconditioner if preconditioner is not None else (lambda r: r)
     x = _block_x("bicgf.x", workspace, x0, n, k)
 
@@ -464,34 +411,13 @@ def fused_pbicgstab_solve_multi(
     p = r.copy()
     v = np.zeros((n, k))
     rho = np.ones(k)
-    fl = np.full(k, 2 * a.nnz + 2 * n, dtype=np.int64)
-    results: list[SolverResult | None] = [None] * k
-    act = np.arange(k)
-    cols = _active_columns(act, k)
-    # set on the first fused group (|b| and |r0| ride along with it)
-    nf = res0_a = res_a = None
-
-    def retire(mask: np.ndarray, it: int, converged: bool) -> np.ndarray:
-        """Finalize results for masked columns; return the keep mask."""
-        for i in np.nonzero(mask)[0]:
-            j = int(act[i])
-            results[j] = SolverResult(
-                "PBiCGStab", it, float(res0_a[i]), float(res_a[i]),
-                converged, int(fl[i]), {"reduction_groups": 2})
-        return ~mask
-
-    def compress(keep: np.ndarray) -> None:
-        """Drop retired columns from every recurrence vector."""
-        nonlocal r, r_hat, p, v, rho, res0_a, res_a, nf, fl, act, cols
-        r, r_hat, p, v = r[:, keep], r_hat[:, keep], p[:, keep], v[:, keep]
-        rho = rho[keep]
-        res0_a, res_a, nf, fl = res0_a[keep], res_a[keep], nf[keep], fl[keep]
-        cols = act = act[keep]
+    col = _Columns("PBiCGStab", k, 2 * system.nnz + 2 * n,
+                   details=lambda it: {"reduction_groups": 2})
 
     first = True
     it = 0
     for it in range(1, controls.max_iterations + 1):
-        if act.size == 0:
+        if col.act.size == 0:
             break
         p_hat = precond(p)
         v = mv(p_hat)
@@ -499,26 +425,25 @@ def fused_pbicgstab_solve_multi(
         sums = [r] + ([b] if first else [])
         dres, sres = freduce(dots, sums)          # collective group 1
         sigma = dres[0]
-        if first:
+        if first:   # |b| and |r0| ride along with the first group
             rho = dres[1]
             nf = sres[1] + 1e-300
-            res_a = sres[0] / nf
-            res0_a = res_a.copy()
+            col.start(nf, sres[0] / nf)
             first = False
         else:
-            res_a = sres[0] / nf
-        fl += 2 * a.nnz + 10 * n
+            col.res = sres[0] / col.nf
+        col.fl += 2 * system.nnz + 10 * n
         # |r| check the synchronous variant ran at the end of the
         # previous iteration; x is unchanged since, so retiring here
         # yields the same solution with (it - 1) counted iterations.
-        conv = _converged_mask(controls, res_a, res0_a)
+        conv = col.converged(controls)
         broke = (np.abs(rho) < 1e-300) & ~conv
         if conv.any() or broke.any():
-            keep = retire(conv, it - 1, converged=True)
-            keep &= retire(broke, it - 1, converged=False)
-            compress(keep)
-            sigma, p_hat = sigma[keep], p_hat[:, keep]
-            if act.size == 0:
+            keep = col.retire(conv, it - 1, converged=True)
+            keep &= col.retire(broke, it - 1, converged=False)
+            r, r_hat, p, v, rho, sigma, p_hat = col.compress(
+                keep, r, r_hat, p, v, rho, sigma, p_hat)
+            if col.act.size == 0:
                 break
         alpha = rho / np.where(np.abs(sigma) > 0, sigma, 1e-300)
         s = r - alpha * v
@@ -527,22 +452,20 @@ def fused_pbicgstab_solve_multi(
         dres, sres = freduce(
             [(t, t), (t, s), (r_hat, s), (r_hat, t)], [s])  # group 2
         tt, ts, rhs, rht = dres
-        res_a = sres[0] / nf
-        fl += 2 * a.nnz + 10 * n
-        conv = _converged_mask(controls, res_a, res0_a)
+        col.res = sres[0] / col.nf
+        col.fl += 2 * system.nnz + 10 * n
+        conv = col.converged(controls)
         if conv.any():
-            x[:, act[conv]] += alpha[conv] * p_hat[:, conv]
-            keep = retire(conv, it, converged=True)
-            compress(keep)
-            s, s_hat, t, p_hat = (s[:, keep], s_hat[:, keep], t[:, keep],
-                                  p_hat[:, keep])
-            alpha, tt, ts, rhs, rht = (alpha[keep], tt[keep], ts[keep],
-                                       rhs[keep], rht[keep])
-            if act.size == 0:
+            x[:, col.act[conv]] += alpha[conv] * p_hat[:, conv]
+            (r, r_hat, p, v, rho, s, s_hat, t, p_hat, alpha, tt, ts, rhs,
+             rht) = col.compress(
+                col.retire(conv, it, converged=True), r, r_hat, p, v, rho,
+                s, s_hat, t, p_hat, alpha, tt, ts, rhs, rht)
+            if col.act.size == 0:
                 break
         pos = tt > 0
         omega = np.where(pos, ts / np.where(pos, tt, 1.0), 0.0)
-        x[:, cols] += alpha * p_hat + omega * s_hat
+        x[:, col.cols] += alpha * p_hat + omega * s_hat
         r = s - omega * t
         # rho for the next iteration, recovered without a collective
         rho_new = rhs - omega * rht
@@ -553,26 +476,19 @@ def fused_pbicgstab_solve_multi(
         p = r + beta * (p - omega * v)
         rho = rho_new
         if broke.any():
-            keep = retire(broke, it, converged=False)
-            compress(keep)
+            r, r_hat, p, v, rho = col.compress(
+                col.retire(broke, it, converged=False), r, r_hat, p, v, rho)
 
-    if res0_a is None:  # max_iterations == 0: no group ever reduced
-        nf = np.ones(act.size)
-        res0_a = res_a = np.full(act.size, np.inf)
-    retire(np.ones(act.size, dtype=bool), it, converged=False)
-    return x, results  # type: ignore[return-value]
+    return x, col.finish(it)
 
 
 def pipelined_pcg_solve_multi(
-    a: LDUMatrix,
+    system,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
-    controls: SolverControls | None = None,
-    matvec: Callable[[np.ndarray], np.ndarray] | None = None,
-    ifused_reduce: Callable | None = None,
+    controls: SolverControls = SolverControls(),
     workspace: KrylovWorkspace | None = None,
-    backend=None,
 ) -> tuple[np.ndarray, list[SolverResult]]:
     """Ghysels--Vanroose pipelined PCG: one fused collective per
     iteration, overlapped with the preconditioner and matvec.
@@ -580,8 +496,8 @@ def pipelined_pcg_solve_multi(
     The classical PCG iteration needs 3 collectives (``(p, Ap)``,
     ``|r|``, ``(r, z)``) at 2 synchronization points; the pipelined
     recurrence fuses ``gamma = (r, u)``, ``delta = (w, u)`` and
-    ``|r|`` into a single reduction that is *posted* (via the
-    ``ifused_reduce`` hook, returning a wait handle) before the
+    ``|r|`` into a single reduction that is *posted* (via
+    ``system.ifused_reduce``, returning a wait handle) before the
     applications ``m = M w`` and ``n = A m`` -- so on a real machine
     the one remaining collective hides behind the dominant local work.
     Auxiliary vectors ``z = A M w``-chains (``z, q, s, p``) keep the
@@ -593,12 +509,9 @@ def pipelined_pcg_solve_multi(
     reassociation, so both converge to the same solution within the
     requested tolerance.
     """
-    controls = controls if controls is not None else SolverControls()
-    b = _check_rhs(a, b)
+    b = _check_rhs(system, b)
     n, k = b.shape
-    mv = matvec if matvec is not None else a.matvec_multi
-    ifreduce = ifused_reduce if ifused_reduce is not None \
-        else backend_ifused_reduce(backend)
+    mv, ifreduce = system.matvec_multi, system.ifused_reduce
     precond = preconditioner if preconditioner is not None else (lambda r: r)
     x = _block_x("pcgp.x", workspace, x0, n, k)
 
@@ -610,42 +523,16 @@ def pipelined_pcg_solve_multi(
     w = mv(u)
     w = workspace.copy_of("pcgp.w", w) if workspace is not None \
         else w.copy()
-    z = np.zeros((n, k))
-    q = np.zeros((n, k))
-    s = np.zeros((n, k))
-    p = np.zeros((n, k))
+    z, q, s, p = (np.zeros((n, k)) for _ in range(4))
     gamma_old = np.ones(k)
     alpha_old = np.ones(k)
-    fl = np.full(k, 4 * a.nnz + 2 * n, dtype=np.int64)
-    results: list[SolverResult | None] = [None] * k
-    act = np.arange(k)
-    cols = _active_columns(act, k)
-    # set on the first fused reduction (|b| rides along with it)
-    nf = res0_a = res_a = None
-
-    def retire(mask: np.ndarray, it: int, converged: bool) -> np.ndarray:
-        """Finalize results for masked columns; return the keep mask."""
-        for i in np.nonzero(mask)[0]:
-            j = int(act[i])
-            results[j] = SolverResult(
-                "PCG", it, float(res0_a[i]), float(res_a[i]), converged,
-                int(fl[i]), {"reduction_groups": 1})
-        return ~mask
-
-    def compress(keep: np.ndarray) -> None:
-        """Drop retired columns from every recurrence vector."""
-        nonlocal r, u, w, z, q, s, p, gamma_old, alpha_old
-        nonlocal res0_a, res_a, nf, fl, act, cols
-        r, u, w = r[:, keep], u[:, keep], w[:, keep]
-        z, q, s, p = z[:, keep], q[:, keep], s[:, keep], p[:, keep]
-        gamma_old, alpha_old = gamma_old[keep], alpha_old[keep]
-        res0_a, res_a, nf, fl = res0_a[keep], res_a[keep], nf[keep], fl[keep]
-        cols = act = act[keep]
+    col = _Columns("PCG", k, 4 * system.nnz + 2 * n,
+                   details=lambda it: {"reduction_groups": 1})
 
     first = True
     it = 0
     for it in range(1, controls.max_iterations + 1):
-        if act.size == 0:
+        if col.act.size == 0:
             break
         handle = ifreduce([(r, u), (w, u)],
                           [r] + ([b] if first else []))  # posted ...
@@ -653,25 +540,24 @@ def pipelined_pcg_solve_multi(
         n_ = mv(m_)                                      # ... overlapped
         dres, sres = handle.wait()
         gamma, delta = dres
-        if first:
+        if first:   # |b| rides along with the first reduction
             nf = sres[1] + 1e-300
-            res_a = sres[0] / nf
-            res0_a = res_a.copy()
+            col.start(nf, sres[0] / nf)
         else:
-            res_a = sres[0] / nf
+            col.res = sres[0] / col.nf
         # the |r| in this group is the residual *entering* the
         # iteration (after it-1 updates): the same value the classical
         # variant checks at the end of iteration it-1.
-        conv = _converged_mask(controls, res_a, res0_a)
+        conv = col.converged(controls)
         if conv.any():
-            keep = retire(conv, it - 1, converged=True)
-            compress(keep)
-            m_, n_ = m_[:, keep], n_[:, keep]
-            gamma, delta = gamma[keep], delta[keep]
-            if act.size == 0:
+            (r, u, w, z, q, s, p, gamma_old, alpha_old, m_, n_, gamma,
+             delta) = col.compress(
+                col.retire(conv, it - 1, converged=True), r, u, w, z, q, s,
+                p, gamma_old, alpha_old, m_, n_, gamma, delta)
+            if col.act.size == 0:
                 break
         if first:
-            beta = np.zeros(act.size)
+            beta = np.zeros(col.act.size)
             alpha = gamma / np.where(np.abs(delta) > 0, delta, 1e-300)
             first = False
         else:
@@ -682,15 +568,66 @@ def pipelined_pcg_solve_multi(
         q = m_ + beta * q
         s = w + beta * s
         p = u + beta * p
-        x[:, cols] += alpha * p
+        x[:, col.cols] += alpha * p
         r -= alpha * s
         u -= alpha * q
         w -= alpha * z
         gamma_old, alpha_old = gamma, alpha
-        fl += 2 * a.nnz + 16 * n
+        col.fl += 2 * system.nnz + 16 * n
 
-    if res0_a is None:  # max_iterations == 0: nothing ever reduced
-        nf = np.ones(act.size)
-        res0_a = res_a = np.full(act.size, np.inf)
-    retire(np.ones(act.size, dtype=bool), it, converged=False)
-    return x, results  # type: ignore[return-value]
+    return x, col.finish(it)
+
+
+#: The one dispatch table: ``(method, variant)`` -> (body, the kind of
+#: preconditioner the system is asked for).  Which preconditioner a
+#: kind *is* belongs to the system -- the cached DIC below 50 000 rows,
+#: Jacobi otherwise, on :class:`LocalSystem`; block-Jacobi DIC on a
+#: :class:`~repro.dist.krylov.DistributedSystem` -- and ``"Jacobi"`` is
+#: the owned diagonal on both.
+_KRYLOV = {
+    ("PCG", "synchronous"): (pcg_solve_multi, "DIC"),
+    ("PCG", "overlapped"): (pipelined_pcg_solve_multi, "DIC"),
+    ("PBiCGStab", "synchronous"): (pbicgstab_solve_multi, "Jacobi"),
+    ("PBiCGStab", "overlapped"): (fused_pbicgstab_solve_multi, "Jacobi"),
+}
+#: the table's variants: the accepted ``SolverSettings.krylov_variant``s
+KRYLOV_VARIANTS = tuple(dict.fromkeys(v for _, v in _KRYLOV))
+
+
+def krylov_solve(
+    system,
+    b: np.ndarray,
+    x0: np.ndarray | None = None,
+    solver: str = "PBiCGStab",
+    variant: str = "synchronous",
+    controls: SolverControls = SolverControls(),
+    workspace: KrylovWorkspace | None = None,
+) -> tuple[np.ndarray, list[SolverResult]]:
+    """One blocked Krylov solve of ``system``, serial or distributed.
+
+    ``b`` / ``x0`` are ``(n, k)`` blocks (``k = 1`` for a scalar
+    equation; stacked in rank order on a distributed system).
+    Dispatches on ``solver`` and ``variant``:
+
+    * ``"PBiCGStab"`` -- Jacobi-preconditioned; ``"synchronous"`` runs
+      the blocked solver with one reduction at a time (6 allreduces per
+      iteration when distributed), ``"overlapped"`` the fused-reduction
+      variant (2 grouped collectives per iteration);
+    * ``"PCG"`` -- DIC-preconditioned; ``"synchronous"`` costs 3
+      allreduces per iteration, ``"overlapped"`` is the pipelined
+      (Ghysels--Vanroose) variant with a single fused ``iallreduce``
+      per iteration, posted before the preconditioner and matvec it
+      hides behind.
+
+    Both variants of a method converge to the same solution within the
+    requested tolerance (the agreement tests pin them at <= 1e-8).
+    ``workspace`` pools the solution block across solves (the step
+    drivers pass a persistent one, so warm solves perform zero tracked
+    allocations).
+    """
+    if (solver, variant) not in _KRYLOV:
+        raise ValueError(f"unknown Krylov (solver, variant) "
+                         f"{(solver, variant)}; use one of {sorted(_KRYLOV)}")
+    body, kind = _KRYLOV[solver, variant]
+    return body(system, b, x0=x0, preconditioner=system.preconditioner(kind),
+                controls=controls, workspace=workspace)

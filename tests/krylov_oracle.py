@@ -24,11 +24,21 @@ from typing import Callable
 
 import numpy as np
 
-from repro.solvers import SolverControls, SolverResult
+from repro.solvers import LocalSystem, SolverControls, SolverResult
 from repro.solvers.blocked import REDUCTIONS_PER_PCG_ITER
 from repro.sparse import LDUMatrix
 
-__all__ = ["oracle_pcg_solve", "oracle_pbicgstab_solve", "solve_k1"]
+__all__ = ["ldu_system", "oracle_pcg_solve", "oracle_pbicgstab_solve",
+           "solve_k1"]
+
+
+def ldu_system(a: LDUMatrix, matvec=None) -> LocalSystem:
+    """The serial system of ``a`` multiplying with ``matvec`` -- by
+    default the LDU face loop the oracles below multiply with, so a
+    production body on it and an oracle see the same products."""
+    system = LocalSystem(a)
+    system.matvec_multi = matvec if matvec is not None else a.matvec_multi
+    return system
 
 
 def oracle_pcg_solve(
@@ -167,7 +177,7 @@ def solve_k1(body, a, b, x0=None, preconditioner=None, matvec=None, **kw):
         return None if hook is None else (lambda w: hook(w[:, 0])[:, None])
 
     x, results = body(
-        a, np.asarray(b, dtype=float)[:, None],
+        ldu_system(a, lift(matvec)), np.asarray(b, dtype=float)[:, None],
         x0=None if x0 is None else np.asarray(x0, dtype=float)[:, None],
-        preconditioner=lift(preconditioner), matvec=lift(matvec), **kw)
+        preconditioner=lift(preconditioner), **kw)
     return x[:, 0], results[0]

@@ -47,9 +47,7 @@ from repro.fv.fields import MultiVolField
 from repro.fv.workspace import EquationWorkspace
 from repro.solvers import SolverControls
 from repro.solvers.blocked import (
-    backend_fused_reduce,
-    backend_ifused_reduce,
-    backend_reductions,
+    LocalSystem,
     pbicgstab_solve_multi,
     pcg_solve_multi,
 )
@@ -247,7 +245,8 @@ class TestBlockedReductions:
         state a second time as private functions."""
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal((2, 400, 5))
-        cdot, csum = backend_reductions()
+        system = LocalSystem(_prop_ldu())
+        cdot, csum = system.coldot, system.colsum_abs
         assert np.array_equal(cdot(a, b), np.einsum("ij,ij->j", a, b))
         assert np.array_equal(csum(a), np.abs(a).sum(axis=0))
 
@@ -256,23 +255,26 @@ class TestBlockedReductions:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((400, 5)).astype(dt)
         b = rng.standard_normal((400, 5)).astype(dt)
-        cdot, csum = backend_reductions(be)
-        got_dot, got_sum = cdot(a, b), csum(a)
+        system = LocalSystem(_prop_ldu(), backend=be)
+        got_dot, got_sum = system.coldot(a, b), system.colsum_abs(a)
         assert got_dot.dtype == dt and got_sum.dtype == dt
         # einsum vs generic sum(a*b): reassociation-only divergence
-        ref_dot, ref_sum = backend_reductions("numpy")
-        assert_max_ulps(np.asarray(got_dot), ref_dot(a, b), REDUCTION_ULPS)
-        assert_max_ulps(np.asarray(got_sum), ref_sum(a), REDUCTION_ULPS)
+        ref = LocalSystem(_prop_ldu(), backend="numpy")
+        assert_max_ulps(np.asarray(got_dot), ref.coldot(a, b),
+                        REDUCTION_ULPS)
+        assert_max_ulps(np.asarray(got_sum), ref.colsum_abs(a),
+                        REDUCTION_ULPS)
 
     def test_fused_hooks_match_plain_hooks(self, be):
         rng = np.random.default_rng(4)
         mats = [rng.standard_normal((100, 3)) for _ in range(4)]
         dots = [(mats[0], mats[1]), (mats[2], mats[3])]
         sums = [mats[0], mats[3]]
-        cdot, csum = backend_reductions(be)
+        system = LocalSystem(_prop_ldu(), backend=be)
+        cdot, csum = system.coldot, system.colsum_abs
         want = ([cdot(a, b) for a, b in dots], [csum(s) for s in sums])
-        f_dots, f_sums = backend_fused_reduce(be)(dots, sums)
-        i_dots, i_sums = backend_ifused_reduce(be)(dots, sums).wait()
+        f_dots, f_sums = system.fused_reduce(dots, sums)
+        i_dots, i_sums = system.ifused_reduce(dots, sums).wait()
         for got in ((f_dots, f_sums), (i_dots, i_sums)):
             for g, w in zip(got[0], want[0]):
                 assert np.array_equal(np.asarray(g), np.asarray(w))
@@ -285,10 +287,12 @@ class TestBlockedReductions:
         ctl = SolverControls(tolerance=1e-12, max_iterations=400)
         pre = JacobiPreconditioner(spd_ldu)
         for solve in (pcg_solve_multi, pbicgstab_solve_multi):
-            x_ref, res_ref = solve(spd_ldu, b, preconditioner=pre.apply_multi,
+            x_ref, res_ref = solve(LocalSystem(spd_ldu), b,
+                                   preconditioner=pre.apply_multi,
                                    controls=ctl)
-            x_be, res_be = solve(spd_ldu, b, preconditioner=pre.apply_multi,
-                                 controls=ctl, backend=be)
+            x_be, res_be = solve(LocalSystem(spd_ldu, backend=be), b,
+                                 preconditioner=pre.apply_multi,
+                                 controls=ctl)
             assert all(r.converged for r in res_be)
             if be is get_backend("numpy"):
                 # backend=None is the numpy backend
@@ -713,8 +717,9 @@ class TestDtypeProperties:
         a = rng.standard_normal((64, k)).astype(npdt)
         b = rng.standard_normal((64, k)).astype(npdt)
         for backend in ("numpy", _LOCAL_VARIANTS["numpy-offload"]):
-            cdot, csum = backend_reductions(backend)
-            d, s = np.asarray(cdot(a, b)), np.asarray(csum(a))
+            system = LocalSystem(_prop_ldu(), backend=backend)
+            d, s = (np.asarray(system.coldot(a, b)),
+                    np.asarray(system.colsum_abs(a)))
             assert d.dtype == npdt and s.dtype == npdt
             # a signed dot can cancel, so an ulp budget at the result
             # magnitude is ill-conditioned: bound the reassociation

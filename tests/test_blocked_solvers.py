@@ -33,6 +33,7 @@ from repro.solvers import (
 )
 from repro.sparse import spmv_ldu_multi
 from tests.conftest import make_laplacian_ldu
+from tests.krylov_oracle import ldu_system
 from tests.krylov_oracle import oracle_pbicgstab_solve as pbicgstab_solve
 from tests.krylov_oracle import oracle_pcg_solve as pcg_solve
 
@@ -120,7 +121,7 @@ class TestBlockedMatchesColumns:
     def test_pcg_blocked_property(self, spd_ldu, seed, k, zero_col):
         b = _rhs_block(spd_ldu.n, k, seed, zero_col)
         pre = DICPreconditioner(spd_ldu)
-        x_blk, results = pcg_solve_multi(spd_ldu, b,
+        x_blk, results = pcg_solve_multi(ldu_system(spd_ldu), b,
                                          preconditioner=pre.apply_multi,
                                          controls=TIGHT)
         assert len(results) == k
@@ -140,7 +141,7 @@ class TestBlockedMatchesColumns:
         ldu.lower *= 0.7  # convection-like asymmetry
         b = _rhs_block(ldu.n, k, seed, zero_col)
         pre = JacobiPreconditioner(ldu)
-        x_blk, results = pbicgstab_solve_multi(ldu, b,
+        x_blk, results = pbicgstab_solve_multi(ldu_system(ldu), b,
                                                preconditioner=pre.apply_multi,
                                                controls=TIGHT)
         assert len(results) == k
@@ -161,7 +162,7 @@ class TestBlockedMatchesColumns:
         b[:, 1] = 0.0  # converged at iteration 0
         # an easy column: rhs = A @ (constant) is solved in few iters
         b[:, 2] = spd_ldu.matvec(np.full(spd_ldu.n, 0.37))
-        x, results = pcg_solve_multi(spd_ldu, b, controls=TIGHT)
+        x, results = pcg_solve_multi(ldu_system(spd_ldu), b, controls=TIGHT)
         iters = [r.iterations for r in results]
         assert iters[1] == 0
         assert iters[2] < iters[0]  # easy column retired before the hard one
@@ -172,23 +173,25 @@ class TestBlockedMatchesColumns:
 
     def test_per_column_results_metadata(self, spd_ldu):
         b = np.random.default_rng(7).standard_normal((spd_ldu.n, 2))
-        _, results = pcg_solve_multi(spd_ldu, b, controls=TIGHT)
+        _, results = pcg_solve_multi(ldu_system(spd_ldu), b, controls=TIGHT)
         for r in results:
             assert r.solver == "PCG"
             assert r.details["reductions"] == 3 * r.iterations
-        _, results = pbicgstab_solve_multi(spd_ldu, b, controls=TIGHT)
+        _, results = pbicgstab_solve_multi(ldu_system(spd_ldu), b,
+                                           controls=TIGHT)
         assert all(r.solver == "PBiCGStab" for r in results)
 
     def test_x0_block(self, spd_ldu):
         b = np.random.default_rng(8).standard_normal((spd_ldu.n, 2))
         x0 = np.random.default_rng(9).standard_normal((spd_ldu.n, 2))
-        x, results = pcg_solve_multi(spd_ldu, b, x0=x0, controls=TIGHT)
+        x, results = pcg_solve_multi(ldu_system(spd_ldu), b, x0=x0,
+                                     controls=TIGHT)
         assert all(r.converged for r in results)
         np.testing.assert_allclose(spd_ldu.matvec_multi(x), b, atol=1e-8)
 
     def test_1d_rhs_rejected(self, spd_ldu):
         with pytest.raises(ValueError):
-            pcg_solve_multi(spd_ldu, np.ones(spd_ldu.n))
+            pcg_solve_multi(ldu_system(spd_ldu), np.ones(spd_ldu.n))
 
 
 class TestOneColumn:
@@ -217,7 +220,7 @@ class TestOneColumn:
         assert res_ref.converged and res_ref.iterations > 1
         ws = KrylovWorkspace() if pooled else None
         for _ in range(2 if pooled else 1):   # second pass: warm pool
-            x, (res,) = body(a, b[:, None], x0=x0[:, None],
+            x, (res,) = body(ldu_system(a), b[:, None], x0=x0[:, None],
                              preconditioner=pre.apply_multi,
                              controls=self.CTL, workspace=ws)
             assert res.converged
@@ -274,11 +277,12 @@ class TestOneColumn:
         b[:, 1] = a.matvec(rng.standard_normal(mesh.n_cells))
         ctl = SolverControls(tolerance=1e-10, max_iterations=50)
         with np.errstate(all="raise"):
-            x, (dead, alive) = pcg_solve_multi(a, b, controls=ctl)
+            x, (dead, alive) = pcg_solve_multi(ldu_system(a), b, controls=ctl)
         assert not dead.converged and dead.iterations == 1
         assert np.isfinite(x).all() and not x[:, 0].any()
         assert alive.converged and 1 < alive.iterations < 50
-        x_alone, (alone,) = pcg_solve_multi(a, b[:, 1:], controls=ctl)
+        x_alone, (alone,) = pcg_solve_multi(ldu_system(a), b[:, 1:],
+                                            controls=ctl)
         assert alive.iterations == alone.iterations
         np.testing.assert_array_equal(x[:, 1], x_alone[:, 0])
         with pytest.raises(ZeroDivisionError):   # the unguarded oracle
@@ -295,10 +299,10 @@ class TestCommunicationAvoidingVariants:
     def test_pipelined_pcg_matches_sync(self, spd_ldu, seed, k, zero_col):
         b = _rhs_block(spd_ldu.n, k, seed, zero_col)
         pre = DICPreconditioner(spd_ldu)
-        x_ref, _ = pcg_solve_multi(spd_ldu, b,
+        x_ref, _ = pcg_solve_multi(ldu_system(spd_ldu), b,
                                    preconditioner=pre.apply_multi,
                                    controls=TIGHT)
-        x, results = pipelined_pcg_solve_multi(spd_ldu, b,
+        x, results = pipelined_pcg_solve_multi(ldu_system(spd_ldu), b,
                                                preconditioner=pre.apply_multi,
                                                controls=TIGHT)
         assert all(r.converged for r in results)
@@ -315,11 +319,12 @@ class TestCommunicationAvoidingVariants:
         ldu.lower *= 0.7
         b = _rhs_block(ldu.n, k, seed, zero_col)
         pre = JacobiPreconditioner(ldu)
-        x_ref, _ = pbicgstab_solve_multi(ldu, b,
+        x_ref, _ = pbicgstab_solve_multi(ldu_system(ldu), b,
                                          preconditioner=pre.apply_multi,
                                          controls=TIGHT)
         x, results = fused_pbicgstab_solve_multi(
-            ldu, b, preconditioner=pre.apply_multi, controls=TIGHT)
+            ldu_system(ldu), b, preconditioner=pre.apply_multi,
+            controls=TIGHT)
         assert all(r.converged for r in results)
         assert np.abs(x - x_ref).max() <= 1e-10
         assert all(r.details["reduction_groups"] == 2 for r in results)
@@ -331,10 +336,10 @@ class TestCommunicationAvoidingVariants:
         iteration but retires with the synchronous iteration number."""
         b = np.random.default_rng(11).standard_normal((spd_ldu.n, 3))
         pre = DICPreconditioner(spd_ldu)
-        _, sync = pcg_solve_multi(spd_ldu, b,
+        _, sync = pcg_solve_multi(ldu_system(spd_ldu), b,
                                   preconditioner=pre.apply_multi,
                                   controls=TIGHT)
-        _, pipe = pipelined_pcg_solve_multi(spd_ldu, b,
+        _, pipe = pipelined_pcg_solve_multi(ldu_system(spd_ldu), b,
                                             preconditioner=pre.apply_multi,
                                             controls=TIGHT)
         for s, p in zip(sync, pipe):
@@ -345,7 +350,7 @@ class TestCommunicationAvoidingVariants:
         b = np.random.default_rng(12).standard_normal((spd_ldu.n, 2))
         loose = SolverControls(tolerance=1e-13, max_iterations=0)
         for solve in (pipelined_pcg_solve_multi, fused_pbicgstab_solve_multi):
-            x, results = solve(spd_ldu, b, controls=loose)
+            x, results = solve(ldu_system(spd_ldu), b, controls=loose)
             assert np.abs(x).max() == 0.0
             assert all(not r.converged for r in results)
 

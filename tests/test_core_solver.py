@@ -90,6 +90,42 @@ class TestPropertyPaths:
         props = pp.evaluate(h, 10e6, y)
         assert np.all(props.rho > 0) and np.all(props.cp > 0)
 
+    @pytest.mark.slow
+    def test_prnet_drives_a_solver(self, tiny_prnet, mech):
+        """The surrogate evaluator meets the whole evaluator contract:
+        a solver constructs on it (``h_from_t``) and its pressure
+        equation sees the real-fluid compressibility, not an ideal-gas
+        estimate (wrong by a large factor at 10 MPa)."""
+        case = build_tgv_case(n=4, mech=mech)
+        s = DeepFlameSolver(case, properties=PRNetProperties(
+            tiny_prnet, rf=tiny_prnet._rf), chemistry=NoChemistry())
+        np.testing.assert_array_equal(
+            s.h, tiny_prnet._rf.h_mass(case.temperature, s.p.values, s.y))
+        direct = DirectRealFluidProperties(mech, rf=tiny_prnet._rf)
+        np.testing.assert_array_equal(
+            s._psi_field(),
+            np.maximum(direct.psi(s.temperature, s.p.values, s.y), 1e-9))
+        ideal = IdealGasProperties(mech).psi(s.temperature, s.p.values, s.y)
+        assert (np.abs(s._psi_field() / ideal - 1.0) > 0.2).any()
+        assert np.isfinite(s.step(1e-9).total_mass)
+
+    def test_psi_is_part_of_every_evaluator(self, mech):
+        """``psi(t, p, y)``: the EoS compressibility on the real-fluid
+        path, ``W / (R T)`` (T floored at 100 K) on the ideal-gas one."""
+        from repro.constants import R_UNIVERSAL
+
+        y = np.zeros((2, 17))
+        y[:, mech.species_index["O2"]] = 1.0
+        t = np.array([50.0, 400.0])
+        rf_props = DirectRealFluidProperties(mech)
+        np.testing.assert_array_equal(
+            rf_props.psi(t[1:], 10e6, y[1:]),
+            rf_props.rf.psi_compressibility(t[1:], 10e6, y[1:]))
+        w = mech.mean_molecular_weight(y)
+        np.testing.assert_array_equal(
+            IdealGasProperties(mech).psi(t, 10e6, y),
+            w / (R_UNIVERSAL * np.array([100.0, 400.0])))
+
 
 class TestChemistryPaths:
     def test_direct_chemistry_ignites_hot_cell(self, mech):
@@ -147,6 +183,20 @@ class TestDeepFlameSolver:
         assert d.total_mass == pytest.approx(mass0, rel=1e-3)
         assert d.max_velocity < 10.0
         assert 100.0 < d.t_min and d.t_max < 400.0
+
+    def test_temperature_follows_the_stepped_state(self, mech):
+        """``temperature`` is the current field, not the initial
+        condition it was constructed from -- and cannot be detached
+        from ``props`` by assignment."""
+        case = build_tgv_case(n=6, mech=mech)
+        s = DeepFlameSolver(case, properties=IdealGasProperties(mech),
+                            chemistry=NoChemistry())
+        t0 = s.temperature.copy()
+        s.run(2, 1e-6)
+        assert s.temperature is s.props.temperature
+        assert np.abs(s.temperature - t0).max() > 0.0
+        with pytest.raises(AttributeError):
+            s.temperature = t0
 
     def test_real_fluid_stability(self, mech):
         case = build_tgv_case(n=8, mech=mech)

@@ -285,7 +285,7 @@ class TestDecomposedSolver:
         for _ in range(2):
             dist.step(1e-6)
             for r, sub in enumerate(dist.decomp.subdomains):
-                op = dist._krylov_scratch[("op", r)]  # bound: last PCG
+                op = dist._system.ops[r]  # bound: last PCG
                 fresh = DICPreconditioner(sub.interior_matrix(op.mat))
                 assert np.array_equal(op.dic.r_d, fresh.r_d)
             seen.append(op.dic.r_d.copy())

@@ -20,8 +20,8 @@ from repro.dist import (
     HaloExchanger,
     solve_distributed,
 )
-from repro.runtime import SimulatedComm, overlapped_phase_time
-from repro.solvers import SolverControls, preconditioners
+from repro.runtime import SimulatedComm, alloc, overlapped_phase_time
+from repro.solvers import KrylovWorkspace, SolverControls, preconditioners
 from repro.solvers.preconditioners import (CachedDICPreconditioner,
                                            DICPreconditioner)
 from tests import face_oracle
@@ -147,8 +147,8 @@ class TestOverlappedMatvec:
             assert np.abs(total - interior - ref_b).max() <= 1e-14 * scale
 
     def test_rebinding_follows_the_coefficients(self, box_mesh):
-        """``RankOperator.bound`` re-gathers the CSR values: a system
-        built on mutated matrices multiplies with the new ones."""
+        """``bind`` re-gathers the CSR values: the same system, re-bound
+        to mutated matrices, multiplies with the new ones."""
         system = _make_system(box_mesh, 2)
         x = np.random.default_rng(6).normal(size=(system.n, 2))
         y = system.matvec_multi(x).copy()
@@ -156,9 +156,38 @@ class TestOverlappedMatvec:
             m.diag *= 2.0
             m.upper *= 2.0
             m.lower *= 2.0
-        again = DistributedSystem(system.decomp, system.comm, system.mats,
-                                  scratch=system._scratch)
-        np.testing.assert_array_equal(again.matvec_multi(x), 2.0 * y)
+        system.bind(system.mats)
+        np.testing.assert_array_equal(system.matvec_multi(x), 2.0 * y)
+
+    @pytest.mark.parametrize("solver", ["PCG", "PBiCGStab"])
+    @pytest.mark.parametrize("variant", KRYLOV_VARIANTS)
+    def test_rebound_system_is_a_fresh_one_bitwise(self, box_mesh, solver,
+                                                   variant):
+        """One persistent system re-bound to new matrices solves
+        bitwise like a system freshly built on them, and -- once warm
+        -- without a tracked allocation."""
+        rng = np.random.default_rng(7)
+        dec = Decomposition.from_mesh(box_mesh, 3)
+        comm = SimulatedComm(3)
+        ws = KrylovWorkspace()
+        kept = DistributedSystem(dec, comm, make_random_spd_ldus(dec, rng))
+        b = rng.normal(size=(kept.n, 3))
+        solve_distributed(kept, b, solver=solver, variant=variant,
+                          controls=TIGHT, workspace=ws)   # sizes buffers
+        for _ in range(2):
+            mats = make_random_spd_ldus(dec, rng)
+            before = alloc.snapshot()
+            kept.bind(mats)
+            x, results = solve_distributed(kept, b, solver=solver,
+                                           variant=variant, controls=TIGHT,
+                                           workspace=ws)
+            assert alloc.snapshot() == before
+            x_new, results_new = solve_distributed(
+                DistributedSystem(dec, comm, mats), b, solver=solver,
+                variant=variant, controls=TIGHT)
+            np.testing.assert_array_equal(x, x_new)
+            assert [r.iterations for r in results] \
+                == [r.iterations for r in results_new]
 
     def test_overlap_is_bitwise_equal_to_sync(self, box_mesh):
         """Only the post/wait placement differs between the paths; the
@@ -318,20 +347,19 @@ class TestWarmAllocations:
     def test_zero_warm_solve_allocations(self, mech, variant):
         """After the first step sized every persistent buffer, warm
         distributed solves perform zero tracked allocations -- with
-        each rank's cached block-DIC living in the Krylov scratch."""
+        each rank's cached block-DIC living in the persistent system."""
         settings = SolverSettings(ranks=4, krylov_variant=variant,
                                   overlap_halo=(variant == "overlapped"))
         solver = DecomposedSolver(
             build_tgv_case(n=6, mech=mech), settings,
             properties=IdealGasProperties(mech), chemistry=NoChemistry())
         solver.step(1e-8)   # sizes scratch buffers and the workspace
-        dics = [solver._krylov_scratch[("op", r)].dic for r in range(4)]
+        dics = [op.dic for op in solver._system.ops]
         assert all(isinstance(d, CachedDICPreconditioner) for d in dics)
         for _ in range(3):
             solver.step(1e-8)
             assert solver.last_timings.alloc_solving == 0
-        assert [solver._krylov_scratch[("op", r)].dic
-                for r in range(4)] == dics
+        assert [op.dic for op in solver._system.ops] == dics
 
 
 class TestBlockDIC:
@@ -341,15 +369,17 @@ class TestBlockDIC:
     def test_apply_matches_sequential_oracle(self, box_mesh, nparts):
         """Per rank, bitwise equal to the reference face-loop DIC on
         the owned diagonal block -- also after a value-only refresh
-        through the same scratch (no structure is rebuilt)."""
+        of the same system (no structure is rebuilt)."""
         rng = np.random.default_rng(nparts)
         dec = Decomposition.from_mesh(box_mesh, nparts)
         comm = SimulatedComm(nparts)
-        scratch: dict = {}
-        structs = None
-        for _ in range(2):      # second pass: new values, same scratch
+        system = structs = None
+        for _ in range(2):      # second pass: new values, same system
             mats = make_random_spd_ldus(dec, rng)
-            system = DistributedSystem(dec, comm, mats, scratch=scratch)
+            if system is None:
+                system = DistributedSystem(dec, comm, mats)
+            else:
+                system.bind(mats)
             apply = system.block_dic()
             for r in (rng.standard_normal((system.n, 3)),
                       rng.standard_normal(system.n)):

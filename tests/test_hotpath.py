@@ -62,7 +62,7 @@ from tests.kinetics_oracle import (
     oracle_rhs,
     oracle_wdot_derivatives,
 )
-from tests.krylov_oracle import solve_k1
+from tests.krylov_oracle import ldu_system, solve_k1
 from tests.step_oracle import OracleSolver
 from tests.thermo_oracle import oracle_solve_cubic
 
@@ -249,12 +249,14 @@ class TestKrylovWorkspace:
         x0 = rng.normal(size=(mesh.n_cells, 5))
         pre = JacobiPreconditioner(a).apply_multi
         ctl = SolverControls(tolerance=1e-12, rel_tol=0.0, max_iterations=200)
-        x_cold, _ = pbicgstab_solve_multi(a, b, x0=x0, preconditioner=pre,
-                                          controls=ctl)
+        system = ldu_system(a)
+        x_cold, _ = pbicgstab_solve_multi(system, b, x0=x0,
+                                          preconditioner=pre, controls=ctl)
         ws = KrylovWorkspace()
         for _ in range(2):
-            x_ws, _ = pbicgstab_solve_multi(a, b, x0=x0, preconditioner=pre,
-                                            controls=ctl, workspace=ws)
+            x_ws, _ = pbicgstab_solve_multi(system, b, x0=x0,
+                                            preconditioner=pre, controls=ctl,
+                                            workspace=ws)
             assert np.array_equal(x_cold, x_ws)
 
 
