@@ -9,10 +9,11 @@ training and accuracy references.
 from .jacobian import AnalyticJacobian
 from .kinetics import KineticsEvaluator
 from .mechanism import Mechanism
-from .ode import BDFIntegrator, Rosenbrock2, WorkCounters, integrate_rk4
+from .ode import BDFIntegrator, WorkCounters, rk4_batch, ros2_batch
 from .rates import Arrhenius, Reaction, TroeParams
 from .reactor import (
     ConstantPressureReactor,
+    ReactorKernel,
     ReactorState,
     mixture_line,
     premixed_state,
@@ -23,7 +24,6 @@ from .species import Nasa7Poly, Species, fit_nasa7
 # Imported after the leaf modules: the backends subpackage reaches into
 # repro.dnn, which itself imports chemistry submodules.
 from .backends import (  # noqa: E402
-    BACKEND_NAMES,
     FLOPS_PER_WORK_UNIT,
     TRUST_GATE_MODES,
     BackendStats,
@@ -32,7 +32,6 @@ from .backends import (  # noqa: E402
     HybridBackend,
     PerCellBDFBackend,
     SurrogateBackend,
-    create_backend,
 )
 
 
@@ -48,7 +47,6 @@ def load_mechanism(name: str = "lox_ch4_17sp") -> Mechanism:
 __all__ = [
     "AnalyticJacobian",
     "Arrhenius",
-    "BACKEND_NAMES",
     "BDFIntegrator",
     "BackendStats",
     "ChemistryBackend",
@@ -58,22 +56,22 @@ __all__ = [
     "PerCellBDFBackend",
     "SurrogateBackend",
     "TRUST_GATE_MODES",
-    "create_backend",
     "ConstantPressureReactor",
     "KineticsEvaluator",
     "Mechanism",
     "MigrationPlan",
     "Nasa7Poly",
     "Reaction",
+    "ReactorKernel",
     "ReactorState",
-    "Rosenbrock2",
     "Species",
     "TroeParams",
     "WorkCounters",
     "fit_nasa7",
-    "integrate_rk4",
     "load_mechanism",
     "mixture_line",
     "plan_migration",
     "premixed_state",
+    "rk4_batch",
+    "ros2_batch",
 ]

@@ -18,7 +18,8 @@ actually computed:
 * :class:`ParallelChemistryBackend` — process-parallel fan-out of any
   inner backend over a shared-memory worker pool.
 
-Use :func:`create_backend` to build one by name.
+:func:`repro.core.build_chemistry` builds the one a
+:class:`~repro.core.SolverSettings` names.
 """
 
 from __future__ import annotations
@@ -40,58 +41,4 @@ __all__ = [
     "PerCellBDFBackend",
     "SurrogateBackend",
     "TRUST_GATE_MODES",
-    "BACKEND_NAMES",
-    "create_backend",
 ]
-
-#: canonical name -> accepted aliases
-_ALIASES = {
-    "percell": ("percell", "percell-bdf", "bdf", "reference"),
-    "direct": ("direct", "direct-batch", "batched"),
-    "surrogate": ("surrogate", "dnn", "odenet"),
-    "hybrid": ("hybrid",),
-}
-BACKEND_NAMES = tuple(_ALIASES)
-
-
-def _canonical(name: str) -> str:
-    low = name.lower()
-    for canon, aliases in _ALIASES.items():
-        if low in aliases:
-            return canon
-    raise KeyError(
-        f"unknown chemistry backend {name!r}; known: {sorted(BACKEND_NAMES)}")
-
-
-def create_backend(name: str, mech=None, odenet=None, engine=None, **kwargs):
-    """Build a chemistry backend by name.
-
-    ``mech`` is required for ``percell``/``direct``/``hybrid``;
-    ``odenet`` (a trained :class:`~repro.dnn.odenet.ODENet`) for
-    ``surrogate``/``hybrid``.  Remaining keyword arguments go to the
-    backend constructor (for ``hybrid``: ``t_window``, ``z_max``, the
-    trust-gate knobs ``trust_gate``/``audit_fraction``/``audit_tol``,
-    plus ``direct_kwargs`` forwarded to the embedded direct backend).
-    """
-    canon = _canonical(name)
-    if canon == "percell":
-        if mech is None:
-            raise ValueError("percell backend requires mech=")
-        return PerCellBDFBackend(mech, **kwargs)
-    if canon == "direct":
-        if mech is None:
-            raise ValueError("direct backend requires mech=")
-        return DirectBatchBackend(mech, **kwargs)
-    if canon == "surrogate":
-        if odenet is None:
-            raise ValueError("surrogate backend requires odenet=")
-        return SurrogateBackend(odenet, engine=engine, **kwargs)
-    # hybrid
-    if mech is None or odenet is None:
-        raise ValueError("hybrid backend requires mech= and odenet=")
-    direct_kwargs = kwargs.pop("direct_kwargs", {})
-    return HybridBackend(
-        SurrogateBackend(odenet, engine=engine),
-        DirectBatchBackend(mech, **direct_kwargs),
-        **kwargs,
-    )

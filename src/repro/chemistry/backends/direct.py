@@ -7,7 +7,7 @@ stiffness indicator and integrates whole sub-batches at once:
 * **frozen** cells (chemically inactive mixing regions — the vast
   majority of a real flame field) take a couple of classical RK4
   steps, eight batched kinetics evaluations in total;
-* **active** cells take fixed-step L-stable Rosenbrock2 (ROS2) steps,
+* **active** cells take fixed-step L-stable two-stage Rosenbrock (ROS2) steps,
   with the step count graded by stiffness class.  The stage systems
   ``(I - gamma*h*J) k = rhs`` are solved for *all* cells of a
   sub-batch with one batched LAPACK call;
@@ -29,203 +29,101 @@ import time
 
 import numpy as np
 
-from ..jacobian import AnalyticJacobian
-from ..kinetics import KineticsEvaluator
 from ..mechanism import Mechanism
-from ..ode import Rosenbrock2
+from ..ode import rk4_batch, ros2_batch
+from ..reactor import ReactorKernel
 from .base import BackendStats, ChemistryBackend
 from .percell import PerCellBDFBackend
 
 __all__ = ["DirectBatchBackend"]
 
-#: (upper stiffness bound, ROS2 step count) — graded sub-batches.
-#: The L-stable ROS2 scheme stays within ~0.5 K of the BDF reference
-#: even at z ~ 300 with 192 steps; BDF is reserved for the (rare)
-#: cells beyond that.
-_DEFAULT_ROS2_BINS: tuple[tuple[float, int], ...] = (
-    (1e-3, 6),
-    (1e-2, 12),
-    (1e-1, 24),
-    (1.0, 48),
-    (10.0, 96),
-    (500.0, 192),
-)
-
 
 class DirectBatchBackend(ChemistryBackend):
     """Stiffness-graded batched RK4/ROS2 with a BDF fallback.
 
-    Parameters
-    ----------
-    mech:
-        Reaction mechanism.
-    rtol, atol:
-        Tolerances for the BDF fallback (and the accuracy target the
-        graded step counts were chosen against).
-    z_frozen:
-        Cells with stiffness indicator below this are advanced with
-        ``rk4_steps`` classical RK4 steps.
-    ros2_bins:
-        ``((z_max, n_steps), ...)`` graded ROS2 sub-batches; cells
-        beyond the last bound go to the per-cell BDF fallback.
-    jac_every:
-        Refresh period (in ROS2 steps) of the stage Jacobian; 1
-        recomputes every step.
-    validate:
-        When true (default), every batched sub-batch is re-integrated
-        at half the step count and cells where the two solutions
-        disagree beyond ``val_tol_t``/``val_tol_y`` are escalated to
-        the BDF fallback.  This is what catches cells whose ignition
-        runaway happens *inside* the interval and is invisible to the
-        initial-rate classifier.
-    jacobian:
-        ``"analytic"`` (default) assembles the ROS2 stage Jacobians
-        from precomputed stoichiometry in one pass per refresh;
-        ``"fd"`` keeps the ``k * (1 + n_species)``-state batched
-        finite-difference sweep as the validation reference.  The
-        per-cell BDF fallback inherits the same mode.
+    ``rtol`` / ``atol`` are the tolerances of the per-cell BDF fallback
+    (and the accuracy target the graded step counts were chosen
+    against).  Every batched sub-batch is re-integrated at half the
+    step count, and cells where the two solutions disagree beyond
+    :attr:`VAL_TOL_T` / :attr:`VAL_TOL_Y` are escalated to the fallback:
+    this catches cells whose ignition runaway happens *inside* the
+    interval and is invisible to the initial-rate classifier.  The RHS
+    and stage Jacobians come from one
+    :class:`~repro.chemistry.reactor.ReactorKernel`.
     """
 
     name = "direct-batch"
+    #: Temperature clamp of the reactor RHS and of the returned ``T``.
+    T_FLOOR = 200.0
+    #: Cells with stiffness indicator below this take :attr:`RK4_STEPS`
+    #: classical RK4 steps.
+    Z_FROZEN = 1e-5
+    RK4_STEPS = 2
+    #: ``((z_max, n_steps), ...)`` graded ROS2 sub-batches, ascending in
+    #: ``z_max``; cells beyond the last bound go to the per-cell BDF
+    #: fallback.  The L-stable ROS2 scheme stays within ~0.5 K of the
+    #: BDF reference even at z ~ 300 with 192 steps.
+    ROS2_BINS: tuple[tuple[float, int], ...] = (
+        (1e-3, 6),
+        (1e-2, 12),
+        (1e-1, 24),
+        (1.0, 48),
+        (10.0, 96),
+        (500.0, 192),
+    )
+    #: Refresh period (in ROS2 steps) of the stage Jacobian.
+    JAC_EVERY = 4
+    #: Full- vs half-step disagreement that escalates a cell to BDF.
+    VAL_TOL_T = 0.5
+    VAL_TOL_Y = 1e-3
 
-    def __init__(
-        self,
-        mech: Mechanism,
-        rtol: float = 1e-6,
-        atol: float = 1e-10,
-        t_floor: float = 200.0,
-        z_frozen: float = 1e-5,
-        rk4_steps: int = 2,
-        ros2_bins: tuple[tuple[float, int], ...] = _DEFAULT_ROS2_BINS,
-        jac_every: int = 4,
-        validate: bool = True,
-        val_tol_t: float = 0.5,
-        val_tol_y: float = 1e-3,
-        jacobian: str = "analytic",
-    ):
-        if jacobian not in ("analytic", "fd"):
-            raise ValueError(f"unknown jacobian mode {jacobian!r}")
-        if rk4_steps < 1 or any(n_steps < 1 for _, n_steps in ros2_bins):
-            raise ValueError("rk4_steps and ros2_bins step counts must be >= 1")
-        if any(hi[0] <= lo[0] for lo, hi in zip(ros2_bins, ros2_bins[1:])):
-            # a cell lands in the first bin that admits it
-            raise ValueError("ros2_bins z_max must be strictly ascending")
+    def __init__(self, mech: Mechanism, rtol: float = 1e-6,
+                 atol: float = 1e-10):
         self.mech = mech
-        self.kinetics = KineticsEvaluator(mech)
+        self.kernel = ReactorKernel(mech, self.T_FLOOR)
         self.rtol, self.atol = rtol, atol
-        self.t_floor = t_floor
-        self.z_frozen = z_frozen
-        self.rk4_steps = int(rk4_steps)
-        self.ros2_bins = tuple(ros2_bins)
-        self.jac_every = max(1, int(jac_every))
-        self.validate = validate
-        self.val_tol_t = val_tol_t
-        self.val_tol_y = val_tol_y
-        self.jacobian = jacobian
-        # mechanisms with non-integer orders take the FD sweep
-        self._ajac = AnalyticJacobian(mech, t_floor=t_floor) \
-            if jacobian == "analytic" and self.kinetics._vector_ok else None
-        self._fallback = PerCellBDFBackend(mech, rtol=rtol, atol=atol,
-                                           t_floor=t_floor, jacobian=jacobian)
+        self._fallback = PerCellBDFBackend(mech, rtol=rtol, atol=atol)
         self._rhs_evals = 0
         self._jac_evals = 0
         self._linear_solves = 0
 
-    # -- batched RHS / Jacobian ----------------------------------------
+    # -- counted kernel calls ------------------------------------------
     def _rhs(self, states: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Reactor RHS for packed states ``(k, 1+ns)`` in one call."""
         self._rhs_evals += states.shape[0]
-        temp = np.maximum(states[:, 0], self.t_floor)
-        y = np.clip(states[:, 1:], 0.0, 1.0)
-        dtdt, dydt = self.kinetics.constant_pressure_rhs(temp, p, y)
-        return np.concatenate((dtdt[:, None], dydt), axis=1)
+        return self.kernel.rhs(states, p)
 
     def _jac(self, states: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Jacobians ``(k, m, m)`` for every cell: analytic single-pass
-        assembly by default, or one batched finite-difference kinetics
-        evaluation of ``k * (m+1)`` perturbed states in ``"fd"`` mode."""
-        k, m = states.shape
-        self._jac_evals += k
-        if self._ajac is not None:
-            return self._ajac.jacobian_packed(states, p)
-        eps = np.sqrt(np.finfo(float).eps)
-        dy = eps * np.maximum(np.abs(states), 1e-8)  # (k, m)
-        big = np.repeat(states[:, None, :], m + 1, axis=1)  # (k, m+1, m)
-        idx = np.arange(m)
-        big[:, 1 + idx, idx] += dy
-        f = self._rhs(big.reshape(k * (m + 1), m),
-                      np.repeat(p, m + 1)).reshape(k, m + 1, m)
-        # J[c, i, j] = (f_i(s + dy_j e_j) - f_i(s)) / dy_j
-        return (f[:, 1:, :] - f[:, :1, :]).transpose(0, 2, 1) / dy[:, None, :]
-
-    # -- batched integrators -------------------------------------------
-    def _rk4_batch(self, s, p, f0, dt, n_steps):
-        """``n_steps`` classical RK4 steps; ``f0`` is ``f(s)``."""
-        h = dt / n_steps
-        for step in range(n_steps):
-            k1 = f0 if step == 0 else self._rhs(s, p)
-            k2 = self._rhs(s + 0.5 * h * k1, p)
-            k3 = self._rhs(s + 0.5 * h * k2, p)
-            k4 = self._rhs(s + h * k3, p)
-            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return s
-
-    def _ros2_batch(self, s, p, f0, jac0, h, n_steps):
-        """Fixed-step ROS2 over rows that each carry their own step size
-        ``h`` and step count ``n_steps`` (ascending), in lockstep: rows
-        that are done drop off the front, so the active set is always
-        the suffix ``s[lo:]``.  ``f0`` / ``jac0`` are the RHS and the
-        Jacobian at the initial rows; ``s`` is advanced in place."""
-        gamma = Rosenbrock2.GAMMA
-        eye = np.eye(s.shape[1])
-        hc = h[:, None]
-        a_inv = np.empty((s.shape[0],) + eye.shape)
-        for step in range(int(n_steps[-1])):
-            lo = int(np.searchsorted(n_steps, step, side="right"))
-            sa, pa, ha = s[lo:], p[lo:], hc[lo:]
-            f = f0[lo:] if step == 0 else self._rhs(sa, pa)
-            if step % self.jac_every == 0:
-                # Chemistry Jacobians vary smoothly; freezing J between
-                # refreshes (a W-method) keeps the L-stable stage
-                # matrix while amortizing its dominant cost.
-                jac = jac0[lo:] if step == 0 else self._jac(sa, pa)
-                a_inv[lo:] = np.linalg.inv(
-                    eye - (gamma * ha)[:, :, None] * jac)
-            self._linear_solves += 2 * sa.shape[0]
-            k1 = np.einsum("cij,cj->ci", a_inv[lo:], f)
-            f1 = self._rhs(sa + ha * k1, pa)
-            k2 = np.einsum("cij,cj->ci", a_inv[lo:], f1 - 2.0 * k1)
-            sa += ha * (1.5 * k1 + 0.5 * k2)
-        return s
+        self._jac_evals += states.shape[0]
+        return self.kernel.jacobian(states, p)
 
     def _ros2_lockstep(self, s, p, f0, dt, bins, full, half):
-        """Integrate every ROS2 bin ``(n_steps, cells)`` -- and, when
-        validating, its half-step twin -- as rows of one
-        :meth:`_ros2_batch`; fills the cells' rows of ``full``/``half``."""
+        """Integrate every ROS2 bin ``(n_steps, cells)`` and its
+        half-step twin as rows of one :func:`~repro.chemistry.ode.ros2_batch`;
+        fills the cells' rows of ``full``/``half``."""
         if not bins:
             return
         cells = np.concatenate([idx for _, idx in bins])
         steps = np.concatenate([np.full(idx.size, k) for k, idx in bins])
         jac0 = self._jac(s[cells], p[cells])
-        if self.validate:  # the twins follow the full rows
-            steps = np.concatenate((steps, np.maximum(1, steps // 2)))
+        # the twins follow the full rows
+        steps = np.concatenate((steps, np.maximum(1, steps // 2)))
         order = np.argsort(steps, kind="stable")
         src = order % cells.size  # a row's cell, as a position in ``cells``
         rows = cells[src]
         out = np.empty((steps.size, s.shape[1]))
-        out[order] = self._ros2_batch(
-            s[rows], p[rows], f0[rows], jac0[src], dt / steps[order],
-            steps[order])
+        out[order] = ros2_batch(
+            self._rhs, self._jac, s[rows], p[rows], f0[rows], jac0[src],
+            dt / steps[order], steps[order], self.JAC_EVERY)
+        self._linear_solves += 2 * int(steps.sum())
         full[cells] = out[:cells.size]
-        if self.validate:
-            half[cells] = out[cells.size:]
+        half[cells] = out[cells.size:]
 
     # -- stiffness classification --------------------------------------
     def _stiffness(self, s, p, dt):
         """``(z, f(s))`` for packed states: the indicator and the RHS
         evaluation it is made of."""
         f = self._rhs(s, p)
-        z_t = np.abs(f[:, 0]) * dt / np.maximum(s[:, 0], self.t_floor)
+        z_t = np.abs(f[:, 0]) * dt / np.maximum(s[:, 0], self.T_FLOOR)
         z_y = (np.abs(f[:, 1:]) * dt
                / np.maximum(np.abs(s[:, 1:]), 1e-3)).max(axis=1)
         return np.maximum(z_t, z_y), f
@@ -254,10 +152,10 @@ class DirectBatchBackend(ChemistryBackend):
             return np.zeros(0)
         z = self.stiffness_indicator(y, t, p, dt)
         est = np.empty(z.shape[0])
-        val = 1.5 if self.validate else 1.0
+        val = 1.5  # the half-step twin costs half again
         for method, n_steps, idx in self._classify(z):
             if method == "bdf":
-                est[idx] = 2.0 * val * self.ros2_bins[-1][1]
+                est[idx] = 2.0 * val * self.ROS2_BINS[-1][1]
             else:
                 est[idx] = val * n_steps
         return est
@@ -266,11 +164,11 @@ class DirectBatchBackend(ChemistryBackend):
         """Partition cells into ``(method, n_steps, cell_indices)``."""
         groups: list[tuple[str, int, np.ndarray]] = []
         assigned = np.zeros(z.shape[0], dtype=bool)
-        mask = z < self.z_frozen
+        mask = z < self.Z_FROZEN
         if mask.any():
-            groups.append(("rk4", self.rk4_steps, np.flatnonzero(mask)))
+            groups.append(("rk4", self.RK4_STEPS, np.flatnonzero(mask)))
         assigned |= mask
-        for z_max, n_steps in self.ros2_bins:
+        for z_max, n_steps in self.ROS2_BINS:
             mask = (~assigned) & (z < z_max)
             if mask.any():
                 groups.append(("ros2", n_steps, np.flatnonzero(mask)))
@@ -285,7 +183,7 @@ class DirectBatchBackend(ChemistryBackend):
         """Advance the batch via graded RK4/ROS2 sub-batches.
 
         Cells are classified by the stiffness indicator, integrated
-        per sub-batch (with half-step validation when enabled), and
+        per sub-batch with half-step validation, and
         escalated to the per-cell BDF fallback where validation fails;
         returns ``(Y_new, T_new, stats)`` with per-sub-batch work
         accounting.
@@ -308,21 +206,18 @@ class DirectBatchBackend(ChemistryBackend):
         full, half = s.copy(), s.copy()
         for method, n_steps, idx in groups:
             if method == "rk4":
-                args = s[idx], p[idx], f0[idx], dt
-                full[idx] = self._rk4_batch(*args, n_steps)
-                if self.validate:
-                    half[idx] = self._rk4_batch(*args, max(1, n_steps // 2))
+                args = self._rhs, s[idx], p[idx], f0[idx], dt
+                full[idx] = rk4_batch(*args, n_steps)
+                half[idx] = rk4_batch(*args, max(1, n_steps // 2))
         self._ros2_lockstep(s, p, f0, dt, [g[1:] for g in groups
                                            if g[0] == "ros2"], full, half)
         # cells whose two integrations disagree, or classified beyond
         # the last bin, go to the per-cell BDF fallback
-        bad = np.zeros(n, dtype=bool)
-        if self.validate:
-            bad = (~np.isfinite(full).all(axis=1)
-                   | ~np.isfinite(half).all(axis=1)
-                   | (np.abs(full[:, 0] - half[:, 0]) > self.val_tol_t)
-                   | (np.abs(full[:, 1:] - half[:, 1:]).max(axis=1)
-                      > self.val_tol_y))
+        bad = (~np.isfinite(full).all(axis=1)
+               | ~np.isfinite(half).all(axis=1)
+               | (np.abs(full[:, 0] - half[:, 0]) > self.VAL_TOL_T)
+               | (np.abs(full[:, 1:] - half[:, 1:]).max(axis=1)
+                  > self.VAL_TOL_Y))
         work = np.zeros(n)
         sub_batches: list[tuple[str, int, int]] = []
         for method, n_steps, idx in groups:
@@ -330,8 +225,7 @@ class DirectBatchBackend(ChemistryBackend):
                 bad[idx] = True
                 continue
             idx = idx[~bad[idx]]
-            cell_work = n_steps + (max(1, n_steps // 2) if self.validate
-                                   else 0)
+            cell_work = n_steps + max(1, n_steps // 2)
             work[idx] = cell_work
             sub_batches.append((f"{method}x{n_steps}", idx.size,
                                 cell_work * idx.size))
@@ -347,7 +241,7 @@ class DirectBatchBackend(ChemistryBackend):
             sub_batches.append(
                 ("bdf", idx.size, int(fallback_stats.work_per_cell.sum())))
 
-        t_new = np.maximum(s_new[:, 0], self.t_floor)
+        t_new = np.maximum(s_new[:, 0], self.T_FLOOR)
         y_new = np.clip(s_new[:, 1:], 0.0, 1.0)
         y_new /= y_new.sum(axis=1, keepdims=True)
 

@@ -10,12 +10,14 @@ Implements the integrator families used by the paper's Table-1 codes:
   work counters (steps, Newton iterations, LU factorizations, RHS
   evaluations) so that the chemistry load-imbalance phenomenology the
   paper describes can be measured directly.
-* :func:`integrate_rk4` -- fixed-step classical RK4 (DINO/S3D-style
+* :func:`rk4_batch` -- fixed-step classical RK4 (DINO/S3D-style
   explicit chemistry).
-* :class:`Rosenbrock2` -- an L-stable 2-stage Rosenbrock method
+* :func:`ros2_batch` -- an L-stable 2-stage Rosenbrock method
   (CharlesX uses a semi-implicit Rosenbrock scheme, ROK4E).
 
-All integrators operate on a generic ``f(t, y)`` right-hand side.
+The BDF solver integrates one cell's ``f(t, y)``; the two fixed-step
+schemes advance a batch of rows through a batched autonomous
+``rhs(states, p)`` -- one cell is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-__all__ = ["WorkCounters", "BDFIntegrator", "integrate_rk4", "Rosenbrock2"]
+__all__ = ["WorkCounters", "BDFIntegrator", "ROS2_GAMMA", "rk4_batch",
+           "ros2_batch"]
 
 _MAX_ORDER = 5
 _NEWTON_MAXITER = 4
@@ -320,90 +323,58 @@ class BDFIntegrator:
 
 
 # --------------------------------------------------------------------
-def integrate_rk4(
-    fun: Callable[[float, np.ndarray], np.ndarray],
-    t_span: tuple[float, float],
-    y0: np.ndarray,
-    n_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fixed-step RK4 (explicit chemistry, DINO/S3D style).
+#: ``gamma`` of the L-stable two-stage Rosenbrock scheme (ROS2).
+ROS2_GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
 
-    Returns ``(ts, ys)`` including both endpoints.
+
+def rk4_batch(rhs, s, p, f0, dt, n_steps):
+    """``n_steps`` classical RK4 steps over ``dt`` (explicit chemistry,
+    DINO/S3D style) of every row of ``s``.
+
+    ``rhs(states, p)`` is batched over rows; ``f0 = rhs(s, p)``.
+    Returns the advanced rows.
     """
-    t0, tf = t_span
-    h = (tf - t0) / n_steps
-    y = np.array(y0, dtype=float)
-    ts = np.linspace(t0, tf, n_steps + 1)
-    ys = np.empty((n_steps + 1, y.size))
-    ys[0] = y
-    for k in range(n_steps):
-        t = ts[k]
-        k1 = np.asarray(fun(t, y))
-        k2 = np.asarray(fun(t + 0.5 * h, y + 0.5 * h * k1))
-        k3 = np.asarray(fun(t + 0.5 * h, y + 0.5 * h * k2))
-        k4 = np.asarray(fun(t + h, y + h * k3))
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys[k + 1] = y
-    return ts, ys
+    h = dt / n_steps
+    for step in range(n_steps):
+        k1 = f0 if step == 0 else rhs(s, p)
+        k2 = rhs(s + 0.5 * h * k1, p)
+        k3 = rhs(s + 0.5 * h * k2, p)
+        k4 = rhs(s + h * k3, p)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s
 
 
-class Rosenbrock2:
-    """L-stable two-stage, second-order Rosenbrock method (ROS2).
-
-    The scheme of Verwer et al. with ``gamma = 1 + 1/sqrt(2)``:
+def ros2_batch(rhs, jac, s, p, f0, jac0, h, n_steps, jac_every):
+    """Fixed-step L-stable ROS2 (Verwer et al.; CharlesX uses a
+    semi-implicit Rosenbrock scheme) over rows that each carry their
+    own step size ``h`` and step count ``n_steps`` (ascending):
 
         (I - gamma h J) k1 = f(y_n)
         (I - gamma h J) k2 = f(y_n + h k1) - 2 k1
         y_{n+1} = y_n + h (3 k1 + k2) / 2
 
-    Fixed step; one Jacobian + one LU per step (reused for both
-    stages), which is the cost profile of the semi-implicit
-    Runge-Kutta chemistry in the CharlesX comparison code.
+    Rows advance in lockstep and drop off the front when done, so the
+    active set is always the suffix ``s[lo:]``.  ``rhs(states, p)`` /
+    ``jac(states, p)`` are batched over rows, ``f0`` / ``jac0`` their
+    values at ``s``; ``J`` is refreshed every ``jac_every`` steps.
+    ``s`` is advanced in place and returned.
     """
-
-    GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
-
-    def __init__(self, fun, jac=None):
-        self.fun = fun
-        self.jac = jac
-        self.work = WorkCounters()
-
-    def _jacobian(self, t, y, f0):
-        self.work.jac_evals += 1
-        if self.jac is not None:
-            return np.asarray(self.jac(t, y), dtype=float)
-        n = y.size
-        j = np.empty((n, n))
-        eps = np.sqrt(np.finfo(float).eps)
-        for i in range(n):
-            dy = eps * max(abs(y[i]), 1e-8)
-            yp = y.copy()
-            yp[i] += dy
-            self.work.rhs_evals += 1
-            j[:, i] = (np.asarray(self.fun(t, yp)) - f0) / dy
-        return j
-
-    def solve(self, t_span, y0, n_steps):
-        """Integrate with ``n_steps`` uniform steps; returns ``(ts, ys)``."""
-        t0, tf = t_span
-        h = (tf - t0) / n_steps
-        y = np.array(y0, dtype=float)
-        n = y.size
-        ts = np.linspace(t0, tf, n_steps + 1)
-        ys = np.empty((n_steps + 1, n))
-        ys[0] = y
-        for k in range(n_steps):
-            t = ts[k]
-            self.work.rhs_evals += 1
-            f0 = np.asarray(self.fun(t, y), dtype=float)
-            j = self._jacobian(t, y, f0)
-            self.work.lu_factorizations += 1
-            lu = lu_factor(np.eye(n) - self.GAMMA * h * j)
-            k1 = lu_solve(lu, f0)
-            self.work.rhs_evals += 1
-            f1 = np.asarray(self.fun(t + h, y + h * k1), dtype=float)
-            k2 = lu_solve(lu, f1 - 2.0 * k1)
-            y = y + h * (1.5 * k1 + 0.5 * k2)
-            self.work.steps += 1
-            ys[k + 1] = y
-        return ts, ys
+    eye = np.eye(s.shape[1])
+    hc = h[:, None]
+    a_inv = np.empty((s.shape[0],) + eye.shape)
+    for step in range(int(n_steps[-1])):
+        lo = int(np.searchsorted(n_steps, step, side="right"))
+        sa, pa, ha = s[lo:], p[lo:], hc[lo:]
+        f = f0[lo:] if step == 0 else rhs(sa, pa)
+        if step % jac_every == 0:
+            # Chemistry Jacobians vary smoothly; freezing J between
+            # refreshes (a W-method) keeps the L-stable stage
+            # matrix while amortizing its dominant cost.
+            j = jac0[lo:] if step == 0 else jac(sa, pa)
+            a_inv[lo:] = np.linalg.inv(
+                eye - (ROS2_GAMMA * ha)[:, :, None] * j)
+        k1 = np.einsum("cij,cj->ci", a_inv[lo:], f)
+        f1 = rhs(sa + ha * k1, pa)
+        k2 = np.einsum("cij,cj->ci", a_inv[lo:], f1 - 2.0 * k1)
+        sa += ha * (1.5 * k1 + 0.5 * k2)
+    return s

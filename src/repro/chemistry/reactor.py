@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jacobian import AnalyticJacobian
 from .kinetics import KineticsEvaluator
 from .mechanism import Mechanism
 from .ode import BDFIntegrator, WorkCounters
 
-__all__ = ["ReactorState", "ConstantPressureReactor", "premixed_state", "mixture_line"]
+__all__ = ["ReactorKernel", "ReactorState", "ConstantPressureReactor",
+           "premixed_state", "mixture_line"]
 
 
 @dataclass
@@ -76,78 +78,75 @@ def mixture_line(
     return t, y
 
 
-class ConstantPressureReactor:
-    """Adiabatic constant-pressure reactor advanced with the BDF solver.
+class ReactorKernel:
+    """The constant-pressure reactor RHS and its Jacobian over packed
+    ``(k, 1+ns)`` state rows ``(T, Y...)`` -- the one chemistry kernel
+    the reference reactor, the per-cell BDF loop and the batched RK4/ROS2
+    backend all integrate; a single cell is a batch of one.
 
-    ``jacobian="analytic"`` swaps the batched finite-difference Newton
-    matrix for the stoichiometry-assembled
-    :class:`~repro.chemistry.jacobian.AnalyticJacobian`; ``"fd"``
-    (default) keeps the reference finite-difference path.
+    The kinetics see ``max(T, t_floor)`` and ``Y`` clipped to ``[0, 1]``.
+    :meth:`jacobian` differentiates that clamped function analytically
+    (:class:`~repro.chemistry.jacobian.AnalyticJacobian`) where the
+    mechanism vectorizes, and takes the batched finite-difference sweep
+    (:meth:`fd_jacobian`) where it does not (non-integer orders).
     """
 
-    #: Temperature clamp of the reactor RHS; the analytic Jacobian
-    #: must differentiate the same clamped function.
+    def __init__(self, mech: Mechanism, t_floor: float):
+        self.t_floor = t_floor
+        self.kinetics = KineticsEvaluator(mech)
+        self._ajac = AnalyticJacobian(mech, t_floor=t_floor) \
+            if self.kinetics._vector_ok else None
+
+    def rhs(self, states: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """``d(T, Y)/dt`` of every row, ``(k, 1+ns)``; ``p`` is ``(k,)``."""
+        temp = np.maximum(states[:, 0], self.t_floor)
+        y = np.clip(states[:, 1:], 0.0, 1.0)
+        dtdt, dydt = self.kinetics.constant_pressure_rhs(temp, p, y)
+        return np.concatenate((dtdt[:, None], dydt), axis=1)
+
+    def jacobian(self, states: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Jacobians ``(k, 1+ns, 1+ns)`` of :meth:`rhs`, one per row."""
+        if self._ajac is None:
+            return self.fd_jacobian(states, p)
+        return self._ajac.jacobian_packed(states, p)
+
+    def fd_jacobian(self, states: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Forward-difference Jacobians: one :meth:`rhs` call on all
+        ``k * (m+1)`` perturbed states."""
+        k, m = states.shape
+        eps = np.sqrt(np.finfo(float).eps)
+        dy = eps * np.maximum(np.abs(states), 1e-8)  # (k, m)
+        big = np.repeat(states[:, None, :], m + 1, axis=1)  # (k, m+1, m)
+        idx = np.arange(m)
+        big[:, 1 + idx, idx] += dy
+        f = self.rhs(big.reshape(k * (m + 1), m),
+                     np.repeat(p, m + 1)).reshape(k, m + 1, m)
+        # J[c, i, j] = (f_i(s + dy_j e_j) - f_i(s)) / dy_j
+        return (f[:, 1:, :] - f[:, :1, :]).transpose(0, 2, 1) / dy[:, None, :]
+
+    def one_cell(self, pressure: float):
+        """``(f(t, s), J(t, s))`` of one cell at ``pressure``, in
+        :class:`~repro.chemistry.ode.BDFIntegrator`'s form: batch-of-one
+        calls of :meth:`rhs` and :meth:`jacobian`."""
+        p1 = np.array([pressure])
+        return (lambda _t, s: self.rhs(s[None], p1)[0],
+                lambda _t, s: self.jacobian(s[None], p1)[0])
+
+
+class ConstantPressureReactor:
+    """Adiabatic constant-pressure reactor advanced with the BDF solver
+    on the batch-of-one closures of its :class:`ReactorKernel`."""
+
+    #: Temperature clamp of the reactor RHS (and of its Jacobian).
     T_FLOOR = 150.0
 
     def __init__(self, mech: Mechanism, rtol: float = 1e-8,
-                 atol: float = 1e-12, jacobian: str = "fd"):
-        if jacobian not in ("analytic", "fd"):
-            raise ValueError(f"unknown jacobian mode {jacobian!r}")
+                 atol: float = 1e-12):
         self.mech = mech
-        self.kinetics = KineticsEvaluator(mech)
+        self.kernel = ReactorKernel(mech, self.T_FLOOR)
         self.rtol = rtol
         self.atol = atol
-        self.jacobian = jacobian
-        if jacobian == "analytic" and self.kinetics._vector_ok:
-            # mechanisms with non-integer orders take the FD columns
-            from .jacobian import AnalyticJacobian
-
-            self._ajac = AnalyticJacobian(mech, t_floor=self.T_FLOOR)
-        else:
-            self._ajac = None
         self.last_work: WorkCounters | None = None
-
-    # ----------------------------------------------------------------
-    def _rhs_batch(self, pressure: float, states: np.ndarray) -> np.ndarray:
-        """Vectorized reactor RHS for a batch of packed states (m, 1+ns)."""
-        temp = np.maximum(states[:, 0], self.T_FLOOR)
-        y = np.clip(states[:, 1:], 0.0, 1.0)
-        dtdt, dydt = self.kinetics.constant_pressure_rhs(
-            temp, np.full(temp.shape, pressure), y
-        )
-        return np.concatenate((dtdt[:, None], dydt), axis=1)
-
-    def _rhs(self, pressure: float):
-        def rhs(_t: float, state: np.ndarray) -> np.ndarray:
-            return self._rhs_batch(pressure, state[None, :])[0]
-
-        return rhs
-
-    def _jac(self, pressure: float):
-        """Batched finite-difference Jacobian: one vectorized kinetics
-        evaluation for all n+1 perturbed states instead of n+1 scalar
-        RHS calls (the dominant cost of the direct-integration path).
-        With ``jacobian="analytic"`` the FD sweep is replaced by the
-        single-pass stoichiometric assembly."""
-        if self._ajac is not None:
-            ajac = self._ajac
-
-            def jac_analytic(_t: float, state: np.ndarray) -> np.ndarray:
-                return ajac.jacobian_packed(state[None, :],
-                                            np.array([pressure]))[0]
-
-            return jac_analytic
-
-        def jac(_t: float, state: np.ndarray) -> np.ndarray:
-            n = state.size
-            eps = np.sqrt(np.finfo(float).eps)
-            dy = eps * np.maximum(np.abs(state), 1e-8)
-            batch = np.tile(state, (n + 1, 1))
-            batch[1:] += np.diag(dy)
-            f = self._rhs_batch(pressure, batch)
-            return (f[1:] - f[0]).T / dy
-
-        return jac
 
     def advance(
         self,
@@ -161,12 +160,8 @@ class ConstantPressureReactor:
         are renormalized at output.  Work counters from the solve are
         stored in :attr:`last_work`.
         """
-        solver = BDFIntegrator(
-            self._rhs(state.pressure),
-            jac=self._jac(state.pressure),
-            rtol=self.rtol,
-            atol=self.atol,
-        )
+        fun, jac = self.kernel.one_cell(state.pressure)
+        solver = BDFIntegrator(fun, jac=jac, rtol=self.rtol, atol=self.atol)
         dense = np.linspace(0.0, dt, n_out) if n_out else None
         ts, ys = solver.solve((0.0, dt), state.pack(), dense_ts=dense)
         self.last_work = solver.work

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..chemistry.backends.direct import _DEFAULT_ROS2_BINS, DirectBatchBackend
+from ..chemistry.backends.direct import DirectBatchBackend
 from ..runtime.seeding import hash_normal
 
 __all__ = ["TrainingSet", "REGIMES", "sample_regime", "sample_solver_states",
@@ -42,7 +42,8 @@ REGIMES = ("tgv", "hotspot", "rocket")
 
 #: stiffness-bin labels used by :meth:`TrainingSet.coverage`: the
 #: direct backend's frozen threshold plus its graded ROS2 bounds
-_COVERAGE_EDGES = (1e-5,) + tuple(z for z, _ in _DEFAULT_ROS2_BINS)
+_COVERAGE_EDGES = (DirectBatchBackend.Z_FROZEN,) + tuple(
+    z for z, _ in DirectBatchBackend.ROS2_BINS)
 
 
 @dataclass

@@ -102,19 +102,11 @@ class FVMatrix:
         variant: str = "synchronous",
     ) -> tuple[np.ndarray, SolverResult]:
         """Solve the system; optionally write back into the field."""
-        ws = self.workspace
-        if solver == "GAMG":
-            from ..solvers.gamg import GAMGSolver
-
-            x, res = GAMGSolver(
-                self.a, pattern=ws.pattern if ws else None).solve(
-                self.source, x0=self.field.values, controls=controls)
-        else:
-            # a scalar equation is a blocked solve with one column
-            x, results = _solve_local(
-                self.a, self.source[:, None], self.field.values[:, None],
-                solver, variant, controls, ws)
-            x, res = x[:, 0], results[0]
+        # a scalar equation is a blocked solve with one column
+        x, results = _solve_local(
+            self.a, self.source[:, None], self.field.values[:, None],
+            solver, variant, controls, self.workspace)
+        x, res = x[:, 0], results[0]
         if update:
             self.field.values[:] = x
         return x, res

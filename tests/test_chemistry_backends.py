@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.chemistry import (
-    BACKEND_NAMES,
     AnalyticJacobian,
     Arrhenius,
     ConstantPressureReactor,
@@ -15,9 +14,9 @@ from repro.chemistry import (
     Mechanism,
     PerCellBDFBackend,
     Reaction,
+    ReactorKernel,
     ReactorState,
     SurrogateBackend,
-    create_backend,
     mixture_line,
     premixed_state,
 )
@@ -139,13 +138,13 @@ class TestDirectBatch:
 
     def test_validation_failures_escalate_out_of_lockstep(self, mech,
                                                           graded_batch):
-        """A tight ``val_tol_y`` fails the half-step check of most cells:
+        """A tight ``VAL_TOL_Y`` fails the half-step check of most cells:
         they leave the lockstep batch for the per-cell BDF fallback and
         match it; the others keep their ROS2 answer."""
         t, y = graded_batch
         dt = 1e-8
-        y_v, t_v, st = DirectBatchBackend(mech, val_tol_y=1e-9).advance(
-            y, t, PRESSURE, dt)
+        tight = type("Tight", (DirectBatchBackend,), {"VAL_TOL_Y": 1e-9})
+        y_v, t_v, st = tight(mech).advance(y, t, PRESSURE, dt)
         y_r, _, _ = DirectBatchBackend(mech).advance(y, t, PRESSURE, dt)
         y_p, _, _ = PerCellBDFBackend(mech).advance(y, t, PRESSURE, dt)
         as_bdf = np.abs(y_v - y_p).max(axis=1) <= 1e-12
@@ -192,7 +191,7 @@ class TestDirectBatch:
         db = DirectBatchBackend(mech)
         _, _, st = db.advance(y, t, PRESSURE, 1e-7)
         labels = {label for label, cells, _ in st.sub_batches if cells}
-        assert labels == {f"rk4x{db.rk4_steps}"}
+        assert labels == {f"rk4x{db.RK4_STEPS}"}
 
     @pytest.mark.slow
     def test_mid_interval_ignition_escalates_to_bdf(self, mech):
@@ -227,11 +226,10 @@ class TestNonIntegerOrders:
         for fast, ref in zip(kin.rates_of_progress(t, conc),
                              kin.rates_of_progress_reference(t, conc)):
             np.testing.assert_array_equal(fast, ref)
-        assert DirectBatchBackend(half_order_mech)._ajac is None
-        assert PerCellBDFBackend(half_order_mech)._ajac is None
-        reactor = ConstantPressureReactor(half_order_mech,
-                                          jacobian="analytic")
-        assert reactor._ajac is None
+        assert DirectBatchBackend(half_order_mech).kernel._ajac is None
+        assert PerCellBDFBackend(half_order_mech).kernel._ajac is None
+        reactor = ConstantPressureReactor(half_order_mech)
+        assert reactor.kernel._ajac is None
         _, temps, _ = reactor.advance(
             ReactorState(1500.0, PRESSURE, np.array([0.1, 0.8, 0.1])), 1e-6)
         assert np.isfinite(temps).all() and temps[-1] > 1500.0
@@ -250,6 +248,77 @@ class TestNonIntegerOrders:
         assert st.jac_evals > 0  # ROS2 cells went through the FD sweep
         np.testing.assert_allclose(t_b, t_p, atol=0.5)
         np.testing.assert_allclose(y_b, y_p, atol=5e-4)
+
+    def test_every_integrator_reaches_the_fd_sweep(self, half_order_mech,
+                                                   monkeypatch):
+        """The reactor, the per-cell loop and the batched backend take
+        their Jacobians from the kernel's FD sweep because the mechanism
+        does not vectorize -- no option selects it."""
+        calls = []
+        sweep = ReactorKernel.fd_jacobian
+
+        def spy(kernel, states, p):
+            calls.append(states.shape[0])
+            return sweep(kernel, states, p)
+
+        monkeypatch.setattr(ReactorKernel, "fd_jacobian", spy)
+        y = np.array([[0.1, 0.8, 0.1]])
+        t = np.array([1500.0])
+        reactor = ConstantPressureReactor(half_order_mech)
+        reactor.advance(ReactorState(1500.0, PRESSURE, y[0]), 1e-6)
+        assert calls and reactor.last_work.jac_evals == len(calls)
+        for backend in (PerCellBDFBackend(half_order_mech),
+                        DirectBatchBackend(half_order_mech)):
+            calls.clear()
+            _, _, st = backend.advance(y, t, PRESSURE, 1e-6)
+            assert calls and sum(calls) == st.jac_evals
+
+
+class TestReactorKernel:
+    """The one reactor RHS + Jacobian every chemistry integrator calls;
+    a single cell is a batch of one."""
+
+    def test_batch_rows_equal_batches_of_one(self, mech, graded_batch):
+        """A k-row call gives each row what a one-row call gives it.
+        The FD sweep is bitwise so; the RHS and the analytic Jacobian
+        to BLAS rounding (a one-row product takes another BLAS kernel
+        than a k-row one)."""
+        t, y = graded_batch
+        s = np.concatenate((t[:, None], y), axis=1)
+        p = np.full(t.size, PRESSURE)
+        kernel = ReactorKernel(mech, 200.0)
+        assert kernel._ajac is not None
+        for name, rtol in (("fd_jacobian", 0.0), ("rhs", 1e-13),
+                           ("jacobian", 1e-13)):
+            f = getattr(kernel, name)
+            rows = f(s, p)
+            ones = np.stack([f(s[i:i + 1], p[i:i + 1])[0]
+                             for i in range(t.size)])
+            if rtol == 0.0:
+                np.testing.assert_array_equal(rows, ones)
+            else:
+                scale = np.abs(ones).reshape(t.size, -1).max(axis=1)
+                err = np.abs(rows - ones).reshape(t.size, -1).max(axis=1)
+                assert (err <= rtol * scale).all(), name
+
+    def test_backends_integrate_the_kernel(self, mech, graded_batch,
+                                           monkeypatch):
+        """The vectorizable mechanism never takes the FD sweep, and the
+        direct backend's counters (fallback included) are the rows it
+        hands the kernel."""
+        rows = {"rhs": 0, "jacobian": 0}
+        for name in rows:
+            body = getattr(ReactorKernel, name)
+
+            def counted(kernel, states, p, _body=body, _name=name):
+                rows[_name] += states.shape[0]
+                return _body(kernel, states, p)
+
+            monkeypatch.setattr(ReactorKernel, name, counted)
+        monkeypatch.setattr(ReactorKernel, "fd_jacobian", None)
+        t, y = graded_batch
+        _, _, st = DirectBatchBackend(mech).advance(y, t, PRESSURE, 1e-8)
+        assert rows == {"rhs": st.rhs_evals, "jacobian": st.jac_evals}
 
 
 class TestSurrogateBackend:
@@ -334,36 +403,6 @@ class TestHybridBackend:
 
 
 class TestRegistryAndSolver:
-    def test_create_backend_names(self, mech, quick_odenet):
-        assert set(BACKEND_NAMES) == {"percell", "direct", "surrogate",
-                                      "hybrid"}
-        assert isinstance(create_backend("percell", mech=mech),
-                          PerCellBDFBackend)
-        assert isinstance(create_backend("direct-batch", mech=mech),
-                          DirectBatchBackend)
-        assert isinstance(create_backend("odenet", odenet=quick_odenet),
-                          SurrogateBackend)
-        hb = create_backend("hybrid", mech=mech, odenet=quick_odenet,
-                            t_window=(800.0, 2800.0))
-        assert isinstance(hb, HybridBackend)
-        assert hb.t_window == (800.0, 2800.0)
-
-    def test_create_backend_errors(self, mech):
-        with pytest.raises(KeyError):
-            create_backend("nope", mech=mech)
-        with pytest.raises(ValueError):
-            create_backend("direct")
-        with pytest.raises(ValueError):
-            create_backend("hybrid", mech=mech)
-        # arguments that used to fail late (ZeroDivisionError inside
-        # advance) or silently (a finer bin listed later never fills)
-        for bad in (dict(rk4_steps=0),
-                    dict(ros2_bins=((1e-3, 6), (1e-2, 0))),
-                    dict(ros2_bins=((1e-2, 12), (1e-3, 6))),
-                    dict(ros2_bins=((1e-3, 6), (1e-3, 12)))):
-            with pytest.raises(ValueError):
-                create_backend("direct", mech=mech, **bad)
-
     def test_solver_accepts_raw_backend(self, mech):
         """DeepFlameSolver wraps a bare ChemistryBackend on the fly."""
         from repro.core import DeepFlameSolver, IdealGasProperties, \

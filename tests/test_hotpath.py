@@ -455,14 +455,23 @@ class TestBatchedEosRoots:
 
 
 # ---------------------------------------------------------------------
+def fd_route(chem):
+    """``chem`` with its reactor kernel (and its BDF fallback's) taking
+    the FD sweep, as for a mechanism that does not vectorize."""
+    for c in (chem, getattr(chem, "_fallback", None)):
+        if c is not None:
+            c.kernel._ajac = None
+    return chem
+
+
 class TestAnalyticJacobian:
     def test_matches_fd_across_mixture_line(self, mech):
-        be = DirectBatchBackend(mech, jacobian="fd")
-        aj = AnalyticJacobian(mech, t_floor=be.t_floor)
+        kernel = DirectBatchBackend(mech).kernel
+        aj = AnalyticJacobian(mech, t_floor=kernel.t_floor)
         t, y = mixture_line(mech, 16, 10e6)
         p = np.full(t.shape, 10e6)
         s = np.concatenate((t[:, None], y), axis=1)
-        jf = be._jac(s, p)
+        jf = kernel.fd_jacobian(s, p)
         ja = aj.jacobian_packed(s, p)
         scale = np.abs(jf).max(axis=(1, 2), keepdims=True) + 1e-30
         assert (np.abs(ja - jf) / scale).max() <= 1e-6
@@ -470,7 +479,7 @@ class TestAnalyticJacobian:
     def test_matches_richardson_fd_on_hot_state(self, mech):
         mech = mech
         be = DirectBatchBackend(mech)
-        aj = AnalyticJacobian(mech, t_floor=be.t_floor)
+        aj = AnalyticJacobian(mech, t_floor=be.T_FLOOR)
         stt = premixed_state(mech, 1400.0, 10e6)
         y = stt.mass_fractions.copy()
         for sp, val in [("OH", 1e-3), ("H", 1e-4), ("O", 1e-4),
@@ -503,7 +512,7 @@ class TestAnalyticJacobian:
         keeps ~4x under the gate (the per-species sum of the rate body
         in ``tests/kinetics_oracle.py`` passes 2 of these 12)."""
         be = DirectBatchBackend(mech)
-        aj = AnalyticJacobian(mech, t_floor=be.t_floor)
+        aj = AnalyticJacobian(mech, t_floor=be.T_FLOOR)
         y = premixed_state(mech, 1400.0, 10e6).mass_fractions.copy()
         for sp, val in [("OH", 1e-3), ("H", 1e-4), ("O", 1e-4),
                         ("CO", 1e-2), ("H2O", 5e-2)]:
@@ -539,8 +548,8 @@ class TestAnalyticJacobian:
         st0 = premixed_state(mech, 1500.0, 10e6)
         t_end = 2e-5
         grid = np.linspace(0.0, t_end, 400)
-        r_fd = ConstantPressureReactor(mech, jacobian="fd")
-        r_an = ConstantPressureReactor(mech, jacobian="analytic")
+        r_fd = fd_route(ConstantPressureReactor(mech))
+        r_an = ConstantPressureReactor(mech)
         _, temp_fd, _ = r_fd.advance(st0, t_end, n_out=grid.size)
         _, temp_an, _ = r_an.advance(st0, t_end, n_out=grid.size)
         dtdt_fd = np.gradient(temp_fd, grid)
@@ -556,8 +565,8 @@ class TestAnalyticJacobian:
         t, y = mixture_line(mech, 12, 10e6)
         t = t + 900.0  # push into the reacting regime
         dt = 1e-6
-        be_fd = DirectBatchBackend(mech, jacobian="fd")
-        be_an = DirectBatchBackend(mech, jacobian="analytic")
+        be_fd = fd_route(DirectBatchBackend(mech))
+        be_an = DirectBatchBackend(mech)
         y_fd, t_fd, _ = be_fd.advance(y, t, 10e6, dt)
         y_an, t_an, _ = be_an.advance(y, t, 10e6, dt)
         assert np.abs(y_an - y_fd).max() <= 1e-8
@@ -591,10 +600,10 @@ class TestFastAssemblySolver:
         case = build_hotspot_tgv_case(n=6)
         mech = case.mech
         fast = DeepFlameSolver(
-            case, chemistry=DirectBatchBackend(mech, jacobian="analytic"))
+            case, chemistry=DirectBatchBackend(mech))
         ref = OracleSolver(
             build_hotspot_tgv_case(n=6, mech=mech),
-            chemistry=DirectBatchBackend(mech, jacobian="fd"))
+            chemistry=fd_route(DirectBatchBackend(mech)))
         for _ in range(3):
             fast.step(1e-8)
             ref.step(1e-8)

@@ -6,10 +6,10 @@ import pytest
 from repro.chemistry import (
     BDFIntegrator,
     ConstantPressureReactor,
-    Rosenbrock2,
-    integrate_rk4,
     mixture_line,
     premixed_state,
+    rk4_batch,
+    ros2_batch,
 )
 
 
@@ -141,43 +141,67 @@ class TestBDF:
         assert calls["n"] >= 1
 
 
+#: the batched integrators' pass-through argument (unused here)
+P1 = np.zeros(1)
+
+
+def _ros2(f, jac, s0, dt, n):
+    """``n`` ROS2 steps of a ``(1, m)`` batch, Jacobian every step."""
+    return ros2_batch(f, jac, s0.copy(), P1, f(s0, P1), jac(s0, P1),
+                      np.array([dt / n]), np.array([n]), 1)
+
+
 class TestExplicitIntegrators:
+    """The batched RK4 / ROS2 bodies on ``(1, m)`` batches; a
+    time-dependent ``y' = f(t, y)`` carries ``t`` as a last column."""
+
     def test_rk4_order(self):
         """Error drops ~16x when the step halves (4th order)."""
-        f = lambda t, y: np.array([y[0] * np.cos(t)])
+        f = lambda s, p: np.stack((s[:, 0] * np.cos(s[:, 1]),
+                                   np.ones(len(s))), axis=1)
         exact = np.exp(np.sin(2.0))
         errs = []
         for n in (20, 40):
-            _, ys = integrate_rk4(f, (0.0, 2.0), np.array([1.0]), n)
-            errs.append(abs(ys[-1, 0] - exact))
+            s0 = np.array([[1.0, 0.0]])
+            ys = rk4_batch(f, s0, P1, f(s0, P1), 2.0, n)
+            errs.append(abs(ys[0, 0] - exact))
         assert errs[0] / errs[1] > 12.0
 
     def test_rk4_linear_exact_ish(self):
-        _, ys = integrate_rk4(lambda t, y: -y, (0.0, 1.0),
-                              np.array([1.0]), 100)
-        assert ys[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-8)
+        f = lambda s, p: -s
+        s0 = np.array([[1.0]])
+        ys = rk4_batch(f, s0, P1, f(s0, P1), 1.0, 100)
+        assert ys[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-8)
 
     def test_rosenbrock_order2(self):
-        f = lambda t, y: np.array([-50.0 * (y[0] - np.cos(t))])
+        f = lambda s, p: np.stack((-50.0 * (s[:, 0] - np.cos(s[:, 1])),
+                                   np.ones(len(s))), axis=1)
+
+        def jac(s, p):  # d f / d y only: t advances explicitly
+            j = np.zeros((len(s), 2, 2))
+            j[:, 0, 0] = -50.0
+            return j
+
         errs = []
         from scipy.integrate import solve_ivp
 
-        ref = solve_ivp(f, (0, 1.0), [0.0], rtol=1e-12, atol=1e-14).y[0, -1]
+        ref = solve_ivp(lambda t, y: -50.0 * (y - np.cos(t)), (0, 1.0), [0.0],
+                        rtol=1e-12, atol=1e-14).y[0, -1]
         for n in (100, 200):
-            ros = Rosenbrock2(f)
-            _, ys = ros.solve((0.0, 1.0), np.array([0.0]), n)
-            errs.append(abs(ys[-1, 0] - ref))
+            ys = _ros2(f, jac, np.array([[0.0, 0.0]]), 1.0, n)
+            errs.append(abs(ys[0, 0] - ref))
         ratio = errs[0] / errs[1]
         assert 2.5 < ratio < 8.0  # ~4x for order 2
 
     def test_rosenbrock_stiff_stable(self):
         """L-stable: huge lambda*h stays bounded (explicit RK4 blows up)."""
-        f = lambda t, y: -1e6 * y
-        ros = Rosenbrock2(f, jac=lambda t, y: np.array([[-1e6]]))
-        _, ys = ros.solve((0.0, 1.0), np.array([1.0]), 10)
-        assert abs(ys[-1, 0]) < 1.0
-        _, bad = integrate_rk4(f, (0.0, 1.0), np.array([1.0]), 10)
-        assert abs(bad[-1, 0]) > 1.0
+        f = lambda s, p: -1e6 * s
+        jac = lambda s, p: np.full((len(s), 1, 1), -1e6)
+        s0 = np.array([[1.0]])
+        ys = _ros2(f, jac, s0, 1.0, 10)
+        assert abs(ys[0, 0]) < 1.0
+        bad = rk4_batch(f, s0, P1, f(s0, P1), 1.0, 10)
+        assert abs(bad[0, 0]) > 1.0
 
 
 class TestReactor:
