@@ -11,12 +11,13 @@ Both are expressed in the generalized two-parameter cubic form
 
 with (u, w) = (2, -1) for PR and (1, 0) for SRK.  Mixture parameters
 come from van der Waals one-fluid mixing rules
-(:mod:`repro.thermo.mixing`).
+(:mod:`repro.thermo.mixing`); with ``k_ij = 0`` a temperature sweep
+costs O(n) below the first ``g_i = 0`` (:meth:`CubicEos.attraction`).
 
 Data flow.  Everything the pressure-explicit relations share is
 evaluated once and handed down as a :class:`CubicState`:
 
-    y --composition--> (x, W_mix, b)                      once per call
+    y --composition--> (x, W_mix, b, s_const, s_slope)    once per call
     T --attraction---> a(T), a'(T), a''(T)                once per T
     (T, p, a, b) --solve_density--> Z --> rho             once per (T, p)
     state --> p, (dp/dT)_v, (dp/dv)_T, (drho/dp)_T, departures
@@ -35,6 +36,7 @@ depends on what else shares its batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -112,6 +114,9 @@ class Composition(NamedTuple):
     x: np.ndarray       #: mole fractions, ``(n, ns)``
     w_mix: np.ndarray   #: mixture molecular weight [kg/mol], ``(n,)``
     b: np.ndarray       #: mixture covolume [m^3/mol], ``(n,)``
+    #: ``sum_i x_i sqrt(a_crit_i) g_i(T) = s_const - s_slope sqrt(T)``
+    s_const: np.ndarray
+    s_slope: np.ndarray
 
 
 @dataclass
@@ -163,6 +168,21 @@ class CubicState:
         """(drho/dp)_T,x [s^2/m^2] = 1 / [(dp/dv)_T (dv/drho)]."""
         return 1.0 / (self.dp_dv() * (-self.comp.w_mix / self.rho**2))
 
+    @cached_property
+    def log_term_over_bd(self) -> np.ndarray:
+        """``L / (b d)``, ``L = ln[(2v + b(u+d)) / (2v + b(u-d))]`` and
+        ``d = sqrt(u^2 - 4 w)``: the volume integral of ``1/(v^2 + u b v
+        + w b^2)``, which the h and cp departures share -- evaluated
+        once per state."""
+        u, w = self.eos.u, self.eos.w
+        d = np.sqrt(u * u - 4.0 * w)
+        v, b = self.v, self.comp.b
+        log_term = np.log(
+            np.maximum(2.0 * v + b * (u + d), 1e-300)
+            / np.maximum(2.0 * v + b * (u - d), 1e-300)
+        )
+        return log_term / (b * d)
+
 
 @dataclass
 class CubicEos:
@@ -193,6 +213,15 @@ class CubicEos:
         self._g_const = 1.0 + m
         self._g_slope = m / np.sqrt(self.t_crit)
         self._sqrt_a_crit = np.sqrt(self.a_crit)
+        self._composition_weights = np.stack([    # w_mix, s_const, s_slope
+            self.mol_weights, self._sqrt_a_crit * self._g_const,
+            self._sqrt_a_crit * self._g_slope])
+        # below this sqrt(T) every g_i keeps >= 10 % of its T = 0 value,
+        # so s_const - s_slope sqrt(T) is sum_i r_i to a few ulps (1114 K
+        # under PR, set by CO)
+        rising = self._g_slope > 0.0
+        self._sqrt_t_linear = 0.9 * np.min(
+            self._g_const[rising] / self._g_slope[rising], initial=np.inf)
 
     # -- subclass hooks ----------------------------------------------
     def m_factor(self, omega: np.ndarray) -> np.ndarray:
@@ -201,13 +230,20 @@ class CubicEos:
 
     # -- the state and its kernels ------------------------------------
     def composition(self, y) -> Composition:
-        """Mole fractions, mixture weight and covolume from *mass* fractions."""
-        x = self._mole_from_mass(np.atleast_2d(y))
-        return Composition(x, (x * self.mol_weights).sum(axis=-1),
-                           self._covolume(x))
+        """Mole fractions, mixture weight, covolume and the attraction
+        sums of :meth:`attraction` from *mass* fractions."""
+        return self._composition(self._mole_from_mass(np.atleast_2d(y)))
+
+    def _composition(self, x) -> Composition:
+        # un-optimised einsum: one fixed loop over species per cell (a
+        # BLAS product picks its kernel, and last bit, by batch size)
+        w_mix, s_const, s_slope = np.einsum(
+            "...i,ki->k...", x, self._composition_weights, optimize=False)
+        return Composition(x, w_mix, self._covolume(x), s_const, s_slope)
 
     def attraction(self, t, x, order: int = 2):
-        """Mixture ``(a, da/dT, d2a/dT2)`` at ``t`` for mole fractions ``x``.
+        """Mixture ``(a, da/dT, d2a/dT2)`` at ``t`` for mole fractions
+        ``x`` ``(..., ns)`` or a prebuilt :class:`Composition`.
 
         ``sqrt(a_i(T)) = sqrt(a_crit_i) |g_i|`` with ``g_i`` linear in
         ``sqrt(T)``, so one square root of ``t`` gives ``r_i = x_i
@@ -219,18 +255,37 @@ class CubicEos:
         (1836 K for O2 under PR) ``g_i`` is negative and ``sqrt(a_i)``
         grows again.  Exactly at ``g_i = 0`` species ``i`` contributes
         nothing to ``a`` or its derivatives.
+
+        With ``k_ij = 0`` the rule is rank-1 in ``s = sum_i r_i``, and
+        ``s'``, ``s''`` are per-cell multiples of ``sum_i c_i``
+        (:meth:`_r_c`); below ``_sqrt_t_linear`` both sums are the
+        composition's, O(n) per call.  Hotter cells, and every cell of
+        a quadratic rule, build ``r`` and ``c``.
         """
-        t = np.asarray(t, dtype=float)[..., None]
+        comp = (x if isinstance(x, Composition)
+                else self._composition(np.asarray(x)))
+        shape = np.broadcast_shapes(np.shape(t), comp.s_const.shape)
+        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        x = np.broadcast_to(comp.x, shape + comp.x.shape[-1:])
         sqrt_t = np.sqrt(t)
-        g = self._g_const - self._g_slope * sqrt_t
-        r = x * (self._sqrt_a_crit * np.abs(g))
-        if order == 0:
-            return self.mixing.attraction(r)
-        # r_i' = -c_i / (2 sqrt T), r_i'' = c_i / (4 T sqrt T)
-        c = x * (self._sqrt_a_crit * self._g_slope * np.sign(g))
-        dr = c * (-0.5 / sqrt_t)
-        d2r = c * (0.25 / (t * sqrt_t)) if order >= 2 else None
-        return self.mixing.attraction(r, dr, d2r)
+        ds = (-0.5 / sqrt_t, 0.25 / (t * sqrt_t))[:order]   # r_i^(k) / c_i
+        if self.mixing.one_minus_k is not None:
+            r, c = self._r_c(sqrt_t, x)
+            return self.mixing.attraction(r, *(c * f[..., None] for f in ds))
+        s = np.array(comp.s_const - comp.s_slope * sqrt_t)
+        sc = np.array(np.broadcast_to(comp.s_slope, shape))
+        hot = sqrt_t >= self._sqrt_t_linear
+        if hot.any():
+            r, c = self._r_c(sqrt_t[hot], x[hot])
+            s[hot], sc[hot] = r.sum(axis=-1), c.sum(axis=-1)
+        return self.mixing.rank_one(s, *(sc * f for f in ds))
+
+    def _r_c(self, sqrt_t, x):
+        """``r_i = x_i sqrt(a_i)`` and ``c_i``, with ``r_i' = -c_i / (2
+        sqrt T)`` and ``r_i'' = c_i / (4 T sqrt T)``."""
+        g = self._g_const - self._g_slope * sqrt_t[..., None]
+        return (x * (self._sqrt_a_crit * np.abs(g)),
+                x * (self._sqrt_a_crit * self._g_slope * np.sign(g)))
 
     def state(self, t, comp: Composition, rho=None,
               order: int = 2) -> CubicState:
@@ -238,7 +293,7 @@ class CubicEos:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if rho is not None:
             rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        a, da_dt, d2a_dt2 = self.attraction(t, comp.x, order)
+        a, da_dt, d2a_dt2 = self.attraction(t, comp, order)
         return CubicState(self, t, comp, a, da_dt, d2a_dt2, rho)
 
     def solve_density(self, state: CubicState, p,
@@ -257,16 +312,8 @@ class CubicEos:
                 f"non-finite temperature, pressure or compressibility "
                 f"factor; first cells: {bad[:5].tolist()}")
         state.rho = p * state.comp.w_mix / (z * R_UNIVERSAL * state.t)
+        state.__dict__.pop("log_term_over_bd", None)    # read at the old rho
         return state.rho
-
-    def mixture_ab(self, t: np.ndarray, x: np.ndarray):
-        """Mixture a(T), b and da/dT from mole fractions ``x``.
-
-        Returns ``(a_mix, b_mix, da_dt)`` each with the batch shape of
-        ``t``.
-        """
-        a_mix, da_dt, _ = self.attraction(t, x, order=1)
-        return a_mix, self._covolume(x), da_dt
 
     # ----------------------------------------------------------------
     def compressibility(self, t, p, x, root: str = "vapor",
@@ -287,10 +334,10 @@ class CubicEos:
         dt_ = be.dtype_of(dtype)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         p = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
-        x = np.atleast_2d(x)
-        a_mix, _, _ = self.attraction(t, x, order=0)
+        comp = self._composition(np.atleast_2d(x))
+        a_mix, _, _ = self.attraction(t, comp, order=0)
         on_device = (be.to_device(v, dtype=dt_)
-                     for v in (t, p, a_mix, self._covolume(x)))
+                     for v in (t, p, a_mix, comp.b))
         return self._cubic_z(be.xp, *on_device, root)
 
     def _solve_cubic(self, t, p, a_mix, b_mix, root: str) -> np.ndarray:
@@ -363,7 +410,8 @@ class CubicEos:
 
     def _mole_from_mass(self, y: np.ndarray) -> np.ndarray:
         moles = y / self.mol_weights
-        return moles / np.maximum(moles.sum(axis=-1, keepdims=True), 1e-300)
+        moles /= np.maximum(moles.sum(axis=-1, keepdims=True), 1e-300)
+        return moles
 
 
 class PengRobinson(CubicEos):

@@ -28,18 +28,6 @@ __all__ = ["enthalpy_departure", "cp_departure",
            "state_enthalpy_departure", "state_cp_departure"]
 
 
-def _log_term_over_bd(state: CubicState) -> np.ndarray:
-    """``L / (b d)``: the volume integral of 1/(v^2 + u b v + w b^2)."""
-    u, w = state.eos.u, state.eos.w
-    d = np.sqrt(u * u - 4.0 * w)
-    v, b = state.v, state.comp.b
-    log_term = np.log(
-        np.maximum(2.0 * v + b * (u + d), 1e-300)
-        / np.maximum(2.0 * v + b * (u - d), 1e-300)
-    )
-    return log_term / (b * d)
-
-
 def state_enthalpy_departure(state: CubicState) -> np.ndarray:
     """Molar enthalpy departure h - h_ig [J/mol] of a state with ``rho``.
 
@@ -48,12 +36,12 @@ def state_enthalpy_departure(state: CubicState) -> np.ndarray:
     density is not an exact root of the cubic.
     """
     return (state.pressure() * state.v - R_UNIVERSAL * state.t
-            + (state.t * state.da_dt - state.a) * _log_term_over_bd(state))
+            + (state.t * state.da_dt - state.a) * state.log_term_over_bd)
 
 
 def state_cp_departure(state: CubicState) -> np.ndarray:
     """Molar cp departure cp - cp_ig [J/(mol K)] of a state with ``rho``."""
-    return (state.t * state.d2a_dt2 * _log_term_over_bd(state)
+    return (state.t * state.d2a_dt2 * state.log_term_over_bd
             - state.t * state.dp_dt() ** 2 / state.dp_dv()
             - R_UNIVERSAL)
 

@@ -5,12 +5,10 @@
 
 Binary interaction coefficients ``k_ij`` default to zero (the standard
 choice for LOX/CH4 supercritical simulations when no regression data
-is available).
-
-The quadratic form is evaluated in exactly one place,
-:meth:`VanDerWaalsMixing.attraction`, from ``r_i = x_i sqrt(a_i)`` and
-its temperature derivatives; :meth:`mix` and :meth:`mix_derivative`
-are the per-species-``a_i`` spellings of the same call.
+is available).  With every ``k_ij = 0`` the form is rank-1, ``a_mix =
+(sum_i r_i)^2`` with ``r_i = x_i sqrt(a_i)``: one row sum per cell, not
+an ``(ns, ns)`` product.  ``k_ij`` selects the form, no option does;
+:meth:`VanDerWaalsMixing.attraction` is the one evaluation of either.
 """
 
 from __future__ import annotations
@@ -33,6 +31,16 @@ class VanDerWaalsMixing:
         if not np.allclose(k_ij, k_ij.T):
             raise ValueError("k_ij must be symmetric")
         self.k_ij = k_ij
+        #: ``1 - k_ij`` of the quadratic form; ``None`` when no pair
+        #: interacts and the rule is rank-1
+        self.one_minus_k = 1.0 - k_ij if k_ij.any() else None
+
+    @staticmethod
+    def rank_one(s, ds=None, d2s=None):
+        """``(a, a', a'')`` of ``a = s^2`` from ``s = sum_i r_i`` and its
+        temperature derivatives (``None`` in, ``None`` out)."""
+        return (s * s, None if ds is None else 2.0 * s * ds,
+                None if d2s is None else 2.0 * (ds * ds + s * d2s))
 
     def attraction(self, r: np.ndarray, dr: np.ndarray | None = None,
                    d2r: np.ndarray | None = None):
@@ -46,44 +54,23 @@ class VanDerWaalsMixing:
             a'  = 2 r K r'
             a'' = 2 (r' K r' + r K r'')
 
-        so the three share the two products ``r K`` and ``r' K``.  The
+        so the three share the two products ``r K`` and ``r' K``; with
+        ``K`` all ones they are :meth:`rank_one` of the row sums.  The
         products are spelled as einsums, not ``@``: a BLAS product of a
         row subset is not bitwise the subset of the full product, and
         every cell's result must be independent of what else shares
         its batch.
         """
-        one_minus_k = 1.0 - self.k_ij
-        rk = np.einsum("...i,ij->...j", r, one_minus_k)
+        if self.one_minus_k is None:
+            return self.rank_one(*(None if v is None else v.sum(axis=-1)
+                                   for v in (r, dr, d2r)))
+        rk = np.einsum("...i,ij->...j", r, self.one_minus_k)
         a = (rk * r).sum(axis=-1)
         if dr is None:
             return a, None, None
         da = 2.0 * (rk * dr).sum(axis=-1)
         if d2r is None:
             return a, da, None
-        drk = np.einsum("...i,ij->...j", dr, one_minus_k)
+        drk = np.einsum("...i,ij->...j", dr, self.one_minus_k)
         d2a = 2.0 * ((drk * dr).sum(axis=-1) + (rk * d2r).sum(axis=-1))
         return a, da, d2a
-
-    def mix(self, a_i: np.ndarray, b_i: np.ndarray, x: np.ndarray):
-        """Mixture a and b.
-
-        Parameters
-        ----------
-        a_i:
-            Per-species attraction parameters, shape ``(..., ns)``.
-        b_i:
-            Per-species covolumes, shape ``(ns,)``.
-        x:
-            Mole fractions, shape ``(..., ns)``.
-        """
-        a_mix, _, _ = self.attraction(x * np.sqrt(np.maximum(a_i, 0.0)))
-        return a_mix, (x * b_i).sum(axis=-1)
-
-    def mix_derivative(self, a_i: np.ndarray, da_i: np.ndarray, x: np.ndarray):
-        """d(a_mix)/dT given per-species a_i and da_i/dT.
-
-        Uses d sqrt(a_i)/dT = da_i / (2 sqrt(a_i)).
-        """
-        sqrt_a = np.sqrt(np.maximum(a_i, 1e-300))
-        _, da_dt, _ = self.attraction(x * sqrt_a, x * (da_i / (2.0 * sqrt_a)))
-        return da_dt

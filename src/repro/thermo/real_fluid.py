@@ -9,11 +9,11 @@ needs each time step -- and that PRNet is trained to shortcut:
   replaces; a Newton iteration on temperature)
 
 Every entry point builds one :class:`~repro.thermo.cubic_eos.CubicState`
-per distinct ``(T, p)`` -- composition once per call, ``a/a'/a''`` and
-one cubic solve once per temperature -- and reads all of rho, h, cp and
-psi off it.  The Newton loop of the ``(h, p, Y)`` solve hands its last
-state to the property bundle, so ``properties_hp`` solves the cubic
-once per sweep and never again.
+per distinct ``(T, p)`` -- one composition per call for the EoS and
+transport, ``a/a'/a''`` and one cubic solve per temperature -- and
+reads all of rho, h, cp and psi off it.  The Newton loop of the
+``(h, p, Y)`` solve hands its last state to the property bundle, so
+``properties_hp`` solves the cubic once per sweep and never again.
 """
 
 from __future__ import annotations
@@ -67,11 +67,12 @@ class RealFluidMixture:
         return (mix.cp_mass(state.t)
                 + state_cp_departure(state) / state.comp.w_mix)
 
-    def _properties(self, state: CubicState, y, mix, h=None) -> RealFluidProperties:
+    def _properties(self, state: CubicState, mix, h=None) -> RealFluidProperties:
         if h is None:
             h = self._h(state, mix)
         cp = self._cp(state, mix)
-        mu, lam = self.transport.viscosity_conductivity(state.t, state.rho, y)
+        mu, lam = self.transport.from_mole_fractions(
+            state.t, state.rho, state.comp.x, state.comp.w_mix)
         return RealFluidProperties(state.rho, state.t, cp, h, mu,
                                    lam / (state.rho * cp))
 
@@ -92,7 +93,7 @@ class RealFluidMixture:
         """All properties from (T, p, Y) -- the PRNet training target."""
         y = np.atleast_2d(y)
         return self._properties(
-            self._state_tp(t, p, self.eos.composition(y)), y,
+            self._state_tp(t, p, self.eos.composition(y)),
             self.mech.mixture_thermo(y))
 
     # ----------------------------------------------------------------
@@ -171,7 +172,7 @@ class RealFluidMixture:
         """All properties from (h, p, Y): the full PRNet-replaced path."""
         y = np.atleast_2d(y)
         state, h_found, mix = self._solve_t(h, p, y, t_guess)
-        return self._properties(state, y, mix, h_found)
+        return self._properties(state, mix, h_found)
 
     def psi_compressibility(self, t, p, y) -> np.ndarray:
         """psi = (d rho / d p)_T [s^2/m^2], used by the pressure equation."""

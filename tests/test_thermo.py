@@ -124,15 +124,30 @@ class TestCubicEos:
         assert str(err.value).startswith("2 of" if np.ndim(p) else "1 of")
 
 
+def _kij_cases(ns):
+    """No pair interacting (the rank-1 rule) and one pair interacting
+    (the quadratic form): the same assertions hold for both."""
+    k = np.zeros((ns, ns))
+    k[0, 1] = k[1, 0] = 0.1
+    return [None, k]
+
+
 class TestMixing:
-    def test_pure_species_recovers_inputs(self):
-        mix = VanDerWaalsMixing(3)
+    @pytest.mark.parametrize("k_ij", _kij_cases(3), ids=["rank1", "kij"])
+    def test_pure_species_recovers_inputs(self, pr, pure_o2, k_ij):
+        mix = VanDerWaalsMixing(3, k_ij)
         a_i = np.array([1.0, 2.0, 3.0])
-        b_i = np.array([0.1, 0.2, 0.3])
         x = np.array([[0.0, 1.0, 0.0]])
-        a, b = mix.mix(a_i[None, :], b_i, x)
+        a, _, _ = mix.attraction(x * np.sqrt(a_i))
         assert a[0] == pytest.approx(2.0)
-        assert b[0] == pytest.approx(0.2)
+        # the EoS: a pure species' a(T) and b are its own
+        o2 = int(np.argmax(pure_o2))
+        x_o2 = pr._mole_from_mass(pure_o2[None, :])
+        t = np.array([150.0])
+        g = pr._g_const[o2] - pr._g_slope[o2] * np.sqrt(t)
+        a, _, _ = pr.attraction(t, x_o2)
+        assert a[0] == pytest.approx(pr.a_crit[o2] * g[0] ** 2, rel=1e-14)
+        assert pr.composition(pure_o2).b[0] == pytest.approx(pr.b_pure[o2])
 
     def test_symmetric_kij_required(self):
         k = np.zeros((2, 2))
@@ -145,22 +160,22 @@ class TestMixing:
         np.fill_diagonal(k, 0.0)
         mix0 = VanDerWaalsMixing(2)
         mixk = VanDerWaalsMixing(2, k)
-        a_i = np.array([[1.0, 4.0]])
-        b_i = np.array([0.1, 0.2])
-        x = np.array([[0.5, 0.5]])
-        a0, _ = mix0.mix(a_i, b_i, x)
-        ak, _ = mixk.mix(a_i, b_i, x)
+        r = np.array([[0.5, 0.5]]) * np.sqrt([[1.0, 4.0]])
+        a0, _, _ = mix0.attraction(r)
+        ak, _, _ = mixk.attraction(r)
         assert ak[0] < a0[0]
 
-    def test_mix_derivative_matches_fd(self):
-        mix = VanDerWaalsMixing(2)
+    @pytest.mark.parametrize("k_ij", _kij_cases(2), ids=["rank1", "kij"])
+    def test_attraction_derivative_matches_fd(self, k_ij):
+        mix = VanDerWaalsMixing(2, k_ij)
         a_i = np.array([[2.0, 5.0]])
         da_i = np.array([[-0.01, -0.03]])
         x = np.array([[0.3, 0.7]])
-        analytic = mix.mix_derivative(a_i, da_i, x)
+        _, analytic, _ = mix.attraction(x * np.sqrt(a_i),
+                                        x * da_i / (2.0 * np.sqrt(a_i)))
         eps = 1e-6
-        a_p, _ = mix.mix(a_i + eps * da_i, np.ones(2), x)
-        a_m, _ = mix.mix(a_i - eps * da_i, np.ones(2), x)
+        a_p, _, _ = mix.attraction(x * np.sqrt(a_i + eps * da_i))
+        a_m, _, _ = mix.attraction(x * np.sqrt(a_i - eps * da_i))
         assert analytic[0] == pytest.approx((a_p[0] - a_m[0]) / (2 * eps), rel=1e-6)
 
 
@@ -316,14 +331,41 @@ def batch(mech):
 
 
 class TestStateKernelsAgainstOracle:
-    def test_mixture_ab(self, rf, oracle, batch):
+    def test_attraction_and_covolume(self, rf, oracle, batch):
         t, _, y = batch
-        x = rf.eos._mole_from_mass(y)
-        a, b, da = rf.eos.mixture_ab(t, x)
-        a_ref, b_ref, da_ref = oracle.eos.mixture_ab(t, x)
+        comp = rf.eos.composition(y)
+        a, da, _ = rf.eos.attraction(t, comp.x, order=1)
+        a_ref, b_ref, da_ref = oracle.eos.mixture_ab(t, comp.x)
         _within(a, a_ref, RESPELLED)
         _within(da, da_ref, RESPELLED)
-        assert np.array_equal(b, b_ref)
+        assert np.array_equal(comp.b, b_ref)
+
+    def test_rank_one_equals_the_quadratic_form(self, mech, oracle, batch):
+        """k_ij = 0: (sum_i r_i)^2 and its derivatives vs the oracle's
+        three-operand quadratic forms, hot cells (g_O2 < 0) included."""
+        from tests.thermo_oracle import _mix, _mix_derivative
+
+        t, _, y = batch
+        eos, ns = oracle.eos, mech.n_species
+        x = eos._mole_from_mass(y)
+        a_i, da_i = eos.a_crit * eos.alpha(t), eos.a_crit * eos.dalpha_dt(t)
+        g = 1.0 + eos.m * (1.0 - np.sqrt(t[:, None] / eos.t_crit))
+        r, dr = x * np.sqrt(a_i), x * da_i / (2.0 * np.sqrt(a_i))
+        d2r = (x * np.sqrt(eos.a_crit) * np.sign(g) * eos.m
+               / np.sqrt(eos.t_crit) / (4.0 * t[:, None] ** 1.5))
+        k0, ones = np.zeros((ns, ns)), np.ones((ns, ns))
+        a, da, d2a = VanDerWaalsMixing(ns).attraction(r, dr, d2r)
+        _within(a, _mix(k0, a_i, eos.b_pure, x)[0], 1e-14)
+        _within(da, _mix_derivative(k0, a_i, da_i, x), 1e-14)
+        # a'' = 2 (r' K r' + r K r'') cancels in hot cells, and the
+        # 289-term reference then rounds to 1.6e-14 of the value (the
+        # rank-1 result is within 1.6e-15 of an extended-precision
+        # one): bound it by the size of the summands
+        def form(u, v):
+            return np.einsum("ni,ij,nj->n", u, ones, v)
+
+        _within(d2a, 2.0 * (form(dr, dr) + form(r, d2r)), 1e-14,
+                floor=2.0 * (form(abs(dr), abs(dr)) + form(abs(r), abs(d2r))))
 
     def test_hot_o2_uses_the_negative_branch(self, rf, batch):
         """Guard the fixture: some cells really have g_O2 < 0."""
@@ -391,6 +433,27 @@ class TestStateKernelsAgainstOracle:
         assert np.array_equal(mu, tr.viscosity(t, rho, y))
         assert np.array_equal(lam, tr.thermal_conductivity(t, rho, y))
 
+    @pytest.mark.parametrize("t_end", [60.0, 5000.0])
+    def test_newton_bracket_ends(self, rf, oracle, batch, t_end):
+        """The T(h) Newton's bracket ends, outside the fixture's 90-3000
+        K: where the hoisted transport factors and the attraction's two
+        branches are furthest from the fixture's cells."""
+        _, p, y = batch
+        t = np.full(p.shape, t_end)
+        rho = oracle.eos.density(t, p, y)
+        tr, ref = rf.transport, oracle.transport
+        _within(tr.viscosity(t, rho, y), ref.viscosity(t, rho, y), RESPELLED)
+        _within(tr.thermal_conductivity(t, rho, y),
+                ref.thermal_conductivity(t, rho, y), RESPELLED)
+        h = oracle.h_mass(t, p, y)
+        new = rf.properties_hp(h, p, y, t_guess=t)
+        old = oracle.properties_hp(h, p, y, t_guess=t)
+        for k in ("temperature", "rho", "mu"):
+            _within(getattr(new, k), getattr(old, k), RESPELLED)
+        _within(new.h_mass, old.h_mass, RESPELLED, floor=1e5)
+        _within(new.cp_mass, old.cp_mass, FD_NOISE)
+        _within(new.alpha, old.alpha, FD_NOISE)
+
     def test_second_derivative_of_attraction(self, mech, batch):
         """Closed-form a'' vs a centred difference of a', with k_ij != 0."""
         t, _, y = batch
@@ -435,7 +498,10 @@ class TestOneKernel:
             return ([getattr(tp, k) for k in PROPS]
                     + [getattr(hp, k) for k in PROPS]
                     + list(rf.eos.attraction(t[sel], x))
-                    + [rf.psi_compressibility(t[sel], p[sel], y[sel]),
+                    + list(rf.transport.viscosity_conductivity(
+                        t[sel], tp.rho, y[sel]))
+                    + [rf.transport.mixture_viscosity_dilute(t[sel], y[sel]),
+                       rf.psi_compressibility(t[sel], p[sel], y[sel]),
                        rf.cp_mass(t[sel], p[sel], y[sel]), h[sel]])
 
         full = everything(slice(None))
@@ -481,8 +547,9 @@ class TestOneKernel:
                 ref.psi_compressibility(t, p, y), 1e-12)
 
     def test_one_composition_one_cubic_per_sweep(self, mech, batch, monkeypatch):
-        """properties_hp converts the composition once per consumer and
-        solves the cubic once per Newton sweep -- not 2*sweeps + 1."""
+        """properties_hp converts the composition once for the EoS and
+        transport together and solves the cubic once per Newton sweep
+        -- not 2*sweeps + 1."""
         t, p, y = batch
         rf = RealFluidMixture(mech)
         h = rf.h_mass(t, p, y)
@@ -511,7 +578,7 @@ class TestOneKernel:
         assert calls["_solve_cubic"] == sweeps
         assert calls["attraction"] == sweeps
         assert calls["_mole_from_mass"] == 1
-        assert calls["mole_fractions"] == 1
+        assert calls.get("mole_fractions", 0) == 0  # transport reads the EoS's
         assert calls["species_viscosity"] == 1
 
     def test_no_species_squared_temporary(self, mech):
