@@ -33,14 +33,14 @@ is computed while the messages are in flight, and only the tail waits
 synchronous path runs the identical split after a blocking refresh, so
 both orderings produce bitwise-equal products.
 
-Preconditioning is communication-free, as on a real machine: Jacobi
-uses the owned diagonal (identical to the serial operator's), and the
-PCG path uses block-Jacobi DIC -- DIC factorized on each rank's owned
-diagonal block, with the cut-face coupling dropped (each rank's
-level-scheduled factor structure is built once per decomposition and
-value-refreshed per solve, see :mod:`.rank_operator`).  Iterates there
-differ from the serial DIC ones, but both converge to the same
-solution within the requested tolerance.
+Preconditioning is communication-free, as on a real machine: the one
+preconditioner is Jacobi on the owned diagonal, which equals the serial
+operator's entry for entry -- so a decomposed solve and a serial one
+are preconditioned identically and differ only in the order of their
+reductions.  PCG's symmetry requirement is checked rank-locally, on
+each hosted rank's owned interior block
+(:meth:`DistributedSystem.is_symmetric`), before the first iteration:
+no collective.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ class DistributedSystem:
 
     A system is persistent: it owns the work buffers, the stacked
     layout and one :class:`~repro.dist.rank_operator.RankOperator` per
-    hosted rank (row split, local blocks, cached block-DIC structure),
-    all fixed by the decomposition's sparsity.  A driver builds it once
-    and re-binds it (:meth:`bind`) to each solve's matrices, so warm
-    solves allocate nothing and never rebuild a structure.
+    hosted rank (row split, local blocks), all fixed by the
+    decomposition's sparsity.  A driver builds it once and re-binds it
+    (:meth:`bind`) to each solve's matrices, so warm solves allocate
+    nothing and never rebuild a structure.
 
     Parameters
     ----------
@@ -214,17 +214,11 @@ class DistributedSystem:
         return SimpleNamespace(
             wait=lambda: _unpack_group(pending.wait(), len(dots)))
 
-    # -- preconditioners ------------------------------------------------
-    def preconditioner(self, kind: str):
-        """The stacked-block apply of the ``kind`` preconditioner:
-        ``"DIC"`` is block-Jacobi DIC here, ``"Jacobi"`` the owned
-        diagonal -- both communication-free."""
-        return self.block_dic() if kind == "DIC" else self.jacobi()
-
-    def jacobi(self):
-        """Diagonal preconditioner on the stacked layout.  The owned
-        diagonal equals the serial operator's, so this matches the
-        serial Jacobi entry for entry."""
+    # -- preconditioner and PCG's precondition ------------------------
+    def preconditioner(self):
+        """Jacobi on the stacked layout, communication-free.  The owned
+        diagonal equals the serial operator's, so this matches
+        :meth:`LocalSystem.preconditioner` entry for entry."""
         r_diag = self._buf(("rdiag",), (self.n,))
         np.concatenate([op.mat.diag[:op.sub.n_owned] for op in self.ops],
                        out=r_diag)
@@ -236,22 +230,10 @@ class DistributedSystem:
 
         return apply
 
-    def block_dic(self):
-        """Block-Jacobi DIC: each rank's cached DIC factor, value-
-        refreshed from its owned diagonal block (processor-local
-        preconditioning, no communication)."""
-        blocks = [(op.block_dic(), sl)
-                  for op, sl in zip(self.ops, self.slices)]
-
-        def apply(r: np.ndarray) -> np.ndarray:
-            """Scale and sweep each rank's row slice of ``r`` in place
-            in one fresh stacked block."""
-            w = np.empty_like(r)
-            for pre, sl in blocks:
-                pre.apply_multi(r[sl], out=w[sl])
-            return w
-
-        return apply
+    def is_symmetric(self) -> bool:
+        """Whether every hosted rank's owned interior block is exactly
+        symmetric -- a rank-local check, no collective."""
+        return all(op.is_symmetric() for op in self.ops)
 
 
 #: :func:`~repro.solvers.blocked.krylov_solve` on a distributed system,

@@ -2,18 +2,17 @@
 
 :class:`RankOperator` is everything one rank does to its *own* rows of
 a distributed system without talking to anybody: the interior/boundary
-row split, the two halves of the matvec, the restriction to the owned
-diagonal block, and the block-Jacobi DIC factorized on it.
+row split, the two halves of the matvec and the restriction to the
+owned diagonal block (PCG's rank-local symmetry check runs on it).
 :class:`~repro.dist.krylov.DistributedSystem` holds one per rank its
 communicator hosts -- ``P`` when the driver steps every rank, one in
 each worker of a parallel run.
 
 What depends only on the decomposition's sparsity (the split, the
-local and interior-block buffers, the interior block's
-:class:`~repro.solvers.preconditioners.DICStructure`) is built once
-and lives, with the operator, in the solver's persistent system; a
-solve only rebinds the coefficient arrays (:meth:`RankOperator.bind`)
-and value-refreshes the factor.
+local and interior-block buffers, the interior block's CSR pattern) is
+built once and lives, with the operator, in the solver's persistent
+system; a solve only rebinds the coefficient arrays
+(:meth:`RankOperator.bind`).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 
 from ..mesh.face_operators import structural_csr
 from ..runtime import alloc
-from ..solvers.preconditioners import CachedDICPreconditioner
 from ..sparse.ldu import LDUMatrix
 from ..sparse.pattern import CSRPattern
 
@@ -83,8 +81,6 @@ class RankOperator:
         self._block = LDUMatrix(no, self.own_i, self.nb_i,
                                 np.empty(no), np.empty(m), np.empty(m))
         self._pattern = CSRPattern.from_ldu(self._block)
-        #: the cached block-DIC factor (``None`` until the first PCG solve)
-        self.dic: CachedDICPreconditioner | None = None
         self.bind(mat)
 
     def bind(self, mat: LDUMatrix) -> None:
@@ -113,7 +109,7 @@ class RankOperator:
         """Add the cut-face (ghost-reading) contributions."""
         out += self._cut @ loc
 
-    # -- communication-free preconditioning ------------------------------
+    # -- the owned diagonal block --------------------------------------
     def interior_block(self) -> LDUMatrix:
         """The owned diagonal block (faces with both cells owned) of
         the bound matrix, restricted into persistent buffers."""
@@ -123,16 +119,7 @@ class RankOperator:
         np.take(self.mat.upper, self.interior, out=blk.upper)
         return blk
 
-    def block_dic(self) -> CachedDICPreconditioner:
-        """This rank's block-Jacobi DIC factor of the bound matrix.
-
-        The first call builds the interior block's ``DICStructure``;
-        every later one is a value-only ``refresh`` (which keeps the
-        symmetry check: an asymmetric block raises ``ValueError``).
-        """
-        blk = self.interior_block()
-        if self.dic is None:
-            self.dic = CachedDICPreconditioner(blk)
-        else:
-            self.dic.refresh(blk)
-        return self.dic
+    def is_symmetric(self) -> bool:
+        """Whether the owned interior block of the bound matrix is
+        exactly symmetric (restricted anew: the values it holds *now*)."""
+        return self.interior_block().is_symmetric(tol=0.0)

@@ -11,10 +11,8 @@ loop's equation assemblies and solves need:
   for the coupled species / momentum blocks,
 * a :class:`~repro.sparse.pattern.CSRPattern` so every LDU->CSR
   conversion is an O(nnz) value scatter,
-* cached preconditioners (Jacobi with a persistent reciprocal-diagonal
-  buffer; the level-scheduled
-  :class:`~repro.solvers.preconditioners.CachedDICPreconditioner`
-  whose factor *structure* survives value refreshes), and
+* the cached Jacobi preconditioner, with a persistent
+  reciprocal-diagonal buffer, and
 * a :class:`~repro.solvers.workspace.KrylovWorkspace` vector pool for
   the Krylov solvers.
 
@@ -128,7 +126,10 @@ class EquationWorkspace:
     def dic(self, a: LDUMatrix) -> CachedDICPreconditioner:
         """The cached DIC, value-refreshed for ``a`` (the factor
         structure -- canonical face order + wavefront levels -- is
-        computed once per workspace)."""
+        computed once per workspace).
+
+        On no step path; kept while ``bench/layers.py`` wraps it by name.
+        """
         if self._dic is None:
             self._dic = CachedDICPreconditioner(a)
         else:

@@ -1,7 +1,9 @@
 """Linear solvers for the FV systems: one blocked (multi-RHS) Krylov
 family -- PCG and PBiCGStab on ``(n, k)`` blocks, ``k = 1`` for scalar
-equations, synchronous and communication-avoiding variants -- plus
-GAMG, with Jacobi / DIC / (block-)symmetric-GS preconditioning."""
+equations, synchronous and communication-avoiding variants, Jacobi-
+preconditioned on every system -- plus GAMG.  The DIC and
+(block-)symmetric-GS preconditioners are on no step path; tests,
+benches and ablations hand them to a body through ``preconditioner=``."""
 
 from .blocked import (
     KRYLOV_VARIANTS,

@@ -27,12 +27,13 @@ the ``(n, k)`` product, the per-column reductions and their grouped
 spellings.  The *same* Krylov code therefore drives the serial and the
 domain-decomposed solves, and every global reduction of the latter
 hits the communication ledger.  :func:`krylov_solve` is the one
-dispatch: its table maps ``(method, variant)`` to a body and the
-preconditioner kind the system is asked for.  The synchronous bodies
-reduce one collective at a time (``coldot``, ``colsum_abs``); the
-communication-avoiding ones (:func:`fused_pbicgstab_solve_multi`,
-:func:`pipelined_pcg_solve_multi`) use the grouped spellings
-``fused_reduce`` / ``ifused_reduce``.
+dispatch: its table maps ``(method, variant)`` to a body, and every
+body is preconditioned by the system's one ``preconditioner()`` --
+Jacobi, the owned diagonal, identical entry for entry on both systems.
+The synchronous bodies reduce one collective at a time (``coldot``,
+``colsum_abs``); the communication-avoiding ones
+(:func:`fused_pbicgstab_solve_multi`, :func:`pipelined_pcg_solve_multi`)
+use the grouped spellings ``fused_reduce`` / ``ifused_reduce``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from ..backend import get_backend
 from ..sparse.ldu import LDUMatrix
 from .controls import SolverControls, SolverResult
-from .preconditioners import CachedDICPreconditioner, JacobiPreconditioner
+from .preconditioners import JacobiPreconditioner
 from .workspace import KrylovWorkspace
 
 __all__ = [
@@ -71,10 +72,10 @@ class LocalSystem:
     The system protocol is everything a body asks of its operator:
     ``n`` / ``nnz``, ``matvec_multi`` on an ``(n, k)`` block, the
     per-column reductions ``coldot`` / ``colsum_abs``, their grouped
-    spellings ``fused_reduce`` / ``ifused_reduce`` and
-    ``preconditioner(kind)``.  This is the serial implementation: the
-    product is the CSR of ``a``, converted once per solve, and the
-    reductions are the *kernels* of an array backend
+    spellings ``fused_reduce`` / ``ifused_reduce``,
+    ``preconditioner()`` and ``is_symmetric()``.  This is the serial
+    implementation: the product is the CSR of ``a``, converted once per
+    solve, and the reductions are the *kernels* of an array backend
     (:meth:`ArrayBackend.coldot` / ``colsum_abs``): blocks go to the
     device, ``(k,)`` results come back, and the bodies keep their
     control flow on the host.  On the NumPy backend both transfers are
@@ -82,8 +83,9 @@ class LocalSystem:
     from einsum by the conformance suite's documented ulps.
 
     With ``workspace`` (an :class:`~repro.fv.workspace.EquationWorkspace`)
-    the CSR pattern, the preconditioners and the backend are its cached
-    ones; without, ``backend`` names the backend (``None`` = numpy).
+    the CSR pattern, the Jacobi preconditioner and the backend are its
+    cached ones; without, ``backend`` names the backend (``None`` =
+    numpy).
     """
 
     def __init__(self, a: LDUMatrix, workspace=None, backend=None):
@@ -119,17 +121,17 @@ class LocalSystem:
         done = self.fused_reduce(dots, sums)
         return SimpleNamespace(wait=lambda: done)
 
-    def preconditioner(self, kind: str) -> Callable[[np.ndarray], np.ndarray]:
-        """The ``(n, k)`` apply of the ``kind`` (``"DIC"`` | ``"Jacobi"``)
-        preconditioner of ``a``: DIC below 50 000 rows, Jacobi
-        otherwise -- the workspace's cached ones, value-refreshed, or
-        fresh ones without a workspace."""
+    def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The ``(n, k)`` apply of the Jacobi preconditioner of ``a``:
+        the workspace's cached one, value-refreshed, or a fresh one
+        without a workspace."""
         a, ws = self.a, self.workspace
-        if kind == "DIC" and a.n < 50_000:
-            pre = ws.dic(a) if ws else CachedDICPreconditioner(a)
-        else:
-            pre = ws.jacobi(a) if ws else JacobiPreconditioner(a)
-        return pre.apply_multi
+        return (ws.jacobi(a) if ws else JacobiPreconditioner(a)).apply_multi
+
+    def is_symmetric(self) -> bool:
+        """Whether ``a`` is exactly symmetric (a NaN coefficient is
+        not) -- what PCG requires of its operator."""
+        return self.a.is_symmetric(tol=0.0)
 
 
 def _block_x(name: str, workspace: KrylovWorkspace | None,
@@ -578,17 +580,15 @@ def pipelined_pcg_solve_multi(
     return x, col.finish(it)
 
 
-#: The one dispatch table: ``(method, variant)`` -> (body, the kind of
-#: preconditioner the system is asked for).  Which preconditioner a
-#: kind *is* belongs to the system -- the cached DIC below 50 000 rows,
-#: Jacobi otherwise, on :class:`LocalSystem`; block-Jacobi DIC on a
-#: :class:`~repro.dist.krylov.DistributedSystem` -- and ``"Jacobi"`` is
-#: the owned diagonal on both.
+#: The one dispatch table: ``(method, variant)`` -> body.  Every body
+#: is handed ``system.preconditioner()``, the owned-diagonal Jacobi on
+#: :class:`LocalSystem` and on a
+#: :class:`~repro.dist.krylov.DistributedSystem` alike.
 _KRYLOV = {
-    ("PCG", "synchronous"): (pcg_solve_multi, "DIC"),
-    ("PCG", "overlapped"): (pipelined_pcg_solve_multi, "DIC"),
-    ("PBiCGStab", "synchronous"): (pbicgstab_solve_multi, "Jacobi"),
-    ("PBiCGStab", "overlapped"): (fused_pbicgstab_solve_multi, "Jacobi"),
+    ("PCG", "synchronous"): pcg_solve_multi,
+    ("PCG", "overlapped"): pipelined_pcg_solve_multi,
+    ("PBiCGStab", "synchronous"): pbicgstab_solve_multi,
+    ("PBiCGStab", "overlapped"): fused_pbicgstab_solve_multi,
 }
 #: the table's variants: the accepted ``SolverSettings.krylov_variant``s
 KRYLOV_VARIANTS = tuple(dict.fromkeys(v for _, v in _KRYLOV))
@@ -607,17 +607,21 @@ def krylov_solve(
 
     ``b`` / ``x0`` are ``(n, k)`` blocks (``k = 1`` for a scalar
     equation; stacked in rank order on a distributed system).
-    Dispatches on ``solver`` and ``variant``:
+    Dispatches on ``solver`` and ``variant``; both methods are
+    Jacobi-preconditioned (``system.preconditioner()``):
 
-    * ``"PBiCGStab"`` -- Jacobi-preconditioned; ``"synchronous"`` runs
-      the blocked solver with one reduction at a time (6 allreduces per
-      iteration when distributed), ``"overlapped"`` the fused-reduction
-      variant (2 grouped collectives per iteration);
-    * ``"PCG"`` -- DIC-preconditioned; ``"synchronous"`` costs 3
-      allreduces per iteration, ``"overlapped"`` is the pipelined
-      (Ghysels--Vanroose) variant with a single fused ``iallreduce``
-      per iteration, posted before the preconditioner and matvec it
-      hides behind.
+    * ``"PBiCGStab"`` -- ``"synchronous"`` runs the blocked solver with
+      one reduction at a time (6 allreduces per iteration when
+      distributed), ``"overlapped"`` the fused-reduction variant (2
+      grouped collectives per iteration);
+    * ``"PCG"`` -- requires an exactly symmetric operator
+      (``system.is_symmetric()``; rank-local on a distributed system,
+      so the check adds no collective) and raises ``ValueError``
+      before the first iteration otherwise, NaN coefficients included;
+      ``"synchronous"`` costs 3 allreduces per iteration,
+      ``"overlapped"`` is the pipelined (Ghysels--Vanroose) variant
+      with a single fused ``iallreduce`` per iteration, posted before
+      the preconditioner and matvec it hides behind.
 
     Both variants of a method converge to the same solution within the
     requested tolerance (the agreement tests pin them at <= 1e-8).
@@ -628,6 +632,9 @@ def krylov_solve(
     if (solver, variant) not in _KRYLOV:
         raise ValueError(f"unknown Krylov (solver, variant) "
                          f"{(solver, variant)}; use one of {sorted(_KRYLOV)}")
-    body, kind = _KRYLOV[solver, variant]
-    return body(system, b, x0=x0, preconditioner=system.preconditioner(kind),
-                controls=controls, workspace=workspace)
+    if solver == "PCG" and not system.is_symmetric():
+        raise ValueError("PCG requires a symmetric operator "
+                         "(lower == upper exactly, no NaN)")
+    return _KRYLOV[solver, variant](
+        system, b, x0=x0, preconditioner=system.preconditioner(),
+        controls=controls, workspace=workspace)

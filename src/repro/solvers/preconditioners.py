@@ -1,10 +1,11 @@
 """Preconditioners for the Krylov solvers.
 
 * :class:`JacobiPreconditioner` -- reciprocal diagonal (OpenFOAM
-  "diagonal").
+  "diagonal"), the one preconditioner of every Krylov solve.
 * :class:`DICPreconditioner` -- diagonal-based incomplete Cholesky on
   the LDU pattern, OpenFOAM's standard PCG preconditioner; a faithful
-  port of its face-loop formulation.
+  port of its face-loop formulation.  It and its cached twin are on no
+  step path (bodies take them through ``preconditioner=``).
 * :class:`SymGaussSeidelPreconditioner` -- one symmetric GS sweep,
   serial or block-parallel (the paper's thread-parallel smoother).
 """
@@ -71,8 +72,10 @@ class DICPreconditioner:
 
     This sequential face-loop port is the **reference oracle** for
     tests and ablation benches only (O(faces) Python iterations per
-    factorization and per sweep); every solver path in ``src/`` runs
-    the bitwise-identical :class:`CachedDICPreconditioner`.
+    factorization and per sweep); :class:`CachedDICPreconditioner` is
+    its bitwise-identical vectorized form.
+
+    On no step path; kept while ``bench/layers.py`` wraps it by name.
     """
 
     def __init__(self, ldu: LDUMatrix):
@@ -129,6 +132,9 @@ class DICStructure:
     The structure depends only on the sparsity pattern, so one instance
     per mesh serves every matrix refresh (the "value-only refresh of
     cached factor structure" of the zero-reassembly hot path).
+
+    On no step path; kept while ``bench/layers.py`` wraps the DIC
+    classes by name.
     """
 
     def __init__(self, owner: np.ndarray, neighbour: np.ndarray, n: int):
@@ -194,6 +200,8 @@ class CachedDICPreconditioner:
     wavefront-level updates.  Reuse one instance across solves of
     matrices sharing a sparsity pattern and call :meth:`refresh` after
     the values change.
+
+    On no step path; kept while ``bench/layers.py`` wraps it by name.
     """
 
     def __init__(self, ldu: LDUMatrix, structure: DICStructure | None = None):

@@ -21,9 +21,7 @@ from repro.dist import (
     solve_distributed,
 )
 from repro.runtime import SimulatedComm, alloc, overlapped_phase_time
-from repro.solvers import KrylovWorkspace, SolverControls, preconditioners
-from repro.solvers.preconditioners import (CachedDICPreconditioner,
-                                           DICPreconditioner)
+from repro.solvers import KrylovWorkspace, SolverControls
 from tests import face_oracle
 from tests.conftest import (checkerboard_parts, make_laplacian_ldu,
                             make_random_spd_ldus)
@@ -346,92 +344,54 @@ class TestWarmAllocations:
     @pytest.mark.parametrize("variant", KRYLOV_VARIANTS)
     def test_zero_warm_solve_allocations(self, mech, variant):
         """After the first step sized every persistent buffer, warm
-        distributed solves perform zero tracked allocations -- with
-        each rank's cached block-DIC living in the persistent system."""
+        distributed solves perform zero tracked allocations -- the
+        Jacobi preconditioner's reciprocal diagonal included, which
+        lives in the persistent system and is refilled in place."""
         settings = SolverSettings(ranks=4, krylov_variant=variant,
                                   overlap_halo=(variant == "overlapped"))
         solver = DecomposedSolver(
             build_tgv_case(n=6, mech=mech), settings,
             properties=IdealGasProperties(mech), chemistry=NoChemistry())
         solver.step(1e-8)   # sizes scratch buffers and the workspace
-        dics = [op.dic for op in solver._system.ops]
-        assert all(isinstance(d, CachedDICPreconditioner) for d in dics)
+        r_diag = solver._system._bufs[("rdiag",)]
         for _ in range(3):
             solver.step(1e-8)
             assert solver.last_timings.alloc_solving == 0
-        assert [op.dic for op in solver._system.ops] == dics
+        assert solver._system._bufs[("rdiag",)] is r_diag
+        want = np.concatenate([op.mat.diag[:op.sub.n_owned]
+                               for op in solver._system.ops])
+        assert np.array_equal(r_diag, 1.0 / want)
 
 
-class TestBlockDIC:
-    """The per-rank cached block-Jacobi DIC of the distributed PCG."""
-
-    @pytest.mark.parametrize("nparts", [2, 4])
-    def test_apply_matches_sequential_oracle(self, box_mesh, nparts):
-        """Per rank, bitwise equal to the reference face-loop DIC on
-        the owned diagonal block -- also after a value-only refresh
-        of the same system (no structure is rebuilt)."""
-        rng = np.random.default_rng(nparts)
-        dec = Decomposition.from_mesh(box_mesh, nparts)
-        comm = SimulatedComm(nparts)
-        system = structs = None
-        for _ in range(2):      # second pass: new values, same system
-            mats = make_random_spd_ldus(dec, rng)
-            if system is None:
-                system = DistributedSystem(dec, comm, mats)
-            else:
-                system.bind(mats)
-            apply = system.block_dic()
-            for r in (rng.standard_normal((system.n, 3)),
-                      rng.standard_normal(system.n)):
-                got = apply(r)
-                for q, (sub, m) in enumerate(zip(dec.subdomains, mats)):
-                    sl = dec.rank_slice(q)
-                    oracle = DICPreconditioner(sub.interior_matrix(m))
-                    assert np.array_equal(got[sl],
-                                          oracle.apply_multi(r[sl].copy()))
-            if structs is None:
-                structs = [op.dic.struct for op in system.ops]
-        assert [op.dic.struct for op in system.ops] == structs
-
-    @pytest.mark.parametrize("variant", KRYLOV_VARIANTS)
-    def test_structure_built_once_per_rank(self, mech, variant,
-                                           monkeypatch):
-        built = []
-        init = preconditioners.DICStructure.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(preconditioners.DICStructure, "__init__",
-                            counting)
-        solver = DecomposedSolver(
-            build_tgv_case(n=6, mech=mech),
-            SolverSettings(ranks=2, krylov_variant=variant),
-            properties=IdealGasProperties(mech), chemistry=NoChemistry())
-        solver.run(3, 1e-8)
-        assert len(built) == 2
+class TestDistributedPCG:
+    """PCG on a distributed system: the rank-local symmetry check and
+    Jacobi preconditioning on any partition."""
 
     def test_asymmetric_block_rejected(self, box_mesh):
+        """One rank's owned block is asymmetric, or symmetric with a
+        NaN: PCG refuses before the first iteration, rank-locally --
+        no allreduce and no halo message has been made."""
         system = _make_system(box_mesh, 2)
-        system.mats[1].upper[system.ops[1].interior[0]] *= 2.0
+        face = system.ops[1].interior[0]
+        m = system.mats[1]
+        m.upper[face] *= 2.0
         with pytest.raises(ValueError, match="symmetric"):
             solve_distributed(system, np.ones((system.n, 1)), solver="PCG")
+        m.upper[face] = m.lower[face] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_distributed(system, np.ones((system.n, 1)), solver="PCG")
+        assert system.comm.ledger.allreduces == 0
+        assert system.comm.ledger.messages == 0
 
-    def test_no_interior_faces_is_diagonal_scaling(self, box_mesh):
-        """A rank whose owned cells share no face gets an empty DIC
-        structure: refresh works, apply is plain Jacobi, PCG converges."""
+    def test_checkerboard_partition_pcg_converges(self, box_mesh):
+        """Owned cells that share no face (every coupling is a cut
+        face): PCG still converges to the global operator's solution."""
         dec = Decomposition.from_mesh(box_mesh, 2,
                                       parts=checkerboard_parts(box_mesh))
         mats = [make_laplacian_ldu(s.mesh) for s in dec.subdomains]
         system = DistributedSystem(dec, SimulatedComm(2), mats)
-        for _ in range(2):      # build, then value-only refresh
-            apply = system.block_dic()
-        assert all(op.dic.struct.order.size == 0 for op in system.ops)
+        assert all(op.interior.size == 0 for op in system.ops)
         rng = np.random.default_rng(0)
-        for r in (rng.standard_normal((system.n, 2)),
-                  rng.standard_normal(system.n)):
-            assert np.array_equal(apply(r), system.jacobi()(r))
         b = rng.standard_normal((system.n, 2))
         x, results = solve_distributed(system, b, solver="PCG",
                                        controls=TIGHT)

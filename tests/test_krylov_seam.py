@@ -1,6 +1,7 @@
 """The linear-solve seam: one ``krylov_solve`` over a *system* -- the
 serial ``LocalSystem`` or a ``DistributedSystem`` -- with one
-``(method, variant)`` table behind both."""
+``(method, variant)`` table behind both, and PCG's symmetry
+requirement checked by the seam itself."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from repro.core import (
 from repro.dist import Decomposition, DistributedSystem, solve_distributed
 from repro.fv import VolField, fvm_laplacian
 from repro.runtime import SimulatedComm
-from repro.solvers import LocalSystem, SolverControls, krylov_solve
+from repro.solvers import LocalSystem, SolverControls, blocked, krylov_solve
+from repro.sparse import LDUMatrix
 from tests.conftest import make_laplacian_ldu
 
 TIGHT = SolverControls(tolerance=1e-12, max_iterations=800)
@@ -69,6 +71,37 @@ class TestOneSeamTwoSystems:
                 solve_distributed(system, np.ones((system.n, 1)), **bad)
             assert str(serial.value) == str(decomposed.value)
             assert all(repr(v) in str(serial.value) for v in bad.values())
+
+
+class TestPcgRequiresSymmetry:
+    @pytest.mark.parametrize("variant", ["synchronous", "overlapped"])
+    def test_refused_at_any_size_before_the_body_runs(self, variant,
+                                                      monkeypatch):
+        """The check belongs to PCG, not to a preconditioner: a
+        50 000-row operator (no size rule picks anything) that is
+        asymmetric, or symmetric but holding a NaN, raises before the
+        PCG body is entered; PBiCGStab still takes the asymmetric one."""
+        n = 50_000
+        a = LDUMatrix(n, np.arange(n - 1), np.arange(1, n),
+                      np.full(n, 2.5), -np.ones(n - 1), -np.ones(n - 1))
+        b = np.ones((n, 1))
+        _, (res,) = krylov_solve(LocalSystem(a), b, solver="PCG",
+                                 variant=variant, controls=TIGHT)
+        assert res.converged
+
+        def entered(*args, **kwargs):
+            raise AssertionError("PCG body entered")
+
+        monkeypatch.setitem(blocked._KRYLOV, ("PCG", variant), entered)
+        a.upper[7] *= 2.0
+        with pytest.raises(ValueError, match="symmetric"):
+            krylov_solve(LocalSystem(a), b, solver="PCG", variant=variant)
+        _, (res,) = krylov_solve(LocalSystem(a), b, solver="PBiCGStab",
+                                 variant=variant, controls=TIGHT)
+        assert res.converged
+        a.upper[7] = a.lower[7] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            krylov_solve(LocalSystem(a), b, solver="PCG", variant=variant)
 
 
 class TestSerialHonoursTheVariant:

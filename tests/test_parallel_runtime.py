@@ -17,7 +17,8 @@ from repro.chemistry.backends import (DirectBatchBackend, HybridBackend,
                                       SurrogateBackend)
 from repro.core import IdealGasProperties, NoChemistry, build_tgv_case
 from repro.core.settings import KRYLOV_VARIANTS, SolverSettings
-from repro.dist import DecomposedSolver, Decomposition, DistributedSystem
+from repro.dist import (DecomposedSolver, Decomposition, DistributedSystem,
+                        solve_distributed)
 from repro.dist import spmd
 from repro.dist.spmd import ParallelExecutor
 from repro.orchestrate import Ensemble
@@ -343,11 +344,11 @@ class _OneRankSystem:
         comm = SharedMemComm(arena, rank, barrier, timeout=60.0)
         self.system = DistributedSystem(dec, comm, [mats[rank]])
 
-    def apply(self, r):
-        return self.system.block_dic()(r)
+    def precondition(self, r):
+        return self.system.preconditioner()(r)
 
-    def jacobi(self, r):
-        return self.system.jacobi()(r)
+    def pcg(self, b):
+        return solve_distributed(self.system, b[:, None], solver="PCG")[0]
 
     def matvec(self, x, overlap_halo):
         self.system.overlap_halo = overlap_halo
@@ -372,34 +373,27 @@ def _one_rank_pool(dec, mats):
         arena.close()
 
 
-class TestSpmdBlockDIC:
+class TestSpmdSystem:
     @pytest.mark.parametrize("checkerboard", [False, True])
     def test_matches_driver_bitwise(self, box_mesh, checkerboard):
         """Both modes run the one system class: per rank, the worker's
-        apply equals the driver's stacked apply bitwise -- also on
-        owned blocks with zero interior faces, where it is plain
-        diagonal scaling (1-D and ``(n, k)`` residuals) -- and so do
-        the Jacobi rows, the matvec rows (blocking and posted ghost
-        refresh) and the reduced column dots."""
+        preconditioner rows equal the driver's stacked apply bitwise
+        (1-D and ``(n, k)`` residuals, also on owned blocks with zero
+        interior faces), and so do the matvec rows (blocking and
+        posted ghost refresh) and the reduced column dots."""
         parts = checkerboard_parts(box_mesh) if checkerboard else None
         dec = Decomposition.from_mesh(box_mesh, 2, parts=parts)
         mats = [make_laplacian_ldu(s.mesh) for s in dec.subdomains]
         system = DistributedSystem(dec, SimulatedComm(2), mats)
-        driver = system.block_dic()
+        driver = system.preconditioner()
         rng = np.random.default_rng(0)
         with _one_rank_pool(dec, mats) as pool:
             for r in (rng.standard_normal((system.n, 3)),
                       rng.standard_normal(system.n)):
                 want = driver(r)
                 got = pool.scatter(
-                    "apply", [(r[dec.rank_slice(q)],) for q in range(2)])
-                for q in range(2):
-                    assert np.array_equal(got[q], want[dec.rank_slice(q)])
-                if checkerboard:
-                    assert np.array_equal(want, system.jacobi()(r))
-                want = system.jacobi()(r)
-                got = pool.scatter(
-                    "jacobi", [(r[dec.rank_slice(q)],) for q in range(2)])
+                    "precondition",
+                    [(r[dec.rank_slice(q)],) for q in range(2)])
                 for q in range(2):
                     assert np.array_equal(got[q], want[dec.rank_slice(q)])
             x, y = rng.standard_normal((2, system.n, 3))
@@ -419,6 +413,8 @@ class TestSpmdBlockDIC:
                 == box_mesh.n_cells + 2 * box_mesh.n_internal_faces
 
     def test_asymmetric_block_surfaces_as_worker_error(self, box_mesh):
+        """The rank holding the asymmetric block refuses PCG on its own,
+        before any collective the other rank would have to join."""
         dec = Decomposition.from_mesh(box_mesh, 2)
         mats = [make_laplacian_ldu(s.mesh) for s in dec.subdomains]
         interior = DistributedSystem(
@@ -426,9 +422,9 @@ class TestSpmdBlockDIC:
         mats[1].upper[interior[0]] *= 2.0
         with _one_rank_pool(dec, mats) as pool:
             ones = [np.ones(s.n_owned) for s in dec.subdomains]
-            assert np.isfinite(pool.call(0, "apply", ones[0])).all()
-            with pytest.raises(WorkerError, match="DIC requires a symmetric"):
-                pool.call(1, "apply", ones[1])
+            assert np.isfinite(pool.call(0, "precondition", ones[0])).all()
+            with pytest.raises(WorkerError, match="symmetric"):
+                pool.call(1, "pcg", ones[1])
 
 
 # ---------------------------------------------------------------------
