@@ -9,11 +9,11 @@ Per time step:
    (``repro.chemistry.backends``: ODENet surrogate, per-cell BDF,
    graded direct, or hybrid; operator splitting at constant
    enthalpy; also "DNN"),
-3. **Species transport** -- implicit ddt + div - laplacian; all
-   n_species equations share one operator, so they are assembled once
-   and solved as a single blocked (multi-RHS) Krylov solve,
-4. **Energy transport** -- implicit equation for specific enthalpy,
-5. **Momentum + pressure** -- PISO-style predictor (the 3 components
+3. **Scalar transport** -- implicit ddt + div - laplacian for the
+   n_species mass fractions and the enthalpy, which share one operator
+   (unity Lewis number): one blocked (multi-RHS) Krylov solve, h the
+   last column,
+4. **Momentum + pressure** -- PISO-style predictor (the 3 components
    again share one operator and are solved blocked) + compressible
    pressure correction with the EoS compressibility
    psi = (drho/dp)_T.
@@ -148,7 +148,6 @@ class DeepFlameSolver:
         self.step_count = 0
         self.last_timings = StepTimings()
         self.last_diag: StepDiagnostics | None = None
-        self._psi = None
 
     # -- helpers --------------------------------------------------------
     @property
@@ -165,10 +164,13 @@ class DeepFlameSolver:
         return SurfaceField("phi", mesh, flux)
 
     def _psi_field(self, cells=slice(None)) -> np.ndarray:
-        """Compressibility psi = drho/dp at the current state."""
-        return np.maximum(self.properties.psi(
+        """Compressibility psi = drho/dp at the current state, on the
+        ``cells`` rows of a full-length array (the rest await exchange)."""
+        psi = np.empty(self.mesh.n_cells)
+        psi[cells] = np.maximum(self.properties.psi(
             self.props.temperature[cells], self.p.values[cells],
             self.y[cells]), 1e-9)
+        return psi
 
     # -- per-cell stages ---------------------------------------------------
     def stage_properties(self, tm: StepTimings, cells=None) -> None:
@@ -176,14 +178,9 @@ class DeepFlameSolver:
         the step sequence adopts ``props.rho`` as the new density once
         the ghost rows are in.
 
-        With ``cells``, only those rows of the property arrays are
-        recomputed.  The decomposed driver restricts the evaluation to
-        a subdomain's owned rows and fills the ghost rows by halo
-        exchange: the evaluators' Newton loops converge per cell (so a
-        recomputed ghost would match its owner to rounding), but only
-        the owner's actual value keeps both sides of a cut face
-        bitwise-consistent -- and skipping the ghost rows avoids
-        redundant work.
+        With ``cells``, only those rows are recomputed: the decomposed
+        driver evaluates the owned rows and exchanges the ghost rows, as
+        only the owner's value keeps a cut face bitwise-consistent.
         """
         with StageTimer(tm, "dnn"):
             if cells is None:
@@ -199,13 +196,9 @@ class DeepFlameSolver:
 
     def stage_chemistry(self, dt: float, tm: StepTimings,
                         cells=None) -> None:
-        """Chemistry at constant (h, p) on ``cells`` (all by default).
-
-        The decomposed driver restricts the advance to the owned rows
-        of a subdomain and halo-exchanges the result -- chemistry is
-        the one stage expensive enough that no rank recomputes it for
-        its ghost layer.
-        """
+        """Chemistry at constant (h, p) on ``cells`` (all by default);
+        the decomposed driver passes the owned rows, and no later stage
+        reads the ghost rows of Y."""
         with StageTimer(tm, "dnn"):
             if cells is None:
                 _, y_new = self.chemistry.advance(
@@ -244,32 +237,39 @@ class DeepFlameSolver:
 
     # -- assembly / finish stages ------------------------------------------
     def assemble_species_eqn(self, dt: float, rho_old: np.ndarray,
-                             d_eff: np.ndarray,
                              tm: StepTimings) -> CoupledTransportEquation:
-        """All n_species equations share one ``ddt + div - laplacian``
-        operator: assemble it once as a blocked system into the
-        persistent workspace buffers."""
+        """The n_species mass fractions, then the enthalpy (column
+        ``ns``), as one blocked equation: unity Lewis number gives every
+        column the diffusivity ``rho * alpha``, so all share one operator."""
+        ns = self.mech.n_species
         with StageTimer(tm, "construction"):
-            yf = MultiVolField(
-                [f"Y_{s}" for s in self.mech.species_names], self.mesh,
-                self.y)
-            eqn = self._ws.transport_multi(
-                yf, self.rho, dt, phi=self.phi, gamma=self.rho * d_eff,
-                rho_old=rho_old, scheme="upwind")
-        return eqn
+            block = self._ws.values(ns + 1)
+            block[:, :ns] = self.y
+            block[:, ns] = self.h
+            yh = MultiVolField(
+                [*(f"Y_{s}" for s in self.mech.species_names), "h"],
+                self.mesh, block)
+            return self._ws.transport_multi(
+                yh, self.rho, dt, phi=self.phi,
+                gamma=self.rho * self.props.alpha, rho_old=rho_old,
+                scheme="upwind")
 
-    def finish_species(self, y: np.ndarray, tm: StepTimings,
+    def finish_species(self, yh: np.ndarray, tm: StepTimings,
                        cells=slice(None)) -> None:
-        """Adopt a solved mass-fraction block: clip + renormalize."""
+        """Adopt a solved (Y, h) block: column ``ns`` is the enthalpy,
+        taken as solved; the mass fractions are clipped + renormalized."""
+        ns = self.mech.n_species
         with StageTimer(tm, "other"):
-            y = np.clip(y, 0.0, 1.0)
+            self.h[cells] = yh[:, ns]
+            y = np.clip(yh[:, :ns], 0.0, 1.0)
             y /= y.sum(axis=1, keepdims=True)
             self.y[cells] = y
 
     def assemble_energy_eqn(self, dt: float, rho_old: np.ndarray,
                             tm: StepTimings) -> FVMatrix:
-        """Implicit specific-enthalpy transport equation (``ddt + div -
-        laplacian`` in a single fused pass into workspace buffers)."""
+        """The enthalpy column of :meth:`assemble_species_eqn` alone.
+
+        On no step path; kept while ``bench/layers.py`` wraps it by name."""
         h_field = VolField("h", self.mesh, self.h)
         with StageTimer(tm, "construction"):
             eqn = self._ws.transport(

@@ -127,11 +127,10 @@ class SolverSettings:
         ``"synchronous"`` runs the blocked solvers with one allreduce
         per reduction; ``"overlapped"`` the communication-avoiding
         variants (pipelined PCG for pressure, fused-reduction
-        PBiCGStab for the scalar blocks).
-    overlap_halo:
-        Post the ghost refresh of every distributed matvec nonblocking
-        and compute the interior rows while it is in flight
-        (decomposed path only).
+        PBiCGStab for the scalar blocks); a decomposed solver under
+        ``"overlapped"`` also posts the ghost refresh of every
+        distributed matvec nonblocking and computes the interior rows
+        while it is in flight.
     execution:
         Decomposed-path execution mode (one of
         :data:`EXECUTION_MODES`).  ``"serial"`` (default) advances
@@ -174,7 +173,6 @@ class SolverSettings:
     balance_chemistry: str = "none"
     balance_options: dict = field(default_factory=dict)
     krylov_variant: str = "synchronous"
-    overlap_halo: bool = False
     backend: str = "numpy"
     execution: str = "serial"
     chemistry_workers: int = 0
@@ -212,9 +210,6 @@ class SolverSettings:
                 f"(got {self.backend!r}); pass ArrayBackend instances "
                 f"directly to the kernel/workspace APIs instead")
         _check_choice("backend", self.backend, tuple(backend_names()))
-        if not isinstance(self.overlap_halo, bool):
-            raise TypeError(f"overlap_halo must be a bool "
-                            f"(got {self.overlap_halo!r})")
         for name in ("scalar_controls", "pressure_controls"):
             if not isinstance(getattr(self, name), SolverControls):
                 raise TypeError(f"{name} must be a SolverControls "

@@ -1,12 +1,12 @@
 """The Fig. 2 time step, written once.
 
 :func:`advance_step` is the stage sequence -- properties -> chemistry
--> species -> energy -> momentum predictor -> ``n_correctors`` x
-pressure -> diagnostics -- over the ``(rank solver, owned rows)``
-pairs a driver *hosts*.  The per-cell stages, the assemblies and the
-post-solve updates are methods of the rank solvers
-(:class:`~repro.core.DeepFlameSolver`); what a decomposition changes
-is passed in:
+-> scalar transport (species + enthalpy, one block) -> momentum
+predictor -> ``n_correctors`` x pressure -> diagnostics -- over the
+``(rank solver, owned rows)`` pairs a driver *hosts*.  The per-cell
+stages, the assemblies and the post-solve updates are methods of the
+rank solvers (:class:`~repro.core.DeepFlameSolver`); what a
+decomposition changes is passed in:
 
 * ``refresh(per_rank)`` -- fill the ghost rows of one array (or a list
   of arrays) per hosted rank from their owners,
@@ -24,6 +24,13 @@ equation's own ``solve`` and numpy's axis-0 reductions.
 :class:`~repro.dist.DecomposedSolver` passes the halo exchanger, the
 distributed Krylov solve and the communicator's allreduce.  Re-ordering
 the stages is an edit to this function and nowhere else.
+
+**Ghost rows.**  Per-cell stages are exact on owned rows only, and a
+ghost row is read only through a face, so a decomposed step exchanges
+just what a later face loop reads: the property set, ``[U, 1/A, grad
+p, psi]`` after the predictor, and per corrector ``p``, then ``[U,
+grad p]`` (``2 + 2 n_correctors`` exchanges).  No face loop reads Y or
+h, so their ghost rows are never sent.
 """
 
 from __future__ import annotations
@@ -152,10 +159,10 @@ def advance_step(hosted, dt: float, *, refresh, solve, reduce,
     lead = ranks[0]       # controls and clocks agree across the ranks
     solved: list[tuple[str, object]] = []
 
-    def solve_for(name: str, eqns, solver: str, controls) -> list:
+    def solve_for(labels, eqns, solver: str, controls) -> list:
         with StageTimer(tm, "solving"):
             xs, results = solve(eqns, solver, controls)
-        solved.extend((name, res) for res in results)
+        solved.extend(zip(labels, results, strict=True))
         return xs
 
     # (1) properties on the owned rows, ghost rows by exchange
@@ -172,49 +179,37 @@ def advance_step(hosted, dt: float, *, refresh, solve, reduce,
     else:
         for r, cells in hosted:
             r.stage_chemistry(dt, tm, cells=cells)
-    refresh([r.y for r in ranks])
 
-    # (3) species transport: one blocked solve (unity Lewis number)
-    eqns = [r.assemble_species_eqn(dt, rho_old, r.props.alpha, tm)
+    # (3) scalar transport: one blocked solve, Y then h (unity Lewis)
+    eqns = [r.assemble_species_eqn(dt, rho_old, tm)
             for r, rho_old in zip(ranks, rho_olds)]
-    xs = solve_for("Y", eqns, "PBiCGStab", lead.scalar_controls)
+    xs = solve_for(["Y"] * lead.mech.n_species + ["h"], eqns, "PBiCGStab",
+                   lead.scalar_controls)
     for r, rows, x in zip(ranks, owned, xs):
         r.finish_species(x, tm, cells=rows)
-    refresh([r.y for r in ranks])
 
-    # (4) energy (specific enthalpy)
-    eqns = [r.assemble_energy_eqn(dt, rho_old, tm)
-            for r, rho_old in zip(ranks, rho_olds)]
-    xs = solve_for("h", eqns, "PBiCGStab", lead.scalar_controls)
-    for r, rows, x in zip(ranks, owned, xs):
-        r.h[rows] = x[:, 0]
-    refresh([r.h for r in ranks])
-
-    # (5) momentum predictor + PISO pressure correctors
+    # (4) momentum predictor + PISO pressure correctors
     if lead.solve_momentum:
+        # psi = drho/dp at stage (1)'s T, the old p and the new Y
+        psis = [r._psi_field(cells=rows) for r, rows in zip(ranks, owned)]
         grad_ps = [fvc_grad(r.p) for r in ranks]
         eqns, r_aus = zip(*(
             r.assemble_momentum_eqn(dt, rho_old, grad_p, tm)
             for r, rho_old, grad_p in zip(ranks, rho_olds, grad_ps)))
-        xs = solve_for("U", eqns, "PBiCGStab", lead.scalar_controls)
+        xs = solve_for(["U"] * 3, eqns, "PBiCGStab", lead.scalar_controls)
         for r, rows, x in zip(ranks, owned, xs):
             r.u.values[rows] = x
-        # ghost rows of U, 1/A and grad(p): a rank cannot form them
-        # locally (ghost cells lack their full face sets)
-        refresh([[r.u.values, r_au, grad_p]
-                 for r, r_au, grad_p in zip(ranks, r_aus, grad_ps)])
-        psis = []
-        for r, rows in zip(ranks, owned):
-            psi = np.empty(r.mesh.n_cells)
-            psi[rows] = r._psi_field(cells=rows)
-            psis.append(psi)
-        refresh(psis)
+        # ghost rows of U, 1/A, grad(p) and psi: a rank cannot form
+        # them locally (ghost cells lack their full face sets)
+        refresh([[r.u.values, r_au, grad_p, psi]
+                 for r, r_au, grad_p, psi
+                 in zip(ranks, r_aus, grad_ps, psis)])
         for _ in range(lead.n_correctors):
             eqns, auxs = zip(*(
                 r.assemble_pressure_eqn(dt, rho_old, r_au, psi, grad_p, tm)
                 for r, rho_old, r_au, psi, grad_p
                 in zip(ranks, rho_olds, r_aus, psis, grad_ps)))
-            xs = solve_for("p", eqns, "PCG", lead.pressure_controls)
+            xs = solve_for(["p"], eqns, "PCG", lead.pressure_controls)
             for r, rows, x in zip(ranks, owned, xs):
                 r.p.values[rows] = x[:, 0]
             refresh([r.p.values for r in ranks])

@@ -6,9 +6,10 @@ rank solver per subdomain executes the shared physics stages on its
 local-plus-halo mesh, and the driver supplies what a single rank
 cannot do alone --
 
-* **halo refreshes** between stages (state fields and the derived
-  cell fields whose ghost rows a rank cannot compute, e.g. the
-  pressure gradient and the PISO ``1/A``), and
+* **halo refreshes** between stages (the ghost rows a later face loop
+  reads: the property set, velocity and pressure, and the derived
+  cell fields a rank cannot compute there, e.g. the pressure gradient
+  and the PISO ``1/A``), and
 * **distributed Krylov solves**: the per-rank equations become one
   global system (:class:`~repro.dist.krylov.DistributedSystem`) whose
   matvecs halo-exchange and whose reductions allreduce, and
@@ -124,8 +125,6 @@ class DecomposedSolver:
         self.comm = comm or SimulatedComm(settings.ranks)
         self.exchanger = HaloExchanger(self.decomp, self.comm)
         self.subs = self.exchanger.subs
-        self.krylov_variant = settings.krylov_variant
-        self.overlap_halo = settings.overlap_halo
         # The persistent distributed system (local blocks, matvec
         # outputs, packed reduction partials, the cached
         # interior/boundary row split; built by the first solve, which
@@ -165,7 +164,7 @@ class DecomposedSolver:
                     properties=properties, chemistry=chemistry)
                 for sub in self.subs
             ]
-            # The rank constructors evaluated properties/enthalpy over
+            # The rank constructors evaluated properties over
             # local-plus-halo batches; re-sync the ghost rows from
             # their owners (per-cell Newton convergence makes a
             # recomputed ghost match its owner to rounding, but only
@@ -173,7 +172,7 @@ class DecomposedSolver:
             # rebuild the face mass flux so every cut face starts
             # bitwise-consistent across its pair.
             self.exchanger.refresh(
-                [[*(getattr(r.props, f) for f in PROP_FIELDS), r.h]
+                [[getattr(r.props, f) for f in PROP_FIELDS]
                  for r in self.ranks])
             for r, sub in zip(self.ranks, self.subs):
                 r.rho[sub.n_owned:] = r.props.rho[sub.n_owned:]
@@ -217,12 +216,12 @@ class DecomposedSolver:
         if self._system is None:
             self._system = DistributedSystem(
                 self.decomp, self.comm, mats, exchanger=self.exchanger,
-                overlap_halo=self.overlap_halo)
+                overlap_halo=self.settings.krylov_variant == "overlapped")
         else:
             self._system.bind(mats)
         x, results = solve_distributed(self._system, b, x0=x0, solver=solver,
                                        controls=controls,
-                                       variant=self.krylov_variant,
+                                       variant=self.settings.krylov_variant,
                                        workspace=self._krylov_workspace)
         return [x[sl] for sl in self._system.slices], results
 

@@ -9,6 +9,7 @@ loop's equation assemblies and solves need:
   ``fvm_ddt + fvm_div - fvm_laplacian`` temporary chain),
 * per-shape source buffers -- ``(n,)`` for scalar equations, ``(n, k)``
   for the coupled species / momentum blocks,
+* per-width value blocks a coupled equation's caller fills in place,
 * a :class:`~repro.sparse.pattern.CSRPattern` so every LDU->CSR
   conversion is an O(nnz) value scatter,
 * the cached Jacobi preconditioner, with a persistent
@@ -61,6 +62,7 @@ class EquationWorkspace:
         self.ldu = LDUMatrix.from_mesh(mesh)
         self.krylov = KrylovWorkspace()
         self._sources: dict[int | None, np.ndarray] = {}
+        self._values: dict[int, np.ndarray] = {}
         self._dic: CachedDICPreconditioner | None = None
         self._jacobi: JacobiPreconditioner | None = None
 
@@ -82,6 +84,13 @@ class EquationWorkspace:
         else:
             b[:] = 0.0
         return a, b
+
+    def values(self, k: int) -> np.ndarray:
+        """The persistent ``(n, k)`` value block a caller fills in place."""
+        if k not in self._values:
+            self._values[k] = np.empty((self.mesh.n_cells, k))
+            alloc.count()
+        return self._values[k]
 
     # -- fused assemblies ----------------------------------------------
     def transport(

@@ -11,17 +11,17 @@ allocates its own preconditioner, CSR conversion and Krylov vectors.
 
 Two solve orders:
 
-* ``column_solves=False`` -- the species block and the three momentum
+* ``column_solves=False`` -- the (Y, h) block and the three momentum
   components each share one operator, so the per-column chains are
   stacked into one :class:`~repro.fv.CoupledTransportEquation` and
   solved blocked (no workspace).  The production step matches this to
   <= 1e-12 (frozen chemistry) / <= 1e-8 (live chemistry).
-* ``column_solves=True`` -- every species and every momentum component
-  is solved on its own with ``FVMatrix.solve`` (its column of the
-  stacked sources over the operator the stacking verified the columns
-  share), the sequential order the blocked solve replaced.  The
-  production step matches this to solver accuracy (<= 1e-10 at a 1e-12
-  tolerance).
+* ``column_solves=True`` -- every species, the enthalpy and every
+  momentum component is solved on its own with ``FVMatrix.solve`` (its
+  column of the stacked sources over the operator the stacking verified
+  the columns share), the sequential order the blocked solve replaced.
+  The production step matches this to solver accuracy (<= 1e-10 at a
+  1e-12 tolerance).
 
 The per-cell stages (properties, chemistry), the post-solve updates
 (``finish_species`` / ``finish_pressure``) and the stage sequence
@@ -73,19 +73,20 @@ class OracleSolver(DeepFlameSolver):
         eqns = [self._transport_chain(field.column(j), dt, rho_old, gamma)
                 for j in range(field.k)]
         for e in eqns[1:]:
-            assert np.array_equal(e.a.diag, eqns[0].a.diag)
+            for part in ("diag", "lower", "upper"):
+                assert np.array_equal(getattr(e.a, part),
+                                      getattr(eqns[0].a, part))
         return CoupledTransportEquation(
             field, eqns[0].a, np.stack([e.source for e in eqns], axis=1))
 
     # -- assemblies ----------------------------------------------------------
-    def assemble_species_eqn(self, dt, rho_old, d_eff, tm):
-        yf = MultiVolField([f"Y_{s}" for s in self.mech.species_names],
-                           self.mesh, self.y)
-        return self._stacked(yf, dt, rho_old, self.rho * d_eff)
-
-    def assemble_energy_eqn(self, dt, rho_old, tm):
-        return self._transport_chain(VolField("h", self.mesh, self.h), dt,
-                                     rho_old, self.rho * self.props.alpha)
+    def assemble_species_eqn(self, dt, rho_old, tm):
+        """The ns species chains and the enthalpy chain, stacked: the
+        stacking asserts that h shares the species operator."""
+        yh = MultiVolField(
+            [f"Y_{s}" for s in self.mech.species_names] + ["h"], self.mesh,
+            np.column_stack([self.y, self.h]))
+        return self._stacked(yh, dt, rho_old, self.rho * self.props.alpha)
 
     def assemble_momentum_eqn(self, dt, rho_old, grad_p, tm):
         eqn = self._stacked(MultiVolField.from_vector(self.u), dt, rho_old,

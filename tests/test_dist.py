@@ -1,6 +1,8 @@
 """Domain-decomposed execution: decomposition invariants, halo
 exchange, distributed Krylov, and decomposed-vs-serial agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,33 @@ class TestDecomposedSolver:
         assert f"{diag.solver_unconverged} linear-solve column(s)" in msg
         assert "after 1 iterations" in msg and "final residual" in msg
 
+    @pytest.mark.parametrize("ranks", [0, 2])
+    def test_unconverged_enthalpy_column_named_h(self, mech, ranks,
+                                                 monkeypatch, caplog):
+        """h is the last column of the (Y, h) solve but keeps its own
+        label: an enthalpy column alone coming back unconverged is
+        reported as the ``h`` equation."""
+        solver = build_solver(
+            build_tgv_case(n=6, mech=mech),
+            SolverSettings(ranks=ranks, **TIGHT),
+            properties=IdealGasProperties(mech), chemistry=NoChemistry())
+        solve = solver._solve
+
+        def h_fails(eqns, method, controls):
+            xs, results = solve(eqns, method, controls)
+            if len(results) == mech.n_species + 1:
+                results = [*results[:-1],
+                           replace(results[-1], converged=False)]
+            return xs, results
+
+        monkeypatch.setattr(solver, "_solve", h_fails)
+        with caplog.at_level("WARNING", logger="repro.solvers"):
+            diag = solver.step(1e-8)
+        assert diag.solver_unconverged == 1
+        records = [r for r in caplog.records if r.name == "repro.solvers"]
+        assert len(records) == 1
+        assert "worst: h equation" in records[0].getMessage()
+
     def test_converged_step_is_silent(self, mech, caplog):
         solver = DeepFlameSolver(build_tgv_case(n=6, mech=mech),
                                  SolverSettings(**TIGHT),
@@ -317,3 +346,74 @@ class TestDecomposedSolver:
             got = dist.gather(name)
             rel = np.abs(got - want).max() / np.abs(want).max()
             assert rel <= 1e-10, (name, rel)
+
+
+class TestGhostRows:
+    """A step exchanges only the ghost rows a later stage reads: the
+    property set, ``[U, 1/A, grad p, psi]`` and per corrector ``p`` then
+    ``[U, grad p]`` -- never the transported scalars Y and h."""
+
+    @pytest.mark.parametrize("n_correctors", [1, 2])
+    def test_refreshes_per_step(self, mech, monkeypatch, n_correctors):
+        from repro.dist import solver as dist_solver
+
+        step = dist_solver.advance_step
+        per_step = []
+
+        def counting_step(hosted, dt, *, refresh, **hooks):
+            calls = []
+
+            def counted(per_rank):
+                calls.append(per_rank)
+                refresh(per_rank)
+
+            diag = step(hosted, dt, refresh=counted, **hooks)
+            per_step.append(len(calls))
+            return diag
+
+        monkeypatch.setattr(dist_solver, "advance_step", counting_step)
+        dist = DecomposedSolver(
+            build_tgv_case(n=8, mech=mech),
+            SolverSettings(ranks=2, n_correctors=n_correctors),
+            properties=IdealGasProperties(mech), chemistry=NoChemistry())
+        dist.run(3, 1e-8)
+        assert per_step == [2 + 2 * n_correctors] * 3
+
+    @staticmethod
+    def _hotspot_run(mech, poison: bool) -> dict:
+        from repro.core.cases import build_hotspot_tgv_case
+
+        dist = DecomposedSolver(
+            build_hotspot_tgv_case(n=6, t_hot=2000.0, mech=mech),
+            SolverSettings(ranks=2, chemistry="direct"),
+            properties=IdealGasProperties(mech))
+
+        def nan_ghosts():
+            for r, sub in zip(dist.ranks, dist.subs):
+                r.y[sub.n_owned:] = np.nan
+                r.h[sub.n_owned:] = np.nan
+
+        def then_poison(method):
+            def wrapped(*args, **kwargs):
+                out = method(*args, **kwargs)
+                nan_ghosts()
+                return out
+            return wrapped
+
+        if poison:
+            # wherever the owned rows of Y or h were just written
+            for r in dist.ranks:
+                r.stage_chemistry = then_poison(r.stage_chemistry)
+                r.finish_species = then_poison(r.finish_species)
+        for _ in range(3):
+            if poison:
+                nan_ghosts()
+            dist.step(1e-7)
+        return {f: dist.gather(f) for f in ("y", "h", "p", "u", "rho", "T")}
+
+    def test_ghost_rows_of_y_and_h_are_never_read(self, mech):
+        clean = self._hotspot_run(mech, poison=False)
+        poisoned = self._hotspot_run(mech, poison=True)
+        for name, want in clean.items():
+            assert np.isfinite(want).all(), name
+            assert np.array_equal(poisoned[name], want), name

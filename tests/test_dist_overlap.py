@@ -300,7 +300,6 @@ class TestDecomposedAgreement:
     def _solver(self, mech, nparts, variant, **kw):
         settings = SolverSettings(
             ranks=nparts, krylov_variant=variant,
-            overlap_halo=(variant == "overlapped"),
             scalar_controls=SolverControls(tolerance=1e-12,
                                            max_iterations=500),
             pressure_controls=SolverControls(tolerance=1e-12,
@@ -347,8 +346,7 @@ class TestWarmAllocations:
         distributed solves perform zero tracked allocations -- the
         Jacobi preconditioner's reciprocal diagonal included, which
         lives in the persistent system and is refilled in place."""
-        settings = SolverSettings(ranks=4, krylov_variant=variant,
-                                  overlap_halo=(variant == "overlapped"))
+        settings = SolverSettings(ranks=4, krylov_variant=variant)
         solver = DecomposedSolver(
             build_tgv_case(n=6, mech=mech), settings,
             properties=IdealGasProperties(mech), chemistry=NoChemistry())
@@ -403,10 +401,6 @@ class TestValidation:
     def test_unknown_krylov_variant_rejected(self):
         with pytest.raises(ValueError, match="krylov_variant"):
             SolverSettings(krylov_variant="bogus")
-
-    def test_overlap_halo_must_be_bool(self):
-        with pytest.raises(TypeError, match="overlap_halo"):
-            SolverSettings(overlap_halo="yes")
 
     def test_solve_distributed_rejects_unknown_variant(self, box_mesh):
         system = _make_system(box_mesh, 2)

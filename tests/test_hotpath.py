@@ -34,6 +34,7 @@ from repro.core import (
     DeepFlameSolver,
     NoChemistry,
     SolverSettings,
+    StepTimings,
     build_tgv_case,
 )
 from repro.fv import (
@@ -285,6 +286,29 @@ class TestFusedAssembly:
             assert np.array_equal(ref.a.upper, fused.a.upper)
             assert np.array_equal(ref.a.lower, fused.a.lower)
             assert np.array_equal(ref.source, fused.source)
+
+    def test_species_block_carries_the_energy_equation(self, solver):
+        """h is column ``ns`` of the species block: the block's operator
+        is the enthalpy equation's coefficient for coefficient, and its
+        last source column is the enthalpy source.  The value block is
+        one persistent workspace buffer, refilled per assembly."""
+        s = solver
+        ns = s.mech.n_species
+        rho_old = s.rho * 0.999
+        block = s.assemble_species_eqn(1e-8, rho_old, StepTimings())
+        assert block.field.names[-1] == "h"
+        assert np.array_equal(block.field.values[:, :ns], s.y)
+        assert np.array_equal(block.field.values[:, ns], s.h)
+        values = block.field.values
+        got = {part: getattr(block.a, part).copy()
+               for part in ("diag", "lower", "upper")}
+        source_h = block.source[:, ns].copy()
+        energy = s.assemble_energy_eqn(1e-8, rho_old, StepTimings())
+        for part, coeffs in got.items():
+            assert np.array_equal(coeffs, getattr(energy.a, part)), part
+        assert np.array_equal(source_h, energy.source)
+        again = s.assemble_species_eqn(1e-8, rho_old, StepTimings())
+        assert again.field.values is values
 
     def test_scalar_fused_matches_operator_chain(self, solver):
         s = solver

@@ -473,12 +473,9 @@ class TestSpmdParity:
         worst = _run_pair(mech, settings, lambda: IdealGasProperties(mech))
         assert worst <= AGREEMENT_ATOL
 
-    @pytest.mark.parametrize("overlay", [
-        {"krylov_variant": "overlapped"},
-        {"krylov_variant": "overlapped", "overlap_halo": True},
-    ])
-    def test_overlapped_variants_agree(self, mech, overlay):
-        settings = SolverSettings(ranks=2, **TIGHT).overlay(**overlay)
+    def test_overlapped_variants_agree(self, mech):
+        settings = SolverSettings(ranks=2, krylov_variant="overlapped",
+                                  **TIGHT)
         worst = _run_pair(mech, settings, lambda: IdealGasProperties(mech))
         assert worst <= AGREEMENT_ATOL
 
@@ -569,7 +566,6 @@ class TestWrittenOnce:
         each worker: no tracked allocation while solving, the cached
         per-rank preconditioner keeps its identity."""
         settings = SolverSettings(ranks=2, krylov_variant=variant,
-                                  overlap_halo=(variant == "overlapped"),
                                   execution="parallel")
         with DecomposedSolver(
                 build_tgv_case(n=6, mech=mech), settings,

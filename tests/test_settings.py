@@ -160,7 +160,7 @@ class TestOneSurface:
     configuration surface, and the superseded spellings are gone."""
 
     def test_field_count(self):
-        assert len(fields(SolverSettings)) == 17
+        assert len(fields(SolverSettings)) == 16
 
     def test_constructor_signatures(self):
         def surface(cls):
@@ -183,10 +183,13 @@ class TestOneSurface:
             ("chemistry", "KEYWORD_ONLY", None)]
 
     def test_removed_field_is_an_unknown_field(self):
-        d = SolverSettings().to_dict()
-        d["transport"] = "coupled"
-        with pytest.raises(KeyError, match="transport"):
-            SolverSettings.from_dict(d)
+        for name, value in (("transport", "coupled"), ("overlap_halo", True)):
+            d = SolverSettings().to_dict()
+            d[name] = value
+            with pytest.raises(KeyError, match=name):
+                SolverSettings.from_dict(d)
+            with pytest.raises(KeyError, match=name):
+                SolverSettings().overlay(**{name: value})
 
     @pytest.mark.parametrize("name", [
         "resolve_settings", "TRANSPORT_MODES", "DirectChemistry",
