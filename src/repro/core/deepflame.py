@@ -40,8 +40,6 @@ with halo exchanges and distributed Krylov solves plugged in.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from ..backend import get_backend
@@ -66,7 +64,38 @@ from .step import (
     advance_step,
 )
 
-__all__ = ["StepTimings", "StepDiagnostics", "DeepFlameSolver"]
+__all__ = ["FIELDS", "STATE_ATTRS", "StepTimings", "StepDiagnostics",
+           "DeepFlameSolver", "check_state"]
+
+#: The flow state's live cell arrays by name (``p`` / ``u`` are the
+#: fields' values, ``T`` is ``props.temperature``): the one table every
+#: snapshot, restore and gather reads.
+FIELDS = {
+    "y": lambda s: s.y,
+    "h": lambda s: s.h,
+    "p": lambda s: s.p.values,
+    "u": lambda s: s.u.values,
+    "rho": lambda s: s.rho,
+    "T": lambda s: s.props.temperature,
+}
+
+
+#: a snapshot's non-array entries, kept by reference (a step builds new
+#: timings and diagnostics and never mutates old ones)
+STATE_ATTRS = ("current_time", "step_count", "last_timings", "last_diag")
+
+
+def check_state(shapes: dict[str, tuple], snap: dict) -> None:
+    """Raise ``ValueError`` unless ``snap`` holds the
+    :data:`STATE_ATTRS` and an array of each of ``shapes`` under its
+    key: a restore must neither broadcast nor apply part of a
+    snapshot."""
+    bad = [k for k in STATE_ATTRS if k not in snap] + [
+        k for k, shape in shapes.items() if np.shape(snap.get(k)) != shape]
+    if bad:
+        raise ValueError(
+            f"snapshot does not fit this solver's mesh or layout "
+            f"(entries {', '.join(bad)})")
 
 
 class DeepFlameSolver:
@@ -361,40 +390,58 @@ class DeepFlameSolver:
             x, results = x[:, None], [results]
         return [x], results
 
-    # -- state snapshot ----------------------------------------------------
-    def state_snapshot(self) -> dict:
-        """Deep copy of the physical + time-marching state.
+    # -- flow state ------------------------------------------------------
+    def gather(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
+        """A copy of one :data:`FIELDS` array (a serial solver owns
+        every row), written into ``out`` when given."""
+        a = FIELDS[name](self)
+        if out is None:
+            return a.copy()
+        np.copyto(out, a)
+        return out
 
-        Covers everything :meth:`step` evolves physically (fields,
-        properties, flux, clocks).  Diagnostic counters inside
-        chemistry backends (work-per-cell stats, ``last_backend_stats``)
-        are *not* captured -- a restored probe step still leaves its
-        trace there.
+    def _state_arrays(self) -> dict[str, np.ndarray]:
+        """Every live array a snapshot copies, by snapshot key."""
+        arrays = {name: get(self) for name, get in FIELDS.items()}
+        arrays["phi"] = self.phi.values
+        for f in PROP_FIELDS:
+            if f != "temperature":      # the table's ``T``
+                arrays[f"props.{f}"] = getattr(self.props, f)
+        return arrays
+
+    def _state_shapes(self) -> dict[str, tuple]:
+        """The snapshot keys and the array shape each must carry."""
+        return {k: a.shape for k, a in self._state_arrays().items()}
+
+    def state_snapshot(self) -> dict:
+        """The flow state as a plain dict of copies.
+
+        Holds a copy of every :data:`FIELDS` array, of ``phi`` and of the
+        property set (keys ``props.<name>``), plus the
+        :data:`STATE_ATTRS` (clocks, last timings and diagnostics).  Not
+        captured: the chemistry backend's counters
+        (``last_backend_stats``, work statistics, the hybrid backend's
+        audit counter ``_audit_calls``), so restore + step is bitwise
+        only while none of them feeds the step (chemistry ``none`` or
+        ``direct``).
         """
-        return {
-            "y": self.y.copy(), "h": self.h.copy(), "rho": self.rho.copy(),
-            "u": self.u.values.copy(), "p": self.p.values.copy(),
-            "phi": self.phi.values.copy(),
-            "props": copy.deepcopy(self.props),
-            "current_time": self.current_time,
-            "step_count": self.step_count,
-            "last_timings": copy.deepcopy(self.last_timings),
-            "last_diag": copy.deepcopy(self.last_diag),
-        }
+        snap = {k: a.copy() for k, a in self._state_arrays().items()}
+        snap.update((k, getattr(self, k)) for k in STATE_ATTRS)
+        return snap
 
     def restore_state(self, snap: dict) -> None:
-        """Restore a :meth:`state_snapshot` (the snapshot stays valid)."""
-        self.y = snap["y"].copy()
-        self.h = snap["h"].copy()
-        self.rho = snap["rho"].copy()
-        self.u.values[:] = snap["u"]
-        self.p.values[:] = snap["p"]
-        self.phi = SurfaceField("phi", self.mesh, snap["phi"].copy())
-        self.props = copy.deepcopy(snap["props"])
-        self.current_time = snap["current_time"]
-        self.step_count = snap["step_count"]
-        self.last_timings = copy.deepcopy(snap["last_timings"])
-        self.last_diag = copy.deepcopy(snap["last_diag"])
+        """Put a :meth:`state_snapshot` back, in place.
+
+        Every live array is overwritten (``np.copyto``) and keeps its
+        identity; nothing is allocated and the snapshot stays valid.  A
+        snapshot of another mesh or layout raises ``ValueError`` before
+        anything is written.
+        """
+        check_state(self._state_shapes(), snap)
+        for k, a in self._state_arrays().items():
+            np.copyto(a, snap[k])
+        for k in STATE_ATTRS:
+            setattr(self, k, snap[k])
 
     # -- multi-step driver ------------------------------------------------
     def run(self, n_steps: int, dt: float) -> list[StepDiagnostics]:

@@ -43,7 +43,14 @@ import numpy as np
 from ..backend import get_backend
 from ..core.cases import Case
 from ..core.chemistry_source import BackendChemistry
-from ..core.deepflame import DeepFlameSolver, StepDiagnostics, StepTimings
+from ..core.deepflame import (
+    FIELDS,
+    STATE_ATTRS,
+    DeepFlameSolver,
+    StepDiagnostics,
+    StepTimings,
+    check_state,
+)
 from ..core.settings import SolverSettings, build_chemistry
 from ..core.step import PROP_FIELDS, advance_step
 from ..fv.fields import VolField
@@ -56,17 +63,6 @@ from .halo import HaloExchanger
 from .krylov import DistributedSystem, solve_distributed
 
 __all__ = ["DecomposedSolver"]
-
-#: gatherable state fields and their per-rank accessors
-_FIELD_GETTERS = {
-    "y": lambda r: r.y,
-    "h": lambda r: r.h,
-    "p": lambda r: r.p.values,
-    "u": lambda r: r.u.values,
-    "rho": lambda r: r.rho,
-    "T": lambda r: r.props.temperature,
-}
-
 
 def _localize_case(case: Case, sub) -> Case:
     """Restrict a case to one subdomain (owned + halo cells)."""
@@ -199,6 +195,8 @@ class DecomposedSolver:
         self.last_diag: StepDiagnostics | None = None
         self.last_comm: dict | None = None
         self.last_balance: BalanceReport | None = None
+        #: per rank, the chemistry backend's stats of the last step
+        self.last_backend_stats: list = []
 
     # -- helpers --------------------------------------------------------
     def _solve(self, eqns, solver: str,
@@ -245,6 +243,9 @@ class DecomposedSolver:
         self.last_timings = self.ranks[0].last_timings
         self.last_diag = diag
         self.last_comm = led.delta(led0)
+        self.last_backend_stats = [
+            getattr(r.chemistry, "last_backend_stats", None)
+            for r in self.ranks]
         return diag
 
     def _step_parallel(self, dt: float) -> StepDiagnostics:
@@ -256,37 +257,81 @@ class DecomposedSolver:
         """
         led = self.comm.ledger
         led0 = led.totals()
-        diag, self.last_timings = self._parallel.step(dt)
+        diag, self.last_timings, self.last_backend_stats = \
+            self._parallel.step(dt)
         self.current_time = diag.time
         self.step_count = diag.step
         self.last_diag = diag
         self.last_comm = led.delta(led0)
         return diag
 
-    # -- multi-step driver / gathers ------------------------------------
+    # -- multi-step driver -----------------------------------------------
     def run(self, n_steps: int, dt: float) -> list[StepDiagnostics]:
         """Advance ``n_steps`` collective steps of size ``dt``."""
         return [self.step(dt) for _ in range(n_steps)]
 
-    def gather(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
-        """A state field in global cell order ('y', 'h', 'p', 'u',
-        'rho' or 'T').
-
-        Writes the owned rows of the hosted ranks into ``out`` (a fresh
-        global array by default) -- a worker of a parallel run passes
-        the shared gather buffer and fills its own rank's rows.
-        """
+    # -- flow state ------------------------------------------------------
+    def _each_rank(self, method: str, *args) -> list:
+        """``method(*args)`` of every hosted rank solver, in rank order
+        (under ``execution="parallel"``, of every worker's)."""
         if self._parallel is not None:
-            return self._parallel.gather(name)
-        if name not in _FIELD_GETTERS:
+            return self._parallel.each_rank(method, *args)
+        return [getattr(r, method)(*args) for r in self.ranks]
+
+    def gather(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
+        """A :data:`~repro.core.deepflame.FIELDS` array in global cell
+        order: the owned rows of every rank, written into ``out`` (a
+        fresh global array by default)."""
+        if name not in FIELDS:
             raise KeyError(f"unknown field {name!r}")
-        local = [_FIELD_GETTERS[name](r) for r in self.ranks]
+        local = self._each_rank("gather", name)
         if out is None:
             out = np.empty((self.decomp.mesh.n_cells,) + local[0].shape[1:],
                            local[0].dtype)
         for a, sub in zip(local, self.subs):
             out[sub.owned_global] = a[:sub.n_owned]
         return out
+
+    def state_snapshot(self) -> dict:
+        """The flow state: one :meth:`DeepFlameSolver.state_snapshot
+        <repro.core.DeepFlameSolver.state_snapshot>` per rank (key
+        ``ranks``, rank order) plus the driver's clocks.
+
+        Under ``execution="parallel"`` one pool broadcast collects the
+        per-rank dicts.  Beyond what a rank snapshot leaves out,
+        ``last_comm``, ``last_balance``, ``last_backend_stats`` and the
+        load balancer's history are not captured: restore + step is
+        bitwise only with ``balance_chemistry="none"``.
+        """
+        snap = {"ranks": self._each_rank("state_snapshot")}
+        snap.update((k, getattr(self, k)) for k in STATE_ATTRS)
+        return snap
+
+    def restore_state(self, snap: dict) -> None:
+        """Put a :meth:`state_snapshot` back, in place, on every rank.
+
+        Every rank's snapshot is checked against that rank's live
+        arrays before any is written (``ValueError`` on another mesh or
+        rank layout); under ``execution="parallel"`` one pool scatter
+        then sends each worker its own rank's dict.  Adds nothing to
+        ``comm.ledger``.
+        """
+        shapes = self._each_rank("_state_shapes")
+        check_state({}, snap)
+        ranks = snap.get("ranks")
+        if not isinstance(ranks, list) or len(ranks) != len(shapes):
+            raise ValueError(
+                f"snapshot does not fit this solver's {len(shapes)} ranks")
+        for rank_shapes, rank_snap in zip(shapes, ranks):
+            check_state(rank_shapes, rank_snap)
+        if self._parallel is not None:
+            self._parallel.restore_state(
+                [{**snap, "ranks": [s]} for s in ranks])
+        else:
+            for r, s in zip(self.ranks, ranks):
+                r.restore_state(s)
+        for k in STATE_ATTRS:
+            setattr(self, k, snap[k])
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

@@ -8,7 +8,10 @@ builds the shared arena and barrier, forks one worker per rank
 ``DecomposedSolver`` over a one-rank
 :class:`~repro.runtime.shm.SharedMemComm` endpoint of the driver's
 decomposition.  After construction and after every step the per-rank
-ledgers are merged back into the driver's communicator.
+ledgers are merged back into the driver's communicator.  Gathers and
+snapshots collect the per-rank arrays with one pool broadcast, and a
+restore sends each worker its own rank's snapshot with one scatter;
+none of them touches the fabric or its ledger.
 
 **Parity contract.**  Both fabrics stack per-rank reduction partials in
 rank order and reduce them identically, so every Krylov iterate,
@@ -32,12 +35,10 @@ import logging
 import multiprocessing as mp
 import os
 
-import numpy as np
-
 from ..runtime.comm import CommLedger
 from ..runtime.executor import WorkerPool
 from ..runtime.shm import SharedArena, SharedMemComm
-from .solver import _FIELD_GETTERS, DecomposedSolver
+from .solver import DecomposedSolver
 
 __all__ = ["ParallelExecutor"]
 
@@ -50,11 +51,10 @@ def _bind_to_core(rank: int) -> None:
 
 
 class _RankWorker:
-    """Pool handler: one worker's solver plus the shared gather arena."""
+    """Pool handler: one worker's solver over its one-rank endpoint."""
 
-    def __init__(self, solver: DecomposedSolver, arena: SharedArena):
+    def __init__(self, solver: DecomposedSolver):
         self.solver = solver
-        self.arena = arena
 
     def drain_ledger(self) -> CommLedger:
         """Return this rank's ledger and start a fresh one."""
@@ -62,22 +62,28 @@ class _RankWorker:
         led, comm.ledger = comm.ledger, CommLedger()
         return led
 
-    def write_field(self, name: str) -> None:
-        """Write the rank's owned rows of a field into the arena."""
-        self.solver.gather(name, out=self.arena.get(f"g_{name}"))
-
     def step(self, dt: float) -> dict:
         """Advance this rank by one collective dt; returns its
-        diagnostics, timings and drained communication ledger."""
+        diagnostics, timings, chemistry backend stats and drained
+        communication ledger."""
         diag = self.solver.step(dt)
         return {"diag": diag, "timings": self.solver.last_timings,
+                "chemistry": self.solver.last_backend_stats,
                 "ledger": self.drain_ledger()}
+
+    def each_rank(self, method: str, *args) -> list:
+        """``method(*args)`` of this worker's rank solver, as a list."""
+        return self.solver._each_rank(method, *args)
+
+    def restore_state(self, snap: dict) -> None:
+        """Restore this worker's share of a decomposed snapshot."""
+        self.solver.restore_state(snap)
 
 
 class ParallelExecutor:
     """Driver-side harness of a parallel decomposed run.
 
-    Builds the shared arena (staging slabs + named gather arrays)
+    Builds the shared arena (the communicators' staging slabs)
     *before* forking one worker per rank, so the whole fabric is
     inherited copy-on-write; merges every worker's drained ledger into
     the driver communicator's ledger after construction and after each
@@ -95,14 +101,6 @@ class ParallelExecutor:
         self.pool = None
         self.arena = arena = SharedArena(nparts)
         try:
-            n = case.mesh.n_cells
-            shapes = {
-                "y": (n, np.asarray(case.mass_fractions).shape[1]),
-                "h": (n,), "p": (n,), "rho": (n,), "T": (n,),
-                "u": (n, case.velocity.values.shape[1]),
-            }
-            for name, shape in shapes.items():
-                arena.alloc(f"g_{name}", shape)
             barrier = mp.get_context("fork").Barrier(nparts)
             rank_settings = settings.overlay(execution="serial")
 
@@ -116,7 +114,7 @@ class ParallelExecutor:
                 return _RankWorker(
                     DecomposedSolver(case, rank_settings, comm=rank_comm,
                                      decomp=decomp, properties=properties,
-                                     chemistry=chemistry), arena)
+                                     chemistry=chemistry))
 
             self.pool = WorkerPool(nparts, factory,
                                    base_seed=settings.partition_seed,
@@ -131,9 +129,10 @@ class ParallelExecutor:
     def step(self, dt: float):
         """One collective step on all workers.
 
-        Returns ``(diagnostics, timings)``: rank 0's view (the reduced
-        fields are identical on every rank) with ``solver_flops``
-        summed over the workers, which each price their hosted rows.
+        Returns ``(diagnostics, timings, backend stats)``: rank 0's view
+        (the reduced fields are identical on every rank) with
+        ``solver_flops`` summed over the workers, which each price their
+        hosted rows, and every rank's chemistry stats in rank order.
         """
         results = self.pool.broadcast("step", dt)
         for res in results:
@@ -141,14 +140,18 @@ class ParallelExecutor:
         diag = dataclasses.replace(
             results[0]["diag"],
             solver_flops=sum(res["diag"].solver_flops for res in results))
-        return diag, results[0]["timings"]
+        stats = [st for res in results for st in res["chemistry"]]
+        return diag, results[0]["timings"], stats
 
-    def gather(self, name: str) -> np.ndarray:
-        """A state field in global cell order, via the arena."""
-        if name not in _FIELD_GETTERS:
-            raise KeyError(f"unknown field {name!r}")
-        self.pool.broadcast("write_field", name)
-        return self.arena.get(f"g_{name}").copy()
+    def each_rank(self, method: str, *args) -> list:
+        """``method(*args)`` of every worker's rank solver, in rank
+        order (one broadcast)."""
+        return [x for part in self.pool.broadcast("each_rank", method, *args)
+                for x in part]
+
+    def restore_state(self, snaps: list[dict]) -> None:
+        """Restore worker ``w`` from ``snaps[w]`` (one scatter)."""
+        self.pool.scatter("restore_state", [(s,) for s in snaps])
 
     def close(self) -> None:
         """Shut the workers down and unlink the arena (idempotent)."""

@@ -67,7 +67,7 @@ class _EnsembleWorker:
         return out
 
     def snapshot_all(self):
-        """Deep state snapshots of every owned instance's solver."""
+        """State snapshots of every owned instance's solver."""
         return [(i, inst.solver.state_snapshot())
                 for i, inst in zip(self.indices, self.instances)]
 
@@ -341,18 +341,23 @@ class Ensemble:
                 self.instances[i].solver.restore_state(snap)
 
     def close(self) -> None:
-        """Sync outstanding state and shut the worker pool down."""
+        """Sync outstanding state, shut the worker pool down and close
+        every member's solver (a parallel decomposed member's workers
+        and shared memory go with it)."""
         if self._pool is not None:
             self.sync()
             self._pool.close()
             self._pool = None
+        for inst in self.instances:
+            if inst.settings.is_decomposed:
+                inst.solver.close()
 
     def __enter__(self) -> "Ensemble":
         """Context-manager entry (returns the ensemble)."""
         return self
 
     def __exit__(self, *exc) -> None:
-        """Close the worker pool on context exit."""
+        """:meth:`close` on context exit."""
         self.close()
 
     def step(self, dt: float) -> list[StepDiagnostics]:

@@ -24,18 +24,6 @@ from .cache import SharedResources, nbytes_deep
 
 __all__ = ["SolverInstance"]
 
-#: uniform state-field accessors for serial solvers (the decomposed
-#: driver's ``gather`` spells the same names)
-_FIELD_GETTERS = {
-    "y": lambda s: s.y,
-    "h": lambda s: s.h,
-    "p": lambda s: s.p.values,
-    "u": lambda s: s.u.values,
-    "rho": lambda s: s.rho,
-    "T": lambda s: s.props.temperature,
-}
-
-
 class SolverInstance:
     """One named member of an :class:`~repro.orchestrate.Ensemble`.
 
@@ -133,27 +121,24 @@ class SolverInstance:
         return diag
 
     def _harvest_chemistry(self) -> None:
-        """Fold the step's backend work counters into the totals."""
-        solvers = self.solver.ranks if self.settings.is_decomposed \
-            else [self.solver]
-        for s in solvers:
-            st = getattr(s.chemistry, "last_backend_stats", None)
+        """Fold the step's backend work counters into the totals (a
+        decomposed solver reports one per rank in either execution)."""
+        stats = self.solver.last_backend_stats \
+            if self.settings.is_decomposed else \
+            [getattr(self.solver.chemistry, "last_backend_stats", None)]
+        for st in stats:
             if st is not None:
                 self.chemistry_work += st.total_work
                 self.chemistry_cells += int(st.n_cells)
 
     # -- uniform state access ------------------------------------------
     def field(self, name: str) -> np.ndarray:
-        """A state field in global cell order (``'y'``, ``'h'``,
-        ``'p'``, ``'u'``, ``'rho'`` or ``'T'``), regardless of whether
-        the instance runs serial or decomposed."""
+        """A copy of a state field in global cell order (``'y'``,
+        ``'h'``, ``'p'``, ``'u'``, ``'rho'`` or ``'T'``): the solver's
+        :meth:`gather`, serial or decomposed."""
         if self._stale_cb is not None:
             self._stale_cb()
-        if self.settings.is_decomposed:
-            return self.solver.gather(name)
-        if name not in _FIELD_GETTERS:
-            raise KeyError(f"unknown field {name!r}")
-        return _FIELD_GETTERS[name](self.solver)
+        return self.solver.gather(name)
 
     # -- accounting -----------------------------------------------------
     def internal_comm(self) -> dict | None:

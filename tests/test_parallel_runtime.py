@@ -785,3 +785,38 @@ class TestParallelEnsemble:
         ens.add_instance("b")
         with pytest.raises(RuntimeError, match="serial instances"):
             ens.step(1e-8)
+
+
+class TestParallelDecomposedMember:
+    """An ensemble member with ``ranks=2, execution="parallel"``."""
+
+    @staticmethod
+    def _ensemble(mech, **base):
+        ens = Ensemble(lambda: build_tgv_case(n=6, mech=mech),
+                       SolverSettings(**base))
+        ens.add_instance("serial")
+        ens.add_instance("driver", overrides={"ranks": 2})
+        ens.add_instance("parallel", overrides={"ranks": 2,
+                                                "execution": "parallel"})
+        return ens
+
+    def test_reports_the_same_chemistry_work(self, mech):
+        """The workers hand back their ranks' backend stats with the
+        step, so the cost report counts chemistry in every mode."""
+        with self._ensemble(mech, chemistry="direct") as ens:
+            ens.step(1e-8)
+            costs = ens.cost_report().instances
+        n = build_tgv_case(n=6, mech=mech).mesh.n_cells
+        assert costs[0].chemistry_cells == n and costs[0].chemistry_work > 0
+        for c in costs[1:]:
+            assert (c.chemistry_work, c.chemistry_cells) == \
+                (costs[0].chemistry_work, costs[0].chemistry_cells), c.name
+
+    def test_close_stops_workers_and_unlinks_memory(self, mech):
+        before = _shm_entries()
+        with self._ensemble(mech) as ens:
+            ens.step(1e-8)
+            assert len(_shm_entries()) > len(before)
+            assert multiprocessing.active_children()
+        assert _shm_entries() == before
+        assert not multiprocessing.active_children()
