@@ -17,11 +17,8 @@ the thermo is evaluated once per right-hand side.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
-from ..backend import get_backend
 from ..constants import P_REF, R_UNIVERSAL
 from .mechanism import Mechanism
 
@@ -31,6 +28,8 @@ __all__ = ["KineticsEvaluator"]
 #: ``(n, nr)`` temporaries cache-resident (a 1700-row RHS runs ~1.5x faster)
 _CHUNK = 512
 _LN10 = np.log(10.0)
+#: floor of the rate constants, equilibrium constants and falloff ratios
+_TINY = 1e-300
 
 
 class KineticsEvaluator:
@@ -85,9 +84,11 @@ class KineticsEvaluator:
         self._vector_ok = self._fwd_slots is not None \
             and self._rev_slots is not None \
             and mechanism._thermo_coeffs is not None
-        #: backend -> [(dtype, device copies of the constants below)]
-        self._device_constants: dict = {}
         if self._vector_ok:
+            # one contiguous species-index array per slot column
+            self._fwd_cols, self._rev_cols = (
+                [np.ascontiguousarray(col) for col in slots.T]
+                for slots in (self._fwd_slots, self._rev_slots))
             self._build_table()
 
     def _build_table(self) -> None:
@@ -145,49 +146,45 @@ class KineticsEvaluator:
 
     # ----------------------------------------------------------------
     @staticmethod
-    def _blocks(be, kernel, *rows):
-        """Apply a row-wise ``kernel`` of ``be`` arrays in blocks of
-        ``_CHUNK`` rows."""
+    def _blocks(kernel, *rows):
+        """Apply a row-wise ``kernel`` in blocks of ``_CHUNK`` rows."""
         n = rows[0].shape[0]
         if n <= _CHUNK:
             return kernel(*rows)
         parts = [kernel(*(r[s:s + _CHUNK] for r in rows))
                  for s in range(0, n, _CHUNK)]
-        return tuple(be.xp.concat(col) for col in zip(*parts))
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
-    def _rate_table(self, t, deriv: bool = False, be=None):
-        """The ``(n, k)`` rate table at ``t`` (a 1-D ``be`` array, whose
-        dtype the table takes); with ``deriv`` also its T-derivative
-        (the constants times the differentiated basis)."""
-        be = get_backend(be)
-        xp = be.xp
-        table = self._constants(be, t.dtype).table
+    def _rate_table(self, t, deriv: bool = False):
+        """The ``(n, k)`` rate table at ``t`` ``(n,)``; with ``deriv``
+        also its T-derivative (the constants times the differentiated
+        basis)."""
         tc = t[:, None]
-        one, inv, t2 = xp.ones_like(tc), 1.0 / tc, tc * tc
-        tab = be.matmul(xp.concat(
-            [one, xp.log(tc), inv, tc, t2, t2 * tc, t2 * t2], axis=1), table)
+        one, inv, t2 = np.ones_like(tc), 1.0 / tc, tc * tc
+        tab = np.matmul(np.concatenate(
+            [one, np.log(tc), inv, tc, t2, t2 * tc, t2 * t2], axis=1),
+            self._table)
         if not deriv:
             return tab
-        return tab, be.matmul(xp.concat(
+        return tab, np.matmul(np.concatenate(
             [0.0 * one, inv, -inv * inv, one, 2.0 * tc, 3.0 * t2,
-             4.0 * t2 * tc], axis=1), table)
+             4.0 * t2 * tc], axis=1), self._table)
 
     @staticmethod
-    def _falloff_blend(xp, tiny, troe, tc, k_inf, k_0, m):
+    def _falloff_blend(troe, tc, k_inf, k_0, m):
         """Troe/Lindemann-blended ``k_f`` over the falloff subset:
-        ``(n, n_falloff)`` arrays of namespace ``xp``, ``tc`` the
-        ``(n, 1)`` temperatures, ``tiny`` the 1e-300 floor."""
+        ``(n, n_falloff)`` arrays, ``tc`` the ``(n, 1)`` temperatures."""
         alpha, t3, t1, t2 = troe
-        pr = xp.maximum(k_0 * m / xp.maximum(k_inf, tiny), tiny)
-        f_cent = (1.0 - alpha) * xp.exp(-tc / t3) \
-            + alpha * xp.exp(-tc / t1) + xp.exp(-t2 / tc)
-        log_fc = xp.log10(xp.maximum(f_cent, tiny))
-        u = xp.log10(pr) - 0.4 - 0.67 * log_fc
+        pr = np.maximum(k_0 * m / np.maximum(k_inf, _TINY), _TINY)
+        f_cent = (1.0 - alpha) * np.exp(-tc / t3) \
+            + alpha * np.exp(-tc / t1) + np.exp(-t2 / tc)
+        log_fc = np.log10(np.maximum(f_cent, _TINY))
+        u = np.log10(pr) - 0.4 - 0.67 * log_fc
         f1 = u / (0.75 - 1.27 * log_fc - 0.14 * u)
         return k_inf * (pr / (1.0 + pr)) \
-            * xp.exp(_LN10 * log_fc / (1.0 + f1 * f1))
+            * np.exp(_LN10 * log_fc / (1.0 + f1 * f1))
 
-    def rates_of_progress(self, t, conc, backend=None):
+    def rates_of_progress(self, t, conc):
         """Forward and net rates of progress, shape ``(n, n_reactions)``.
 
         Reaction-vectorized: rate constants from the rate table, the
@@ -199,12 +196,6 @@ class KineticsEvaluator:
         by mechanisms with non-integer orders) to rounding of the
         exponent (< 1e-13 relative at 150 K).
 
-        Everything runs on ``backend`` (``None`` = numpy) in the
-        floating dtype of ``conc`` (anything else computes in fp64);
-        only constants cross from the host, and the results are
-        backend-native arrays.  The reference loop is host numpy: its
-        result is transferred.
-
         Parameters
         ----------
         t:
@@ -212,109 +203,54 @@ class KineticsEvaluator:
         conc:
             Concentrations [mol/m^3], shape ``(n, n_species)``.
         """
-        be = get_backend(backend)
-        xp = be.xp
-        conc = be.to_device(conc)
-        if not xp.isdtype(conc.dtype, "real floating"):
-            conc = xp.astype(conc, xp.float64)
-        if conc.ndim == 1:
-            conc = conc[None, :]
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        conc = np.atleast_2d(np.asarray(conc, dtype=float))
         if not self._vector_ok:
-            q_fwd, q_net = self.rates_of_progress_reference(
-                t, be.from_device(conc))
-            return (be.to_device(q_fwd, dtype=conc.dtype),
-                    be.to_device(q_net, dtype=conc.dtype))
-        return self._blocks(
-            be, lambda tb, cb: self._rates_block(tb, cb, be=be),
-            be.to_device(t, dtype=conc.dtype), conc)
+            return self.rates_of_progress_reference(t, conc)
+        return self._blocks(self._rates_block, t, conc)
 
-    def _rate_inputs(self, conc, tab, be=None):
+    def _rate_inputs(self, conc, tab):
         """``(conc_ext, [M], k, K_c)`` of one block: the clipped
         concentrations with their ones column, the third-body sums
         ``conc_ext @ _m_ext``, the signed ``k_inf``/``k_0`` and the
         equilibrium constants, from the block's rate table."""
-        be = get_backend(be)
-        xp, dt = be.xp, conc.dtype
-        c = self._constants(be, dt)
-        conc_ext = xp.concat(
-            [xp.maximum(conc, c.zero),
-             xp.ones((conc.shape[0], 1), dtype=dt)], axis=1)
-        k = xp.exp(tab[:, self._cols[0]])
-        k *= c.k_sign
-        kc = xp.exp(xp.clip(tab[:, self._cols[1]], -300.0, 300.0)
+        conc_ext = np.concatenate(
+            [np.maximum(conc, 0.0), np.ones((conc.shape[0], 1))], axis=1)
+        k = np.exp(tab[:, self._cols[0]])
+        k *= self._k_sign
+        kc = np.exp(np.clip(tab[:, self._cols[1]], -300.0, 300.0)
                     + tab[:, self._cols[2]])
-        return conc_ext, be.matmul(conc_ext, c.m_ext), k, kc
+        return conc_ext, np.matmul(conc_ext, self._m_ext), k, kc
 
-    def _rates_block(self, t, conc, tab=None, be=None):
+    def _rates_block(self, t, conc, tab=None):
         """One block of :meth:`rates_of_progress`: ``t`` ``(n,)`` and
-        ``conc`` ``(n, ns)`` arrays of backend ``be`` in one floating
-        dtype (``tab``: the block's rate table, when the caller
-        already has it)."""
-        be = get_backend(be)
-        xp = be.xp
-        c = self._constants(be, conc.dtype)
+        ``conc`` ``(n, ns)`` (``tab``: the block's rate table, when the
+        caller already has it)."""
         if tab is None:
-            tab = self._rate_table(t, be=be)
-        nr = self.mech.n_reactions
-        conc_ext, m, k, kc = self._rate_inputs(conc, tab, be)
+            tab = self._rate_table(t)
+        nr, fall = self.mech.n_reactions, self._falloff_idx
+        conc_ext, m, k, kc = self._rate_inputs(conc, tab)
         kf = k[:, :nr]
-        if self._falloff_idx.size:
-            blend = self._falloff_blend(
-                xp, c.tiny, c.troe, t[:, None],
-                be.take(kf, c.falloff_idx, axis=1), k[:, nr:], m[:, nr:])
-            # column by column: an integer-array setitem is outside the
-            # Array API subset
-            for col, j in enumerate(self._falloff_idx.tolist()):
-                kf[:, j] = blend[:, col]
-        q_fwd = kf * self._conc_products(be, conc_ext, c.fwd_slots)
+        if fall.size:
+            kf[:, fall] = self._falloff_blend(
+                self._troe, t[:, None], kf[:, fall], k[:, nr:], m[:, nr:])
+        q_fwd = kf * self._conc_products(conc_ext, self._fwd_cols)
         q_fwd *= m[:, :nr]
-        q_rev = kf * c.rev / xp.maximum(kc, c.tiny)
-        q_rev *= self._conc_products(be, conc_ext, c.rev_slots)
+        q_rev = kf * self._rev / np.maximum(kc, _TINY)
+        q_rev *= self._conc_products(conc_ext, self._rev_cols)
         q_rev *= m[:, :nr]
         return q_fwd, q_fwd - q_rev
 
     @staticmethod
-    def _conc_products(be, conc_ext, slots):
+    def _conc_products(conc_ext, slots):
         """``prod_i c_i^p_i`` per reaction via expanded linear slots
         (``slots``: one species-index array per slot column): one
         gather along the species axis + one multiply per slot column,
         shape ``(n, nr)``."""
-        prod = be.take(conc_ext, slots[0], axis=1)
+        prod = conc_ext[:, slots[0]]
         for idx in slots[1:]:
-            prod = prod * be.take(conc_ext, idx, axis=1)
+            prod = prod * conc_ext[:, idx]
         return prod
-
-    def _constants(self, be, dt):
-        """The T-independent constants as arrays of backend ``be`` in
-        dtype ``dt``, shipped once per (backend, dtype) and cached --
-        the row-wise kernels run hundreds of times per step on small
-        batches, where a dozen transfers per call show."""
-        cached = self._device_constants.setdefault(be, [])
-        for dtype, c in cached:  # dtypes compare; hashing them is optional
-            if dtype == dt:
-                return c
-
-        def dev(a):
-            return be.to_device(a, dtype=dt)
-
-        def slot_columns(slots):
-            return [be.to_device(np.ascontiguousarray(col))
-                    for col in slots.T]
-
-        xp = be.xp
-        tiny = max(1e-300, float(xp.finfo(dt).smallest_normal))
-        c = SimpleNamespace(
-            table=dev(self._table), k_sign=dev(self._k_sign),
-            m_ext=dev(self._m_ext), rev=dev(self._rev),
-            troe=[dev(v) for v in self._troe],
-            falloff_idx=be.to_device(self._falloff_idx),
-            fwd_slots=slot_columns(self._fwd_slots),
-            rev_slots=slot_columns(self._rev_slots),
-            zero=xp.zeros((1, 1), dtype=dt),
-            tiny=xp.full((1, 1), tiny, dtype=dt))
-        cached.append((dt, c))
-        return c
 
     def rates_of_progress_reference(
         self, t: np.ndarray, conc: np.ndarray
@@ -393,7 +329,7 @@ class KineticsEvaluator:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         p = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
-        return self._blocks(get_backend(), self._rhs_block, t, p, y)
+        return self._blocks(self._rhs_block, t, p, y)
 
     def _molar_state(self, t, p, y):
         """``(Y/W [mol/kg], Wbar, rho, c)`` of ideal-gas state rows."""

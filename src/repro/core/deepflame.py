@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import get_backend
 from ..chemistry.backends import ChemistryBackend
 from ..fv.fields import MultiVolField, SurfaceField, VolField
 from ..fv.operators import (
@@ -125,9 +124,6 @@ class DeepFlameSolver:
             raise ValueError(
                 f"settings.ranks = {settings.ranks}: use DecomposedSolver "
                 f"(or repro.core.settings.build_solver) for decomposed runs")
-        # resolved first: a backend this host cannot construct raises
-        # the registry's ValueError before chemistry or properties run
-        backend = get_backend(settings.backend)
         self.settings = settings
         self.case = case
         self.mesh = case.mesh
@@ -151,16 +147,10 @@ class DeepFlameSolver:
         # refilled or value-refreshed per use, so sharing is
         # bitwise-neutral (asserted by the orchestration tests).
         if workspace is None:
-            workspace = EquationWorkspace(self.mesh, backend=backend)
-        else:
-            if workspace.mesh is not self.mesh:
-                raise ValueError(
-                    "shared workspace was built for a different mesh")
-            if workspace.backend is not backend:
-                raise ValueError(
-                    f"shared workspace runs backend "
-                    f"{workspace.backend.name!r} but settings ask for "
-                    f"{settings.backend!r}")
+            workspace = EquationWorkspace(self.mesh)
+        elif workspace.mesh is not self.mesh:
+            raise ValueError(
+                "shared workspace was built for a different mesh")
         self._ws = workspace
 
         self.u = case.velocity

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from ..backend import backend_names
 from ..chemistry.backends import (
     DirectBatchBackend,
     HybridBackend,
@@ -145,17 +144,9 @@ class SolverSettings:
         direct/hybrid batch backend in a
         :class:`~repro.chemistry.backends.ParallelChemistryBackend`
         over that many forked workers; ``0``/``1`` keep the in-process
-        backend untouched.
-    backend:
-        Array backend name for the hot-path kernels (a
-        :mod:`repro.backend` registry name).  The fused assembly and
-        the blocked-Krylov reductions have one body each and run it
-        through this backend's array namespace; ``"numpy"`` (default)
-        is the reference backend.  Validated here against the
-        registered names only, so settings for a GPU run can be built
-        (and serialized) on a GPU-less host; whether the backend's
-        runtime dependency imports is checked when a solver is
-        constructed from the settings, before anything else is built.
+        backend untouched.  Not with a decomposed
+        ``execution="parallel"`` run: its rank workers are daemonic
+        processes, which cannot fork a pool of their own.
     """
 
     chemistry: str = "none"
@@ -173,7 +164,6 @@ class SolverSettings:
     balance_chemistry: str = "none"
     balance_options: dict = field(default_factory=dict)
     krylov_variant: str = "synchronous"
-    backend: str = "numpy"
     execution: str = "serial"
     chemistry_workers: int = 0
 
@@ -204,12 +194,6 @@ class SolverSettings:
         if not isinstance(self.solve_momentum, bool):
             raise ValueError(f"solve_momentum must be True or False "
                              f"(got {self.solve_momentum!r})")
-        if not isinstance(self.backend, str):
-            raise TypeError(
-                f"backend must be a registry name string "
-                f"(got {self.backend!r}); pass ArrayBackend instances "
-                f"directly to the kernel/workspace APIs instead")
-        _check_choice("backend", self.backend, tuple(backend_names()))
         for name in ("scalar_controls", "pressure_controls"):
             if not isinstance(getattr(self, name), SolverControls):
                 raise TypeError(f"{name} must be a SolverControls "
@@ -225,6 +209,12 @@ class SolverSettings:
             raise ValueError(
                 "balance_chemistry is driver-centric and runs under "
                 "execution='serial' only")
+        if self.is_decomposed and self.execution == "parallel" \
+                and self.chemistry_workers >= 2:
+            raise ValueError(
+                "chemistry_workers >= 2 forks a worker pool, which the "
+                "daemonic rank workers of execution='parallel' cannot "
+                "do; use chemistry_workers <= 1 or execution='serial'")
         return self
 
     @property

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import get_backend
 from ..core.cases import Case
 from ..core.chemistry_source import BackendChemistry
 from ..core.deepflame import (
@@ -106,10 +105,6 @@ class DecomposedSolver:
             raise ValueError(
                 "DecomposedSolver needs a rank count: pass settings "
                 "with ranks >= 1")
-        # fail here, with the registry's ValueError, on a backend this
-        # host cannot construct -- before a decomposition, a worker
-        # pool or a shared-memory arena exists
-        get_backend(settings.backend)
         self.settings = settings
         self.case = case
         self.mech = case.mech

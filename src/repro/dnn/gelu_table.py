@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import get_backend
 from .layers import gelu_exact, gelu_grad
 
 __all__ = ["GeLUTable"]
@@ -67,74 +66,45 @@ class GeLUTable:
         self._b = gelu_grad(mids).astype(dtype)
         self._c = (0.5 * _gelu_second_derivative(mids)).astype(dtype)
         self.n_entries = n
-        # per-backend device copies of (a, b, c), transferred once;
-        # keyed by the backend object: two instances sharing a name
-        # must not serve each other's device arrays
-        self._device_tables: dict = {}
 
-    def __call__(self, x, backend=None):
-        """Tabulated GeLU of ``x`` (identity/zero outside the range),
-        on ``backend`` (``None`` = numpy), backend-native result.
+    def __call__(self, x):
+        """Tabulated GeLU of ``x`` (identity/zero outside the range), in
+        the table's precision.
 
         The hot path is gather-bound: index math runs in fp32 (no
         fp64 round-trip), the interval midpoint is recomputed from the
         index instead of gathered (same formula that built the stored
         midpoints, so bitwise-equal to gathering them at a fraction of
         the memory traffic), and the coefficient lookups are flattened
-        ``take`` gathers.  Spelled in the Array API subset: truncating
-        ``astype`` for the index, an explicit float cast of the index
-        for the midpoint (mixed int-array/float-scalar arithmetic is
-        outside the spec), ``where`` range handling.  The coefficient
-        tables are shipped to the device once per backend and cached.
-
-        fp16 tables need a namespace with ``float16`` (optional in the
-        Array API standard; ``array-api-strict`` omits it): elsewhere
-        they take a documented host fallback -- the numpy backend runs
-        on host data and the result is transferred.
+        ``take`` gathers.
         """
-        be = get_backend(backend)
-        xp = be.xp
-        xd = be.to_device(x)
-        if self.precision == "fp16":
-            dt = getattr(xp, "float16", None)
-            if dt is None:
-                return be.to_device(self(be.from_device(xd)))
-        else:
-            dt = be.dtype_of(self.precision)
-        tabs = self._device_tables.get(be)
-        if tabs is None:
-            tabs = self._device_tables[be] = tuple(
-                be.to_device(tab) for tab in (self._a, self._b, self._c))
-        a_d, b_d, c_d = tabs
-
-        xq = xp.astype(xd, dt, copy=False)
+        x = np.asarray(x)
+        dt = self._a.dtype
+        xq = x.astype(dt, copy=False)
         # explicit in-place updates below: each step reuses its (n, w)
-        # temporary on every backend instead of relying on numpy's
-        # temporary elision, which a helper-call boundary defeats
-        pos = xp.astype(xq, xp.float32, copy=False) \
+        # temporary
+        pos = xq.astype(np.float32, copy=False) \
             - float(np.float32(self.x_min))
         pos *= float(np.float32(1.0 / self.interval))
-        idx = xp.clip(xp.astype(pos, xp.int64), 0, self.n_entries - 1)
-        mid = xp.astype(idx, xp.float64)
+        idx = np.clip(pos.astype(np.int64), 0, self.n_entries - 1)
+        mid = idx.astype(np.float64)
         mid += 0.5
         mid *= self.interval
         mid += self.x_min
-        d = xq - xp.astype(mid, dt)
-        shp = xq.shape
-        idx1 = xp.reshape(idx, (-1,))
+        d = xq - mid.astype(dt)
+        idx1 = idx.reshape(-1)
 
         def gather(tab):
-            return xp.reshape(be.take(tab, idx1), shp)
+            return tab.take(idx1).reshape(xq.shape)
 
         # a + d (b + d c), two-term Horner
-        val = gather(c_d)
+        val = gather(self._c)
         val *= d
-        val += gather(b_d)
+        val += gather(self._b)
         val *= d
-        val += gather(a_d)
-        zero = xp.zeros((), dtype=dt)
-        return xp.where(xd < self.x_min, zero,
-                        xp.where(xd > self.x_max, xq, val))
+        val += gather(self._a)
+        return np.where(x < self.x_min, dt.type(0),
+                        np.where(x > self.x_max, xq, val))
 
     def max_error(self, n_samples: int = 200_001) -> float:
         """Max absolute error vs. exact GeLU over [x_min-1, x_max+1]."""

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend import get_backend
 from .gelu_table import GeLUTable
 from .layers import GeLU, Linear, gelu_exact, gelu_fused
 from .network import MLP
@@ -66,19 +65,11 @@ class InferenceEngine:
         gelu: str = "exact",
         batch_size: int = 8192,
         gelu_table: GeLUTable | None = None,
-        backend=None,
     ):
         if precision not in ("fp64", "fp32", "fp16"):
             raise ValueError(f"unknown precision {precision!r}")
         if gelu not in ("exact", "fused", "table"):
             raise ValueError(f"unknown gelu mode {gelu!r}")
-        #: array backend of the matmul/GeLU stack (resolved; None = numpy)
-        self.backend = get_backend(backend)
-        if precision == "fp16" and self.backend.xp is not np:
-            # the fp16 path quantizes through numpy-specific scaling
-            # machinery and float16 is optional in the Array API
-            raise ValueError("precision='fp16' runs on the numpy "
-                             "namespace only; drop the backend selection")
         self.net = net
         self.precision = precision
         self.gelu_mode = gelu
@@ -93,37 +84,33 @@ class InferenceEngine:
 
     # ----------------------------------------------------------------
     def _forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """The matmul/GeLU stack for one batch, on :attr:`backend`.
+        """The matmul/GeLU stack for one batch.
 
-        Every layer computes ``x @ W^T + b`` via the backend
-        ``matmul`` in the engine's precision.  Weights and biases are
-        cast on the host and shipped per batch, not cached: the net
-        may be fine-tuned in place between runs
+        Every layer computes ``x @ W^T + b`` in the engine's precision.
+        Weights and biases are cast per batch, not cached: the net may
+        be fine-tuned in place between runs
         (:func:`~repro.dnn.registry.retrain_incremental`), and an
-        engine must see the weights its net holds now.  Matmul
-        reduction order on non-numpy backends carries the documented
-        ulp budget.  Output returns to the host as fp64.
+        engine must see the weights its net holds now.  Output is fp64.
         """
-        be = self.backend
-        dt = "fp32" if self.precision == "fp32" else "fp64"
-        xd = be.to_device(x, dtype=dt)
+        dt = np.float32 if self.precision == "fp32" else np.float64
+        x = np.asarray(x, dtype=dt)
         linear_idx = 0
         for layer in self.net.layers:
             if isinstance(layer, Linear):
                 if self._quantized is not None:
-                    xd = self._quantized.linear(linear_idx, xd)
+                    x = self._quantized.linear(linear_idx, x)
                 else:
-                    xd = be.matmul(xd, be.to_device(layer.weight, dtype=dt).T)
-                    xd += be.to_device(layer.bias, dtype=dt)
+                    x = np.matmul(x, np.asarray(layer.weight, dtype=dt).T)
+                    x += np.asarray(layer.bias, dtype=dt)
                 linear_idx += 1
             elif isinstance(layer, GeLU):
                 if self.table is not None:
-                    xd = self.table(xd, backend=be)
+                    x = self.table(x)
                 elif self.gelu_mode == "fused":
-                    xd = gelu_fused(xd, backend=be)
+                    x = gelu_fused(x)
                 else:
-                    xd = gelu_exact(xd, backend=be)
-        return np.asarray(be.from_device(xd), dtype=np.float64)
+                    x = gelu_exact(x)
+        return np.asarray(x, dtype=np.float64)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Batched inference over all samples; records stats."""

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import get_backend
-
 __all__ = ["Linear", "GeLU", "Identity", "gelu_exact", "gelu_fused",
            "gelu_grad"]
 
@@ -19,49 +17,38 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _C = 0.044715
 
 
-def gelu_exact(x, backend=None):
+def gelu_exact(x):
     """GeLU via the tanh approximation (the transcendental-heavy form
     whose cost motivates the paper's tabulation).
 
-    Evaluated through ``backend``'s array namespace (``None`` =
-    numpy) and returned as a backend-native fp64 array: the cube is
-    a ``pow`` in the input dtype (a dtype-matched 0-D exponent keeps
-    numpy on ``x**3``'s pow-ufunc path), the tanh argument is
-    promoted to fp64 through the ``sqrt(2/pi)`` constant.
+    Returns fp64: the cube is a ``pow`` in the input dtype (a
+    dtype-matched 0-D exponent keeps numpy on ``x**3``'s pow-ufunc
+    path), then the tanh argument is promoted to fp64.
     """
-    be = get_backend(backend)
-    xp = be.xp
-    xd = be.to_device(x)
-    cube = xp.pow(xd, xp.asarray(3.0, dtype=xd.dtype))
-    # the promotion to fp64 happens AFTER the cube, so it is spelled
-    # explicitly: a raw np.float64 constant binds weakly on strict
-    # backends and would silently skip the upcast there
-    inner = float(_SQRT_2_OVER_PI) * xp.astype(xd + _C * cube, xp.float64)
-    return 0.5 * xp.astype(xd, xp.float64) * (1.0 + xp.tanh(inner))
+    x = np.asarray(x)
+    cube = np.pow(x, np.asarray(3.0, dtype=x.dtype))
+    inner = float(_SQRT_2_OVER_PI) * (x + _C * cube).astype(np.float64)
+    return 0.5 * x.astype(np.float64) * (1.0 + np.tanh(inner))
 
 
-def gelu_fused(x, backend=None):
+def gelu_fused(x):
     """The same tanh-form GeLU with fused dtype-preserving arithmetic.
 
     Mathematically identical to :func:`gelu_exact` but written for
     hosts *with* vectorized transcendentals: the cube is expanded to
     multiplies (numpy's ``x**3`` takes the generic ``pow`` path, two
     orders of magnitude slower than ``x*x*x``) and the Python-scalar
-    constants bind to the input dtype per the Array API promotion
-    rules, so an fp32 activation stays in fp32 all the way through
-    SIMD ``tanh`` on every backend (``None`` = numpy).  On such hosts
-    this beats the paper's table -- the table exists for machines
-    where ``tanh`` itself is the bottleneck.
+    constants bind to the input dtype, so an fp32 activation stays in
+    fp32 all the way through SIMD ``tanh``.  On such hosts this beats
+    the paper's table -- the table exists for machines where ``tanh``
+    itself is the bottleneck.
     """
-    be = get_backend(backend)
-    xp = be.xp
-    xd = be.to_device(x)
+    x = np.asarray(x)
     # the cube can overflow narrow dtypes on far-out-of-domain inputs;
     # the inf saturates tanh to +-1, which IS the correct asymptote
     with np.errstate(over="ignore"):
-        inner = xp.tanh(float(_SQRT_2_OVER_PI)
-                        * (xd + _C * (xd * xd * xd)))
-    return 0.5 * xd * (1.0 + inner)
+        inner = np.tanh(float(_SQRT_2_OVER_PI) * (x + _C * (x * x * x)))
+    return 0.5 * x * (1.0 + inner)
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import get_backend
 from ..runtime import alloc
 from ..solvers.blocked import LocalSystem, krylov_solve
 from ..solvers.controls import SolverControls, SolverResult
@@ -207,14 +206,15 @@ def _solve_local(a: LDUMatrix, source: np.ndarray, x0: np.ndarray,
     :meth:`CoupledTransportEquation.solve` hand
     :func:`~repro.solvers.blocked.krylov_solve`: the operator as a
     :class:`~repro.solvers.blocked.LocalSystem` on the workspace ``ws``
-    (cached CSR pattern, preconditioners, backend, solution-block pool).
+    (cached CSR pattern, preconditioners, solution-block pool).
 
-    ``"auto"`` picks PCG for a symmetric operator (cached: correctors
+    ``"auto"`` picks PCG for an exactly symmetric operator -- the test
+    PCG itself applies -- and PBiCGStab otherwise (cached: correctors
     re-solve the same :class:`LDUMatrix` instance, whose off-diagonal
-    symmetry does not change between solves), PBiCGStab otherwise.
+    symmetry does not change between solves).
     """
     if solver == "auto":
-        solver = "PCG" if a.is_symmetric_cached(tol=1e-14) else "PBiCGStab"
+        solver = "PCG" if a.is_symmetric_cached(tol=0.0) else "PBiCGStab"
     return krylov_solve(LocalSystem(a, ws), source, x0, solver, variant,
                         controls, ws.krylov if ws else None)
 
@@ -231,10 +231,9 @@ def assemble_transport(
     rho_old: np.ndarray | float | None = None,
     old_values: np.ndarray | None = None,
     scheme: str = "upwind",
-    backend=None,
 ) -> None:
     """Fused single-pass assembly of ``ddt + div - laplacian`` into
-    preallocated, zeroed ``(a, b)`` buffers.
+    preallocated, zeroed ``(a, b)`` buffers, written in place.
 
     This is the one implementation behind both assembly paths: the
     allocating :meth:`CoupledTransportEquation.transport` hands it
@@ -247,36 +246,21 @@ def assemble_transport(
     ``(n,)`` -- the scalar case fuses what ``fvm_ddt + fvm_div -
     fvm_laplacian`` builds through three temporaries and an add chain.
 
-    The coefficient accumulation runs on ``backend`` (``None`` =
-    numpy): the term sequence below works on backend arrays mirroring
-    ``(a.diag, a.upper, a.lower, b)`` in the dtype those buffers carry
-    (fp32 buffers stay fp32 -- host-computed coefficients are cast on
-    transfer, never the buffers), every face -> cell reduction one
-    product with :meth:`~repro.mesh.UnstructuredMesh.face_operators`.
-    Boundary-condition coefficients are evaluated host-side (Python BC
-    objects); their per-face products are shipped and reduced once.
-    Where ``to_device`` is a no-op (numpy) the mirrors *are* the
-    buffers and are mutated in place; otherwise they are
-    written back on exit.  Term order is identical on every backend,
-    so the assembled coefficients are bitwise-equal across backends.
+    Every face -> cell reduction is one product with
+    :meth:`~repro.mesh.UnstructuredMesh.face_operators`; the boundary
+    faces' contributions are collected per face and reduced once.
     """
-    be = get_backend(backend)
     mesh = field.mesh
     n = mesh.n_cells
     nif = mesh.n_internal_faces
     v = mesh.cell_volumes
     multi = b.ndim == 2
+    dd, du, dl = a.diag, a.upper, a.lower
 
-    dd = be.to_device(a.diag)
-    du = be.to_device(a.upper)
-    dl = be.to_device(a.lower)
-    db = be.to_device(b)
-    dt_ = dd.dtype
     # per-face contributions of both terms to the owner's / neighbour's
     # diagonal and (boundary faces) to the sources, reduced once at the end
-    xp = be.xp
-    to_own = xp.zeros((nif,), dtype=dt_)
-    to_nb = xp.zeros((nif,), dtype=dt_)
+    to_own = np.zeros(nif)
+    to_nb = np.zeros(nif)
     diag_b = np.zeros(mesh.n_boundary_faces)
     src_b = np.zeros((mesh.n_boundary_faces,) + b.shape[1:])
 
@@ -286,22 +270,20 @@ def assemble_transport(
         np.asarray(rho_old, float), (n,))
     old = field.values if old_values is None else \
         np.asarray(old_values, float)
-    dd += be.to_device(rho_b * v / dt, dtype=dt_)
+    dd += rho_b * v / dt
     ddt_old = rho_old_b * v / dt
-    db += be.to_device((ddt_old[:, None] if multi else ddt_old) * old, dtype=dt_)
+    b += (ddt_old[:, None] if multi else ddt_old) * old
 
     deltas = mesh.boundary_delta_coeffs()
 
     # div (convection)
     if phi is not None:
-        phi_d = be.to_device(phi.internal, dtype=dt_)
         if scheme == "upwind":
-            zero = xp.zeros((), dtype=dt_)
-            pos = xp.maximum(phi_d, zero)
-            neg = xp.minimum(phi_d, zero)
+            pos = np.maximum(phi.internal, 0.0)
+            neg = np.minimum(phi.internal, 0.0)
         elif scheme == "linear":
-            w = be.to_device(mesh.face_interpolation_weights(), dtype=dt_)
-            pos, neg = phi_d * w, phi_d * (1.0 - w)
+            w = mesh.face_interpolation_weights()
+            pos, neg = phi.internal * w, phi.internal * (1.0 - w)
         else:
             raise ValueError(f"unknown div scheme {scheme!r}")
         to_own += pos
@@ -321,7 +303,7 @@ def assemble_transport(
     # - laplacian (diffusion), subtracted as in the PDE
     if gamma is not None:
         gamma_f = _face_gamma(mesh, gamma)
-        coeff = be.to_device(_laplacian_coeff(mesh, gamma_f), dtype=dt_)
+        coeff = _laplacian_coeff(mesh, gamma_f)
         du -= coeff
         dl -= coeff
         to_own += coeff
@@ -338,16 +320,10 @@ def assemble_transport(
             src_b[sl] += gsf[:, None] * gb if multi else gsf * gb
 
     ops = mesh.face_operators()
-    dd += ops.owner_sum(to_own, be) + ops.neighbour_sum(to_nb, be)
+    dd += ops.owner_sum(to_own) + ops.neighbour_sum(to_nb)
     if mesh.n_boundary_faces:
-        dd += ops.boundary_sum(be.to_device(diag_b, dtype=dt_), be)
-        db += ops.boundary_sum(be.to_device(src_b, dtype=dt_), be)
-
-    if dd is not a.diag:
-        a.diag[...] = be.from_device(dd)
-        a.upper[...] = be.from_device(du)
-        a.lower[...] = be.from_device(dl)
-        b[...] = be.from_device(db)
+        dd += ops.boundary_sum(diag_b)
+        b += ops.boundary_sum(src_b)
 
 
 def fvm_ddt(rho: np.ndarray | float, field: VolField, dt: float,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import get_backend
 from ..runtime import alloc
 from ..solvers.preconditioners import CachedDICPreconditioner, \
     JacobiPreconditioner
@@ -45,19 +44,10 @@ __all__ = ["EquationWorkspace"]
 
 
 class EquationWorkspace:
-    """Persistent assembly + solve buffers for one mesh.
+    """Persistent assembly + solve buffers for one mesh."""
 
-    ``backend`` (a registry name or :class:`ArrayBackend`; ``None`` =
-    numpy) selects the array backend the fused assembly and the
-    blocked-Krylov reductions run on.  It is resolved here, once, so
-    :attr:`backend` is always an :class:`ArrayBackend` and a backend
-    this host cannot construct raises the registry's ``ValueError``
-    before any buffer exists.
-    """
-
-    def __init__(self, mesh, backend=None):
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.backend = get_backend(backend)
         self.pattern = CSRPattern.from_mesh(mesh)
         self.ldu = LDUMatrix.from_mesh(mesh)
         self.krylov = KrylovWorkspace()
@@ -109,7 +99,7 @@ class EquationWorkspace:
         a, b = self._buffers(None)
         assemble_transport(a, b, field, rho, dt, phi=phi, gamma=gamma,
                            rho_old=rho_old, old_values=old_values,
-                           scheme=scheme, backend=self.backend)
+                           scheme=scheme)
         return FVMatrix(field, a, b, workspace=self)
 
     def transport_multi(
@@ -128,7 +118,7 @@ class EquationWorkspace:
         a, b = self._buffers(field.k)
         assemble_transport(a, b, field, rho, dt, phi=phi, gamma=gamma,
                            rho_old=rho_old, old_values=old_values,
-                           scheme=scheme, backend=self.backend)
+                           scheme=scheme)
         return CoupledTransportEquation(field, a, b, workspace=self)
 
     # -- cached preconditioners ----------------------------------------

@@ -6,12 +6,10 @@ product with a matrix built once per mesh -- not a Python-level
 ``np.add.at`` scatter or a pair of fancy gathers.
 """
 
-from __future__ import annotations
+import math
 
 import numpy as np
 import scipy.sparse as sp
-
-from ..backend import get_backend
 
 __all__ = ["FaceCellOperators", "structural_csr"]
 
@@ -61,23 +59,27 @@ class FaceCellOperators:
                            ptr[:c.size + 1]), shape=(nc, c.size))
             for c in (own[:nif], nb, own[nif:]))
 
-    def surface_sum(self, face_values, backend=None):
+    def surface_sum(self, face_values):
         """All faces: ``+`` into owners, ``-`` into neighbours."""
-        return get_backend(backend).sparse_matmul(self._surface, face_values)
+        return self._product(self._surface, face_values)
 
-    def owner_sum(self, internal_values, backend=None):
+    def owner_sum(self, internal_values):
         """Internal-face values summed into their owner cells."""
-        return get_backend(backend).sparse_matmul(self._owner, internal_values)
+        return self._product(self._owner, internal_values)
 
-    def neighbour_sum(self, internal_values, backend=None):
+    def neighbour_sum(self, internal_values):
         """Internal-face values summed into their neighbour cells."""
-        return get_backend(backend).sparse_matmul(self._neighbour, internal_values)
+        return self._product(self._neighbour, internal_values)
 
-    def boundary_sum(self, boundary_values, backend=None):
+    def boundary_sum(self, boundary_values):
         """Boundary-face values (patch order) summed into their cells."""
-        return get_backend(backend).sparse_matmul(self._boundary, boundary_values)
+        return self._product(self._boundary, boundary_values)
 
-    def interpolate(self, cell_values, backend=None):
+    def interpolate(self, cell_values):
         """Cell values on all faces: ``w owner + (1 - w) neighbour`` on
         internal faces, the owner's value (zero gradient) on boundary ones."""
-        return get_backend(backend).sparse_matmul(self._interpolate, cell_values)
+        return self._product(self._interpolate, cell_values)
+
+    def _product(self, a, x):
+        y = a.astype(x.dtype, copy=False) @ x.reshape(len(x), math.prod(x.shape[1:]))
+        return y.reshape(a.shape[:1] + x.shape[1:])

@@ -73,20 +73,15 @@ class SharedResources:
         Optional shared property evaluator; defaults to one
         :class:`~repro.core.properties.DirectRealFluidProperties`
         over the prototype's mechanism.
-    backend:
-        Array backend the shared workspace assembles on (as accepted
-        by :class:`~repro.fv.workspace.EquationWorkspace`; ``None`` =
-        numpy).  Instances whose settings select a different backend
-        refuse the shared workspace at construction.
     """
 
-    def __init__(self, case: Case, properties=None, backend=None):
+    def __init__(self, case: Case, properties=None):
         self.prototype = case
         self.mesh = case.mesh
         self.mech = case.mech
         self.properties = properties if properties is not None \
             else DirectRealFluidProperties(case.mech)
-        self.workspace = EquationWorkspace(case.mesh, backend=backend)
+        self.workspace = EquationWorkspace(case.mesh)
 
     @property
     def pattern(self):
@@ -114,21 +109,19 @@ class CaseCache:
     def __init__(self):
         self.entries: dict[str, SharedResources] = {}
 
-    def get(self, key: str, builder=None, properties=None,
-            backend=None) -> SharedResources:
+    def get(self, key: str, builder=None,
+            properties=None) -> SharedResources:
         """The resources for ``key``, building them on first use.
 
         ``builder`` is a zero-argument case factory; it is required
-        (and called) only when ``key`` is not cached yet.  ``backend``
-        applies on first build only (resources are shared; a cached
-        entry keeps the backend it was built with).
+        (and called) only when ``key`` is not cached yet.
         """
         if key not in self.entries:
             if builder is None:
                 raise KeyError(
                     f"no cached case under {key!r} and no builder given")
             self.entries[key] = SharedResources(
-                builder(), properties=properties, backend=backend)
+                builder(), properties=properties)
         return self.entries[key]
 
     def __contains__(self, key: str) -> bool:

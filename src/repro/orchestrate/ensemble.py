@@ -140,15 +140,9 @@ class Ensemble:
         self.manager = SettingsManager(base, overlays)
         self.cache = cache if cache is not None else CaseCache()
         self._properties = properties
-        # the shared workspace assembles on the base settings' backend;
-        # per-instance backend overlays refuse the shared workspace at
-        # solver construction (sharing device buffers across namespaces
-        # has no meaning)
-        self._ws_backend = self.manager.base.backend
         if case_builder is not None:
             self.cache.get(self.DEFAULT_CASE, builder=case_builder,
-                           properties=properties,
-                           backend=self._ws_backend)
+                           properties=properties)
         self.instances: list[SolverInstance] = []
         self._by_name: dict[str, SolverInstance] = {}
         self.conduits: list[Conduit] = []
@@ -181,8 +175,7 @@ class Ensemble:
         key = case_key if case_key is not None else (
             self.DEFAULT_CASE if case_builder is None else full)
         resources = self.cache.get(key, builder=case_builder,
-                                   properties=self._properties,
-                                   backend=self._ws_backend)
+                                   properties=self._properties)
         inst = SolverInstance(full, len(self.instances), settings,
                               resources, chemistry=chemistry)
         self.instances.append(inst)
@@ -300,6 +293,12 @@ class Ensemble:
                     f"parallel=True requires serial instances; "
                     f"{inst.name!r} is decomposed "
                     f"(ranks={inst.settings.ranks})")
+            if inst.settings.chemistry_workers >= 2:
+                # a pool worker is daemonic and cannot fork a pool of its own
+                raise RuntimeError(
+                    f"parallel=True requires in-process chemistry; "
+                    f"{inst.name!r} has chemistry_workers="
+                    f"{inst.settings.chemistry_workers}")
         n = self.workers or min(4, len(self.instances))
         n = max(1, min(n, len(self.instances)))
         instances = self.instances

@@ -43,7 +43,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..backend import get_backend
 from ..sparse.ldu import LDUMatrix
 from .controls import SolverControls, SolverResult
 from .preconditioners import JacobiPreconditioner
@@ -75,23 +74,16 @@ class LocalSystem:
     spellings ``fused_reduce`` / ``ifused_reduce``,
     ``preconditioner()`` and ``is_symmetric()``.  This is the serial
     implementation: the product is the CSR of ``a``, converted once per
-    solve, and the reductions are the *kernels* of an array backend
-    (:meth:`ArrayBackend.coldot` / ``colsum_abs``): blocks go to the
-    device, ``(k,)`` results come back, and the bodies keep their
-    control flow on the host.  On the NumPy backend both transfers are
-    no-ops around the einsum / L1 spellings; other backends may differ
-    from einsum by the conformance suite's documented ulps.
+    solve, and the reductions are an einsum column dot and a column L1
+    sum.
 
     With ``workspace`` (an :class:`~repro.fv.workspace.EquationWorkspace`)
-    the CSR pattern, the Jacobi preconditioner and the backend are its
-    cached ones; without, ``backend`` names the backend (``None`` =
-    numpy).
+    the CSR pattern and the Jacobi preconditioner are its cached ones.
     """
 
-    def __init__(self, a: LDUMatrix, workspace=None, backend=None):
+    def __init__(self, a: LDUMatrix, workspace=None):
         self.a, self.n, self.nnz = a, a.n, a.nnz
         self.workspace = ws = workspace
-        self.backend = ws.backend if ws else get_backend(backend)
         self._csr = a.to_csr(pattern=ws.pattern if ws else None)
 
     def matvec_multi(self, x: np.ndarray) -> np.ndarray:
@@ -99,14 +91,12 @@ class LocalSystem:
         return self._csr @ x
 
     def coldot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-column dot products (host in, host out)."""
-        be = self.backend
-        return be.from_device(be.coldot(be.to_device(a), be.to_device(b)))
+        """Per-column dot products (einsum: no ``(n, k)`` temporary)."""
+        return np.einsum("ij,ij->j", a, b)
 
     def colsum_abs(self, r: np.ndarray) -> np.ndarray:
-        """Per-column L1 norms (host in, host out)."""
-        be = self.backend
-        return be.from_device(be.colsum_abs(be.to_device(r)))
+        """Per-column L1 norms."""
+        return np.abs(r).sum(axis=0)
 
     def fused_reduce(self, dots, sums):
         """A whole reduction group -- ``dots``, a list of ``(a, b)``
@@ -514,7 +504,8 @@ def pipelined_pcg_solve_multi(
     b = _check_rhs(system, b)
     n, k = b.shape
     mv, ifreduce = system.matvec_multi, system.ifused_reduce
-    precond = preconditioner if preconditioner is not None else (lambda r: r)
+    # the identity copies: u and r are updated in place separately
+    precond = preconditioner if preconditioner is not None else np.copy
     x = _block_x("pcgp.x", workspace, x0, n, k)
 
     r = b - mv(x)

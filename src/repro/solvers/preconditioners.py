@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
-from ..backend import get_backend
 from ..runtime import alloc
 from ..sparse.block_csr import BlockCSRMatrix
 from ..sparse.ldu import LDUMatrix
@@ -43,23 +42,22 @@ class JacobiPreconditioner:
         np.divide(1.0, ldu.diag, out=self.r_diag)
         return self
 
-    def apply(self, r, backend=None):
+    def apply(self, r):
         """Scale a 1-D residual by the inverse diagonal."""
-        return self._apply(r, backend)
+        return self._apply(r)
 
-    def apply_multi(self, r, backend=None):
+    def apply_multi(self, r):
         """Scale an ``(n, k)`` residual block by the inverse diagonal."""
-        return self._apply(r, backend)
+        return self._apply(r)
 
-    def _apply(self, r, backend):
+    def _apply(self, r):
         """The one body of :meth:`apply` / :meth:`apply_multi` (neither
-        calls the other: a tracer wraps both names), on any backend:
-        the reciprocal diagonal is cast to the residual's dtype (never
-        the other way -- no silent fp32 upcast)."""
-        be = get_backend(backend)
-        rdev = be.to_device(r)
-        rd = be.to_device(self.r_diag, dtype=rdev.dtype)
-        return rdev * (rd[:, None] if rdev.ndim == 2 else rd)
+        calls the other: a tracer wraps both names): the reciprocal
+        diagonal is cast to the residual's dtype (never the other way
+        -- no silent fp32 upcast)."""
+        r = np.asarray(r)
+        rd = self.r_diag.astype(r.dtype, copy=False)
+        return r * (rd[:, None] if r.ndim == 2 else rd)
 
 
 class DICPreconditioner:
@@ -237,66 +235,54 @@ class CachedDICPreconditioner:
         np.multiply(self.r_d[s.bwd_own], self._bwd_up, out=self._bwd_coef)
         return self
 
-    def _sweeps(self, w, be):
+    def _sweeps(self, w):
         """Forward then backward wavefront sweeps over ``w`` (1-D or
-        ``(n, k)``, a ``be`` array), in place.
-
-        The level updates are integer-array setitems (unique targets
-        within a level, so nothing accumulates, but the indexing form
-        is the beyond-spec primitive ``scatter_add`` names).  Backends
-        without it take the **documented host fallback**: the same
-        sweeps run on a host copy in the residual's dtype and the
-        result is shipped back.
-        """
-        if not be.capabilities.scatter_add:
-            host = np.array(be.from_device(w))
-            return be.to_device(self._sweeps(host, get_backend("numpy")),
-                                dtype=w.dtype)
+        ``(n, k)``), in place.  Targets are unique within a level, so
+        each level is one fancy-indexed update."""
         if w.ndim == 2 and w.shape[1] == 1:
             # one column (every scalar equation): sweep its 1-D view --
             # same arithmetic, without the 2-D fancy-indexing price
-            self._sweeps(w[:, 0], be)
+            self._sweeps(w[:, 0])
             return w
         s = self.struct
-        fwd = be.to_device(self._fwd_coef, dtype=w.dtype)
-        bwd = be.to_device(self._bwd_coef, dtype=w.dtype)
+        fwd = self._fwd_coef.astype(w.dtype, copy=False)
+        bwd = self._bwd_coef.astype(w.dtype, copy=False)
         if w.ndim == 2:
             fwd, bwd = fwd[:, None], bwd[:, None]
-        own, nb = be.to_device(s.fwd_own), be.to_device(s.fwd_nb)
+        own, nb = s.fwd_own, s.fwd_nb
         for sl in s.fwd_levels:
-            w[nb[sl]] -= fwd[sl] * be.take(w, own[sl], axis=0)
-        own, nb = be.to_device(s.bwd_own), be.to_device(s.bwd_nb)
+            w[nb[sl]] -= fwd[sl] * w.take(own[sl], axis=0)
+        own, nb = s.bwd_own, s.bwd_nb
         for sl in s.bwd_levels:
-            w[own[sl]] -= bwd[sl] * be.take(w, nb[sl], axis=0)
+            w[own[sl]] -= bwd[sl] * w.take(nb[sl], axis=0)
         return w
 
-    def apply(self, r, backend=None):
+    def apply(self, r):
         """Apply the DIC factor to a 1-D residual."""
-        return self._apply(r, None, backend)
+        return self._apply(r, None)
 
-    def apply_multi(self, r, out=None, backend=None):
+    def apply_multi(self, r, out=None):
         """Apply to ``(n, k)``: one sweep pair covers all columns.
 
         ``out`` (same shape as ``r``; may be a view, e.g. one rank's
         row slice of a stacked block) receives the scaled residual and
         is swept in place, so no temporary is allocated.
         """
-        return self._apply(r, out, backend)
+        return self._apply(r, out)
 
-    def _apply(self, r, out, backend):
+    def _apply(self, r, out):
         """The one body of :meth:`apply` / :meth:`apply_multi` (neither
         calls the other: a tracer wraps both names): diagonal scaling
-        then the sweeps, on any backend, in the residual's dtype."""
-        be = get_backend(backend)
-        rdev = be.to_device(r)
-        rd = be.to_device(self.r_d, dtype=rdev.dtype)
-        if rdev.ndim == 2:
+        then the sweeps, in the residual's dtype."""
+        r = np.asarray(r)
+        rd = self.r_d.astype(r.dtype, copy=False)
+        if r.ndim == 2:
             rd = rd[:, None]
         if out is None:
-            return self._sweeps(rdev * rd, be)
-        out[...] = rdev
+            return self._sweeps(r * rd)
+        out[...] = r
         out *= rd
-        return self._sweeps(out, be)
+        return self._sweeps(out)
 
 
 class SymGaussSeidelPreconditioner:

@@ -63,8 +63,8 @@ class LDUMatrix:
     # ----------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y = A x through the LDU face loop (2 flops per nnz):
-        :func:`~repro.sparse.spmv.spmv_faces` on the numpy backend, in
-        fp64 like the coefficient arrays.  ``x`` may be an ``(n, k)``
+        :func:`~repro.sparse.spmv.spmv_faces` in fp64 like the
+        coefficient arrays.  ``x`` may be an ``(n, k)``
         multi-vector: column ``j`` of the result equals
         ``matvec(x[:, j])`` bit for bit.  (The Sec. 3.2 reference
         kernel: solves apply the patterned CSR of :meth:`to_csr`.)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..backend import get_backend
 from ..runtime import alloc
 
 __all__ = ["CSRPattern"]
@@ -68,7 +67,7 @@ class CSRPattern:
 
         #: duplicates: slot in ``data`` of each source entry (diag, upper,
         #: lower order) for the accumulating scatter.  None: ``data =
-        #: vals[gather_src]``, a pure gather (Array-API ``take``), and the
+        #: vals[gather_src]``, a pure ``take`` gather, and the
         #: sort order *is* that permutation -- one index array, not three
         if self.has_duplicates:
             self.slots = np.empty(order.size, dtype=np.int64)
@@ -108,8 +107,8 @@ class CSRPattern:
     # ----------------------------------------------------------------
     def fill(self, ldu) -> np.ndarray:
         """Refresh the pattern's ``data`` buffer from the LDU values
-        (:meth:`fill_values` on the numpy backend, copied into the
-        persistent buffer the cached CSR matrix views).
+        (:meth:`fill_values`, copied into the persistent buffer the
+        cached CSR matrix views).
 
         O(nnz); returns the buffer (owned by the pattern -- treat as
         read-only).
@@ -119,30 +118,27 @@ class CSRPattern:
         self._data[:] = self.fill_values(ldu.diag, ldu.upper, ldu.lower)
         return self._data
 
-    def fill_values(self, diag, upper, lower, backend=None):
-        """CSR values from raw coefficient arrays, on any backend.
+    def fill_values(self, diag, upper, lower):
+        """CSR values from raw coefficient arrays.
 
         On patterns without duplicate coordinates the precomputed
         :attr:`gather_src` permutation makes the refresh a pure ``take``
-        gather (Array-API clean, runs fully on device).  Patterns *with*
-        duplicates need an accumulating scatter, which routes through
-        :meth:`ArrayBackend.scatter_add` -- a documented host round-trip
-        on backends without that capability (e.g. ``array-api-strict``).
+        gather; patterns *with* duplicates accumulate through
+        ``np.add.at``.
 
         Computes in the dtype of ``diag`` (``upper``/``lower`` are cast
-        to it) and returns a freshly allocated backend-native ``data``
-        array, so fp32 inputs yield fp32 output.
+        to it) and returns a freshly allocated ``data`` array, so fp32
+        inputs yield fp32 output.
         """
-        be = get_backend(backend)
-        xp = be.xp
-        dg = be.to_device(diag)
-        dt = dg.dtype
-        vals = xp.concat([dg, be.to_device(upper, dtype=dt),
-                          be.to_device(lower, dtype=dt)])
+        diag = np.asarray(diag)
+        dt = diag.dtype
+        vals = np.concatenate([diag, np.asarray(upper, dtype=dt),
+                               np.asarray(lower, dtype=dt)])
         if self.gather_src is not None:
-            return be.take(vals, be.to_device(self.gather_src), axis=0)
-        data = xp.zeros((self.nnz,), dtype=dt)
-        return be.scatter_add(data, be.to_device(self.slots), vals)
+            return vals.take(self.gather_src, axis=0)
+        data = np.zeros(self.nnz, dtype=dt)
+        np.add.at(data, self.slots, vals)
+        return data
 
     def csr(self, ldu) -> sp.csr_matrix:
         """Value-refresh the cached CSR matrix and return it.

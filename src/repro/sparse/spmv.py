@@ -12,8 +12,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..backend import get_backend
-
 if TYPE_CHECKING:  # ldu.py imports this module for its matvec body
     from .ldu import LDUMatrix
 
@@ -21,45 +19,38 @@ __all__ = ["spmv_ldu", "spmv_ldu_multi", "spmv_faces",
            "SpmvCost", "spmv_cost"]
 
 
-def spmv_faces(diag, lower, upper, owner, neighbour, x, backend=None):
-    """The LDU face-loop SpMV (``x`` 1-D or ``(n, k)``) on any backend.
+def spmv_faces(diag, lower, upper, owner, neighbour, x):
+    """The LDU face-loop SpMV (``x`` 1-D or ``(n, k)``).
 
     The one body behind :meth:`LDUMatrix.matvec` /
     :meth:`~LDUMatrix.matvec_multi` and :func:`spmv_ldu`: gather ``x``
-    at the face endpoints (``take``), form the face products, and
-    accumulate them onto the owner/neighbour rows through
-    :meth:`ArrayBackend.scatter_add`.  Each triangle is accumulated
-    into its own zero buffer in face order and then added to the
-    diagonal product, so the association order -- and with it every
-    bit of the result -- is the same on every backend.
+    at the face endpoints, form the face products, and accumulate them
+    onto the owner/neighbour rows with ``np.add.at``.  Each triangle is
+    accumulated into its own zero buffer in face order and then added
+    to the diagonal product, which fixes the association order -- and
+    with it every bit of the result.
 
     Computes in the dtype of ``x`` (coefficients are cast to it, never
-    the other way -- no silent fp32 -> fp64 upcasts) and returns a
-    backend-native array; use ``backend.from_device`` on the result if
-    host data is needed.
+    the other way -- no silent fp32 -> fp64 upcasts).
     """
-    be = get_backend(backend)
-    xp = be.xp
-    xd = be.to_device(x)
-    dt = xd.dtype
-    col = (slice(None), None) if xd.ndim == 2 else slice(None)
-    own = be.to_device(np.asarray(owner, dtype=np.int64))
-    nb = be.to_device(np.asarray(neighbour, dtype=np.int64))
-    y = be.to_device(diag, dtype=dt)[col] * xd
-    y += be.scatter_add(
-        xp.zeros(y.shape, dtype=dt), own,
-        be.to_device(upper, dtype=dt)[col] * be.take(xd, nb, axis=0))
-    y += be.scatter_add(
-        xp.zeros(y.shape, dtype=dt), nb,
-        be.to_device(lower, dtype=dt)[col] * be.take(xd, own, axis=0))
+    x = np.asarray(x)
+    dt = x.dtype
+    col = (slice(None), None) if x.ndim == 2 else slice(None)
+    own = np.asarray(owner, dtype=np.int64)
+    nb = np.asarray(neighbour, dtype=np.int64)
+    y = np.asarray(diag, dtype=dt)[col] * x
+    for coef, rows, cols in ((upper, own, nb), (lower, nb, own)):
+        acc = np.zeros(y.shape, dtype=dt)
+        np.add.at(acc, rows, np.asarray(coef, dtype=dt)[col] * x.take(cols, axis=0))
+        y += acc
     return y
 
 
-def spmv_ldu(ldu: LDUMatrix, x: np.ndarray, backend=None) -> np.ndarray:
+def spmv_ldu(ldu: LDUMatrix, x: np.ndarray) -> np.ndarray:
     """y = A x via the LDU face loop (:func:`spmv_faces` on the
     matrix's arrays, in the dtype of ``x``)."""
     return spmv_faces(ldu.diag, ldu.lower, ldu.upper,
-                      ldu.owner, ldu.neighbour, x, backend=backend)
+                      ldu.owner, ldu.neighbour, x)
 
 
 #: ``Y = A X`` for ``X`` of shape ``(n, k)`` is the same kernel: column

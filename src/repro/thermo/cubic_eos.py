@@ -24,7 +24,7 @@ evaluated once and handed down as a :class:`CubicState`:
 
 ``Z`` is the closed-form (Cardano / Viete) root of the cubic, polished
 by Newton on the original polynomial: one elementwise kernel,
-:func:`cubic_real_roots`, for every root mode and array backend.
+:func:`cubic_real_roots`, for every root mode.
 
 The ``(t, rho, y)``-taking methods (``density``, ``pressure``,
 ``dp_dt_const_v``, ...) build a state and call the same kernels, so a
@@ -41,7 +41,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..backend import get_backend
 from ..constants import R_UNIVERSAL
 from ..chemistry.species import Species
 from .mixing import VanDerWaalsMixing
@@ -53,7 +52,7 @@ __all__ = ["Composition", "CubicState", "CubicEos", "PengRobinson",
 ROOT_MODES = ("vapor", "liquid", "gibbs")
 
 
-def cubic_real_roots(xp, c2, c1, c0, lower: bool = True):
+def cubic_real_roots(c2, c1, c0, lower: bool = True):
     """Real roots of ``Z^3 + c2 Z^2 + c1 Z + c0`` in closed form, polished.
 
     Returns ``(z0, [z1, z2], three)``: ``z0`` is the largest real
@@ -70,40 +69,37 @@ def cubic_real_roots(xp, c2, c1, c0, lower: bool = True):
     three) are below the resolution of the cosine form and come back
     as their midpoint; for EoS coefficients with ``A, B >= 1e-6`` that
     only happens at a true double root.
-    Elementwise and inside the portable Array API subset of the
-    namespace ``xp``: it runs unchanged on every backend, and a row's
-    roots never depend on what shares its batch.
+    Elementwise: a row's roots never depend on what shares its batch.
     """
-    ones, zeros = xp.ones_like(c2), xp.zeros_like(c2)
+    ones, zeros = np.ones_like(c2), np.zeros_like(c2)
     shift = c2 / 3.0
     p3 = c1 / 3.0 - shift * shift                         # P / 3
     q2 = (shift * shift - 0.5 * c1) * shift + 0.5 * c0    # Q / 2
     disc = q2 * q2 + p3 * p3 * p3
     one = disc > 0.0
     # one real root: y = v - P / (3 v), v^3 = -Q/2 - sgn(Q) sqrt(disc)
-    s = xp.sqrt(xp.where(one, disc, zeros))
-    v3 = -(q2 + xp.where(q2 < 0.0, -s, s))
-    v = xp.sign(v3) * xp.abs(v3) ** (1.0 / 3.0)
-    y_one = v - p3 / xp.where(v == 0.0, ones, v)
+    s = np.sqrt(np.where(one, disc, zeros))
+    v3 = -(q2 + np.where(q2 < 0.0, -s, s))
+    v = np.sign(v3) * np.abs(v3) ** (1.0 / 3.0)
+    y_one = v - p3 / np.where(v == 0.0, ones, v)
     # three: y_k = 2 sqrt(-P/3) cos((theta - 2 pi k) / 3), k = 0, 1, 2
-    m = xp.sqrt(xp.where(one, zeros, -p3))
+    m = np.sqrt(np.where(one, zeros, -p3))
     m3 = m * m * m
-    acos = getattr(xp, "acos", None) or xp.arccos         # numpy < 2
-    theta = acos(xp.clip(-q2 / xp.where(m3 > 0.0, m3, ones), -1.0, 1.0))
+    theta = np.arccos(np.clip(-q2 / np.where(m3 > 0.0, m3, ones), -1.0, 1.0))
 
     def polished(z):
         f = ((z + c2) * z + c1) * z + c0
         for _ in range(2):
             df = (3.0 * z + 2.0 * c2) * z + c1
-            cand = z - f / xp.where(df == 0.0, ones, df)
+            cand = z - f / np.where(df == 0.0, ones, df)
             f_cand = ((cand + c2) * cand + c1) * cand + c0
-            better = xp.abs(f_cand) < xp.abs(f)
-            z, f = xp.where(better, cand, z), xp.where(better, f_cand, f)
+            better = np.abs(f_cand) < np.abs(f)
+            z, f = np.where(better, cand, z), np.where(better, f_cand, f)
         return z
 
     z0 = polished(
-        xp.where(one, y_one, 2.0 * m * xp.cos(theta / 3.0)) - shift)
-    rest = [polished(2.0 * m * xp.cos((theta - 2.0 * np.pi * k) / 3.0)
+        np.where(one, y_one, 2.0 * m * np.cos(theta / 3.0)) - shift)
+    rest = [polished(2.0 * m * np.cos((theta - 2.0 * np.pi * k) / 3.0)
                      - shift) for k in (1, 2)] if lower else []
     return z0, rest, ~one
 
@@ -316,37 +312,24 @@ class CubicEos:
         return state.rho
 
     # ----------------------------------------------------------------
-    def compressibility(self, t, p, x, root: str = "vapor",
-                        backend=None, dtype="fp64"):
+    def compressibility(self, t, p, x, root: str = "vapor"):
         """Compressibility factor Z from the cubic, vectorized.
 
         ``root`` selects ``"vapor"`` (largest real root), ``"liquid"``
         (smallest valid root) or ``"gibbs"`` (minimum Gibbs energy).
         At supercritical conditions the cubic generally has a single
         real root and the choice is moot.
-
-        The root kernel runs on ``backend`` (``None`` = numpy) in
-        ``dtype`` and returns a backend-native array.  One piece stays
-        on the host, documented: the mixture parameters ``(a_mix,
-        b_mix)`` -- the van der Waals mixing machinery is host numpy.
         """
-        be = get_backend(backend)
-        dt_ = be.dtype_of(dtype)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         p = np.broadcast_to(np.asarray(p, dtype=float), t.shape)
         comp = self._composition(np.atleast_2d(x))
         a_mix, _, _ = self.attraction(t, comp, order=0)
-        on_device = (be.to_device(v, dtype=dt_)
-                     for v in (t, p, a_mix, comp.b))
-        return self._cubic_z(be.xp, *on_device, root)
+        return self._solve_cubic(t, p, a_mix, comp.b, root)
 
     def _solve_cubic(self, t, p, a_mix, b_mix, root: str) -> np.ndarray:
-        """Z at ``(t, p)`` for given mixture parameters (all ``(n,)``)."""
-        return self._cubic_z(np, t, p, a_mix, b_mix, root)
-
-    def _cubic_z(self, xp, t, p, a_mix, b_mix, root: str):
-        """Z on the array namespace ``xp``: :func:`cubic_real_roots` of
-        the cubic in Z, then the root ``root`` names, elementwise.
+        """Z at ``(t, p)`` for given mixture parameters (all ``(n,)``):
+        :func:`cubic_real_roots` of the cubic in Z, then the root
+        ``root`` names, elementwise.
 
         Since ``f(B) = -(1 + u + w) B^2 < 0`` the largest real root
         exceeds ``B``, so ``"vapor"`` asks for that one root alone;
@@ -364,29 +347,29 @@ class CubicEos:
         c2 = -(1.0 + big_b - u * big_b)
         c1 = big_a + w * big_b**2 - u * big_b - u * big_b**2
         c0 = -(big_a * big_b + w * big_b**2 + w * big_b**3)
-        z0, lower, three = cubic_real_roots(xp, c2, c1, c0,
+        z0, lower, three = cubic_real_roots(c2, c1, c0,
                                             lower=root != "vapor")
         z = z0
         valid = [three & (zk > big_b) for zk in lower]
         if root == "liquid":
             for zk, ok in zip(lower, valid):
-                z = xp.where(ok, zk, z)
+                z = np.where(ok, zk, z)
         elif root == "gibbs":
             d = float(np.sqrt(u * u - 4.0 * w))
-            inf = xp.full_like(z0, float("inf"))
+            inf = np.full_like(z0, float("inf"))
 
             def gibbs(zk, ok):
-                zk = xp.where(ok, zk, big_b + 1.0)
-                lo = xp.log((2.0 * zk + big_b * (u - d))
+                zk = np.where(ok, zk, big_b + 1.0)
+                lo = np.log((2.0 * zk + big_b * (u - d))
                             / (2.0 * zk + big_b * (u + d)))
-                return xp.where(ok, zk - 1.0 - xp.log(zk - big_b)
+                return np.where(ok, zk - 1.0 - np.log(zk - big_b)
                                 + big_a / (big_b * d) * lo, inf)
 
             g = gibbs(z0, z0 > big_b)
             for zk, ok in zip(lower, valid):
                 gk = gibbs(zk, ok)
-                z, g = xp.where(gk < g, zk, z), xp.where(gk < g, gk, g)
-        return xp.where(z0 > big_b, z, xp.maximum(z0, 1.001 * big_b))
+                z, g = np.where(gk < g, zk, z), np.where(gk < g, gk, g)
+        return np.where(z0 > big_b, z, np.maximum(z0, 1.001 * big_b))
 
     def density(self, t, p, y, root: str = "vapor") -> np.ndarray:
         """Mass density [kg/m^3] from T, p and *mass* fractions ``y``."""

@@ -38,29 +38,6 @@ SOLVE_ATOL = 1e-8
 #: forward error at looser residual tolerances (1e-9..1e-10) and for
 #: multigrid cycles
 LOOSE_SOLVE_ATOL = 1e-6
-#: backend reductions (einsum vs generic ``sum(a*b)``) may reassociate;
-#: everything non-reducing must be bitwise.  4 ulps covers one extra
-#: rounding per reassociation level on the test sizes.
-REDUCTION_ULPS = 4
-
-
-def assert_max_ulps(actual, expected, ulps: int = REDUCTION_ULPS) -> None:
-    """Assert elementwise ulp distance ``<= ulps``.
-
-    The unit in the last place is measured at the expected value
-    (``np.spacing``), so the budget is scale-free and works for fp32
-    and fp64 alike.
-    """
-    actual = np.asarray(actual)
-    expected = np.asarray(expected)
-    assert actual.dtype == expected.dtype, \
-        f"dtype drift: {actual.dtype} vs {expected.dtype}"
-    tol = ulps * np.spacing(np.maximum(np.abs(expected),
-                                       np.finfo(expected.dtype).tiny))
-    bad = np.abs(actual - expected) > tol
-    assert not bad.any(), (
-        f"{int(bad.sum())} elements beyond {ulps} ulps; worst "
-        f"|diff| = {float(np.abs(actual - expected).max()):.3e}")
 
 
 @pytest.fixture(scope="session")
@@ -106,13 +83,18 @@ def make_laplacian_ldu(mesh, shift: float = 0.2) -> LDUMatrix:
     return ldu
 
 
+def make_random_spd_ldu(mesh, rng) -> LDUMatrix:
+    """SPD (strictly diagonally dominant) matrix on a mesh with random
+    symmetric off-diagonals."""
+    m = make_laplacian_ldu(mesh)
+    m.upper[:] = m.lower[:] = -(0.5 + rng.random(m.upper.size))
+    m.diag *= 1.5
+    return m
+
+
 def make_random_spd_ldus(dec, rng) -> list:
     """Per-rank SPD matrices with random symmetric off-diagonals."""
-    mats = [make_laplacian_ldu(s.mesh) for s in dec.subdomains]
-    for m in mats:
-        m.upper[:] = m.lower[:] = -(0.5 + rng.random(m.upper.size))
-        m.diag *= 1.5
-    return mats
+    return [make_random_spd_ldu(s.mesh, rng) for s in dec.subdomains]
 
 
 def checkerboard_parts(mesh) -> np.ndarray:
@@ -122,6 +104,14 @@ def checkerboard_parts(mesh) -> np.ndarray:
     ijk = [np.unique(mesh.cell_centres[:, a].round(12), return_inverse=True)[1]
            for a in range(3)]
     return (ijk[0] + ijk[1] + ijk[2]) % 2
+
+
+@pytest.fixture(scope="session", params=["box", "periodic", "rocket"])
+def topology_mesh(request):
+    """The three face topologies a kernel meets: a patched box, a fully
+    periodic box (wrap faces with owner > neighbour in cell order) and
+    the jittered rocket sector (non-uniform interpolation weights)."""
+    return request.getfixturevalue(f"{request.param}_mesh")
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,12 @@
 PBiCGStab/PCG vs column-by-column references (property-based),
 MultiVolField and the shared-operator CoupledTransportEquation."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +28,7 @@ from repro.solvers import (
     DICPreconditioner,
     JacobiPreconditioner,
     KrylovWorkspace,
+    LocalSystem,
     SolverControls,
     SymGaussSeidelPreconditioner,
     fused_pbicgstab_solve_multi,
@@ -32,7 +37,7 @@ from repro.solvers import (
     pipelined_pcg_solve_multi,
 )
 from repro.sparse import spmv_ldu_multi
-from tests.conftest import make_laplacian_ldu
+from tests.conftest import SOLVE_ATOL, make_laplacian_ldu, make_random_spd_ldu
 from tests.krylov_oracle import ldu_system
 from tests.krylov_oracle import oracle_pbicgstab_solve as pbicgstab_solve
 from tests.krylov_oracle import oracle_pcg_solve as pcg_solve
@@ -86,6 +91,47 @@ class TestMultiVectorKernels:
         assert not ldu.is_symmetric()
 
 
+class TestLocalSystemReductions:
+    def test_reductions_are_einsum_and_l1(self, spd_ldu):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, 400, 5))
+        system = LocalSystem(spd_ldu)
+        assert np.array_equal(system.coldot(a, b),
+                              np.einsum("ij,ij->j", a, b))
+        assert np.array_equal(system.colsum_abs(a), np.abs(a).sum(axis=0))
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_reductions_track_the_exact_sums(self, spd_ldu, dt, k):
+        """In the operands' dtype, within the recursive-summation bound
+        ``n eps sum|terms|`` of ``math.fsum``'s correctly rounded sums."""
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((2, 400, k)).astype(dt)
+        system = LocalSystem(spd_ldu)
+        dot, l1 = system.coldot(a, b), system.colsum_abs(a)
+        assert dot.dtype == dt and l1.dtype == dt and dot.shape == (k,)
+        gamma = a.shape[0] * np.finfo(dt).eps
+        prods = a.astype(np.float64) * b.astype(np.float64)
+        for j in range(k):
+            mag = np.abs(prods[:, j]).sum()
+            assert abs(dot[j] - math.fsum(prods[:, j])) <= gamma * mag
+            exact = math.fsum(np.abs(a[:, j].astype(np.float64)))
+            assert abs(l1[j] - exact) <= gamma * exact
+
+    def test_fused_reduce_matches_plain_reductions(self, spd_ldu):
+        rng = np.random.default_rng(4)
+        mats = [rng.standard_normal((100, 3)) for _ in range(4)]
+        dots = [(mats[0], mats[1]), (mats[2], mats[3])]
+        sums = [mats[0], mats[3]]
+        system = LocalSystem(spd_ldu)
+        want = ([system.coldot(a, b) for a, b in dots],
+                [system.colsum_abs(v) for v in sums])
+        for got in (system.fused_reduce(dots, sums),
+                    system.ifused_reduce(dots, sums).wait()):
+            for g, w in zip(got[0] + got[1], want[0] + want[1]):
+                assert np.array_equal(g, w)
+
+
 class TestPreconditionersMulti:
     def test_jacobi_apply_multi(self, spd_ldu):
         r = np.random.default_rng(3).random((spd_ldu.n, 4))
@@ -102,6 +148,65 @@ class TestPreconditionersMulti:
         for j in range(4):
             np.testing.assert_allclose(w[:, j], pre.apply(r[:, j].copy()),
                                        rtol=1e-12)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_jacobi_is_the_reciprocal_diagonal(self, spd_ldu, dt):
+        rng = np.random.default_rng(6)
+        pre = JacobiPreconditioner(spd_ldu)
+        rd = (1.0 / spd_ldu.diag).astype(dt)
+        for shape in ((spd_ldu.n,), (spd_ldu.n, 3)):
+            r = rng.standard_normal(shape).astype(dt)
+            w = pre.apply_multi(r)
+            assert w.dtype == dt, "silent dtype upcast"
+            assert np.array_equal(w, r * (rd[:, None] if r.ndim == 2
+                                          else rd))
+            assert np.array_equal(pre.apply(r), w)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_cached_dic_matches_sequential(self, spd_ldu, dt):
+        """The wavefront DIC is the sequential face-loop DIC bit for
+        bit, in the residual's dtype."""
+        rng = np.random.default_rng(7)
+        pre = CachedDICPreconditioner(spd_ldu)
+        oracle = DICPreconditioner(spd_ldu)
+        for shape in ((spd_ldu.n,), (spd_ldu.n, 3)):
+            r = rng.standard_normal(shape).astype(dt)
+            w = pre.apply_multi(r)
+            assert w.dtype == dt, "silent dtype upcast"
+            if dt is np.float64:
+                assert np.array_equal(w, oracle.apply_multi(r))
+                assert np.array_equal(pre.apply(r.copy()),
+                                      oracle.apply_multi(r))
+
+    def test_dic_apply_multi_writes_into_the_callers_view(self, spd_ldu):
+        """``out`` may be one row slice of a larger stacked block."""
+        rng = np.random.default_rng(13)
+        pre = CachedDICPreconditioner(spd_ldu)
+        r = rng.standard_normal((spd_ldu.n, 3))
+        stacked = np.full((spd_ldu.n + 5, 3), np.nan)
+        view = stacked[5:]
+        w = pre.apply_multi(r, out=view)
+        assert np.shares_memory(w, stacked)
+        assert np.array_equal(view, pre.apply_multi(r))
+        assert np.isnan(stacked[:5]).all()
+
+    @pytest.mark.parametrize("shape", ["vector", "block"])
+    def test_dic_inverts_its_incomplete_factor(self, topology_mesh, shape):
+        """On every face topology the wavefront DIC is the sequential
+        face loop bit for bit, and it applies ``M^-1`` for ``M = (D + L)
+        D^-1 (D + L^T)``, whose diagonal is the operator's."""
+        rng = np.random.default_rng(14)
+        ldu = make_random_spd_ldu(topology_mesh, rng)
+        oracle = DICPreconditioner(ldu)
+        r = rng.standard_normal((ldu.n,) if shape == "vector"
+                                else (ldu.n, 3))
+        w = CachedDICPreconditioner(ldu).apply_multi(r)
+        assert np.array_equal(w, oracle.apply_multi(r.copy()))
+        a = ldu.to_csr()
+        d, lower = sp.diags(1.0 / oracle.r_d), sp.tril(a, k=-1)
+        m = (d + lower) @ sp.diags(oracle.r_d) @ (d + lower.T)
+        np.testing.assert_allclose(m.diagonal(), a.diagonal(), rtol=1e-13)
+        assert np.abs(m @ w - r).max() <= 1e-12 * np.abs(r).max()
 
     def test_sym_gs_apply_multi(self, spd_ldu):
         r = np.random.default_rng(5).random((spd_ldu.n, 3))
@@ -192,6 +297,33 @@ class TestBlockedMatchesColumns:
     def test_1d_rhs_rejected(self, spd_ldu):
         with pytest.raises(ValueError):
             pcg_solve_multi(ldu_system(spd_ldu), np.ones(spd_ldu.n))
+
+
+class TestSolvesMatchDirect:
+    BODIES = {"pcg": pcg_solve_multi,
+              "pipelined-pcg": pipelined_pcg_solve_multi,
+              "pbicgstab": pbicgstab_solve_multi,
+              "fused-pbicgstab": fused_pbicgstab_solve_multi}
+
+    @pytest.mark.parametrize("precond", ["none", "jacobi", "dic"])
+    @pytest.mark.parametrize("body", sorted(BODIES))
+    def test_converges_to_the_direct_solution(self, topology_mesh, body,
+                                              precond):
+        """Every blocked body and preconditioner on every face topology,
+        through ``LocalSystem``'s CSR product, against scipy's sparse
+        LU of the same operator."""
+        rng = np.random.default_rng(15)
+        ldu = make_random_spd_ldu(topology_mesh, rng)
+        b = _rhs_block(ldu.n, 3, seed=16, zero_col=False)
+        pre = {"none": None,
+               "jacobi": JacobiPreconditioner(ldu).apply_multi,
+               "dic": CachedDICPreconditioner(ldu).apply_multi}[precond]
+        x, results = self.BODIES[body](LocalSystem(ldu), b,
+                                       preconditioner=pre,
+                                       controls=TIGHT)
+        assert len(results) == 3 and all(r.converged for r in results)
+        ref = spla.spsolve(ldu.to_csr().tocsc(), b)
+        assert np.abs(x - ref).max() <= SOLVE_ATOL * np.abs(ref).max()
 
 
 class TestOneColumn:

@@ -6,8 +6,10 @@ import pytest
 
 from repro.dnn import (
     BoxCoxTransform,
+    GeLU,
     GeLUTable,
     InferenceEngine,
+    Linear,
     MLP,
     ODENet,
     PRNet,
@@ -30,6 +32,16 @@ class TestLayers:
         assert gelu_exact(-10.0) == pytest.approx(0.0, abs=1e-6)
         assert gelu_exact(1.0) == pytest.approx(0.8412, abs=2e-3)
 
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_gelu_is_the_textbook_form(self, dt):
+        """exact promotes to fp64 through the constant; fused stays in
+        the input dtype."""
+        x = np.linspace(-6.0, 6.0, 513).astype(dt)
+        c = np.sqrt(2.0 / np.pi)
+        assert np.array_equal(
+            gelu_exact(x), 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3))))
+        assert gelu_fused(x).dtype == dt
+
     def test_gelu_fused_matches_exact(self):
         xs = np.linspace(-6, 6, 1201)
         np.testing.assert_allclose(gelu_fused(xs), gelu_exact(xs),
@@ -48,8 +60,6 @@ class TestLayers:
         np.testing.assert_allclose(gelu_grad(xs), fd, atol=1e-6)
 
     def test_linear_forward(self):
-        from repro.dnn import Linear
-
         lin = Linear(3, 2)
         lin.weight[:] = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
         lin.bias[:] = [0.5, -0.5]
@@ -183,6 +193,17 @@ class TestGeLUTable:
         tab = GeLUTable()  # [-3,3] at 0.01
         assert tab.n_entries == 600
 
+    @pytest.mark.parametrize("precision, dt", [
+        ("fp64", np.float64), ("fp32", np.float32), ("fp16", np.float16)])
+    def test_tracks_exact_within_max_error(self, precision, dt):
+        table = GeLUTable(precision=precision)
+        x = np.linspace(-4.0, 4.0, 257).astype(
+            np.float64 if precision == "fp64" else np.float32)
+        out = table(x)
+        assert out.dtype == dt
+        assert np.max(np.abs(out.astype(np.float64) - gelu_exact(
+            x.astype(np.float64)))) <= table.max_error() + 4 * np.finfo(dt).eps
+
     def test_fp16_table_error(self):
         tab = GeLUTable(precision="fp16")
         assert tab.max_error() < 1e-2
@@ -228,6 +249,26 @@ class TestInferenceEngine:
         e2 = InferenceEngine(net, gelu="fused").run(x)
         # same math, only the operation fusion differs: fp32 roundoff
         assert np.abs(e1 - e2).max() < 1e-5
+
+    @pytest.mark.parametrize("gelu", ["exact", "fused", "table"])
+    @pytest.mark.parametrize("precision", ["fp64", "fp32"])
+    def test_is_the_plain_numpy_forward(self, net, precision, gelu):
+        """Each layer is ``x @ W^T + b`` with weights cast to the
+        engine's precision, then the selected GeLU: bitwise, fp64 out."""
+        dt = np.float32 if precision == "fp32" else np.float64
+        x = np.random.default_rng(15).normal(size=(120, 4))
+        engine = InferenceEngine(net, precision=precision, gelu=gelu)
+        act = {"exact": gelu_exact, "fused": gelu_fused,
+               "table": engine.table}[gelu]
+        h = x.astype(dt)
+        for layer in net.layers:
+            if isinstance(layer, Linear):
+                h = h @ layer.weight.astype(dt).T + layer.bias.astype(dt)
+            elif isinstance(layer, GeLU):
+                h = act(h)
+        out = engine.run(x)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, h.astype(np.float64))
 
     def test_batching_invariant(self, net):
         x = np.random.default_rng(13).normal(size=(100, 4))

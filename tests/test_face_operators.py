@@ -18,7 +18,7 @@ from repro.dist import Decomposition
 from repro.fv import (FixedGradient, FixedValue, SurfaceField, VolField,
                       fvc_div, fvc_grad, fvc_laplacian)
 from repro.fv.operators import assemble_transport, fvc_surface_integral
-from repro.mesh import build_box_mesh
+from repro.mesh import build_box_mesh, build_rocket_mesh
 from repro.sparse.ldu import LDUMatrix
 from tests import face_oracle
 
@@ -37,6 +37,9 @@ def _meshes():
         "renumbered": periodic.renumbered(rng.permutation(periodic.n_cells)),
         # owned + ghost cells; ghosts own no face
         "submesh": Decomposition.from_mesh(periodic, 2).subdomains[1].mesh,
+        # jittered polar sector: interpolation weights 0.32..0.78, not
+        # the box meshes' uniform 1/2
+        "rocket": build_rocket_mesh(nr=3, ntheta_per_sector=4, nz=4),
     }
 
 
@@ -165,7 +168,8 @@ class TestExplicitOperators:
 
 
 class TestFusedAssemblyMatchesScatterSequence:
-    @pytest.mark.parametrize("name", ["box", "periodic-n2", "submesh"])
+    @pytest.mark.parametrize("name", ["box", "periodic-n2", "submesh",
+                                      "rocket"])
     def test_diag_and_source(self, name):
         """<= 1e-12: the patches' boundary products are now summed per
         face before one reduction (the parent scattered patch by
@@ -175,7 +179,9 @@ class TestFusedAssemblyMatchesScatterSequence:
         rng = np.random.default_rng(21)
         names = {p.name for p in m.patches}
         bcs = {k: v for k, v in {"xmin": FixedValue(1.5),
-                                 "zmax": FixedGradient(0.25)}.items()
+                                 "zmax": FixedGradient(0.25),
+                                 "injector_plate": FixedValue(1.5),
+                                 "outlet": FixedGradient(0.25)}.items()
                if k in names}
         field = VolField("f", m, rng.standard_normal(m.n_cells), boundary=bcs)
         phi = SurfaceField("phi", m, rng.standard_normal(m.n_faces))

@@ -20,6 +20,7 @@ from repro.fv import (
     fvm_sp,
     two_phase_scatter,
 )
+from repro.core import build_tgv_case
 from repro.mesh import build_box_mesh, cell_graph_from_mesh
 from repro.partition import partition_graph
 from repro.solvers import SolverControls
@@ -151,6 +152,25 @@ class TestImplicitOperators:
         f = VolField("f", box_mesh, np.full(box_mesh.n_cells, 1.0))
         eqn = fvm_sp(2.0, f)
         np.testing.assert_allclose(eqn.a.diag, 2.0 * box_mesh.cell_volumes)
+
+    def test_auto_solver_uses_the_pcg_symmetry_test(self, mech):
+        """``solve()`` picks PCG only for an exactly symmetric operator
+        (the test PCG applies): one ulp off goes to PBiCGStab instead
+        of PCG refusing it."""
+        mesh = build_tgv_case(n=4, mech=mech).mesh
+        f = VolField("f", mesh, np.zeros(mesh.n_cells))
+        x = np.random.default_rng(3).random(mesh.n_cells)
+        picked = []
+        for nudge in (False, True):
+            eqn = fvm_sp(1.0, f) - fvm_laplacian(1e-3, f)
+            if nudge:
+                eqn.a.lower[0] = np.nextafter(eqn.a.lower[0], 0.0)
+            eqn.source = eqn.a.matvec(x)
+            f.values[:] = 0.0
+            _, res = eqn.solve(controls=CTL)
+            assert res.converged
+            picked.append(res.solver)
+        assert picked == ["PCG", "PBiCGStab"]
 
     def test_matrix_algebra(self, box_mesh):
         f = VolField("f", box_mesh, np.random.default_rng(1).random(

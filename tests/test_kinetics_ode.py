@@ -11,6 +11,7 @@ from repro.chemistry import (
     rk4_batch,
     ros2_batch,
 )
+from tests.kinetics_oracle import oracle_rates, oracle_rhs
 
 
 class TestKinetics:
@@ -70,6 +71,34 @@ class TestKinetics:
         conc = kin.concentrations(rho, y[None, :])
         wdot = kin.wdot(t, conc)
         assert np.all(np.isfinite(wdot))
+
+    @pytest.mark.parametrize("p", [1e5, 10e6], ids=["1bar", "100bar"])
+    @pytest.mark.parametrize("band", [(600.0, 1000.0), (1000.0, 2000.0),
+                                      (2000.0, 3500.0)],
+                             ids=["cool", "flame", "hot"])
+    def test_rates_match_the_reaction_loop(self, kin, mech, band, p):
+        """Rates of progress and dY/dt against the per-reaction oracle
+        (``tests/kinetics_oracle.py``) across temperature bands and
+        pressures (the falloff blend moves with [M]); a tenth of the
+        mass fractions are exact zeros."""
+        rng = np.random.default_rng(8)
+        n = 24
+        t = rng.uniform(*band, n)
+        y = rng.random((n, mech.n_species))
+        y[rng.random(y.shape) < 0.1] = 0.0
+        y /= y.sum(axis=1, keepdims=True)
+        pp = np.full(n, p)
+        conc = kin.concentrations(kin.density_ideal(t, pp, y), y)
+
+        def rowmax(a):
+            return np.abs(a).max(axis=1, keepdims=True) + 1e-300
+
+        for new, ref in zip(kin.rates_of_progress(t, conc),
+                            oracle_rates(kin, t, conc)):
+            assert (np.abs(new - ref) <= 1e-12 * rowmax(ref)).all()
+        dydt_ref = oracle_rhs(kin, t, pp, y)[1]
+        dydt = kin.constant_pressure_rhs(t, pp, y)[1]
+        assert (np.abs(dydt - dydt_ref) <= 1e-12 * rowmax(dydt_ref)).all()
 
     def test_rhs_shapes(self, kin, stoich_mix):
         dtdt, dydt = kin.constant_pressure_rhs(

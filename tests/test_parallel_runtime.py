@@ -15,7 +15,8 @@ import pytest
 from repro.chemistry.backends import (DirectBatchBackend, HybridBackend,
                                       ParallelChemistryBackend,
                                       SurrogateBackend)
-from repro.core import IdealGasProperties, NoChemistry, build_tgv_case
+from repro.core import (IdealGasProperties, NoChemistry,
+                        build_hotspot_tgv_case, build_tgv_case)
 from repro.core.settings import KRYLOV_VARIANTS, SolverSettings
 from repro.dist import (DecomposedSolver, Decomposition, DistributedSystem,
                         solve_distributed)
@@ -494,6 +495,17 @@ class TestSpmdParity:
             SolverSettings(ranks=2, execution="parallel",
                            balance_chemistry="dynamic")
 
+    def test_parallel_refuses_chemistry_workers(self):
+        """The rank workers are daemonic and cannot fork a chemistry
+        pool: refused at validation, before any fork."""
+        with pytest.raises(ValueError, match="chemistry_workers.*execution"):
+            SolverSettings(chemistry="direct", chemistry_workers=2,
+                           ranks=2, execution="parallel")
+        # each half alone forks at most one level of workers
+        SolverSettings(chemistry="direct", chemistry_workers=2, ranks=2)
+        SolverSettings(chemistry="direct", chemistry_workers=2,
+                       execution="parallel")
+
 
 class TestWrittenOnce:
     """The parallel mode schedules the one step; it does not copy it."""
@@ -785,6 +797,18 @@ class TestParallelEnsemble:
         ens.add_instance("b")
         with pytest.raises(RuntimeError, match="serial instances"):
             ens.step(1e-8)
+
+    def test_chemistry_worker_instances_refused(self, mech):
+        """A pool worker is daemonic and cannot fork a member's
+        chemistry pool: refused before the ensemble forks."""
+        ens = Ensemble(lambda: build_hotspot_tgv_case(n=4, mech=mech),
+                       SolverSettings(chemistry="direct",
+                                      chemistry_workers=2), parallel=True)
+        ens.add_instance("a")
+        ens.add_instance("b")
+        with pytest.raises(RuntimeError, match="chemistry_workers=2"):
+            ens.step(1e-8)
+        assert ens._pool is None
 
 
 class TestParallelDecomposedMember:

@@ -14,6 +14,8 @@ from repro.partition import balance_stats, partition_graph
 from repro.runtime import SimulatedComm
 from repro.solvers import LocalSystem
 from repro.sparse import LDUMatrix
+from repro.sparse.pattern import CSRPattern
+from repro.sparse.spmv import spmv_faces
 from tests.conftest import make_laplacian_ldu
 
 SETTINGS = dict(deadline=None, max_examples=25,
@@ -218,6 +220,71 @@ class TestDistProperties:
         owned = np.concatenate([s.owned_global for s in dec.subdomains])
         r = rng.standard_normal((mesh.n_cells, 2))
         assert np.array_equal(apply(r[owned]), serial(r)[owned])
+
+
+_PROP_LDU = None
+
+
+def _prop_ldu():
+    """The 4^3 box Laplacian, built once (hypothesis bodies cannot take
+    function-scoped fixtures)."""
+    global _PROP_LDU
+    if _PROP_LDU is None:
+        _PROP_LDU = make_laplacian_ldu(build_box_mesh(4, 4, 4))
+    return _PROP_LDU
+
+
+_NP_DTYPES = {"fp32": np.float32, "fp64": np.float64}
+
+
+class TestDtypeProperties:
+    """No silent fp32 -> fp64 upcasts: these kernels compute in the
+    dtype of their array operand."""
+
+    @given(dt=st.sampled_from(["fp32", "fp64"]), k=st.integers(1, 4),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(**SETTINGS)
+    def test_spmv_preserves_dtype(self, dt, k, seed):
+        ldu = _prop_ldu()
+        npdt = _NP_DTYPES[dt]
+        x = np.random.default_rng(seed).standard_normal(
+            (ldu.n, k)).astype(npdt)
+        y = spmv_faces(ldu.diag, ldu.lower, ldu.upper, ldu.owner,
+                       ldu.neighbour, x)
+        assert y.dtype == npdt
+        # fp32 arithmetic tracks the fp64 computation to fp32 accuracy
+        y64 = ldu.matvec_multi(x.astype(np.float64))
+        scale = np.abs(y64).max() + 1.0
+        assert np.abs(y.astype(np.float64) - y64).max() \
+            <= 64 * np.finfo(npdt).eps * scale
+
+    @given(dt=st.sampled_from(["fp32", "fp64"]),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(**SETTINGS)
+    def test_pattern_fill_preserves_dtype(self, dt, seed):
+        ldu = _prop_ldu()
+        pattern = CSRPattern.from_ldu(ldu)
+        npdt = _NP_DTYPES[dt]
+        rng = np.random.default_rng(seed)
+        data = pattern.fill_values(
+            rng.standard_normal(ldu.n).astype(npdt),
+            rng.standard_normal(ldu.n_faces).astype(npdt),
+            rng.standard_normal(ldu.n_faces).astype(npdt))
+        assert data.dtype == npdt
+
+    @given(dt=st.sampled_from(["fp32", "fp64"]), k=st.integers(1, 5),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(**SETTINGS)
+    def test_blocked_dot_preserves_dtype(self, dt, k, seed):
+        npdt = _NP_DTYPES[dt]
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((64, k)).astype(npdt)
+        b = rng.standard_normal((64, k)).astype(npdt)
+        system = LocalSystem(_prop_ldu())
+        d, s = system.coldot(a, b), system.colsum_abs(a)
+        assert d.dtype == npdt and s.dtype == npdt
+        assert np.array_equal(d, np.einsum("ij,ij->j", a, b))
+        assert np.array_equal(s, np.abs(a).sum(axis=0))
 
 
 # -- module-scoped heavyweight fixtures for hypothesis classes ----------

@@ -160,7 +160,7 @@ class TestOneSurface:
     configuration surface, and the superseded spellings are gone."""
 
     def test_field_count(self):
-        assert len(fields(SolverSettings)) == 16
+        assert len(fields(SolverSettings)) == 15
 
     def test_constructor_signatures(self):
         def surface(cls):

@@ -23,7 +23,10 @@ from repro.sparse import (
     gauss_seidel_block,
     gauss_seidel_csr,
     spmv_cost,
+    spmv_ldu,
+    spmv_ldu_multi,
 )
+from repro.sparse.pattern import CSRPattern
 from tests.conftest import (
     EXACT_ATOL,
     EXACT_RTOL,
@@ -60,6 +63,19 @@ class TestLDU:
         np.testing.assert_allclose(spd_ldu.matvec(x), spd_ldu.to_csr() @ x,
                                    rtol=MATVEC_RTOL, atol=MATVEC_ATOL)
 
+    def test_spmv_entry_points_are_one_kernel(self, spd_ldu):
+        """``spmv_ldu`` / ``spmv_ldu_multi`` are ``matvec`` /
+        ``matvec_multi`` bit for bit, and that kernel is the CSR
+        product."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(spd_ldu.n)
+        xm = rng.standard_normal((spd_ldu.n, 4))
+        assert np.array_equal(spmv_ldu(spd_ldu, x), spd_ldu.matvec(x))
+        assert np.array_equal(spmv_ldu_multi(spd_ldu, xm),
+                              spd_ldu.matvec_multi(xm))
+        np.testing.assert_allclose(spd_ldu.matvec_multi(xm),
+                                   spd_ldu.to_csr() @ xm, rtol=EXACT_RTOL)
+
     def test_asymmetric_matvec(self, box_mesh):
         ldu = make_laplacian_ldu(box_mesh)
         ldu.lower[:] = -0.5  # asymmetric
@@ -92,6 +108,97 @@ class TestLDU:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             LDUMatrix(4, np.array([0, 1]), np.array([1]))
+
+
+def _random_ldu(mesh, seed):
+    """Asymmetric, diagonally dominant LDU with random coefficients."""
+    rng = np.random.default_rng(seed)
+    ldu = LDUMatrix.from_mesh(mesh)
+    ldu.diag[:] = rng.uniform(4.0, 8.0, ldu.n)
+    ldu.upper[:] = rng.uniform(-1.0, 0.0, ldu.n_faces)
+    ldu.lower[:] = rng.uniform(-1.0, 0.0, ldu.n_faces)
+    return ldu
+
+
+def _in_float64(ldu, dtype):
+    """``ldu`` with its coefficients rounded to ``dtype``, held in fp64:
+    the operator a kernel computing in ``dtype`` applies."""
+    out = LDUMatrix(ldu.n, ldu.owner, ldu.neighbour)
+    for name in ("diag", "upper", "lower"):
+        getattr(out, name)[:] = getattr(ldu, name).astype(dtype)
+    return out
+
+
+class TestSpmvAgainstCSR:
+    @pytest.mark.parametrize("shape", ["vector", "one-column", "block"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_scipy_product(self, topology_mesh, dtype, shape):
+        """The face loop in the dtype of ``x`` against scipy's fp64 CSR
+        product of the same (rounded) operator, within the textbook
+        dot-product bound ``row_nnz * eps * (|A| |x|)``; a block's
+        columns are the vector kernel's results bit for bit."""
+        ldu = _random_ldu(topology_mesh, seed=31)
+        k = {"vector": None, "one-column": 1, "block": 4}[shape]
+        x = np.random.default_rng(32).standard_normal(
+            (ldu.n,) if k is None else (ldu.n, k)).astype(dtype)
+        y = spmv_ldu(ldu, x)
+        assert y.dtype == dtype and y.shape == x.shape
+        a = _in_float64(ldu, dtype).to_csr()
+        x64 = x.astype(np.float64)
+        ref, mag = a @ x64, abs(a) @ np.abs(x64)
+        row_nnz = np.diff(a.indptr).max()
+        assert (np.abs(y - ref) <= row_nnz * np.finfo(dtype).eps * mag).all()
+        if k is not None:
+            for j in range(k):
+                assert np.array_equal(
+                    y[:, j], spmv_ldu(ldu, np.ascontiguousarray(x[:, j])))
+
+
+class TestCSRPattern:
+    @pytest.fixture(params=["plain", "periodic", "rocket"])
+    def pattern_and_ldu(self, request, box_mesh, periodic_mesh, rocket_mesh):
+        """Both fill paths: the inverse gather (no duplicate slots) and
+        the accumulating scatter (periodic meshes produce duplicate
+        (row, col) pairs); the rocket sector is the unstructured case."""
+        mesh = {"plain": box_mesh, "periodic": periodic_mesh,
+                "rocket": rocket_mesh}[request.param]
+        return CSRPattern.from_mesh(mesh), make_laplacian_ldu(mesh)
+
+    def test_patterned_csr_matches_fresh_conversion(self, pattern_and_ldu):
+        """``to_csr(pattern=)`` is ``fill_values`` kept in the pattern's
+        persistent buffer, and equals a fresh scipy conversion."""
+        pattern, ldu = pattern_and_ldu
+        csr = ldu.to_csr(pattern=pattern)
+        data = pattern.fill_values(ldu.diag, ldu.upper, ldu.lower)
+        assert np.array_equal(data, csr.data)
+        assert np.shares_memory(csr.data, pattern.fill(ldu))
+        ref = ldu.to_csr()
+        ref.sort_indices()
+        assert np.array_equal(csr.indices, ref.indices)
+        np.testing.assert_allclose(csr.data, ref.data, rtol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fill_values_in_the_coefficients_dtype(self, pattern_and_ldu,
+                                                   dtype):
+        """Random asymmetric coefficients in ``dtype``: the values come
+        back in that dtype, in the slots of a fresh fp64 scipy
+        conversion, equal up to the rounding of summed duplicates."""
+        pattern, ldu = pattern_and_ldu
+        rng = np.random.default_rng(33)
+        diag, upper, lower = (rng.standard_normal(m).astype(dtype)
+                              for m in (ldu.n, ldu.n_faces, ldu.n_faces))
+        data = pattern.fill_values(diag, upper, lower)
+        assert data.dtype == dtype
+        ref_ldu = LDUMatrix(ldu.n, ldu.owner, ldu.neighbour)
+        ref_ldu.diag[:], ref_ldu.upper[:], ref_ldu.lower[:] = \
+            diag, upper, lower
+        ref = ref_ldu.to_csr()
+        ref.sort_indices()
+        assert np.array_equal(ldu.to_csr(pattern=pattern).indices,
+                              ref.indices)
+        scale = np.abs(ref.data).max()
+        assert np.abs(data - ref.data).max() \
+            <= 4 * np.finfo(dtype).eps * scale
 
 
 class TestBlockCSR:

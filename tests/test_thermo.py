@@ -673,7 +673,7 @@ class TestCubicRootKernel:
         c2 = np.full(3, -1.5)
         c1 = np.array([0.5625, 0.703125, 0.75])
         c0 = np.array([-0.0625, -0.09765625, -0.125])
-        z0, (z1, z2), three = cubic_real_roots(np, c2, c1, c0)
+        z0, (z1, z2), three = cubic_real_roots(c2, c1, c0)
         assert three.all()
         exact = np.array([[1.0, 0.625, 0.5], [0.25, 0.625, 0.5],
                           [0.25, 0.25, 0.5]])
@@ -681,8 +681,47 @@ class TestCubicRootKernel:
             res, scale = _residual(z, c2, c1, c0)
             assert (res <= 64 * EPS * scale).all()
             np.testing.assert_allclose(z, ref, rtol=0.0, atol=1e-7)
-        top, rest, _ = cubic_real_roots(np, c2, c1, c0, lower=False)
+        top, rest, _ = cubic_real_roots(c2, c1, c0, lower=False)
         assert rest == [] and np.array_equal(top, z0)
+
+
+class TestCompressibilityAgainstOracle:
+    """``CubicEos.compressibility`` on mixtures against the parent's
+    mixing rule and ``np.roots`` loop (``tests/thermo_oracle.py``)."""
+
+    @pytest.fixture(scope="class")
+    def states(self, mech):
+        """Random mixtures at 250-800 K, 0.1-20 MPa (mostly one root),
+        then eight near-pure sub-critical rows with three roots > B."""
+        rng = np.random.default_rng(9)
+        n = 24
+        t = rng.uniform(250.0, 800.0, n)
+        p = rng.uniform(1e5, 2e7, n)
+        x = np.abs(rng.normal(0.5, 0.3, (n, mech.n_species)))
+        dense = ("O2", "CH4", "N2", "O2", "CH4", "N2", "O2", "CO")
+        x_sub = np.full((len(dense), mech.n_species), 1e-3)
+        x_sub[np.arange(len(dense)),
+              [mech.species_index[s] for s in dense]] = 1.0
+        t = np.concatenate(
+            (t, [100.0, 120.0, 90.0, 130.0, 150.0, 100.0, 140.0, 100.0]))
+        p = np.concatenate((p, [1e6, 5e5, 8e5, 2e6, 1e6, 5e5, 3e6, 5e5]))
+        x = np.concatenate((x, x_sub))
+        return t, p, x / x.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("root", ROOT_MODES)
+    @pytest.mark.parametrize("eos_cls", [PengRobinson, SoaveRedlichKwong],
+                             ids=["PR", "SRK"])
+    def test_matches_the_np_roots_loop(self, mech, states, eos_cls, root):
+        from tests.thermo_oracle import OracleEos
+
+        eos = eos_cls(mech.species)
+        t, p, x = states
+        z = eos.compressibility(t, p, x, root=root)
+        _within(z, OracleEos(eos).compressibility(t, p, x, root=root),
+                1e-12)
+        if root != "vapor":   # the sub-critical rows pick a liquid root
+            z_vapor = eos.compressibility(t, p, x, root="vapor")
+            assert (z[-8:] < 0.2 * z_vapor[-8:]).sum() >= 6
 
 
 class TestMixtureThermo:
