@@ -3,7 +3,7 @@
 The step itself lives in :class:`~repro.dist.DecomposedSolver` and is
 written once, over the ranks its communicator endpoint hosts.  This
 module only *schedules* it differently: :class:`ParallelExecutor`
-builds the shared arena and barrier, forks one worker per rank
+builds the shared arena, forks one worker per rank
 (:class:`~repro.runtime.executor.WorkerPool`), and each worker runs a
 ``DecomposedSolver`` over a one-rank
 :class:`~repro.runtime.shm.SharedMemComm` endpoint of the driver's
@@ -21,18 +21,18 @@ driver-stepped execution.
 
 **Core binding.**  Each rank worker binds itself to one core, round
 robin over the CPUs its process may use (what ``mpirun --bind-to core``
-does).  A step is a few hundred blocking barriers; unbound, the kernel's
-wake-affine placement keeps pulling the woken rank onto the waker's core,
-and the same bitwise-identical step then takes anywhere between the
-one-core-per-rank and the two-ranks-on-one-core time from one window to
-the next (61 vs 81 ms on the 2-rank TGV of ``bench/``).
+does).  A step is a few hundred collectives, each a wait on a peer's
+sequence counter that spins and then yields the core; unbound, the
+kernel's wake-affine placement keeps pulling a rank onto its peer's
+core, and the same bitwise-identical step then takes anywhere between
+the one-core-per-rank and the two-ranks-on-one-core time from one
+window to the next.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-import multiprocessing as mp
 import os
 
 from ..runtime.comm import CommLedger
@@ -101,7 +101,6 @@ class ParallelExecutor:
         self.pool = None
         self.arena = arena = SharedArena(nparts)
         try:
-            barrier = mp.get_context("fork").Barrier(nparts)
             rank_settings = settings.overlay(execution="serial")
 
             def factory(w: int) -> _RankWorker:
@@ -109,8 +108,7 @@ class ParallelExecutor:
                 if w:   # solver results are identical on every rank:
                     # rank 0 alone reports an unconverged solve
                     logging.getLogger("repro.solvers").setLevel(logging.ERROR)
-                rank_comm = SharedMemComm(arena, w, barrier,
-                                          timeout=barrier_timeout)
+                rank_comm = SharedMemComm(arena, w, timeout=barrier_timeout)
                 return _RankWorker(
                     DecomposedSolver(case, rank_settings, comm=rank_comm,
                                      decomp=decomp, properties=properties,

@@ -143,29 +143,34 @@ class PendingExchange:
     :meth:`wait`, and a handle completes exactly once.
     """
 
-    def __init__(self, inboxes: list[dict[int, np.ndarray]]):
+    def __init__(self, inboxes: list[dict[int, np.ndarray]],
+                 release=lambda: None):
         self._inboxes = inboxes
+        self._release = release
 
     def wait(self) -> list[dict[int, np.ndarray]]:
         """Complete the exchange; returns the per-rank inboxes."""
         if self._inboxes is None:
             raise RuntimeError("exchange handle already waited on")
         inboxes, self._inboxes = self._inboxes, None
+        self._release()
         return inboxes
 
 
 class PendingReduce:
     """Wait handle for a posted (nonblocking) allreduce."""
 
-    def __init__(self, value):
+    def __init__(self, value, release=lambda: None):
         self._value = value
         self._done = False
+        self._release = release
 
     def wait(self):
         """Complete the reduction; returns the reduced payload."""
         if self._done:
             raise RuntimeError("allreduce handle already waited on")
         self._done = True
+        self._release()
         return self._value
 
 
@@ -185,14 +190,36 @@ class SimulatedComm:
     contributions whose leading axis is the hosted ranks and return
     the reduction over all ``P``.  Code written against ``comm.ranks``
     runs unchanged on either fabric.
+
+    Collectives travel on two *channels*: ``halo`` (``halo_exchange``
+    / ``post_halo``) and ``reduce`` (``allreduce`` / ``iallreduce``).
+    A channel carries at most one open handle: a collective on a
+    channel whose posted handle has not been waited on raises
+    ``RuntimeError`` naming the channel.  Handles on the two channels
+    may be open together -- the pipelined PCG keeps its
+    ``iallreduce`` open across the matvec's halo exchanges.
     """
 
     def __init__(self, n_ranks: int):
         self.n_ranks = int(n_ranks)
         self.ranks = tuple(range(self.n_ranks))
         self.ledger = CommLedger()
+        self._open: set[str] = set()
+
+    def _claim(self, channel: str) -> None:
+        """Refuse a collective on a channel with an open handle."""
+        if channel in self._open:
+            raise RuntimeError(
+                f"the {channel} channel has an open handle -- wait on "
+                f"it before the next {channel} collective")
+
+    def _post(self, channel: str):
+        """Mark ``channel`` open; returns the handle's release hook."""
+        self._open.add(channel)
+        return lambda: self._open.discard(channel)
 
     def _deliver(self, outboxes, overlappable: bool):
+        self._claim("halo")
         if len(outboxes) != self.n_ranks:
             raise ValueError("need one outbox per rank")
         self.ledger.exchanges += 1
@@ -227,7 +254,8 @@ class SimulatedComm:
         :meth:`PendingExchange.wait`, and the cost model prices the
         phase ``max(t_interior, t_exchange) + t_boundary``.
         """
-        return PendingExchange(self._deliver(outboxes, overlappable=True))
+        inboxes = self._deliver(outboxes, overlappable=True)
+        return PendingExchange(inboxes, self._post("halo"))
 
     def allreduce(self, contributions: np.ndarray, op: str = "sum"):
         """Allreduce of one contribution per rank.
@@ -239,6 +267,7 @@ class SimulatedComm:
         ``op`` is ``"sum"`` (default), ``"max"`` or ``"min"``; max/min
         serve distributed residual norms and field diagnostics.
         """
+        self._claim("reduce")
         contributions = np.asarray(contributions, dtype=float)
         if contributions.ndim < 1 or contributions.shape[0] != self.n_ranks:
             raise ValueError("one contribution per rank")
@@ -265,7 +294,7 @@ class SimulatedComm:
         """
         value = self.allreduce(contributions, op=op)
         self.ledger.overlap_allreduces += 1
-        return PendingReduce(value)
+        return PendingReduce(value, self._post("reduce"))
 
 
 # ----------------------------------------------------------------------

@@ -150,7 +150,8 @@ class WorkerPool:
 
         All commands are submitted before any reply is read -- the
         shape collective handler methods need (a sequential
-        call-per-worker would deadlock the first barrier).
+        call-per-worker would leave the first worker waiting on a
+        collective its peers never enter).
         """
         for w in range(self.n_workers):
             self.submit(w, method, *args, **kwargs)

@@ -4,13 +4,15 @@ This is the real-parallelism counterpart of the driver-centric
 :class:`~repro.runtime.comm.SimulatedComm`.  Two pieces:
 
 * :class:`SharedArena` -- a pool of named
-  ``multiprocessing.shared_memory`` slabs with zero-copy numpy views:
-  per-rank grow-on-demand *staging slabs* (two channels, so a posted
-  ``iallreduce`` survives the halo exchanges of the matvec it
-  overlaps) plus driver-allocated *named arrays* for field gathers and
-  chemistry ``(T, p, Y)`` batches.  Created before the worker pool
-  forks, the whole arena is inherited by every worker -- no pickling,
-  no re-attach -- and only the creating process unlinks it.
+  ``multiprocessing.shared_memory`` segments with zero-copy numpy
+  views: per-rank grow-on-demand *staging slabs* (two channels, so a
+  posted ``iallreduce`` survives the halo exchanges of the matvec it
+  overlaps, and two parities per channel), one segment of per-rank,
+  per-channel *sequence counters*, plus driver-allocated *named
+  arrays* for field gathers and chemistry ``(T, p, Y)`` batches.
+  Created before the worker pool forks, the whole arena is inherited
+  by every worker -- no pickling, no re-attach -- and only the
+  creating process unlinks it.
 * :class:`SharedMemComm` -- the one-hosted-rank endpoint of the
   :class:`~repro.runtime.comm.SimulatedComm` contract.  Where the
   simulated fabric hosts *all* ranks (``comm.ranks == range(P)``),
@@ -21,9 +23,33 @@ This is the real-parallelism counterpart of the driver-centric
   leading axis of length one and returns the reduction over all ``P``
   ranks, the same value on every endpoint.  Code that iterates
   ``comm.ranks`` therefore runs unchanged on either fabric.
-  Collectives run a stage -> barrier -> read -> barrier protocol on
-  the arena; a barrier timeout raises ``BrokenBarrierError`` so a
-  deadlocked rank fails fast instead of hanging the run.
+
+**The protocol: one flag write and one flag wait per collective.**
+Rank ``r``'s ``g``-th collective on a channel stages its payload into
+parity ``g & 1`` of its slab on that channel, then stores ``g`` into
+its ``(r, channel)`` counter (*publish*).  Completing it waits until
+every peer's counter on the channel is at least ``g`` and reads the
+peers' parity-``g & 1`` slabs.  No second synchronization guards slab
+reuse: a rank restages parity ``g & 1`` only at collective ``g + 2``,
+after its wait on ``g + 1`` -- which needs every peer to have
+published ``g + 1``, and a peer publishes ``g + 1`` only after it has
+finished reading ``g``.  For the same reason a channel carries at most
+one open handle per endpoint (a second post raises ``RuntimeError``).
+
+**Memory ordering.**  The protocol assumes that the payload and header
+stores of a post become visible to the other processes no later than
+the counter store that follows them, and that a reader's slab loads
+are not satisfied ahead of the counter load that admitted them.
+x86-64's total store order gives both (CPython issues the stores in
+program order); a weakly ordered CPU would need a fence between stage
+and publish.
+
+**Failure.**  A wait polls the peers' counters :data:`_SPINS` times,
+then yields the core (``os.sched_yield``) between polls.  Past the
+endpoint's ``timeout`` it sets the arena's shared *broken* word and
+raises ``BrokenBarrierError``; every rank waiting anywhere on the
+arena sees the word and raises too, so a dead or skipping rank fails
+every rank fast instead of hanging the run.
 
 **Ledger parity.**  Each comm accounts its own rank's traffic in a
 private :class:`~repro.runtime.comm.CommLedger`: every rank charges
@@ -46,6 +72,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
+import time
 import uuid
 from multiprocessing import resource_tracker, shared_memory
 
@@ -66,12 +93,20 @@ __all__ = [
 _CHANNELS = 2
 _CH_HALO = 0
 _CH_REDUCE = 1
+_CHANNEL_NAMES = ("halo", "reduce")
+#: staging buffers per (rank, channel): collective g stages into g & 1
+_PARITIES = 2
 #: max staged messages per rank per channel (neighbour count bound)
 _MAX_MSGS = 128
 #: header ints per message: dst, offset, ndim, shape[0:4]
 _ENTRY = 7
-#: header ints per (rank, channel): generation, capacity, n_msgs + table
+#: header ints per (rank, channel, parity): generation, capacity,
+#: n_msgs + table
 _HDR_ROW = 3 + _MAX_MSGS * _ENTRY
+#: int64 words per 64-byte line: each sequence counter owns one line
+_LINE = 8
+#: counter polls before a waiting rank starts yielding its core
+_SPINS = 100
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
@@ -138,9 +173,15 @@ class SharedArena:
     initial_bytes:
         Initial capacity of each staging slab.  Slabs grow on demand:
         a rank needing more staging space creates a generation-named
-        successor segment (``{name}_r{rank}c{ch}_g{gen}``) and bumps
-        the generation counter in the shared header; readers attach
-        newer generations lazily.
+        successor segment (``{name}r{rank}c{ch}p{parity}g{gen}``) and
+        bumps the generation counter in the shared header; readers
+        attach newer generations lazily.
+
+    Besides the slabs and their header table, indexed ``(rank,
+    channel, parity)``, the arena holds :attr:`seq`, the ``(n_ranks,
+    channels)`` sequence counters (each on its own 64-byte line), and
+    :attr:`broken`, the one-word flag a timed-out wait raises for
+    every rank.
 
     The arena is built *before* the worker pool forks, so workers
     inherit the initial mappings directly; only generations created
@@ -154,24 +195,34 @@ class SharedArena:
         self.name = name or f"repro{os.getpid():x}{uuid.uuid4().hex[:8]}"
         self._owner_pid = os.getpid()
         self._closed = False
-        hdr_bytes = 8 * _HDR_ROW * self.n_ranks * _CHANNELS
-        self._hdr_shm = _create(f"{self.name}h", hdr_bytes)
-        self._hdr = np.ndarray((self.n_ranks, _CHANNELS, _HDR_ROW),
-                               dtype=np.int64, buffer=self._hdr_shm.buf)
+        shape = (self.n_ranks, _CHANNELS, _PARITIES)
+        self._hdr_shm = _create(f"{self.name}h",
+                                8 * _HDR_ROW * int(np.prod(shape)))
+        self._hdr = np.ndarray(shape + (_HDR_ROW,), dtype=np.int64,
+                               buffer=self._hdr_shm.buf)
         self._hdr[:] = 0
-        #: (rank, ch) -> (generation, SharedMemory) currently mapped here
-        self._slabs: dict[tuple[int, int], tuple[int, object]] = {}
-        for r in range(self.n_ranks):
-            for ch in range(_CHANNELS):
-                shm = _create(self._slab_name(r, ch, 0), initial_bytes)
-                self._hdr[r, ch, 1] = initial_bytes
-                self._slabs[(r, ch)] = (0, shm)
+        n_flags = self.n_ranks * _CHANNELS + 1
+        self._flag_shm = _create(f"{self.name}s", 8 * _LINE * n_flags)
+        flags = np.ndarray((n_flags, _LINE), dtype=np.int64,
+                           buffer=self._flag_shm.buf)
+        flags[:] = 0
+        #: ``seq[rank, channel]``: the last collective that rank
+        #: published on that channel
+        self.seq = flags[:-1, 0].reshape(self.n_ranks, _CHANNELS)
+        #: ``broken[0]`` is set once any rank's wait timed out
+        self.broken = flags[-1, :1]
+        #: (rank, ch, parity) -> (generation, SharedMemory) mapped here
+        self._slabs: dict[tuple[int, int, int], tuple[int, object]] = {}
+        for key in np.ndindex(*shape):
+            self._slabs[key] = (0, _create(self._slab_name(*key, 0),
+                                           initial_bytes))
+            self._hdr[key][1] = initial_bytes
         self._named: dict[str, tuple[object, np.ndarray]] = {}
         atexit.register(self.close)
 
     # -- naming ---------------------------------------------------------
-    def _slab_name(self, rank: int, ch: int, gen: int) -> str:
-        return f"{self.name}r{rank}c{ch}g{gen}"
+    def _slab_name(self, rank: int, ch: int, parity: int, gen: int) -> str:
+        return f"{self.name}r{rank}c{ch}p{parity}g{gen}"
 
     # -- named arrays (field gathers, chemistry batches) ----------------
     def alloc(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -196,8 +247,17 @@ class SharedArena:
         return self._named[key][1]
 
     # -- staging slabs --------------------------------------------------
-    def _writable_slab(self, rank: int, ch: int, nbytes: int):
-        """Rank ``rank``'s channel slab, grown if under ``nbytes``.
+    def _slab(self, key: tuple[int, int, int]):
+        """The current generation of one staging slab, mapped here."""
+        gen, shm = self._slabs[key]
+        if gen != self._hdr[key][0]:  # another process grew it; catch up
+            gen = int(self._hdr[key][0])
+            shm = _attach(self._slab_name(*key, gen))
+            self._slabs[key] = (gen, shm)
+        return shm
+
+    def _writable_slab(self, key: tuple[int, int, int], nbytes: int):
+        """The slab at ``key``, grown if under ``nbytes``.
 
         Only the owning rank stages into its slab, so growth is a
         single-writer operation: create the next-generation segment,
@@ -205,36 +265,24 @@ class SharedArena:
         old generations mapped (readers mid-attach may still hold
         views; the creator unlinks every generation at close).
         """
-        hdr = self._hdr[rank, ch]
-        gen, shm = self._slabs[(rank, ch)]
-        if gen != hdr[0]:  # another process grew it; catch up
-            gen = int(hdr[0])
-            shm = _attach(self._slab_name(rank, ch, gen))
-            self._slabs[(rank, ch)] = (gen, shm)
+        shm = self._slab(key)
+        hdr = self._hdr[key]
         if hdr[1] < nbytes:
+            gen = int(hdr[0]) + 1
             new_cap = max(int(hdr[1]) * 2, _align(nbytes), 1 << 12)
-            gen += 1
-            shm = _create(self._slab_name(rank, ch, gen), new_cap)
+            shm = _create(self._slab_name(*key, gen), new_cap)
             hdr[1] = new_cap
             hdr[0] = gen
-            self._slabs[(rank, ch)] = (gen, shm)
+            self._slabs[key] = (gen, shm)
         return shm
 
-    def _readable_slab(self, rank: int, ch: int):
-        """The current generation of a rank's channel slab."""
-        hdr = self._hdr[rank, ch]
-        gen, shm = self._slabs[(rank, ch)]
-        if gen != hdr[0]:
-            gen = int(hdr[0])
-            shm = _attach(self._slab_name(rank, ch, gen))
-            self._slabs[(rank, ch)] = (gen, shm)
-        return shm
-
-    def stage(self, rank: int, entries, channel: int = 0) -> None:
+    def stage(self, rank: int, entries, channel: int = 0,
+              parity: int = 0) -> None:
         """Write ``[(dst, float64 array), ...]`` into a staging slab.
 
-        Overwrites the rank's previous staging on that channel; callers
-        synchronize (barrier) before readers touch it.
+        Overwrites the rank's previous staging in that (channel,
+        parity) buffer; the caller publishes it (sequence counter)
+        before readers touch it.
         """
         if len(entries) > _MAX_MSGS:
             raise ValueError(
@@ -250,38 +298,36 @@ class SharedArena:
                 raise ValueError("staged arrays support up to 4 dims")
             arrays.append(a)
             total += _align(a.nbytes)
-        shm = self._writable_slab(rank, channel, total)
-        hdr = self._hdr[rank, channel]
+        key = (rank, channel, parity)
+        shm = self._writable_slab(key, total)
+        hdr = self._hdr[key]
         hdr[2] = len(entries)
         off = 0
         for i, ((dst, _), a) in enumerate(zip(entries, arrays)):
             e = 3 + i * _ENTRY
-            hdr[e] = int(dst)
-            hdr[e + 1] = off
-            hdr[e + 2] = a.ndim
-            hdr[e + 3:e + 7] = list(a.shape) + [0] * (4 - a.ndim)
-            view = np.ndarray(a.shape, dtype=np.float64,
-                              buffer=shm.buf, offset=off)
-            view[...] = a
+            hdr[e:e + _ENTRY] = ((int(dst), off, a.ndim) + a.shape
+                                 + (0,) * (4 - a.ndim))
+            np.ndarray(a.shape, dtype=np.float64, buffer=shm.buf,
+                       offset=off)[...] = a
             off += _align(a.nbytes)
 
-    def read(self, rank: int, channel: int = 0):
-        """Read a rank's staged messages as ``[(dst, array), ...]``.
+    def views(self, rank: int, channel: int = 0, parity: int = 0):
+        """A rank's staged messages as ``[(dst, array view), ...]``.
 
-        Arrays are copies: the staging slab is reused by the next
-        collective, and the simulated fabric's payloads are durable --
-        the copy keeps both comms' handle semantics identical.
+        The views alias the slab, which the rank restages two
+        collectives later on that channel: copy what must outlive the
+        collective.
         """
-        shm = self._readable_slab(rank, channel)
-        hdr = self._hdr[rank, channel]
+        key = (rank, channel, parity)
+        shm = self._slab(key)
+        hdr = self._hdr[key]
+        n = int(hdr[2])
         out = []
-        for i in range(int(hdr[2])):
-            e = 3 + i * _ENTRY
-            ndim = int(hdr[e + 2])
-            shape = tuple(int(s) for s in hdr[e + 3:e + 3 + ndim])
-            view = np.ndarray(shape, dtype=np.float64, buffer=shm.buf,
-                              offset=int(hdr[e + 1]))
-            out.append((int(hdr[e]), view.copy()))
+        for dst, off, ndim, *shape in \
+                hdr[3:3 + n * _ENTRY].reshape(n, _ENTRY).tolist():
+            out.append((dst, np.ndarray(tuple(shape[:ndim]),
+                                        dtype=np.float64, buffer=shm.buf,
+                                        offset=off)))
         return out
 
     # -- lifecycle ------------------------------------------------------
@@ -290,10 +336,9 @@ class SharedArena:
         if self._closed or os.getpid() != self._owner_pid:
             return
         self._closed = True
-        for r in range(self.n_ranks):
-            for ch in range(_CHANNELS):
-                for gen in range(int(self._hdr[r, ch, 0]) + 1):
-                    _unlink_quiet(self._slab_name(r, ch, gen))
+        for key in self._slabs:
+            for gen in range(int(self._hdr[key][0]) + 1):
+                _unlink_quiet(self._slab_name(*key, gen))
         # Unlink only -- the mappings themselves may still back live
         # numpy views (gather buffers a caller holds); the kernel frees
         # the memory once every process's mapping is gone.
@@ -302,6 +347,7 @@ class SharedArena:
             _unlink_quiet(shm.name.lstrip("/"))
         self._named.clear()
         _unlink_quiet(f"{self.name}h")
+        _unlink_quiet(f"{self.name}s")
 
     def __enter__(self) -> "SharedArena":
         """Context-manager entry (returns the arena)."""
@@ -355,9 +401,11 @@ class SharedMemComm:
     contributions carry a leading axis of length one (any other length
     is a ``ValueError``).
 
-    Every collective must be entered by **all ranks in the same
-    order** (the SPMD contract); a rank that skips one deadlocks the
-    barrier, which trips the timeout and breaks the barrier for
+    Every collective is one publish (its sequence counter) and one
+    wait (on the peers' counters) -- no global rendezvous.  Every
+    collective must be entered by **all ranks in the same order** (the
+    SPMD contract); a rank that skips one leaves its peers waiting on
+    its counter, which trips the timeout and breaks the arena for
     everyone -- the fail-fast behaviour the CI smoke job relies on.
 
     Parameters
@@ -366,36 +414,67 @@ class SharedMemComm:
         The :class:`SharedArena` staging the payloads.
     rank:
         This endpoint's rank id.
-    barrier:
-        A ``multiprocessing.Barrier`` over ``arena.n_ranks`` parties,
-        shared by all endpoints.
     timeout:
-        Per-barrier timeout in seconds (deadlock guard).
+        Longest wait on a peer's counter, in seconds (deadlock guard).
     """
 
-    def __init__(self, arena: SharedArena, rank: int, barrier,
+    def __init__(self, arena: SharedArena, rank: int,
                  timeout: float = 120.0):
         self.arena = arena
         self.rank = int(rank)
         self.ranks = (self.rank,)
         self.n_ranks = arena.n_ranks
-        self._barrier = barrier
         self._timeout = float(timeout)
+        self._peers = [q for q in range(self.n_ranks) if q != self.rank]
+        #: per channel: the peers' counters, this rank's last published
+        #: collective, and whether a posted handle is still open
+        self._seq = [arena.seq[:, ch] for ch in range(_CHANNELS)]
+        self._gen = [int(g) for g in arena.seq[self.rank]]
+        self._open = [False] * _CHANNELS
         self.ledger = CommLedger()
 
     # -- synchronization ------------------------------------------------
-    def _sync(self) -> None:
-        try:
-            self._barrier.wait(self._timeout)
-        except threading.BrokenBarrierError:
-            raise threading.BrokenBarrierError(
-                f"rank {self.rank}: collective barrier broken (timeout "
-                f"{self._timeout}s) -- a peer died or skipped a "
-                f"collective") from None
+    def _broken(self, why: str) -> threading.BrokenBarrierError:
+        return threading.BrokenBarrierError(
+            f"rank {self.rank}: collective barrier broken ({why}) -- a "
+            f"peer died or skipped a collective")
 
-    def barrier(self) -> None:
-        """A bare synchronization point (no payload, not ledgered)."""
-        self._sync()
+    def _publish(self, ch: int, entries) -> None:
+        """Stage ``entries`` for this channel's next collective, then
+        publish it (the one flag write)."""
+        if self._open[ch]:
+            raise RuntimeError(
+                f"rank {self.rank}: the {_CHANNEL_NAMES[ch]} channel "
+                f"has an open handle -- wait on it before the next "
+                f"{_CHANNEL_NAMES[ch]} collective")
+        g = self._gen[ch] + 1
+        self.arena.stage(self.rank, entries, channel=ch, parity=g & 1)
+        self.arena.seq[self.rank, ch] = g
+        self._gen[ch] = g
+        self._open[ch] = True
+
+    def _wait(self, ch: int) -> int:
+        """Wait until every peer published this channel's open
+        collective (the one flag wait); returns its parity."""
+        g = self._gen[ch]
+        seq = self._seq[ch]
+        for src in self._peers:
+            if seq[src] >= g:
+                continue
+            for _ in range(_SPINS):
+                if seq[src] >= g:
+                    break
+            else:
+                deadline = time.monotonic() + self._timeout
+                while seq[src] < g:
+                    if self.arena.broken[0]:
+                        raise self._broken("a peer's wait timed out")
+                    if time.monotonic() > deadline:
+                        self.arena.broken[0] = 1
+                        raise self._broken(f"timeout {self._timeout}s")
+                    os.sched_yield()
+        self._open[ch] = False
+        return g & 1
 
     # -- halo exchange --------------------------------------------------
     def _post_halo(self, outboxes: list[dict[int, np.ndarray]],
@@ -408,24 +487,21 @@ class SharedMemComm:
             if not 0 <= int(dst) < self.n_ranks or int(dst) == self.rank:
                 raise ValueError(
                     f"rank {self.rank} sends to invalid rank {dst}")
-            payload = np.asarray(payload, dtype=np.float64)
-            entries.append((int(dst), payload))
+            entries.append((int(dst), np.asarray(payload, dtype=np.float64)))
+        self._publish(_CH_HALO, entries)
+        for dst, payload in entries:
             self.ledger.charge_message(self.rank, payload.nbytes,
                                        overlappable=overlappable)
         if self.rank == 0:
             self.ledger.exchanges += 1
-        self.arena.stage(self.rank, entries, channel=_CH_HALO)
-        self._sync()  # all staged
 
     def _collect_halo(self) -> dict[int, np.ndarray]:
+        parity = self._wait(_CH_HALO)
         inbox: dict[int, np.ndarray] = {}
-        for src in range(self.n_ranks):
-            if src == self.rank:
-                continue
-            for dst, arr in self.arena.read(src, channel=_CH_HALO):
+        for src in self._peers:
+            for dst, view in self.arena.views(src, _CH_HALO, parity):
                 if dst == self.rank:
-                    inbox[src] = arr
-        self._sync()  # all read; slabs reusable
+                    inbox[src] = view.copy()
         return inbox
 
     def halo_exchange(self, outboxes: list[dict[int, np.ndarray]]
@@ -457,26 +533,19 @@ class SharedMemComm:
         if contributions.ndim < 1 or contributions.shape[0] != 1:
             raise ValueError("one contribution per hosted rank (one)")
         contribution = contributions[0]
+        self._publish(_CH_REDUCE, [(-1, contribution)])
         self.ledger.allreduce_bytes += contribution.nbytes
         if self.rank == 0:
             self.ledger.allreduces += 1
             if overlappable:
                 self.ledger.overlap_allreduces += 1
-        self.arena.stage(self.rank, [(-1, contribution)],
-                         channel=_CH_REDUCE)
-        self._sync()  # all staged
 
     def _collect_reduce(self, op: str):
-        parts = []
-        for src in range(self.n_ranks):
-            staged = self.arena.read(src, channel=_CH_REDUCE)
-            if len(staged) != 1 or staged[0][0] != -1:
-                raise RuntimeError(
-                    f"rank {src} staged no allreduce contribution -- "
-                    f"mismatched collective order")
-            parts.append(staged[0][1])
-        self._sync()  # all read
-        stacked = np.stack(parts)  # rank order, as the driver stacks them
+        parity = self._wait(_CH_REDUCE)
+        # rank order, as the driver stacks them; np.stack copies out of
+        # the slabs before anything can restage them
+        stacked = np.stack([self.arena.views(src, _CH_REDUCE, parity)[0][1]
+                            for src in range(self.n_ranks)])
         if op == "sum":
             out = stacked.sum(axis=0)
         elif op == "max":

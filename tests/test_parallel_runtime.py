@@ -169,12 +169,14 @@ class TestWorkerPool:
 # ---------------------------------------------------------------------
 # SharedMemComm semantics under real concurrency
 # ---------------------------------------------------------------------
-def _comm_worker_factory(arena, barrier):
-    """Per-rank factory building a SharedMemComm exercise handler."""
+def _comm_worker_factory(arena, timeouts=None):
+    """Per-rank factory building a SharedMemComm exercise handler;
+    ``timeouts[rank]`` overrides a rank's wait timeout (60 s)."""
 
     class _Exercise:
         def __init__(self, rank):
-            self.comm = SharedMemComm(arena, rank, barrier, timeout=60.0)
+            timeout = timeouts[rank] if timeouts else 60.0
+            self.comm = SharedMemComm(arena, rank, timeout=timeout)
 
         def handles(self):
             """Both ranks concurrently post, wait, and double-wait."""
@@ -210,18 +212,43 @@ def _comm_worker_factory(arena, barrier):
             _assert_breaches_raise(self.comm)
             return self.comm.ledger.totals()
 
+        def second_post(self):
+            return _second_post_script(self.comm) + (self.comm.ledger,)
+
+        def stress(self, seed, n_ops):
+            return _stress_script(self.comm, seed, n_ops), self.comm.ledger
+
+        def collective(self, channel):
+            """Enter one collective on ``channel`` (``None``: skip it)."""
+            peers = [q for q in range(self.comm.n_ranks)
+                     if q != self.comm.rank]
+            if channel == "halo":
+                self.comm.halo_exchange([{q: np.ones(2) for q in peers}])
+            elif channel == "reduce":
+                self.comm.allreduce(np.ones(1))
+            return channel
+
     return _Exercise
+
+
+@contextlib.contextmanager
+def _endpoints(n, timeouts=None, initial_bytes=1 << 16):
+    """``n`` forked workers, each holding one SharedMemComm endpoint
+    of one arena; yields ``(pool, arena)``."""
+    arena = SharedArena(n, initial_bytes=initial_bytes)
+    try:
+        with WorkerPool(n, _comm_worker_factory(arena, timeouts),
+                        timeout=120.0) as pool:
+            yield pool, arena
+    finally:
+        arena.close()
 
 
 @pytest.fixture()
 def pair():
     """Two forked workers, each holding one SharedMemComm endpoint."""
-    arena = SharedArena(2)
-    barrier = multiprocessing.get_context("fork").Barrier(2)
-    pool = WorkerPool(2, _comm_worker_factory(arena, barrier))
-    yield pool
-    pool.close()
-    arena.close()
+    with _endpoints(2) as (pool, _):
+        yield pool
 
 
 class TestSharedMemComm:
@@ -296,6 +323,115 @@ def _assert_breaches_raise(comm):
             breach()
 
 
+def _second_post_script(comm):
+    """Post on a channel whose handle is still open, on both channels:
+    the second post must raise and leave the first handle intact.
+    Returns ``(halo error, first halo inboxes, reduce error, first
+    reduction)``."""
+    def refused(post):
+        try:
+            post()
+        except RuntimeError as err:
+            return str(err)
+        return "no error"
+
+    def outboxes(base):
+        return [{q: np.full(2, base + r) for q in range(comm.n_ranks)
+                 if q != r} for r in comm.ranks]
+
+    first = comm.post_halo(outboxes(10.0))
+    halo_err = refused(lambda: comm.post_halo(outboxes(20.0)))
+    blocking_err = refused(lambda: comm.halo_exchange(outboxes(30.0)))
+    inboxes = first.wait()
+    parts = np.array([r + 1.0 for r in comm.ranks])
+    pending = comm.iallreduce(parts)
+    reduce_err = refused(lambda: comm.iallreduce(parts * 10.0))
+    blocking_red = refused(lambda: comm.allreduce(parts * 100.0))
+    total = pending.wait()
+    comm.halo_exchange(outboxes(40.0))          # both channels reusable
+    comm.allreduce(parts)
+    return ((halo_err, blocking_err), inboxes, (reduce_err, blocking_red),
+            total)
+
+
+#: payload shapes of the stress script: 0-d up to ~5.5x a 4 KiB slab
+_STRESS_SHAPES = [(), (1,), (5,), (3, 4), (2, 3, 2), (1500,), (700, 4)]
+
+
+def _stress_script(comm, seed, n_ops):
+    """A seeded script of ``n_ops`` collectives written against
+    ``comm.ranks``: blocking and posted halo exchanges, sum / max / min
+    allreduces of scalars and arrays, and an ``iallreduce`` kept open
+    across 1-3 halo exchanges (the pipelined PCG's shape).  The choices
+    come from ``seed`` alone, the payloads from ``(seed, op, rank)``, so
+    every fabric runs the same script.  Returns the event list: every
+    inbox of the hosted ranks and every reduction, in order."""
+    rng = np.random.default_rng(seed)
+    p = comm.n_ranks
+
+    def payload(i, r, shape):
+        return np.random.default_rng([seed, i, r]).standard_normal(shape)
+
+    def shape():
+        return _STRESS_SHAPES[rng.integers(len(_STRESS_SHAPES))]
+
+    def outboxes(i):
+        # a random send graph: every ordered pair talks with prob. 2/3
+        links = rng.random((p, p)) < 2 / 3
+        shapes = [[shape() for _ in range(p)] for _ in range(p)]
+        return [{q: payload(i, r * p + q, shapes[r][q])
+                 for q in range(p) if q != r and links[r, q]}
+                for r in comm.ranks]
+
+    def contributions(i):
+        scalar = rng.random() < 0.3
+        shp = () if scalar else shape()
+        return np.array([payload(i, r, shp) for r in comm.ranks])
+
+    events = []
+    n = 0
+    while n < n_ops:
+        kind = rng.integers(4)
+        if kind == 0:
+            events.append(comm.halo_exchange(outboxes(n)))
+            n += 1
+        elif kind == 1:
+            events.append(comm.post_halo(outboxes(n)).wait())
+            n += 1
+        elif kind == 2:
+            op = ("sum", "max", "min")[rng.integers(3)]
+            events.append(comm.allreduce(contributions(n), op=op))
+            n += 1
+        else:
+            pending = comm.iallreduce(contributions(n), op="sum")
+            n += 1
+            for _ in range(rng.integers(1, 4)):
+                if rng.random() < 0.5:
+                    events.append(comm.halo_exchange(outboxes(n)))
+                else:
+                    events.append(comm.post_halo(outboxes(n)).wait())
+                n += 1
+            events.append(pending.wait())
+    return events
+
+
+def _assert_same_events(got, want, rank):
+    """Rank ``rank``'s one-hosted-rank events equal the all-rank
+    fabric's, bitwise (inboxes: ``got[i] == [want[i][rank]]``)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, list):             # halo: one inbox per rank
+            (g,) = g
+            w = w[rank]
+            assert g.keys() == w.keys()
+            for src in w:
+                assert g[src].shape == w[src].shape
+                assert np.array_equal(g[src], w[src])
+        else:
+            assert type(g) is type(w)
+            assert np.array_equal(g, w)
+
+
 class TestCommConformance:
     """``SimulatedComm`` (hosts all ranks) and ``SharedMemComm`` (hosts
     one) implement one contract: the same script, written against
@@ -332,6 +468,115 @@ class TestCommConformance:
         for totals in pair.broadcast("misuse"):     # raises -> WorkerError
             assert totals["messages"] == totals["allreduces"] == 0
 
+    def test_second_post_on_an_open_channel_raises(self, pair):
+        """A post on a channel whose handle is still open raises
+        ``RuntimeError`` naming the channel, on both fabrics, and
+        leaves the open handle's payload intact: the first exchange
+        still delivers ``10 + src``, never the refused ``20 + src``."""
+        def check(rank, halo_errs, inbox, reduce_errs, total):
+            for err in halo_errs:
+                assert "halo channel has an open handle" in err
+            for err in reduce_errs:
+                assert "reduce channel has an open handle" in err
+            assert np.array_equal(inbox[1 - rank],
+                                  np.full(2, 10.0 + 1 - rank))
+            assert total == 3.0
+
+        sim = SimulatedComm(2)
+        halo_errs, inboxes, reduce_errs, total = _second_post_script(sim)
+        for rank in range(2):
+            check(rank, halo_errs, inboxes[rank], reduce_errs, total)
+        merged = CommLedger()
+        for rank, (halo_errs, (inbox,), reduce_errs, total, led) in \
+                enumerate(pair.broadcast("second_post")):
+            check(rank, halo_errs, inbox, reduce_errs, total)
+            merged.merge(led)
+        assert merged.totals() == sim.ledger.totals()   # refused: free
+        assert merged.by_src == sim.ledger.by_src
+
+
+class TestProtocolStress:
+    """~500 collectives of every shape on the flag protocol, bitwise
+    against the same script on ``SimulatedComm``.  4 KiB slabs grow
+    mid-script on both parities of both channels."""
+
+    @pytest.mark.parametrize("ranks", [2, 3])
+    def test_bitwise_against_simulated_comm(self, ranks):
+        seed, n_ops = 20 + ranks, 500
+        sim = SimulatedComm(ranks)
+        want = _stress_script(sim, seed, n_ops)
+        with _endpoints(ranks, initial_bytes=1 << 12) as (pool, arena):
+            results = pool.broadcast("stress", seed, n_ops)
+            grown = arena._hdr[..., 0]          # slab generations
+            assert (grown > 0).all(), grown
+        merged = CommLedger()
+        for rank, (events, led) in enumerate(results):
+            _assert_same_events(events, want, rank)
+            merged.merge(led)
+        assert merged.totals() == sim.ledger.totals()
+        assert merged.by_src == sim.ledger.by_src
+        assert sim.ledger.exchanges + sim.ledger.allreduces \
+            == len(want) >= n_ops
+
+    def test_four_ranks_on_fewer_cores_step_bitwise(self, mech):
+        """An oversubscribed 4-rank n = 8 TGV (on a 2-CPU host two
+        ranks share each core) steps bitwise like the driver, in
+        bounded time, with one flag wait per collective: every rank's
+        counters sum to the merged ledger's exchanges + allreduces."""
+        def build(execution):
+            return DecomposedSolver(
+                build_tgv_case(n=8, mech=mech),
+                SolverSettings(ranks=4, execution=execution),
+                properties=IdealGasProperties(mech))
+
+        driver = build("serial")
+        t0 = time.perf_counter()
+        with build("parallel") as par:
+            for _ in range(2):
+                assert par.step(1e-6) == driver.step(1e-6)
+                assert par.last_comm == driver.last_comm
+            for f in ("y", "h", "p", "u", "rho", "T"):
+                assert np.array_equal(par.gather(f), driver.gather(f))
+            led = par.comm.ledger
+            assert led.totals() == driver.comm.ledger.totals()
+            per_rank = par._parallel.arena.seq.sum(axis=1)
+            assert (per_rank == led.exchanges + led.allreduces).all()
+        assert time.perf_counter() - t0 < 120.0
+
+
+class TestFailFast:
+    """A rank that skips a collective fails every rank within its
+    peer's timeout, with no barrier anywhere, and leaks no segment."""
+
+    def test_skipping_rank_breaks_its_peer(self):
+        before = _shm_entries()
+        with _endpoints(2, timeouts=[2.0, 60.0]) as (pool, arena):
+            assert f"{arena.name}s" in _shm_entries()   # the counters
+            t0 = time.perf_counter()
+            pool.submit(0, "collective", "halo")
+            pool.submit(1, "collective", None)          # skips it
+            with pytest.raises(WorkerError, match="BrokenBarrierError"):
+                pool.result(0)
+            assert time.perf_counter() - t0 < 2.0 + 5.0
+        assert _shm_entries() == before
+
+    def test_waiter_on_the_other_channel_fails_through_the_broken_word(
+            self):
+        """Rank 2 waits on the reduce channel with a 60 s timeout; rank
+        0 times out on the halo channel after 2 s.  Rank 2 raises
+        through the shared broken word, long before its own timeout."""
+        before = _shm_entries()
+        with _endpoints(3, timeouts=[2.0, 60.0, 60.0]) as (pool, _):
+            t0 = time.perf_counter()
+            pool.submit(0, "collective", "halo")
+            pool.submit(1, "collective", None)          # skips both
+            pool.submit(2, "collective", "reduce")
+            with pytest.raises(WorkerError,
+                               match="a peer's wait timed out"):
+                pool.result(2)
+            assert time.perf_counter() - t0 < 2.0 + 5.0
+        assert _shm_entries() == before
+
 
 # ---------------------------------------------------------------------
 # written once: the all-rank objects vs the same classes over one-rank
@@ -341,8 +586,8 @@ class _OneRankSystem:
     """Pool handler: worker ``w`` holds a ``DistributedSystem`` (and
     through it a ``HaloExchanger``) over its one-rank endpoint."""
 
-    def __init__(self, rank, dec, mats, arena, barrier):
-        comm = SharedMemComm(arena, rank, barrier, timeout=60.0)
+    def __init__(self, rank, dec, mats, arena):
+        comm = SharedMemComm(arena, rank, timeout=60.0)
         self.system = DistributedSystem(dec, comm, [mats[rank]])
 
     def precondition(self, r):
@@ -365,10 +610,9 @@ class _OneRankSystem:
 @contextlib.contextmanager
 def _one_rank_pool(dec, mats):
     arena = SharedArena(dec.nparts)
-    barrier = multiprocessing.get_context("fork").Barrier(dec.nparts)
     try:
         with WorkerPool(dec.nparts, lambda w: _OneRankSystem(
-                w, dec, mats, arena, barrier)) as pool:
+                w, dec, mats, arena)) as pool:
             yield pool
     finally:
         arena.close()
