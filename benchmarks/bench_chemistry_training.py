@@ -9,7 +9,7 @@ paper's hybrid-throughput claim on **live solver states** — the
 manifold samples:
 
 * **throughput**: the trust-gated trained hybrid must advance those
-  states >= 20x faster (cells/sec) than the stiffness-graded direct
+  states >= 20x faster (cells/sec) than the direct
   batch integrator,
 * **accuracy**: max |dY| between the hybrid and direct results on the
   same states must stay <= 1e-6 (the hybrid gate's audit tolerance),
@@ -106,7 +106,7 @@ class TestTrainedHybrid:
         frac = surrogate_cells / n_cells
         emit("trained-hybrid chemistry (live hotspot solver states)", [
             f"{'backend':22s} {'cells/s':>12s}",
-            f"{'direct (graded batch)':22s} {cps_direct:12.0f}",
+            f"{'direct (batch)':22s} {cps_direct:12.0f}",
             f"{'hybrid-trained':22s} {cps_hybrid:12.0f}",
             f"speedup {speedup:.1f}x   max|dY| vs direct {max_err:.2e}"
             f"   surrogate fraction {frac:.3f}",

@@ -9,7 +9,7 @@ training and accuracy references.
 from .jacobian import AnalyticJacobian
 from .kinetics import KineticsEvaluator
 from .mechanism import Mechanism
-from .ode import BDFIntegrator, WorkCounters, rk4_batch, ros2_batch
+from .ode import BDFIntegrator, WorkCounters, rk4_batch, rodas3_batch
 from .rates import Arrhenius, Reaction, TroeParams
 from .reactor import (
     ConstantPressureReactor,
@@ -73,5 +73,5 @@ __all__ = [
     "plan_migration",
     "premixed_state",
     "rk4_batch",
-    "ros2_batch",
+    "rodas3_batch",
 ]

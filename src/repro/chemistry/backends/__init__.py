@@ -10,8 +10,9 @@ so the flow solver, the benchmarks and future scaling layers
 actually computed:
 
 * :class:`PerCellBDFBackend` — the CVODE-style per-cell reference,
-* :class:`DirectBatchBackend` — vectorized stiffness-graded RK4/ROS2
-  with a BDF fallback for ignition fronts,
+* :class:`DirectBatchBackend` — vectorized RK4 (frozen cells) and
+  adaptive RODAS3 (active cells) with a BDF fallback for ignition
+  fronts,
 * :class:`SurrogateBackend` — batched ODENet inference,
 * :class:`HybridBackend` — trust-gated temperature/stiffness-split
   DNN + ODE,

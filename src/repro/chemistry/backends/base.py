@@ -113,18 +113,28 @@ class ChemistryBackend(ABC):
         stiffness-aware backends override it with a graded estimate in
         the same units as their ``work_per_cell`` counters.
         """
-        y, t, p = self._as_batch(y, t, p)
+        y, t, p = self._as_batch(y, t, p, dt)
         return np.ones(t.shape[0])
 
     # ----------------------------------------------------------------
     @staticmethod
     def _as_batch(
-        y: np.ndarray, t: np.ndarray, p: np.ndarray | float
+        y: np.ndarray, t: np.ndarray, p: np.ndarray | float, dt: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Normalize inputs to ``(n, ns)``, ``(n,)``, ``(n,)`` float arrays."""
+        """Normalize inputs to ``(n, ns)``, ``(n,)``, ``(n,)`` float arrays.
+
+        Raises ``ValueError`` when the row counts of ``y``, ``t`` and
+        ``p`` (scalar or per row) differ, or ``dt`` is negative or not
+        finite; a zero ``dt`` is valid (every backend returns the input).
+        """
         y = np.atleast_2d(np.asarray(y, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        p = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(p, dtype=float), t.shape)
-        )
-        return y, t, p
+        p = np.asarray(p, dtype=float)
+        if y.ndim != 2 or t.shape != y.shape[:1] or p.ndim > 1 \
+                or p.size not in (1, t.size):
+            raise ValueError(f"chemistry batch rows differ: Y {y.shape}, "
+                             f"T {t.shape}, p {p.shape}")
+        if not (np.isfinite(dt) and dt >= 0.0):
+            raise ValueError(
+                f"chemistry dt must be finite and >= 0; got {dt!r}")
+        return y, t, np.ascontiguousarray(np.broadcast_to(p, t.shape))

@@ -1,26 +1,26 @@
 """Vectorized direct integration: thousands of cells per NumPy call.
 
 The per-cell BDF loop pays Python/solver overhead for *every* cell;
-this backend instead classifies each cell by a nondimensional
-stiffness indicator and integrates whole sub-batches at once:
+this backend instead splits the batch by a nondimensional stiffness
+indicator and integrates whole sub-batches at once:
 
-* **frozen** cells (chemically inactive mixing regions — the vast
+* **frozen** cells (chemically inactive mixing regions -- the vast
   majority of a real flame field) take a couple of classical RK4
-  steps, eight batched kinetics evaluations in total;
-* **active** cells take fixed-step L-stable two-stage Rosenbrock (ROS2) steps,
-  with the step count graded by stiffness class.  The stage systems
-  ``(I - gamma*h*J) k = rhs`` are solved for *all* cells of a
-  sub-batch with one batched LAPACK call;
-* the **stiffest** cells (ignition fronts) fall back to the per-cell
-  BDF reference so accuracy never degrades where it matters.
+  steps, eight batched kinetics evaluations in total, validated
+  against a half-step twin;
+* **active** cells take error-controlled RODAS3 steps, every row on
+  its own step size.  The stage systems ``(I/(gamma h) - J) K = b`` of
+  all rows are inverted with one batched LAPACK call per iteration;
+* cells the batched paths cannot finish (an RK4 twin disagreement, a
+  RODAS3 row out of step budget -- ignition inside the interval) fall
+  back to the per-cell BDF reference, so accuracy never degrades where
+  it matters.
 
-Classification uses only each cell's own initial state, so a cell's
+Every decision uses only each cell's own state, so a cell's
 trajectory is independent of what other cells share its batch -- the
 batched result equals advancing the cell alone to BLAS last-bit
-reproducibility.  All ROS2 sub-batches *and* their half-step validation
-twins advance as rows of one lockstep batch with a per-row step size:
-the sequential depth of an ``advance`` is the largest step count
-present, not the sum over bins.
+reproducibility.  The sequential depth of an ``advance`` is the
+largest RODAS3 step count of its rows.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from ..mechanism import Mechanism
-from ..ode import rk4_batch, ros2_batch
+from ..ode import rk4_batch, rodas3_batch
 from ..reactor import ReactorKernel
 from .base import BackendStats, ChemistryBackend
 from .percell import PerCellBDFBackend
@@ -39,17 +39,18 @@ __all__ = ["DirectBatchBackend"]
 
 
 class DirectBatchBackend(ChemistryBackend):
-    """Stiffness-graded batched RK4/ROS2 with a BDF fallback.
+    """Batched RK4 (frozen cells) / adaptive RODAS3 (active cells) with
+    a per-cell BDF fallback.
 
-    ``rtol`` / ``atol`` are the tolerances of the per-cell BDF fallback
-    (and the accuracy target the graded step counts were chosen
-    against).  Every batched sub-batch is re-integrated at half the
-    step count, and cells where the two solutions disagree beyond
-    :attr:`VAL_TOL_T` / :attr:`VAL_TOL_Y` are escalated to the fallback:
-    this catches cells whose ignition runaway happens *inside* the
-    interval and is invisible to the initial-rate classifier.  The RHS
-    and stage Jacobians come from one
-    :class:`~repro.chemistry.reactor.ReactorKernel`.
+    ``rtol`` / ``atol`` are the tolerances of the per-cell BDF
+    fallback.  Frozen cells are re-integrated at half the step count,
+    and cells where the two solutions disagree beyond
+    :attr:`VAL_TOL_T` / :attr:`VAL_TOL_Y` are escalated to the
+    fallback; active cells are error-controlled against
+    :attr:`ATOL_T` / :attr:`ATOL_Y` / :attr:`RTOL_Y` and escalate when
+    they cannot reach ``dt`` within :attr:`MAX_STEPS` attempts (an
+    ignition runaway inside the interval).  The RHS and stage Jacobians
+    come from one :class:`~repro.chemistry.reactor.ReactorKernel`.
     """
 
     name = "direct-batch"
@@ -59,23 +60,20 @@ class DirectBatchBackend(ChemistryBackend):
     #: classical RK4 steps.
     Z_FROZEN = 1e-5
     RK4_STEPS = 2
-    #: ``((z_max, n_steps), ...)`` graded ROS2 sub-batches, ascending in
-    #: ``z_max``; cells beyond the last bound go to the per-cell BDF
-    #: fallback.  The L-stable ROS2 scheme stays within ~0.5 K of the
-    #: BDF reference even at z ~ 300 with 192 steps.
-    ROS2_BINS: tuple[tuple[float, int], ...] = (
-        (1e-3, 6),
-        (1e-2, 12),
-        (1e-1, 24),
-        (1.0, 48),
-        (10.0, 96),
-        (500.0, 192),
-    )
-    #: Refresh period (in ROS2 steps) of the stage Jacobian.
-    JAC_EVERY = 4
-    #: Full- vs half-step disagreement that escalates a cell to BDF.
+    #: Full- vs half-step RK4 disagreement that escalates a cell to BDF.
     VAL_TOL_T = 0.5
     VAL_TOL_Y = 1e-3
+    #: RODAS3 error weights: ``ATOL_T`` kelvin on T, ``ATOL_Y + RTOL_Y
+    #: |Y|`` on each mass fraction.
+    ATOL_T = 1e-3
+    ATOL_Y = 1e-9
+    RTOL_Y = 1e-3
+    #: RODAS3 step attempts per row (the lockstep depth budget); a row
+    #: still short of ``dt`` goes to the BDF fallback.
+    MAX_STEPS = 160
+    #: Cost of one RODAS3 row-step in RK4-step units (the
+    #: ``work_per_cell`` currency), measured at 4-6 for 87-1728 rows.
+    RODAS3_STEP_WORK = 5.0
 
     def __init__(self, mech: Mechanism, rtol: float = 1e-6,
                  atol: float = 1e-10):
@@ -96,28 +94,6 @@ class DirectBatchBackend(ChemistryBackend):
         self._jac_evals += states.shape[0]
         return self.kernel.jacobian(states, p)
 
-    def _ros2_lockstep(self, s, p, f0, dt, bins, full, half):
-        """Integrate every ROS2 bin ``(n_steps, cells)`` and its
-        half-step twin as rows of one :func:`~repro.chemistry.ode.ros2_batch`;
-        fills the cells' rows of ``full``/``half``."""
-        if not bins:
-            return
-        cells = np.concatenate([idx for _, idx in bins])
-        steps = np.concatenate([np.full(idx.size, k) for k, idx in bins])
-        jac0 = self._jac(s[cells], p[cells])
-        # the twins follow the full rows
-        steps = np.concatenate((steps, np.maximum(1, steps // 2)))
-        order = np.argsort(steps, kind="stable")
-        src = order % cells.size  # a row's cell, as a position in ``cells``
-        rows = cells[src]
-        out = np.empty((steps.size, s.shape[1]))
-        out[order] = ros2_batch(
-            self._rhs, self._jac, s[rows], p[rows], f0[rows], jac0[src],
-            dt / steps[order], steps[order], self.JAC_EVERY)
-        self._linear_solves += 2 * int(steps.sum())
-        full[cells] = out[:cells.size]
-        half[cells] = out[cells.size:]
-
     # -- stiffness classification --------------------------------------
     def _stiffness(self, s, p, dt):
         """``(z, f(s))`` for packed states: the indicator and the RHS
@@ -133,62 +109,37 @@ class DirectBatchBackend(ChemistryBackend):
         state change the initial rates would produce over ``dt``.
         Depends only on each cell's own state (batch-composition
         independent)."""
-        y, t, p = self._as_batch(y, t, p)
+        y, t, p = self._as_batch(y, t, p, dt)
         return self._stiffness(np.concatenate((t[:, None], y), axis=1),
                                p, dt)[0]
 
     def work_estimate(self, y, t, p, dt) -> np.ndarray:
-        """Graded per-cell work estimate from the stiffness classifier.
-
-        One batched RHS evaluation prices every cell with the step
-        count of the sub-batch it *would* land in (including the
-        half-step validation re-integration); cells headed for the BDF
-        fallback get twice the largest graded bin.  Same units as the
-        measured ``work_per_cell``, so the load balancer can mix
-        estimates and measurements in one EMA.
+        """A-priori per-cell work from one batched RHS evaluation: RK4
+        steps (twin included) for frozen cells, ``3 + 0.7 z`` RODAS3
+        steps for active ones (fitted to the hot-spot cases: 3-5 steps
+        at z < 0.1, 1-4 below 1, 4-6 below 10, 20-28 below 100).  Same
+        units as the measured ``work_per_cell``, so the load balancer
+        can mix estimates and measurements in one EMA.
         """
-        y, t, p = self._as_batch(y, t, p)
+        y, t, p = self._as_batch(y, t, p, dt)
         if t.size == 0:
             return np.zeros(0)
         z = self.stiffness_indicator(y, t, p, dt)
-        est = np.empty(z.shape[0])
-        val = 1.5  # the half-step twin costs half again
-        for method, n_steps, idx in self._classify(z):
-            if method == "bdf":
-                est[idx] = 2.0 * val * self.ROS2_BINS[-1][1]
-            else:
-                est[idx] = val * n_steps
-        return est
-
-    def _classify(self, z: np.ndarray) -> list[tuple[str, int, np.ndarray]]:
-        """Partition cells into ``(method, n_steps, cell_indices)``."""
-        groups: list[tuple[str, int, np.ndarray]] = []
-        assigned = np.zeros(z.shape[0], dtype=bool)
-        mask = z < self.Z_FROZEN
-        if mask.any():
-            groups.append(("rk4", self.RK4_STEPS, np.flatnonzero(mask)))
-        assigned |= mask
-        for z_max, n_steps in self.ROS2_BINS:
-            mask = (~assigned) & (z < z_max)
-            if mask.any():
-                groups.append(("ros2", n_steps, np.flatnonzero(mask)))
-            assigned |= mask
-        rest = np.flatnonzero(~assigned)
-        if rest.size:
-            groups.append(("bdf", 0, rest))
-        return groups
+        steps = np.minimum(3.0 + 0.7 * z, self.MAX_STEPS)
+        return np.where(z < self.Z_FROZEN,
+                        self.RK4_STEPS + max(1, self.RK4_STEPS // 2),
+                        self.RODAS3_STEP_WORK * steps)
 
     # ------------------------------------------------------------------
     def advance(self, y, t, p, dt, cell_ids=None):
-        """Advance the batch via graded RK4/ROS2 sub-batches.
+        """Advance the batch: frozen cells by validated RK4, active
+        cells by adaptive RODAS3, and the cells neither finishes by the
+        per-cell BDF fallback.
 
-        Cells are classified by the stiffness indicator, integrated
-        per sub-batch with half-step validation, and
-        escalated to the per-cell BDF fallback where validation fails;
-        returns ``(Y_new, T_new, stats)`` with per-sub-batch work
+        Returns ``(Y_new, T_new, stats)`` with per-sub-batch work
         accounting.
         """
-        y, t, p = self._as_batch(y, t, p)
+        y, t, p = self._as_batch(y, t, p, dt)
         n = t.shape[0]
         self._rhs_evals = self._jac_evals = self._linear_solves = 0
         t0 = time.perf_counter()
@@ -201,35 +152,42 @@ class DirectBatchBackend(ChemistryBackend):
             raise FloatingPointError(
                 f"{bad.size} of {n} cells have a non-finite state or "
                 f"reaction rate; first cells: {ids[:5].tolist()}")
-        groups = self._classify(z)
         dt = float(dt)
-        full, half = s.copy(), s.copy()
-        for method, n_steps, idx in groups:
-            if method == "rk4":
-                args = self._rhs, s[idx], p[idx], f0[idx], dt
-                full[idx] = rk4_batch(*args, n_steps)
-                half[idx] = rk4_batch(*args, max(1, n_steps // 2))
-        self._ros2_lockstep(s, p, f0, dt, [g[1:] for g in groups
-                                           if g[0] == "ros2"], full, half)
-        # cells whose two integrations disagree, or classified beyond
-        # the last bin, go to the per-cell BDF fallback
-        bad = (~np.isfinite(full).all(axis=1)
-               | ~np.isfinite(half).all(axis=1)
-               | (np.abs(full[:, 0] - half[:, 0]) > self.VAL_TOL_T)
-               | (np.abs(full[:, 1:] - half[:, 1:]).max(axis=1)
-                  > self.VAL_TOL_Y))
+        s_new = s.copy()
+        bad = np.zeros(n, dtype=bool)
         work = np.zeros(n)
         sub_batches: list[tuple[str, int, int]] = []
-        for method, n_steps, idx in groups:
-            if method == "bdf":
-                bad[idx] = True
-                continue
-            idx = idx[~bad[idx]]
-            cell_work = n_steps + max(1, n_steps // 2)
-            work[idx] = cell_work
-            sub_batches.append((f"{method}x{n_steps}", idx.size,
-                                cell_work * idx.size))
-        s_new = full
+        frozen = z < self.Z_FROZEN
+        idx = np.flatnonzero(frozen)
+        if idx.size:
+            args = self._rhs, s[idx], p[idx], f0[idx], dt
+            full = rk4_batch(*args, self.RK4_STEPS)
+            half = rk4_batch(*args, max(1, self.RK4_STEPS // 2))
+            bad[idx] = (~np.isfinite(full).all(axis=1)
+                        | ~np.isfinite(half).all(axis=1)
+                        | (np.abs(full[:, 0] - half[:, 0]) > self.VAL_TOL_T)
+                        | (np.abs(full[:, 1:] - half[:, 1:]).max(axis=1)
+                           > self.VAL_TOL_Y))
+            s_new[idx] = full
+            cell_work = self.RK4_STEPS + max(1, self.RK4_STEPS // 2)
+            ok = idx[~bad[idx]]
+            work[ok] = cell_work
+            sub_batches.append((f"rk4x{self.RK4_STEPS}", ok.size,
+                                cell_work * ok.size))
+        idx = np.flatnonzero(~frozen)
+        if idx.size:
+            ns = y.shape[1]
+            atol = np.r_[self.ATOL_T, np.full(ns, self.ATOL_Y)]
+            rtol = np.r_[0.0, np.full(ns, self.RTOL_Y)]
+            s_new[idx], steps, done = rodas3_batch(
+                self._rhs, self._jac, s[idx], p[idx], f0[idx], dt,
+                dt / np.maximum(1.0, 10.0 * z[idx]), rtol, atol,
+                self.MAX_STEPS)
+            self._linear_solves += 4 * int(steps.sum())
+            bad[idx] = ~done
+            work[idx[done]] = self.RODAS3_STEP_WORK * steps[done]
+            sub_batches.append(("rodas3", int(done.sum()),
+                                int(work[idx[done]].sum())))
         fallback_stats: BackendStats | None = None
         idx = np.flatnonzero(bad)
         if idx.size:

@@ -11,7 +11,7 @@ gate**:
   out-of-distribution cells are routed back to direct integration and
   accumulated in an OOD buffer for incremental retraining,
 * **spot audits**: a deterministic sampled fraction of the surrogate
-  cells is *also* advanced through the step-doubling-validated direct
+  cells is *also* advanced through the error-controlled direct
   backend; audited cells adopt the direct result, and cells whose
   surrogate prediction disagreed beyond ``audit_tol`` are counted as
   audit failures and buffered as OOD.
@@ -142,7 +142,7 @@ class HybridBackend(ChemistryBackend):
 
     def split_mask(self, y, t, p, dt) -> np.ndarray:
         """Boolean mask of cells routed to the surrogate."""
-        y, t, p = self._as_batch(y, t, p)
+        y, t, p = self._as_batch(y, t, p, dt)
         return self._split(y, t, p, dt)[0]
 
     # -- OOD accumulation ----------------------------------------------
@@ -184,10 +184,10 @@ class HybridBackend(ChemistryBackend):
         Pure-surrogate cells cost their inference FLOPs (plus the
         expected pro-rata audit share of their direct price); domain-
         gated-out and direct-routed cells cost the direct backend's
-        graded stiffness estimate — the pricing contract the chemistry
+        stiffness-based estimate — the pricing contract the chemistry
         load balancer assumes.
         """
-        y, t, p = self._as_batch(y, t, p)
+        y, t, p = self._as_batch(y, t, p, dt)
         if t.size == 0:
             return np.zeros(0)
         mask, _ = self._split(y, t, p, dt)
@@ -210,7 +210,7 @@ class HybridBackend(ChemistryBackend):
         keys the audit sampling, making the audited set invariant
         under any worker split of the batch.
         """
-        y, t, p = self._as_batch(y, t, p)
+        y, t, p = self._as_batch(y, t, p, dt)
         n = t.shape[0]
         cell_ids = (np.arange(n) if cell_ids is None
                     else np.asarray(cell_ids))
@@ -272,8 +272,8 @@ class HybridBackend(ChemistryBackend):
         per call, so a worker chunk whose draw came up empty audits
         one extra cell).
 
-        The audited cells re-run through the (step-doubling-validated)
-        direct backend; they adopt the direct result — and the direct
+        The audited cells re-run through the (error-controlled) direct
+        backend; they adopt the direct result — and the direct
         work price — and any cell whose surrogate prediction deviated
         beyond ``audit_tol`` is counted and buffered as OOD.
         """

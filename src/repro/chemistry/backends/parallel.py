@@ -182,7 +182,7 @@ class ParallelChemistryBackend(ChemistryBackend):
         counters, one sub-batch entry per worker chunk, and each
         chunk's own stats under ``per_backend``.
         """
-        y, t, p = self._as_batch(y, t, p)
+        y, t, p = self._as_batch(y, t, p, dt)
         n = t.shape[0]
         ids = (np.arange(n, dtype=np.int64) if cell_ids is None
                else np.asarray(cell_ids, dtype=np.int64))

@@ -43,7 +43,7 @@ class PerCellBDFBackend(ChemistryBackend):
         carries each cell's accepted step count -- the raw signal of
         the paper's chemistry load imbalance.
         """
-        y, t, p = self._as_batch(y, t, p)
+        y, t, p = self._as_batch(y, t, p, dt)
         n = t.shape[0]
         t_new = t.copy()
         y_new = y.copy()

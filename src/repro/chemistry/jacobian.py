@@ -1,6 +1,6 @@
 """Analytic constant-pressure reactor Jacobians.
 
-The stiff BDF/ROS2 chemistry integrators spend most of their time on
+The stiff BDF/RODAS3 chemistry integrators spend most of their time on
 Jacobians: the finite-difference path evaluates the full kinetics RHS
 once per state component -- ``1 + n_species`` vectorized sweeps --
 every refresh.  This module assembles the same Jacobian *analytically*

@@ -88,7 +88,7 @@ def build_hotspot_tgv_case(
 
     The stiffness-skewed workload of the chemistry load-balance tests
     and bench: chemistry cost concentrates in the blob's cells (they
-    hit the graded ROS2/BDF paths while the cold bulk stays frozen),
+    take tens of RODAS3 steps while the cold bulk stays frozen),
     so a static domain decomposition cannot balance rank-level
     chemistry work.  ``radius`` is the blob size as a fraction of the
     normalized corner distance; remaining keywords go to

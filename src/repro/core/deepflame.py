@@ -7,7 +7,7 @@ Per time step:
    or the direct Peng-Robinson path ("DNN" component),
 2. **Chemistry** -- advance Y over dt through a batched backend
    (``repro.chemistry.backends``: ODENet surrogate, per-cell BDF,
-   graded direct, or hybrid; operator splitting at constant
+   batched direct, or hybrid; operator splitting at constant
    enthalpy; also "DNN"),
 3. **Scalar transport** -- implicit ddt + div - laplacian for the
    n_species mass fractions and the enthalpy, which share one operator

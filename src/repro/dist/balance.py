@@ -2,8 +2,8 @@
 
 A static domain decomposition balances *cell counts*, but stiff
 chemistry makes per-cell cost wildly non-uniform (ignition-front cells
-integrate hundreds of ROS2/BDF steps while frozen mixing cells take
-two RK4 steps), so rank-level chemistry work skews -- the dominant
+integrate tens to hundreds of RODAS3/BDF steps while frozen mixing
+cells take two RK4 steps), so rank-level chemistry work skews -- the dominant
 strong-scaling loss the paper attributes to the chemistry stage.
 :class:`ChemistryLoadBalancer` closes the loop that
 :mod:`repro.runtime.load_balance` only measures:

@@ -1,6 +1,6 @@
 """Training-data pipeline for the chemistry surrogates.
 
-Samples ``(T, p, Y) -> dY`` pairs from the stiffness-graded direct
+Samples ``(T, p, Y) -> dY`` pairs from the batched direct
 backend (:class:`~repro.chemistry.backends.DirectBatchBackend`) over
 the regimes the solver actually visits: the supercritical TGV mixing
 layer, the igniting hot-blob variant and the rocket-sector states.
@@ -20,7 +20,7 @@ Each regime contributes
 
 Sampling is deterministic given ``seed``; every sample carries the
 direct backend's stiffness indicator ``z`` so the set's coverage can
-be graded against the integrator's own sub-batch bins
+be graded in decades of ``z``
 (:meth:`TrainingSet.coverage`) and thinned per bin
 (:meth:`TrainingSet.thin`) without losing the stiff tail.
 """
@@ -40,10 +40,10 @@ __all__ = ["TrainingSet", "REGIMES", "sample_regime", "sample_solver_states",
 #: regimes :func:`sample_regime` knows how to build
 REGIMES = ("tgv", "hotspot", "rocket")
 
-#: stiffness-bin labels used by :meth:`TrainingSet.coverage`: the
-#: direct backend's frozen threshold plus its graded ROS2 bounds
-_COVERAGE_EDGES = (DirectBatchBackend.Z_FROZEN,) + tuple(
-    z for z, _ in DirectBatchBackend.ROS2_BINS)
+#: stiffness-bin upper bounds of :meth:`TrainingSet.coverage`: the
+#: direct backend's frozen threshold, then decades of active stiffness
+_COVERAGE_EDGES = (DirectBatchBackend.Z_FROZEN, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
+                   500.0)
 
 
 @dataclass
@@ -114,11 +114,11 @@ class TrainingSet:
                                side="right")
 
     def coverage(self) -> dict[str, int]:
-        """Sample counts per stiffness bin of the direct integrator.
+        """Sample counts per stiffness bin.
 
-        Keys are ``"z<1e-05"``-style upper bounds (the frozen/ROS2
-        grading of :class:`DirectBatchBackend`) plus ``"bdf"`` for the
-        tail beyond the last graded bin.
+        Keys are ``"z<1e-05"``-style upper bounds (the frozen threshold
+        of :class:`DirectBatchBackend`, then decades of active
+        stiffness) plus ``"bdf"`` for the tail beyond the last bound.
         """
         labels = [f"z<{e:g}" for e in _COVERAGE_EDGES] + ["bdf"]
         bins = self._bin_index()

@@ -9,7 +9,7 @@ from repro.chemistry import (
     mixture_line,
     premixed_state,
     rk4_batch,
-    ros2_batch,
+    rodas3_batch,
 )
 from tests.kinetics_oracle import oracle_rates, oracle_rhs
 
@@ -174,14 +174,8 @@ class TestBDF:
 P1 = np.zeros(1)
 
 
-def _ros2(f, jac, s0, dt, n):
-    """``n`` ROS2 steps of a ``(1, m)`` batch, Jacobian every step."""
-    return ros2_batch(f, jac, s0.copy(), P1, f(s0, P1), jac(s0, P1),
-                      np.array([dt / n]), np.array([n]), 1)
-
-
 class TestExplicitIntegrators:
-    """The batched RK4 / ROS2 bodies on ``(1, m)`` batches; a
+    """The batched RK4 / RODAS3 bodies on small batches; a
     time-dependent ``y' = f(t, y)`` carries ``t`` as a last column."""
 
     def test_rk4_order(self):
@@ -202,35 +196,74 @@ class TestExplicitIntegrators:
         ys = rk4_batch(f, s0, P1, f(s0, P1), 1.0, 100)
         assert ys[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-8)
 
-    def test_rosenbrock_order2(self):
-        f = lambda s, p: np.stack((-50.0 * (s[:, 0] - np.cos(s[:, 1])),
-                                   np.ones(len(s))), axis=1)
-
-        def jac(s, p):  # d f / d y only: t advances explicitly
-            j = np.zeros((len(s), 2, 2))
-            j[:, 0, 0] = -50.0
-            return j
-
-        errs = []
+    def test_rodas3_order3(self):
+        """One step from ``h0 = dt`` of a nonlinear problem: the local
+        error drops ~16x when ``dt`` halves (third order)."""
         from scipy.integrate import solve_ivp
 
-        ref = solve_ivp(lambda t, y: -50.0 * (y - np.cos(t)), (0, 1.0), [0.0],
-                        rtol=1e-12, atol=1e-14).y[0, -1]
-        for n in (100, 200):
-            ys = _ros2(f, jac, np.array([[0.0, 0.0]]), 1.0, n)
-            errs.append(abs(ys[0, 0] - ref))
-        ratio = errs[0] / errs[1]
-        assert 2.5 < ratio < 8.0  # ~4x for order 2
+        def g(t, y):
+            return -y ** 2 + np.cos(t) - 5.0 * (y - np.sin(t))
 
-    def test_rosenbrock_stiff_stable(self):
-        """L-stable: huge lambda*h stays bounded (explicit RK4 blows up)."""
+        f = lambda s, p: np.stack((g(s[:, 1], s[:, 0]),
+                                   np.ones(len(s))), axis=1)
+
+        def jac(s, p):
+            j = np.zeros((len(s), 2, 2))
+            j[:, 0, 0] = -2.0 * s[:, 0] - 5.0
+            j[:, 0, 1] = -np.sin(s[:, 1]) + 5.0 * np.cos(s[:, 1])
+            return j
+
+        s0 = np.array([[1.0, 0.0]])
+        errs = []
+        for dt in (0.01, 0.005):
+            ref = solve_ivp(g, (0.0, dt), [1.0], method="DOP853",
+                            rtol=1e-13, atol=1e-15).y[0, -1]
+            s, steps, done = rodas3_batch(f, jac, s0, P1, f(s0, P1), dt, dt,
+                                          np.inf, np.inf, 1)
+            assert steps[0] == 1 and done[0]
+            errs.append(abs(s[0, 0] - ref))
+        assert 12.0 < errs[0] / errs[1] < 20.0
+
+    def test_rodas3_l_stable(self):
+        """L-stable and stiffly accurate: one step at lambda*h = 1e6
+        damps the mode (explicit RK4 blows up)."""
         f = lambda s, p: -1e6 * s
         jac = lambda s, p: np.full((len(s), 1, 1), -1e6)
         s0 = np.array([[1.0]])
-        ys = _ros2(f, jac, s0, 1.0, 10)
-        assert abs(ys[0, 0]) < 1.0
+        s, steps, done = rodas3_batch(f, jac, s0, P1, f(s0, P1), 1.0, 1.0,
+                                      np.inf, np.inf, 1)
+        assert steps[0] == 1 and done[0]
+        assert abs(s[0, 0]) < 1e-5  # R(z) ~ 1/z: R(-inf) = 0
         bad = rk4_batch(f, s0, P1, f(s0, P1), 1.0, 10)
         assert abs(bad[0, 0]) > 1.0
+
+    def test_rodas3_error_control_and_stops(self):
+        """Rows carry their own step sizes: a stiff decay reaches ``dt``
+        within tolerance; a non-finite row and a row out of step budget
+        come back ``done = False`` (the caller's fallback cue) without
+        disturbing the others."""
+        rates = np.array([1.0, 1e3, 1.0, 1e3])
+        f = lambda s, p: -p[:, None] * s
+        jac = lambda s, p: -p[:, None, None] * np.ones((len(s), 1, 1))
+        s0 = np.array([[1.0], [1.0], [np.nan], [1.0]])
+        budget = np.array([100, 100, 100, 2])
+        out = []
+        for k in range(4):  # max_steps is per call: one row each
+            r = slice(k, k + 1)
+            out.append(rodas3_batch(f, jac, s0[r], rates[r],
+                                    f(s0[r], rates[r]), 1e-2, 1e-4,
+                                    1e-4, 1e-8, budget[k]))
+        s, steps, done = (np.concatenate(x) for x in zip(*out))
+        np.testing.assert_array_equal(done, [True, True, False, False])
+        np.testing.assert_allclose(s[:2, 0], np.exp(-rates[:2] * 1e-2),
+                                   rtol=1e-3)
+        assert steps[2] == 0 and steps[3] == 2
+        s_b, steps_b, done_b = rodas3_batch(f, jac, s0[:3], rates[:3],
+                                            f(s0[:3], rates[:3]), 1e-2,
+                                            1e-4, 1e-4, 1e-8, 100)
+        np.testing.assert_array_equal(s_b[:2], s[:2])
+        np.testing.assert_array_equal(steps_b[:2], steps[:2])
+        np.testing.assert_array_equal(done_b, done[:3])
 
 
 class TestReactor:
