@@ -8,7 +8,7 @@ produces the load imbalance of Sec. 2) through each backend and
 reports cells/sec:
 
 * ``percell``  — the per-cell BDF loop (CVODE-style baseline),
-* ``direct``   — the vectorized RK4/RODAS3 batch integrator,
+* ``direct``   — the vectorized Heun/RODAS3 batch integrator,
 * ``surrogate``— batched ODENet inference,
 * ``hybrid``   — temperature-split DNN + direct.
 

@@ -12,7 +12,7 @@ integration; the optimized code reaches ~1e-9 s/DoF/cycle while the
 
 import numpy as np
 
-from repro.chemistry import rk4_batch, rodas3_batch
+from repro.chemistry import rodas3_batch
 from repro.runtime import (
     FUGAKU,
     SUNWAY,
@@ -20,6 +20,7 @@ from repro.runtime import (
     PerfModel,
     tgv_workload,
 )
+from tests.kinetics_oracle import rk4_batch
 
 from .conftest import emit
 

@@ -10,7 +10,7 @@ batched backend subsystem (``repro.chemistry.backends``):
 
   --chemistry none            frozen chemistry (default; fastest)
   --chemistry percell         per-cell BDF reference loop
-  --chemistry direct          vectorized RK4/RODAS3 batch integrator
+  --chemistry direct          vectorized Heun/RODAS3 batch integrator
   --chemistry surrogate       ODENet inference (trained on the fly)
   --chemistry hybrid          temperature-split DNN + direct
   --chemistry hybrid-trained  registered surrogate artifact with the

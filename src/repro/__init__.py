@@ -6,7 +6,7 @@ Subpackages
 -----------
 ``chemistry``
     Detailed kinetics: 17-species/44-reaction LOX/CH4 mechanism,
-    NASA-7 thermo, stiff BDF/RK4/Rosenbrock integrators, reactors,
+    NASA-7 thermo, stiff BDF/Rosenbrock integrators, reactors,
     the batched chemistry backends and the cell-migration mechanics
     of the chemistry load balancer.
 ``thermo``

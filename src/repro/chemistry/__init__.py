@@ -1,7 +1,7 @@
 """Detailed chemical kinetics substrate.
 
 Species thermodynamics (NASA-7), the built-in 17-species/44-reaction
-LOX/CH4 skeletal mechanism, vectorized production rates, stiff/explicit
+LOX/CH4 skeletal mechanism, vectorized production rates, stiff
 ODE integrators and the constant-pressure reactor used for surrogate
 training and accuracy references.
 """
@@ -9,7 +9,7 @@ training and accuracy references.
 from .jacobian import AnalyticJacobian
 from .kinetics import KineticsEvaluator
 from .mechanism import Mechanism
-from .ode import BDFIntegrator, WorkCounters, rk4_batch, rodas3_batch
+from .ode import BDFIntegrator, WorkCounters, rodas3_batch
 from .rates import Arrhenius, Reaction, TroeParams
 from .reactor import (
     ConstantPressureReactor,
@@ -72,6 +72,5 @@ __all__ = [
     "mixture_line",
     "plan_migration",
     "premixed_state",
-    "rk4_batch",
     "rodas3_batch",
 ]

@@ -10,9 +10,9 @@ so the flow solver, the benchmarks and future scaling layers
 actually computed:
 
 * :class:`PerCellBDFBackend` — the CVODE-style per-cell reference,
-* :class:`DirectBatchBackend` — vectorized RK4 (frozen cells) and
-  adaptive RODAS3 (active cells) with a BDF fallback for ignition
-  fronts,
+* :class:`DirectBatchBackend` — vectorized Heun (frozen cells) and
+  adaptive RODAS3 (every other cell, ignition fronts included) under
+  one error norm,
 * :class:`SurrogateBackend` — batched ODENet inference,
 * :class:`HybridBackend` — trust-gated temperature/stiffness-split
   DNN + ODE,

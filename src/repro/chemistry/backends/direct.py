@@ -1,20 +1,21 @@
 """Vectorized direct integration: thousands of cells per NumPy call.
 
 The per-cell BDF loop pays Python/solver overhead for *every* cell;
-this backend instead splits the batch by a nondimensional stiffness
-indicator and integrates whole sub-batches at once:
+this backend instead integrates whole sub-batches at once, every cell
+under one error control -- RODAS3's weights ``ATOL_T`` on T and
+``ATOL_Y + RTOL_Y |Y|`` on each mass fraction:
 
 * **frozen** cells (chemically inactive mixing regions -- the vast
-  majority of a real flame field) take a couple of classical RK4
-  steps, eight batched kinetics evaluations in total, validated
-  against a half-step twin;
+  majority of a real flame field) take one embedded explicit
+  Euler/Heun pair off the stiffness indicator's own rates: one more
+  batched kinetics evaluation.  A row with any component of Heun -
+  Euler beyond its weight joins the active rows;
 * **active** cells take error-controlled RODAS3 steps, every row on
   its own step size.  The stage systems ``(I/(gamma h) - J) K = b`` of
-  all rows are inverted with one batched LAPACK call per iteration;
-* cells the batched paths cannot finish (an RK4 twin disagreement, a
-  RODAS3 row out of step budget -- ignition inside the interval) fall
-  back to the per-cell BDF reference, so accuracy never degrades where
-  it matters.
+  all rows are inverted with one batched LAPACK call per iteration.
+  A row that cannot reach ``dt`` within the step budget is an error
+  (:class:`FloatingPointError` naming its cells), never a silent
+  fallback.
 
 Every decision uses only each cell's own state, so a cell's
 trajectory is independent of what other cells share its batch -- the
@@ -30,57 +31,61 @@ import time
 import numpy as np
 
 from ..mechanism import Mechanism
-from ..ode import rk4_batch, rodas3_batch
+from ..ode import rodas3_batch
 from ..reactor import ReactorKernel
 from .base import BackendStats, ChemistryBackend
-from .percell import PerCellBDFBackend
 
 __all__ = ["DirectBatchBackend"]
 
 
-class DirectBatchBackend(ChemistryBackend):
-    """Batched RK4 (frozen cells) / adaptive RODAS3 (active cells) with
-    a per-cell BDF fallback.
+def _refuse(rows, n, cell_ids, what):
+    """Raise the typed error naming the batch ``rows`` that ``what``."""
+    ids = rows if cell_ids is None else np.asarray(cell_ids)[rows]
+    raise FloatingPointError(
+        f"{rows.size} of {n} cells {what}; first cells: "
+        f"{ids[:5].tolist()}")
 
-    ``rtol`` / ``atol`` are the tolerances of the per-cell BDF
-    fallback.  Frozen cells are re-integrated at half the step count,
-    and cells where the two solutions disagree beyond
-    :attr:`VAL_TOL_T` / :attr:`VAL_TOL_Y` are escalated to the
-    fallback; active cells are error-controlled against
-    :attr:`ATOL_T` / :attr:`ATOL_Y` / :attr:`RTOL_Y` and escalate when
-    they cannot reach ``dt`` within :attr:`MAX_STEPS` attempts (an
-    ignition runaway inside the interval).  The RHS and stage Jacobians
-    come from one :class:`~repro.chemistry.reactor.ReactorKernel`.
+
+class DirectBatchBackend(ChemistryBackend):
+    """Batched Euler/Heun (frozen cells) / adaptive RODAS3 (active
+    cells) under one error norm.
+
+    Frozen cells accept their Heun step when every component of the
+    embedded Heun - Euler estimate is within :attr:`ATOL_T` /
+    :attr:`ATOL_Y` / :attr:`RTOL_Y`, active cells a RODAS3 step when
+    the RMS of its ``K4`` estimate in those weights is; rejected frozen
+    cells join the RODAS3 rows, and a row that cannot reach ``dt``
+    within :attr:`MAX_STEPS` attempts raises.  The RHS and stage
+    Jacobians come from one
+    :class:`~repro.chemistry.reactor.ReactorKernel`.
     """
 
     name = "direct-batch"
     #: Temperature clamp of the reactor RHS and of the returned ``T``.
     T_FLOOR = 200.0
-    #: Cells with stiffness indicator below this take :attr:`RK4_STEPS`
-    #: classical RK4 steps.
+    #: Cells with stiffness indicator below this try one Heun step.
     Z_FROZEN = 1e-5
-    RK4_STEPS = 2
-    #: Full- vs half-step RK4 disagreement that escalates a cell to BDF.
-    VAL_TOL_T = 0.5
-    VAL_TOL_Y = 1e-3
-    #: RODAS3 error weights: ``ATOL_T`` kelvin on T, ``ATOL_Y + RTOL_Y
-    #: |Y|`` on each mass fraction.
+    #: Error weights of both integrators: ``ATOL_T`` kelvin on T,
+    #: ``ATOL_Y + RTOL_Y |Y|`` on each mass fraction.
     ATOL_T = 1e-3
     ATOL_Y = 1e-9
     RTOL_Y = 1e-3
-    #: RODAS3 step attempts per row (the lockstep depth budget); a row
-    #: still short of ``dt`` goes to the BDF fallback.
-    MAX_STEPS = 160
+    #: RODAS3 step attempts per row (the lockstep depth budget), ~4x
+    #: the longest measured row: 259 for a 1500 K cell igniting inside
+    #: ``dt = 2e-5``.
+    MAX_STEPS = 1000
     #: Cost of one RODAS3 row-step in RK4-step units (the
     #: ``work_per_cell`` currency), measured at 4-6 for 87-1728 rows.
     RODAS3_STEP_WORK = 5.0
+    #: Cost of a frozen cell's Heun step in the same units (two RHS
+    #: evaluations, the indicator's and one more), measured at 0.63-0.68
+    #: for 64-1728 cells; a binary fraction, so work sums do not depend
+    #: on the order they are added in.
+    HEUN_WORK = 0.625
 
-    def __init__(self, mech: Mechanism, rtol: float = 1e-6,
-                 atol: float = 1e-10):
+    def __init__(self, mech: Mechanism):
         self.mech = mech
         self.kernel = ReactorKernel(mech, self.T_FLOOR)
-        self.rtol, self.atol = rtol, atol
-        self._fallback = PerCellBDFBackend(mech, rtol=rtol, atol=atol)
         self._rhs_evals = 0
         self._jac_evals = 0
         self._linear_solves = 0
@@ -114,10 +119,10 @@ class DirectBatchBackend(ChemistryBackend):
                                p, dt)[0]
 
     def work_estimate(self, y, t, p, dt) -> np.ndarray:
-        """A-priori per-cell work from one batched RHS evaluation: RK4
-        steps (twin included) for frozen cells, ``3 + 0.7 z`` RODAS3
-        steps for active ones (fitted to the hot-spot cases: 3-5 steps
-        at z < 0.1, 1-4 below 1, 4-6 below 10, 20-28 below 100).  Same
+        """A-priori per-cell work from one batched RHS evaluation:
+        :attr:`HEUN_WORK` for frozen cells, ``3 + 0.7 z`` RODAS3 steps
+        for active ones (fitted to the hot-spot cases: 3-5 steps at
+        z < 0.1, 1-4 below 1, 4-6 below 10, 20-28 below 100).  Same
         units as the measured ``work_per_cell``, so the load balancer
         can mix estimates and measurements in one EMA.
         """
@@ -126,18 +131,18 @@ class DirectBatchBackend(ChemistryBackend):
             return np.zeros(0)
         z = self.stiffness_indicator(y, t, p, dt)
         steps = np.minimum(3.0 + 0.7 * z, self.MAX_STEPS)
-        return np.where(z < self.Z_FROZEN,
-                        self.RK4_STEPS + max(1, self.RK4_STEPS // 2),
+        return np.where(z < self.Z_FROZEN, self.HEUN_WORK,
                         self.RODAS3_STEP_WORK * steps)
 
     # ------------------------------------------------------------------
     def advance(self, y, t, p, dt, cell_ids=None):
-        """Advance the batch: frozen cells by validated RK4, active
-        cells by adaptive RODAS3, and the cells neither finishes by the
-        per-cell BDF fallback.
+        """Advance the batch: frozen cells by one checked Heun step,
+        every other cell by adaptive RODAS3.
 
         Returns ``(Y_new, T_new, stats)`` with per-sub-batch work
-        accounting.
+        accounting.  Raises :class:`FloatingPointError` naming the
+        cells (``cell_ids`` when given) with a non-finite state or
+        rate, or that RODAS3 cannot finish within :attr:`MAX_STEPS`.
         """
         y, t, p = self._as_batch(y, t, p, dt)
         n = t.shape[0]
@@ -148,62 +153,48 @@ class DirectBatchBackend(ChemistryBackend):
         z, f0 = self._stiffness(s, p, dt)
         bad = np.flatnonzero(~np.isfinite(z))
         if bad.size:
-            ids = bad if cell_ids is None else np.asarray(cell_ids)[bad]
-            raise FloatingPointError(
-                f"{bad.size} of {n} cells have a non-finite state or "
-                f"reaction rate; first cells: {ids[:5].tolist()}")
+            _refuse(bad, n, cell_ids, "have a non-finite state or "
+                    "reaction rate")
         dt = float(dt)
+        ns = y.shape[1]
+        atol = np.r_[self.ATOL_T, np.full(ns, self.ATOL_Y)]
+        rtol = np.r_[0.0, np.full(ns, self.RTOL_Y)]
         s_new = s.copy()
-        bad = np.zeros(n, dtype=bool)
         work = np.zeros(n)
         sub_batches: list[tuple[str, int, int]] = []
-        frozen = z < self.Z_FROZEN
-        idx = np.flatnonzero(frozen)
+        active = z >= self.Z_FROZEN
+        idx = np.flatnonzero(~active)
         if idx.size:
-            args = self._rhs, s[idx], p[idx], f0[idx], dt
-            full = rk4_batch(*args, self.RK4_STEPS)
-            half = rk4_batch(*args, max(1, self.RK4_STEPS // 2))
-            bad[idx] = (~np.isfinite(full).all(axis=1)
-                        | ~np.isfinite(half).all(axis=1)
-                        | (np.abs(full[:, 0] - half[:, 0]) > self.VAL_TOL_T)
-                        | (np.abs(full[:, 1:] - half[:, 1:]).max(axis=1)
-                           > self.VAL_TOL_Y))
-            s_new[idx] = full
-            cell_work = self.RK4_STEPS + max(1, self.RK4_STEPS // 2)
-            ok = idx[~bad[idx]]
-            work[ok] = cell_work
-            sub_batches.append((f"rk4x{self.RK4_STEPS}", ok.size,
-                                cell_work * ok.size))
-        idx = np.flatnonzero(~frozen)
+            sf, ff = s[idx], f0[idx]
+            euler = sf + dt * ff
+            heun = sf + (0.5 * dt) * (ff + self._rhs(euler, p[idx]))
+            scale = atol + rtol * np.maximum(np.abs(sf), np.abs(heun))
+            ok = ((np.abs(heun - euler) <= scale).all(axis=1)
+                  & np.isfinite(heun).all(axis=1))
+            s_new[idx[ok]] = heun[ok]
+            work[idx[ok]] = self.HEUN_WORK
+            active[idx[~ok]] = True
+            sub_batches.append(("heun", int(ok.sum()),
+                                int(work[idx[ok]].sum())))
+        idx = np.flatnonzero(active)
         if idx.size:
-            ns = y.shape[1]
-            atol = np.r_[self.ATOL_T, np.full(ns, self.ATOL_Y)]
-            rtol = np.r_[0.0, np.full(ns, self.RTOL_Y)]
             s_new[idx], steps, done = rodas3_batch(
                 self._rhs, self._jac, s[idx], p[idx], f0[idx], dt,
                 dt / np.maximum(1.0, 10.0 * z[idx]), rtol, atol,
                 self.MAX_STEPS)
+            if not done.all():
+                _refuse(idx[~done], n, cell_ids,
+                        f"did not reach dt = {dt:g} within "
+                        f"{self.MAX_STEPS} RODAS3 step attempts")
             self._linear_solves += 4 * int(steps.sum())
-            bad[idx] = ~done
-            work[idx[done]] = self.RODAS3_STEP_WORK * steps[done]
-            sub_batches.append(("rodas3", int(done.sum()),
-                                int(work[idx[done]].sum())))
-        fallback_stats: BackendStats | None = None
-        idx = np.flatnonzero(bad)
-        if idx.size:
-            yb, tb, fallback_stats = self._fallback.advance(
-                y[idx], t[idx], p[idx], dt)
-            s_new[idx, 0] = tb
-            s_new[idx, 1:] = yb
-            work[idx] = fallback_stats.work_per_cell
-            sub_batches.append(
-                ("bdf", idx.size, int(fallback_stats.work_per_cell.sum())))
+            work[idx] = self.RODAS3_STEP_WORK * steps
+            sub_batches.append(("rodas3", idx.size, int(work[idx].sum())))
 
         t_new = np.maximum(s_new[:, 0], self.T_FLOOR)
         y_new = np.clip(s_new[:, 1:], 0.0, 1.0)
         y_new /= y_new.sum(axis=1, keepdims=True)
 
-        stats = BackendStats(
+        return y_new, t_new, BackendStats(
             backend=self.name, n_cells=n,
             wall_time=time.perf_counter() - t0,
             work_per_cell=work,
@@ -212,9 +203,3 @@ class DirectBatchBackend(ChemistryBackend):
             linear_solves=self._linear_solves,
             sub_batches=sub_batches,
         )
-        if fallback_stats is not None:
-            stats.rhs_evals += fallback_stats.rhs_evals
-            stats.jac_evals += fallback_stats.jac_evals
-            stats.linear_solves += fallback_stats.linear_solves
-            stats.per_backend["bdf-fallback"] = fallback_stats
-        return y_new, t_new, stats

@@ -30,8 +30,8 @@ __all__ = ["SurrogateBackend", "FLOPS_PER_WORK_UNIT"]
 #: batched RK4 step).  Calibrated from measured wall time: one
 #: integrator step on this machine costs about as much as 25k dense
 #: inference FLOPs, so a (64, 64) surrogate cell (~14 kFLOP) prices at
-#: ~0.6 units vs ~12 units for a frozen direct cell — the ~20x gap the
-#: trained-hybrid bench measures.
+#: ~0.6 units, about a frozen direct cell's Heun step (0.625) and far
+#: under an active cell's RODAS3 steps (5 units each).
 FLOPS_PER_WORK_UNIT = 25_000.0
 
 #: per-element FLOPs charged for the exact (tanh) GeLU when no engine

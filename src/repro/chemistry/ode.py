@@ -10,15 +10,13 @@ Implements the integrator families used by the paper's Table-1 codes:
   work counters (steps, Newton iterations, LU factorizations, RHS
   evaluations) so that the chemistry load-imbalance phenomenology the
   paper describes can be measured directly.
-* :func:`rk4_batch` -- fixed-step classical RK4 (DINO/S3D-style
-  explicit chemistry).
 * :func:`rodas3_batch` -- the stiffly accurate, L-stable 4-stage
   Rosenbrock method RODAS3 with embedded error control (CharlesX uses
   a semi-implicit Rosenbrock scheme, ROK4E), every row on its own
   adaptive step size.
 
-The BDF solver integrates one cell's ``f(t, y)``; the two batched
-schemes advance a batch of rows through a batched autonomous
+The BDF solver integrates one cell's ``f(t, y)``; the Rosenbrock
+scheme advances a batch of rows through a batched autonomous
 ``rhs(states, p)`` -- one cell is a batch of one.
 """
 
@@ -30,7 +28,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-__all__ = ["WorkCounters", "BDFIntegrator", "rk4_batch", "rodas3_batch"]
+__all__ = ["WorkCounters", "BDFIntegrator", "rodas3_batch"]
 
 _MAX_ORDER = 5
 _NEWTON_MAXITER = 4
@@ -324,23 +322,6 @@ class BDFIntegrator:
 
 
 # --------------------------------------------------------------------
-def rk4_batch(rhs, s, p, f0, dt, n_steps):
-    """``n_steps`` classical RK4 steps over ``dt`` (explicit chemistry,
-    DINO/S3D style) of every row of ``s``.
-
-    ``rhs(states, p)`` is batched over rows; ``f0 = rhs(s, p)``.
-    Returns the advanced rows.
-    """
-    h = dt / n_steps
-    for step in range(n_steps):
-        k1 = f0 if step == 0 else rhs(s, p)
-        k2 = rhs(s + 0.5 * h * k1, p)
-        k3 = rhs(s + 0.5 * h * k2, p)
-        k4 = rhs(s + h * k3, p)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return s
-
-
 def rodas3_batch(rhs, jac, s, p, f0, dt, h0, rtol, atol, max_steps):
     """Error-controlled RODAS3 (Sandu et al. 1997, KPP's ``Rodas3``;
     Hairer & Wanner, *Solving ODEs II*, IV.7) over ``[0, dt]`` of every

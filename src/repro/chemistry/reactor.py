@@ -82,7 +82,7 @@ class ReactorKernel:
     """The constant-pressure reactor RHS and its Jacobian over packed
     ``(k, 1+ns)`` state rows ``(T, Y...)`` -- the one chemistry kernel
     the reference reactor, the per-cell BDF loop and the batched
-    RK4/RODAS3 backend all integrate; a single cell is a batch of one.
+    Heun/RODAS3 backend all integrate; a single cell is a batch of one.
 
     The kinetics see ``max(T, t_floor)`` and ``Y`` clipped to ``[0, 1]``.
     :meth:`jacobian` differentiates that clamped function analytically

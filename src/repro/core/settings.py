@@ -97,7 +97,8 @@ class SolverSettings:
         :attr:`trust_gate` (see :func:`build_chemistry`).
     chemistry_options:
         Extra keyword arguments for the backend constructor
-        (e.g. ``rtol``, ``atol``, ``t_window``, ``audit_fraction``).
+        (e.g. ``rtol``/``atol`` of ``"percell"``, ``t_window``,
+        ``audit_fraction``).
     trust_gate:
         Per-cell trust-gate mode of the ``"hybrid-trained"`` backend
         (one of :data:`TRUST_GATE_MODES`): domain check of each cell

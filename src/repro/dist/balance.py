@@ -3,7 +3,7 @@
 A static domain decomposition balances *cell counts*, but stiff
 chemistry makes per-cell cost wildly non-uniform (ignition-front cells
 integrate tens to hundreds of RODAS3/BDF steps while frozen mixing
-cells take two RK4 steps), so rank-level chemistry work skews -- the dominant
+cells take one Heun step), so rank-level chemistry work skews -- the dominant
 strong-scaling loss the paper attributes to the chemistry stage.
 :class:`ChemistryLoadBalancer` closes the loop that
 :mod:`repro.runtime.load_balance` only measures:

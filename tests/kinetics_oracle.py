@@ -7,7 +7,9 @@ the ``pow``/``exp`` Arrhenius sweep with per-reaction falloff closures
 NASA-7 polynomials four times over, and the analytic Jacobian
 assembled by a Python loop over the reactions.  Slow on purpose:
 ``tests/test_hotpath.py`` compares the production kernels against
-them.
+them.  Beside them, fixed-step classical RK4 (:func:`rk4_batch`), the
+explicit family the direct backend no longer runs, kept for the RK4
+order tests and the Table-1 E-RK4 benchmark row.
 
 Stoichiometry, slot tables and masks are read from the production
 objects; every formula is this module's own.
@@ -19,7 +21,8 @@ import numpy as np
 
 from repro.constants import R_UNIVERSAL
 
-__all__ = ["oracle_rates", "oracle_rhs", "oracle_wdot_derivatives"]
+__all__ = ["oracle_rates", "oracle_rhs", "oracle_wdot_derivatives",
+           "rk4_batch"]
 
 _LN10 = np.log(10.0)
 
@@ -242,3 +245,21 @@ def oracle_wdot_derivatives(mech, t, conc):
             dwdot_dt[:, i] += nu * dq_dt
             dwdot_dc[:, i, :] += nu * dq_dc
     return wdot, dwdot_dc, dwdot_dt
+
+
+# -- ode.py: fixed-step explicit chemistry -----------------------------
+def rk4_batch(rhs, s, p, f0, dt, n_steps):
+    """``n_steps`` classical RK4 steps over ``dt`` (explicit chemistry,
+    DINO/S3D style) of every row of ``s``.
+
+    ``rhs(states, p)`` is batched over rows; ``f0 = rhs(s, p)``.
+    Returns the advanced rows.
+    """
+    h = dt / n_steps
+    for step in range(n_steps):
+        k1 = f0 if step == 0 else rhs(s, p)
+        k2 = rhs(s + 0.5 * h * k1, p)
+        k3 = rhs(s + 0.5 * h * k2, p)
+        k4 = rhs(s + h * k3, p)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s

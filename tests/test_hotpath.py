@@ -480,11 +480,9 @@ class TestBatchedEosRoots:
 
 # ---------------------------------------------------------------------
 def fd_route(chem):
-    """``chem`` with its reactor kernel (and its BDF fallback's) taking
-    the FD sweep, as for a mechanism that does not vectorize."""
-    for c in (chem, getattr(chem, "_fallback", None)):
-        if c is not None:
-            c.kernel._ajac = None
+    """``chem`` with its reactor kernel taking the FD sweep, as for a
+    mechanism that does not vectorize."""
+    chem.kernel._ajac = None
     return chem
 
 

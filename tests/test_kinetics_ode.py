@@ -8,10 +8,9 @@ from repro.chemistry import (
     ConstantPressureReactor,
     mixture_line,
     premixed_state,
-    rk4_batch,
     rodas3_batch,
 )
-from tests.kinetics_oracle import oracle_rates, oracle_rhs
+from tests.kinetics_oracle import oracle_rates, oracle_rhs, rk4_batch
 
 
 class TestKinetics:
@@ -175,7 +174,7 @@ P1 = np.zeros(1)
 
 
 class TestExplicitIntegrators:
-    """The batched RK4 / RODAS3 bodies on small batches; a
+    """The batched RK4 (test oracle) / RODAS3 bodies on small batches; a
     time-dependent ``y' = f(t, y)`` carries ``t`` as a last column."""
 
     def test_rk4_order(self):
@@ -240,7 +239,7 @@ class TestExplicitIntegrators:
     def test_rodas3_error_control_and_stops(self):
         """Rows carry their own step sizes: a stiff decay reaches ``dt``
         within tolerance; a non-finite row and a row out of step budget
-        come back ``done = False`` (the caller's fallback cue) without
+        come back ``done = False`` (the direct backend then raises) without
         disturbing the others."""
         rates = np.array([1.0, 1e3, 1.0, 1e3])
         f = lambda s, p: -p[:, None] * s

@@ -212,6 +212,17 @@ class TestBuilders:
             build_chemistry(SolverSettings(chemistry="direct"), mech),
             DirectBatchBackend)
 
+    def test_direct_takes_no_tolerances(self, mech):
+        """The direct backend has one error norm and no fallback to
+        tune: BDF tolerances are the per-cell backend's alone."""
+        opts = {"rtol": 1e-8, "atol": 1e-12}
+        assert build_chemistry(SolverSettings(chemistry="percell",
+                                              chemistry_options=opts),
+                               mech).rtol == 1e-8
+        with pytest.raises(TypeError, match="rtol"):
+            build_chemistry(SolverSettings(chemistry="direct",
+                                           chemistry_options=opts), mech)
+
     def test_build_chemistry_surrogate_needs_net(self, mech):
         with pytest.raises(ValueError, match="odenet"):
             build_chemistry(SolverSettings(chemistry="surrogate"), mech)
