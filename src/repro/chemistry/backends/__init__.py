@@ -15,9 +15,12 @@ actually computed:
   one error norm,
 * :class:`SurrogateBackend` — batched ODENet inference,
 * :class:`HybridBackend` — trust-gated temperature/stiffness-split
-  DNN + ODE,
-* :class:`ParallelChemistryBackend` — process-parallel fan-out of any
-  inner backend over a shared-memory worker pool.
+  DNN + ODE.
+
+A backend advances the batch it is handed in-process; chemistry runs
+on more cores through the domain decomposition
+(``SolverSettings(ranks >= 2, execution="parallel")``), each rank
+advancing its own cells.
 
 :func:`repro.core.build_chemistry` builds the one a
 :class:`~repro.core.SolverSettings` names.
@@ -28,7 +31,6 @@ from __future__ import annotations
 from .base import BackendStats, ChemistryBackend
 from .direct import DirectBatchBackend
 from .hybrid import TRUST_GATE_MODES, HybridBackend
-from .parallel import ParallelChemistryBackend
 from .percell import PerCellBDFBackend
 from .surrogate import FLOPS_PER_WORK_UNIT, SurrogateBackend
 
@@ -38,7 +40,6 @@ __all__ = [
     "DirectBatchBackend",
     "FLOPS_PER_WORK_UNIT",
     "HybridBackend",
-    "ParallelChemistryBackend",
     "PerCellBDFBackend",
     "SurrogateBackend",
     "TRUST_GATE_MODES",

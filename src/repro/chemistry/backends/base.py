@@ -86,16 +86,8 @@ class ChemistryBackend(ABC):
         t: np.ndarray,
         p: np.ndarray | float,
         dt: float,
-        cell_ids: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, BackendStats]:
-        """Advance every cell by ``dt``; returns ``(Y_new, T_new, stats)``.
-
-        ``cell_ids`` optionally names each batch row with a stable cell
-        identity (defaults to the row index).  Deterministic backends
-        ignore it; sampling backends key their per-cell draws on it
-        (:mod:`repro.runtime.seeding`), which keeps the sampled set
-        invariant under any split of the batch across workers.
-        """
+        """Advance every cell by ``dt``; returns ``(Y_new, T_new, stats)``."""
 
     def work_estimate(
         self,

@@ -38,12 +38,11 @@ from .base import BackendStats, ChemistryBackend
 __all__ = ["DirectBatchBackend"]
 
 
-def _refuse(rows, n, cell_ids, what):
+def _refuse(rows, n, what):
     """Raise the typed error naming the batch ``rows`` that ``what``."""
-    ids = rows if cell_ids is None else np.asarray(cell_ids)[rows]
     raise FloatingPointError(
         f"{rows.size} of {n} cells {what}; first cells: "
-        f"{ids[:5].tolist()}")
+        f"{rows[:5].tolist()}")
 
 
 class DirectBatchBackend(ChemistryBackend):
@@ -135,14 +134,14 @@ class DirectBatchBackend(ChemistryBackend):
                         self.RODAS3_STEP_WORK * steps)
 
     # ------------------------------------------------------------------
-    def advance(self, y, t, p, dt, cell_ids=None):
+    def advance(self, y, t, p, dt):
         """Advance the batch: frozen cells by one checked Heun step,
         every other cell by adaptive RODAS3.
 
         Returns ``(Y_new, T_new, stats)`` with per-sub-batch work
         accounting.  Raises :class:`FloatingPointError` naming the
-        cells (``cell_ids`` when given) with a non-finite state or
-        rate, or that RODAS3 cannot finish within :attr:`MAX_STEPS`.
+        rows with a non-finite state or rate, or that RODAS3 cannot
+        finish within :attr:`MAX_STEPS`.
         """
         y, t, p = self._as_batch(y, t, p, dt)
         n = t.shape[0]
@@ -153,7 +152,7 @@ class DirectBatchBackend(ChemistryBackend):
         z, f0 = self._stiffness(s, p, dt)
         bad = np.flatnonzero(~np.isfinite(z))
         if bad.size:
-            _refuse(bad, n, cell_ids, "have a non-finite state or "
+            _refuse(bad, n, "have a non-finite state or "
                     "reaction rate")
         dt = float(dt)
         ns = y.shape[1]
@@ -183,7 +182,7 @@ class DirectBatchBackend(ChemistryBackend):
                 dt / np.maximum(1.0, 10.0 * z[idx]), rtol, atol,
                 self.MAX_STEPS)
             if not done.all():
-                _refuse(idx[~done], n, cell_ids,
+                _refuse(idx[~done], n,
                         f"did not reach dt = {dt:g} within "
                         f"{self.MAX_STEPS} RODAS3 step attempts")
             self._linear_solves += 4 * int(steps.sum())

@@ -66,10 +66,9 @@ class HybridBackend(ChemistryBackend):
     audit_seed:
         Seed of the audit sampling.  Audits are chosen by a stateless
         per-cell Bernoulli draw (:func:`repro.runtime.seeding.hash_uniform`
-        keyed by ``(audit_seed, advance counter, cell id)``), so the
-        audited set depends only on cell identities — splitting a
-        batch across any number of workers audits exactly the same
-        cells.
+        keyed by ``(audit_seed, advance counter, row index)``), so the
+        audited set depends only on the seed, the call count and the
+        batch, not on any generator state.
     ood_capacity:
         Max buffered OOD states (oldest dropped first).
     """
@@ -200,20 +199,16 @@ class HybridBackend(ChemistryBackend):
                           + audit * est[idx_s])
         return est
 
-    def advance(self, y, t, p, dt, cell_ids=None):
+    def advance(self, y, t, p, dt):
         """Advance the batch through the trust-gated split.
 
         Returns ``(Y_new, T_new, stats)`` with a per-child
         ``stats.per_backend`` breakdown and the call's gate counters in
         ``stats.gate``; cumulative counters live on
-        :attr:`counters`.  ``cell_ids`` (default: the row indices)
-        keys the audit sampling, making the audited set invariant
-        under any worker split of the batch.
+        :attr:`counters`.
         """
         y, t, p = self._as_batch(y, t, p, dt)
         n = t.shape[0]
-        cell_ids = (np.arange(n) if cell_ids is None
-                    else np.asarray(cell_ids))
         audit_stream = self._audit_calls
         self._audit_calls += 1
         t0 = time.perf_counter()
@@ -239,7 +234,7 @@ class HybridBackend(ChemistryBackend):
             stats.sub_batches.append(("surrogate", idx_s.size,
                                       int(st.total_work)))
             if self.trust_gate == "domain+audit" and self.audit_fraction > 0:
-                self._audit(y, t, p, dt, idx_s, cell_ids, audit_stream,
+                self._audit(y, t, p, dt, idx_s, audit_stream,
                             y_new, t_new, work, gate, stats)
         if idx_d.size:
             yd, td, st = self.direct.advance(y[idx_d], t[idx_d], p[idx_d], dt)
@@ -259,18 +254,17 @@ class HybridBackend(ChemistryBackend):
         stats.wall_time = time.perf_counter() - t0
         return y_new, t_new, stats
 
-    def _audit(self, y, t, p, dt, idx_s, cell_ids, audit_stream,
+    def _audit(self, y, t, p, dt, idx_s, audit_stream,
                y_new, t_new, work, gate, stats) -> None:
         """Spot-audit a sampled fraction of the surrogate cells.
 
         Cells are picked by an independent per-cell Bernoulli draw
-        keyed by ``(audit_seed, advance counter, cell id)`` — a pure
-        function of each cell's identity, so the same cells are
-        audited however the batch is chunked across workers.  When the
+        keyed by ``(audit_seed, advance counter, row index)`` — a pure
+        function of those three, so a rank that makes the same calls
+        audits the same rows however the run is scheduled.  When the
         draw selects nobody, the eligible cell with the smallest hash
-        score is audited instead (the at-least-one-audit guarantee;
-        per call, so a worker chunk whose draw came up empty audits
-        one extra cell).
+        score is audited instead (the at-least-one-audit guarantee,
+        per call).
 
         The audited cells re-run through the (error-controlled) direct
         backend; they adopt the direct result — and the direct
@@ -279,8 +273,7 @@ class HybridBackend(ChemistryBackend):
         """
         from ...runtime.seeding import hash_uniform
 
-        scores = hash_uniform(self.audit_seed, audit_stream,
-                              cell_ids[idx_s])
+        scores = hash_uniform(self.audit_seed, audit_stream, idx_s)
         sel = scores < self.audit_fraction
         if not sel.any():
             sel[np.argmin(scores)] = True

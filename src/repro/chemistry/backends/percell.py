@@ -36,7 +36,7 @@ class PerCellBDFBackend(ChemistryBackend):
         self.rtol, self.atol = rtol, atol
 
     # ------------------------------------------------------------------
-    def advance(self, y, t, p, dt, cell_ids=None):
+    def advance(self, y, t, p, dt):
         """Advance every cell with its own stiff BDF solve.
 
         Returns ``(Y_new, T_new, stats)``; ``stats.work_per_cell``

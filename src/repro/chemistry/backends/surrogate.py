@@ -85,7 +85,7 @@ class SurrogateBackend(ChemistryBackend):
         y, t, p = self._as_batch(y, t, p, dt)
         return np.full(t.shape[0], self.work_per_cell_estimate())
 
-    def advance(self, y, t, p, dt, cell_ids=None):
+    def advance(self, y, t, p, dt):
         """Advance the batch by one ODENet inference.
 
         Returns ``(Y_new, T_in, stats)`` -- temperature passes through

@@ -16,7 +16,6 @@ from .deepflame import DeepFlameSolver, StepDiagnostics, StepTimings
 from .settings import (
     BALANCE_MODES,
     CHEMISTRY_MODES,
-    PARTITION_METHODS,
     TRUST_GATE_MODES,
     SolverSettings,
     build_chemistry,
@@ -38,7 +37,6 @@ __all__ = [
     "DirectRealFluidProperties",
     "IdealGasProperties",
     "NoChemistry",
-    "PARTITION_METHODS",
     "PRNetProperties",
     "PropertySet",
     "SolverSettings",

@@ -8,7 +8,7 @@ one adapter between that batch API and the solver's calling convention
 ``advance(T, p, Y, dt) -> (T_new, Y_new)``; it holds the last call's
 :class:`~repro.chemistry.backends.BackendStats` for the diagnostics
 and benchmarks.  Every solver wraps its backend in its own adapter, so
-ranks sharing one backend keep separate statistics.
+ranks sharing an injected backend keep separate statistics.
 """
 
 from __future__ import annotations

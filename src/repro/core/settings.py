@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, fields, replace
 from ..chemistry.backends import (
     DirectBatchBackend,
     HybridBackend,
-    ParallelChemistryBackend,
     PerCellBDFBackend,
     SurrogateBackend,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "SolverSettings",
     "CHEMISTRY_MODES",
     "BALANCE_MODES",
-    "PARTITION_METHODS",
     "KRYLOV_VARIANTS",
     "TRUST_GATE_MODES",
     "EXECUTION_MODES",
@@ -60,8 +58,6 @@ TRUST_GATE_MODES = ("off", "domain", "domain+audit")
 #: accepted ``SolverSettings.balance_chemistry`` values (canonical home;
 #: ``repro.dist.balance`` re-exports this tuple)
 BALANCE_MODES = ("none", "static", "dynamic")
-#: accepted ``SolverSettings.partition_method`` values
-PARTITION_METHODS = ("multilevel", "spectral", "greedy", "blocks")
 #: accepted ``SolverSettings.execution`` values: ``"serial"`` executes
 #: decomposed ranks rank-by-rank in the driver process over
 #: :class:`~repro.runtime.comm.SimulatedComm`; ``"parallel"`` runs one
@@ -115,8 +111,8 @@ class SolverSettings:
         ``0``/``1`` -> serial :class:`~repro.core.DeepFlameSolver`;
         ``>= 2`` -> domain-decomposed
         :class:`~repro.dist.DecomposedSolver` over that many ranks.
-    partition_method, partition_seed:
-        Graph-partitioner selection for the decomposed path.
+    partition_seed:
+        Seed of the multilevel graph partitioner (decomposed path).
     balance_chemistry:
         Chemistry load balancing mode (decomposed path only).
     balance_options:
@@ -140,14 +136,8 @@ class SolverSettings:
         and runs the identical SPMD step over the shared-memory fabric
         (:mod:`repro.runtime.shm`) on real cores.  Chemistry load
         balancing is driver-centric and therefore serial-only.
-    chemistry_workers:
-        Process-parallel chemistry batch path: ``>= 2`` wraps the
-        direct/hybrid batch backend in a
-        :class:`~repro.chemistry.backends.ParallelChemistryBackend`
-        over that many forked workers; ``0``/``1`` keep the in-process
-        backend untouched.  Not with a decomposed
-        ``execution="parallel"`` run: its rank workers are daemonic
-        processes, which cannot fork a pool of their own.
+        ``"parallel"`` is the one way chemistry uses more than one
+        core: each rank advances its own cells.
     """
 
     chemistry: str = "none"
@@ -160,13 +150,11 @@ class SolverSettings:
     pressure_controls: SolverControls = field(
         default_factory=_default_pressure_controls)
     ranks: int = 0
-    partition_method: str = "multilevel"
     partition_seed: int = 0
     balance_chemistry: str = "none"
     balance_options: dict = field(default_factory=dict)
     krylov_variant: str = "synchronous"
     execution: str = "serial"
-    chemistry_workers: int = 0
 
     def __post_init__(self):
         # Accept plain dicts for the controls (the from_dict/CLI path).
@@ -183,12 +171,9 @@ class SolverSettings:
         _check_choice("trust_gate", self.trust_gate, TRUST_GATE_MODES)
         _check_choice("balance_chemistry", self.balance_chemistry,
                       BALANCE_MODES)
-        _check_choice("partition_method", self.partition_method,
-                      PARTITION_METHODS)
         _check_choice("krylov_variant", self.krylov_variant,
                       KRYLOV_VARIANTS)
         _check_choice("execution", self.execution, EXECUTION_MODES)
-        _check_int("chemistry_workers", self.chemistry_workers, 0)
         _check_int("ranks", self.ranks, 0)
         _check_int("n_correctors", self.n_correctors, 1)
         _check_int("partition_seed", self.partition_seed)
@@ -210,12 +195,6 @@ class SolverSettings:
             raise ValueError(
                 "balance_chemistry is driver-centric and runs under "
                 "execution='serial' only")
-        if self.is_decomposed and self.execution == "parallel" \
-                and self.chemistry_workers >= 2:
-            raise ValueError(
-                "chemistry_workers >= 2 forks a worker pool, which the "
-                "daemonic rank workers of execution='parallel' cannot "
-                "do; use chemistry_workers <= 1 or execution='serial'")
         return self
 
     @property
@@ -350,8 +329,6 @@ def build_chemistry(settings: SolverSettings, mech):
     wires up the optimized fp32 fused-GeLU inference engine and
     applies ``settings.trust_gate`` (see
     ``examples/train_hybrid_model.py`` for producing artifacts).
-    ``settings.chemistry_workers >= 2`` fans the batched backends out
-    over that many worker processes.
     """
     opts = dict(settings.chemistry_options)
     kind = settings.chemistry
@@ -360,44 +337,37 @@ def build_chemistry(settings: SolverSettings, mech):
     if kind == "percell":
         return PerCellBDFBackend(mech, **opts)
     if kind == "direct":
-        backend = DirectBatchBackend(mech, **opts)
-    else:
-        odenet = opts.pop("odenet", None)
-        if kind == "hybrid-trained":
-            if odenet is None:
-                from ..dnn import ModelRegistry
+        return DirectBatchBackend(mech, **opts)
+    odenet = opts.pop("odenet", None)
+    if kind == "hybrid-trained":
+        if odenet is None:
+            from ..dnn import ModelRegistry
 
-                registry = (ModelRegistry(opts.pop("registry"))
-                            if "registry" in opts
-                            else ModelRegistry.default())
-                odenet = registry.load(opts.pop("model", "tgv-hotspot"),
-                                       mech, opts.pop("model_version", None))
-            if "engine" not in opts:
-                # fused beats the paper's table on hosts with vectorized
-                # transcendentals (the table targets machines without
-                # them) and adds zero approximation error
-                opts["engine"] = odenet.make_engine(precision="fp32",
-                                                    gelu="fused")
-            # the domain gate replaces the coarse temperature proxy:
-            # keep the window wide open unless the caller narrows it
-            opts.setdefault("t_window", (0.0, 1e9))
-            opts.setdefault("trust_gate", settings.trust_gate)
-        elif odenet is None:
-            raise ValueError(
-                f"chemistry={kind!r} needs a trained net in "
-                f"chemistry_options['odenet']")
-        if kind == "surrogate":
-            backend = SurrogateBackend(odenet, **opts)
-        else:
-            split = {k: opts.pop(k) for k in _HYBRID_KEYS if k in opts}
-            backend = HybridBackend(
-                SurrogateBackend(odenet, engine=opts.pop("engine", None)),
-                DirectBatchBackend(mech, **opts), **split)
-    if settings.chemistry_workers >= 2:
-        backend = ParallelChemistryBackend(
-            backend, settings.chemistry_workers,
-            base_seed=settings.partition_seed)
-    return backend
+            registry = (ModelRegistry(opts.pop("registry"))
+                        if "registry" in opts
+                        else ModelRegistry.default())
+            odenet = registry.load(opts.pop("model", "tgv-hotspot"),
+                                   mech, opts.pop("model_version", None))
+        if "engine" not in opts:
+            # fused beats the paper's table on hosts with vectorized
+            # transcendentals (the table targets machines without
+            # them) and adds zero approximation error
+            opts["engine"] = odenet.make_engine(precision="fp32",
+                                                gelu="fused")
+        # the domain gate replaces the coarse temperature proxy:
+        # keep the window wide open unless the caller narrows it
+        opts.setdefault("t_window", (0.0, 1e9))
+        opts.setdefault("trust_gate", settings.trust_gate)
+    elif odenet is None:
+        raise ValueError(
+            f"chemistry={kind!r} needs a trained net in "
+            f"chemistry_options['odenet']")
+    if kind == "surrogate":
+        return SurrogateBackend(odenet, **opts)
+    split = {k: opts.pop(k) for k in _HYBRID_KEYS if k in opts}
+    return HybridBackend(
+        SurrogateBackend(odenet, engine=opts.pop("engine", None)),
+        DirectBatchBackend(mech, **opts), **split)
 
 
 def build_solver(case, settings: SolverSettings, properties=None,

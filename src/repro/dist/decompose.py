@@ -125,16 +125,16 @@ class Decomposition:
         cls,
         mesh: UnstructuredMesh,
         nparts: int,
-        method: str = "multilevel",
         seed: int = 0,
         parts: np.ndarray | None = None,
     ) -> "Decomposition":
-        """Partition ``mesh`` (via :func:`repro.partition.partition_graph`
-        unless explicit ``parts`` labels are given) and extract the
-        per-rank subdomains."""
+        """Partition ``mesh`` (with the multilevel
+        :func:`repro.partition.partition_graph` unless explicit
+        ``parts`` labels are given) and extract the per-rank
+        subdomains."""
         if parts is None:
             graph = cell_graph_from_mesh(mesh)
-            parts = partition_graph(graph, nparts, method=method, seed=seed)
+            parts = partition_graph(graph, nparts, seed=seed)
         parts = np.asarray(parts, dtype=np.int64)
         if parts.shape != (mesh.n_cells,):
             raise ValueError("need one part label per cell")

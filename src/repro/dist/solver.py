@@ -84,11 +84,12 @@ class DecomposedSolver:
     rank count).  ``comm`` and ``decomp`` are injected objects: by
     default the solver partitions the case mesh and hosts all ``P``
     ranks on a fresh ``SimulatedComm``; a worker of a parallel run gets
-    the driver's decomposition and a one-rank endpoint.  ``chemistry``
-    replaces the backend ``settings.chemistry`` describes; either way
-    one raw backend is shared by the hosted ranks, each wrapping it in
-    its own stats adapter.  ``ranks`` / ``subs`` list the hosted rank
-    solvers / subdomains, in ``comm.ranks`` order.
+    the driver's decomposition and a one-rank endpoint.  Each hosted
+    rank builds the backend ``settings.chemistry`` describes, as each
+    parallel worker does; an injected ``chemistry`` replaces it and is
+    shared by the hosted ranks.  Either way every rank wraps its
+    backend in its own stats adapter.  ``ranks`` / ``subs`` list the
+    hosted rank solvers / subdomains, in ``comm.ranks`` order.
     """
 
     def __init__(
@@ -109,10 +110,8 @@ class DecomposedSolver:
         self.case = case
         self.mech = case.mech
         self.decomp = decomp if decomp is not None else \
-            Decomposition.from_mesh(
-                case.mesh, settings.ranks,
-                method=settings.partition_method,
-                seed=settings.partition_seed)
+            Decomposition.from_mesh(case.mesh, settings.ranks,
+                                    seed=settings.partition_seed)
         self.comm = comm or SimulatedComm(settings.ranks)
         self.exchanger = HaloExchanger(self.decomp, self.comm)
         self.subs = self.exchanger.subs
@@ -147,12 +146,16 @@ class DecomposedSolver:
             # balance/decomposition fields are stripped.
             rank_settings = settings.overlay(
                 ranks=0, balance_chemistry="none", balance_options={})
-            if chemistry is None:
-                chemistry = build_chemistry(settings, case.mech)
+            # Without an injected backend each hosted rank builds its
+            # own, as each parallel worker does: a stateful backend
+            # (the hybrid audit counter) then advances identically
+            # under both schedules.
             self.ranks = [
                 DeepFlameSolver(
                     _localize_case(case, sub), rank_settings,
-                    properties=properties, chemistry=chemistry)
+                    properties=properties,
+                    chemistry=(chemistry if chemistry is not None
+                               else build_chemistry(settings, case.mech)))
                 for sub in self.subs
             ]
             # The rank constructors evaluated properties over

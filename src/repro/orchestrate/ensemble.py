@@ -293,12 +293,6 @@ class Ensemble:
                     f"parallel=True requires serial instances; "
                     f"{inst.name!r} is decomposed "
                     f"(ranks={inst.settings.ranks})")
-            if inst.settings.chemistry_workers >= 2:
-                # a pool worker is daemonic and cannot fork a pool of its own
-                raise RuntimeError(
-                    f"parallel=True requires in-process chemistry; "
-                    f"{inst.name!r} has chemistry_workers="
-                    f"{inst.settings.chemistry_workers}")
         n = self.workers or min(4, len(self.instances))
         n = max(1, min(n, len(self.instances)))
         instances = self.instances

@@ -2,8 +2,8 @@
 
 A :class:`WorkerPool` runs N long-lived worker processes, each owning
 one *handler* object built in the child by a caller-supplied factory.
-Because workers are forked, the factory's closure -- localized cases,
-chemistry backends, whole instance lists, the
+Because workers are forked, the factory's closure -- a decomposition,
+whole instance lists, the
 :class:`~repro.runtime.shm.SharedArena` -- is inherited by reference:
 nothing is pickled at startup, and read-only state (mesh, mechanism,
 trained nets) is shared copy-on-write across every worker.  Commands
@@ -14,9 +14,9 @@ arena.
 Determinism: each worker seeds numpy's global RNG from
 :func:`~repro.runtime.seeding.derive_worker_seed` before the factory
 runs, so legacy global-RNG consumers are reproducible per worker.
-(Code on the parallel hot paths goes further and uses the stateless
-hashes in :mod:`repro.runtime.seeding` keyed by global cell id, which
-make results independent of the worker *count* too.)
+(Sampling code goes further and uses the stateless hashes in
+:mod:`repro.runtime.seeding`, which do not depend on the worker at
+all.)
 
 Failure containment: a worker exception travels back as a formatted
 remote traceback and re-raises driver-side as :class:`WorkerError`;

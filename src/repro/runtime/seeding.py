@@ -6,12 +6,12 @@ across workers: each chunk sees a different draw prefix, so "the same
 run" on 1, 2 or 4 workers samples different cells.  Everything here is
 a *counter-based* hash instead -- a splitmix64 finalizer over
 ``(seed, stream, id)`` triples -- so a sample depends only on the
-identity of the thing being sampled (a global cell id, a jitter-copy
+identity of the thing being sampled (a batch row, a jitter-copy
 index), never on how many draws preceded it or which worker computed
 it.
 
-Used by the hybrid chemistry backend's spot audits (seeded by global
-cell id), the training-set jitter (seeded by copy/state index) and the
+Used by the hybrid chemistry backend's spot audits (seeded by batch
+row), the training-set jitter (seeded by copy/state index) and the
 worker pool's per-worker seeding.
 """
 
@@ -47,8 +47,8 @@ def hash_u64(seed: int, stream: int, ids) -> np.ndarray:
 
     ``ids`` is an integer array (or scalar); the result has its shape
     (0-d for a scalar).  Two calls agree iff all three coordinates
-    agree -- the property that makes sampling decisions worker-count
-    invariant.
+    agree -- the property that makes a sampling decision independent
+    of which process draws it and of how many draws came before.
     """
     ids64 = np.asarray(ids, dtype=np.int64).astype(np.uint64)
     with np.errstate(over="ignore"):

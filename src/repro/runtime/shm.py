@@ -7,12 +7,11 @@ This is the real-parallelism counterpart of the driver-centric
   ``multiprocessing.shared_memory`` segments with zero-copy numpy
   views: per-rank grow-on-demand *staging slabs* (two channels, so a
   posted ``iallreduce`` survives the halo exchanges of the matvec it
-  overlaps, and two parities per channel), one segment of per-rank,
-  per-channel *sequence counters*, plus driver-allocated *named
-  arrays* for field gathers and chemistry ``(T, p, Y)`` batches.
-  Created before the worker pool forks, the whole arena is inherited
-  by every worker -- no pickling, no re-attach -- and only the
-  creating process unlinks it.
+  overlaps, and two parities per channel) and one segment of
+  per-rank, per-channel *sequence counters*.  Created before the
+  worker pool forks, the whole arena is inherited by every worker --
+  no pickling, no re-attach -- and only the creating process unlinks
+  it.
 * :class:`SharedMemComm` -- the one-hosted-rank endpoint of the
   :class:`~repro.runtime.comm.SimulatedComm` contract.  Where the
   simulated fabric hosts *all* ranks (``comm.ranks == range(P)``),
@@ -217,34 +216,11 @@ class SharedArena:
             self._slabs[key] = (0, _create(self._slab_name(*key, 0),
                                            initial_bytes))
             self._hdr[key][1] = initial_bytes
-        self._named: dict[str, tuple[object, np.ndarray]] = {}
         atexit.register(self.close)
 
     # -- naming ---------------------------------------------------------
     def _slab_name(self, rank: int, ch: int, parity: int, gen: int) -> str:
         return f"{self.name}r{rank}c{ch}p{parity}g{gen}"
-
-    # -- named arrays (field gathers, chemistry batches) ----------------
-    def alloc(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """Allocate a named shared array; returns a zero-copy view.
-
-        Must be called in the arena-owning process *before* the worker
-        pool forks -- workers then reach the same memory through
-        :meth:`get`.  The array is zero-initialized.
-        """
-        if key in self._named:
-            raise KeyError(f"named array {key!r} already allocated")
-        shape = tuple(int(s) for s in shape)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        shm = _create(f"{self.name}a{len(self._named)}", nbytes)
-        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        arr.fill(0)
-        self._named[key] = (shm, arr)
-        return arr
-
-    def get(self, key: str) -> np.ndarray:
-        """The named array allocated under ``key`` (zero-copy view)."""
-        return self._named[key][1]
 
     # -- staging slabs --------------------------------------------------
     def _slab(self, key: tuple[int, int, int]):
@@ -340,12 +316,9 @@ class SharedArena:
             for gen in range(int(self._hdr[key][0]) + 1):
                 _unlink_quiet(self._slab_name(*key, gen))
         # Unlink only -- the mappings themselves may still back live
-        # numpy views (gather buffers a caller holds); the kernel frees
+        # numpy views a caller holds (:meth:`views`); the kernel frees
         # the memory once every process's mapping is gone.
         self._slabs.clear()
-        for shm, _ in self._named.values():
-            _unlink_quiet(shm.name.lstrip("/"))
-        self._named.clear()
         _unlink_quiet(f"{self.name}h")
         _unlink_quiet(f"{self.name}s")
 

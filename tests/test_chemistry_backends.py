@@ -1,6 +1,8 @@
 """The batched chemistry-backend subsystem: API contract, batched
 vs. per-cell agreement, hybrid split correctness and work accounting."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -84,22 +86,18 @@ def half_order_mech(mech):
 
 
 def _backend(kind, mech, net):
-    """One of the five batched backends over ``mech``."""
-    from repro.chemistry.backends import ParallelChemistryBackend
-
+    """One of the four batched backends over ``mech``."""
     if kind == "direct":
         return DirectBatchBackend(mech)
     if kind == "percell":
         return PerCellBDFBackend(mech)
     if kind == "surrogate":
         return SurrogateBackend(net)
-    if kind == "hybrid":
-        return HybridBackend(SurrogateBackend(net), DirectBatchBackend(mech),
-                             t_window=(1000.0, 3000.0))
-    return ParallelChemistryBackend(DirectBatchBackend(mech), 2)
+    return HybridBackend(SurrogateBackend(net), DirectBatchBackend(mech),
+                         t_window=(1000.0, 3000.0))
 
 
-BACKENDS = ("direct", "percell", "surrogate", "hybrid", "parallel")
+BACKENDS = ("direct", "percell", "surrogate", "hybrid")
 
 
 class TestBatchContract:
@@ -109,10 +107,7 @@ class TestBatchContract:
 
     @pytest.fixture(params=BACKENDS)
     def backend(self, request, mech, quick_odenet):
-        b = _backend(request.param, mech, quick_odenet)
-        yield b
-        if hasattr(b, "close"):
-            b.close()
+        return _backend(request.param, mech, quick_odenet)
 
     @pytest.fixture(scope="class")
     def cells(self, mech):
@@ -139,6 +134,15 @@ class TestBatchContract:
         np.testing.assert_array_equal(y_new, y)
         np.testing.assert_array_equal(t_new, t)
         assert st.n_cells == t.size
+
+    def test_advance_takes_the_batch_only(self, backend, cells):
+        """``advance(y, t, p, dt)`` is the whole call: no backend takes
+        per-row cell identities."""
+        params = inspect.signature(backend.advance).parameters
+        assert list(params) == ["y", "t", "p", "dt"]
+        t, y = cells
+        with pytest.raises(TypeError, match="cell_ids"):
+            backend.advance(y, t, PRESSURE, 1e-7, cell_ids=np.arange(6))
 
 
 class TestDirectBatch:
@@ -210,10 +214,6 @@ class TestDirectBatch:
                            match=rf"{late.size} of 16 cells did not reach "
                                  rf"dt .* 10 RODAS3.*\[{first}\]"):
             short(mech).advance(y, t, PRESSURE, dt)
-        first = ", ".join(str(c + 100) for c in late[:5])
-        with pytest.raises(FloatingPointError, match=rf"\[{first}\]"):
-            short(mech).advance(y, t, PRESSURE, dt,
-                                cell_ids=np.arange(100, 116))
 
     @pytest.mark.parametrize("batch, dt, tol_t, tol_y", [
         ("graded_batch", 1e-8, 2.2e-3, 2.3e-6),
@@ -241,8 +241,6 @@ class TestDirectBatch:
         db = DirectBatchBackend(mech)
         with pytest.raises(FloatingPointError, match=r"1 of 12 cells.*\[3\]"):
             db.advance(y, t, PRESSURE, 1e-7)
-        with pytest.raises(FloatingPointError, match=r"\[103\]"):
-            db.advance(y, t, PRESSURE, 1e-7, cell_ids=np.arange(100, 112))
 
     def test_simplex_preserved(self, mech, lox_ch4_batch):
         t, y = lox_ch4_batch
@@ -528,6 +526,43 @@ class TestHybridBackend:
         assert st.total_work == pytest.approx(
             st.per_backend["surrogate"].total_work
             + st.per_backend["direct"].total_work)
+
+    def test_audits_keyed_by_seed_call_and_row(self, mech, tiny_odenet):
+        """The audited rows are a pure function of ``(audit_seed, call,
+        row index)``: each call audits the surrogate rows whose
+        :func:`hash_uniform` score falls under ``audit_fraction``, and
+        a fresh backend with the same seed audits the same rows."""
+        from repro.runtime import hash_uniform
+
+        xs = tiny_odenet._train_x
+        sel = np.random.default_rng(0).integers(0, xs.shape[0], size=24)
+        t, p, y = xs[sel, 0], xs[sel, 1], xs[sel, 2:]
+        dt = 1e-7
+
+        def build():
+            # the hotter half goes to the surrogate, so its rows are not
+            # 0..k; a negative tolerance fails every audit, so the OOD
+            # buffer holds exactly the audited rows
+            return self._hybrid(mech, tiny_odenet,
+                                t_window=(float(np.median(t)), 1e9),
+                                trust_gate="domain+audit",
+                                audit_fraction=0.4, audit_seed=11,
+                                audit_tol=-1.0)
+
+        a, b = build(), build()
+        idx_s = np.flatnonzero(a.split_mask(y, t, p, dt))
+        assert 0 < idx_s.size < t.size and idx_s[-1] >= idx_s.size
+        for call in range(3):
+            idx_a = idx_s[hash_uniform(11, call, idx_s) < 0.4]
+            assert 0 < idx_a.size < idx_s.size
+            y_a, t_a, st_a = a.advance(y, t, p, dt)
+            y_b, t_b, st_b = b.advance(y, t, p, dt)
+            assert st_a.gate == st_b.gate
+            assert st_a.gate["audited_cells"] == idx_a.size
+            np.testing.assert_array_equal(a.drain_ood()[0], t[idx_a])
+            np.testing.assert_array_equal(b.drain_ood()[0], t[idx_a])
+            np.testing.assert_array_equal(y_a, y_b)
+            np.testing.assert_array_equal(t_a, t_b)
 
     def test_stiffness_override_routes_to_direct(self, mech, quick_odenet):
         """With z_max, a hot in-window reacting cell is re-routed."""

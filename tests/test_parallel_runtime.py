@@ -1,6 +1,6 @@
 """Shared-memory parallel runtime: worker pools, SharedMemComm
 semantics under real concurrency, stateless seeding, and parallel-vs-
-serial agreement for decomposed solves, chemistry batches and
+serial agreement for decomposed solves (live chemistry included) and
 ensembles."""
 
 import contextlib
@@ -12,9 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.chemistry.backends import (DirectBatchBackend, HybridBackend,
-                                      ParallelChemistryBackend,
-                                      SurrogateBackend)
 from repro.core import (IdealGasProperties, NoChemistry,
                         build_hotspot_tgv_case, build_tgv_case)
 from repro.core.settings import KRYLOV_VARIANTS, SolverSettings
@@ -36,11 +33,8 @@ TIGHT = dict(
     scalar_controls=SolverControls(tolerance=1e-12, max_iterations=500),
     pressure_controls=SolverControls(tolerance=1e-12, max_iterations=1000),
 )
-#: the issue's parallel-vs-serial field agreement gate
+#: the parallel-vs-serial field agreement gate
 AGREEMENT_ATOL = 1e-8
-#: chunked chemistry agrees with the unsplit batch to roundoff (BLAS
-#: kernels may pick batch-shape-dependent summation orders)
-CHUNK_ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------
@@ -252,6 +246,25 @@ def pair():
 
 
 class TestSharedMemComm:
+    def test_arena_segments_unlinked_on_close(self):
+        """An arena is its header, its sequence counters and one slab
+        per (rank, channel, parity); a slab that grows adds a
+        generation, and ``close`` unlinks every segment."""
+        before = _shm_entries()
+        payload = np.arange(2000.0)               # 16 kB > 4 kB slabs
+        with SharedArena(2, initial_bytes=1 << 12) as arena:
+            slabs = [arena._slab_name(r, c, q, 0)
+                     for r in range(2) for c in range(2) for q in range(2)]
+            created = sorted(set(_shm_entries()) - set(before))
+            assert created == sorted(slabs + [f"{arena.name}h",
+                                              f"{arena.name}s"])
+            arena.stage(1, [(0, payload)], channel=1, parity=1)
+            assert arena._slab_name(1, 1, 1, 1) in _shm_entries()
+            [(dst, view)] = arena.views(1, channel=1, parity=1)
+            assert dst == 0
+            np.testing.assert_array_equal(view, payload)
+        assert _shm_entries() == before
+
     def test_handles_complete_exactly_once(self, pair):
         for ok, halo_double, total, reduce_double in \
                 pair.broadcast("handles"):
@@ -718,6 +731,33 @@ class TestSpmdParity:
         worst = _run_pair(mech, settings, lambda: IdealGasProperties(mech))
         assert worst <= AGREEMENT_ATOL
 
+    def test_hybrid_audits_agree(self, mech):
+        """A decomposed hybrid run audits the same cells driver-stepped
+        as on parallel ranks: each hosted rank builds its own backend,
+        so every rank's audit counter advances once per step on both
+        schedules.  On the committed artifact's manifold (the n = 12
+        hot spot ``hotspot_hybrid`` steps), real fluid."""
+        settings = SolverSettings(ranks=2, chemistry="hybrid-trained",
+                                  chemistry_options={"audit_fraction": 0.2})
+
+        def build(execution):
+            return DecomposedSolver(
+                build_hotspot_tgv_case(n=12, mech=mech),
+                settings.overlay(execution=execution))
+
+        driver = build("serial")
+        with build("parallel") as par:
+            for _ in range(3):
+                driver.step(1e-8)
+                par.step(1e-8)
+                gates = [[st.gate for st in s.last_backend_stats]
+                         for s in (driver, par)]
+                assert gates[0] == gates[1]
+                assert all(g["audited_cells"] > 0 for g in gates[0])
+            worst = max(float(np.abs(driver.gather(f) - par.gather(f)).max())
+                        for f in ("y", "h", "p", "u", "rho", "T"))
+        assert worst <= AGREEMENT_ATOL
+
     def test_overlapped_variants_agree(self, mech):
         settings = SolverSettings(ranks=2, krylov_variant="overlapped",
                                   **TIGHT)
@@ -739,16 +779,6 @@ class TestSpmdParity:
             SolverSettings(ranks=2, execution="parallel",
                            balance_chemistry="dynamic")
 
-    def test_parallel_refuses_chemistry_workers(self):
-        """The rank workers are daemonic and cannot fork a chemistry
-        pool: refused at validation, before any fork."""
-        with pytest.raises(ValueError, match="chemistry_workers.*execution"):
-            SolverSettings(chemistry="direct", chemistry_workers=2,
-                           ranks=2, execution="parallel")
-        # each half alone forks at most one level of workers
-        SolverSettings(chemistry="direct", chemistry_workers=2, ranks=2)
-        SolverSettings(chemistry="direct", chemistry_workers=2,
-                       execution="parallel")
 
 
 class TestWrittenOnce:
@@ -887,118 +917,6 @@ class TestFailedConstruction:
 
 
 # ---------------------------------------------------------------------
-# process-parallel chemistry batches
-# ---------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def chem_batch(mech):
-    rng = np.random.default_rng(7)
-    n = 24
-    y = rng.dirichlet(np.ones(mech.n_species), size=n)
-    t = rng.uniform(900.0, 2200.0, size=n)
-    p = np.full(n, 101325.0)
-    return y, t, p
-
-
-class TestParallelChemistry:
-    DT = 1e-7
-
-    def test_direct_matches_serial(self, mech, chem_batch):
-        y, t, p = chem_batch
-        y_s, t_s, st_s = DirectBatchBackend(mech).advance(
-            y.copy(), t.copy(), p, self.DT)
-        for workers in (2, 4):
-            with ParallelChemistryBackend(DirectBatchBackend(mech),
-                                          workers) as par:
-                y_p, t_p, st_p = par.advance(y.copy(), t.copy(), p,
-                                             self.DT)
-            np.testing.assert_allclose(y_p, y_s, rtol=0, atol=CHUNK_ATOL)
-            np.testing.assert_allclose(t_p, t_s, rtol=1e-12, atol=0)
-            np.testing.assert_array_equal(st_p.work_per_cell,
-                                          st_s.work_per_cell)
-            assert st_p.rhs_evals == st_s.rhs_evals
-            assert len(st_p.sub_batches) == workers
-
-    def test_empty_chunks_tolerated(self, mech, chem_batch):
-        """n < workers leaves some chunks empty; results still land."""
-        y, t, p = chem_batch
-        y_s, t_s, _ = DirectBatchBackend(mech).advance(
-            y[:3].copy(), t[:3].copy(), p[:3], self.DT)
-        with ParallelChemistryBackend(DirectBatchBackend(mech), 4) as par:
-            y_p, t_p, _ = par.advance(y[:3].copy(), t[:3].copy(), p[:3],
-                                      self.DT)
-        np.testing.assert_allclose(y_p, y_s, rtol=0, atol=CHUNK_ATOL)
-
-    def test_capacity_growth(self, mech, chem_batch):
-        y, t, p = chem_batch
-        y_s, t_s, _ = DirectBatchBackend(mech).advance(
-            y.copy(), t.copy(), p, self.DT)
-        with ParallelChemistryBackend(DirectBatchBackend(mech), 2) as par:
-            par.advance(y[:4].copy(), t[:4].copy(), p[:4], self.DT)
-            y_p, t_p, _ = par.advance(y.copy(), t.copy(), p, self.DT)
-        np.testing.assert_allclose(y_p, y_s, rtol=0, atol=CHUNK_ATOL)
-
-    def _hybrid(self, mech, net):
-        return HybridBackend(SurrogateBackend(net),
-                             DirectBatchBackend(mech),
-                             t_window=(0.0, 1e9),
-                             trust_gate="domain+audit",
-                             audit_fraction=0.4, audit_seed=11)
-
-    def test_hybrid_audit_worker_count_invariant(self, mech, tiny_odenet):
-        """The audited cell set is a pure function of (seed, call,
-        cell id): W=1 serial and W=2/4 pools pick identical audits."""
-        xs = tiny_odenet._train_x
-        sel = np.random.default_rng(0).integers(0, xs.shape[0], size=24)
-        t, p, y = xs[sel, 0], xs[sel, 1], xs[sel, 2:]
-        serial = self._hybrid(mech, tiny_odenet)
-        y_s, t_s, st_s = serial.advance(y.copy(), t.copy(), p, self.DT)
-        assert st_s.gate["audited_cells"] > 0
-        for workers in (2, 4):
-            with ParallelChemistryBackend(
-                    self._hybrid(mech, tiny_odenet), workers) as par:
-                y_p, t_p, st_p = par.advance(y.copy(), t.copy(), p,
-                                             self.DT)
-                assert st_p.gate == st_s.gate
-                assert par.counters == serial.counters
-            np.testing.assert_allclose(y_p, y_s, rtol=0, atol=CHUNK_ATOL)
-
-    def test_hybrid_ood_buffer_drains_across_workers(self, mech,
-                                                     tiny_odenet):
-        xs = tiny_odenet._train_x
-        t, p, y = xs[:24, 0], xs[:24, 1], xs[:24, 2:]
-        gated = HybridBackend(SurrogateBackend(tiny_odenet),
-                              DirectBatchBackend(mech),
-                              t_window=(0.0, 1200.0), trust_gate="domain")
-        gated.advance(y.copy(), t.copy(), p, self.DT)
-        with ParallelChemistryBackend(
-                HybridBackend(SurrogateBackend(tiny_odenet),
-                              DirectBatchBackend(mech),
-                              t_window=(0.0, 1200.0),
-                              trust_gate="domain"), 2) as par:
-            par.advance(y.copy(), t.copy(), p, self.DT)
-            assert par.ood_size == gated.ood_size
-            ds, dp = gated.drain_ood(), par.drain_ood()
-            if ds is None:
-                assert dp is None
-            else:
-                np.testing.assert_array_equal(np.sort(ds[0]),
-                                              np.sort(dp[0]))
-            assert par.ood_size == 0
-
-    def test_settings_wiring(self, mech):
-        """chemistry_workers >= 2 wraps the built backend."""
-        from repro.core.settings import build_chemistry
-
-        backend = build_chemistry(
-            SolverSettings(chemistry="direct", chemistry_workers=2), mech)
-        assert isinstance(backend, ParallelChemistryBackend)
-        backend.close()
-        backend = build_chemistry(
-            SolverSettings(chemistry="direct"), mech)
-        assert isinstance(backend, DirectBatchBackend)
-
-
-# ---------------------------------------------------------------------
 # parallel ensembles
 # ---------------------------------------------------------------------
 class TestParallelEnsemble:
@@ -1042,17 +960,6 @@ class TestParallelEnsemble:
         with pytest.raises(RuntimeError, match="serial instances"):
             ens.step(1e-8)
 
-    def test_chemistry_worker_instances_refused(self, mech):
-        """A pool worker is daemonic and cannot fork a member's
-        chemistry pool: refused before the ensemble forks."""
-        ens = Ensemble(lambda: build_hotspot_tgv_case(n=4, mech=mech),
-                       SolverSettings(chemistry="direct",
-                                      chemistry_workers=2), parallel=True)
-        ens.add_instance("a")
-        ens.add_instance("b")
-        with pytest.raises(RuntimeError, match="chemistry_workers=2"):
-            ens.step(1e-8)
-        assert ens._pool is None
 
 
 class TestParallelDecomposedMember:

@@ -12,14 +12,17 @@ import repro.core
 import repro.core.settings
 from repro.chemistry.backends import DirectBatchBackend, PerCellBDFBackend
 from repro.core import (
+    BALANCE_MODES,
     DeepFlameSolver,
     NoChemistry,
     SolverSettings,
     build_chemistry,
+    build_hotspot_tgv_case,
     build_solver,
     build_tgv_case,
 )
 from repro.core.chemistry_source import BackendChemistry
+from repro.core.settings import EXECUTION_MODES, KRYLOV_VARIANTS
 from repro.dist import DecomposedSolver
 from repro.solvers import SolverControls
 
@@ -39,7 +42,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("chemistry", "magic"),
-        ("partition_method", "voronoi"),
+        ("krylov_variant", "voronoi"),
         ("balance_chemistry", "always"),
         ("ranks", -1),
         ("n_correctors", 0),
@@ -93,8 +96,7 @@ class TestOverlayRoundtrip:
             SolverSettings().overlay(**{"scalar_controls.warp": 1})
 
     def test_dict_roundtrip(self):
-        s = SolverSettings(chemistry="direct", ranks=3,
-                           partition_method="greedy",
+        s = SolverSettings(chemistry="direct", ranks=3, partition_seed=7,
                            scalar_controls={"tolerance": 1e-10},
                            balance_chemistry="static", n_correctors=3)
         d = s.to_dict()
@@ -160,7 +162,7 @@ class TestOneSurface:
     configuration surface, and the superseded spellings are gone."""
 
     def test_field_count(self):
-        assert len(fields(SolverSettings)) == 15
+        assert len(fields(SolverSettings)) == 13
 
     def test_constructor_signatures(self):
         def surface(cls):
@@ -183,7 +185,9 @@ class TestOneSurface:
             ("chemistry", "KEYWORD_ONLY", None)]
 
     def test_removed_field_is_an_unknown_field(self):
-        for name, value in (("transport", "coupled"), ("overlap_halo", True)):
+        for name, value in (("transport", "coupled"), ("overlap_halo", True),
+                            ("partition_method", "multilevel"),
+                            ("chemistry_workers", 2)):
             d = SolverSettings().to_dict()
             d[name] = value
             with pytest.raises(KeyError, match=name):
@@ -193,7 +197,8 @@ class TestOneSurface:
 
     @pytest.mark.parametrize("name", [
         "resolve_settings", "TRANSPORT_MODES", "DirectChemistry",
-        "BatchedChemistry", "ODENetChemistry", "HybridChemistry"])
+        "BatchedChemistry", "ODENetChemistry", "HybridChemistry",
+        "PARTITION_METHODS"])
     def test_removed_names_not_exported(self, name):
         for module in (repro.core, repro.core.settings):
             assert not hasattr(module, name)
@@ -241,11 +246,44 @@ class TestBuilders:
         with pytest.raises(ValueError):
             DecomposedSolver(tgv(), SolverSettings())
 
-    def test_decomposed_ranks_share_raw_backend(self, tgv):
+    def test_decomposed_ranks_share_raw_backend(self, tgv, mech):
+        """An injected backend is shared by the hosted ranks."""
+        backend = DirectBatchBackend(mech)
         dist = DecomposedSolver(
-            tgv(), SolverSettings(ranks=2, chemistry="direct"))
+            tgv(), SolverSettings(ranks=2, chemistry="direct"),
+            chemistry=backend)
         adapters = [r.chemistry for r in dist.ranks]
         assert all(isinstance(a, BackendChemistry) for a in adapters)
         # one shared backend, per-rank stats adapters
         assert adapters[0] is not adapters[1]
-        assert adapters[0].backend is adapters[1].backend
+        assert all(a.backend is backend for a in adapters)
+
+    def test_decomposed_ranks_build_one_backend_each(self, tgv):
+        """Without an injected backend every hosted rank builds its
+        own, as every worker of a parallel run does."""
+        dist = DecomposedSolver(
+            tgv(), SolverSettings(ranks=2, chemistry="direct"))
+        a, b = (r.chemistry.backend for r in dist.ranks)
+        assert isinstance(a, DirectBatchBackend)
+        assert isinstance(b, DirectBatchBackend)
+        assert a is not b
+
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field, choices in (("balance_chemistry", BALANCE_MODES),
+                               ("krylov_variant", KRYLOV_VARIANTS),
+                               ("execution", EXECUTION_MODES))
+        for value in choices])
+    def test_every_accepted_choice_builds(self, mech, field, value):
+        """Every value a settings choice validates builds a 2-rank
+        solver that steps; a combination ``validate()`` refuses is
+        skipped."""
+        try:
+            settings = SolverSettings(ranks=2, chemistry="direct",
+                                      **{field: value})
+        except ValueError as exc:
+            pytest.skip(f"refused by validate(): {exc}")
+        with build_solver(build_hotspot_tgv_case(n=4, mech=mech),
+                          settings) as solver:
+            diag = solver.step(1e-8)
+        assert np.isfinite(diag.total_mass)
