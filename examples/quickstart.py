@@ -25,13 +25,6 @@ Krylov reductions over an in-process message fabric.  The run prints
 the serial-vs-decomposed max |delta| per step together with the
 measured per-step message/byte ledger.
 
-With ``--balance static|dynamic`` (requires ``--ranks``) the
-decomposed run additionally load-balances chemistry: stiff cells
-migrate to underloaded ranks through the same ledgered fabric
-(``repro.dist.ChemistryLoadBalancer``), and the run ends with the
-chemistry-balance ledger summary (cells migrated, migration traffic,
-executed vs static rank imbalance).
-
 Every flag above sets one field of a single validated
 ``repro.core.SolverSettings`` object -- the unified configuration the
 solvers are built from (``DeepFlameSolver(case, settings)`` /
@@ -44,7 +37,6 @@ settings path, e.g. ``scalar_controls.tolerance``.
 
 Run:  python examples/quickstart.py [--chemistry direct] [--steps 5]
       python examples/quickstart.py --ranks 4
-      python examples/quickstart.py --ranks 4 --balance dynamic
       python examples/quickstart.py --sweep n_correctors=1,2,3
       python examples/quickstart.py --sweep scalar_controls.tolerance=1e-6,1e-9,1e-12
 """
@@ -56,7 +48,6 @@ import numpy as np
 from repro.core import (
     TRUST_GATE_MODES,
     DeepFlameSolver,
-    NoChemistry,
     SolverSettings,
     build_tgv_case,
 )
@@ -120,40 +111,22 @@ def run_decomposed(args, mech, dt: float) -> None:
     reduction order (and the block-local pressure preconditioner).
 
     The decomposition is *executed*, not analytic: every halo
-    exchange, allreduce and (with ``--balance``) chemistry-migration
-    message actually flows through the in-process fabric and lands in
-    the ledger the summary prints.
+    exchange and allreduce actually flows through the in-process
+    fabric and lands in the ledger the summary prints.
     """
-    from repro.chemistry import DirectBatchBackend
     from repro.dist import DecomposedSolver
 
     settings = SolverSettings(
-        ranks=args.ranks, balance_chemistry=args.balance,
+        ranks=args.ranks,
         scalar_controls=SolverControls(tolerance=1e-12, max_iterations=500),
         pressure_controls=SolverControls(tolerance=1e-12,
                                          max_iterations=1000),
     )
-    # Chemistry balancing needs a batched backend on both sides of the
-    # comparison; the hot blob skews the stiffness so migration has
-    # something to balance on an otherwise-cold TGV.
-    balancing = args.balance != "none"
-
-    def case():
-        if balancing:
-            from repro.core import build_hotspot_tgv_case
-
-            return build_hotspot_tgv_case(n=args.n, mech=mech)
-        return build_tgv_case(n=args.n, mech=mech)
-
-    def chem():
-        return DirectBatchBackend(mech) if balancing else NoChemistry()
-
     print(f"\nDecomposed execution over {args.ranks} ranks "
           "(vs the serial solver, tight tolerances) ...")
-    serial = DeepFlameSolver(
-        case(), settings.overlay(ranks=0, balance_chemistry="none"),
-        chemistry=chem())
-    dist = DecomposedSolver(case(), settings, chemistry=chem())
+    serial = DeepFlameSolver(build_tgv_case(n=args.n, mech=mech),
+                             settings.overlay(ranks=0))
+    dist = DecomposedSolver(build_tgv_case(n=args.n, mech=mech), settings)
     stats = dist.decomp.stats()
     print(f"  partition: cells/rank {stats['cells_per_rank']}, "
           f"{stats['cut_faces']} cut faces, "
@@ -175,19 +148,6 @@ def run_decomposed(args, mech, dt: float) -> None:
     print(f"  cumulative ledger: {led['messages']} messages / "
           f"{led['bytes']/1024:.1f} KiB halo traffic, "
           f"{led['allreduces']} allreduces / {led['allreduce_bytes']} B")
-    if balancing and dist.last_balance is not None:
-        rep = dist.last_balance
-        print(f"\nChemistry-balance ledger ({rep.mode}, last step):")
-        print(f"  migrated cells: {rep.n_migrated}, migration "
-              f"messages: {rep.messages} / {rep.bytes_sent/1024:.1f} KiB, "
-              f"allreduces: {rep.allreduces} / {rep.allreduce_bytes} B")
-        print(f"  rank imbalance (max/mean - 1): "
-              f"{rep.imbalance_static:.3f} static -> "
-              f"{rep.imbalance_executed:.3f} executed")
-        print("  per-rank work  owner:    "
-              + " ".join(f"{w:8.0f}" for w in rep.owner_work))
-        print("  per-rank work  executed: "
-              + " ".join(f"{w:8.0f}" for w in rep.executed_work))
 
 
 def _coerce(text: str):
@@ -256,13 +216,6 @@ def main() -> None:
                          "an analytic model -- and report the "
                          "serial-vs-decomposed max |delta| + the "
                          "measured message ledger (default: off)")
-    ap.add_argument("--balance", choices=("none", "static", "dynamic"),
-                    default="none",
-                    help="chemistry load balancing for the decomposed "
-                         "run (with --ranks): migrate stiff cells to "
-                         "underloaded ranks and print the "
-                         "chemistry-balance ledger summary "
-                         "(default: none)")
     ap.add_argument("--profile", action="store_true",
                     help="print the per-stage time + hot-path allocation "
                          "table from StepTimings after the run (a "
@@ -279,8 +232,6 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=5)
     ap.add_argument("--n", type=int, default=16, help="cells per side")
     args = ap.parse_args()
-    if args.balance != "none" and args.ranks <= 0:
-        ap.error("--balance requires --ranks N")
 
     dt = 1e-8  # the paper's 10 ns step
 

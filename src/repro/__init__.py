@@ -7,8 +7,7 @@ Subpackages
 ``chemistry``
     Detailed kinetics: 17-species/44-reaction LOX/CH4 mechanism,
     NASA-7 thermo, stiff BDF/Rosenbrock integrators, reactors,
-    the batched chemistry backends and the cell-migration mechanics
-    of the chemistry load balancer.
+    the batched chemistry backends.
 ``thermo``
     Peng-Robinson / SRK real-fluid EoS, departure functions,
     high-pressure transport.
@@ -30,8 +29,8 @@ Subpackages
     tabulation, ODENet and PRNet surrogates, inference engine.
 ``dist``
     Domain-decomposed execution: subdomains with halo layers, packed
-    halo exchange, distributed blocked Krylov, the decomposed solver,
-    dynamic chemistry load balancing across ranks.
+    halo exchange, distributed blocked Krylov, the decomposed solver
+    (each rank advances the chemistry of the cells it owns).
 ``runtime``
     Machine models of Sunway/Fugaku/LS, communication cost model,
     calibrated performance model, scaling drivers.

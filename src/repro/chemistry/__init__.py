@@ -18,7 +18,6 @@ from .reactor import (
     mixture_line,
     premixed_state,
 )
-from .redistribute import MigrationPlan, plan_migration
 from .species import Nasa7Poly, Species, fit_nasa7
 
 # Imported after the leaf modules: the backends subpackage reaches into
@@ -59,7 +58,6 @@ __all__ = [
     "ConstantPressureReactor",
     "KineticsEvaluator",
     "Mechanism",
-    "MigrationPlan",
     "Nasa7Poly",
     "Reaction",
     "ReactorKernel",
@@ -70,7 +68,6 @@ __all__ = [
     "fit_nasa7",
     "load_mechanism",
     "mixture_line",
-    "plan_migration",
     "premixed_state",
     "rodas3_batch",
 ]

@@ -7,7 +7,7 @@ A :class:`ChemistryBackend` advances the thermochemical state of a
 
 with ``Y`` of shape ``(n, n_species)``, ``T`` and ``p`` of shape
 ``(n,)`` (``p`` may be scalar) and a scalar ``dt``.  Everything the
-solver, the benchmarks and the load-balance instrumentation need is in
+solver, the benchmarks and the imbalance metrics need is in
 the returned :class:`BackendStats`: per-cell work, aggregate operation
 counts, how the batch was split into sub-batches, and (for composite
 backends) a per-backend breakdown.
@@ -88,25 +88,6 @@ class ChemistryBackend(ABC):
         dt: float,
     ) -> tuple[np.ndarray, np.ndarray, BackendStats]:
         """Advance every cell by ``dt``; returns ``(Y_new, T_new, stats)``."""
-
-    def work_estimate(
-        self,
-        y: np.ndarray,
-        t: np.ndarray,
-        p: np.ndarray | float,
-        dt: float,
-    ) -> np.ndarray:
-        """Cheap a-priori per-cell work estimate for one ``advance``.
-
-        Used by the chemistry load balancer to seed its EMA before any
-        work has been *measured* -- it must be far cheaper than the
-        advance itself and must not mutate thermochemical state.  The
-        base implementation assumes uniform cost (one unit per cell);
-        stiffness-aware backends override it with a graded estimate in
-        the same units as their ``work_per_cell`` counters.
-        """
-        y, t, p = self._as_batch(y, t, p, dt)
-        return np.ones(t.shape[0])
 
     # ----------------------------------------------------------------
     @staticmethod

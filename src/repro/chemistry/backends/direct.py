@@ -117,22 +117,6 @@ class DirectBatchBackend(ChemistryBackend):
         return self._stiffness(np.concatenate((t[:, None], y), axis=1),
                                p, dt)[0]
 
-    def work_estimate(self, y, t, p, dt) -> np.ndarray:
-        """A-priori per-cell work from one batched RHS evaluation:
-        :attr:`HEUN_WORK` for frozen cells, ``3 + 0.7 z`` RODAS3 steps
-        for active ones (fitted to the hot-spot cases: 3-5 steps at
-        z < 0.1, 1-4 below 1, 4-6 below 10, 20-28 below 100).  Same
-        units as the measured ``work_per_cell``, so the load balancer
-        can mix estimates and measurements in one EMA.
-        """
-        y, t, p = self._as_batch(y, t, p, dt)
-        if t.size == 0:
-            return np.zeros(0)
-        z = self.stiffness_indicator(y, t, p, dt)
-        steps = np.minimum(3.0 + 0.7 * z, self.MAX_STEPS)
-        return np.where(z < self.Z_FROZEN, self.HEUN_WORK,
-                        self.RODAS3_STEP_WORK * steps)
-
     # ------------------------------------------------------------------
     def advance(self, y, t, p, dt):
         """Advance the batch: frozen cells by one checked Heun step,

@@ -17,7 +17,7 @@ gate**:
   audit failures and buffered as OOD.
 
 The returned stats carry a per-backend breakdown plus the gate
-counters so the load-balance metrics in :mod:`repro.runtime` and the
+counters so the imbalance metrics in :mod:`repro.runtime` and the
 quickstart can price and report the split.
 """
 
@@ -175,29 +175,6 @@ class HybridBackend(ChemistryBackend):
         self._ood.clear()
         self._ood_size = 0
         return t, p, y
-
-    # ------------------------------------------------------------------
-    def work_estimate(self, y, t, p, dt) -> np.ndarray:
-        """Trust-gate-aware per-cell work estimate.
-
-        Pure-surrogate cells cost their inference FLOPs (plus the
-        expected pro-rata audit share of their direct price); domain-
-        gated-out and direct-routed cells cost the direct backend's
-        stiffness-based estimate — the pricing contract the chemistry
-        load balancer assumes.
-        """
-        y, t, p = self._as_batch(y, t, p, dt)
-        if t.size == 0:
-            return np.zeros(0)
-        mask, _ = self._split(y, t, p, dt)
-        est = self.direct.work_estimate(y, t, p, dt)
-        idx_s = np.flatnonzero(mask)
-        if idx_s.size:
-            audit = (self.audit_fraction
-                     if self.trust_gate == "domain+audit" else 0.0)
-            est[idx_s] = (self.surrogate.work_per_cell_estimate()
-                          + audit * est[idx_s])
-        return est
 
     def advance(self, y, t, p, dt):
         """Advance the batch through the trust-gated split.

@@ -5,8 +5,8 @@ Routes whole batches through the framework-free inference stack
 batch-size fast paths all apply.  Work per cell is uniform by
 construction — the DNN's structural fix for chemistry load imbalance —
 and is priced in *inference FLOPs* converted to the direct backend's
-work units, so composite backends and the chemistry load balancer can
-mix surrogate and integrator cells in one cost model.
+work units, so composite backends can mix surrogate and integrator
+cells in one cost model.
 """
 
 from __future__ import annotations
@@ -75,15 +75,10 @@ class SurrogateBackend(ChemistryBackend):
         """Uniform per-cell work in direct-backend units.
 
         Inference FLOPs per cell divided by
-        :data:`FLOPS_PER_WORK_UNIT` — the price composite backends and
-        the load balancer charge a pure-surrogate cell.
+        :data:`FLOPS_PER_WORK_UNIT` — the price composite backends
+        charge a pure-surrogate cell when no engine counts its FLOPs.
         """
         return self._flops_per_cell() / FLOPS_PER_WORK_UNIT
-
-    def work_estimate(self, y, t, p, dt) -> np.ndarray:
-        """Uniform FLOP-priced estimate (state-independent)."""
-        y, t, p = self._as_batch(y, t, p, dt)
-        return np.full(t.shape[0], self.work_per_cell_estimate())
 
     def advance(self, y, t, p, dt):
         """Advance the batch by one ODENet inference.

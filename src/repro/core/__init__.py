@@ -14,7 +14,6 @@ from .chemistry_source import (
 )
 from .deepflame import DeepFlameSolver, StepDiagnostics, StepTimings
 from .settings import (
-    BALANCE_MODES,
     CHEMISTRY_MODES,
     TRUST_GATE_MODES,
     SolverSettings,
@@ -29,7 +28,6 @@ from .properties import (
 )
 
 __all__ = [
-    "BALANCE_MODES",
     "BackendChemistry",
     "CHEMISTRY_MODES",
     "Case",

@@ -86,13 +86,13 @@ def build_hotspot_tgv_case(
 ) -> Case:
     """TGV with an igniting hot blob near one corner.
 
-    The stiffness-skewed workload of the chemistry load-balance tests
-    and bench: chemistry cost concentrates in the blob's cells (they
-    take tens of RODAS3 steps while the cold bulk stays frozen),
-    so a static domain decomposition cannot balance rank-level
-    chemistry work.  ``radius`` is the blob size as a fraction of the
-    normalized corner distance; remaining keywords go to
-    :func:`build_tgv_case`.
+    The stiffness-skewed chemistry workload (the ``hotspot_*``
+    benchmarks, the imbalance tests): chemistry cost concentrates in
+    the blob's cells (they take tens of RODAS3 steps while the cold
+    bulk stays frozen), so a static domain decomposition cannot
+    balance rank-level chemistry work.  ``radius`` is the blob size as
+    a fraction of the normalized corner distance; remaining keywords
+    go to :func:`build_tgv_case`.
     """
     case = build_tgv_case(n=n, mech=mech, **tgv_kwargs)
     c = case.mesh.cell_centres

@@ -229,31 +229,6 @@ class DeepFlameSolver:
                     self.y[cells], dt)
                 self.y[cells] = np.asarray(y_new, dtype=float)
 
-    def adopt_chemistry(self, y_new: np.ndarray, cells=slice(None),
-                        stats=None) -> None:
-        """Adopt an externally integrated chemistry result.
-
-        The decomposed driver's *balanced* chemistry stage
-        (:class:`repro.dist.ChemistryLoadBalancer`) may integrate some
-        of this rank's cells on other ranks; the scattered-back mass
-        fractions enter the solver here so every later stage is
-        oblivious to where chemistry actually ran.
-
-        Parameters
-        ----------
-        y_new:
-            Advanced mass fractions for ``cells``.
-        cells:
-            Row selector of the cells being adopted (all by default).
-        stats:
-            Optional :class:`~repro.chemistry.backends.BackendStats`
-            over the union batch this rank *executed*; refreshes the
-            chemistry adapter's diagnostic counters.
-        """
-        self.y[cells] = np.asarray(y_new, dtype=float)
-        if stats is not None and isinstance(self.chemistry, BackendChemistry):
-            self.chemistry.last_backend_stats = stats
-
     # -- assembly / finish stages ------------------------------------------
     def assemble_species_eqn(self, dt: float, rho_old: np.ndarray,
                              tm: StepTimings) -> CoupledTransportEquation:

@@ -3,7 +3,7 @@
 :class:`SolverSettings` is the whole configuration surface of one
 solver run (chemistry backend, corrector counts, two
 :class:`~repro.solvers.controls.SolverControls`, rank count,
-partitioner, balance mode, ...) as one typed, validated, serializable
+partition seed, ...) as one typed, validated, serializable
 value object, so that
 
 * a solver is constructed from one argument
@@ -40,7 +40,6 @@ from .chemistry_source import NoChemistry
 __all__ = [
     "SolverSettings",
     "CHEMISTRY_MODES",
-    "BALANCE_MODES",
     "KRYLOV_VARIANTS",
     "TRUST_GATE_MODES",
     "EXECUTION_MODES",
@@ -55,9 +54,6 @@ CHEMISTRY_MODES = ("none", "percell", "direct", "surrogate", "hybrid",
 #: accepted ``SolverSettings.trust_gate`` values (canonical enforcement
 #: lives in :class:`repro.chemistry.backends.HybridBackend`)
 TRUST_GATE_MODES = ("off", "domain", "domain+audit")
-#: accepted ``SolverSettings.balance_chemistry`` values (canonical home;
-#: ``repro.dist.balance`` re-exports this tuple)
-BALANCE_MODES = ("none", "static", "dynamic")
 #: accepted ``SolverSettings.execution`` values: ``"serial"`` executes
 #: decomposed ranks rank-by-rank in the driver process over
 #: :class:`~repro.runtime.comm.SimulatedComm`; ``"parallel"`` runs one
@@ -113,10 +109,6 @@ class SolverSettings:
         :class:`~repro.dist.DecomposedSolver` over that many ranks.
     partition_seed:
         Seed of the multilevel graph partitioner (decomposed path).
-    balance_chemistry:
-        Chemistry load balancing mode (decomposed path only).
-    balance_options:
-        Forwarded to the :class:`~repro.dist.ChemistryLoadBalancer`.
     krylov_variant:
         Krylov dispatch, serial and decomposed (one of
         :data:`repro.solvers.blocked.KRYLOV_VARIANTS`):
@@ -134,10 +126,9 @@ class SolverSettings:
         fabric -- bitwise and allocation-identical to the historical
         behaviour; ``"parallel"`` forks one worker process per rank
         and runs the identical SPMD step over the shared-memory fabric
-        (:mod:`repro.runtime.shm`) on real cores.  Chemistry load
-        balancing is driver-centric and therefore serial-only.
-        ``"parallel"`` is the one way chemistry uses more than one
-        core: each rank advances its own cells.
+        (:mod:`repro.runtime.shm`) on real cores.  ``"parallel"`` is
+        the one way chemistry uses more than one core: each rank
+        advances the cells it owns.
     """
 
     chemistry: str = "none"
@@ -151,8 +142,6 @@ class SolverSettings:
         default_factory=_default_pressure_controls)
     ranks: int = 0
     partition_seed: int = 0
-    balance_chemistry: str = "none"
-    balance_options: dict = field(default_factory=dict)
     krylov_variant: str = "synchronous"
     execution: str = "serial"
 
@@ -169,8 +158,6 @@ class SolverSettings:
         """Raise ``ValueError``/``TypeError`` on any invalid field."""
         _check_choice("chemistry", self.chemistry, CHEMISTRY_MODES)
         _check_choice("trust_gate", self.trust_gate, TRUST_GATE_MODES)
-        _check_choice("balance_chemistry", self.balance_chemistry,
-                      BALANCE_MODES)
         _check_choice("krylov_variant", self.krylov_variant,
                       KRYLOV_VARIANTS)
         _check_choice("execution", self.execution, EXECUTION_MODES)
@@ -184,17 +171,8 @@ class SolverSettings:
             if not isinstance(getattr(self, name), SolverControls):
                 raise TypeError(f"{name} must be a SolverControls "
                                 f"(got {getattr(self, name)!r})")
-        for name in ("chemistry_options", "balance_options"):
-            if not isinstance(getattr(self, name), dict):
-                raise TypeError(f"{name} must be a dict")
-        if self.balance_chemistry != "none" and self.ranks < 2:
-            raise ValueError(
-                "balance_chemistry requires a decomposed run (ranks >= 2)")
-        if self.execution == "parallel" \
-                and self.balance_chemistry != "none":
-            raise ValueError(
-                "balance_chemistry is driver-centric and runs under "
-                "execution='serial' only")
+        if not isinstance(self.chemistry_options, dict):
+            raise TypeError("chemistry_options must be a dict")
         return self
 
     @property

@@ -14,9 +14,9 @@ decomposition changes is passed in:
   equations as one system; returns one ``(n_owned, k)`` solution block
   per rank and one :class:`~repro.solvers.SolverResult` per column,
 * ``reduce(parts, op)`` -- combine a ``(hosted, m)`` array of per-rank
-  partials over *all* ranks into ``(m,)``,
-* ``chemistry(dt, tm)`` -- optionally, a collective chemistry stage
-  replacing the per-rank one (the load balancer).
+  partials over *all* ranks into ``(m,)``.
+
+Chemistry needs no hook: each rank advances the cells it owns.
 
 A serial solver hosts itself: one pair with ``cells=None`` (the branch
 every per-cell stage already has), a no-op ``refresh``, its one
@@ -143,13 +143,13 @@ class StepDiagnostics:
     solver_unconverged: int = 0
 
 
-def advance_step(hosted, dt: float, *, refresh, solve, reduce,
-                 chemistry=None) -> StepDiagnostics:
+def advance_step(hosted, dt: float, *, refresh, solve,
+                 reduce) -> StepDiagnostics:
     """Advance the hosted rank solvers by one ``dt`` (collectively).
 
     ``hosted`` lists ``(rank solver, cells)`` pairs: ``cells`` is the
     slice of the solver's owned rows, or ``None`` when every row is
-    owned.  See the module docstring for the four hooks.  Sets
+    owned.  See the module docstring for the three hooks.  Sets
     ``current_time`` / ``step_count`` / ``last_timings`` / ``last_diag``
     on every hosted solver and returns the (global) diagnostics.
     """
@@ -174,11 +174,8 @@ def advance_step(hosted, dt: float, *, refresh, solve, reduce,
         r.rho = r.props.rho.copy()
 
     # (2) chemistry on the owned rows only (never recomputed for ghosts)
-    if chemistry is not None:
-        chemistry(dt, tm)
-    else:
-        for r, cells in hosted:
-            r.stage_chemistry(dt, tm, cells=cells)
+    for r, cells in hosted:
+        r.stage_chemistry(dt, tm, cells=cells)
 
     # (3) scalar transport: one blocked solve, Y then h (unity Lewis)
     eqns = [r.assemble_species_eqn(dt, rho_old, tm)

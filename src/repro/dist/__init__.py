@@ -29,18 +29,13 @@ Layers:
   ``"overlapped"`` variant overlaps the ghost refresh with the
   interior matvec rows and runs the communication-avoiding solvers
   (pipelined PCG, fused-reduction PBiCGStab);
-* :mod:`.balance` -- :class:`ChemistryLoadBalancer`: migrates stiff
-  chemistry cells between ranks through packed, ledgered messages so
-  executed rank-level chemistry work stays balanced;
 * :mod:`.solver` -- :class:`DecomposedSolver`: drives one
   :class:`~repro.core.DeepFlameSolver` per rank through the shared
-  physics stages (``balance_chemistry="none"|"static"|"dynamic"``
-  selects the chemistry-balancing policy);
+  physics stages, chemistry on the rank that owns the cells;
 * :mod:`.spmd` -- ``ParallelExecutor``: forks one worker per rank,
   each stepping a :class:`DecomposedSolver` over a one-rank endpoint.
 """
 
-from .balance import BALANCE_MODES, BalanceReport, ChemistryLoadBalancer
 from .decompose import Decomposition, Subdomain
 from .halo import HaloExchanger, PendingRefresh
 from .krylov import KRYLOV_VARIANTS, DistributedSystem, solve_distributed
@@ -48,9 +43,6 @@ from .rank_operator import RankOperator
 from .solver import DecomposedSolver
 
 __all__ = [
-    "BALANCE_MODES",
-    "BalanceReport",
-    "ChemistryLoadBalancer",
     "DecomposedSolver",
     "Decomposition",
     "DistributedSystem",

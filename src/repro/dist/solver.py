@@ -12,12 +12,9 @@ cannot do alone --
   and the PISO ``1/A``), and
 * **distributed Krylov solves**: the per-rank equations become one
   global system (:class:`~repro.dist.krylov.DistributedSystem`) whose
-  matvecs halo-exchange and whose reductions allreduce, and
-* optionally, **chemistry load balancing**
-  (``balance_chemistry="static"|"dynamic"``): stiff cells migrate to
-  underloaded ranks through the same ledgered fabric before each
-  chemistry stage (:class:`~repro.dist.balance.ChemistryLoadBalancer`),
-  with :attr:`last_balance` reporting what moved.
+  matvecs halo-exchange and whose reductions allreduce.
+
+Chemistry needs neither: each rank advances the cells it owns.
 
 Because the local assemblies reproduce the owned rows of the global
 operators exactly (see :mod:`.decompose`), the decomposed step agrees
@@ -41,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.cases import Case
-from ..core.chemistry_source import BackendChemistry
 from ..core.deepflame import (
     FIELDS,
     STATE_ATTRS,
@@ -56,7 +52,6 @@ from ..fv.fields import VolField
 from ..runtime.comm import SimulatedComm
 from ..solvers.controls import SolverControls
 from ..solvers.workspace import KrylovWorkspace
-from .balance import BalanceReport, ChemistryLoadBalancer
 from .decompose import Decomposition
 from .halo import HaloExchanger
 from .krylov import DistributedSystem, solve_distributed
@@ -142,10 +137,9 @@ class DecomposedSolver:
                 case, self.decomp, settings, self.comm, properties,
                 chemistry)
         else:
-            # Rank solvers are serial solvers: the per-rank
-            # balance/decomposition fields are stripped.
-            rank_settings = settings.overlay(
-                ranks=0, balance_chemistry="none", balance_options={})
+            # Rank solvers are serial solvers: the rank count is
+            # stripped.
+            rank_settings = settings.overlay(ranks=0)
             # Without an injected backend each hosted rank builds its
             # own, as each parallel worker does: a stateful backend
             # (the hybrid audit counter) then advances identically
@@ -172,27 +166,11 @@ class DecomposedSolver:
                 r.rho[sub.n_owned:] = r.props.rho[sub.n_owned:]
                 r.phi = r._face_mass_flux()
 
-        self.balancer: ChemistryLoadBalancer | None = None
-        if settings.balance_chemistry != "none":
-            if len(self.subs) != self.decomp.nparts:
-                raise ValueError(
-                    "balance_chemistry plans over all ranks at once: the "
-                    "communicator must host every rank")
-            if not all(isinstance(r.chemistry, BackendChemistry)
-                       for r in self.ranks):
-                raise ValueError(
-                    "balance_chemistry requires a batched chemistry "
-                    "backend (got a non-backend chemistry adapter)")
-            self.balancer = ChemistryLoadBalancer(
-                self.decomp, self.comm, mode=settings.balance_chemistry,
-                **settings.balance_options)
-
         self.current_time = 0.0
         self.step_count = 0
         self.last_timings = StepTimings()
         self.last_diag: StepDiagnostics | None = None
         self.last_comm: dict | None = None
-        self.last_balance: BalanceReport | None = None
         #: per rank, the chemistry backend's stats of the last step
         self.last_backend_stats: list = []
 
@@ -221,9 +199,6 @@ class DecomposedSolver:
                                        workspace=self._krylov_workspace)
         return [x[sl] for sl in self._system.slices], results
 
-    def _balanced_chemistry(self, dt: float, tm: StepTimings) -> None:
-        self.last_balance = self.balancer.advance(self.ranks, dt, tm)
-
     # -- one time step ---------------------------------------------------
     def step(self, dt: float) -> StepDiagnostics:
         """Advance the hosted ranks by one dt (collectively)."""
@@ -234,8 +209,7 @@ class DecomposedSolver:
         diag = advance_step(
             [(r, s.owned) for r, s in zip(self.ranks, self.subs)], dt,
             refresh=self.exchanger.refresh, solve=self._solve,
-            reduce=self.comm.allreduce,
-            chemistry=self._balanced_chemistry if self.balancer else None)
+            reduce=self.comm.allreduce)
         self.current_time = diag.time
         self.step_count = diag.step
         self.last_timings = self.ranks[0].last_timings
@@ -297,9 +271,9 @@ class DecomposedSolver:
 
         Under ``execution="parallel"`` one pool broadcast collects the
         per-rank dicts.  Beyond what a rank snapshot leaves out,
-        ``last_comm``, ``last_balance``, ``last_backend_stats`` and the
-        load balancer's history are not captured: restore + step is
-        bitwise only with ``balance_chemistry="none"``.
+        ``last_comm`` and ``last_backend_stats`` are not captured;
+        neither feeds a step, so restore + step is bitwise under the
+        same chemistry condition as a rank's (``none`` or ``direct``).
         """
         snap = {"ranks": self._each_rank("state_snapshot")}
         snap.update((k, getattr(self, k)) for k in STATE_ATTRS)

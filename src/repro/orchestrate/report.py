@@ -7,8 +7,8 @@ chemistry work in the backend stats, port traffic in the fabric's
 instance via ``by_src``), and a decomposed instance's internal
 halo/allreduce traffic in its private sub-fabric ledger.  This module
 aggregates those sources into one report: a per-instance cost table,
-ensemble-level imbalance figures (the same max/mean - 1 statistic the
-chemistry balancer optimizes), and an alpha-beta price of all measured
+ensemble-level imbalance figures (max/mean - 1 over the instances),
+and an alpha-beta price of all measured
 traffic on any :class:`~repro.runtime.machine.MachineSpec`.
 """
 

@@ -16,7 +16,6 @@ from .comm import (
 from .load_balance import (
     chemistry_balance_report,
     per_rank_imbalance,
-    price_balance_report,
     price_comm_totals,
     rank_imbalance,
     work_imbalance,
@@ -68,7 +67,6 @@ __all__ = [
     "hash_uniform",
     "overlapped_phase_time",
     "per_rank_imbalance",
-    "price_balance_report",
     "price_comm_totals",
     "rank_imbalance",
     "strong_scaling",

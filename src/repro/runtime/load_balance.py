@@ -27,7 +27,6 @@ __all__ = [
     "per_rank_imbalance",
     "chemistry_balance_report",
     "workload_with_chemistry",
-    "price_balance_report",
     "price_comm_totals",
 ]
 
@@ -64,9 +63,9 @@ def per_rank_imbalance(work_per_rank: np.ndarray) -> float:
     """max/mean - 1 of already-aggregated per-rank work totals.
 
     The *executed* counterpart of :func:`rank_imbalance`: instead of
-    predicting what a static ownership map would cost, it scores the
-    per-rank totals a :class:`~repro.dist.BalanceReport` measured after
-    cell migration.
+    predicting what a static ownership map would cost, it scores
+    measured per-rank totals (the per-instance wall and chemistry work
+    of an :class:`~repro.orchestrate.EnsembleCostReport`).
     """
     per_rank = np.asarray(work_per_rank, dtype=float)
     if per_rank.size == 0 or per_rank.mean() <= 0:
@@ -78,8 +77,8 @@ def price_comm_totals(machine, totals: dict, n_ranks: int) -> dict:
     """Alpha-beta price of a measured traffic total.
 
     ``totals`` is a ``CommLedger.totals()``-shaped dict (``messages``,
-    ``bytes``, ``allreduces``, ``allreduce_bytes``) -- a per-step delta,
-    a balance report, or an ensemble fabric's lifetime total.  Returns
+    ``bytes``, ``allreduces``, ``allreduce_bytes``) -- a per-step delta
+    or an ensemble fabric's lifetime total.  Returns
     ``{"exchange_s", "allreduce_s", "total_s"}`` charged to
     ``machine``'s fabric exactly as the executed strong-scaling bench
     prices halo traffic.
@@ -98,25 +97,6 @@ def price_comm_totals(machine, totals: dict, n_ranks: int) -> dict:
             totals["allreduce_bytes"] / totals["allreduces"])
     return {"exchange_s": t_xc, "allreduce_s": t_ar,
             "total_s": t_xc + t_ar}
-
-
-def price_balance_report(machine, report, n_ranks: int) -> dict:
-    """Alpha-beta price of one balanced chemistry stage's traffic.
-
-    Charges the *measured* migration messages/bytes and the work-total
-    allreduce of a :class:`~repro.dist.BalanceReport` to ``machine``'s
-    fabric via :func:`price_comm_totals`.  Returns
-    ``{"migration_s", "allreduce_s", "total_s"}``.
-    """
-    priced = price_comm_totals(
-        machine,
-        {"messages": report.messages, "bytes": report.bytes_sent,
-         "allreduces": report.allreduces,
-         "allreduce_bytes": report.allreduce_bytes},
-        n_ranks)
-    return {"migration_s": priced["exchange_s"],
-            "allreduce_s": priced["allreduce_s"],
-            "total_s": priced["total_s"]}
 
 
 def chemistry_balance_report(stats) -> dict:

@@ -24,6 +24,8 @@ from repro.chemistry import (
 )
 from repro.runtime import (
     chemistry_balance_report,
+    per_rank_imbalance,
+    price_comm_totals,
     rank_imbalance,
     work_imbalance,
     workload_with_chemistry,
@@ -275,15 +277,15 @@ class TestDirectBatch:
             assert not hasattr(db, name), name
 
     def test_frozen_batch_is_all_heun(self, mech):
-        """An inert batch takes only the frozen path, and its a-priori
-        work estimate is what the advance measures."""
+        """An inert batch takes only the frozen path, and every row's
+        measured work is one Heun pair."""
         t, y = mixture_line(mech, 6, PRESSURE)  # 150-300 K: inert
         db = DirectBatchBackend(mech)
         _, _, st = db.advance(y, t, PRESSURE, 1e-7)
         labels = {label for label, cells, _ in st.sub_batches if cells}
         assert labels == {"heun"}
         np.testing.assert_array_equal(
-            db.work_estimate(y, t, PRESSURE, 1e-7), st.work_per_cell)
+            st.work_per_cell, np.full(6, DirectBatchBackend.HEUN_WORK))
 
     def test_frozen_cells_within_rodas3_weights(self, mech):
         """Frozen cells carrying trace radicals (non-zero rates, every
@@ -479,6 +481,18 @@ class TestSurrogateBackend:
         np.testing.assert_allclose(y_new.sum(axis=1), 1.0, atol=1e-12)
         assert y_new.min() >= 0.0
 
+    def test_rows_priced_at_the_estimate(self, mech, quick_odenet):
+        """Without an engine counting FLOPs every row costs exactly
+        ``work_per_cell_estimate()``: the price a hybrid charges its
+        surrogate rows."""
+        t, y = mixture_line(mech, 5, PRESSURE)
+        sb = SurrogateBackend(quick_odenet)
+        assert sb.engine is None
+        _, _, st = sb.advance(y, t + 800.0, PRESSURE, 1e-7)
+        np.testing.assert_array_equal(
+            st.work_per_cell, np.full(5, sb.work_per_cell_estimate()))
+        assert st.total_work == pytest.approx(5 * sb.work_per_cell_estimate())
+
 
 class TestHybridBackend:
     def _hybrid(self, mech, quick_odenet, **kw):
@@ -609,6 +623,40 @@ class TestLoadBalanceMetrics:
         # an owner map that interleaves them balances the work
         owner = np.array([0, 1, 0, 1, 0, 1, 0, 1])
         assert rank_imbalance(w, 2, owner=owner) == 0.0
+
+    def test_per_rank_imbalance_totals(self):
+        """Executed per-rank totals score as max/mean - 1, and the
+        totals of an ownership map score as :func:`rank_imbalance`
+        predicts for it."""
+        assert per_rank_imbalance([5.0, 5.0, 5.0]) == 0.0
+        assert per_rank_imbalance([1.0, 1.0, 4.0]) == pytest.approx(1.0)
+        assert per_rank_imbalance([]) == 0.0
+        assert per_rank_imbalance(np.zeros(4)) == 0.0
+        w = np.array([1.0, 1.0, 1.0, 1.0, 9.0, 9.0, 9.0, 9.0])
+        owner = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+        totals = np.bincount(owner, weights=w)
+        assert per_rank_imbalance(totals) == pytest.approx(
+            rank_imbalance(w, 4, owner=owner))
+
+    def test_price_comm_totals(self):
+        """A ledger total prices as its per-rank halo exchanges plus
+        its allreduces on the machine's fabric; no traffic is free."""
+        from repro.runtime import SUNWAY, allreduce_time, halo_exchange_time
+
+        zero = {"messages": 0, "bytes": 0, "allreduces": 0,
+                "allreduce_bytes": 0}
+        assert price_comm_totals(SUNWAY, zero, 4) == {
+            "exchange_s": 0.0, "allreduce_s": 0.0, "total_s": 0.0}
+        totals = {"messages": 24, "bytes": 24 * 800, "allreduces": 5,
+                  "allreduce_bytes": 5 * 16}
+        priced = price_comm_totals(SUNWAY, totals, 4)
+        assert priced["exchange_s"] == pytest.approx(
+            halo_exchange_time(SUNWAY, 6.0, 800.0))
+        assert priced["allreduce_s"] == pytest.approx(
+            5 * allreduce_time(SUNWAY, 4, 16.0))
+        assert priced["exchange_s"] > 0.0 and priced["allreduce_s"] > 0.0
+        assert priced["total_s"] == pytest.approx(
+            priced["exchange_s"] + priced["allreduce_s"])
 
     def test_balance_report_and_workload(self, mech, quick_odenet):
         hb = HybridBackend(SurrogateBackend(quick_odenet),

@@ -417,3 +417,119 @@ class TestGhostRows:
         for name, want in clean.items():
             assert np.isfinite(want).all(), name
             assert np.array_equal(poisoned[name], want), name
+
+
+class TestChemistryOnOwningRank:
+    """Each rank advances the chemistry of the cells it owns: no cell
+    migrates, no message is sent, and the stiffness skew of a hot spot
+    is measured per rank rather than moved."""
+
+    DT = 1e-7
+
+    @staticmethod
+    def _case(mech):
+        from repro.core.cases import build_hotspot_tgv_case
+
+        return build_hotspot_tgv_case(n=6, mech=mech)
+
+    def _dist(self, mech, ranks, execution="serial"):
+        return DecomposedSolver(
+            self._case(mech),
+            SolverSettings(ranks=ranks, chemistry="direct",
+                           execution=execution, **TIGHT),
+            properties=IdealGasProperties(mech))
+
+    def _serial(self, mech):
+        return DeepFlameSolver(
+            self._case(mech), SolverSettings(chemistry="direct", **TIGHT),
+            properties=IdealGasProperties(mech))
+
+    @pytest.mark.parametrize("ranks, execution", [
+        (2, "serial"), (4, "serial"), (2, "parallel")])
+    def test_matches_serial_with_live_chemistry(self, mech, ranks,
+                                                execution):
+        """3 hot-spot steps with direct chemistry agree with the serial
+        solver <= 1e-8, driver-stepped and on worker processes."""
+        serial = self._serial(mech)
+        serial.run(3, self.DT)
+        with self._dist(mech, ranks, execution) as dist:
+            dist.run(3, self.DT)
+            diffs = TestDecomposedSolver()._max_diffs(dist, serial)
+        assert all(d <= 1e-8 for d in diffs.values()), diffs
+
+    @pytest.mark.parametrize("ranks, execution", [
+        (2, "serial"), (4, "serial"), (2, "parallel")])
+    def test_each_rank_advances_its_owned_cells(self, mech, ranks,
+                                                execution):
+        """Every rank's chemistry batch is exactly its owned rows."""
+        with self._dist(mech, ranks, execution) as dist:
+            dist.step(self.DT)
+            stats = dist.last_backend_stats
+            assert [st.n_cells for st in stats] \
+                == [sub.n_owned for sub in dist.subs]
+        assert sum(st.n_cells for st in stats) == 6 ** 3
+
+    @pytest.mark.parametrize("ranks", [2, 4])
+    def test_chemistry_stage_sends_nothing(self, mech, ranks):
+        """The chemistry stage adds no message, byte or allreduce to
+        the ledger."""
+        dist = self._dist(mech, ranks)
+        led = dist.comm.ledger
+        deltas = []
+
+        def ledgered(method):
+            def wrapped(*args, **kwargs):
+                before = led.totals()
+                out = method(*args, **kwargs)
+                deltas.append(led.delta(before))
+                return out
+            return wrapped
+
+        for r in dist.ranks:
+            r.stage_chemistry = ledgered(r.stage_chemistry)
+        dist.run(2, self.DT)
+        assert len(deltas) == 2 * ranks
+        assert all(not any(d.values()) for d in deltas), deltas
+
+    @pytest.mark.parametrize("ranks", [2, 4])
+    def test_rank_work_is_its_cells_serial_work(self, mech, ranks):
+        """Each rank's measured per-cell work is the serial step's work
+        of the same cells, so the per-rank imbalance is the static
+        decomposition's: measured, not corrected."""
+        from repro.runtime import per_rank_imbalance, rank_imbalance
+
+        serial = self._serial(mech)
+        serial.step(self.DT)
+        w = serial.chemistry.last_backend_stats.work_per_cell
+        dist = self._dist(mech, ranks)
+        dist.step(self.DT)
+        owner = np.empty(w.size, dtype=int)
+        for st, sub in zip(dist.last_backend_stats, dist.subs):
+            np.testing.assert_array_equal(st.work_per_cell,
+                                          w[sub.owned_global])
+            owner[sub.owned_global] = sub.rank
+        executed = per_rank_imbalance(
+            [st.total_work for st in dist.last_backend_stats])
+        assert executed == pytest.approx(rank_imbalance(w, ranks, owner))
+        assert executed > 0.1
+
+    def test_restore_then_step_is_bitwise(self, mech):
+        """On 4 ranks whose chemistry work is skewed, a restored
+        snapshot steps to bitwise the same fields and ledgers: the
+        chemistry stage keeps no state between steps."""
+        from repro.core.deepflame import FIELDS
+
+        dist = self._dist(mech, 4)
+        dist.step(self.DT)
+        snap = dist.state_snapshot()
+        comms = []
+        for _ in range(2):
+            dist.step(self.DT)
+            comms.append(dist.last_comm)
+        ref = {name: dist.gather(name) for name in FIELDS}
+        dist.restore_state(snap)
+        for comm in comms:
+            dist.step(self.DT)
+            assert dist.last_comm == comm
+        for name in FIELDS:
+            np.testing.assert_array_equal(dist.gather(name), ref[name], name)

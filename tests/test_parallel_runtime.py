@@ -774,11 +774,6 @@ class TestSpmdParity:
         assert solver._parallel is None
         assert solver.ranks  # per-rank solvers exist as before
 
-    def test_parallel_refuses_chemistry_balancing(self):
-        with pytest.raises(ValueError, match="driver-centric"):
-            SolverSettings(ranks=2, execution="parallel",
-                           balance_chemistry="dynamic")
-
 
 
 class TestWrittenOnce:

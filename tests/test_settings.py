@@ -8,11 +8,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import repro.chemistry
 import repro.core
 import repro.core.settings
-from repro.chemistry.backends import DirectBatchBackend, PerCellBDFBackend
+import repro.dist
+import repro.runtime
+from repro.chemistry.backends import (
+    ChemistryBackend,
+    DirectBatchBackend,
+    HybridBackend,
+    PerCellBDFBackend,
+    SurrogateBackend,
+)
 from repro.core import (
-    BALANCE_MODES,
     DeepFlameSolver,
     NoChemistry,
     SolverSettings,
@@ -23,6 +31,7 @@ from repro.core import (
 )
 from repro.core.chemistry_source import BackendChemistry
 from repro.core.settings import EXECUTION_MODES, KRYLOV_VARIANTS
+from repro.core.step import advance_step
 from repro.dist import DecomposedSolver
 from repro.solvers import SolverControls
 
@@ -43,7 +52,7 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("chemistry", "magic"),
         ("krylov_variant", "voronoi"),
-        ("balance_chemistry", "always"),
+        ("execution", "threads"),
         ("ranks", -1),
         ("n_correctors", 0),
         ("n_correctors", 2.5),
@@ -56,11 +65,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             SolverSettings(**{field: value})
 
-    def test_balance_requires_ranks(self):
-        with pytest.raises(ValueError):
-            SolverSettings(balance_chemistry="dynamic")
-        SolverSettings(balance_chemistry="dynamic", ranks=2)  # fine
-
     def test_controls_coerced_from_dict(self):
         s = SolverSettings(scalar_controls={"tolerance": 1e-11})
         assert isinstance(s.scalar_controls, SolverControls)
@@ -70,7 +74,6 @@ class TestValidation:
         a, b = SolverSettings(), SolverSettings()
         assert a.scalar_controls is not b.scalar_controls
         assert a.chemistry_options is not b.chemistry_options
-        assert a.balance_options is not b.balance_options
 
 
 class TestOverlayRoundtrip:
@@ -98,7 +101,7 @@ class TestOverlayRoundtrip:
     def test_dict_roundtrip(self):
         s = SolverSettings(chemistry="direct", ranks=3, partition_seed=7,
                            scalar_controls={"tolerance": 1e-10},
-                           balance_chemistry="static", n_correctors=3)
+                           krylov_variant="overlapped", n_correctors=3)
         d = s.to_dict()
         assert d["scalar_controls"]["tolerance"] == 1e-10
         assert SolverSettings.from_dict(d) == s
@@ -162,7 +165,7 @@ class TestOneSurface:
     configuration surface, and the superseded spellings are gone."""
 
     def test_field_count(self):
-        assert len(fields(SolverSettings)) == 13
+        assert len(fields(SolverSettings)) == 11
 
     def test_constructor_signatures(self):
         def surface(cls):
@@ -187,7 +190,9 @@ class TestOneSurface:
     def test_removed_field_is_an_unknown_field(self):
         for name, value in (("transport", "coupled"), ("overlap_halo", True),
                             ("partition_method", "multilevel"),
-                            ("chemistry_workers", 2)):
+                            ("chemistry_workers", 2),
+                            ("balance_chemistry", "dynamic"),
+                            ("balance_options", {"ema": 0.5})):
             d = SolverSettings().to_dict()
             d[name] = value
             with pytest.raises(KeyError, match=name):
@@ -198,11 +203,35 @@ class TestOneSurface:
     @pytest.mark.parametrize("name", [
         "resolve_settings", "TRANSPORT_MODES", "DirectChemistry",
         "BatchedChemistry", "ODENetChemistry", "HybridChemistry",
-        "PARTITION_METHODS"])
+        "PARTITION_METHODS", "BALANCE_MODES", "BalanceReport",
+        "ChemistryLoadBalancer", "MigrationPlan", "plan_migration",
+        "price_balance_report"])
     def test_removed_names_not_exported(self, name):
-        for module in (repro.core, repro.core.settings):
+        for module in (repro.core, repro.core.settings, repro.dist,
+                       repro.chemistry, repro.runtime):
             assert not hasattr(module, name)
             assert name not in module.__all__
+
+    @pytest.mark.parametrize("name", [
+        "balancer", "last_balance", "_balanced_chemistry",
+        "adopt_chemistry"])
+    def test_removed_solver_attribute(self, mech, name):
+        """Neither solver carries a balancer, its report or the hook
+        that wrote migrated results back into a rank."""
+        dist = DecomposedSolver(build_tgv_case(n=4, mech=mech),
+                                SolverSettings(ranks=2))
+        assert not hasattr(dist, name)
+        assert not hasattr(dist.ranks[0], name)
+
+    def test_step_takes_three_hooks(self):
+        """Chemistry runs on the rank that owns its cells: the step
+        has no chemistry hook, and no backend prices cells a priori
+        (the measured ``work_per_cell`` counters stay)."""
+        assert list(inspect.signature(advance_step).parameters) == [
+            "hosted", "dt", "refresh", "solve", "reduce"]
+        for cls in (ChemistryBackend, DirectBatchBackend,
+                    PerCellBDFBackend, SurrogateBackend, HybridBackend):
+            assert not hasattr(cls, "work_estimate"), cls.__name__
 
 
 class TestBuilders:
@@ -270,8 +299,7 @@ class TestBuilders:
 
     @pytest.mark.parametrize("field, value", [
         (field, value)
-        for field, choices in (("balance_chemistry", BALANCE_MODES),
-                               ("krylov_variant", KRYLOV_VARIANTS),
+        for field, choices in (("krylov_variant", KRYLOV_VARIANTS),
                                ("execution", EXECUTION_MODES))
         for value in choices])
     def test_every_accepted_choice_builds(self, mech, field, value):

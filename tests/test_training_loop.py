@@ -275,8 +275,12 @@ class TestTrustGate:
         assert st.gate["audit_failures"] == 16
         assert hb.ood_size == 16
 
-    def test_work_estimate_prices_the_split(self, mech, trained_net,
+    def test_work_per_cell_prices_the_split(self, mech, trained_net,
                                             hotspot_set):
+        """The measured ``work_per_cell`` of an advance (what
+        ``chemistry.work_imbalance`` reads) prices surrogate rows at
+        the surrogate's FLOP price and every other row at the direct
+        backend's measured work for the same rows."""
         hb = self._hybrid(mech, trained_net, trust_gate="domain")
         ts = hotspot_set
         y = np.vstack([ts.y[:4], np.tile(1.0 / mech.n_species,
@@ -284,12 +288,14 @@ class TestTrustGate:
         t = np.concatenate([ts.t[:4], [2900.0, 2950.0]])
         p = np.full(6, PRESSURE)
         mask = hb.split_mask(y, t, p, ts.dt)
-        est = hb.work_estimate(y, t, p, ts.dt)
-        direct_est = hb.direct.work_estimate(y, t, p, ts.dt)
+        assert mask.any() and not mask.all()
+        _, _, st = hb.advance(y, t, p, ts.dt)
+        _, _, st_d = hb.direct.advance(y[~mask], t[~mask], p[~mask], ts.dt)
         np.testing.assert_allclose(
-            est[mask], hb.surrogate.work_per_cell_estimate())
-        np.testing.assert_array_equal(est[~mask], direct_est[~mask])
-        assert est[mask].max() < est[~mask].min()
+            st.work_per_cell[mask], hb.surrogate.work_per_cell_estimate())
+        np.testing.assert_array_equal(st.work_per_cell[~mask],
+                                      st_d.work_per_cell)
+        assert st.work_per_cell[mask].max() < st.work_per_cell[~mask].min()
 
 
 class TestIncrementalRetraining:
