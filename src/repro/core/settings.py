@@ -126,9 +126,9 @@ class SolverSettings:
         fabric -- bitwise and allocation-identical to the historical
         behaviour; ``"parallel"`` forks one worker process per rank
         and runs the identical SPMD step over the shared-memory fabric
-        (:mod:`repro.runtime.shm`) on real cores.  ``"parallel"`` is
-        the one way chemistry uses more than one core: each rank
-        advances the cells it owns.
+        (:mod:`repro.runtime.shm`) on real cores; it requires
+        ``ranks >= 2``.  ``"parallel"`` is the one way chemistry uses
+        more than one core: each rank advances the cells it owns.
     """
 
     chemistry: str = "none"
@@ -164,6 +164,9 @@ class SolverSettings:
         _check_int("ranks", self.ranks, 0)
         _check_int("n_correctors", self.n_correctors, 1)
         _check_int("partition_seed", self.partition_seed)
+        if self.execution == "parallel" and self.ranks < 2:
+            raise ValueError(f"execution='parallel' requires ranks >= 2 "
+                             f"(got ranks={self.ranks})")
         if not isinstance(self.solve_momentum, bool):
             raise ValueError(f"solve_momentum must be True or False "
                              f"(got {self.solve_momentum!r})")

@@ -6,9 +6,14 @@ algorithm family from scratch:
 
 1. **Coarsening** by heavy-edge matching until the graph is small,
 2. **Initial bisection** by greedy region growth from a peripheral
-   vertex (balanced by vertex weight),
-3. **Uncoarsening with Fiduccia-Mattheyses (FM) refinement**: gain-
-   ordered boundary moves under a balance constraint,
+   vertex (balanced by vertex weight); the coarsest graph is small, so
+   the best of ``_INITIAL_TRIES`` refined growths from seeded random
+   starts is kept,
+3. **Uncoarsening with Fiduccia-Mattheyses (FM) refinement** of the
+   boundary vertices only: gain-ordered moves under a balance
+   constraint, each pass ending after ``_FM_STALL`` moves without a
+   new best cut (as METIS does) and rolling back to its best prefix, so
+   a level costs what its partition boundary costs, not its size,
 4. **Recursion** to arbitrary part counts with proportional weight
    targets.
 
@@ -28,6 +33,13 @@ __all__ = ["bisect_graph", "partition_weighted", "fm_refine"]
 
 _COARSE_TARGET = 64
 _FM_PASSES = 4
+#: moves in a row without a new best prefix that end an FM pass.  A
+#: wavy cut of a 32^3 periodic box needs long runs of zero-gain moves
+#: to flatten: a limit of 100 left 7-8 % more cut faces there (2 and 4
+#: parts, seeds 0-2) than 1000 does
+_FM_STALL = 1000
+#: initial bisections of the coarsest graph; the least cut one is kept
+_INITIAL_TRIES = 4
 
 
 def _matching(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
@@ -135,48 +147,51 @@ def fm_refine(
     imbalance: float = 0.02,
     passes: int = _FM_PASSES,
 ) -> np.ndarray:
-    """Fiduccia-Mattheyses bisection refinement.
+    """Boundary Fiduccia-Mattheyses bisection refinement.
 
-    Repeatedly moves the highest-gain movable boundary vertex (gain =
-    cut-weight reduction), keeping part weights within ``imbalance`` of
-    their targets; each pass commits the best prefix of moves.
+    Repeatedly moves the highest-gain movable vertex (gain = cut-weight
+    reduction), keeping part weights within ``imbalance`` of their
+    targets.  A pass starts from the boundary vertices only; a vertex
+    joins the queue when a neighbour moves.  It ends once ``_FM_STALL``
+    moves in a row found no new best prefix, and commits the best one.
     """
-    n = adj.shape[0]
-    side = side.copy()
     total = vwgt.sum()
     targets = np.array([target_frac * total, (1 - target_frac) * total])
-    lo = targets * (1 - imbalance) - vwgt.max()
-    hi = targets * (1 + imbalance) + vwgt.max()
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    lo = (targets * (1 - imbalance) - vwgt.max()).tolist()
+    hi = (targets * (1 + imbalance) + vwgt.max()).tolist()
+    degree = np.asarray(adj.sum(axis=1)).ravel()
+    # the move loop runs on Python lists: numpy scalar access is slower
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    data, wgt = adj.data.tolist(), vwgt.tolist()
+    side = np.array(side, dtype=np.int64)
 
     for _ in range(passes):
-        # external - internal connectivity per vertex
-        gains = np.zeros(n)
-        for v in range(n):
-            for k in range(indptr[v], indptr[v + 1]):
-                gains[v] += data[k] if side[indices[k]] != side[v] else -data[k]
-        weights = np.array([vwgt[side == 0].sum(), vwgt[side == 1].sum()])
-        heap = [(-gains[v], v) for v in range(n) if gains[v] > -np.inf]
+        # gain = external - internal connectivity = 2 external - degree
+        to_one = adj @ (side == 1).astype(float)
+        external = np.where(side == 1, degree - to_one, to_one)
+        gains = 2.0 * external - degree
+        boundary = np.flatnonzero(external > 0)
+        heap = list(zip((-gains[boundary]).tolist(), boundary.tolist()))
         heapq.heapify(heap)
-        locked = np.zeros(n, dtype=bool)
+        gains = gains.tolist()
+        weights = np.bincount(side, weights=vwgt, minlength=2).tolist()
+        part = side.tolist()
+        locked = bytearray(len(part))
         moves: list[int] = []
         cum_gain, best_gain, best_idx = 0.0, 0.0, -1
-        stale = dict(enumerate(gains))
 
-        while heap:
+        while heap and len(moves) - best_idx <= _FM_STALL:
             g, v = heapq.heappop(heap)
             g = -g
-            if locked[v] or g != stale[v]:
+            if locked[v] or g != gains[v]:
                 continue
-            s = side[v]
-            if not (weights[s] - vwgt[v] >= lo[s] and weights[1 - s] + vwgt[v] <= hi[1 - s]):
-                locked[v] = True
+            locked[v] = 1
+            s, w = part[v], wgt[v]
+            if not (weights[s] - w >= lo[s] and weights[1 - s] + w <= hi[1 - s]):
                 continue
-            # commit tentative move
-            locked[v] = True
-            side[v] = 1 - s
-            weights[s] -= vwgt[v]
-            weights[1 - s] += vwgt[v]
+            part[v] = 1 - s
+            weights[s] -= w
+            weights[1 - s] += w
             cum_gain += g
             moves.append(v)
             if cum_gain > best_gain + 1e-12:
@@ -185,18 +200,21 @@ def fm_refine(
                 u = indices[k]
                 if locked[u]:
                     continue
-                # v now sits on side[v] (its new side): the (u, v) edge
-                # became internal for same-side neighbours (their gain
-                # drops by 2w) and external for the others (+2w).
-                delta = -2 * data[k] if side[u] == side[v] else 2 * data[k]
-                stale[u] += delta
-                heapq.heappush(heap, (-stale[u], u))
-        # roll back past the best prefix
-        for v in moves[best_idx + 1:]:
-            side[v] = 1 - side[v]
+                # v left side s: the (u, v) edge became external for
+                # u on side s (gain +2w) and internal otherwise (-2w).
+                gains[u] += 2 * data[k] if part[u] == s else -2 * data[k]
+                heapq.heappush(heap, (-gains[u], u))
+        # commit the best prefix: the moves after it roll back
+        side = np.array(part, dtype=np.int64)
+        side[moves[best_idx + 1:]] ^= 1
         if best_gain <= 1e-12:
             break
     return side
+
+
+def _cut_weight(adj: sp.csr_matrix, side: np.ndarray) -> float:
+    one = (side == 1).astype(float)
+    return float((1.0 - one) @ (adj @ one))
 
 
 def bisect_graph(
@@ -220,8 +238,12 @@ def bisect_graph(
         levels.append(mapping)
         adjs.append(coarse)
         wgts.append(cw)
-    side = _initial_bisection(adjs[-1], wgts[-1], target_frac, rng)
-    side = fm_refine(adjs[-1], wgts[-1], side, target_frac)
+    # best of a few refined region growths on the (small) coarsest graph
+    coarse, cw = adjs[-1], wgts[-1]
+    trials = [fm_refine(coarse, cw, _initial_bisection(
+        coarse, cw, target_frac, rng), target_frac)
+        for _ in range(_INITIAL_TRIES)]
+    side = min(trials, key=lambda t: _cut_weight(coarse, t))
     for mapping, a, w in zip(reversed(levels), reversed(adjs[:-1]), reversed(wgts[:-1])):
         side = side[mapping]
         side = fm_refine(a, w, side, target_frac)

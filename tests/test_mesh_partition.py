@@ -1,5 +1,7 @@
 """Unit tests: meshes, graphs, renumbering, refinement, partitioning."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,12 @@ from repro.mesh import (
 from repro.mesh.unstructured import UnstructuredMesh
 from repro.partition import (
     balance_stats,
+    bisect_graph,
     block_occupancy,
     decompose_two_level,
     edge_cut,
+    fm_refine,
+    graph_to_csr,
     offdiag_fraction,
     partition_graph,
 )
@@ -287,6 +292,85 @@ class TestPartition:
                                  partition_graph(rocket_graph, 16,
                                                  method="random"))
         assert occ_ml < occ_rd
+
+
+def _periodic_box_graph(n):
+    """Cell graph of the ``n^3`` triply periodic TGV box, plus the
+    ``z`` coordinate of each cell centre."""
+    mesh = build_box_mesh(n, n, n, periodic=(True, True, True))
+    return cell_graph_from_mesh(mesh), mesh.cell_centres[:, 2]
+
+
+class TestRefinement:
+    """Boundary FM refinement: never worse, balanced, bounded work."""
+
+    @staticmethod
+    def _inputs(rocket_graph):
+        """Balanced starting bisections: random halves of the rocket
+        graph and of the periodic box, and a wavy plane cut."""
+        rng = np.random.default_rng(0)
+        box, z = _periodic_box_graph(12)
+        wavy = (z + 0.05 * np.sin(40.0 * np.arange(z.size)) > 0.5)
+        out = [(box, wavy.astype(np.int64))]
+        for g in (rocket_graph, box):
+            for _ in range(2):
+                half = rng.permutation(g.n_vertices) < g.n_vertices // 2
+                out.append((g, half.astype(np.int64)))
+        return out
+
+    def test_never_raises_cut_and_keeps_balance(self, rocket_graph):
+        for graph, side in self._inputs(rocket_graph):
+            adj = graph_to_csr(graph)
+            vwgt = graph.vertex_weights
+            before = side.copy()
+            for frac, imbalance in ((0.5, 0.02), (0.5, 0.1)):
+                out = fm_refine(adj, vwgt, side, frac, imbalance)
+                np.testing.assert_array_equal(side, before)
+                assert edge_cut(graph, out) <= edge_cut(graph, side)
+                total = vwgt.sum()
+                slack = vwgt.max()
+                for s, target in ((0, frac * total), (1, (1 - frac) * total)):
+                    w = vwgt[out == s].sum()
+                    assert target * (1 - imbalance) - slack <= w
+                    assert w <= target * (1 + imbalance) + slack
+
+    def test_same_seed_same_partition(self, rocket_graph):
+        adj = graph_to_csr(rocket_graph)
+        w = rocket_graph.vertex_weights
+        for seed in (0, 5):
+            a = bisect_graph(adj, w, 0.4, np.random.default_rng(seed))
+            b = bisect_graph(adj, w, 0.4, np.random.default_rng(seed))
+            np.testing.assert_array_equal(a, b)
+
+    def test_work_follows_the_boundary(self, monkeypatch):
+        """On the n = 32 periodic box (32 768 cells) cut by a plane, a
+        refinement's heap pops stay within a small multiple of the
+        boundary vertices: no pass visits the whole graph."""
+        graph, z = _periodic_box_graph(32)
+        side = (z > 0.5).astype(np.int64)
+        # two cut planes, one layer of cells on either side of each
+        boundary = 4 * 32 * 32
+        pops = []
+        heappop = heapq.heappop
+
+        def counting_pop(heap):
+            pops.append(1)
+            return heappop(heap)
+
+        monkeypatch.setattr(heapq, "heappop", counting_pop)
+        out = fm_refine(graph_to_csr(graph), graph.vertex_weights, side, 0.5)
+        assert 0 < len(pops) <= 3 * boundary
+        assert edge_cut(graph, out) == edge_cut(graph, side) == 2 * 32 * 32
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_periodic_box_bisects_at_a_plane(self, seed):
+        """The 2-rank TGV mesh (n = 16, triply periodic) splits at two
+        planes: 2 x 16 x 16 = 512 cut faces, the minimum for a balanced
+        bisection of the torus."""
+        graph, _ = _periodic_box_graph(16)
+        mem = partition_graph(graph, 2, seed=seed)
+        assert edge_cut(graph, mem) == 512
+        assert np.bincount(mem).tolist() == [2048, 2048]
 
 
 class TestTwoLevel:

@@ -801,13 +801,16 @@ class TestWrittenOnce:
         # the factory runs in this process here: leave pytest unbound
         monkeypatch.setattr(spmd, "_bind_to_core", lambda rank: None)
 
-        def build(**overlay):
+        def build(settings, **kwargs):
             return DecomposedSolver(
-                build_tgv_case(n=6, mech=mech),
-                SolverSettings(ranks=1, **TIGHT).overlay(**overlay),
-                properties=IdealGasProperties(mech))
+                build_tgv_case(n=6, mech=mech), settings,
+                properties=IdealGasProperties(mech), **kwargs)
 
-        with build(execution="parallel") as par:
+        # settings admit "parallel" only from two ranks up; the worker
+        # count follows the decomposition, here an injected one-part one
+        one_part = Decomposition.from_mesh(build_tgv_case(n=6, mech=mech).mesh, 1)
+        with build(SolverSettings(ranks=2, execution="parallel", **TIGHT),
+                   decomp=one_part, comm=SimulatedComm(1)) as par:
             (handler,) = par._parallel.pool.handlers
             worker = handler.solver
             assert type(worker) is DecomposedSolver
@@ -816,7 +819,7 @@ class TestWrittenOnce:
             assert worker.comm.ranks == (0,)
             assert worker.decomp is par.decomp
             assert worker._parallel is None and len(worker.ranks) == 1
-            driver = build()
+            driver = build(SolverSettings(ranks=1, **TIGHT))
             for _ in range(2):
                 assert par.step(1e-8) == driver.step(1e-8)
                 assert par.last_comm == driver.last_comm

@@ -65,6 +65,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             SolverSettings(**{field: value})
 
+    @pytest.mark.parametrize("ranks", [0, 1])
+    def test_parallel_needs_two_ranks(self, ranks):
+        """Below two ranks ``build_solver`` builds a serial solver, so
+        ``execution="parallel"`` would be silently dropped."""
+        with pytest.raises(ValueError, match="ranks") as err:
+            SolverSettings(ranks=ranks, execution="parallel")
+        assert "execution" in str(err.value)
+
+    def test_rank_overlays_stay_valid(self):
+        """A parallel worker's settings drop ``execution`` first, then
+        its rank solvers drop ``ranks``; both overlays validate."""
+        par = SolverSettings(ranks=2, execution="parallel")
+        worker = par.overlay(execution="serial")
+        assert worker.overlay(ranks=0).ranks == 0
+        with pytest.raises(ValueError):
+            par.overlay(ranks=1)
+
     def test_controls_coerced_from_dict(self):
         s = SolverSettings(scalar_controls={"tolerance": 1e-11})
         assert isinstance(s.scalar_controls, SolverControls)
