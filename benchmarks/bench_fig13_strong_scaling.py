@@ -14,13 +14,10 @@ domain-decomposed over P subdomains (``repro.dist``), and the table
 reports the *measured* per-step halo-exchange and allreduce ledger
 next to the alpha-beta times the cost model charges for exactly those
 volumes -- the communication pattern is exercised, not assumed.  The
-overlap-comparison bench additionally runs the same step with
-``krylov_variant="overlapped"`` (which also posts the matvec ghost
-refreshes nonblocking) and prices the two ledgers side by side: the
-overlap-tagged traffic is charged ``max(t_compute, t_comm)``
-(:func:`repro.runtime.overlapped_phase_time`) instead of the serial
-sum, and the fused/pipelined solvers cut the per-step collective
-count, so the modeled strong-scaling efficiency at 8+ ranks improves.
+Krylov-collectives bench runs the same step up to 8-16 ranks and
+reports the blocking allreduces per Krylov iteration (every collective
+is blocking: PCG makes 3 per iteration, PBiCGStab 6) with the modeled
+step time and strong-scaling efficiency they imply.
 With ``--parallel`` (next to ``--executed``) the decomposed step
 additionally runs under the *shared-memory parallel runtime*
 (``execution="parallel"``): each rank becomes a real worker process
@@ -43,7 +40,6 @@ from repro.runtime import (
     OptimizationConfig,
     allreduce_time,
     halo_exchange_time,
-    overlapped_phase_time,
     strong_scaling,
     tgv_workload,
 )
@@ -222,43 +218,22 @@ def test_fig13_parallel_measured(executed, parallel, smoke, mech):
     emit("Fig. 13 (executed): shared-memory parallel runtime", lines)
 
 
-def _price_step(comm: dict, flops: int, nparts: int,
-                overlapped: bool) -> float:
-    """Alpha-beta price of one measured step on Sunway's fabric.
-
-    The overlap-tagged subset of the ledger (nonblocking halo posts,
-    fused ``iallreduce``) hides behind the step's compute via
-    :func:`overlapped_phase_time`; everything else is charged as the
-    serial sum, exactly as the synchronous model does.
-    """
+def _price_step(comm: dict, flops: int, nparts: int) -> float:
+    """Alpha-beta price of one measured step on Sunway's fabric: the
+    step's compute plus its halo exchanges plus its blocking
+    allreduces, one after the other."""
     rate = SUNWAY.peak_fp64_node / SUNWAY.processes_per_node
-    t_comp = flops / nparts / rate
-
-    def halo_price(msgs: int, nbytes: int) -> float:
-        if msgs == 0:
-            return 0.0
-        return halo_exchange_time(SUNWAY, msgs / nparts, nbytes / msgs)
-
-    def allred_price(count: int) -> float:
-        if count == 0:
-            return 0.0
-        payload = comm["allreduce_bytes"] / comm["allreduces"]
-        return count * allreduce_time(SUNWAY, nparts, payload)
-
-    t_halo_ovl = halo_price(comm["overlap_messages"], comm["overlap_bytes"])
-    t_halo_blk = halo_price(comm["messages"] - comm["overlap_messages"],
-                            comm["bytes"] - comm["overlap_bytes"])
-    t_ar_ovl = allred_price(comm["overlap_allreduces"])
-    t_ar_blk = allred_price(comm["allreduces"] - comm["overlap_allreduces"])
-    if overlapped:
-        return t_halo_blk + t_ar_blk + \
-            overlapped_phase_time(t_comp, t_halo_ovl + t_ar_ovl)
-    return t_comp + t_halo_blk + t_halo_ovl + t_ar_blk + t_ar_ovl
+    t_halo = halo_exchange_time(SUNWAY, comm["messages"] / nparts,
+                                comm["bytes"] / comm["messages"])
+    t_allred = comm["allreduces"] * allreduce_time(
+        SUNWAY, nparts, comm["allreduce_bytes"] / comm["allreduces"])
+    return flops / nparts / rate + t_halo + t_allred
 
 
-def test_fig13_overlap_comparison(executed, smoke, mech):
-    """Synchronous vs communication-overlapped distributed Krylov:
-    measured ledgers of both execution modes, priced side by side."""
+def test_fig13_krylov_collectives(executed, smoke, mech):
+    """The one Krylov schedule at growing rank counts: measured
+    blocking allreduces per iteration and the modeled step time and
+    strong-scaling efficiency they cost on Sunway's fabric."""
     if not executed:
         pytest.skip("pass --executed to run the decomposed-execution bench")
     from repro.core import (
@@ -274,53 +249,26 @@ def test_fig13_overlap_comparison(executed, smoke, mech):
     dt = 1e-8
     lines = [f"TGV {n}^3 cells, 1 measured step per rank count "
              "(alpha-beta times on Sunway's fabric)",
-             "   P  variant       allred  allred/it  overlap-msgs  "
-             "t_model [us]  efficiency"]
-    eff = {"synchronous": [], "overlapped": []}
-    per_it = {}
+             "   P  allred  allred/it  t_model [us]  efficiency"]
+    base = None
+    allreduces = {}     # Krylov iterations of the step -> allreduces
     for nparts in rank_counts:
-        for variant in ("synchronous", "overlapped"):
-            settings = SolverSettings(ranks=nparts, krylov_variant=variant)
-            solver = DecomposedSolver(
-                build_tgv_case(n=n, mech=mech), settings,
-                properties=IdealGasProperties(mech),
-                chemistry=NoChemistry())
-            solver.step(dt)   # warm-up: settle fields
-            solver.step(dt)   # measured step
-            comm = solver.last_comm
-            iters = max(solver.last_diag.solver_iterations, 1)
-            t_model = _price_step(comm, solver.last_diag.solver_flops,
-                                  nparts, overlapped=(variant == "overlapped"))
-            series = eff[variant]
-            series.append((nparts, t_model))
-            p0, t0 = series[0]
-            e = (t0 * p0) / (t_model * nparts)
-            per_it[(nparts, variant)] = comm["allreduces"] / iters
-            lines.append(
-                f"  {nparts:2d}  {variant:12s}  {comm['allreduces']:5d}  "
-                f"{comm['allreduces'] / iters:9.2f}  "
-                f"{comm['overlap_messages']:12d}  {t_model*1e6:12.2f}  "
-                f"{e*100:9.1f} %")
-
-            if variant == "overlapped":
-                # the nonblocking spellings actually ran, and the
-                # fused/pipelined solvers cut the collective count
-                assert comm["overlap_messages"] > 0
-                assert comm["overlap_allreduces"] > 0
-                assert per_it[(nparts, "overlapped")] \
-                    < per_it[(nparts, "synchronous")]
-            else:
-                assert comm["overlap_messages"] == 0
-                assert comm["overlap_allreduces"] == 0
-
-    # at scale (8+ ranks), overlap + fewer collectives must translate
-    # into better modeled strong-scaling efficiency
-    for i, nparts in enumerate(rank_counts):
-        if nparts < 8:
-            continue
-        p0, t0 = eff["synchronous"][0]
-        e_sync = (t0 * p0) / (eff["synchronous"][i][1] * nparts)
-        p0, t0 = eff["overlapped"][0]
-        e_ovl = (t0 * p0) / (eff["overlapped"][i][1] * nparts)
-        assert e_ovl > e_sync, (nparts, e_sync, e_ovl)
-    emit("Fig. 13 (executed): synchronous vs overlapped Krylov", lines)
+        solver = DecomposedSolver(
+            build_tgv_case(n=n, mech=mech), SolverSettings(ranks=nparts),
+            properties=IdealGasProperties(mech), chemistry=NoChemistry())
+        solver.step(dt)   # warm-up: settle fields
+        solver.step(dt)   # measured step
+        comm = solver.last_comm
+        iters = max(solver.last_diag.solver_iterations, 1)
+        t_model = _price_step(comm, solver.last_diag.solver_flops, nparts)
+        base = base or (nparts, t_model)
+        e = (base[1] * base[0]) / (t_model * nparts)
+        lines.append(
+            f"  {nparts:2d}  {comm['allreduces']:6d}  "
+            f"{comm['allreduces'] / iters:9.2f}  {t_model*1e6:12.2f}  "
+            f"{e*100:9.1f} %")
+        allreduces.setdefault(iters, set()).add(comm["allreduces"])
+    # the schedule's collectives follow the iterations alone: equal
+    # iteration totals cost equal allreduces at every rank count
+    assert all(len(c) == 1 for c in allreduces.values()), allreduces
+    emit("Fig. 13 (executed): blocking Krylov collectives", lines)

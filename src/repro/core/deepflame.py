@@ -348,9 +348,8 @@ class DeepFlameSolver:
         """The serial solve hook: the one hosted equation's own solve,
         as ``([(n, k) block], [per-column results])``.  The block is a
         pooled workspace buffer, valid until the next solve."""
-        x, results = eqns[0].solve(
-            solver=solver, controls=controls, update=False,
-            variant=self.settings.krylov_variant)
+        x, results = eqns[0].solve(solver=solver, controls=controls,
+                                   update=False)
         if x.ndim == 1:
             x, results = x[:, None], [results]
         return [x], results

@@ -33,14 +33,12 @@ from ..chemistry.backends import (
     PerCellBDFBackend,
     SurrogateBackend,
 )
-from ..solvers.blocked import KRYLOV_VARIANTS
 from ..solvers.controls import SolverControls
 from .chemistry_source import NoChemistry
 
 __all__ = [
     "SolverSettings",
     "CHEMISTRY_MODES",
-    "KRYLOV_VARIANTS",
     "TRUST_GATE_MODES",
     "EXECUTION_MODES",
     "build_chemistry",
@@ -109,16 +107,6 @@ class SolverSettings:
         :class:`~repro.dist.DecomposedSolver` over that many ranks.
     partition_seed:
         Seed of the multilevel graph partitioner (decomposed path).
-    krylov_variant:
-        Krylov dispatch, serial and decomposed (one of
-        :data:`repro.solvers.blocked.KRYLOV_VARIANTS`):
-        ``"synchronous"`` runs the blocked solvers with one allreduce
-        per reduction; ``"overlapped"`` the communication-avoiding
-        variants (pipelined PCG for pressure, fused-reduction
-        PBiCGStab for the scalar blocks); a decomposed solver under
-        ``"overlapped"`` also posts the ghost refresh of every
-        distributed matvec nonblocking and computes the interior rows
-        while it is in flight.
     execution:
         Decomposed-path execution mode (one of
         :data:`EXECUTION_MODES`).  ``"serial"`` (default) advances
@@ -142,7 +130,6 @@ class SolverSettings:
         default_factory=_default_pressure_controls)
     ranks: int = 0
     partition_seed: int = 0
-    krylov_variant: str = "synchronous"
     execution: str = "serial"
 
     def __post_init__(self):
@@ -158,8 +145,6 @@ class SolverSettings:
         """Raise ``ValueError``/``TypeError`` on any invalid field."""
         _check_choice("chemistry", self.chemistry, CHEMISTRY_MODES)
         _check_choice("trust_gate", self.trust_gate, TRUST_GATE_MODES)
-        _check_choice("krylov_variant", self.krylov_variant,
-                      KRYLOV_VARIANTS)
         _check_choice("execution", self.execution, EXECUTION_MODES)
         _check_int("ranks", self.ranks, 0)
         _check_int("n_correctors", self.n_correctors, 1)

@@ -17,18 +17,15 @@ Layers:
 
 * :mod:`.decompose` -- :class:`Decomposition` / :class:`Subdomain`:
   per-rank local meshes with halo cells and symmetric exchange maps;
-* :mod:`.halo` -- :class:`HaloExchanger`: packed ghost-layer refreshes
-  of the hosted ranks, blocking (``refresh``) or posted nonblocking
-  (``post`` -> :class:`PendingRefresh`);
+* :mod:`.halo` -- :class:`HaloExchanger`: packed, blocking
+  ghost-layer refreshes of the hosted ranks;
 * :mod:`.rank_operator` -- :class:`RankOperator`: one rank's
   communication-free kernel (row split, interior/boundary matvec,
-  cached block-DIC);
+  owned-block symmetry check);
 * :mod:`.krylov` -- :class:`DistributedSystem`: the hosted ranks'
   LDU blocks (halo-exchanging matvec + allreduce reductions) fed to
-  the *unmodified* blocked Krylov solvers; the
-  ``"overlapped"`` variant overlaps the ghost refresh with the
-  interior matvec rows and runs the communication-avoiding solvers
-  (pipelined PCG, fused-reduction PBiCGStab);
+  the *unmodified* blocked Krylov solvers, one blocking collective
+  per reduction;
 * :mod:`.solver` -- :class:`DecomposedSolver`: drives one
   :class:`~repro.core.DeepFlameSolver` per rank through the shared
   physics stages, chemistry on the rank that owns the cells;
@@ -37,8 +34,8 @@ Layers:
 """
 
 from .decompose import Decomposition, Subdomain
-from .halo import HaloExchanger, PendingRefresh
-from .krylov import KRYLOV_VARIANTS, DistributedSystem, solve_distributed
+from .halo import HaloExchanger
+from .krylov import DistributedSystem, solve_distributed
 from .rank_operator import RankOperator
 from .solver import DecomposedSolver
 
@@ -47,8 +44,6 @@ __all__ = [
     "Decomposition",
     "DistributedSystem",
     "HaloExchanger",
-    "KRYLOV_VARIANTS",
-    "PendingRefresh",
     "RankOperator",
     "Subdomain",
     "solve_distributed",

@@ -93,19 +93,6 @@ class Subdomain:
         """Slice selecting the owned rows of a local cell array."""
         return slice(0, self.n_owned)
 
-    def interior_matrix(self, ldu):
-        """Restriction of a local LDU operator to the owned diagonal
-        block (faces with both cells owned) -- the per-rank block that
-        local preconditioners (block-Jacobi DIC) factorize."""
-        from ..sparse.ldu import LDUMatrix
-
-        own = ldu.owner
-        nb = ldu.neighbour
-        keep = (own < self.n_owned) & (nb < self.n_owned)
-        return LDUMatrix(self.n_owned, own[keep], nb[keep],
-                         ldu.diag[:self.n_owned].copy(),
-                         ldu.lower[keep].copy(), ldu.upper[keep].copy())
-
 
 class Decomposition:
     """A mesh split into ``nparts`` subdomains with halo layers."""

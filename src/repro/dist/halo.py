@@ -10,17 +10,8 @@ same packing runs in both execution modes.  All fields passed to one
 per neighbour pair (the standard MPI aggregation that keeps the
 per-step message count at ``O(neighbours)`` instead of
 ``O(neighbours x fields)``), and each message is accounted in the
-communicator's ledger.
-
-Two spellings:
-
-* :meth:`HaloExchanger.refresh` -- blocking (pack, exchange, unpack);
-* :meth:`HaloExchanger.post` -- nonblocking: packs and posts the
-  exchange (tagged overlappable in the ledger), returning a
-  :class:`PendingRefresh` whose ``wait()`` unpacks into the ghost
-  rows.  Callers compute their halo-independent work between the two
-  -- the overlapped matvec of :class:`~repro.dist.krylov.DistributedSystem`
-  applies the interior rows there.
+communicator's ledger.  A refresh is blocking: pack, exchange,
+unpack.
 """
 
 from __future__ import annotations
@@ -29,22 +20,7 @@ import numpy as np
 
 from .decompose import Decomposition
 
-__all__ = ["HaloExchanger", "PendingRefresh"]
-
-
-class PendingRefresh:
-    """Wait handle of a posted ghost refresh: unpacks on ``wait()``."""
-
-    def __init__(self, exchanger: "HaloExchanger", fields, widths, pending):
-        self._exchanger = exchanger
-        self._fields = fields
-        self._widths = widths
-        self._pending = pending
-
-    def wait(self) -> None:
-        """Complete the exchange: fill the hosted ranks' ghost rows."""
-        inboxes = self._pending.wait()
-        self._exchanger._unpack(self._fields, self._widths, inboxes)
+__all__ = ["HaloExchanger"]
 
 
 class HaloExchanger:
@@ -100,16 +76,3 @@ class HaloExchanger:
         """
         fields, widths, outboxes = self._pack(per_rank)
         self._unpack(fields, widths, self.comm.halo_exchange(outboxes))
-
-    def post(self, per_rank) -> PendingRefresh:
-        """Post a nonblocking ghost refresh; returns a wait handle.
-
-        Same packing, volumes and in-place semantics as
-        :meth:`refresh`, but the messages are posted through
-        :meth:`~repro.runtime.comm.SimulatedComm.post_halo` (ledger-
-        tagged overlappable) and the ghost rows are only filled at
-        :meth:`PendingRefresh.wait`.
-        """
-        fields, widths, outboxes = self._pack(per_rank)
-        return PendingRefresh(self, fields, widths,
-                              self.comm.post_halo(outboxes))

@@ -14,24 +14,14 @@ run unmodified on that layout -- only what the system does changes:
   exchange** the ghost rows, apply each local LDU block, restack the
   owned rows (one packed message per neighbour pair per matvec);
 * ``coldot`` / ``colsum_abs`` -- per-rank partial reductions combined
-  through ``comm.allreduce`` (one collective per reduction,
+  through ``comm.allreduce`` (one blocking collective per reduction,
   exactly the pattern whose ``log2(P) + beta*P`` cost drives the
-  paper's strong-scaling decay);
-* ``fused_reduce`` / ``ifused_reduce`` -- the grouped spellings for
-  the communication-avoiding solver variants: the whole group's
-  per-rank partials are packed into **one** ``(hosted, n_items, k)``
-  allreduce (posted nonblocking for the pipelined PCG, so the
-  collective is in flight while the preconditioner and matvec run).
+  paper's strong-scaling decay).
 
-Every matvec splits each rank's owned rows into an **interior** part
-(faces with both cells owned -- no halo dependency) and a **boundary
-tail** (cut-face contributions that read ghost values).  With
-``overlap_halo=True`` the ghost refresh is *posted*, the interior part
-is computed while the messages are in flight, and only the tail waits
--- the cost model then prices the phase ``max(t_interior, t_exchange)
-+ t_tail`` (:func:`~repro.runtime.comm.overlapped_phase_time`).  The
-synchronous path runs the identical split after a blocking refresh, so
-both orderings produce bitwise-equal products.
+Every matvec refreshes the ghost rows (blocking), then applies each
+rank's owned rows in two halves: an **interior** part (faces with both
+cells owned -- no halo dependency) and a **boundary tail** (cut-face
+contributions that read ghost values).
 
 Preconditioning is communication-free, as on a real machine: the one
 preconditioner is Jacobi on the owned diagonal, which equals the serial
@@ -45,28 +35,19 @@ no collective.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
-from ..solvers.blocked import KRYLOV_VARIANTS, krylov_solve
+from ..solvers.blocked import krylov_solve
 from .decompose import Decomposition
 from .halo import HaloExchanger
 from .rank_operator import RankOperator, scratch_buffer
 
-__all__ = ["KRYLOV_VARIANTS", "DistributedSystem", "solve_distributed"]
+__all__ = ["DistributedSystem", "solve_distributed"]
 
 #: rotation depth of the matvec output pool -- results stay valid
 #: across this many subsequent matvecs (the blocked solvers hold a
 #: product across at most one further matvec)
 _OUT_SLOTS = 3
-
-
-def _unpack_group(reduced: np.ndarray, n_dots: int):
-    """Split a reduced ``(n_items, k)`` group payload back into the
-    ``(dot_results, sum_results)`` lists the blocked solvers consume."""
-    return ([reduced[i] for i in range(n_dots)],
-            [reduced[i] for i in range(n_dots, reduced.shape[0])])
 
 
 class DistributedSystem:
@@ -93,22 +74,16 @@ class DistributedSystem:
     mats:
         One locally assembled LDU matrix per hosted rank, in
         ``comm.ranks`` order.
-    overlap_halo:
-        Post the ghost refresh nonblocking and compute the interior
-        rows while it is in flight (the messages are then tagged
-        overlappable in the communication ledger).
     """
 
     def __init__(self, decomp: Decomposition, comm, mats: list,
-                 exchanger: HaloExchanger | None = None,
-                 overlap_halo: bool = False):
+                 exchanger: HaloExchanger | None = None):
         if len(mats) != len(comm.ranks):
             raise ValueError("need one local matrix per hosted rank")
         self.decomp = decomp
         self.comm = comm
         self.mats = mats
         self.exchanger = exchanger or HaloExchanger(decomp, comm)
-        self.overlap_halo = bool(overlap_halo)
         self._bufs: dict = {}
         self._out_rot = 0
         self.ops = [RankOperator(decomp.subdomains[r], m)
@@ -146,25 +121,13 @@ class DistributedSystem:
         """Y = A X on the stacked layout, with one ghost refresh.
 
         The returned block is a slot of the rotating output pool.
-        With ``overlap_halo``, the refresh is posted, the interior rows
-        (no ghost dependency) are computed while it is in flight, and
-        only the cut-face tail runs after ``wait()``.
         """
         locs = [op.load(x[sl]) for op, sl in zip(self.ops, self.slices)]
         out = self._next_out(x.shape[1])
-        outs = [out[sl] for sl in self.slices]
-        if self.overlap_halo:
-            handle = self.exchanger.post(locs)
-            for op, loc, o in zip(self.ops, locs, outs):   # overlapped
-                op.apply_interior(loc, o)
-            handle.wait()
-            for op, loc, o in zip(self.ops, locs, outs):   # ghost tail
-                op.apply_boundary(loc, o)
-        else:
-            self.exchanger.refresh(locs)
-            for op, loc, o in zip(self.ops, locs, outs):
-                op.apply_interior(loc, o)
-                op.apply_boundary(loc, o)
+        self.exchanger.refresh(locs)
+        for op, loc, sl in zip(self.ops, locs, self.slices):
+            op.apply_interior(loc, out[sl])
+            op.apply_boundary(loc, out[sl])
         return out
 
     def coldot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,39 +143,6 @@ class DistributedSystem:
         for part, sl in zip(parts, self.slices):
             np.abs(r[sl]).sum(axis=0, out=part)
         return np.atleast_1d(self.comm.allreduce(parts, op="sum"))
-
-    def _pack_group(self, dots, sums) -> np.ndarray:
-        """Per-rank partials of a whole reduction group, packed into
-        one ``(hosted, n_dots + n_sums, k)`` payload."""
-        k = (dots[0][0] if dots else sums[0]).shape[1]
-        nd = len(dots)
-        parts = self._buf(("fused",),
-                          (len(self.slices), nd + len(sums), k))
-        for part, sl in zip(parts, self.slices):
-            for i, (a, b) in enumerate(dots):
-                np.einsum("ij,ij->j", a[sl], b[sl], out=part[i])
-            for i, s in enumerate(sums):
-                np.abs(s[sl]).sum(axis=0, out=part[nd + i])
-        return parts
-
-    def fused_reduce(self, dots, sums):
-        """Grouped reduction: one allreduce for the whole group
-        (the fused PBiCGStab's 2 collectives per iteration)."""
-        return _unpack_group(
-            self.comm.allreduce(self._pack_group(dots, sums), op="sum"),
-            len(dots))
-
-    def ifused_reduce(self, dots, sums):
-        """Nonblocking grouped reduction: posts one ``iallreduce`` for
-        the group (tagged overlappable; the shared-memory fabric stages
-        it on the reduction channel, so the matvec's halo exchanges
-        cannot clobber it) and returns a wait handle -- the pipelined
-        PCG computes its preconditioner and matvec between post and
-        wait."""
-        pending = self.comm.iallreduce(self._pack_group(dots, sums),
-                                       op="sum")
-        return SimpleNamespace(
-            wait=lambda: _unpack_group(pending.wait(), len(dots)))
 
     # -- preconditioner and PCG's precondition ------------------------
     def preconditioner(self):

@@ -79,7 +79,9 @@ class DecomposedSolver:
     rank count).  ``comm`` and ``decomp`` are injected objects: by
     default the solver partitions the case mesh and hosts all ``P``
     ranks on a fresh ``SimulatedComm``; a worker of a parallel run gets
-    the driver's decomposition and a one-rank endpoint.  Each hosted
+    the driver's decomposition and a one-rank endpoint.  An injected
+    ``decomp`` / ``comm`` must span ``settings.ranks`` ranks
+    (``ValueError`` otherwise, before any worker forks).  Each hosted
     rank builds the backend ``settings.chemistry`` describes, as each
     parallel worker does; an injected ``chemistry`` replaces it and is
     shared by the hosted ranks.  Either way every rank wraps its
@@ -101,6 +103,11 @@ class DecomposedSolver:
             raise ValueError(
                 "DecomposedSolver needs a rank count: pass settings "
                 "with ranks >= 1")
+        for what, n in (("decomp", getattr(decomp, "nparts", None)),
+                        ("comm", getattr(comm, "n_ranks", None))):
+            if n is not None and n != settings.ranks:
+                raise ValueError(f"the injected {what} has {n} ranks for "
+                                 f"settings.ranks={settings.ranks}")
         self.settings = settings
         self.case = case
         self.mech = case.mech
@@ -111,7 +118,7 @@ class DecomposedSolver:
         self.exchanger = HaloExchanger(self.decomp, self.comm)
         self.subs = self.exchanger.subs
         # The persistent distributed system (local blocks, matvec
-        # outputs, packed reduction partials, the cached
+        # outputs, reduction partials, the cached
         # interior/boundary row split; built by the first solve, which
         # brings the sparsity) and the solution-block pool: warm solves
         # allocate nothing.
@@ -189,13 +196,11 @@ class DecomposedSolver:
         mats = [e.a for e in eqns]
         if self._system is None:
             self._system = DistributedSystem(
-                self.decomp, self.comm, mats, exchanger=self.exchanger,
-                overlap_halo=self.settings.krylov_variant == "overlapped")
+                self.decomp, self.comm, mats, exchanger=self.exchanger)
         else:
             self._system.bind(mats)
         x, results = solve_distributed(self._system, b, x0=x0, solver=solver,
                                        controls=controls,
-                                       variant=self.settings.krylov_variant,
                                        workspace=self._krylov_workspace)
         return [x[sl] for sl in self._system.slices], results
 

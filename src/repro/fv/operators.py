@@ -98,13 +98,12 @@ class FVMatrix:
         solver: str = "auto",
         controls: SolverControls = _DEFAULT_CONTROLS,
         update: bool = True,
-        variant: str = "synchronous",
     ) -> tuple[np.ndarray, SolverResult]:
         """Solve the system; optionally write back into the field."""
         # a scalar equation is a blocked solve with one column
         x, results = _solve_local(
             self.a, self.source[:, None], self.field.values[:, None],
-            solver, variant, controls, self.workspace)
+            solver, controls, self.workspace)
         x, res = x[:, 0], results[0]
         if update:
             self.field.values[:] = x
@@ -183,7 +182,6 @@ class CoupledTransportEquation:
         solver: str = "auto",
         controls: SolverControls = _DEFAULT_CONTROLS,
         update: bool = True,
-        variant: str = "synchronous",
     ) -> tuple[np.ndarray, list[SolverResult]]:
         """One blocked Krylov solve for all k columns.
 
@@ -193,14 +191,14 @@ class CoupledTransportEquation:
         sparse-times-dense product.
         """
         x, results = _solve_local(self.a, self.source, self.field.values,
-                                  solver, variant, controls, self.workspace)
+                                  solver, controls, self.workspace)
         if update:
             self.field.values[:] = x
         return x, results
 
 
 def _solve_local(a: LDUMatrix, source: np.ndarray, x0: np.ndarray,
-                 solver: str, variant: str, controls: SolverControls,
+                 solver: str, controls: SolverControls,
                  ws) -> tuple[np.ndarray, list[SolverResult]]:
     """What :meth:`FVMatrix.solve` (``k = 1``) and
     :meth:`CoupledTransportEquation.solve` hand
@@ -215,8 +213,8 @@ def _solve_local(a: LDUMatrix, source: np.ndarray, x0: np.ndarray,
     """
     if solver == "auto":
         solver = "PCG" if a.is_symmetric_cached(tol=0.0) else "PBiCGStab"
-    return krylov_solve(LocalSystem(a, ws), source, x0, solver, variant,
-                        controls, ws.krylov if ws else None)
+    return krylov_solve(LocalSystem(a, ws), source, x0, solver, controls,
+                        ws.krylov if ws else None)
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,9 @@ execution layer (worker pools, shared arenas, the real-process
 
 from .comm import (
     CommLedger,
-    PendingExchange,
-    PendingReduce,
     SimulatedComm,
     allreduce_time,
     halo_exchange_time,
-    overlapped_phase_time,
 )
 from .load_balance import (
     chemistry_balance_report,
@@ -45,8 +42,6 @@ __all__ = [
     "MACHINES",
     "MachineSpec",
     "OptimizationConfig",
-    "PendingExchange",
-    "PendingReduce",
     "PerfModel",
     "PerfReport",
     "SUNWAY",
@@ -65,7 +60,6 @@ __all__ = [
     "hash_normal",
     "hash_u64",
     "hash_uniform",
-    "overlapped_phase_time",
     "per_rank_imbalance",
     "price_comm_totals",
     "rank_imbalance",

@@ -5,13 +5,11 @@ This is the real-parallelism counterpart of the driver-centric
 
 * :class:`SharedArena` -- a pool of named
   ``multiprocessing.shared_memory`` segments with zero-copy numpy
-  views: per-rank grow-on-demand *staging slabs* (two channels, so a
-  posted ``iallreduce`` survives the halo exchanges of the matvec it
-  overlaps, and two parities per channel) and one segment of
-  per-rank, per-channel *sequence counters*.  Created before the
-  worker pool forks, the whole arena is inherited by every worker --
-  no pickling, no re-attach -- and only the creating process unlinks
-  it.
+  views: per-rank grow-on-demand *staging slabs* (two parities per
+  rank) and one segment of per-rank *sequence counters*.  Created
+  before the worker pool forks, the whole arena is inherited by every
+  worker -- no pickling, no re-attach -- and only the creating process
+  unlinks it.
 * :class:`SharedMemComm` -- the one-hosted-rank endpoint of the
   :class:`~repro.runtime.comm.SimulatedComm` contract.  Where the
   simulated fabric hosts *all* ranks (``comm.ranks == range(P)``),
@@ -24,16 +22,21 @@ This is the real-parallelism counterpart of the driver-centric
   ``comm.ranks`` therefore runs unchanged on either fabric.
 
 **The protocol: one flag write and one flag wait per collective.**
-Rank ``r``'s ``g``-th collective on a channel stages its payload into
-parity ``g & 1`` of its slab on that channel, then stores ``g`` into
-its ``(r, channel)`` counter (*publish*).  Completing it waits until
-every peer's counter on the channel is at least ``g`` and reads the
-peers' parity-``g & 1`` slabs.  No second synchronization guards slab
-reuse: a rank restages parity ``g & 1`` only at collective ``g + 2``,
-after its wait on ``g + 1`` -- which needs every peer to have
-published ``g + 1``, and a peer publishes ``g + 1`` only after it has
-finished reading ``g``.  For the same reason a channel carries at most
-one open handle per endpoint (a second post raises ``RuntimeError``).
+Every collective is blocking, and halo exchanges and allreduces share
+one sequence: rank ``r``'s ``g``-th collective stages its payload into
+parity ``g & 1`` of its slab, then stores ``g`` into its counter
+(*publish*).  Completing it waits until every peer's counter is at
+least ``g`` and reads the peers' parity-``g & 1`` slabs.  No second
+synchronization guards slab reuse: a rank restages parity ``g & 1``
+only at collective ``g + 2``, after its wait on ``g + 1`` -- which
+needs every peer to have published ``g + 1``, and a peer publishes
+``g + 1`` only after it has finished reading ``g``.  A reader checks
+that each peer staged the same kind of collective (an allreduce
+stages one entry addressed to ``-1``, a halo exchange none), so ranks
+that disagree on the collective sequence break the arena instead of
+reading each other's payloads as their own.  An endpoint whose wait
+raised refuses every later collective (``RuntimeError``): its
+sequence is no longer its peers'.
 
 **Memory ordering.**  The protocol assumes that the payload and header
 stores of a post become visible to the other processes no later than
@@ -54,7 +57,7 @@ every rank fast instead of hanging the run.
 private :class:`~repro.runtime.comm.CommLedger`: every rank charges
 the point-to-point messages *it* sends and its own allreduce
 contribution bytes, while rank 0 alone counts the collective-level
-counters (``exchanges``, ``allreduces``, ``overlap_allreduces``).
+counters (``exchanges``, ``allreduces``).
 Merging the per-rank ledgers (:meth:`CommLedger.merge`) therefore
 reproduces the serial ``SimulatedComm`` ledger bitwise -- every
 existing count/price test carries over.
@@ -79,28 +82,17 @@ import numpy as np
 
 from .comm import CommLedger
 
-__all__ = [
-    "SharedArena",
-    "SharedMemComm",
-    "ShmPendingExchange",
-    "ShmPendingReduce",
-]
+__all__ = ["SharedArena", "SharedMemComm"]
 
-#: staging channels: point-to-point halo traffic and collective
-#: reductions stage separately, so a posted iallreduce stays intact
-#: across the halo exchanges of the matvec it overlaps
-_CHANNELS = 2
-_CH_HALO = 0
-_CH_REDUCE = 1
-_CHANNEL_NAMES = ("halo", "reduce")
-#: staging buffers per (rank, channel): collective g stages into g & 1
+#: staging buffers per rank: collective g stages into g & 1
 _PARITIES = 2
-#: max staged messages per rank per channel (neighbour count bound)
+#: max staged messages per rank (neighbour count bound)
 _MAX_MSGS = 128
 #: header ints per message: dst, offset, ndim, shape[0:4]
 _ENTRY = 7
-#: header ints per (rank, channel, parity): generation, capacity,
-#: n_msgs + table
+#: the destination an allreduce contribution is staged to
+_REDUCE_DST = -1
+#: header ints per (rank, parity): generation, capacity, n_msgs + table
 _HDR_ROW = 3 + _MAX_MSGS * _ENTRY
 #: int64 words per 64-byte line: each sequence counter owns one line
 _LINE = 8
@@ -172,13 +164,13 @@ class SharedArena:
     initial_bytes:
         Initial capacity of each staging slab.  Slabs grow on demand:
         a rank needing more staging space creates a generation-named
-        successor segment (``{name}r{rank}c{ch}p{parity}g{gen}``) and
-        bumps the generation counter in the shared header; readers
-        attach newer generations lazily.
+        successor segment (``{name}r{rank}p{parity}g{gen}``) and bumps
+        the generation counter in the shared header; readers attach
+        newer generations lazily.
 
     Besides the slabs and their header table, indexed ``(rank,
-    channel, parity)``, the arena holds :attr:`seq`, the ``(n_ranks,
-    channels)`` sequence counters (each on its own 64-byte line), and
+    parity)``, the arena holds :attr:`seq`, the ``(n_ranks,)``
+    sequence counters (each on its own 64-byte line), and
     :attr:`broken`, the one-word flag a timed-out wait raises for
     every rank.
 
@@ -194,24 +186,23 @@ class SharedArena:
         self.name = name or f"repro{os.getpid():x}{uuid.uuid4().hex[:8]}"
         self._owner_pid = os.getpid()
         self._closed = False
-        shape = (self.n_ranks, _CHANNELS, _PARITIES)
+        shape = (self.n_ranks, _PARITIES)
         self._hdr_shm = _create(f"{self.name}h",
                                 8 * _HDR_ROW * int(np.prod(shape)))
         self._hdr = np.ndarray(shape + (_HDR_ROW,), dtype=np.int64,
                                buffer=self._hdr_shm.buf)
         self._hdr[:] = 0
-        n_flags = self.n_ranks * _CHANNELS + 1
+        n_flags = self.n_ranks + 1
         self._flag_shm = _create(f"{self.name}s", 8 * _LINE * n_flags)
         flags = np.ndarray((n_flags, _LINE), dtype=np.int64,
                            buffer=self._flag_shm.buf)
         flags[:] = 0
-        #: ``seq[rank, channel]``: the last collective that rank
-        #: published on that channel
-        self.seq = flags[:-1, 0].reshape(self.n_ranks, _CHANNELS)
+        #: ``seq[rank]``: the last collective that rank published
+        self.seq = flags[:-1, 0]
         #: ``broken[0]`` is set once any rank's wait timed out
         self.broken = flags[-1, :1]
-        #: (rank, ch, parity) -> (generation, SharedMemory) mapped here
-        self._slabs: dict[tuple[int, int, int], tuple[int, object]] = {}
+        #: (rank, parity) -> (generation, SharedMemory) mapped here
+        self._slabs: dict[tuple[int, int], tuple[int, object]] = {}
         for key in np.ndindex(*shape):
             self._slabs[key] = (0, _create(self._slab_name(*key, 0),
                                            initial_bytes))
@@ -219,11 +210,11 @@ class SharedArena:
         atexit.register(self.close)
 
     # -- naming ---------------------------------------------------------
-    def _slab_name(self, rank: int, ch: int, parity: int, gen: int) -> str:
-        return f"{self.name}r{rank}c{ch}p{parity}g{gen}"
+    def _slab_name(self, rank: int, parity: int, gen: int) -> str:
+        return f"{self.name}r{rank}p{parity}g{gen}"
 
     # -- staging slabs --------------------------------------------------
-    def _slab(self, key: tuple[int, int, int]):
+    def _slab(self, key: tuple[int, int]):
         """The current generation of one staging slab, mapped here."""
         gen, shm = self._slabs[key]
         if gen != self._hdr[key][0]:  # another process grew it; catch up
@@ -232,7 +223,7 @@ class SharedArena:
             self._slabs[key] = (gen, shm)
         return shm
 
-    def _writable_slab(self, key: tuple[int, int, int], nbytes: int):
+    def _writable_slab(self, key: tuple[int, int], nbytes: int):
         """The slab at ``key``, grown if under ``nbytes``.
 
         Only the owning rank stages into its slab, so growth is a
@@ -252,13 +243,12 @@ class SharedArena:
             self._slabs[key] = (gen, shm)
         return shm
 
-    def stage(self, rank: int, entries, channel: int = 0,
-              parity: int = 0) -> None:
+    def stage(self, rank: int, entries, parity: int = 0) -> None:
         """Write ``[(dst, float64 array), ...]`` into a staging slab.
 
-        Overwrites the rank's previous staging in that (channel,
-        parity) buffer; the caller publishes it (sequence counter)
-        before readers touch it.
+        Overwrites the rank's previous staging in that parity's buffer;
+        the caller publishes it (sequence counter) before readers touch
+        it.
         """
         if len(entries) > _MAX_MSGS:
             raise ValueError(
@@ -274,7 +264,7 @@ class SharedArena:
                 raise ValueError("staged arrays support up to 4 dims")
             arrays.append(a)
             total += _align(a.nbytes)
-        key = (rank, channel, parity)
+        key = (rank, parity)
         shm = self._writable_slab(key, total)
         hdr = self._hdr[key]
         hdr[2] = len(entries)
@@ -287,14 +277,13 @@ class SharedArena:
                        offset=off)[...] = a
             off += _align(a.nbytes)
 
-    def views(self, rank: int, channel: int = 0, parity: int = 0):
+    def views(self, rank: int, parity: int = 0):
         """A rank's staged messages as ``[(dst, array view), ...]``.
 
         The views alias the slab, which the rank restages two
-        collectives later on that channel: copy what must outlive the
-        collective.
+        collectives later: copy what must outlive the collective.
         """
-        key = (rank, channel, parity)
+        key = (rank, parity)
         shm = self._slab(key)
         hdr = self._hdr[key]
         n = int(hdr[2])
@@ -331,40 +320,6 @@ class SharedArena:
         self.close()
 
 
-class ShmPendingExchange:
-    """Wait handle of a posted shared-memory halo exchange.
-
-    Mirrors :class:`~repro.runtime.comm.PendingExchange`: completes
-    exactly once (double ``wait`` raises) and returns the inboxes of
-    the hosted ranks -- here the list-of-one ``[{src: array}]``.
-    """
-
-    def __init__(self, comm: "SharedMemComm"):
-        self._comm = comm
-
-    def wait(self) -> list[dict[int, np.ndarray]]:
-        """Complete the exchange; returns ``[{src: payload}]``."""
-        if self._comm is None:
-            raise RuntimeError("exchange handle already waited on")
-        comm, self._comm = self._comm, None
-        return [comm._collect_halo()]
-
-
-class ShmPendingReduce:
-    """Wait handle of a posted shared-memory allreduce."""
-
-    def __init__(self, comm: "SharedMemComm", op: str):
-        self._comm = comm
-        self._op = op
-
-    def wait(self):
-        """Complete the reduction; returns the reduced payload."""
-        if self._comm is None:
-            raise RuntimeError("allreduce handle already waited on")
-        comm, self._comm = self._comm, None
-        return comm._collect_reduce(self._op)
-
-
 class SharedMemComm:
     """One rank's endpoint of the shared-memory fabric.
 
@@ -399,11 +354,10 @@ class SharedMemComm:
         self.n_ranks = arena.n_ranks
         self._timeout = float(timeout)
         self._peers = [q for q in range(self.n_ranks) if q != self.rank]
-        #: per channel: the peers' counters, this rank's last published
-        #: collective, and whether a posted handle is still open
-        self._seq = [arena.seq[:, ch] for ch in range(_CHANNELS)]
-        self._gen = [int(g) for g in arena.seq[self.rank]]
-        self._open = [False] * _CHANNELS
+        #: this rank's last published collective, and whether it has
+        #: not completed (its wait raised)
+        self._gen = int(arena.seq[self.rank])
+        self._open = False
         self.ledger = CommLedger()
 
     # -- synchronization ------------------------------------------------
@@ -412,25 +366,10 @@ class SharedMemComm:
             f"rank {self.rank}: collective barrier broken ({why}) -- a "
             f"peer died or skipped a collective")
 
-    def _publish(self, ch: int, entries) -> None:
-        """Stage ``entries`` for this channel's next collective, then
-        publish it (the one flag write)."""
-        if self._open[ch]:
-            raise RuntimeError(
-                f"rank {self.rank}: the {_CHANNEL_NAMES[ch]} channel "
-                f"has an open handle -- wait on it before the next "
-                f"{_CHANNEL_NAMES[ch]} collective")
-        g = self._gen[ch] + 1
-        self.arena.stage(self.rank, entries, channel=ch, parity=g & 1)
-        self.arena.seq[self.rank, ch] = g
-        self._gen[ch] = g
-        self._open[ch] = True
-
-    def _wait(self, ch: int) -> int:
-        """Wait until every peer published this channel's open
-        collective (the one flag wait); returns its parity."""
-        g = self._gen[ch]
-        seq = self._seq[ch]
+    def _wait(self, g: int) -> None:
+        """Wait until every peer published collective ``g`` (the one
+        flag wait)."""
+        seq = self.arena.seq
         for src in self._peers:
             if seq[src] >= g:
                 continue
@@ -446,37 +385,33 @@ class SharedMemComm:
                         self.arena.broken[0] = 1
                         raise self._broken(f"timeout {self._timeout}s")
                     os.sched_yield()
-        self._open[ch] = False
-        return g & 1
+
+    def _collective(self, entries) -> dict[int, list]:
+        """This rank's next collective: stage ``entries`` and publish
+        them (the one flag write), wait for every peer's, and return
+        each peer's staged ``[(dst, view), ...]`` by rank.  A peer that
+        staged the other kind of collective breaks the arena."""
+        if self._open:
+            raise RuntimeError(
+                f"rank {self.rank}: collective {self._gen} did not "
+                f"complete -- this endpoint cannot enter another")
+        g = self._gen + 1
+        self.arena.stage(self.rank, entries, parity=g & 1)
+        self.arena.seq[self.rank] = g
+        self._gen = g
+        self._open = True
+        self._wait(g)
+        staged = {src: self.arena.views(src, g & 1) for src in self._peers}
+        kind = _is_reduce(entries)
+        for src, views in staged.items():
+            if _is_reduce(views) != kind:
+                self.arena.broken[0] = 1
+                raise self._broken(f"rank {src} entered another kind of "
+                                   f"collective {g}")
+        self._open = False
+        return staged
 
     # -- halo exchange --------------------------------------------------
-    def _post_halo(self, outboxes: list[dict[int, np.ndarray]],
-                   overlappable: bool) -> None:
-        if len(outboxes) != 1:
-            raise ValueError("need one outbox per hosted rank (one)")
-        (outbox,) = outboxes
-        entries = []
-        for dst, payload in outbox.items():
-            if not 0 <= int(dst) < self.n_ranks or int(dst) == self.rank:
-                raise ValueError(
-                    f"rank {self.rank} sends to invalid rank {dst}")
-            entries.append((int(dst), np.asarray(payload, dtype=np.float64)))
-        self._publish(_CH_HALO, entries)
-        for dst, payload in entries:
-            self.ledger.charge_message(self.rank, payload.nbytes,
-                                       overlappable=overlappable)
-        if self.rank == 0:
-            self.ledger.exchanges += 1
-
-    def _collect_halo(self) -> dict[int, np.ndarray]:
-        parity = self._wait(_CH_HALO)
-        inbox: dict[int, np.ndarray] = {}
-        for src in self._peers:
-            for dst, view in self.arena.views(src, _CH_HALO, parity):
-                if dst == self.rank:
-                    inbox[src] = view.copy()
-        return inbox
-
     def halo_exchange(self, outboxes: list[dict[int, np.ndarray]]
                       ) -> list[dict[int, np.ndarray]]:
         """Blocking exchange of the hosted rank's outbox.
@@ -486,38 +421,47 @@ class SharedMemComm:
         (:meth:`~repro.runtime.comm.SimulatedComm.halo_exchange` with
         one hosted rank).
         """
-        self._post_halo(outboxes, overlappable=False)
-        return [self._collect_halo()]
-
-    def post_halo(self, outboxes: list[dict[int, np.ndarray]]
-                  ) -> ShmPendingExchange:
-        """Post the exchange nonblocking; returns a wait handle.
-
-        Messages are ledger-tagged overlappable; the caller computes
-        its interior work between post and
-        :meth:`ShmPendingExchange.wait`.
-        """
-        self._post_halo(outboxes, overlappable=True)
-        return ShmPendingExchange(self)
+        if len(outboxes) != 1:
+            raise ValueError("need one outbox per hosted rank (one)")
+        (outbox,) = outboxes
+        entries = []
+        for dst, payload in outbox.items():
+            if not 0 <= int(dst) < self.n_ranks or int(dst) == self.rank:
+                raise ValueError(
+                    f"rank {self.rank} sends to invalid rank {dst}")
+            entries.append((int(dst), np.asarray(payload, dtype=np.float64)))
+        staged = self._collective(entries)
+        for dst, payload in entries:
+            self.ledger.charge_message(self.rank, payload.nbytes)
+        if self.rank == 0:
+            self.ledger.exchanges += 1
+        return [{src: view.copy()
+                 for src, views in staged.items()
+                 for dst, view in views if dst == self.rank}]
 
     # -- allreduce ------------------------------------------------------
-    def _post_reduce(self, contributions: np.ndarray, overlappable: bool):
+    def allreduce(self, contributions: np.ndarray, op: str = "sum"):
+        """Allreduce of the hosted rank's contribution.
+
+        ``contributions`` has shape ``(1,)`` (scalar payload -- returns
+        a float) or ``(1, ...)`` (array payload).  The ranks' payloads
+        are stacked in rank order and reduced along axis 0 exactly as
+        :meth:`SimulatedComm.allreduce` reduces its ``(n_ranks, ...)``
+        payload, so the result is the same on every endpoint and
+        bitwise equal to the driver-executed one.
+        """
         contributions = np.asarray(contributions, dtype=np.float64)
         if contributions.ndim < 1 or contributions.shape[0] != 1:
             raise ValueError("one contribution per hosted rank (one)")
         contribution = contributions[0]
-        self._publish(_CH_REDUCE, [(-1, contribution)])
+        staged = self._collective([(_REDUCE_DST, contribution)])
         self.ledger.allreduce_bytes += contribution.nbytes
         if self.rank == 0:
             self.ledger.allreduces += 1
-            if overlappable:
-                self.ledger.overlap_allreduces += 1
-
-    def _collect_reduce(self, op: str):
-        parity = self._wait(_CH_REDUCE)
         # rank order, as the driver stacks them; np.stack copies out of
         # the slabs before anything can restage them
-        stacked = np.stack([self.arena.views(src, _CH_REDUCE, parity)[0][1]
+        stacked = np.stack([contribution if src == self.rank
+                            else staged[src][0][1]
                             for src in range(self.n_ranks)])
         if op == "sum":
             out = stacked.sum(axis=0)
@@ -529,26 +473,8 @@ class SharedMemComm:
             raise ValueError(f"unknown allreduce op {op!r}")
         return float(out) if np.ndim(out) == 0 else out
 
-    def allreduce(self, contributions: np.ndarray, op: str = "sum"):
-        """Allreduce of the hosted rank's contribution.
 
-        ``contributions`` has shape ``(1,)`` (scalar payload -- returns
-        a float) or ``(1, ...)`` (array payload).  The ranks' payloads
-        are stacked in rank order and reduced along axis 0 exactly as
-        :meth:`SimulatedComm.allreduce` reduces its ``(n_ranks, ...)``
-        payload, so the result is the same on every endpoint and
-        bitwise equal to the driver-executed one.
-        """
-        self._post_reduce(contributions, overlappable=False)
-        return self._collect_reduce(op)
-
-    def iallreduce(self, contributions: np.ndarray,
-                   op: str = "sum") -> ShmPendingReduce:
-        """Post an allreduce nonblocking; returns a wait handle.
-
-        Tagged overlappable in the ledger; halo exchanges may run
-        between post and wait (the channels stage separately), which is
-        exactly what the pipelined PCG does.
-        """
-        self._post_reduce(contributions, overlappable=True)
-        return ShmPendingReduce(self, op)
+def _is_reduce(staged) -> bool:
+    """Whether staged entries are an allreduce contribution (one entry
+    to :data:`_REDUCE_DST`) rather than a halo exchange's outbox."""
+    return len(staged) == 1 and staged[0][0] == _REDUCE_DST

@@ -23,22 +23,18 @@ reference bodies live in ``tests/krylov_oracle.py``.
 Every body is handed one *system* -- :class:`LocalSystem` here,
 :class:`~repro.dist.krylov.DistributedSystem` over a decomposition --
 and asks it for everything that touches the operator or spans ranks:
-the ``(n, k)`` product, the per-column reductions and their grouped
-spellings.  The *same* Krylov code therefore drives the serial and the
-domain-decomposed solves, and every global reduction of the latter
-hits the communication ledger.  :func:`krylov_solve` is the one
-dispatch: its table maps ``(method, variant)`` to a body, and every
-body is preconditioned by the system's one ``preconditioner()`` --
-Jacobi, the owned diagonal, identical entry for entry on both systems.
-The synchronous bodies reduce one collective at a time (``coldot``,
-``colsum_abs``); the communication-avoiding ones
-(:func:`fused_pbicgstab_solve_multi`, :func:`pipelined_pcg_solve_multi`)
-use the grouped spellings ``fused_reduce`` / ``ifused_reduce``.
+the ``(n, k)`` product and the per-column reductions.  The *same*
+Krylov code therefore drives the serial and the domain-decomposed
+solves, and every global reduction of the latter hits the
+communication ledger.  :func:`krylov_solve` is the one dispatch: its
+table maps a method to its one body, and every body is preconditioned
+by the system's one ``preconditioner()`` -- Jacobi, the owned
+diagonal, identical entry for entry on both systems.  Each reduction
+(``coldot``, ``colsum_abs``) is one blocking collective.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -49,14 +45,11 @@ from .preconditioners import JacobiPreconditioner
 from .workspace import KrylovWorkspace
 
 __all__ = [
-    "KRYLOV_VARIANTS",
     "REDUCTIONS_PER_PCG_ITER",
     "LocalSystem",
-    "fused_pbicgstab_solve_multi",
     "krylov_solve",
     "pbicgstab_solve_multi",
     "pcg_solve_multi",
-    "pipelined_pcg_solve_multi",
 ]
 
 
@@ -70,8 +63,7 @@ class LocalSystem:
 
     The system protocol is everything a body asks of its operator:
     ``n`` / ``nnz``, ``matvec_multi`` on an ``(n, k)`` block, the
-    per-column reductions ``coldot`` / ``colsum_abs``, their grouped
-    spellings ``fused_reduce`` / ``ifused_reduce``,
+    per-column reductions ``coldot`` / ``colsum_abs``,
     ``preconditioner()`` and ``is_symmetric()``.  This is the serial
     implementation: the product is the CSR of ``a``, converted once per
     solve, and the reductions are an einsum column dot and a column L1
@@ -97,19 +89,6 @@ class LocalSystem:
     def colsum_abs(self, r: np.ndarray) -> np.ndarray:
         """Per-column L1 norms."""
         return np.abs(r).sum(axis=0)
-
-    def fused_reduce(self, dots, sums):
-        """A whole reduction group -- ``dots``, a list of ``(a, b)``
-        multi-vector pairs, and ``sums``, a list of multi-vectors -- as
-        ``(dot_results, sum_results)``, one after the other (a
-        distributed system packs the group into one allreduce)."""
-        return ([self.coldot(a, b) for a, b in dots],
-                [self.colsum_abs(s) for s in sums])
-
-    def ifused_reduce(self, dots, sums):
-        """The nonblocking spelling: compute now, ``wait()`` later."""
-        done = self.fused_reduce(dots, sums)
-        return SimpleNamespace(wait=lambda: done)
 
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
         """The ``(n, k)`` apply of the Jacobi preconditioner of ``a``:
@@ -153,9 +132,7 @@ class _Columns:
         self.act = np.arange(k)
         self.cols: slice | np.ndarray = slice(None)
         self.fl = np.full(k, flops, dtype=np.int64)
-        # set by start(): the overlapped bodies learn |b| and |r0| from
-        # their first fused group
-        self.nf = self.res0 = self.res = None
+        self.nf = self.res0 = self.res = None   # set by start()
 
     def start(self, nf: np.ndarray, res: np.ndarray) -> None:
         """Adopt the normalisation and the initial residuals."""
@@ -188,8 +165,6 @@ class _Columns:
 
     def finish(self, it: int) -> list[SolverResult]:
         """Retire what still iterates as unconverged; the results."""
-        if self.res0 is None:   # max_iterations == 0: nothing ever reduced
-            self.res0 = self.res = np.full(self.act.size, np.inf)
         if self.act.size:
             self.retire(np.ones(self.act.size, bool), it, converged=False)
         return self.results  # type: ignore[return-value]
@@ -360,229 +335,14 @@ def pcg_solve_multi(
     return x, col.finish(it)
 
 
-def fused_pbicgstab_solve_multi(
-    system,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
-    controls: SolverControls = SolverControls(),
-    workspace: KrylovWorkspace | None = None,
-) -> tuple[np.ndarray, list[SolverResult]]:
-    """Blocked BiCGStab with grouped reductions: 2 collectives per
-    iteration instead of the synchronous variant's 6.
-
-    Same Krylov recurrences as :func:`pbicgstab_solve_multi`; the
-    communication restructuring is
-
-    * **group 1** (after ``v = A M p``): ``(r_hat, v)`` fused with the
-      residual norm ``|r|`` whose convergence check the synchronous
-      variant performs at the *end* of the previous iteration (plus,
-      on the first iteration only, ``rho_0``, ``|b|`` and ``|r_0|``);
-    * **group 2** (after ``t = A M s``): ``(t, t)``, ``(t, s)`` and
-      ``|s|`` fused with ``(r_hat, s)`` and ``(r_hat, t)``, from which
-      the next iteration's ``rho = (r_hat, s) - omega (r_hat, t)`` is
-      recovered *locally* -- eliminating the separate ``rho``
-      reduction.
-
-    Deferring the ``|r|`` check trades at most one extra (discarded)
-    preconditioner + matvec per solve for the reduction count; the
-    iterates themselves are unchanged, so results agree with the
-    synchronous variant to solver tolerance.  Each group is one
-    ``system.fused_reduce`` (see :meth:`LocalSystem.fused_reduce` for
-    the serial reference; a distributed system packs it into a single
-    allreduce).
-    """
-    b = _check_rhs(system, b)
-    n, k = b.shape
-    mv, freduce = system.matvec_multi, system.fused_reduce
-    precond = preconditioner if preconditioner is not None else (lambda r: r)
-    x = _block_x("bicgf.x", workspace, x0, n, k)
-
-    r = b - mv(x)
-    r_hat = r.copy()
-    p = r.copy()
-    v = np.zeros((n, k))
-    rho = np.ones(k)
-    col = _Columns("PBiCGStab", k, 2 * system.nnz + 2 * n,
-                   details=lambda it: {"reduction_groups": 2})
-
-    first = True
-    it = 0
-    for it in range(1, controls.max_iterations + 1):
-        if col.act.size == 0:
-            break
-        p_hat = precond(p)
-        v = mv(p_hat)
-        dots = [(r_hat, v)] + ([(r_hat, r)] if first else [])
-        sums = [r] + ([b] if first else [])
-        dres, sres = freduce(dots, sums)          # collective group 1
-        sigma = dres[0]
-        if first:   # |b| and |r0| ride along with the first group
-            rho = dres[1]
-            nf = sres[1] + 1e-300
-            col.start(nf, sres[0] / nf)
-            first = False
-        else:
-            col.res = sres[0] / col.nf
-        col.fl += 2 * system.nnz + 10 * n
-        # |r| check the synchronous variant ran at the end of the
-        # previous iteration; x is unchanged since, so retiring here
-        # yields the same solution with (it - 1) counted iterations.
-        conv = col.converged(controls)
-        broke = (np.abs(rho) < 1e-300) & ~conv
-        if conv.any() or broke.any():
-            keep = col.retire(conv, it - 1, converged=True)
-            keep &= col.retire(broke, it - 1, converged=False)
-            r, r_hat, p, v, rho, sigma, p_hat = col.compress(
-                keep, r, r_hat, p, v, rho, sigma, p_hat)
-            if col.act.size == 0:
-                break
-        alpha = rho / np.where(np.abs(sigma) > 0, sigma, 1e-300)
-        s = r - alpha * v
-        s_hat = precond(s)
-        t = mv(s_hat)
-        dres, sres = freduce(
-            [(t, t), (t, s), (r_hat, s), (r_hat, t)], [s])  # group 2
-        tt, ts, rhs, rht = dres
-        col.res = sres[0] / col.nf
-        col.fl += 2 * system.nnz + 10 * n
-        conv = col.converged(controls)
-        if conv.any():
-            x[:, col.act[conv]] += alpha[conv] * p_hat[:, conv]
-            (r, r_hat, p, v, rho, s, s_hat, t, p_hat, alpha, tt, ts, rhs,
-             rht) = col.compress(
-                col.retire(conv, it, converged=True), r, r_hat, p, v, rho,
-                s, s_hat, t, p_hat, alpha, tt, ts, rhs, rht)
-            if col.act.size == 0:
-                break
-        pos = tt > 0
-        omega = np.where(pos, ts / np.where(pos, tt, 1.0), 0.0)
-        x[:, col.cols] += alpha * p_hat + omega * s_hat
-        r = s - omega * t
-        # rho for the next iteration, recovered without a collective
-        rho_new = rhs - omega * rht
-        broke = np.abs(omega) < 1e-300
-        omega_safe = np.where(broke, 1.0, omega)
-        beta = (rho_new / np.where(np.abs(rho) > 0, rho, 1e-300)) \
-            * (alpha / omega_safe)
-        p = r + beta * (p - omega * v)
-        rho = rho_new
-        if broke.any():
-            r, r_hat, p, v, rho = col.compress(
-                col.retire(broke, it, converged=False), r, r_hat, p, v, rho)
-
-    return x, col.finish(it)
-
-
-def pipelined_pcg_solve_multi(
-    system,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
-    controls: SolverControls = SolverControls(),
-    workspace: KrylovWorkspace | None = None,
-) -> tuple[np.ndarray, list[SolverResult]]:
-    """Ghysels--Vanroose pipelined PCG: one fused collective per
-    iteration, overlapped with the preconditioner and matvec.
-
-    The classical PCG iteration needs 3 collectives (``(p, Ap)``,
-    ``|r|``, ``(r, z)``) at 2 synchronization points; the pipelined
-    recurrence fuses ``gamma = (r, u)``, ``delta = (w, u)`` and
-    ``|r|`` into a single reduction that is *posted* (via
-    ``system.ifused_reduce``, returning a wait handle) before the
-    applications ``m = M w`` and ``n = A m`` -- so on a real machine
-    the one remaining collective hides behind the dominant local work.
-    Auxiliary vectors ``z = A M w``-chains (``z, q, s, p``) keep the
-    search directions consistent without extra matvecs.
-
-    Per-column convergence masking, flop accounting and the
-    ``workspace`` pool behave as in :func:`pcg_solve_multi`; the
-    iterates differ from classical PCG only by floating-point
-    reassociation, so both converge to the same solution within the
-    requested tolerance.
-    """
-    b = _check_rhs(system, b)
-    n, k = b.shape
-    mv, ifreduce = system.matvec_multi, system.ifused_reduce
-    # the identity copies: u and r are updated in place separately
-    precond = preconditioner if preconditioner is not None else np.copy
-    x = _block_x("pcgp.x", workspace, x0, n, k)
-
-    r = b - mv(x)
-    u = precond(r)
-    # w is recurrence state updated in place every iteration, but mv
-    # may return a slot of a small rotating buffer pool (the
-    # distributed matvec does) -- detach it from the pool.
-    w = mv(u)
-    w = workspace.copy_of("pcgp.w", w) if workspace is not None \
-        else w.copy()
-    z, q, s, p = (np.zeros((n, k)) for _ in range(4))
-    gamma_old = np.ones(k)
-    alpha_old = np.ones(k)
-    col = _Columns("PCG", k, 4 * system.nnz + 2 * n,
-                   details=lambda it: {"reduction_groups": 1})
-
-    first = True
-    it = 0
-    for it in range(1, controls.max_iterations + 1):
-        if col.act.size == 0:
-            break
-        handle = ifreduce([(r, u), (w, u)],
-                          [r] + ([b] if first else []))  # posted ...
-        m_ = precond(w)                                  # ... overlapped
-        n_ = mv(m_)                                      # ... overlapped
-        dres, sres = handle.wait()
-        gamma, delta = dres
-        if first:   # |b| rides along with the first reduction
-            nf = sres[1] + 1e-300
-            col.start(nf, sres[0] / nf)
-        else:
-            col.res = sres[0] / col.nf
-        # the |r| in this group is the residual *entering* the
-        # iteration (after it-1 updates): the same value the classical
-        # variant checks at the end of iteration it-1.
-        conv = col.converged(controls)
-        if conv.any():
-            (r, u, w, z, q, s, p, gamma_old, alpha_old, m_, n_, gamma,
-             delta) = col.compress(
-                col.retire(conv, it - 1, converged=True), r, u, w, z, q, s,
-                p, gamma_old, alpha_old, m_, n_, gamma, delta)
-            if col.act.size == 0:
-                break
-        if first:
-            beta = np.zeros(col.act.size)
-            alpha = gamma / np.where(np.abs(delta) > 0, delta, 1e-300)
-            first = False
-        else:
-            beta = gamma / np.where(np.abs(gamma_old) > 0, gamma_old, 1e-300)
-            denom = delta - beta * gamma / alpha_old
-            alpha = gamma / np.where(np.abs(denom) > 0, denom, 1e-300)
-        z = n_ + beta * z
-        q = m_ + beta * q
-        s = w + beta * s
-        p = u + beta * p
-        x[:, col.cols] += alpha * p
-        r -= alpha * s
-        u -= alpha * q
-        w -= alpha * z
-        gamma_old, alpha_old = gamma, alpha
-        col.fl += 2 * system.nnz + 16 * n
-
-    return x, col.finish(it)
-
-
-#: The one dispatch table: ``(method, variant)`` -> body.  Every body
-#: is handed ``system.preconditioner()``, the owned-diagonal Jacobi on
+#: The one dispatch table: method -> body.  Every body is handed
+#: ``system.preconditioner()``, the owned-diagonal Jacobi on
 #: :class:`LocalSystem` and on a
 #: :class:`~repro.dist.krylov.DistributedSystem` alike.
 _KRYLOV = {
-    ("PCG", "synchronous"): pcg_solve_multi,
-    ("PCG", "overlapped"): pipelined_pcg_solve_multi,
-    ("PBiCGStab", "synchronous"): pbicgstab_solve_multi,
-    ("PBiCGStab", "overlapped"): fused_pbicgstab_solve_multi,
+    "PCG": pcg_solve_multi,
+    "PBiCGStab": pbicgstab_solve_multi,
 }
-#: the table's variants: the accepted ``SolverSettings.krylov_variant``s
-KRYLOV_VARIANTS = tuple(dict.fromkeys(v for _, v in _KRYLOV))
 
 
 def krylov_solve(
@@ -590,7 +350,6 @@ def krylov_solve(
     b: np.ndarray,
     x0: np.ndarray | None = None,
     solver: str = "PBiCGStab",
-    variant: str = "synchronous",
     controls: SolverControls = SolverControls(),
     workspace: KrylovWorkspace | None = None,
 ) -> tuple[np.ndarray, list[SolverResult]]:
@@ -598,34 +357,27 @@ def krylov_solve(
 
     ``b`` / ``x0`` are ``(n, k)`` blocks (``k = 1`` for a scalar
     equation; stacked in rank order on a distributed system).
-    Dispatches on ``solver`` and ``variant``; both methods are
-    Jacobi-preconditioned (``system.preconditioner()``):
+    Dispatches on ``solver``; both methods are Jacobi-preconditioned
+    (``system.preconditioner()``) and reduce one blocking collective
+    at a time:
 
-    * ``"PBiCGStab"`` -- ``"synchronous"`` runs the blocked solver with
-      one reduction at a time (6 allreduces per iteration when
-      distributed), ``"overlapped"`` the fused-reduction variant (2
-      grouped collectives per iteration);
-    * ``"PCG"`` -- requires an exactly symmetric operator
-      (``system.is_symmetric()``; rank-local on a distributed system,
-      so the check adds no collective) and raises ``ValueError``
-      before the first iteration otherwise, NaN coefficients included;
-      ``"synchronous"`` costs 3 allreduces per iteration,
-      ``"overlapped"`` is the pipelined (Ghysels--Vanroose) variant
-      with a single fused ``iallreduce`` per iteration, posted before
-      the preconditioner and matvec it hides behind.
+    * ``"PBiCGStab"`` -- 6 allreduces per iteration when distributed;
+    * ``"PCG"`` -- 3 allreduces per iteration; requires an exactly
+      symmetric operator (``system.is_symmetric()``; rank-local on a
+      distributed system, so the check adds no collective) and raises
+      ``ValueError`` before the first iteration otherwise, NaN
+      coefficients included.
 
-    Both variants of a method converge to the same solution within the
-    requested tolerance (the agreement tests pin them at <= 1e-8).
     ``workspace`` pools the solution block across solves (the step
     drivers pass a persistent one, so warm solves perform zero tracked
     allocations).
     """
-    if (solver, variant) not in _KRYLOV:
-        raise ValueError(f"unknown Krylov (solver, variant) "
-                         f"{(solver, variant)}; use one of {sorted(_KRYLOV)}")
+    if solver not in _KRYLOV:
+        raise ValueError(f"unknown Krylov solver {solver!r}; "
+                         f"use one of {sorted(_KRYLOV)}")
     if solver == "PCG" and not system.is_symmetric():
         raise ValueError("PCG requires a symmetric operator "
                          "(lower == upper exactly, no NaN)")
-    return _KRYLOV[solver, variant](
+    return _KRYLOV[solver](
         system, b, x0=x0, preconditioner=system.preconditioner(),
         controls=controls, workspace=workspace)

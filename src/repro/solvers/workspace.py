@@ -51,8 +51,3 @@ class KrylovWorkspace:
         buf = self.get(name, values.shape)
         np.copyto(buf, values)
         return buf
-
-    @property
-    def n_buffers(self) -> int:
-        """Number of distinct pooled buffers held."""
-        return len(self._bufs)

@@ -124,9 +124,6 @@ class LDUMatrix:
     def invalidate_symmetry_cache(self) -> None:
         self._sym_cache = {}
 
-    def add_to_diag(self, contrib: np.ndarray) -> None:
-        self.diag += contrib
-
     def __add__(self, other: "LDUMatrix") -> "LDUMatrix":
         if other.n != self.n or other.n_faces != self.n_faces:
             raise ValueError("incompatible LDU shapes")

@@ -31,10 +31,8 @@ from repro.solvers import (
     LocalSystem,
     SolverControls,
     SymGaussSeidelPreconditioner,
-    fused_pbicgstab_solve_multi,
     pbicgstab_solve_multi,
     pcg_solve_multi,
-    pipelined_pcg_solve_multi,
 )
 from repro.sparse import spmv_ldu_multi
 from tests.conftest import SOLVE_ATOL, make_laplacian_ldu, make_random_spd_ldu
@@ -117,19 +115,6 @@ class TestLocalSystemReductions:
             assert abs(dot[j] - math.fsum(prods[:, j])) <= gamma * mag
             exact = math.fsum(np.abs(a[:, j].astype(np.float64)))
             assert abs(l1[j] - exact) <= gamma * exact
-
-    def test_fused_reduce_matches_plain_reductions(self, spd_ldu):
-        rng = np.random.default_rng(4)
-        mats = [rng.standard_normal((100, 3)) for _ in range(4)]
-        dots = [(mats[0], mats[1]), (mats[2], mats[3])]
-        sums = [mats[0], mats[3]]
-        system = LocalSystem(spd_ldu)
-        want = ([system.coldot(a, b) for a, b in dots],
-                [system.colsum_abs(v) for v in sums])
-        for got in (system.fused_reduce(dots, sums),
-                    system.ifused_reduce(dots, sums).wait()):
-            for g, w in zip(got[0] + got[1], want[0] + want[1]):
-                assert np.array_equal(g, w)
 
 
 class TestPreconditionersMulti:
@@ -298,12 +283,24 @@ class TestBlockedMatchesColumns:
         with pytest.raises(ValueError):
             pcg_solve_multi(ldu_system(spd_ldu), np.ones(spd_ldu.n))
 
+    @pytest.mark.parametrize("solve", [pcg_solve_multi,
+                                       pbicgstab_solve_multi],
+                             ids=["pcg", "pbicgstab"])
+    def test_zero_max_iterations(self, spd_ldu, solve):
+        """max_iterations=0 returns the initial guess, every column
+        unconverged with its initial residual."""
+        b = np.random.default_rng(12).standard_normal((spd_ldu.n, 2))
+        loose = SolverControls(tolerance=1e-13, max_iterations=0)
+        x, results = solve(ldu_system(spd_ldu), b, controls=loose)
+        assert np.abs(x).max() == 0.0
+        assert all(not r.converged and r.iterations == 0
+                   and r.initial_residual == r.final_residual > 0.0
+                   for r in results)
+
 
 class TestSolvesMatchDirect:
     BODIES = {"pcg": pcg_solve_multi,
-              "pipelined-pcg": pipelined_pcg_solve_multi,
-              "pbicgstab": pbicgstab_solve_multi,
-              "fused-pbicgstab": fused_pbicgstab_solve_multi}
+              "pbicgstab": pbicgstab_solve_multi}
 
     @pytest.mark.parametrize("precond", ["none", "jacobi", "dic"])
     @pytest.mark.parametrize("body", sorted(BODIES))
@@ -419,72 +416,6 @@ class TestOneColumn:
         np.testing.assert_array_equal(x[:, 1], x_alone[:, 0])
         with pytest.raises(ZeroDivisionError):   # the unguarded oracle
             pcg_solve(a, b[:, 0], controls=ctl)
-
-
-class TestCommunicationAvoidingVariants:
-    """The fused/pipelined solvers are validated against the
-    synchronous blocked solvers they restructure."""
-
-    @given(seed=st.integers(0, 10_000), k=st.integers(1, 6),
-           zero_col=st.booleans())
-    @settings(**SETTINGS)
-    def test_pipelined_pcg_matches_sync(self, spd_ldu, seed, k, zero_col):
-        b = _rhs_block(spd_ldu.n, k, seed, zero_col)
-        pre = DICPreconditioner(spd_ldu)
-        x_ref, _ = pcg_solve_multi(ldu_system(spd_ldu), b,
-                                   preconditioner=pre.apply_multi,
-                                   controls=TIGHT)
-        x, results = pipelined_pcg_solve_multi(ldu_system(spd_ldu), b,
-                                               preconditioner=pre.apply_multi,
-                                               controls=TIGHT)
-        assert all(r.converged for r in results)
-        assert np.abs(x - x_ref).max() <= 1e-10
-        assert all(r.details["reduction_groups"] == 1 for r in results)
-        if zero_col:
-            assert results[0].iterations == 0
-
-    @given(seed=st.integers(0, 10_000), k=st.integers(1, 6),
-           zero_col=st.booleans())
-    @settings(**SETTINGS)
-    def test_fused_pbicgstab_matches_sync(self, box_mesh, seed, k, zero_col):
-        ldu = make_laplacian_ldu(box_mesh, shift=0.5)
-        ldu.lower *= 0.7
-        b = _rhs_block(ldu.n, k, seed, zero_col)
-        pre = JacobiPreconditioner(ldu)
-        x_ref, _ = pbicgstab_solve_multi(ldu_system(ldu), b,
-                                         preconditioner=pre.apply_multi,
-                                         controls=TIGHT)
-        x, results = fused_pbicgstab_solve_multi(
-            ldu_system(ldu), b, preconditioner=pre.apply_multi,
-            controls=TIGHT)
-        assert all(r.converged for r in results)
-        assert np.abs(x - x_ref).max() <= 1e-10
-        assert all(r.details["reduction_groups"] == 2 for r in results)
-        if zero_col:
-            assert results[0].iterations == 0
-
-    def test_deferred_check_keeps_iteration_counts(self, spd_ldu):
-        """The fused/pipelined residual check is deferred by half an
-        iteration but retires with the synchronous iteration number."""
-        b = np.random.default_rng(11).standard_normal((spd_ldu.n, 3))
-        pre = DICPreconditioner(spd_ldu)
-        _, sync = pcg_solve_multi(ldu_system(spd_ldu), b,
-                                  preconditioner=pre.apply_multi,
-                                  controls=TIGHT)
-        _, pipe = pipelined_pcg_solve_multi(ldu_system(spd_ldu), b,
-                                            preconditioner=pre.apply_multi,
-                                            controls=TIGHT)
-        for s, p in zip(sync, pipe):
-            assert abs(s.iterations - p.iterations) <= 1
-
-    def test_zero_max_iterations(self, spd_ldu):
-        """max_iterations=0 exits before the first fused group posts."""
-        b = np.random.default_rng(12).standard_normal((spd_ldu.n, 2))
-        loose = SolverControls(tolerance=1e-13, max_iterations=0)
-        for solve in (pipelined_pcg_solve_multi, fused_pbicgstab_solve_multi):
-            x, results = solve(ldu_system(spd_ldu), b, controls=loose)
-            assert np.abs(x).max() == 0.0
-            assert all(not r.converged for r in results)
 
 
 class TestMultiVolField:

@@ -15,7 +15,7 @@ from repro.core import (
     build_solver,
     build_tgv_case,
 )
-from repro.dist import DecomposedSolver, Decomposition, HaloExchanger
+from repro.dist import DecomposedSolver, Decomposition, HaloExchanger, spmd
 from repro.runtime import SimulatedComm
 from repro.solvers import SolverControls, blocked
 
@@ -243,6 +243,26 @@ class TestDecomposedSolver:
         assert d_dec.solver_iterations == d_ser.solver_iterations
         assert d_dec.solver_unconverged == d_ser.solver_unconverged == 0
 
+    @pytest.mark.parametrize("execution", ["serial", "parallel"])
+    def test_injected_rank_count_must_match_settings(
+            self, mech, monkeypatch, execution):
+        """A decomposition or communicator injected with a rank count
+        other than ``settings.ranks`` is refused before any worker
+        forks -- also when the two agree with each other."""
+        def forked(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(spmd, "ParallelExecutor", forked)
+        case = build_tgv_case(n=4, mech=mech)
+        three = Decomposition.from_mesh(case.mesh, 3)
+        settings = SolverSettings(ranks=2, execution=execution)
+        for injected in ({"decomp": three, "comm": SimulatedComm(3)},
+                         {"decomp": three}, {"comm": SimulatedComm(3)}):
+            with pytest.raises(ValueError, match="settings.ranks=2"):
+                DecomposedSolver(case, settings,
+                                 properties=IdealGasProperties(mech),
+                                 **injected)
+
     @pytest.mark.parametrize("ranks", [0, 2])
     def test_unconverged_solves_counted_and_logged(self, mech, ranks,
                                                    caplog):
@@ -314,8 +334,7 @@ class TestDecomposedSolver:
             counts.append([res.iterations for res in results])
             return x, results
 
-        monkeypatch.setitem(blocked._KRYLOV, ("PCG", "synchronous"),
-                            counting)
+        monkeypatch.setitem(blocked._KRYLOV, "PCG", counting)
         solver = build_solver(build_tgv_case(n=8, mech=mech),
                               SolverSettings(ranks=ranks),
                               properties=IdealGasProperties(mech),

@@ -1,18 +1,11 @@
 """The linear-solve seam: one ``krylov_solve`` over a *system* -- the
 serial ``LocalSystem`` or a ``DistributedSystem`` -- with one
-``(method, variant)`` table behind both, and PCG's symmetry
-requirement checked by the seam itself."""
+method table behind both, and PCG's symmetry requirement checked by
+the seam itself."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    DeepFlameSolver,
-    IdealGasProperties,
-    NoChemistry,
-    SolverSettings,
-    build_tgv_case,
-)
 from repro.dist import Decomposition, DistributedSystem, solve_distributed
 from repro.fv import VolField, fvm_laplacian
 from repro.runtime import SimulatedComm
@@ -32,22 +25,24 @@ def _convective(mesh):
 
 
 class TestOneSeamTwoSystems:
-    @pytest.mark.parametrize("variant", ["synchronous", "overlapped"])
+    @pytest.mark.parametrize("solver, operator", [
+        ("PBiCGStab", _convective), ("PCG", make_laplacian_ldu)],
+        ids=["PBiCGStab", "PCG"])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_local_matches_one_rank_distributed(self, box_mesh, k, variant):
-        """Jacobi-preconditioned PBiCGStab through both systems of the
-        same operator: same iteration counts, same solution."""
+    def test_local_matches_one_rank_distributed(self, box_mesh, k, solver,
+                                                operator):
+        """Jacobi-preconditioned PBiCGStab (asymmetric operator) and PCG
+        (symmetric) through both systems of the same operator: same
+        iteration counts, same solution."""
         dec = Decomposition.from_mesh(box_mesh, 1)
         sub, = dec.subdomains
         dist = DistributedSystem(dec, SimulatedComm(1),
-                                 [_convective(sub.mesh)])
-        local = LocalSystem(_convective(box_mesh))
+                                 [operator(sub.mesh)])
+        local = LocalSystem(operator(box_mesh))
         assert (dist.n, dist.nnz) == (local.n, local.nnz)
         b = np.random.default_rng(k).standard_normal((local.n, k))
-        x_l, res_l = krylov_solve(local, b, solver="PBiCGStab",
-                                  variant=variant, controls=TIGHT)
-        x_d, res_d = krylov_solve(dist, b[sub.owned_global],
-                                  solver="PBiCGStab", variant=variant,
+        x_l, res_l = krylov_solve(local, b, solver=solver, controls=TIGHT)
+        x_d, res_d = krylov_solve(dist, b[sub.owned_global], solver=solver,
                                   controls=TIGHT)
         assert all(r.converged for r in res_l)
         assert [r.iterations for r in res_d] == [r.iterations for r in res_l]
@@ -63,20 +58,16 @@ class TestOneSeamTwoSystems:
             [make_laplacian_ldu(s.mesh) for s in dec.subdomains])
         eqn = fvm_laplacian(1.0, VolField("p", box_mesh,
                                           np.zeros(box_mesh.n_cells))) * -1.0
-        for bad in ({"solver": "GMRES"},
-                    {"solver": "PCG", "variant": "bogus"}):
-            with pytest.raises(ValueError) as serial:
-                eqn.solve(**bad)
-            with pytest.raises(ValueError) as decomposed:
-                solve_distributed(system, np.ones((system.n, 1)), **bad)
-            assert str(serial.value) == str(decomposed.value)
-            assert all(repr(v) in str(serial.value) for v in bad.values())
+        with pytest.raises(ValueError) as serial:
+            eqn.solve(solver="GMRES")
+        with pytest.raises(ValueError) as decomposed:
+            solve_distributed(system, np.ones((system.n, 1)), solver="GMRES")
+        assert str(serial.value) == str(decomposed.value)
+        assert repr("GMRES") in str(serial.value)
 
 
 class TestPcgRequiresSymmetry:
-    @pytest.mark.parametrize("variant", ["synchronous", "overlapped"])
-    def test_refused_at_any_size_before_the_body_runs(self, variant,
-                                                      monkeypatch):
+    def test_refused_at_any_size_before_the_body_runs(self, monkeypatch):
         """The check belongs to PCG, not to a preconditioner: a
         50 000-row operator (no size rule picks anything) that is
         asymmetric, or symmetric but holding a NaN, raises before the
@@ -86,49 +77,19 @@ class TestPcgRequiresSymmetry:
                       np.full(n, 2.5), -np.ones(n - 1), -np.ones(n - 1))
         b = np.ones((n, 1))
         _, (res,) = krylov_solve(LocalSystem(a), b, solver="PCG",
-                                 variant=variant, controls=TIGHT)
+                                 controls=TIGHT)
         assert res.converged
 
         def entered(*args, **kwargs):
             raise AssertionError("PCG body entered")
 
-        monkeypatch.setitem(blocked._KRYLOV, ("PCG", variant), entered)
+        monkeypatch.setitem(blocked._KRYLOV, "PCG", entered)
         a.upper[7] *= 2.0
         with pytest.raises(ValueError, match="symmetric"):
-            krylov_solve(LocalSystem(a), b, solver="PCG", variant=variant)
+            krylov_solve(LocalSystem(a), b, solver="PCG")
         _, (res,) = krylov_solve(LocalSystem(a), b, solver="PBiCGStab",
-                                 variant=variant, controls=TIGHT)
+                                 controls=TIGHT)
         assert res.converged
         a.upper[7] = a.lower[7] = np.nan
         with pytest.raises(ValueError, match="symmetric"):
-            krylov_solve(LocalSystem(a), b, solver="PCG", variant=variant)
-
-
-class TestSerialHonoursTheVariant:
-    def test_overlapped_agrees_with_synchronous(self, mech):
-        """``settings.krylov_variant`` reaches the serial solves: the
-        fused / pipelined bodies run (their results say so) and the
-        step agrees with the synchronous one."""
-        solvers, seen = {}, []
-        for variant in ("synchronous", "overlapped"):
-            s = solvers[variant] = DeepFlameSolver(
-                build_tgv_case(n=6, mech=mech),
-                SolverSettings(krylov_variant=variant),
-                properties=IdealGasProperties(mech), chemistry=NoChemistry())
-            if variant == "overlapped":
-                inner = s._solve
-
-                def spy(eqns, solver, controls):
-                    xs, results = inner(eqns, solver, controls)
-                    seen.extend(results)
-                    return xs, results
-
-                s._solve = spy
-            s.run(3, 1e-8)
-        assert seen and all("reduction_groups" in r.details for r in seen)
-        sync, ovl = solvers["synchronous"], solvers["overlapped"]
-        diffs = {name: np.abs(got - ref).max() for name, got, ref in (
-            ("y", ovl.y, sync.y), ("T", ovl.temperature, sync.temperature),
-            ("u", ovl.u.values, sync.u.values),
-            ("p", ovl.p.values, sync.p.values), ("h", ovl.h, sync.h))}
-        assert all(d <= 1e-8 for d in diffs.values()), diffs
+            krylov_solve(LocalSystem(a), b, solver="PCG")

@@ -12,7 +12,13 @@ import repro.chemistry
 import repro.core
 import repro.core.settings
 import repro.dist
+import repro.dist.halo
+import repro.dist.krylov
 import repro.runtime
+import repro.runtime.comm
+import repro.runtime.shm
+import repro.solvers
+import repro.solvers.blocked
 from repro.chemistry.backends import (
     ChemistryBackend,
     DirectBatchBackend,
@@ -30,10 +36,11 @@ from repro.core import (
     build_tgv_case,
 )
 from repro.core.chemistry_source import BackendChemistry
-from repro.core.settings import EXECUTION_MODES, KRYLOV_VARIANTS
+from repro.core.settings import EXECUTION_MODES
 from repro.core.step import advance_step
-from repro.dist import DecomposedSolver
-from repro.solvers import SolverControls
+from repro.dist import DecomposedSolver, DistributedSystem, HaloExchanger
+from repro.runtime import CommLedger, SharedMemComm, SimulatedComm
+from repro.solvers import LocalSystem, SolverControls, krylov_solve
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +58,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("chemistry", "magic"),
-        ("krylov_variant", "voronoi"),
         ("execution", "threads"),
         ("ranks", -1),
         ("n_correctors", 0),
@@ -118,7 +124,7 @@ class TestOverlayRoundtrip:
     def test_dict_roundtrip(self):
         s = SolverSettings(chemistry="direct", ranks=3, partition_seed=7,
                            scalar_controls={"tolerance": 1e-10},
-                           krylov_variant="overlapped", n_correctors=3)
+                           n_correctors=3)
         d = s.to_dict()
         assert d["scalar_controls"]["tolerance"] == 1e-10
         assert SolverSettings.from_dict(d) == s
@@ -182,7 +188,7 @@ class TestOneSurface:
     configuration surface, and the superseded spellings are gone."""
 
     def test_field_count(self):
-        assert len(fields(SolverSettings)) == 11
+        assert len(fields(SolverSettings)) == 10
 
     def test_constructor_signatures(self):
         def surface(cls):
@@ -217,17 +223,59 @@ class TestOneSurface:
             with pytest.raises(KeyError, match=name):
                 SolverSettings().overlay(**{name: value})
 
+    def test_krylov_variant_is_not_a_field(self):
+        """Each Krylov method has one schedule: no setting picks
+        another, in any spelling."""
+        with pytest.raises(TypeError, match="krylov_variant"):
+            SolverSettings(krylov_variant="synchronous")
+        d = SolverSettings().to_dict()
+        assert "krylov_variant" not in d
+        d["krylov_variant"] = "synchronous"
+        with pytest.raises(KeyError, match="krylov_variant"):
+            SolverSettings.from_dict(d)
+        with pytest.raises(KeyError, match="krylov_variant"):
+            SolverSettings().overlay(krylov_variant="synchronous")
+
     @pytest.mark.parametrize("name", [
         "resolve_settings", "TRANSPORT_MODES", "DirectChemistry",
         "BatchedChemistry", "ODENetChemistry", "HybridChemistry",
         "PARTITION_METHODS", "BALANCE_MODES", "BalanceReport",
         "ChemistryLoadBalancer", "MigrationPlan", "plan_migration",
-        "price_balance_report"])
+        "price_balance_report", "KRYLOV_VARIANTS",
+        "pipelined_pcg_solve_multi", "fused_pbicgstab_solve_multi",
+        "PendingRefresh", "PendingExchange", "PendingReduce",
+        "ShmPendingExchange", "ShmPendingReduce",
+        "overlapped_phase_time"])
     def test_removed_names_not_exported(self, name):
         for module in (repro.core, repro.core.settings, repro.dist,
-                       repro.chemistry, repro.runtime):
+                       repro.dist.halo, repro.dist.krylov,
+                       repro.chemistry, repro.runtime, repro.runtime.comm,
+                       repro.runtime.shm, repro.solvers,
+                       repro.solvers.blocked):
             assert not hasattr(module, name)
             assert name not in module.__all__
+
+    @pytest.mark.parametrize("cls, name", [
+        (LocalSystem, "fused_reduce"), (LocalSystem, "ifused_reduce"),
+        (DistributedSystem, "fused_reduce"),
+        (DistributedSystem, "ifused_reduce"),
+        (DistributedSystem, "_pack_group"), (HaloExchanger, "post"),
+        (SimulatedComm, "post_halo"), (SimulatedComm, "iallreduce"),
+        (SharedMemComm, "post_halo"), (SharedMemComm, "iallreduce"),
+        (CommLedger, "overlap_messages"), (CommLedger, "overlap_bytes"),
+        (CommLedger, "overlap_allreduces")],
+        ids=lambda v: v if isinstance(v, str) else v.__name__)
+    def test_removed_schedule_members(self, cls, name):
+        """Every collective is blocking: no nonblocking spelling, no
+        grouped reduction and no overlap tally is left."""
+        assert not hasattr(cls, name)
+
+    def test_krylov_solve_takes_no_variant(self):
+        params = inspect.signature(krylov_solve).parameters
+        assert list(params) == ["system", "b", "x0", "solver",
+                                "controls", "workspace"]
+        assert "overlap_halo" not in \
+            inspect.signature(DistributedSystem).parameters
 
     @pytest.mark.parametrize("name", [
         "balancer", "last_balance", "_balanced_chemistry",
@@ -316,8 +364,7 @@ class TestBuilders:
 
     @pytest.mark.parametrize("field, value", [
         (field, value)
-        for field, choices in (("krylov_variant", KRYLOV_VARIANTS),
-                               ("execution", EXECUTION_MODES))
+        for field, choices in (("execution", EXECUTION_MODES),)
         for value in choices])
     def test_every_accepted_choice_builds(self, mech, field, value):
         """Every value a settings choice validates builds a 2-rank
