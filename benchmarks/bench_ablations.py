@@ -10,21 +10,17 @@
 
 import numpy as np
 
-from repro.dnn import GeLUTable
-from repro.mesh import (
-    build_rocket_mesh,
-    cell_graph_from_mesh,
-    partition_renumbering,
-)
-from repro.partition import edge_cut, offdiag_fraction, partition_graph
-from repro.solvers import (
-    DICPreconditioner,
-    GAMGSolver,
-    LocalSystem,
-    SolverControls,
-    pcg_solve_multi,
-)
-from repro.sparse import build_block_converter
+from repro.dnn.gelu_table import GeLUTable
+from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.renumber import partition_renumbering
+from repro.mesh.rocket import build_rocket_mesh
+from repro.partition.metrics import edge_cut, offdiag_fraction
+from repro.partition.partitioner import partition_graph
+from repro.solvers.blocked import LocalSystem, pcg_solve_multi
+from repro.solvers.controls import SolverControls
+from repro.solvers.gamg import GAMGSolver
+from repro.solvers.preconditioners import DICPreconditioner
+from repro.sparse.convert import build_block_converter
 from tests.conftest import make_laplacian_ldu
 
 from .conftest import emit
@@ -80,7 +76,7 @@ def test_ablation_gelu_interval(benchmark):
     for interval in (0.04, 0.02, 0.01, 0.005):
         tab = GeLUTable(interval=interval, precision="fp64")
         xs = np.linspace(-2.99, 2.99, 60_001)
-        from repro.dnn import gelu_exact
+        from repro.dnn.layers import gelu_exact
 
         err = np.abs(tab(xs) - gelu_exact(xs)).max()
         errs.append(err)
@@ -94,7 +90,7 @@ def test_ablation_gelu_interval(benchmark):
 
 
 def test_ablation_pressure_solver_choice(benchmark):
-    from repro.mesh import build_box_mesh
+    from repro.mesh.structured import build_box_mesh
 
     mesh = build_box_mesh(12, 12, 12)
     ldu = make_laplacian_ldu(mesh, shift=0.01)

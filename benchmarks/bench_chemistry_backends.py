@@ -26,14 +26,12 @@ for the shrunken CI version)
 import numpy as np
 import pytest
 
-from repro.chemistry import (
-    DirectBatchBackend,
-    HybridBackend,
-    PerCellBDFBackend,
-    SurrogateBackend,
-    mixture_line,
-)
-from repro.runtime import chemistry_balance_report
+from repro.chemistry.backends.direct import DirectBatchBackend
+from repro.chemistry.backends.hybrid import HybridBackend
+from repro.chemistry.backends.percell import PerCellBDFBackend
+from repro.chemistry.backends.surrogate import SurrogateBackend
+from repro.chemistry.reactor import mixture_line
+from repro.runtime.load_balance import chemistry_balance_report
 
 from .conftest import emit
 
@@ -58,7 +56,7 @@ def bench_odenet(request, mech, smoke, flame_manifold):
     --smoke."""
     if not smoke:
         return request.getfixturevalue("trained_odenet")
-    from repro.dnn import ODENet
+    from repro.dnn.odenet import ODENet
 
     rng = np.random.default_rng(0)
     dt = 1e-6

@@ -32,12 +32,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import (
-    DeepFlameSolver,
-    SolverSettings,
-    build_chemistry,
-    build_hotspot_tgv_case,
-)
+from repro.core.cases import build_hotspot_tgv_case
+from repro.core.deepflame import DeepFlameSolver
+from repro.core.settings import SolverSettings, build_chemistry
 
 from .conftest import emit
 
@@ -76,7 +73,7 @@ def live_states(mech, smoke):
 class TestTrainedHybrid:
     def test_throughput_and_accuracy_gates(self, mech, live_states, smoke):
         """>= 20x direct cells/sec at max|dY| <= 1e-6 on live states."""
-        from repro.chemistry import DirectBatchBackend
+        from repro.chemistry.backends.direct import DirectBatchBackend
 
         direct = DirectBatchBackend(mech)
         hybrid = _hybrid_chemistry(mech)

@@ -20,9 +20,11 @@ Run:  pytest benchmarks/bench_ensemble.py -q [--smoke]
 
 import numpy as np
 
-from repro.core import DeepFlameSolver, SolverSettings, build_tgv_case
-from repro.orchestrate import Ensemble
-from repro.runtime import SUNWAY
+from repro.core.cases import build_tgv_case
+from repro.core.deepflame import DeepFlameSolver
+from repro.core.settings import SolverSettings
+from repro.orchestrate.ensemble import Ensemble
+from repro.runtime.machine import SUNWAY
 
 from .conftest import emit
 

@@ -14,11 +14,10 @@ Paper totals to reproduce: 7.3x (Sunway), 3.6x (Fugaku), 8.8x (LS)."""
 
 import numpy as np
 
-from repro.dnn import MLP, InferenceEngine
-from repro.runtime import (
-    FUGAKU,
-    LS_PILOT,
-    SUNWAY,
+from repro.dnn.inference import InferenceEngine
+from repro.dnn.network import MLP
+from repro.runtime.machine import FUGAKU, LS_PILOT, SUNWAY
+from repro.runtime.perf_model import (
     OptimizationConfig,
     PerfModel,
     tgv_workload,

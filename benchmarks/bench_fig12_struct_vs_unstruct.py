@@ -11,16 +11,18 @@ three panels."""
 
 import numpy as np
 
-from repro.mesh import build_box_mesh, build_rocket_mesh, cell_graph_from_mesh
-from repro.partition import balance_stats, partition_graph
-from repro.runtime import (
-    FUGAKU,
+from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.rocket import build_rocket_mesh
+from repro.mesh.structured import build_box_mesh
+from repro.partition.metrics import balance_stats
+from repro.partition.partitioner import partition_graph
+from repro.runtime.machine import FUGAKU
+from repro.runtime.perf_model import (
     OptimizationConfig,
     PerfModel,
-    strong_scaling,
     tgv_workload,
-    weak_scaling,
 )
+from repro.runtime.scaling import strong_scaling, weak_scaling
 
 from .conftest import emit
 

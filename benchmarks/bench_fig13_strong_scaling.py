@@ -15,9 +15,12 @@ reports the *measured* per-step halo-exchange and allreduce ledger
 next to the alpha-beta times the cost model charges for exactly those
 volumes -- the communication pattern is exercised, not assumed.  The
 Krylov-collectives bench runs the same step up to 8-16 ranks and
-reports the blocking allreduces per Krylov iteration (every collective
-is blocking: PCG makes 3 per iteration, PBiCGStab 6) with the modeled
-step time and strong-scaling efficiency they imply.
+reports the step's blocking allreduces, their ratio to the step's
+column-iterations (``StepDiagnostics.solver_iterations``: every solve's
+iterations summed over its right-hand-side columns, so a k-column
+blocked solve adds k per Krylov iteration; the ratio is not allreduces
+per Krylov iteration) and the modeled step time and strong-scaling
+efficiency the allreduces imply.
 With ``--parallel`` (next to ``--executed``) the decomposed step
 additionally runs under the *shared-memory parallel runtime*
 (``execution="parallel"``): each rank becomes a real worker process
@@ -34,15 +37,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import (
-    FUGAKU,
-    SUNWAY,
-    OptimizationConfig,
-    allreduce_time,
-    halo_exchange_time,
-    strong_scaling,
-    tgv_workload,
-)
+from repro.runtime.comm import allreduce_time, halo_exchange_time
+from repro.runtime.machine import FUGAKU, SUNWAY
+from repro.runtime.perf_model import OptimizationConfig, tgv_workload
+from repro.runtime.scaling import strong_scaling
 
 from .conftest import emit
 
@@ -95,13 +93,11 @@ def test_fig13_executed_ledger(executed, smoke, mech):
     analytic sweep uses."""
     if not executed:
         pytest.skip("pass --executed to run the decomposed-execution bench")
-    from repro.core import (
-        IdealGasProperties,
-        NoChemistry,
-        SolverSettings,
-        build_tgv_case,
-    )
-    from repro.dist import DecomposedSolver
+    from repro.core.cases import build_tgv_case
+    from repro.core.chemistry_source import NoChemistry
+    from repro.core.properties import IdealGasProperties
+    from repro.core.settings import SolverSettings
+    from repro.dist.solver import DecomposedSolver
 
     n = 8 if smoke else 12
     rank_counts = [2, 4] if smoke else [2, 4, 8]
@@ -153,8 +149,10 @@ def test_fig13_parallel_measured(executed, parallel, smoke, mech):
     if not (executed and parallel):
         pytest.skip("pass --executed --parallel to run the shared-memory "
                     "runtime bench")
-    from repro.core import IdealGasProperties, SolverSettings, build_tgv_case
-    from repro.dist import DecomposedSolver
+    from repro.core.cases import build_tgv_case
+    from repro.core.properties import IdealGasProperties
+    from repro.core.settings import SolverSettings
+    from repro.dist.solver import DecomposedSolver
 
     n = 6 if smoke else 8
     worker_counts = [2] if smoke else [2, 4]
@@ -232,26 +230,26 @@ def _price_step(comm: dict, flops: int, nparts: int) -> float:
 
 def test_fig13_krylov_collectives(executed, smoke, mech):
     """The one Krylov schedule at growing rank counts: measured
-    blocking allreduces per iteration and the modeled step time and
-    strong-scaling efficiency they cost on Sunway's fabric."""
+    blocking allreduces, their ratio to the step's column-iterations
+    (``allred/col-it``; ``solver_iterations`` sums every column of
+    every solve) and the modeled step time and strong-scaling
+    efficiency they cost on Sunway's fabric."""
     if not executed:
         pytest.skip("pass --executed to run the decomposed-execution bench")
-    from repro.core import (
-        IdealGasProperties,
-        NoChemistry,
-        SolverSettings,
-        build_tgv_case,
-    )
-    from repro.dist import DecomposedSolver
+    from repro.core.cases import build_tgv_case
+    from repro.core.chemistry_source import NoChemistry
+    from repro.core.properties import IdealGasProperties
+    from repro.core.settings import SolverSettings
+    from repro.dist.solver import DecomposedSolver
 
     n = 8 if smoke else 12
     rank_counts = [2, 4, 8] if smoke else [2, 4, 8, 16]
     dt = 1e-8
     lines = [f"TGV {n}^3 cells, 1 measured step per rank count "
              "(alpha-beta times on Sunway's fabric)",
-             "   P  allred  allred/it  t_model [us]  efficiency"]
+             "   P  allred  allred/col-it  t_model [us]  efficiency"]
     base = None
-    allreduces = {}     # Krylov iterations of the step -> allreduces
+    allreduces = {}     # column-iterations of the step -> allreduces
     for nparts in rank_counts:
         solver = DecomposedSolver(
             build_tgv_case(n=n, mech=mech), SolverSettings(ranks=nparts),
@@ -259,16 +257,16 @@ def test_fig13_krylov_collectives(executed, smoke, mech):
         solver.step(dt)   # warm-up: settle fields
         solver.step(dt)   # measured step
         comm = solver.last_comm
-        iters = max(solver.last_diag.solver_iterations, 1)
+        col_iters = max(solver.last_diag.solver_iterations, 1)
         t_model = _price_step(comm, solver.last_diag.solver_flops, nparts)
         base = base or (nparts, t_model)
         e = (base[1] * base[0]) / (t_model * nparts)
         lines.append(
             f"  {nparts:2d}  {comm['allreduces']:6d}  "
-            f"{comm['allreduces'] / iters:9.2f}  {t_model*1e6:12.2f}  "
+            f"{comm['allreduces'] / col_iters:13.2f}  {t_model*1e6:12.2f}  "
             f"{e*100:9.1f} %")
-        allreduces.setdefault(iters, set()).add(comm["allreduces"])
+        allreduces.setdefault(col_iters, set()).add(comm["allreduces"])
     # the schedule's collectives follow the iterations alone: equal
-    # iteration totals cost equal allreduces at every rank count
+    # column-iteration totals cost equal allreduces at every rank count
     assert all(len(c) == 1 for c in allreduces.values()), allreduces
     emit("Fig. 13 (executed): blocking Krylov collectives", lines)

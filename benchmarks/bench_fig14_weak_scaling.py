@@ -10,13 +10,9 @@ fp32, efficiencies 92.74 % / 97.31 %; Fugaku 316.5 PF (31.8 %) /
 
 import pytest
 
-from repro.runtime import (
-    FUGAKU,
-    SUNWAY,
-    OptimizationConfig,
-    tgv_workload,
-    weak_scaling,
-)
+from repro.runtime.machine import FUGAKU, SUNWAY
+from repro.runtime.perf_model import OptimizationConfig, tgv_workload
+from repro.runtime.scaling import weak_scaling
 
 from .conftest import emit
 

@@ -9,19 +9,17 @@ magnitude* of every statistic at bench scale."""
 
 import numpy as np
 
-from repro.mesh import (
-    build_rocket_mesh,
-    cell_graph_from_mesh,
-    partition_renumbering,
-)
-from repro.partition import (
+from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.renumber import partition_renumbering
+from repro.mesh.rocket import build_rocket_mesh
+from repro.partition.hierarchical import decompose_two_level
+from repro.partition.metrics import (
     balance_stats,
     block_occupancy,
-    decompose_two_level,
     offdiag_fraction,
-    partition_graph,
 )
-from repro.sparse import build_block_converter
+from repro.partition.partitioner import partition_graph
+from repro.sparse.convert import build_block_converter
 from tests.conftest import make_laplacian_ldu
 
 from .conftest import emit

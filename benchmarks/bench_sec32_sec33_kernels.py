@@ -14,15 +14,16 @@ import time
 
 import numpy as np
 
-from repro.dnn import GeLUTable, gelu_exact
-from repro.mesh import (
-    build_rocket_mesh,
-    cell_graph_from_mesh,
-    partition_renumbering,
-)
-from repro.partition import partition_graph
-from repro.sparse import SmootherStats, build_block_converter, spmv_ldu
-from repro.runtime import FUGAKU, SUNWAY
+from repro.dnn.gelu_table import GeLUTable
+from repro.dnn.layers import gelu_exact
+from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.renumber import partition_renumbering
+from repro.mesh.rocket import build_rocket_mesh
+from repro.partition.partitioner import partition_graph
+from repro.sparse.convert import build_block_converter
+from repro.sparse.gauss_seidel import SmootherStats
+from repro.sparse.spmv import spmv_ldu
+from repro.runtime.machine import FUGAKU, SUNWAY
 from tests.conftest import make_laplacian_ldu
 
 from .conftest import emit
@@ -104,7 +105,7 @@ def test_sec331_mixed_precision_accounting(benchmark):
 
     # numerical equivalence side (Sec. 5.1 support): fp16 matmul on
     # z-scored data stays within ~1e-2 relative
-    from repro.dnn import mixed_linear_forward
+    from repro.dnn.quantize import mixed_linear_forward
 
     rng = np.random.default_rng(2)
     x = rng.normal(size=(512, 64))

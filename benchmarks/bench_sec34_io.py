@@ -9,15 +9,14 @@
 
 import numpy as np
 
-from repro.io import (
-    IOCostModel,
+from repro.io.foamfile import write_collated
+from repro.io.parallel_io import IOCostModel, measure_strategies
+from repro.io.pipeline import (
     conventional_pipeline,
     fused_pipeline,
-    measure_strategies,
     storage_comparison,
-    write_collated,
 )
-from repro.mesh import BoxSpec
+from repro.mesh.structured import BoxSpec
 
 from .conftest import emit
 

@@ -12,10 +12,9 @@ integration; the optimized code reaches ~1e-9 s/DoF/cycle while the
 
 import numpy as np
 
-from repro.chemistry import rodas3_batch
-from repro.runtime import (
-    FUGAKU,
-    SUNWAY,
+from repro.chemistry.ode import rodas3_batch
+from repro.runtime.machine import FUGAKU, SUNWAY
+from repro.runtime.perf_model import (
     OptimizationConfig,
     PerfModel,
     tgv_workload,
@@ -33,7 +32,7 @@ def _chemistry_cost_per_cell(mech, flame_manifold, method: str) -> float:
     """Wall seconds to advance one cell's chemistry by DT_CFD."""
     import time
 
-    from repro.chemistry.backends import PerCellBDFBackend
+    from repro.chemistry.backends.percell import PerCellBDFBackend
 
     t = flame_manifold["T"][8:40:4]
     y = flame_manifold["Y"][8:40:4]

@@ -11,7 +11,7 @@ are recovered from the constant-(h,p) states and compared."""
 
 import numpy as np
 
-from repro.thermo import RealFluidMixture
+from repro.thermo.real_fluid import RealFluidMixture
 
 from .conftest import emit
 

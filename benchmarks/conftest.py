@@ -73,7 +73,7 @@ def emit(title: str, lines: list[str], dtype: str = "fp64") -> None:
 
 @pytest.fixture(scope="session")
 def mech():
-    from repro.chemistry import load_mechanism
+    from repro.chemistry.mechanism import load_mechanism
 
     return load_mechanism()
 
@@ -82,7 +82,7 @@ def mech():
 def flame_manifold(mech):
     """The Fig.-10-style 1-D profile: mixing line with a hot reacting
     core, plus matched training data for the surrogate."""
-    from repro.chemistry import mixture_line
+    from repro.chemistry.reactor import mixture_line
 
     n = 48
     pressure = 10e6
@@ -111,7 +111,7 @@ def flame_manifold(mech):
 def reference_advance(mech, flame_manifold):
     """Direct BDF advance of every profile state over one CFD step
     (the paper's 'Cantara' reference)."""
-    from repro.chemistry.backends import PerCellBDFBackend
+    from repro.chemistry.backends.percell import PerCellBDFBackend
 
     dt = 1e-6
     y_new, t_new, stats = PerCellBDFBackend(
@@ -125,8 +125,8 @@ def trained_odenet(mech, flame_manifold, reference_advance):
     """ODENet trained on the flame-manifold neighbourhood (small
     architecture -- the accuracy experiment is architecture-insensitive
     at this scale; see DESIGN.md)."""
-    from repro.chemistry.backends import PerCellBDFBackend
-    from repro.dnn import ODENet
+    from repro.chemistry.backends.percell import PerCellBDFBackend
+    from repro.dnn.odenet import ODENet
 
     rng = np.random.default_rng(0)
     dt = reference_advance["dt"]
@@ -152,8 +152,8 @@ def trained_odenet(mech, flame_manifold, reference_advance):
 
 @pytest.fixture(scope="session")
 def trained_prnet(mech):
-    from repro.dnn import PRNet
-    from repro.thermo import RealFluidMixture
+    from repro.dnn.prnet import PRNet
+    from repro.thermo.real_fluid import RealFluidMixture
 
     rf = RealFluidMixture(mech)
     net = PRNet(mech, density_hidden=(64, 32), transport_hidden=(64, 32))

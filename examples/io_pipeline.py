@@ -13,13 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.io import (
-    IOCostModel,
-    measure_strategies,
-    storage_comparison,
-    write_collated,
-    write_index,
-)
+from repro.io.foamfile import write_collated
+from repro.io.indexing import write_index
+from repro.io.parallel_io import IOCostModel, measure_strategies
+from repro.io.pipeline import storage_comparison
 
 
 def main() -> None:

@@ -19,18 +19,18 @@ batched backend subsystem (``repro.chemistry.backends``):
                               counters
 
 With ``--ranks N`` the same case is *also* advanced by the
-domain-decomposed executor (``repro.dist.DecomposedSolver``): N
+domain-decomposed executor (``repro.dist.solver.DecomposedSolver``): N
 partitioned subdomains with real halo exchanges and allreduce-based
 Krylov reductions over an in-process message fabric.  The run prints
 the serial-vs-decomposed max |delta| per step together with the
 measured per-step message/byte ledger.
 
 Every flag above sets one field of a single validated
-``repro.core.SolverSettings`` object -- the unified configuration the
+``repro.core.settings.SolverSettings`` object -- the unified configuration the
 solvers are built from (``DeepFlameSolver(case, settings)`` /
 ``DecomposedSolver(case, settings)``).  ``--sweep key=v1,v2,...`` fans
 that settings object out over an in-process ensemble
-(``repro.orchestrate.Ensemble``): one instance per value, sharing one
+(``repro.orchestrate.ensemble.Ensemble``): one instance per value, sharing one
 mesh/mechanism/workspace, with the per-instance cost table and the
 shared-memory footprint printed at the end.  The key may be a dotted
 settings path, e.g. ``scalar_controls.tolerance``.
@@ -45,14 +45,11 @@ import argparse
 
 import numpy as np
 
-from repro.core import (
-    TRUST_GATE_MODES,
-    DeepFlameSolver,
-    SolverSettings,
-    build_tgv_case,
-)
-from repro.orchestrate import Ensemble
-from repro.solvers import SolverControls
+from repro.core.cases import build_tgv_case
+from repro.core.deepflame import DeepFlameSolver
+from repro.core.settings import SolverSettings, TRUST_GATE_MODES
+from repro.orchestrate.ensemble import Ensemble
+from repro.solvers.controls import SolverControls
 
 CHOICES = ("none", "percell", "direct", "surrogate", "hybrid",
            "hybrid-trained")
@@ -60,8 +57,8 @@ CHOICES = ("none", "percell", "direct", "surrogate", "hybrid",
 def _quick_odenet(mech, case, dt):
     """Train a small ODENet on the case's own state manifold (labels
     from the batched direct backend) -- a few seconds, demo quality."""
-    from repro.chemistry import DirectBatchBackend
-    from repro.dnn import ODENet
+    from repro.chemistry.backends.direct import DirectBatchBackend
+    from repro.dnn.odenet import ODENet
 
     rng = np.random.default_rng(0)
     idx = rng.choice(case.mesh.n_cells, size=min(96, case.mesh.n_cells),
@@ -114,7 +111,7 @@ def run_decomposed(args, mech, dt: float) -> None:
     exchange and allreduce actually flows through the in-process
     fabric and lands in the ledger the summary prints.
     """
-    from repro.dist import DecomposedSolver
+    from repro.dist.solver import DecomposedSolver
 
     settings = SolverSettings(
         ranks=args.ranks,

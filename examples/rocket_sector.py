@@ -11,17 +11,17 @@ Run:  python examples/rocket_sector.py
 
 import numpy as np
 
-from repro.core import (
-    DeepFlameSolver,
-    IdealGasProperties,
-    NoChemistry,
-    SolverSettings,
-    build_rocket_case,
-)
-from repro.mesh import cell_graph_from_mesh, partition_renumbering
-from repro.partition import balance_stats, decompose_two_level, offdiag_fraction
-from repro.sparse import build_block_converter
-from repro.solvers import SolverControls
+from repro.core.cases import build_rocket_case
+from repro.core.chemistry_source import NoChemistry
+from repro.core.deepflame import DeepFlameSolver
+from repro.core.properties import IdealGasProperties
+from repro.core.settings import SolverSettings
+from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.renumber import partition_renumbering
+from repro.partition.hierarchical import decompose_two_level
+from repro.partition.metrics import balance_stats, offdiag_fraction
+from repro.sparse.convert import build_block_converter
+from repro.solvers.controls import SolverControls
 
 
 def main() -> None:
@@ -43,12 +43,12 @@ def main() -> None:
 
     print("\nThread-level block structure (Sec. 3.2):")
     graph = cell_graph_from_mesh(mesh)
-    from repro.partition import partition_graph
+    from repro.partition.partitioner import partition_graph
 
     mem = partition_graph(graph, 16)
     perm = partition_renumbering(graph, mem)
     mesh2 = mesh.renumbered(perm)
-    from repro.sparse import LDUMatrix
+    from repro.sparse.ldu import LDUMatrix
 
     nif = mesh2.n_internal_faces
     ldu = LDUMatrix(mesh2.n_cells, mesh2.owner[:nif], mesh2.neighbour)

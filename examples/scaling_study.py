@@ -4,14 +4,9 @@ calibrated machine models (Figs. 13-14, Table 1 'our work' rows).
 Run:  python examples/scaling_study.py
 """
 
-from repro.runtime import (
-    FUGAKU,
-    SUNWAY,
-    OptimizationConfig,
-    strong_scaling,
-    tgv_workload,
-    weak_scaling,
-)
+from repro.runtime.machine import FUGAKU, SUNWAY
+from repro.runtime.perf_model import OptimizationConfig, tgv_workload
+from repro.runtime.scaling import strong_scaling, weak_scaling
 
 
 def show(series, title):

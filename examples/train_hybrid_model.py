@@ -33,14 +33,11 @@ import time
 
 import numpy as np
 
-from repro.chemistry import load_mechanism
-from repro.core import SolverSettings, build_chemistry
-from repro.dnn import (
-    ModelRegistry,
-    ODENet,
-    build_training_set,
-    sample_solver_states,
-)
+from repro.chemistry.mechanism import load_mechanism
+from repro.core.settings import SolverSettings, build_chemistry
+from repro.dnn.dataset import build_training_set, sample_solver_states
+from repro.dnn.odenet import ODENet
+from repro.dnn.registry import ModelRegistry
 from repro.dnn.training import train_mlp
 
 

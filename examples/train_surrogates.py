@@ -13,9 +13,11 @@ Run:  python examples/train_surrogates.py
 
 import numpy as np
 
-from repro.chemistry import ConstantPressureReactor, load_mechanism, premixed_state
-from repro.dnn import ODENet, PRNet
-from repro.thermo import RealFluidMixture
+from repro.chemistry.mechanism import load_mechanism
+from repro.chemistry.reactor import ConstantPressureReactor, premixed_state
+from repro.dnn.odenet import ODENet
+from repro.dnn.prnet import PRNet
+from repro.thermo.real_fluid import RealFluidMixture
 
 
 def train_odenet(mech):

@@ -39,6 +39,10 @@ Subpackages
     runtime-refinement pipeline.
 ``core``
     The DeepFlame solver and the TGV / rocket cases.
+
+The subpackages re-export nothing: import each name from the module
+that defines it (``from repro.core.settings import build_solver``), so
+a process loads only the modules it runs.
 """
 
 __version__ = "1.2.0"

@@ -22,25 +22,13 @@ on more cores through the domain decomposition
 (``SolverSettings(ranks >= 2, execution="parallel")``), each rank
 advancing its own cells.
 
-:func:`repro.core.build_chemistry` builds the one a
-:class:`~repro.core.SolverSettings` names.
+:func:`repro.core.settings.build_chemistry` builds the one a
+:class:`~repro.core.settings.SolverSettings` names.
 """
 
-from __future__ import annotations
-
-from .base import BackendStats, ChemistryBackend
+# bench/checks.py names these two by the package path; every other
+# importer names the defining module, so nothing else loads here.
 from .direct import DirectBatchBackend
-from .hybrid import TRUST_GATE_MODES, HybridBackend
 from .percell import PerCellBDFBackend
-from .surrogate import FLOPS_PER_WORK_UNIT, SurrogateBackend
 
-__all__ = [
-    "BackendStats",
-    "ChemistryBackend",
-    "DirectBatchBackend",
-    "FLOPS_PER_WORK_UNIT",
-    "HybridBackend",
-    "PerCellBDFBackend",
-    "SurrogateBackend",
-    "TRUST_GATE_MODES",
-]
+__all__ = ["DirectBatchBackend", "PerCellBDFBackend"]

@@ -27,6 +27,7 @@ import time
 
 import numpy as np
 
+from ...runtime.seeding import hash_uniform
 from .base import BackendStats, ChemistryBackend
 from .direct import DirectBatchBackend
 from .surrogate import SurrogateBackend
@@ -248,8 +249,6 @@ class HybridBackend(ChemistryBackend):
         work price — and any cell whose surrogate prediction deviated
         beyond ``audit_tol`` is counted and buffered as OOD.
         """
-        from ...runtime.seeding import hash_uniform
-
         scores = hash_uniform(self.audit_seed, audit_stream, idx_s)
         sel = scores < self.audit_fraction
         if not sel.any():

@@ -18,9 +18,7 @@ import numpy as np
 
 from .base import BackendStats, ChemistryBackend
 
-if TYPE_CHECKING:  # import at type-check time only: repro.dnn imports
-    # chemistry submodules, so an eager import here would make package
-    # initialization order-dependent (repro.dnn first would crash).
+if TYPE_CHECKING:
     from ...dnn.inference import InferenceEngine
     from ...dnn.odenet import ODENet
 

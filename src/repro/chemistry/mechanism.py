@@ -15,7 +15,7 @@ from ..constants import P_REF, R_UNIVERSAL
 from .rates import Reaction
 from .species import Species
 
-__all__ = ["Mechanism", "MixtureThermo"]
+__all__ = ["Mechanism", "MixtureThermo", "load_mechanism"]
 
 
 class MixtureThermo:
@@ -243,3 +243,13 @@ class Mechanism:
         moles = y / self.molecular_weights  # (..., ns) mol/kg
         el_moles = moles @ self.element_matrix.T  # (..., ne)
         return el_moles * zw
+
+
+def load_mechanism(name: str = "lox_ch4_17sp") -> Mechanism:
+    """Load a built-in mechanism by name."""
+    if name in ("lox_ch4_17sp", "lox_ch4_17sp_44rxn"):
+        # the data module builds on this one, so it loads on first use
+        from .data.lox_ch4_17sp import build_mechanism
+
+        return build_mechanism()
+    raise KeyError(f"unknown mechanism {name!r}")

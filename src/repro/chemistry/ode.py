@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 __all__ = ["WorkCounters", "BDFIntegrator", "rodas3_batch"]
 
@@ -158,6 +157,10 @@ class BDFIntegrator:
         those times (via the backward-difference polynomial); otherwise
         every accepted internal step is returned.
         """
+        # the one dense LU in the package: the batched integrators
+        # never load scipy.linalg
+        from scipy.linalg import lu_factor, lu_solve
+
         t0, tf = t_span
         y = np.array(y0, dtype=float)
         n = y.size

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..chemistry import load_mechanism
-from ..chemistry.mechanism import Mechanism
+from ..chemistry.mechanism import Mechanism, load_mechanism
 from ..fv.boundary import FixedValue, ZeroGradient
 from ..fv.fields import VolField
 from ..mesh.rocket import build_rocket_mesh

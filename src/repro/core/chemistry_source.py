@@ -2,11 +2,11 @@
 
 All chemistry flows through :mod:`repro.chemistry.backends`: the
 solver hands a whole mesh's worth of cells to a
-:class:`~repro.chemistry.backends.ChemistryBackend` in one call and
+:class:`~repro.chemistry.backends.base.ChemistryBackend` in one call and
 gets back per-cell work statistics.  :class:`BackendChemistry` is the
 one adapter between that batch API and the solver's calling convention
 ``advance(T, p, Y, dt) -> (T_new, Y_new)``; it holds the last call's
-:class:`~repro.chemistry.backends.BackendStats` for the diagnostics
+:class:`~repro.chemistry.backends.base.BackendStats` for the diagnostics
 and benchmarks.  Every solver wraps its backend in its own adapter, so
 ranks sharing an injected backend keep separate statistics.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..chemistry.backends import BackendStats, ChemistryBackend
+from ..chemistry.backends.base import BackendStats, ChemistryBackend
 
 __all__ = ["BackendChemistry", "NoChemistry"]
 

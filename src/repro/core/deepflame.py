@@ -33,7 +33,7 @@ The step is split into reusable **physics stages** -- per-cell updates
 order they run in is written once, in :func:`repro.core.step.advance_step`.
 :meth:`DeepFlameSolver.step` hosts itself through it (every row owned,
 nothing to exchange, each equation solved locally); the
-domain-decomposed driver (:class:`repro.dist.DecomposedSolver`) runs
+domain-decomposed driver (:class:`repro.dist.solver.DecomposedSolver`) runs
 one instance of this class per subdomain through the same sequence
 with halo exchanges and distributed Krylov solves plugged in.
 """
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..chemistry.backends import ChemistryBackend
+from ..chemistry.backends.base import ChemistryBackend
 from ..fv.fields import MultiVolField, SurfaceField, VolField
 from ..fv.operators import (
     CoupledTransportEquation,
@@ -153,8 +153,9 @@ class DeepFlameSolver:
                 "shared workspace was built for a different mesh")
         self._ws = workspace
 
-        self.u = case.velocity
-        self.p = case.pressure
+        # the solver owns its state: stepping never writes into `case`
+        self.u = case.velocity.copy()
+        self.p = case.pressure.copy()
         self.y = np.array(case.mass_fractions, dtype=float)
         # Initialize enthalpy/properties consistently.
         t0 = np.array(case.temperature, dtype=float)

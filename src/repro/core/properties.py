@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..chemistry.mechanism import Mechanism
 from ..constants import R_UNIVERSAL
-from ..dnn.inference import InferenceEngine
-from ..dnn.prnet import PRNet
-from ..thermo.real_fluid import RealFluidMixture
+
+if TYPE_CHECKING:
+    from ..dnn.inference import InferenceEngine
+    from ..dnn.prnet import PRNet
+    from ..thermo.real_fluid import RealFluidMixture
 
 __all__ = ["PropertySet", "DirectRealFluidProperties", "PRNetProperties",
            "IdealGasProperties"]
@@ -50,8 +53,13 @@ class DirectRealFluidProperties:
     """
 
     def __init__(self, mech: Mechanism, rf: RealFluidMixture | None = None):
+        if rf is None:
+            # the ideal-gas path never loads the cubic-EoS stack
+            from ..thermo.real_fluid import RealFluidMixture
+
+            rf = RealFluidMixture(mech)
         self.mech = mech
-        self.rf = rf if rf is not None else RealFluidMixture(mech)
+        self.rf = rf
 
     def evaluate(self, h, p, y, t_guess=None) -> PropertySet:
         props = self.rf.properties_hp(h, p, y, t_guess=t_guess)

@@ -27,12 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from ..chemistry.backends import (
-    DirectBatchBackend,
-    HybridBackend,
-    PerCellBDFBackend,
-    SurrogateBackend,
-)
+from ..chemistry.backends.direct import DirectBatchBackend
+from ..chemistry.backends.percell import PerCellBDFBackend
 from ..solvers.controls import SolverControls
 from .chemistry_source import NoChemistry
 
@@ -50,7 +46,7 @@ __all__ = [
 CHEMISTRY_MODES = ("none", "percell", "direct", "surrogate", "hybrid",
                    "hybrid-trained")
 #: accepted ``SolverSettings.trust_gate`` values (canonical enforcement
-#: lives in :class:`repro.chemistry.backends.HybridBackend`)
+#: lives in :class:`repro.chemistry.backends.hybrid.HybridBackend`)
 TRUST_GATE_MODES = ("off", "domain", "domain+audit")
 #: accepted ``SolverSettings.execution`` values: ``"serial"`` executes
 #: decomposed ranks rank-by-rank in the driver process over
@@ -102,9 +98,9 @@ class SolverSettings:
         Krylov convergence criteria for the scalar/blocked and
         pressure solves.
     ranks:
-        ``0``/``1`` -> serial :class:`~repro.core.DeepFlameSolver`;
+        ``0``/``1`` -> serial :class:`~repro.core.deepflame.DeepFlameSolver`;
         ``>= 2`` -> domain-decomposed
-        :class:`~repro.dist.DecomposedSolver` over that many ranks.
+        :class:`~repro.dist.solver.DecomposedSolver` over that many ranks.
     partition_seed:
         Seed of the multilevel graph partitioner (decomposed path).
     execution:
@@ -271,22 +267,23 @@ def _plain_copy(value):
 
 # ----------------------------------------------------------------------
 #: ``chemistry_options`` keys of the hybrid modes that configure the
-#: :class:`~repro.chemistry.backends.HybridBackend` split itself; every
-#: other key goes to its :class:`~repro.chemistry.backends.DirectBatchBackend`
+#: :class:`~repro.chemistry.backends.hybrid.HybridBackend` split
+#: itself; every other key goes to its
+#: :class:`~repro.chemistry.backends.direct.DirectBatchBackend`
 _HYBRID_KEYS = ("t_window", "z_max", "trust_gate", "audit_fraction",
                 "audit_tol", "audit_seed", "ood_capacity")
 
 
 def build_chemistry(settings: SolverSettings, mech):
     """The chemistry a :class:`SolverSettings` describes: a raw
-    :class:`~repro.chemistry.backends.ChemistryBackend`
-    (:class:`~repro.core.NoChemistry` for ``"none"``), which the
-    solver wraps in its own stats-holding
-    :class:`~repro.core.BackendChemistry`.
+    :class:`~repro.chemistry.backends.base.ChemistryBackend`
+    (:class:`~repro.core.chemistry_source.NoChemistry` for
+    ``"none"``), which the solver wraps in its own stats-holding
+    :class:`~repro.core.chemistry_source.BackendChemistry`.
 
     ``"none"``/``"percell"``/``"direct"`` need only the mechanism;
     ``"surrogate"``/``"hybrid"`` additionally require a trained
-    :class:`~repro.dnn.ODENet` under ``chemistry_options["odenet"]``
+    :class:`~repro.dnn.odenet.ODENet` under ``chemistry_options["odenet"]``
     (nets are trained artifacts, not configuration -- see
     ``examples/train_surrogates.py``).  ``"hybrid-trained"`` instead
     loads a versioned artifact from the model registry --
@@ -304,10 +301,15 @@ def build_chemistry(settings: SolverSettings, mech):
         return PerCellBDFBackend(mech, **opts)
     if kind == "direct":
         return DirectBatchBackend(mech, **opts)
+    # only the net-backed kinds load these two (and the registry,
+    # repro.dnn): a direct or per-cell run never imports them
+    from ..chemistry.backends.hybrid import HybridBackend
+    from ..chemistry.backends.surrogate import SurrogateBackend
+
     odenet = opts.pop("odenet", None)
     if kind == "hybrid-trained":
         if odenet is None:
-            from ..dnn import ModelRegistry
+            from ..dnn.registry import ModelRegistry
 
             registry = (ModelRegistry(opts.pop("registry"))
                         if "registry" in opts
@@ -341,8 +343,8 @@ def build_solver(case, settings: SolverSettings, properties=None,
     """Construct the solver a :class:`SolverSettings` describes.
 
     Dispatches on ``settings.ranks``: serial
-    :class:`~repro.core.DeepFlameSolver` below 2, decomposed
-    :class:`~repro.dist.DecomposedSolver` otherwise.  ``chemistry``
+    :class:`~repro.core.deepflame.DeepFlameSolver` below 2, decomposed
+    :class:`~repro.dist.solver.DecomposedSolver` otherwise.  ``chemistry``
     overrides the settings' backend spec when given; ``workspace``
     (serial only) lets ensemble instances share one
     :class:`~repro.fv.workspace.EquationWorkspace`; ``comm``

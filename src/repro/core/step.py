@@ -5,14 +5,14 @@
 predictor -> ``n_correctors`` x pressure -> diagnostics -- over the
 ``(rank solver, owned rows)`` pairs a driver *hosts*.  The per-cell
 stages, the assemblies and the post-solve updates are methods of the
-rank solvers (:class:`~repro.core.DeepFlameSolver`); what a
+rank solvers (:class:`~repro.core.deepflame.DeepFlameSolver`); what a
 decomposition changes is passed in:
 
 * ``refresh(per_rank)`` -- fill the ghost rows of one array (or a list
   of arrays) per hosted rank from their owners,
 * ``solve(eqns, solver, controls)`` -- solve the hosted ranks'
   equations as one system; returns one ``(n_owned, k)`` solution block
-  per rank and one :class:`~repro.solvers.SolverResult` per column,
+  per rank and one :class:`~repro.solvers.controls.SolverResult` per column,
 * ``reduce(parts, op)`` -- combine a ``(hosted, m)`` array of per-rank
   partials over *all* ranks into ``(m,)``.
 
@@ -21,7 +21,7 @@ Chemistry needs no hook: each rank advances the cells it owns.
 A serial solver hosts itself: one pair with ``cells=None`` (the branch
 every per-cell stage already has), a no-op ``refresh``, its one
 equation's own ``solve`` and numpy's axis-0 reductions.
-:class:`~repro.dist.DecomposedSolver` passes the halo exchanger, the
+:class:`~repro.dist.solver.DecomposedSolver` passes the halo exchanger, the
 distributed Krylov solve and the communicator's allreduce.  Re-ordering
 the stages is an edit to this function and nowhere else.
 
@@ -125,7 +125,7 @@ class StepDiagnostics:
     """Physical diagnostics after one step.
 
     ``solver_unconverged`` counts the columns, over every linear solve
-    of the step, whose :class:`~repro.solvers.SolverResult` came back
+    of the step, whose :class:`~repro.solvers.controls.SolverResult` came back
     ``converged=False`` (identical on every rank, since the results
     are); a non-zero count also logs one ``repro.solvers`` warning.
     """

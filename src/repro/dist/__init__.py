@@ -27,24 +27,10 @@ Layers:
   the *unmodified* blocked Krylov solvers, one blocking collective
   per reduction;
 * :mod:`.solver` -- :class:`DecomposedSolver`: drives one
-  :class:`~repro.core.DeepFlameSolver` per rank through the shared
+  :class:`~repro.core.deepflame.DeepFlameSolver` per rank through the shared
   physics stages, chemistry on the rank that owns the cells;
 * :mod:`.spmd` -- ``ParallelExecutor``: forks one worker per rank,
   each stepping a :class:`DecomposedSolver` over a one-rank endpoint.
 """
 
-from .decompose import Decomposition, Subdomain
-from .halo import HaloExchanger
-from .krylov import DistributedSystem, solve_distributed
-from .rank_operator import RankOperator
-from .solver import DecomposedSolver
-
-__all__ = [
-    "DecomposedSolver",
-    "Decomposition",
-    "DistributedSystem",
-    "HaloExchanger",
-    "RankOperator",
-    "Subdomain",
-    "solve_distributed",
-]
+__all__ = []

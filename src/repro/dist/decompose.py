@@ -116,7 +116,7 @@ class Decomposition:
         parts: np.ndarray | None = None,
     ) -> "Decomposition":
         """Partition ``mesh`` (with the multilevel
-        :func:`repro.partition.partition_graph` unless explicit
+        :func:`repro.partition.partitioner.partition_graph` unless explicit
         ``parts`` labels are given) and extract the per-rank
         subdomains."""
         if parts is None:

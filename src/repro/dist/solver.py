@@ -1,7 +1,7 @@
 """The domain-decomposed DeepFlame driver.
 
 :class:`DecomposedSolver` advances the same time step as the serial
-:class:`~repro.core.DeepFlameSolver`, but over ``P`` subdomains: one
+:class:`~repro.core.deepflame.DeepFlameSolver`, but over ``P`` subdomains: one
 rank solver per subdomain executes the shared physics stages on its
 local-plus-halo mesh, and the driver supplies what a single rank
 cannot do alone --
@@ -46,6 +46,7 @@ from ..core.deepflame import (
     StepTimings,
     check_state,
 )
+from ..core.properties import DirectRealFluidProperties
 from ..core.settings import SolverSettings, build_chemistry
 from ..core.step import PROP_FIELDS, advance_step
 from ..fv.fields import VolField
@@ -61,14 +62,14 @@ __all__ = ["DecomposedSolver"]
 def _localize_case(case: Case, sub) -> Case:
     """Restrict a case to one subdomain (owned + halo cells)."""
     cells = np.concatenate([sub.owned_global, sub.halo_global])
-    vel = VolField("U", sub.mesh, case.velocity.values[cells].copy(),
+    vel = VolField("U", sub.mesh, case.velocity.values[cells],
                    boundary=dict(case.velocity.boundary))
-    p = VolField("p", sub.mesh, case.pressure.values[cells].copy(),
+    p = VolField("p", sub.mesh, case.pressure.values[cells],
                  boundary=dict(case.pressure.boundary))
     return Case(
         f"{case.name}_rank{sub.rank}", sub.mesh, case.mech, vel, p,
-        np.asarray(case.mass_fractions, dtype=float)[cells].copy(),
-        np.asarray(case.temperature, dtype=float)[cells].copy(),
+        np.asarray(case.mass_fractions, dtype=float)[cells],
+        np.asarray(case.temperature, dtype=float)[cells],
         case.y_boundary, case.t_boundary)
 
 
@@ -126,8 +127,6 @@ class DecomposedSolver:
         self._krylov_workspace = KrylovWorkspace()
 
         if properties is None:
-            from ..core.properties import DirectRealFluidProperties
-
             properties = DirectRealFluidProperties(case.mech)
         self.properties = properties
         self._parallel = None
@@ -271,7 +270,7 @@ class DecomposedSolver:
 
     def state_snapshot(self) -> dict:
         """The flow state: one :meth:`DeepFlameSolver.state_snapshot
-        <repro.core.DeepFlameSolver.state_snapshot>` per rank (key
+        <repro.core.deepflame.DeepFlameSolver.state_snapshot>` per rank (key
         ``ranks``, rank order) plus the driver's clocks.
 
         Under ``execution="parallel"`` one pool broadcast collects the

@@ -1,6 +1,6 @@
 """Parallel scheduling of the decomposed time step on real cores.
 
-The step itself lives in :class:`~repro.dist.DecomposedSolver` and is
+The step itself lives in :class:`~repro.dist.solver.DecomposedSolver` and is
 written once, over the ranks its communicator endpoint hosts.  This
 module only *schedules* it differently: :class:`ParallelExecutor`
 builds the shared arena, forks one worker per rank

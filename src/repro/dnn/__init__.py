@@ -6,60 +6,4 @@ of Sec. 3.3.2, the ODENet chemistry surrogate, the PRNet real-fluid
 property surrogate and the optimized batched inference engine.
 """
 
-from .dataset import (
-    REGIMES,
-    TrainingSet,
-    build_training_set,
-    sample_regime,
-    sample_solver_states,
-)
-from .gelu_table import GeLUTable
-from .inference import InferenceEngine, InferenceStats
-from .layers import GeLU, Identity, Linear, gelu_exact, gelu_fused, gelu_grad
-from .network import MLP
-from .odenet import ODENet
-from .prnet import PRNet, sample_property_manifold
-from .quantize import QuantizedMLPWeights, mixed_linear_forward, quantize_fp16
-from .registry import (
-    ModelRegistry,
-    RetrainResult,
-    TrustRegion,
-    retrain_incremental,
-)
-from .scaling import BoxCoxTransform, ZScoreScaler
-from .training import Adam, TrainingHistory, gradient_check, mse_loss, train_mlp
-
-__all__ = [
-    "Adam",
-    "BoxCoxTransform",
-    "GeLU",
-    "GeLUTable",
-    "Identity",
-    "InferenceEngine",
-    "InferenceStats",
-    "Linear",
-    "MLP",
-    "ModelRegistry",
-    "ODENet",
-    "PRNet",
-    "QuantizedMLPWeights",
-    "REGIMES",
-    "RetrainResult",
-    "TrainingHistory",
-    "TrainingSet",
-    "TrustRegion",
-    "ZScoreScaler",
-    "build_training_set",
-    "gelu_exact",
-    "gelu_fused",
-    "gelu_grad",
-    "gradient_check",
-    "mixed_linear_forward",
-    "mse_loss",
-    "quantize_fp16",
-    "retrain_incremental",
-    "sample_property_manifold",
-    "sample_regime",
-    "sample_solver_states",
-    "train_mlp",
-]
+__all__ = []

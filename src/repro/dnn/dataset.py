@@ -1,7 +1,7 @@
 """Training-data pipeline for the chemistry surrogates.
 
 Samples ``(T, p, Y) -> dY`` pairs from the batched direct
-backend (:class:`~repro.chemistry.backends.DirectBatchBackend`) over
+backend (:class:`~repro.chemistry.backends.direct.DirectBatchBackend`) over
 the regimes the solver actually visits: the supercritical TGV mixing
 layer, the igniting hot-blob variant and the rocket-sector states.
 Each regime contributes
@@ -32,6 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..chemistry.backends.direct import DirectBatchBackend
+from ..core import cases
+from ..core.deepflame import DeepFlameSolver
+from ..core.settings import SolverSettings
 from ..runtime.seeding import hash_normal
 
 __all__ = ["TrainingSet", "REGIMES", "sample_regime", "sample_solver_states",
@@ -145,11 +148,6 @@ class TrainingSet:
 
 def _build_case(regime: str, mech, n: int, case_kwargs: dict | None):
     """The named regime's case object."""
-    # Imported lazily: repro.core itself imports repro.dnn (the
-    # chemistry adapters), so a module-level import here would make
-    # package initialization order-dependent.
-    from ..core import cases
-
     kwargs = dict(case_kwargs or {})
     if regime == "tgv":
         return cases.build_tgv_case(n=n, mech=mech, **kwargs)
@@ -174,8 +172,6 @@ def _solver_run_states(case, dt: float, steps: int, chemistry=None
     drift that chemistry-only trajectories (constant ``p``) cannot
     produce.
     """
-    from ..core import DeepFlameSolver, SolverSettings
-
     solver = DeepFlameSolver(case, SolverSettings(chemistry="direct"),
                              chemistry=chemistry)
     ts, ps, ys = [], [], []

@@ -6,45 +6,4 @@ laplacian, Sp) returning LDU equations, explicit fvc operators
 assembly of Sec. 3.2.4.
 """
 
-from .boundary import BoundaryCondition, FixedGradient, FixedValue, ZeroGradient
-from .construction import FaceClassification, classify_faces, two_phase_scatter
-from .fields import MultiVolField, SurfaceField, VolField
-from .operators import (
-    CoupledTransportEquation,
-    FVMatrix,
-    assemble_transport,
-    fvc_div,
-    fvc_grad,
-    fvc_laplacian,
-    fvc_surface_integral,
-    fvm_ddt,
-    fvm_div,
-    fvm_laplacian,
-    fvm_sp,
-)
-from .workspace import EquationWorkspace
-
-__all__ = [
-    "BoundaryCondition",
-    "CoupledTransportEquation",
-    "EquationWorkspace",
-    "FVMatrix",
-    "assemble_transport",
-    "FaceClassification",
-    "FixedGradient",
-    "FixedValue",
-    "MultiVolField",
-    "SurfaceField",
-    "VolField",
-    "ZeroGradient",
-    "classify_faces",
-    "fvc_div",
-    "fvc_grad",
-    "fvc_laplacian",
-    "fvc_surface_integral",
-    "fvm_ddt",
-    "fvm_div",
-    "fvm_laplacian",
-    "fvm_sp",
-    "two_phase_scatter",
-]
+__all__ = []

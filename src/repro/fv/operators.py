@@ -245,8 +245,9 @@ def assemble_transport(
     fvm_laplacian`` builds through three temporaries and an add chain.
 
     Every face -> cell reduction is one product with
-    :meth:`~repro.mesh.UnstructuredMesh.face_operators`; the boundary
-    faces' contributions are collected per face and reduced once.
+    :meth:`~repro.mesh.unstructured.UnstructuredMesh.face_operators`;
+    the boundary faces' contributions are collected per face and
+    reduced once.
     """
     mesh = field.mesh
     n = mesh.n_cells

@@ -2,45 +2,4 @@
 three parallel-read strategies with a scale-out cost model, and the
 runtime-refinement initialization pipeline."""
 
-from .foamfile import (
-    read_all_segments,
-    read_collated_header,
-    read_rank_segment,
-    write_collated,
-)
-from .indexing import build_index, indexed_read, load_index, write_index
-from .parallel_io import (
-    IOCostModel,
-    IOTiming,
-    grouped_parallel_read,
-    master_read_scatter,
-    measure_strategies,
-    parallel_read,
-)
-from .pipeline import (
-    PipelineCost,
-    conventional_pipeline,
-    fused_pipeline,
-    storage_comparison,
-)
-
-__all__ = [
-    "IOCostModel",
-    "IOTiming",
-    "PipelineCost",
-    "build_index",
-    "conventional_pipeline",
-    "fused_pipeline",
-    "grouped_parallel_read",
-    "indexed_read",
-    "load_index",
-    "master_read_scatter",
-    "measure_strategies",
-    "parallel_read",
-    "read_all_segments",
-    "read_collated_header",
-    "read_rank_segment",
-    "storage_comparison",
-    "write_collated",
-    "write_index",
-]
+__all__ = []

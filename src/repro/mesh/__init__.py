@@ -4,32 +4,4 @@ Box (TGV) and synthetic rocket-combustor generators, cell-connectivity
 graphs, Cuthill-McKee renumbering and runtime 2x2x2 refinement.
 """
 
-from .graph import CellGraph, cell_graph_from_mesh
-from .refine import (
-    mesh_storage_bytes,
-    refine_box,
-    refine_cell_graph,
-    refined_cell_count,
-)
-from .renumber import bandwidth, cuthill_mckee, partition_renumbering
-from .rocket import build_rocket_mesh, nozzle_radius_profile
-from .structured import BoxSpec, build_box_mesh
-from .unstructured import Patch, UnstructuredMesh
-
-__all__ = [
-    "BoxSpec",
-    "CellGraph",
-    "Patch",
-    "UnstructuredMesh",
-    "bandwidth",
-    "build_box_mesh",
-    "build_rocket_mesh",
-    "cell_graph_from_mesh",
-    "cuthill_mckee",
-    "mesh_storage_bytes",
-    "nozzle_radius_profile",
-    "partition_renumbering",
-    "refine_box",
-    "refine_cell_graph",
-    "refined_cell_count",
-]
+__all__ = []

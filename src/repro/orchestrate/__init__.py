@@ -13,21 +13,4 @@ ledgered fabric and lands, with step timings and chemistry work, in
 the :class:`EnsembleCostReport`.
 """
 
-from .cache import CaseCache, SharedResources, clone_case, nbytes_deep
-from .ensemble import Conduit, Ensemble
-from .instance import SolverInstance
-from .report import EnsembleCostReport, InstanceCost
-from .settings_manager import SettingsManager
-
-__all__ = [
-    "CaseCache",
-    "Conduit",
-    "Ensemble",
-    "EnsembleCostReport",
-    "InstanceCost",
-    "SettingsManager",
-    "SharedResources",
-    "SolverInstance",
-    "clone_case",
-    "nbytes_deep",
-]
+__all__ = []

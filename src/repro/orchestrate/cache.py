@@ -37,10 +37,9 @@ __all__ = ["CaseCache", "SharedResources", "clone_case", "nbytes_deep"]
 def clone_case(case: Case, name: str) -> Case:
     """A per-instance clone of ``case``: fresh state, shared backing.
 
-    The clone owns copies of every array a solver evolves (the solver
-    aliases ``case.velocity`` / ``case.pressure``, so distinct
-    instances must not share them) but keeps the prototype's mesh,
-    mechanism and boundary-condition factories by identity.
+    The clone owns copies of the initial fields and keeps the
+    prototype's mesh, mechanism and boundary-condition factories by
+    identity.
     """
     vel = VolField(case.velocity.name, case.mesh,
                    case.velocity.values.copy(),

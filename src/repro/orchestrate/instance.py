@@ -25,7 +25,7 @@ from .cache import SharedResources, nbytes_deep
 __all__ = ["SolverInstance"]
 
 class SolverInstance:
-    """One named member of an :class:`~repro.orchestrate.Ensemble`.
+    """One named member of an :class:`~repro.orchestrate.ensemble.Ensemble`.
 
     Parameters
     ----------

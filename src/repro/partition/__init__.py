@@ -5,33 +5,4 @@ FM refinement, a two-level (process x thread) decomposition driver and
 partition quality metrics.
 """
 
-from .hierarchical import (
-    ProcessPart,
-    TwoLevelDecomposition,
-    decompose_two_level,
-)
-from .metrics import (
-    BalanceStats,
-    balance_stats,
-    block_occupancy,
-    edge_cut,
-    offdiag_fraction,
-)
-from .multilevel import bisect_graph, fm_refine, partition_weighted
-from .partitioner import graph_to_csr, partition_graph
-
-__all__ = [
-    "BalanceStats",
-    "ProcessPart",
-    "TwoLevelDecomposition",
-    "balance_stats",
-    "bisect_graph",
-    "block_occupancy",
-    "decompose_two_level",
-    "edge_cut",
-    "fm_refine",
-    "graph_to_csr",
-    "offdiag_fraction",
-    "partition_graph",
-    "partition_weighted",
-]
+__all__ = []

@@ -15,10 +15,12 @@ Two roles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .machine import MachineSpec
+if TYPE_CHECKING:
+    from .machine import MachineSpec
 
 __all__ = [
     "CommLedger",

@@ -1,7 +1,7 @@
 """Chemistry load-balance metrics fed by the backend work counters.
 
 The batched chemistry backends report per-cell work
-(:class:`~repro.chemistry.backends.BackendStats`); these helpers turn
+(:class:`~repro.chemistry.backends.base.BackendStats`); these helpers turn
 that into the quantities the runtime layer prices:
 
 * the cell-level imbalance (max/mean - 1) the paper attributes to
@@ -65,7 +65,7 @@ def per_rank_imbalance(work_per_rank: np.ndarray) -> float:
     The *executed* counterpart of :func:`rank_imbalance`: instead of
     predicting what a static ownership map would cost, it scores
     measured per-rank totals (the per-instance wall and chemistry work
-    of an :class:`~repro.orchestrate.EnsembleCostReport`).
+    of an :class:`~repro.orchestrate.report.EnsembleCostReport`).
     """
     per_rank = np.asarray(work_per_rank, dtype=float)
     if per_rank.size == 0 or per_rank.mean() <= 0:

@@ -12,13 +12,16 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
 
 from ..runtime import alloc
-from ..sparse.block_csr import BlockCSRMatrix
 from ..sparse.ldu import LDUMatrix
+
+if TYPE_CHECKING:
+    from ..sparse.block_csr import BlockCSRMatrix
 
 __all__ = [
     "JacobiPreconditioner",
@@ -317,6 +320,8 @@ class SymGaussSeidelPreconditioner:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """One symmetric Gauss-Seidel sweep on the residual."""
+        from scipy.sparse.linalg import spsolve_triangular
+
         if self.mode == "serial":
             # (D+L) D^{-1} (D+U) w = r  (symmetric GS splitting)
             y = spsolve_triangular(self._dl, r, lower=True)
@@ -334,6 +339,8 @@ class SymGaussSeidelPreconditioner:
         multi-vector at once."""
         if r.ndim == 1:
             return self.apply(r)
+        from scipy.sparse.linalg import spsolve_triangular
+
         if self.mode == "serial":
             y = spsolve_triangular(self._dl, r, lower=True)
             return spsolve_triangular(self._du, self._d[:, None] * y,

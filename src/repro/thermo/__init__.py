@@ -8,26 +8,4 @@ carries the composition, ``a/a'/a''`` and the cubic's root to every
 quantity read at that point.
 """
 
-from .cubic_eos import (Composition, CubicEos, CubicState, PengRobinson,
-                        SoaveRedlichKwong)
-from .departure import (cp_departure, enthalpy_departure,
-                        state_cp_departure, state_enthalpy_departure)
-from .mixing import VanDerWaalsMixing
-from .real_fluid import RealFluidMixture, RealFluidProperties
-from .transport import TransportModel
-
-__all__ = [
-    "Composition",
-    "CubicEos",
-    "CubicState",
-    "PengRobinson",
-    "SoaveRedlichKwong",
-    "VanDerWaalsMixing",
-    "RealFluidMixture",
-    "RealFluidProperties",
-    "TransportModel",
-    "cp_departure",
-    "enthalpy_departure",
-    "state_cp_departure",
-    "state_enthalpy_departure",
-]
+__all__ = []

@@ -10,9 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.chemistry import KineticsEvaluator, load_mechanism
-from repro.mesh import build_box_mesh, build_rocket_mesh, cell_graph_from_mesh
-from repro.sparse import LDUMatrix
+from repro.chemistry.kinetics import KineticsEvaluator
+from repro.chemistry.mechanism import load_mechanism
+from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.rocket import build_rocket_mesh
+from repro.mesh.structured import build_box_mesh
+from repro.sparse.ldu import LDUMatrix
 
 # -- shared comparison tolerances --------------------------------------
 #: one fp64 expression respelled (LDU vs CSR, a+a vs 2a): the only
@@ -135,7 +138,7 @@ def pure_ch4(mech):
 
 @pytest.fixture(scope="session")
 def stoich_mix(mech):
-    from repro.chemistry import premixed_state
+    from repro.chemistry.reactor import premixed_state
 
     return premixed_state(mech, 1400.0, 10e6)
 
@@ -145,8 +148,8 @@ def tiny_odenet(mech):
     """A small ODENet trained on a synthetic-but-consistent dataset
     derived from one reactor trajectory (fast; accuracy bounds are
     checked by the dedicated accuracy tests, not here)."""
-    from repro.chemistry import ConstantPressureReactor, premixed_state
-    from repro.dnn import ODENet
+    from repro.chemistry.reactor import ConstantPressureReactor, premixed_state
+    from repro.dnn.odenet import ODENet
 
     reactor = ConstantPressureReactor(mech, rtol=1e-6, atol=1e-9)
     st = premixed_state(mech, 1500.0, 10e6)
@@ -161,8 +164,8 @@ def tiny_odenet(mech):
 
 @pytest.fixture(scope="session")
 def tiny_prnet(mech):
-    from repro.dnn import PRNet
-    from repro.thermo import RealFluidMixture
+    from repro.dnn.prnet import PRNet
+    from repro.thermo.real_fluid import RealFluidMixture
 
     rf = RealFluidMixture(mech)
     net = PRNet(mech, density_hidden=(48, 24), transport_hidden=(48, 24))

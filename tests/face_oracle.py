@@ -2,10 +2,11 @@
 
 These are the Python-level scatter / gather forms the structural CSR
 operators of ``repro.mesh.face_operators`` (and the CSR products of
-``repro.dist.RankOperator``) replaced, kept verbatim: ``np.add.at``
-reductions in face-loop order, fancy-index gathers for interpolation,
-per-column ``np.bincount`` for the rank-local matvec halves.  Slow on
-purpose; the production kernels are compared against them.
+``repro.dist.rank_operator.RankOperator``) replaced, kept verbatim:
+``np.add.at`` reductions in face-loop order, fancy-index gathers for
+interpolation, per-column ``np.bincount`` for the rank-local matvec
+halves.  Slow on purpose; the production kernels are compared against
+them.
 """
 
 from __future__ import annotations

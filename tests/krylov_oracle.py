@@ -5,7 +5,7 @@ These are the single-right-hand-side PCG and PBiCGStab loops that
 equation became a blocked solve with ``k = 1``, kept verbatim apart
 from the vector-pool plumbing (a reference allocates): 1-D vectors,
 BLAS ``dot`` reductions, Python-float recurrence scalars, one
-:class:`~repro.solvers.SolverResult` per call.  Each column of a
+:class:`~repro.solvers.controls.SolverResult` per call.  Each column of a
 blocked solve iterates exactly this algorithm;
 ``tests/test_blocked_solvers.py`` compares the production bodies
 against it column by column, and ``solve_k1`` below is the adapter
@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.solvers import LocalSystem, SolverControls, SolverResult
-from repro.solvers.blocked import REDUCTIONS_PER_PCG_ITER
-from repro.sparse import LDUMatrix
+from repro.solvers.blocked import REDUCTIONS_PER_PCG_ITER, LocalSystem
+from repro.solvers.controls import SolverControls, SolverResult
+from repro.sparse.ldu import LDUMatrix
 
 __all__ = ["ldu_system", "oracle_pcg_solve", "oracle_pbicgstab_solve",
            "solve_k1"]

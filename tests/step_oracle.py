@@ -1,7 +1,7 @@
 """Reference implementation of the transport stages of one time step.
 
 :class:`OracleSolver` steps the same Fig.-2 loop as
-:class:`repro.core.DeepFlameSolver` but takes the *other* branch of
+:class:`repro.core.deepflame.DeepFlameSolver` but takes the *other* branch of
 every fork the production step once carried: each equation is composed
 from the allocating public operators of :mod:`repro.fv`
 (``fvm_ddt + fvm_div - fvm_laplacian``, ``fvm_sp``) instead of one
@@ -13,7 +13,7 @@ Two solve orders:
 
 * ``column_solves=False`` -- the (Y, h) block and the three momentum
   components each share one operator, so the per-column chains are
-  stacked into one :class:`~repro.fv.CoupledTransportEquation` and
+  stacked into one :class:`~repro.fv.operators.CoupledTransportEquation` and
   solved blocked (no workspace).  The production step matches this to
   <= 1e-12 (frozen chemistry) / <= 1e-8 (live chemistry).
 * ``column_solves=True`` -- every species, the enthalpy and every
@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import DeepFlameSolver
-from repro.fv import (
+from repro.core.deepflame import DeepFlameSolver
+from repro.fv.fields import MultiVolField, VolField
+from repro.fv.operators import (
     CoupledTransportEquation,
     FVMatrix,
-    MultiVolField,
-    VolField,
     fvc_surface_integral,
     fvm_ddt,
     fvm_div,

@@ -11,30 +11,29 @@ import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fv import (
+from repro.fv.boundary import FixedValue, ZeroGradient
+from repro.fv.fields import MultiVolField, SurfaceField, VolField
+from repro.fv.operators import (
     CoupledTransportEquation,
-    FixedValue,
-    MultiVolField,
-    SurfaceField,
-    VolField,
-    ZeroGradient,
     fvm_ddt,
     fvm_div,
     fvm_laplacian,
 )
-from repro.mesh import build_box_mesh
-from repro.solvers import (
-    CachedDICPreconditioner,
-    DICPreconditioner,
-    JacobiPreconditioner,
-    KrylovWorkspace,
+from repro.mesh.structured import build_box_mesh
+from repro.solvers.blocked import (
     LocalSystem,
-    SolverControls,
-    SymGaussSeidelPreconditioner,
     pbicgstab_solve_multi,
     pcg_solve_multi,
 )
-from repro.sparse import spmv_ldu_multi
+from repro.solvers.controls import SolverControls
+from repro.solvers.preconditioners import (
+    CachedDICPreconditioner,
+    DICPreconditioner,
+    JacobiPreconditioner,
+    SymGaussSeidelPreconditioner,
+)
+from repro.solvers.workspace import KrylovWorkspace
+from repro.sparse.spmv import spmv_ldu_multi
 from tests.conftest import SOLVE_ATOL, make_laplacian_ldu, make_random_spd_ldu
 from tests.krylov_oracle import ldu_system
 from tests.krylov_oracle import oracle_pbicgstab_solve as pbicgstab_solve
@@ -531,7 +530,7 @@ class TestCoupledTransportEquation:
 
     def test_source_shape_validated(self, box_mesh):
         mf = MultiVolField(["a"], box_mesh, np.zeros((box_mesh.n_cells, 1)))
-        from repro.sparse import LDUMatrix
+        from repro.sparse.ldu import LDUMatrix
 
         with pytest.raises(ValueError):
             CoupledTransportEquation(mf, LDUMatrix.from_mesh(box_mesh),

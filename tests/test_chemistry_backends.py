@@ -6,23 +6,22 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.chemistry import (
-    AnalyticJacobian,
-    Arrhenius,
+from repro.chemistry.backends.direct import DirectBatchBackend
+from repro.chemistry.backends.hybrid import HybridBackend
+from repro.chemistry.backends.percell import PerCellBDFBackend
+from repro.chemistry.backends.surrogate import SurrogateBackend
+from repro.chemistry.jacobian import AnalyticJacobian
+from repro.chemistry.kinetics import KineticsEvaluator
+from repro.chemistry.mechanism import Mechanism
+from repro.chemistry.rates import Arrhenius, Reaction
+from repro.chemistry.reactor import (
     ConstantPressureReactor,
-    DirectBatchBackend,
-    HybridBackend,
-    KineticsEvaluator,
-    Mechanism,
-    PerCellBDFBackend,
-    Reaction,
     ReactorKernel,
     ReactorState,
-    SurrogateBackend,
     mixture_line,
     premixed_state,
 )
-from repro.runtime import (
+from repro.runtime.load_balance import (
     chemistry_balance_report,
     per_rank_imbalance,
     price_comm_totals,
@@ -38,7 +37,7 @@ PRESSURE = 10e6
 def quick_odenet(mech):
     """A structurally valid (not accuracy-tuned) trained ODENet for
     routing/accounting tests -- trains in well under a second."""
-    from repro.dnn import ODENet
+    from repro.dnn.odenet import ODENet
 
     rng = np.random.default_rng(0)
     t = np.linspace(800.0, 2500.0, 12)
@@ -266,11 +265,11 @@ class TestDirectBatch:
 
     def test_one_error_chain_only(self, mech):
         """No fixed-step RK4, twin tolerances or BDF fallback remain in
-        the direct backend or the package."""
-        import repro.chemistry as chemistry
+        the direct backend or the ODE module."""
+        from repro.chemistry import ode
 
-        assert not hasattr(chemistry, "rk4_batch")
-        assert "rk4_batch" not in chemistry.__all__
+        assert not hasattr(ode, "rk4_batch")
+        assert "rk4_batch" not in ode.__all__
         db = DirectBatchBackend(mech)
         for name in ("RK4_STEPS", "VAL_TOL_T", "VAL_TOL_Y", "_fallback",
                      "rtol", "atol"):
@@ -459,7 +458,7 @@ class TestReactorKernel:
 
 class TestSurrogateBackend:
     def test_untrained_rejected(self, mech):
-        from repro.dnn import ODENet
+        from repro.dnn.odenet import ODENet
 
         with pytest.raises(ValueError):
             SurrogateBackend(ODENet(mech))
@@ -546,7 +545,7 @@ class TestHybridBackend:
         row index)``: each call audits the surrogate rows whose
         :func:`hash_uniform` score falls under ``audit_fraction``, and
         a fresh backend with the same seed audits the same rows."""
-        from repro.runtime import hash_uniform
+        from repro.runtime.seeding import hash_uniform
 
         xs = tiny_odenet._train_x
         sel = np.random.default_rng(0).integers(0, xs.shape[0], size=24)
@@ -592,9 +591,11 @@ class TestHybridBackend:
 class TestRegistryAndSolver:
     def test_solver_accepts_raw_backend(self, mech):
         """DeepFlameSolver wraps a bare ChemistryBackend on the fly."""
-        from repro.core import DeepFlameSolver, IdealGasProperties, \
-            SolverSettings, build_tgv_case
-        from repro.solvers import SolverControls
+        from repro.core.cases import build_tgv_case
+        from repro.core.deepflame import DeepFlameSolver
+        from repro.core.properties import IdealGasProperties
+        from repro.core.settings import SolverSettings
+        from repro.solvers.controls import SolverControls
 
         case = build_tgv_case(n=6, mech=mech)
         s = DeepFlameSolver(
@@ -641,7 +642,8 @@ class TestLoadBalanceMetrics:
     def test_price_comm_totals(self):
         """A ledger total prices as its per-rank halo exchanges plus
         its allreduces on the machine's fabric; no traffic is free."""
-        from repro.runtime import SUNWAY, allreduce_time, halo_exchange_time
+        from repro.runtime.comm import allreduce_time, halo_exchange_time
+        from repro.runtime.machine import SUNWAY
 
         zero = {"messages": 0, "bytes": 0, "allreduces": 0,
                 "allreduce_bytes": 0}
@@ -670,7 +672,7 @@ class TestLoadBalanceMetrics:
         shares = [b["work_share"] for b in report["per_backend"].values()]
         assert sum(shares) == pytest.approx(1.0)
 
-        from repro.runtime import tgv_workload
+        from repro.runtime.perf_model import tgv_workload
 
         wl = workload_with_chemistry(tgv_workload(n_cells=1000.0), st)
         assert wl.load_imbalance == pytest.approx(st.load_imbalance)

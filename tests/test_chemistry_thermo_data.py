@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.chemistry import Arrhenius, fit_nasa7
-from repro.chemistry.rates import TroeParams
+from repro.chemistry.rates import Arrhenius, TroeParams
+from repro.chemistry.species import fit_nasa7
 from repro.constants import R_UNIVERSAL, T_REF
 
 
@@ -131,7 +131,8 @@ class TestMechanismStructure:
         np.testing.assert_allclose(z.sum(axis=1), 1.0, rtol=1e-10)
 
     def test_unbalanced_reaction_rejected(self, mech):
-        from repro.chemistry import Mechanism, Reaction
+        from repro.chemistry.mechanism import Mechanism
+        from repro.chemistry.rates import Reaction
 
         bad = Reaction("CH4 => CO2", {"CH4": 1}, {"CO2": 1},
                        Arrhenius(1.0, 0.0, 0.0))

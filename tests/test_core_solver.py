@@ -4,19 +4,18 @@ solver end to end."""
 import numpy as np
 import pytest
 
-from repro.chemistry.backends import PerCellBDFBackend, SurrogateBackend
-from repro.core import (
-    BackendChemistry,
-    DeepFlameSolver,
+from repro.chemistry.backends.percell import PerCellBDFBackend
+from repro.chemistry.backends.surrogate import SurrogateBackend
+from repro.core.cases import build_rocket_case, build_tgv_case
+from repro.core.chemistry_source import BackendChemistry, NoChemistry
+from repro.core.deepflame import DeepFlameSolver
+from repro.core.properties import (
     DirectRealFluidProperties,
     IdealGasProperties,
-    NoChemistry,
     PRNetProperties,
-    SolverSettings,
-    build_rocket_case,
-    build_tgv_case,
 )
-from repro.solvers import SolverControls
+from repro.core.settings import SolverSettings
+from repro.solvers.controls import SolverControls
 from tests.step_oracle import OracleSolver
 
 
@@ -34,7 +33,8 @@ class TestCases:
     def test_tgv_velocity_divergence_free_discretely(self, mech):
         """The TGV initial velocity is analytically solenoidal."""
         case = build_tgv_case(n=12, mech=mech)
-        from repro.fv import SurfaceField, VolField, fvc_div
+        from repro.fv.fields import SurfaceField, VolField
+        from repro.fv.operators import fvc_div
 
         u = VolField("U", case.mesh, case.velocity.values)
         u_f = u.face_values()
@@ -160,7 +160,7 @@ class TestChemistryPaths:
         assert chem.last_backend_stats.load_imbalance == 0.0
 
     def test_untrained_odenet_rejected(self, mech):
-        from repro.dnn import ODENet
+        from repro.dnn.odenet import ODENet
 
         with pytest.raises(ValueError):
             SurrogateBackend(ODENet(mech))

@@ -6,18 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import (
-    DeepFlameSolver,
-    IdealGasProperties,
-    NoChemistry,
-    SolverSettings,
-    build_rocket_case,
-    build_solver,
-    build_tgv_case,
-)
-from repro.dist import DecomposedSolver, Decomposition, HaloExchanger, spmd
-from repro.runtime import SimulatedComm
-from repro.solvers import SolverControls, blocked
+from repro.core.cases import build_rocket_case, build_tgv_case
+from repro.core.chemistry_source import NoChemistry
+from repro.core.deepflame import DeepFlameSolver
+from repro.core.properties import IdealGasProperties
+from repro.core.settings import SolverSettings, build_solver
+from repro.dist import spmd
+from repro.dist.decompose import Decomposition
+from repro.dist.halo import HaloExchanger
+from repro.dist.solver import DecomposedSolver
+from repro.runtime.comm import SimulatedComm
+from repro.solvers import blocked
+from repro.solvers.controls import SolverControls
 
 #: tight controls so serial and decomposed solves both converge far
 #: below the 1e-8 agreement gates (they differ only in FP reduction
@@ -515,7 +515,10 @@ class TestChemistryOnOwningRank:
         """Each rank's measured per-cell work is the serial step's work
         of the same cells, so the per-rank imbalance is the static
         decomposition's: measured, not corrected."""
-        from repro.runtime import per_rank_imbalance, rank_imbalance
+        from repro.runtime.load_balance import (
+            per_rank_imbalance,
+            rank_imbalance,
+        )
 
         serial = self._serial(mech)
         serial.step(self.DT)

@@ -6,20 +6,17 @@ zero-warm-allocation invariant of the decomposed driver."""
 import numpy as np
 import pytest
 
-from repro.core import (
-    IdealGasProperties,
-    NoChemistry,
-    SolverSettings,
-    build_tgv_case,
-)
-from repro.dist import (
-    DecomposedSolver,
-    Decomposition,
-    DistributedSystem,
-    solve_distributed,
-)
-from repro.runtime import SimulatedComm, alloc
-from repro.solvers import KrylovWorkspace, SolverControls
+from repro.core.cases import build_tgv_case
+from repro.core.chemistry_source import NoChemistry
+from repro.core.properties import IdealGasProperties
+from repro.core.settings import SolverSettings
+from repro.dist.decompose import Decomposition
+from repro.dist.krylov import DistributedSystem, solve_distributed
+from repro.dist.solver import DecomposedSolver
+from repro.runtime import alloc
+from repro.runtime.comm import SimulatedComm
+from repro.solvers.controls import SolverControls
+from repro.solvers.workspace import KrylovWorkspace
 from tests import face_oracle
 from tests.conftest import (checkerboard_parts, make_laplacian_ldu,
                             make_random_spd_ldus)

@@ -4,25 +4,15 @@ ODENet, PRNet, inference engine."""
 import numpy as np
 import pytest
 
-from repro.dnn import (
-    BoxCoxTransform,
-    GeLU,
-    GeLUTable,
-    InferenceEngine,
-    Linear,
-    MLP,
-    ODENet,
-    PRNet,
-    ZScoreScaler,
-    gelu_exact,
-    gelu_fused,
-    gelu_grad,
-    gradient_check,
-    mixed_linear_forward,
-    mse_loss,
-    quantize_fp16,
-    train_mlp,
-)
+from repro.dnn.gelu_table import GeLUTable
+from repro.dnn.inference import InferenceEngine
+from repro.dnn.layers import GeLU, Linear, gelu_exact, gelu_fused, gelu_grad
+from repro.dnn.network import MLP
+from repro.dnn.odenet import ODENet
+from repro.dnn.prnet import PRNet
+from repro.dnn.quantize import mixed_linear_forward, quantize_fp16
+from repro.dnn.scaling import BoxCoxTransform, ZScoreScaler
+from repro.dnn.training import gradient_check, mse_loss, train_mlp
 
 
 class TestLayers:
@@ -331,7 +321,7 @@ class TestPRNet:
         """One ``properties_tp`` over the whole manifold, row for row what
         the per-sample single-cell calls return."""
         from repro.dnn.prnet import sample_property_manifold
-        from repro.thermo import RealFluidMixture
+        from repro.thermo.real_fluid import RealFluidMixture
 
         class Recording(RealFluidMixture):
             calls = []
@@ -379,7 +369,7 @@ class TestPRNet:
         assert abs(t_pred[0] - 200.0) < 400.0
 
     def test_untrained_rejected(self, mech):
-        from repro.core import PRNetProperties
+        from repro.core.properties import PRNetProperties
 
         with pytest.raises(ValueError):
             PRNetProperties(PRNet(mech))

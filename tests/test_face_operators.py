@@ -14,11 +14,13 @@ kernel, hence the bound.
 import numpy as np
 import pytest
 
-from repro.dist import Decomposition
-from repro.fv import (FixedGradient, FixedValue, SurfaceField, VolField,
-                      fvc_div, fvc_grad, fvc_laplacian)
-from repro.fv.operators import assemble_transport, fvc_surface_integral
-from repro.mesh import build_box_mesh, build_rocket_mesh
+from repro.dist.decompose import Decomposition
+from repro.fv.boundary import FixedGradient, FixedValue
+from repro.fv.fields import SurfaceField, VolField
+from repro.fv.operators import (assemble_transport, fvc_div, fvc_grad,
+                                fvc_laplacian, fvc_surface_integral)
+from repro.mesh.rocket import build_rocket_mesh
+from repro.mesh.structured import build_box_mesh
 from repro.sparse.ldu import LDUMatrix
 from tests import face_oracle
 

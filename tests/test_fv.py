@@ -4,13 +4,10 @@ construction."""
 import numpy as np
 import pytest
 
-from repro.fv import (
-    FixedGradient,
-    FixedValue,
-    SurfaceField,
-    VolField,
-    ZeroGradient,
-    classify_faces,
+from repro.fv.boundary import FixedGradient, FixedValue, ZeroGradient
+from repro.fv.construction import classify_faces, two_phase_scatter
+from repro.fv.fields import SurfaceField, VolField
+from repro.fv.operators import (
     fvc_div,
     fvc_grad,
     fvc_laplacian,
@@ -18,12 +15,12 @@ from repro.fv import (
     fvm_div,
     fvm_laplacian,
     fvm_sp,
-    two_phase_scatter,
 )
-from repro.core import build_tgv_case
-from repro.mesh import build_box_mesh, cell_graph_from_mesh
-from repro.partition import partition_graph
-from repro.solvers import SolverControls
+from repro.core.cases import build_tgv_case
+from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.structured import build_box_mesh
+from repro.partition.partitioner import partition_graph
+from repro.solvers.controls import SolverControls
 
 CTL = SolverControls(tolerance=1e-12, max_iterations=800)
 

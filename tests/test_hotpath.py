@@ -19,45 +19,42 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chemistry import (
-    AnalyticJacobian,
-    Arrhenius,
+from repro.chemistry.backends.direct import DirectBatchBackend
+from repro.chemistry.jacobian import AnalyticJacobian
+from repro.chemistry.kinetics import KineticsEvaluator
+from repro.chemistry.mechanism import Mechanism
+from repro.chemistry.rates import Arrhenius
+from repro.chemistry.reactor import (
     ConstantPressureReactor,
-    DirectBatchBackend,
-    KineticsEvaluator,
-    Mechanism,
     mixture_line,
     premixed_state,
 )
 from repro.constants import R_UNIVERSAL
-from repro.core import (
-    DeepFlameSolver,
-    NoChemistry,
-    SolverSettings,
-    StepTimings,
-    build_tgv_case,
-)
-from repro.fv import (
+from repro.core.cases import build_tgv_case
+from repro.core.chemistry_source import NoChemistry
+from repro.core.deepflame import DeepFlameSolver, StepTimings
+from repro.core.settings import SolverSettings
+from repro.fv.fields import MultiVolField, VolField
+from repro.fv.operators import (
     CoupledTransportEquation,
-    EquationWorkspace,
-    MultiVolField,
-    VolField,
     fvm_ddt,
     fvm_div,
     fvm_laplacian,
     fvm_sp,
 )
-from repro.mesh import build_box_mesh
-from repro.solvers import (
+from repro.fv.workspace import EquationWorkspace
+from repro.mesh.structured import build_box_mesh
+from repro.solvers.blocked import pbicgstab_solve_multi, pcg_solve_multi
+from repro.solvers.controls import SolverControls
+from repro.solvers.preconditioners import (
     CachedDICPreconditioner,
     DICPreconditioner,
     JacobiPreconditioner,
-    KrylovWorkspace,
-    SolverControls,
-    pbicgstab_solve_multi,
-    pcg_solve_multi,
 )
-from repro.sparse import CSRPattern, GaussSeidelSmoother, LDUMatrix
+from repro.solvers.workspace import KrylovWorkspace
+from repro.sparse.gauss_seidel import GaussSeidelSmoother
+from repro.sparse.ldu import LDUMatrix
+from repro.sparse.pattern import CSRPattern
 from tests.kinetics_oracle import (
     oracle_rates,
     oracle_rhs,
@@ -150,7 +147,7 @@ class TestCSRPattern:
         smoother = GaussSeidelSmoother(a)
         b = rng.normal(size=mesh.n_cells)
         x0 = rng.normal(size=mesh.n_cells)
-        from repro.sparse import gauss_seidel_csr
+        from repro.sparse.gauss_seidel import gauss_seidel_csr
 
         assert np.array_equal(smoother.sweep(b, x0, 2),
                               gauss_seidel_csr(a.to_csr(), b, x0, 2))
@@ -461,7 +458,7 @@ class TestBatchedEosRoots:
         """Closed-form + Newton roots vs the per-cell eigenvalue solve:
         two algorithms, so agreement is to rounding (measured max
         1.8e-15 relative on rho in all three modes), not bitwise."""
-        from repro.thermo import RealFluidMixture
+        from repro.thermo.real_fluid import RealFluidMixture
 
         rf = RealFluidMixture(mech)
         rng = np.random.default_rng(2)
@@ -636,7 +633,7 @@ class TestFastAssemblySolver:
     @pytest.mark.slow
     @pytest.mark.parametrize("nparts", [2, 4])
     def test_decomposed_fast_assembly_matches_serial(self, nparts):
-        from repro.dist import DecomposedSolver
+        from repro.dist.solver import DecomposedSolver
 
         tight = dict(
             scalar_controls=SolverControls(tolerance=1e-12,

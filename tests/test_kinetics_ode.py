@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.chemistry import (
-    BDFIntegrator,
+from repro.chemistry.ode import BDFIntegrator, rodas3_batch
+from repro.chemistry.reactor import (
     ConstantPressureReactor,
     mixture_line,
     premixed_state,
-    rodas3_batch,
 )
 from tests.kinetics_oracle import oracle_rates, oracle_rhs, rk4_batch
 

@@ -6,11 +6,15 @@ the seam itself."""
 import numpy as np
 import pytest
 
-from repro.dist import Decomposition, DistributedSystem, solve_distributed
-from repro.fv import VolField, fvm_laplacian
-from repro.runtime import SimulatedComm
-from repro.solvers import LocalSystem, SolverControls, blocked, krylov_solve
-from repro.sparse import LDUMatrix
+from repro.dist.decompose import Decomposition
+from repro.dist.krylov import DistributedSystem, solve_distributed
+from repro.fv.fields import VolField
+from repro.fv.operators import fvm_laplacian
+from repro.runtime.comm import SimulatedComm
+from repro.solvers import blocked
+from repro.solvers.blocked import LocalSystem, krylov_solve
+from repro.solvers.controls import SolverControls
+from repro.sparse.ldu import LDUMatrix
 from tests.conftest import make_laplacian_ldu
 
 TIGHT = SolverControls(tolerance=1e-12, max_iterations=800)

@@ -5,32 +5,26 @@ import heapq
 import numpy as np
 import pytest
 
-from repro.mesh import (
-    BoxSpec,
-    bandwidth,
-    build_box_mesh,
-    build_rocket_mesh,
-    cell_graph_from_mesh,
-    cuthill_mckee,
+from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.refine import (
     mesh_storage_bytes,
-    nozzle_radius_profile,
-    partition_renumbering,
     refine_box,
     refine_cell_graph,
     refined_cell_count,
 )
+from repro.mesh.renumber import bandwidth, cuthill_mckee, partition_renumbering
+from repro.mesh.rocket import build_rocket_mesh, nozzle_radius_profile
+from repro.mesh.structured import BoxSpec, build_box_mesh
 from repro.mesh.unstructured import UnstructuredMesh
-from repro.partition import (
+from repro.partition.hierarchical import decompose_two_level
+from repro.partition.metrics import (
     balance_stats,
-    bisect_graph,
     block_occupancy,
-    decompose_two_level,
     edge_cut,
-    fm_refine,
-    graph_to_csr,
     offdiag_fraction,
-    partition_graph,
 )
+from repro.partition.multilevel import bisect_graph, fm_refine
+from repro.partition.partitioner import graph_to_csr, partition_graph
 
 
 class TestBoxMesh:

@@ -6,20 +6,14 @@ the aggregated cost report."""
 import numpy as np
 import pytest
 
-from repro.core import (
-    DeepFlameSolver,
-    SolverSettings,
-    build_tgv_case,
-)
-from repro.dist import DecomposedSolver
-from repro.orchestrate import (
-    CaseCache,
-    Ensemble,
-    SettingsManager,
-    clone_case,
-    nbytes_deep,
-)
-from repro.runtime import SUNWAY
+from repro.core.cases import build_tgv_case
+from repro.core.deepflame import DeepFlameSolver
+from repro.core.settings import SolverSettings
+from repro.dist.solver import DecomposedSolver
+from repro.orchestrate.cache import CaseCache, clone_case, nbytes_deep
+from repro.orchestrate.ensemble import Ensemble
+from repro.orchestrate.settings_manager import SettingsManager
+from repro.runtime.machine import SUNWAY
 
 DT = 1e-7
 #: fast ensemble base: one corrector, frozen chemistry

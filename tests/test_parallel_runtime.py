@@ -13,19 +13,26 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import (IdealGasProperties, NoChemistry,
-                        build_hotspot_tgv_case, build_tgv_case)
+from repro.core.cases import build_hotspot_tgv_case, build_tgv_case
+from repro.core.chemistry_source import NoChemistry
+from repro.core.properties import IdealGasProperties
 from repro.core.settings import SolverSettings
-from repro.dist import (DecomposedSolver, Decomposition, DistributedSystem,
-                        solve_distributed)
+from repro.dist.decompose import Decomposition
+from repro.dist.krylov import DistributedSystem, solve_distributed
+from repro.dist.solver import DecomposedSolver
 from repro.dist import spmd
 from repro.dist.spmd import ParallelExecutor
-from repro.orchestrate import Ensemble
-from repro.runtime import (CommLedger, SharedArena, SharedMemComm,
-                           SimulatedComm, WorkerError, WorkerPool,
-                           derive_worker_seed, hash_normal, hash_u64,
-                           hash_uniform)
-from repro.solvers import SolverControls
+from repro.orchestrate.ensemble import Ensemble
+from repro.runtime.comm import CommLedger, SimulatedComm
+from repro.runtime.executor import WorkerError, WorkerPool
+from repro.runtime.seeding import (
+    derive_worker_seed,
+    hash_normal,
+    hash_u64,
+    hash_uniform,
+)
+from repro.runtime.shm import SharedArena, SharedMemComm
+from repro.solvers.controls import SolverControls
 from tests.conftest import checkerboard_parts, make_laplacian_ldu
 
 #: tight controls so serial and parallel solves both converge far

@@ -7,13 +7,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.dist import Decomposition, DistributedSystem
-from repro.dnn import BoxCoxTransform, GeLUTable, ZScoreScaler, gelu_exact
-from repro.mesh import build_box_mesh, cell_graph_from_mesh, cuthill_mckee
-from repro.partition import balance_stats, partition_graph
-from repro.runtime import SimulatedComm
-from repro.solvers import LocalSystem
-from repro.sparse import LDUMatrix
+from repro.dist.decompose import Decomposition
+from repro.dist.krylov import DistributedSystem
+from repro.dnn.gelu_table import GeLUTable
+from repro.dnn.layers import gelu_exact
+from repro.dnn.scaling import BoxCoxTransform, ZScoreScaler
+from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.renumber import cuthill_mckee
+from repro.mesh.structured import build_box_mesh
+from repro.partition.metrics import balance_stats
+from repro.partition.partitioner import partition_graph
+from repro.runtime.comm import SimulatedComm
+from repro.solvers.blocked import LocalSystem
+from repro.sparse.ldu import LDUMatrix
 from repro.sparse.pattern import CSRPattern
 from repro.sparse.spmv import spmv_faces
 from tests.conftest import make_laplacian_ldu
@@ -169,7 +175,7 @@ class TestDnnProperties:
                     elements=st.floats(-3, 3, allow_nan=False)))
     @settings(**SETTINGS)
     def test_fp16_quantization_relative_error(self, x):
-        from repro.dnn import quantize_fp16
+        from repro.dnn.quantize import quantize_fp16
 
         q = quantize_fp16(x)
         err = np.abs(q - x)
@@ -300,14 +306,14 @@ def kin_global(kin):
 
 @pytest.fixture(scope="module")
 def pr_global(mech):
-    from repro.thermo import PengRobinson
+    from repro.thermo.cubic_eos import PengRobinson
 
     return PengRobinson(mech.species)
 
 
 @pytest.fixture(scope="module")
 def rf_global(mech):
-    from repro.thermo import RealFluidMixture
+    from repro.thermo.real_fluid import RealFluidMixture
 
     return RealFluidMixture(mech)
 
@@ -319,10 +325,10 @@ def graph_global():
 
 @pytest.fixture(scope="module")
 def block_setup(box_mesh):
-    from repro.mesh import cell_graph_from_mesh as cg
-    from repro.mesh import partition_renumbering
-    from repro.partition import partition_graph as pg
-    from repro.sparse import build_block_converter
+    from repro.mesh.graph import cell_graph_from_mesh as cg
+    from repro.mesh.renumber import partition_renumbering
+    from repro.partition.partitioner import partition_graph as pg
+    from repro.sparse.convert import build_block_converter
 
     g = cg(box_mesh)
     mem = pg(g, 4)

@@ -4,37 +4,42 @@ scaling drivers, I/O subsystem."""
 import numpy as np
 import pytest
 
-from repro.io import (
-    IOCostModel,
-    build_index,
-    conventional_pipeline,
-    fused_pipeline,
-    grouped_parallel_read,
-    indexed_read,
-    load_index,
-    master_read_scatter,
-    measure_strategies,
-    parallel_read,
+from repro.io.foamfile import (
     read_all_segments,
     read_collated_header,
     read_rank_segment,
-    storage_comparison,
     write_collated,
+)
+from repro.io.indexing import (
+    build_index,
+    indexed_read,
+    load_index,
     write_index,
 )
-from repro.runtime import (
-    FUGAKU,
-    LS_PILOT,
-    SUNWAY,
-    OptimizationConfig,
-    PerfModel,
+from repro.io.parallel_io import (
+    IOCostModel,
+    grouped_parallel_read,
+    master_read_scatter,
+    measure_strategies,
+    parallel_read,
+)
+from repro.io.pipeline import (
+    conventional_pipeline,
+    fused_pipeline,
+    storage_comparison,
+)
+from repro.runtime.comm import (
     SimulatedComm,
     allreduce_time,
     halo_exchange_time,
-    strong_scaling,
-    tgv_workload,
-    weak_scaling,
 )
+from repro.runtime.machine import FUGAKU, LS_PILOT, SUNWAY
+from repro.runtime.perf_model import (
+    OptimizationConfig,
+    PerfModel,
+    tgv_workload,
+)
+from repro.runtime.scaling import strong_scaling, weak_scaling
 
 
 class TestMachines:
@@ -363,7 +368,7 @@ class TestIOCostModel:
 
 class TestPipeline:
     def test_fused_reads_8x_less(self, tmp_path):
-        from repro.mesh import BoxSpec
+        from repro.mesh.structured import BoxSpec
 
         spec = BoxSpec(4, 4, 4)
         fine_c, cost_c = conventional_pipeline(spec, 1, tmp_path)

@@ -19,28 +19,24 @@ import repro.runtime.comm
 import repro.runtime.shm
 import repro.solvers
 import repro.solvers.blocked
-from repro.chemistry.backends import (
-    ChemistryBackend,
-    DirectBatchBackend,
-    HybridBackend,
-    PerCellBDFBackend,
-    SurrogateBackend,
-)
-from repro.core import (
-    DeepFlameSolver,
-    NoChemistry,
-    SolverSettings,
-    build_chemistry,
-    build_hotspot_tgv_case,
-    build_solver,
-    build_tgv_case,
-)
-from repro.core.chemistry_source import BackendChemistry
-from repro.core.settings import EXECUTION_MODES
+from repro.chemistry.backends.base import ChemistryBackend
+from repro.chemistry.backends.direct import DirectBatchBackend
+from repro.chemistry.backends.hybrid import HybridBackend
+from repro.chemistry.backends.percell import PerCellBDFBackend
+from repro.chemistry.backends.surrogate import SurrogateBackend
+from repro.core.cases import build_hotspot_tgv_case, build_tgv_case
+from repro.core.chemistry_source import BackendChemistry, NoChemistry
+from repro.core.deepflame import DeepFlameSolver
+from repro.core.settings import (EXECUTION_MODES, SolverSettings,
+                                 build_chemistry, build_solver)
 from repro.core.step import advance_step
-from repro.dist import DecomposedSolver, DistributedSystem, HaloExchanger
-from repro.runtime import CommLedger, SharedMemComm, SimulatedComm
-from repro.solvers import LocalSystem, SolverControls, krylov_solve
+from repro.dist.halo import HaloExchanger
+from repro.dist.krylov import DistributedSystem
+from repro.dist.solver import DecomposedSolver
+from repro.runtime.comm import CommLedger, SimulatedComm
+from repro.runtime.shm import SharedMemComm
+from repro.solvers.blocked import LocalSystem, krylov_solve
+from repro.solvers.controls import SolverControls
 
 
 @pytest.fixture(scope="module")

@@ -5,27 +5,21 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.mesh import cell_graph_from_mesh, partition_renumbering
-from repro.partition import partition_graph
-from repro.solvers import (
+from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.renumber import partition_renumbering
+from repro.partition.partitioner import partition_graph
+from repro.solvers.blocked import pbicgstab_solve_multi, pcg_solve_multi
+from repro.solvers.controls import SolverControls
+from repro.solvers.gamg import GAMGSolver, agglomerate
+from repro.solvers.preconditioners import (
     DICPreconditioner,
-    GAMGSolver,
     JacobiPreconditioner,
-    SolverControls,
     SymGaussSeidelPreconditioner,
-    agglomerate,
-    pbicgstab_solve_multi,
-    pcg_solve_multi,
 )
-from repro.sparse import (
-    LDUMatrix,
-    build_block_converter,
-    gauss_seidel_block,
-    gauss_seidel_csr,
-    spmv_cost,
-    spmv_ldu,
-    spmv_ldu_multi,
-)
+from repro.sparse.convert import build_block_converter
+from repro.sparse.gauss_seidel import gauss_seidel_block, gauss_seidel_csr
+from repro.sparse.ldu import LDUMatrix
+from repro.sparse.spmv import spmv_cost, spmv_ldu, spmv_ldu_multi
 from repro.sparse.pattern import CSRPattern
 from tests.conftest import (
     EXACT_ATOL,
@@ -272,7 +266,7 @@ class TestGaussSeidel:
         """The paper's claim: neglecting cross-thread couplings costs
         <~ a fraction of a percent of residual reduction per sweep."""
         ldu, _, blk = renumbered_setup
-        from repro.sparse import SmootherStats
+        from repro.sparse.gauss_seidel import SmootherStats
 
         stats = SmootherStats(ldu, blk)
         b = np.random.default_rng(5).random(ldu.n)
@@ -394,7 +388,7 @@ class TestGAMG:
 
     def test_gamg_mesh_independent_iterations(self):
         """Iteration count grows slowly with resolution (MG property)."""
-        from repro.mesh import build_box_mesh
+        from repro.mesh.structured import build_box_mesh
 
         iters = []
         for n in (6, 12):

@@ -7,12 +7,13 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.core import IdealGasProperties, build_tgv_case
-from repro.core.cases import build_hotspot_tgv_case
+from repro.core.cases import build_hotspot_tgv_case, build_tgv_case
 from repro.core.deepflame import FIELDS
+from repro.core.properties import IdealGasProperties
 from repro.core.settings import SolverSettings, build_solver
-from repro.dist import DecomposedSolver, Decomposition
-from repro.orchestrate import Ensemble
+from repro.dist.decompose import Decomposition
+from repro.dist.solver import DecomposedSolver
+from repro.orchestrate.ensemble import Ensemble
 
 DT = 1e-6
 #: the three ways to host a step: one serial solver, two ranks stepped
@@ -130,6 +131,26 @@ class TestRestore:
             assert not np.shares_memory(snap[name], get(solver))
         _run(solver, 1)
         assert not np.array_equal(snap["p"], solver.p.values)
+
+
+class TestOwnState:
+    def test_serial_solvers_of_one_case_start_alike(self, mech):
+        """A serial solver copies its case's fields: stepping one of two
+        solvers built from one case writes neither into the case nor
+        into the other, whose first step is then bitwise the first's."""
+        case = build_tgv_case(n=6, mech=mech)
+        u0, p0 = case.velocity.values.copy(), case.pressure.values.copy()
+        settings = SolverSettings()
+        first, second = (
+            build_solver(case, settings, properties=IdealGasProperties(mech))
+            for _ in range(2))
+        first.step(DT)
+        np.testing.assert_array_equal(case.velocity.values, u0)
+        np.testing.assert_array_equal(case.pressure.values, p0)
+        second.step(DT)
+        want = _fields(first)
+        for name, got in _fields(second).items():
+            np.testing.assert_array_equal(got, want[name], err_msg=name)
 
 
 class TestMismatch:

@@ -9,17 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 from repro.chemistry.mechanism import MixtureThermo
 from repro.constants import R_UNIVERSAL
-from repro.core import IdealGasProperties, build_tgv_case
-from repro.thermo import (
-    PengRobinson,
-    RealFluidMixture,
-    SoaveRedlichKwong,
-    TransportModel,
-    VanDerWaalsMixing,
-    cp_departure,
-    enthalpy_departure,
-)
-from repro.thermo.cubic_eos import ROOT_MODES, cubic_real_roots
+from repro.core.cases import build_tgv_case
+from repro.core.properties import IdealGasProperties
+from repro.thermo.cubic_eos import (ROOT_MODES, PengRobinson,
+                                    SoaveRedlichKwong, cubic_real_roots)
+from repro.thermo.departure import cp_departure, enthalpy_departure
+from repro.thermo.mixing import VanDerWaalsMixing
+from repro.thermo.real_fluid import RealFluidMixture
+from repro.thermo.transport import TransportModel
 from tests.conftest import MATVEC_RTOL
 from tests.thermo_oracle import (oracle_cp_mass_mixture,
                                  oracle_h_mass_mixture,

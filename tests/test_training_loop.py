@@ -5,20 +5,12 @@ retraining."""
 import numpy as np
 import pytest
 
-from repro.chemistry import (
-    DirectBatchBackend,
-    HybridBackend,
-    SurrogateBackend,
-    TRUST_GATE_MODES,
-)
-from repro.dnn import (
-    ModelRegistry,
-    ODENet,
-    TrustRegion,
-    build_training_set,
-    retrain_incremental,
-    sample_regime,
-)
+from repro.chemistry.backends.direct import DirectBatchBackend
+from repro.chemistry.backends.hybrid import HybridBackend, TRUST_GATE_MODES
+from repro.chemistry.backends.surrogate import SurrogateBackend
+from repro.dnn.dataset import build_training_set, sample_regime
+from repro.dnn.odenet import ODENet
+from repro.dnn.registry import ModelRegistry, TrustRegion, retrain_incremental
 
 PRESSURE = 10e6
 DT = 1e-8
