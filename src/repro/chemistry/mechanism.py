@@ -15,7 +15,28 @@ from ..constants import P_REF, R_UNIVERSAL
 from .rates import Reaction
 from .species import Species
 
-__all__ = ["Mechanism", "MixtureThermo", "load_mechanism"]
+__all__ = ["Mechanism", "MixtureThermo", "load_mechanism", "present_species"]
+
+#: rows of ``y`` OR-ed as one wide row by :func:`present_species`
+_PRESENCE_ROWS = 64
+
+
+def present_species(y: np.ndarray) -> np.ndarray:
+    """Mask of the species (last axis of ``y``) that are non-zero (or
+    NaN) in some row.
+
+    ``y.any(axis=0)`` on an ``(n, 17)`` block pays numpy's inner-loop
+    overhead once per 17-wide row (~0.2 ms at n = 8000); OR-ing groups
+    of ``_PRESENCE_ROWS`` rows as one wide row first is ~6x cheaper.
+    """
+    ns = np.shape(y)[-1]
+    y = np.reshape(y, (-1, ns))
+    n = len(y) - len(y) % _PRESENCE_ROWS
+    on = y[n:].any(axis=0)
+    if n:
+        wide = y[:n].reshape(-1, _PRESENCE_ROWS * ns) != 0
+        on |= wide.any(axis=0).reshape(_PRESENCE_ROWS, ns).any(axis=0)
+    return on
 
 
 class MixtureThermo:
@@ -26,17 +47,29 @@ class MixtureThermo:
     coefficients per cell, and each later temperature (every sweep of a
     T(h) Newton) is an O(n) Horner pass, not ``(n, n_species)``
     temporaries.  Other thermo types keep the per-species sums.
+
+    The contraction runs over the species present in some row of ``y``
+    only.  An absent species adds an exact zero, and leaving it out
+    changes no bit because the contraction is an un-optimised einsum
+    whose species axis is strided: one fixed summation order per cell,
+    from which a skipped term only drops out.  A BLAS product or a
+    pairwise numpy reduction would re-associate with the species count.
     """
 
     def __init__(self, mech: "Mechanism", y: np.ndarray):
         self._mech, self._y = mech, y
         a = mech._thermo_coeffs
+        if a is None:
+            self._c = None
+            return
+        a = a[:, :6] * (R_UNIVERSAL / mech.molecular_weights)[:, None]
+        on = present_species(y)
+        if not on.all():
+            y, a = y[..., on], a[on]
         # un-optimised einsum: one fixed loop over species per cell and
         # no (n, n_species) temporary.  A BLAS gemm picks its kernel by
         # batch size; a cell's coefficients must not depend on its batch.
-        self._c = None if a is None else np.einsum(
-            "...j,jk->k...", y, a[:, :6] * (
-                R_UNIVERSAL / mech.molecular_weights)[:, None], optimize=False)
+        self._c = np.einsum("...j,jk->k...", y, a, optimize=False)
 
     def cp_mass(self, t: np.ndarray) -> np.ndarray:
         """Mixture specific heat [J/(kg K)] at temperature(s) ``t``."""

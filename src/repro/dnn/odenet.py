@@ -18,6 +18,8 @@ these scales).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..chemistry.mechanism import Mechanism
@@ -25,7 +27,9 @@ from .inference import InferenceEngine
 from .network import MLP
 from .registry import TrustRegion
 from .scaling import BoxCoxTransform, ZScoreScaler
-from .training import TrainingHistory, train_mlp
+
+if TYPE_CHECKING:
+    from .training import TrainingHistory
 
 __all__ = ["ODENet"]
 
@@ -83,6 +87,9 @@ class ODENet:
         plus ``domain_margin``) for the hybrid backend's domain gate,
         then trains the net.
         """
+        # the training stack loads here: inference never needs it
+        from .training import train_mlp
+
         feats = self._features(t, p, y, dt)
         self.in_scaler.fit(feats)
         self.out_scaler.fit(delta_y)

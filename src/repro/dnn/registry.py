@@ -31,8 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .training import train_mlp
-
 __all__ = ["TrustRegion", "ModelRegistry", "RetrainResult",
            "retrain_incremental"]
 
@@ -264,6 +262,9 @@ def retrain_incremental(
     Returns a :class:`RetrainResult`; ``odenet`` is modified only when
     ``accepted``.
     """
+    # the training stack loads here: inference never needs it
+    from .training import train_mlp
+
     combined = ood if replay is None else ood.merge(replay)
     id_err_before = (_max_abs_error(odenet, id_holdout)
                      if id_holdout is not None else 0.0)

@@ -134,9 +134,23 @@ class _Columns:
         self.fl = np.full(k, flops, dtype=np.int64)
         self.nf = self.res0 = self.res = None   # set by start()
 
-    def start(self, nf: np.ndarray, res: np.ndarray) -> None:
-        """Adopt the normalisation and the initial residuals."""
-        self.nf, self.res0, self.res = nf, res.copy(), res
+    def start(self, b_norm: np.ndarray, x: np.ndarray) -> None:
+        """Adopt ``|b|_1`` (already reduced over every rank) as the
+        normalisation.  A column with ``b = 0`` is solved by ``x = 0``
+        exactly: it gets that ``x`` and retires converged at iteration
+        0, before the first product, whatever its initial guess (its
+        residual, normalised by the ``1e-300`` floor, would otherwise
+        never meet a tolerance)."""
+        zero = b_norm == 0.0
+        self.nf, self.res0 = b_norm + 1e-300, np.zeros(self.k)
+        self.res = self.res0
+        if zero.any():
+            x[:, zero] = 0.0
+            self.compress(self.retire(zero, 0, converged=True))
+
+    def residual(self, res: np.ndarray) -> None:
+        """Adopt the initial residuals of the active columns."""
+        self.res0, self.res = res.copy(), res
 
     def converged(self, controls: SolverControls) -> np.ndarray:
         """Mask of the active columns that meet ``controls`` now."""
@@ -181,6 +195,21 @@ def _check_rhs(system, b: np.ndarray) -> np.ndarray:
     return b
 
 
+def _initial_residual(col: _Columns, b: np.ndarray, x: np.ndarray, mv,
+                      csum, controls: SolverControls) -> np.ndarray:
+    """``b - A x`` over the columns :meth:`_Columns.start` left
+    active, which retire converged at iteration 0 where it already
+    meets ``controls``; the residual of the rest.  No product when no
+    column is left."""
+    if col.act.size == 0:
+        return b[:, :0]
+    cols = col.cols
+    r = b[:, cols] - mv(x[:, cols])
+    col.residual(csum(r) / col.nf)
+    r, = col.compress(col.retire(col.converged(controls), 0, True), r)
+    return r
+
+
 def pbicgstab_solve_multi(
     system,
     b: np.ndarray,
@@ -205,10 +234,8 @@ def pbicgstab_solve_multi(
     x = _block_x("bicgm.x", workspace, x0, n, k)
 
     col = _Columns("PBiCGStab", k, 2 * system.nnz + 2 * n)
-    nf = csum(b) + 1e-300
-    r = b - mv(x)
-    col.start(nf, csum(r) / nf)
-    r, = col.compress(col.retire(col.converged(controls), 0, True), r)
+    col.start(csum(b), x)
+    r = _initial_residual(col, b, x, mv, csum, controls)
     r_hat = r.copy()
     rho_old, alpha, omega = (np.ones(col.act.size) for _ in range(3))
     v, p = np.zeros((n, col.act.size)), np.zeros((n, col.act.size))
@@ -292,10 +319,8 @@ def pcg_solve_multi(
     col = _Columns(
         "PCG", k, 2 * system.nnz + 2 * n,
         details=lambda it: {"reductions": it * REDUCTIONS_PER_PCG_ITER})
-    nf = csum(b) + 1e-300
-    r = b - mv(x)
-    col.start(nf, csum(r) / nf)
-    r, = col.compress(col.retire(col.converged(controls), 0, True), r)
+    col.start(csum(b), x)
+    r = _initial_residual(col, b, x, mv, csum, controls)
     if col.act.size == 0:   # converged on entry: no sweep over an empty block
         return x, col.finish(0)
     z = precond(r)

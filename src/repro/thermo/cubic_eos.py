@@ -26,11 +26,11 @@ evaluated once and handed down as a :class:`CubicState`:
 by Newton on the original polynomial: one elementwise kernel,
 :func:`cubic_real_roots`, for every root mode.
 
-The ``(t, rho, y)``-taking methods (``density``, ``pressure``,
-``dp_dt_const_v``, ...) build a state and call the same kernels, so a
-caller that evaluates several quantities at one point should build the
-state itself.  Every kernel is row-independent: a cell's result never
-depends on what else shares its batch.
+The ``(t, p, y)``-taking ``density`` and ``compressibility`` build a
+state and call the same kernels, so a caller that evaluates several
+quantities at one point should build the state itself.  Every kernel
+is row-independent: a cell's result never depends on what else shares
+its batch.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ def cubic_real_roots(c2, c1, c0, lower: bool = True):
     Two roots closer than ~1e-8 of ``sqrt(-P/3)`` (the spread of the
     three) are below the resolution of the cosine form and come back
     as their midpoint; for EoS coefficients with ``A, B >= 1e-6`` that
-    only happens at a true double root.
+    only happens at a true double root.  Without ``lower``, a batch in
+    which every row has one real root (every supercritical cell) skips
+    the cosine branch, whose values the selection would discard.
     Elementwise: a row's roots never depend on what shares its batch.
     """
     ones, zeros = np.ones_like(c2), np.zeros_like(c2)
@@ -82,10 +84,6 @@ def cubic_real_roots(c2, c1, c0, lower: bool = True):
     v3 = -(q2 + np.where(q2 < 0.0, -s, s))
     v = np.sign(v3) * np.abs(v3) ** (1.0 / 3.0)
     y_one = v - p3 / np.where(v == 0.0, ones, v)
-    # three: y_k = 2 sqrt(-P/3) cos((theta - 2 pi k) / 3), k = 0, 1, 2
-    m = np.sqrt(np.where(one, zeros, -p3))
-    m3 = m * m * m
-    theta = np.arccos(np.clip(-q2 / np.where(m3 > 0.0, m3, ones), -1.0, 1.0))
 
     def polished(z):
         f = ((z + c2) * z + c1) * z + c0
@@ -97,6 +95,14 @@ def cubic_real_roots(c2, c1, c0, lower: bool = True):
             z, f = np.where(better, cand, z), np.where(better, f_cand, f)
         return z
 
+    if not lower and one.all():
+        # every row takes the Cardano root: the cosine branch below
+        # would be evaluated only to be discarded by the where
+        return polished(y_one - shift), [], ~one
+    # three: y_k = 2 sqrt(-P/3) cos((theta - 2 pi k) / 3), k = 0, 1, 2
+    m = np.sqrt(np.where(one, zeros, -p3))
+    m3 = m * m * m
+    theta = np.arccos(np.clip(-q2 / np.where(m3 > 0.0, m3, ones), -1.0, 1.0))
     z0 = polished(
         np.where(one, y_one, 2.0 * m * np.cos(theta / 3.0)) - shift)
     rest = [polished(2.0 * m * np.cos((theta - 2.0 * np.pi * k) / 3.0)
@@ -375,18 +381,6 @@ class CubicEos:
         """Mass density [kg/m^3] from T, p and *mass* fractions ``y``."""
         state = self.state(t, self.composition(y), order=0)
         return self.solve_density(state, p, root)
-
-    def pressure(self, t, rho, y) -> np.ndarray:
-        """Pressure [Pa] from T, mass density and mass fractions."""
-        return self.state(t, self.composition(y), rho, order=0).pressure()
-
-    def dp_dt_const_v(self, t, rho, y) -> np.ndarray:
-        """(dp/dT)_v,x -- needed for departure cp and sound speed."""
-        return self.state(t, self.composition(y), rho, order=1).dp_dt()
-
-    def dp_dv_const_t(self, t, rho, y) -> np.ndarray:
-        """(dp/dv)_T,x per mole; negative for mechanically stable states."""
-        return self.state(t, self.composition(y), rho, order=0).dp_dv()
 
     def _covolume(self, x: np.ndarray) -> np.ndarray:
         return (x * self.b_pure).sum(axis=-1)

@@ -22,10 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..constants import R_UNIVERSAL
-from .cubic_eos import CubicEos, CubicState
+from .cubic_eos import CubicState
 
-__all__ = ["enthalpy_departure", "cp_departure",
-           "state_enthalpy_departure", "state_cp_departure"]
+__all__ = ["state_enthalpy_departure", "state_cp_departure"]
 
 
 def state_enthalpy_departure(state: CubicState) -> np.ndarray:
@@ -44,17 +43,3 @@ def state_cp_departure(state: CubicState) -> np.ndarray:
     return (state.t * state.d2a_dt2 * state.log_term_over_bd
             - state.t * state.dp_dt() ** 2 / state.dp_dv()
             - R_UNIVERSAL)
-
-
-def enthalpy_departure(eos: CubicEos, t, rho, y) -> np.ndarray:
-    """Molar enthalpy departure h - h_ig [J/mol].
-
-    ``t`` [K], ``rho`` mass density [kg/m^3], ``y`` mass fractions.
-    """
-    return state_enthalpy_departure(
-        eos.state(t, eos.composition(y), rho, order=1))
-
-
-def cp_departure(eos: CubicEos, t, rho, y) -> np.ndarray:
-    """Molar cp departure cp - cp_ig [J/(mol K)]."""
-    return state_cp_departure(eos.state(t, eos.composition(y), rho))

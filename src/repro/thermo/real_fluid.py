@@ -14,6 +14,22 @@ transport, ``a/a'/a''`` and one cubic solve per temperature -- and
 reads all of rho, h, cp and psi off it.  The Newton loop of the
 ``(h, p, Y)`` solve hands its last state to the property bundle, so
 ``properties_hp`` solves the cubic once per sweep and never again.
+
+``psi_compressibility`` keeps its
+:class:`~repro.thermo.cubic_eos.Composition` with a copy of the mass
+fractions it came from (their non-zero columns: 2 of 17 on a
+non-reacting CH4/O2 case), and the other entry points hand it out again
+while their ``y`` equals that copy element for element: a step's psi
+and the next step's properties read the same ``Y``, so it is converted
+once.  A ``y`` written in place or restored since misses and is
+converted afresh.  Only psi keeps one, and only the others look: the
+step changes ``Y`` between the properties and psi, so a copy kept by
+the one or a lookup by the other would never be read.
+
+The transport and ideal-gas kernels behind these entry points evaluate
+only the species present in the batch (exact, because each of their
+species sums runs in one fixed order; see
+:mod:`repro.thermo.transport`).
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..chemistry.mechanism import Mechanism
+from ..chemistry.mechanism import Mechanism, present_species
 from .cubic_eos import Composition, CubicEos, CubicState, PengRobinson
 from .departure import state_cp_departure, state_enthalpy_departure
 from .transport import TransportModel
@@ -52,6 +68,20 @@ class RealFluidMixture:
         self.mech = mech
         self.eos = eos if eos is not None else PengRobinson(mech.species)
         self.transport = TransportModel(mech)
+        # psi's composition, with the columns of its y that hold a
+        # species (the others are zero) and their values
+        self._kept: tuple[np.ndarray, np.ndarray, Composition] | None = None
+
+    def _composition(self, y: np.ndarray) -> Composition:
+        """The composition of 2-D ``y``: the kept one when ``y`` equals
+        its mass fractions element for element, else a fresh one."""
+        if self._kept is not None:
+            on, cols, comp = self._kept
+            if (y.shape == (len(cols), on.size)
+                    and np.array_equal(present_species(y), on)
+                    and np.array_equal(y[:, on], cols)):
+                return comp
+        return self.eos.composition(y)
 
     # -- one state per (T, p); everything below reads it -----------------
     def _state_tp(self, t, p, comp: Composition, order: int = 2) -> CubicState:
@@ -80,20 +110,20 @@ class RealFluidMixture:
     def h_mass(self, t, p, y) -> np.ndarray:
         """Real-fluid specific enthalpy [J/kg] at (T, p, Y)."""
         y = np.atleast_2d(y)
-        return self._h(self._state_tp(t, p, self.eos.composition(y), order=1),
+        return self._h(self._state_tp(t, p, self._composition(y), order=1),
                        self.mech.mixture_thermo(y))
 
     def cp_mass(self, t, p, y) -> np.ndarray:
         """Real-fluid specific heat [J/(kg K)] at (T, p, Y)."""
         y = np.atleast_2d(y)
-        return self._cp(self._state_tp(t, p, self.eos.composition(y)),
+        return self._cp(self._state_tp(t, p, self._composition(y)),
                         self.mech.mixture_thermo(y))
 
     def properties_tp(self, t, p, y) -> RealFluidProperties:
         """All properties from (T, p, Y) -- the PRNet training target."""
         y = np.atleast_2d(y)
         return self._properties(
-            self._state_tp(t, p, self.eos.composition(y)),
+            self._state_tp(t, p, self._composition(y)),
             self.mech.mixture_thermo(y))
 
     # ----------------------------------------------------------------
@@ -103,7 +133,7 @@ class RealFluidMixture:
         evaluation, so the caller never solves that cubic (nor contracts
         the ideal-gas mixture coefficients ``mix``) again."""
         h_target = np.atleast_1d(np.asarray(h_target, dtype=float))
-        comp = self.eos.composition(y)
+        comp = self._composition(y)
         mix = self.mech.mixture_thermo(y)
         t = (
             np.full(h_target.shape, 1000.0)
@@ -175,6 +205,14 @@ class RealFluidMixture:
         return self._properties(state, mix, h_found)
 
     def psi_compressibility(self, t, p, y) -> np.ndarray:
-        """psi = (d rho / d p)_T [s^2/m^2], used by the pressure equation."""
+        """psi = (d rho / d p)_T [s^2/m^2], used by the pressure equation.
+
+        Keeps its composition with a copy of the non-zero columns of
+        ``y`` for the next call on an equal ``y``; it never looks one up
+        itself, since a step calls it on a ``Y`` the transport has just
+        changed."""
+        y = np.atleast_2d(y)
         comp = self.eos.composition(y)
+        on = present_species(y)
+        self._kept = (on, y[:, on], comp)      # a boolean index copies
         return self._state_tp(t, p, comp, order=0).drho_dp()

@@ -7,7 +7,8 @@ serial solver, an ideal-gas two-rank driver-stepped solver) and must
 not have loaded the training stack, the modeled runtime, the I/O and
 ensemble layers, the unused solvers or scipy's dense and sparse linear
 algebra.  The hybrid chemistry is the positive control: it does load
-the inference engine.
+the inference engine, and still not the training stack (a trained
+artifact is only evaluated).
 """
 
 import json
@@ -38,7 +39,8 @@ ranks.step(1e-6)
 stepped = [m for m in {NOT_LOADED!r} if m in sys.modules]
 build_chemistry(SolverSettings(chemistry="hybrid-trained"), case.mech)
 print(json.dumps({{"stepped": stepped,
-                  "hybrid": "repro.dnn.inference" in sys.modules}}))
+                  "hybrid": "repro.dnn.inference" in sys.modules,
+                  "training": "repro.dnn.training" in sys.modules}}))
 """
 
 
@@ -56,3 +58,4 @@ def test_a_step_loads_only_what_it_runs():
     loaded = _loaded()
     assert loaded["stepped"] == []
     assert loaded["hybrid"]
+    assert not loaded["training"]

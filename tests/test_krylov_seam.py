@@ -6,6 +6,7 @@ the seam itself."""
 import numpy as np
 import pytest
 
+from repro.core.cases import build_tgv_case
 from repro.dist.decompose import Decomposition
 from repro.dist.krylov import DistributedSystem, solve_distributed
 from repro.fv.fields import VolField
@@ -97,3 +98,88 @@ class TestPcgRequiresSymmetry:
         a.upper[7] = a.lower[7] = np.nan
         with pytest.raises(ValueError, match="symmetric"):
             krylov_solve(LocalSystem(a), b, solver="PCG")
+
+
+class TestZeroRightHandSide:
+    """A column whose ``b`` is exactly zero is solved by ``x = 0``: it
+    gets that solution and retires converged at iteration 0 whatever its
+    initial guess, decided from the ``|b|_1`` reduction every body
+    already makes, so every rank decides alike and no collective is
+    added.  Normalised by the ``1e-300`` floor, its residual would
+    otherwise never meet a tolerance."""
+
+    CONTROLS = SolverControls(tolerance=1e-10, max_iterations=200)
+
+    @staticmethod
+    def _system(mesh, ranks, operator):
+        if ranks == 0:
+            return LocalSystem(operator(mesh)), np.arange(mesh.n_cells)
+        dec = Decomposition.from_mesh(mesh, ranks)
+        system = DistributedSystem(
+            dec, SimulatedComm(ranks), [operator(s.mesh) for s in dec.subdomains])
+        return system, np.concatenate([s.owned_global for s in dec.subdomains])
+
+    @staticmethod
+    def _counted_solve(system, b, x0, solver, controls):
+        """The solve and the number of per-column reductions it made
+        (each one allreduce on a distributed system)."""
+        calls = [0]
+        for name in ("coldot", "colsum_abs"):
+            inner = getattr(system, name)
+
+            def counted(*args, inner=inner):
+                calls[0] += 1
+                return inner(*args)
+
+            setattr(system, name, counted)
+        try:
+            x, res = krylov_solve(system, b, x0=x0, solver=solver,
+                                  controls=controls)
+        finally:
+            for name in ("coldot", "colsum_abs"):
+                delattr(system, name)
+        return x.copy(), res, calls[0]
+
+    @pytest.mark.parametrize("solver, operator", [
+        ("PBiCGStab", _convective), ("PCG", make_laplacian_ldu)],
+        ids=["PBiCGStab", "PCG"])
+    @pytest.mark.parametrize("ranks", [0, 2], ids=["local", "2-rank"])
+    def test_zero_column_is_solved_at_iteration_zero(self, ranks, solver,
+                                                     operator):
+        """Columns 0 and 2 against the same two solved without column
+        1: the same iterates bit for bit.  Their residuals agree to
+        rounding only, because the ``|b|_1`` that normalises them is a
+        numpy column sum whose association depends on the block width
+        (as it did before zero columns retired early)."""
+        mesh = build_tgv_case(n=8).mesh
+        system, owned = self._system(mesh, ranks, operator)
+        rng = np.random.default_rng(11)
+        b = rng.standard_normal((mesh.n_cells, 3))[owned]
+        b[:, 1] = 0.0
+        x0 = np.full(b.shape, 0.5)
+        ledger = system.comm.ledger if ranks else None
+        before = ledger.allreduces if ranks else 0
+        x, res, reductions = self._counted_solve(
+            system, b, x0, solver, self.CONTROLS)
+        allreduces = ledger.allreduces - before if ranks else None
+        zero = res[1]
+        assert (zero.iterations, zero.converged) == (0, True)
+        assert zero.initial_residual == zero.final_residual == 0.0
+        assert np.array_equal(x[:, 1], np.zeros(len(b)))
+        assert not np.signbit(x[:, 1]).any()
+        # the other columns are the same solve as without the zero column
+        rest = [0, 2]
+        before = ledger.allreduces if ranks else 0
+        x_rest, res_rest, reductions_rest = self._counted_solve(
+            system, b[:, rest], x0[:, rest], solver, self.CONTROLS)
+        assert all(r.converged for r in res_rest)
+        assert np.array_equal(x[:, rest], x_rest)
+        for got, ref in zip((res[0], res[2]), res_rest):
+            assert (got.iterations, got.converged, got.flops) == (
+                ref.iterations, ref.converged, ref.flops)
+            for a, r in ((got.initial_residual, ref.initial_residual),
+                         (got.final_residual, ref.final_residual)):
+                assert a == pytest.approx(r, rel=1e-14, abs=0.0)
+        assert reductions == reductions_rest
+        if ranks:
+            assert allreduces == ledger.allreduces - before == reductions

@@ -13,14 +13,14 @@ from repro.core.cases import build_tgv_case
 from repro.core.properties import IdealGasProperties
 from repro.thermo.cubic_eos import (ROOT_MODES, PengRobinson,
                                     SoaveRedlichKwong, cubic_real_roots)
-from repro.thermo.departure import cp_departure, enthalpy_departure
 from repro.thermo.mixing import VanDerWaalsMixing
 from repro.thermo.real_fluid import RealFluidMixture
 from repro.thermo.transport import TransportModel
 from tests.conftest import MATVEC_RTOL
-from tests.thermo_oracle import (oracle_cp_mass_mixture,
+from tests.thermo_oracle import (cp_departure, dp_dt_const_v, dp_dv_const_t,
+                                 enthalpy_departure, oracle_cp_mass_mixture,
                                  oracle_h_mass_mixture,
-                                 oracle_ideal_gas_temperature)
+                                 oracle_ideal_gas_temperature, pressure)
 
 
 @pytest.fixture(scope="module")
@@ -52,18 +52,18 @@ class TestCubicEos:
     def test_pressure_density_roundtrip(self, pr, pure_o2, pure_ch4):
         for y, t in ((pure_o2, 150.0), (pure_ch4, 300.0), (pure_o2, 500.0)):
             rho = pr.density([t], 10e6, y[None, :])
-            p = pr.pressure([t], rho, y[None, :])
+            p = pressure(pr, [t], rho, y[None, :])
             assert p[0] == pytest.approx(10e6, rel=1e-8)
 
     def test_dp_dt_analytic(self, pr, pure_o2):
         t, rho = 200.0, 200.0
-        analytic = pr.dp_dt_const_v([t], [rho], pure_o2[None, :])
-        p1 = pr.pressure([t - 0.05], [rho], pure_o2[None, :])
-        p2 = pr.pressure([t + 0.05], [rho], pure_o2[None, :])
+        analytic = dp_dt_const_v(pr, [t], [rho], pure_o2[None, :])
+        p1 = pressure(pr, [t - 0.05], [rho], pure_o2[None, :])
+        p2 = pressure(pr, [t + 0.05], [rho], pure_o2[None, :])
         assert analytic[0] == pytest.approx((p2[0] - p1[0]) / 0.1, rel=1e-5)
 
     def test_mechanical_stability(self, pr, pure_o2):
-        dpdv = pr.dp_dv_const_t([300.0], [100.0], pure_o2[None, :])
+        dpdv = dp_dv_const_t(pr, [300.0], [100.0], pure_o2[None, :])
         assert dpdv[0] < 0
 
     def test_srk_differs_from_pr(self, mech, pure_o2):
@@ -599,6 +599,133 @@ class TestOneKernel:
         assert peak < 16 * 2**20
 
 
+class TestPresentSpecies:
+    """Transport and ``MixtureThermo`` evaluate only the species present
+    in their batch.  A cell holding 2, 8 or 17 species gets the same
+    bits in a batch holding all 17 (longer than one transport block),
+    in a batch of cells holding only its own species, and alone -- for
+    mu, lambda, the ideal-gas h and cp, the whole ``evaluate`` and psi.
+    And the composition that psi keeps is reused only for an equal
+    ``Y``."""
+
+    GROUPS = (2, 8, 17)
+    PER_GROUP = 700     # the 2100-cell batch spans three 1024-cell blocks
+
+    @pytest.fixture(scope="class")
+    def cells(self, mech):
+        rng = np.random.default_rng(43)
+        ns, n = mech.n_species, self.PER_GROUP
+        y = np.zeros((len(self.GROUPS) * n, ns))
+        held = [[mech.species_index["CH4"], mech.species_index["O2"]],
+                rng.choice(ns, 8, replace=False), np.arange(ns)]
+        for g, sp in enumerate(held):
+            rows = slice(g * n, (g + 1) * n)
+            y[rows, sp] = rng.random((n, len(sp))) ** 2 + 1e-3
+        y /= y.sum(axis=1, keepdims=True)
+        t = rng.uniform(150.0, 2500.0, len(y))
+        p = rng.uniform(5e6, 20e6, len(y))
+        return t, p, y
+
+    @staticmethod
+    def _everything(mech, t, p, y, h):
+        """Every per-cell output of the property stage for one batch."""
+        from repro.core.properties import DirectRealFluidProperties
+
+        props = DirectRealFluidProperties(mech)
+        rf = props.rf
+        comp = rf.eos.composition(y)
+        mix = mech.mixture_thermo(y)
+        state = props.evaluate(h, p, y, t_guess=t * 1.05)
+        return ([*rf.transport.from_mole_fractions(t, 300.0, comp.x,
+                                                   comp.w_mix),
+                 mix.h_mass(t), mix.cp_mass(t)]
+                + [getattr(state, k) for k in
+                   ("rho", "temperature", "mu", "alpha", "cp")]
+                + [props.psi(t, p, y)])
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 700, 2100])
+    def test_presence_mask_is_any_over_cells(self, n):
+        from repro.chemistry.mechanism import present_species
+
+        rng = np.random.default_rng(n)
+        y = np.where(rng.random((n, 17)) < 0.002, rng.random((n, 17)), 0.0)
+        if n:
+            y[-1, 3] = np.nan
+            y[n // 2, 5] = -0.0
+        assert np.array_equal(present_species(y), y.any(axis=0))
+        assert np.array_equal(present_species(y[:, None]),
+                              y.any(axis=0))         # (n, 1, ns) too
+
+    def test_a_cell_ignores_the_species_its_batch_holds(self, mech, cells):
+        t, p, y = cells
+        h = RealFluidMixture(mech).h_mass(t, p, y)
+        full = self._everything(mech, t, p, y, h)
+        n = self.PER_GROUP
+        for g, held in enumerate(self.GROUPS):
+            rows = slice(g * n, (g + 1) * n)
+            assert (y[rows] != 0).any(axis=0).sum() == held
+            own = self._everything(mech, t[rows], p[rows], y[rows], h[rows])
+            for whole, part in zip(full, own):
+                assert np.array_equal(whole[rows], part)
+            for cell in range(g * n, (g + 1) * n, 97):
+                one = slice(cell, cell + 1)
+                alone = self._everything(mech, t[one], p[one], y[one], h[one])
+                for whole, part in zip(full, alone):
+                    assert np.array_equal(whole[one], part)
+
+    def _counted(self, mech, cells, group, monkeypatch):
+        """``(t, p, y, h)`` of every 7th cell of ``group``, a property
+        evaluator whose ``eos.composition`` calls are listed in
+        ``calls``, and a check that its ``evaluate`` equals a fresh
+        evaluator's."""
+        from repro.core.properties import DirectRealFluidProperties
+
+        rows = slice(group * self.PER_GROUP, (group + 1) * self.PER_GROUP, 7)
+        t, p, y = (v[rows] for v in cells)
+        h = RealFluidMixture(mech).h_mass(t, p, y)
+        props = DirectRealFluidProperties(mech)
+        calls = []
+        inner = props.rf.eos.composition
+        monkeypatch.setattr(props.rf.eos, "composition",
+                            lambda y: calls.append(1) or inner(y))
+
+        def agree(y_step):
+            got = props.evaluate(h, p, y_step, t_guess=t * 1.05)
+            ref = DirectRealFluidProperties(mech).evaluate(
+                h, p, y_step.copy(), t_guess=t * 1.05)
+            for k in ("rho", "temperature", "mu", "alpha", "cp"):
+                assert np.array_equal(getattr(got, k), getattr(ref, k))
+
+        return t, p, y, props, calls, agree
+
+    def test_psi_composition_serves_an_equal_y_only(self, mech, cells,
+                                                     monkeypatch):
+        t, p, y, props, calls, agree = self._counted(mech, cells, 2,
+                                                     monkeypatch)
+        y_step = y.copy()
+        props.psi(t, p, y_step)
+        assert len(calls) == 1
+        # the next step's evaluate, on an equal Y: reused, same bits
+        agree(y.copy())
+        assert len(calls) == 1
+        # Y written in place since psi: converted afresh
+        y_step[3] = y_step[4]
+        agree(y_step)
+        assert len(calls) == 2
+
+    def test_psi_composition_misses_a_species_it_did_not_hold(
+            self, mech, cells, monkeypatch):
+        """psi keeps only the columns of its ``Y`` that hold a species;
+        mass written into another one is still a different ``Y``."""
+        t, p, y, props, calls, agree = self._counted(mech, cells, 0,
+                                                     monkeypatch)
+        y_step = y.copy()
+        props.psi(t, p, y_step)
+        y_step[5, mech.species_index["H2O"]] = 1e-3
+        agree(y_step)
+        assert len(calls) == 2
+
+
 # -- the closed-form root kernel vs the eigenvalue oracle -------------------
 EPS = np.finfo(float).eps
 
@@ -680,6 +807,25 @@ class TestCubicRootKernel:
             np.testing.assert_allclose(z, ref, rtol=0.0, atol=1e-7)
         top, rest, _ = cubic_real_roots(c2, c1, c0, lower=False)
         assert rest == [] and np.array_equal(top, z0)
+
+    def test_one_root_batch_skips_the_cosine_branch_bitwise(self):
+        """A batch of one-root rows asks for no cosine-branch root; the
+        largest root of each row is still bit for bit the one it gets
+        in a batch that also holds a three-root row (Peng-Robinson
+        coefficients; the last row is the sub-critical state above)."""
+        rng = np.random.default_rng(7)
+        big_a = np.append(rng.uniform(1e-3, 30.0, 300), 0.2)
+        big_b = np.append(rng.uniform(1e-3, 1.0, 300), 0.02)
+        c2 = -(1.0 - big_b)
+        c1 = big_a - big_b**2 - 2.0 * big_b - 2.0 * big_b**2
+        c0 = -(big_a * big_b - big_b**2 - big_b**3)
+        z0, _, three = cubic_real_roots(c2, c1, c0, lower=False)
+        assert three[-1] and not three.all()
+        one = ~three
+        alone, rest, none = cubic_real_roots(c2[one], c1[one], c0[one],
+                                             lower=False)
+        assert rest == [] and not none.any()
+        assert np.array_equal(alone, z0[one])
 
 
 class TestCompressibilityAgainstOracle:

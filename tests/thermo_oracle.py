@@ -15,6 +15,12 @@ kernels against it.
 The constants (critical data, ``a_crit``, ``b_pure``, ``m(omega)``,
 ``k_ij``, the (u, w) pair) are read from the production objects; every
 formula is this module's own.
+
+The module also keeps the ``(t, rho, y)`` spellings of the production
+kernels that only tests call (:func:`pressure`, :func:`dp_dt_const_v`,
+:func:`dp_dv_const_t`, :func:`enthalpy_departure`,
+:func:`cp_departure`): each builds one production ``CubicState`` at
+``(t, rho)`` and reads the quantity off it.
 """
 
 from __future__ import annotations
@@ -22,12 +28,48 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import K_BOLTZMANN, N_AVOGADRO, R_UNIVERSAL
+from repro.thermo.departure import (state_cp_departure,
+                                   state_enthalpy_departure)
 from repro.thermo.real_fluid import RealFluidProperties
 
-__all__ = ["OracleEos", "OracleMixture", "OracleTransport",
+__all__ = ["pressure", "dp_dt_const_v", "dp_dv_const_t",
+           "enthalpy_departure", "cp_departure",
+           "OracleEos", "OracleMixture", "OracleTransport",
            "oracle_enthalpy_departure", "oracle_cp_departure",
            "oracle_solve_cubic", "oracle_h_mass_mixture",
            "oracle_cp_mass_mixture", "oracle_ideal_gas_temperature"]
+
+
+def _state(eos, t, rho, y, order):
+    return eos.state(t, eos.composition(y), rho, order=order)
+
+
+def pressure(eos, t, rho, y):
+    """Pressure [Pa] of production ``eos`` at T, mass density and mass
+    fractions."""
+    return _state(eos, t, rho, y, 0).pressure()
+
+
+def dp_dt_const_v(eos, t, rho, y):
+    """(dp/dT)_v,x of production ``eos``."""
+    return _state(eos, t, rho, y, 1).dp_dt()
+
+
+def dp_dv_const_t(eos, t, rho, y):
+    """(dp/dv)_T,x per mole of production ``eos``; negative for
+    mechanically stable states."""
+    return _state(eos, t, rho, y, 0).dp_dv()
+
+
+def enthalpy_departure(eos, t, rho, y):
+    """Molar enthalpy departure h - h_ig [J/mol] of production ``eos``
+    (``t`` [K], ``rho`` mass density [kg/m^3], ``y`` mass fractions)."""
+    return state_enthalpy_departure(_state(eos, t, rho, y, 1))
+
+
+def cp_departure(eos, t, rho, y):
+    """Molar cp departure cp - cp_ig [J/(mol K)] of production ``eos``."""
+    return state_cp_departure(_state(eos, t, rho, y, 2))
 
 
 def oracle_h_mass_mixture(mech, t, y):
