@@ -28,12 +28,12 @@ measured per-step message/byte ledger.
 Every flag above sets one field of a single validated
 ``repro.core.settings.SolverSettings`` object -- the unified configuration the
 solvers are built from (``DeepFlameSolver(case, settings)`` /
-``DecomposedSolver(case, settings)``).  ``--sweep key=v1,v2,...`` fans
-that settings object out over an in-process ensemble
-(``repro.orchestrate.ensemble.Ensemble``): one instance per value, sharing one
-mesh/mechanism/workspace, with the per-instance cost table and the
-shared-memory footprint printed at the end.  The key may be a dotted
-settings path, e.g. ``scalar_controls.tolerance``.
+``DecomposedSolver(case, settings)``).  ``--sweep key=v1,v2,...`` runs
+that settings object once per value: a loop of
+``build_solver(case, base.overlay(**{key: value}), properties=props)``
+over one case and one property evaluator, printing each run's
+diagnostics.  The key may be a dotted settings path, e.g.
+``scalar_controls.tolerance``.
 
 Run:  python examples/quickstart.py [--chemistry direct] [--steps 5]
       python examples/quickstart.py --ranks 4
@@ -47,8 +47,8 @@ import numpy as np
 
 from repro.core.cases import build_tgv_case
 from repro.core.deepflame import DeepFlameSolver
-from repro.core.settings import SolverSettings, TRUST_GATE_MODES
-from repro.orchestrate.ensemble import Ensemble
+from repro.core.properties import DirectRealFluidProperties
+from repro.core.settings import SolverSettings, TRUST_GATE_MODES, build_solver
 from repro.solvers.controls import SolverControls
 
 CHOICES = ("none", "percell", "direct", "surrogate", "hybrid",
@@ -161,38 +161,31 @@ def _coerce(text: str):
 
 
 def run_sweep(args, base: SolverSettings, dt: float) -> None:
-    """Fan the base settings over an in-process ensemble.
+    """Run the base settings once per swept value.
 
-    One instance per swept value, all sharing a single mesh,
-    mechanism, property evaluator and equation workspace; ends with
-    the per-instance cost table and the shared-memory footprint vs
-    running the same sweep as independent solvers.
+    Every run is built from one case (a solver copies the initial state
+    it evolves) and one property evaluator; only the overlaid field
+    differs between runs.
     """
     key, _, raw = args.sweep.partition("=")
     if not raw:
         raise SystemExit("--sweep expects key=v1,v2,...")
     values = [_coerce(v) for v in raw.split(",")]
     print(f"\nSweeping {key!r} over {values} "
-          f"({len(values)} ensemble instances, one shared case) ...")
-    ens = Ensemble.sweep(lambda: build_tgv_case(n=args.n),
-                         base, key, values)
-    ens.run(args.steps, dt)
-
-    for inst, value in zip(ens, values):
-        d = inst.solver.last_diag
-        print(f"  {inst.name}: {key}={value!r} -> "
-              f"T [{d.t_min:.1f}, {d.t_max:.1f}] K, "
+          f"({len(values)} runs of {args.steps} steps, one shared case) ...")
+    case = build_tgv_case(n=args.n)
+    props = DirectRealFluidProperties(case.mech)
+    for value in values:
+        settings = base.overlay(**{key: value})
+        solver = build_solver(case, settings, properties=props)
+        solver.run(args.steps, dt)
+        d = solver.last_diag
+        print(f"  {key}={value!r}: T [{d.t_min:.1f}, {d.t_max:.1f}] K, "
               f"|U|max {d.max_velocity:.2f} m/s, "
-              f"iters {d.solver_iterations}")
-
-    print("\nEnsemble cost report (ledgered):")
-    for line in ens.cost_report().table():
-        print("  " + line)
-    mem = ens.memory_report()
-    print(f"\nShared-cache memory: {mem['ensemble_bytes']/1e6:.2f} MB for "
-          f"the ensemble vs {mem['independent_bytes']/1e6:.2f} MB for "
-          f"{len(ens)} independent solvers "
-          f"({mem['ratio']:.2f}x)")
+              f"iters {d.solver_iterations}, "
+              f"last step {solver.last_timings.total * 1e3:.1f} ms")
+        if settings.is_decomposed:
+            solver.close()
 
 
 def main() -> None:
@@ -219,13 +212,11 @@ def main() -> None:
                          "warm step reports zero construction/solving "
                          "allocations)")
     ap.add_argument("--sweep", metavar="KEY=V1,V2,...", default=None,
-                    help="instead of one run, fan the configured "
-                         "settings over an in-process ensemble: one "
-                         "instance per value of the (possibly dotted) "
-                         "settings field KEY, sharing one "
-                         "mesh/mechanism/workspace; prints the "
-                         "per-instance cost table and the shared-memory "
-                         "footprint (e.g. --sweep n_correctors=1,2,3)")
+                    help="instead of one run, run the default "
+                         "settings once per value of the (possibly "
+                         "dotted) settings field KEY over one shared "
+                         "case; prints each run's diagnostics (e.g. "
+                         "--sweep n_correctors=1,2,3)")
     ap.add_argument("--steps", type=int, default=5)
     ap.add_argument("--n", type=int, default=16, help="cells per side")
     args = ap.parse_args()

@@ -101,12 +101,10 @@ class DeepFlameSolver:
     """Compressible low-Mach reactive solver over a :class:`Case`.
 
     ``settings`` is the whole configuration (the defaults when
-    ``None``).  ``properties``, ``chemistry`` and ``workspace`` are
-    injected objects: the property evaluator (direct Peng-Robinson by
-    default), a chemistry backend or adapter replacing the one
-    ``settings.chemistry`` describes, and an
-    :class:`~repro.fv.workspace.EquationWorkspace` to step through
-    instead of a private one.
+    ``None``).  ``properties`` and ``chemistry`` are injected objects:
+    the property evaluator (direct Peng-Robinson by default) and a
+    chemistry backend or adapter replacing the one
+    ``settings.chemistry`` describes.
     """
 
     def __init__(
@@ -116,7 +114,6 @@ class DeepFlameSolver:
         *,
         properties=None,
         chemistry=None,
-        workspace: EquationWorkspace | None = None,
     ):
         if settings is None:
             settings = SolverSettings()
@@ -142,16 +139,7 @@ class DeepFlameSolver:
         self.solve_momentum = settings.solve_momentum
         # One workspace owns the persistent LDU/source buffers, the CSR
         # pattern, cached preconditioners and the Krylov vector pool.
-        # An ensemble may inject a shared workspace: instances step
-        # strictly sequentially, and every workspace buffer is zeroed,
-        # refilled or value-refreshed per use, so sharing is
-        # bitwise-neutral (asserted by the orchestration tests).
-        if workspace is None:
-            workspace = EquationWorkspace(self.mesh)
-        elif workspace.mesh is not self.mesh:
-            raise ValueError(
-                "shared workspace was built for a different mesh")
-        self._ws = workspace
+        self._ws = EquationWorkspace(self.mesh)
 
         # the solver owns its state: stepping never writes into `case`
         self.u = case.velocity.copy()

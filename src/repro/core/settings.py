@@ -11,16 +11,14 @@ value object, so that
   ``DecomposedSolver(case, settings)`` / :func:`build_solver`, which
   picks between the two from ``settings.ranks``),
 * configurations compose: :meth:`SolverSettings.overlay` produces a
-  derived settings object, which is what parameter sweeps, UQ
-  ensembles and per-instance overrides in
-  :mod:`repro.orchestrate` are built from (cf. muscle3's settings
-  manager), and
+  derived settings object -- a parameter sweep is a loop of
+  ``build_solver(case, base.overlay(**{key: value}))`` over one case
+  (``examples/quickstart.py --sweep``), and
 * configurations round-trip through plain dicts
   (:meth:`SolverSettings.to_dict` / :meth:`SolverSettings.from_dict`)
   for files, CLIs and wire formats.
 
-Resolution precedence is
-``defaults < base settings < per-instance overlay``.
+Resolution precedence is ``defaults < base settings < overlay``.
 """
 
 from __future__ import annotations
@@ -171,7 +169,7 @@ class SolverSettings:
         Keys are field names; dotted paths reach into the nested
         controls (``overlay(**{"scalar_controls.tolerance": 1e-12})``).
         Unknown keys raise ``KeyError`` -- silently ignored overrides
-        are how ensemble sweeps go wrong.
+        are how parameter sweeps go wrong.
         """
         if not overrides:
             return self
@@ -339,28 +337,20 @@ def build_chemistry(settings: SolverSettings, mech):
 
 
 def build_solver(case, settings: SolverSettings, properties=None,
-                 chemistry=None, comm=None, workspace=None):
+                 chemistry=None):
     """Construct the solver a :class:`SolverSettings` describes.
 
     Dispatches on ``settings.ranks``: serial
     :class:`~repro.core.deepflame.DeepFlameSolver` below 2, decomposed
     :class:`~repro.dist.solver.DecomposedSolver` otherwise.  ``chemistry``
-    overrides the settings' backend spec when given; ``workspace``
-    (serial only) lets ensemble instances share one
-    :class:`~repro.fv.workspace.EquationWorkspace`; ``comm``
-    (decomposed only) supplies the rank fabric.
+    overrides the settings' backend spec when given.
     """
     if settings.is_decomposed:
         from ..dist.solver import DecomposedSolver
 
-        if workspace is not None:
-            raise ValueError(
-                "workspace sharing applies to serial solvers only")
-        return DecomposedSolver(case, settings, comm=comm,
-                                properties=properties, chemistry=chemistry)
+        return DecomposedSolver(case, settings, properties=properties,
+                                chemistry=chemistry)
     from .deepflame import DeepFlameSolver
 
-    if comm is not None:
-        raise ValueError("comm applies to decomposed solvers only")
     return DeepFlameSolver(case, settings, properties=properties,
-                           chemistry=chemistry, workspace=workspace)
+                           chemistry=chemistry)

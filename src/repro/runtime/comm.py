@@ -35,8 +35,9 @@ class CommLedger:
     """Accumulated communication totals, with per-source attribution.
 
     ``by_src`` maps a sending rank to its ``[messages, bytes]`` share
-    of the point-to-point traffic -- the ensemble cost report uses it
-    to attribute one fabric's traffic to individual instances.
+    of the point-to-point traffic; the driver-vs-worker parity checks
+    compare it, so a merged per-rank ledger must attribute every
+    message to the rank that sent it.
     """
 
     messages: int = 0
@@ -82,11 +83,6 @@ class CommLedger:
             per[0] += msgs
             per[1] += nbytes
         return self
-
-    def src_totals(self, src: int) -> tuple[int, int]:
-        """``(messages, bytes)`` sent by rank ``src`` so far."""
-        per = self.by_src.get(int(src), (0, 0))
-        return per[0], per[1]
 
     def totals(self) -> dict:
         """Snapshot of the counters (the per-step delta base)."""

@@ -27,7 +27,6 @@ __all__ = [
     "per_rank_imbalance",
     "chemistry_balance_report",
     "workload_with_chemistry",
-    "price_comm_totals",
 ]
 
 
@@ -64,39 +63,13 @@ def per_rank_imbalance(work_per_rank: np.ndarray) -> float:
 
     The *executed* counterpart of :func:`rank_imbalance`: instead of
     predicting what a static ownership map would cost, it scores
-    measured per-rank totals (the per-instance wall and chemistry work
-    of an :class:`~repro.orchestrate.report.EnsembleCostReport`).
+    measured per-rank totals (a decomposed step's per-rank chemistry
+    work, ``[st.total_work for st in solver.last_backend_stats]``).
     """
     per_rank = np.asarray(work_per_rank, dtype=float)
     if per_rank.size == 0 or per_rank.mean() <= 0:
         return 0.0
     return float(per_rank.max() / per_rank.mean() - 1.0)
-
-
-def price_comm_totals(machine, totals: dict, n_ranks: int) -> dict:
-    """Alpha-beta price of a measured traffic total.
-
-    ``totals`` is a ``CommLedger.totals()``-shaped dict (``messages``,
-    ``bytes``, ``allreduces``, ``allreduce_bytes``) -- a per-step delta
-    or an ensemble fabric's lifetime total.  Returns
-    ``{"exchange_s", "allreduce_s", "total_s"}`` charged to
-    ``machine``'s fabric exactly as the executed strong-scaling bench
-    prices halo traffic.
-    """
-    from .comm import allreduce_time, halo_exchange_time
-
-    t_xc = 0.0
-    if totals.get("messages"):
-        t_xc = halo_exchange_time(
-            machine, totals["messages"] / n_ranks,
-            totals["bytes"] / totals["messages"])
-    t_ar = 0.0
-    if totals.get("allreduces"):
-        t_ar = totals["allreduces"] * allreduce_time(
-            machine, n_ranks,
-            totals["allreduce_bytes"] / totals["allreduces"])
-    return {"exchange_s": t_xc, "allreduce_s": t_ar,
-            "total_s": t_xc + t_ar}
 
 
 def chemistry_balance_report(stats) -> dict:

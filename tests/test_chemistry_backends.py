@@ -24,7 +24,6 @@ from repro.chemistry.reactor import (
 from repro.runtime.load_balance import (
     chemistry_balance_report,
     per_rank_imbalance,
-    price_comm_totals,
     rank_imbalance,
     work_imbalance,
     workload_with_chemistry,
@@ -638,27 +637,6 @@ class TestLoadBalanceMetrics:
         totals = np.bincount(owner, weights=w)
         assert per_rank_imbalance(totals) == pytest.approx(
             rank_imbalance(w, 4, owner=owner))
-
-    def test_price_comm_totals(self):
-        """A ledger total prices as its per-rank halo exchanges plus
-        its allreduces on the machine's fabric; no traffic is free."""
-        from repro.runtime.comm import allreduce_time, halo_exchange_time
-        from repro.runtime.machine import SUNWAY
-
-        zero = {"messages": 0, "bytes": 0, "allreduces": 0,
-                "allreduce_bytes": 0}
-        assert price_comm_totals(SUNWAY, zero, 4) == {
-            "exchange_s": 0.0, "allreduce_s": 0.0, "total_s": 0.0}
-        totals = {"messages": 24, "bytes": 24 * 800, "allreduces": 5,
-                  "allreduce_bytes": 5 * 16}
-        priced = price_comm_totals(SUNWAY, totals, 4)
-        assert priced["exchange_s"] == pytest.approx(
-            halo_exchange_time(SUNWAY, 6.0, 800.0))
-        assert priced["allreduce_s"] == pytest.approx(
-            5 * allreduce_time(SUNWAY, 4, 16.0))
-        assert priced["exchange_s"] > 0.0 and priced["allreduce_s"] > 0.0
-        assert priced["total_s"] == pytest.approx(
-            priced["exchange_s"] + priced["allreduce_s"])
 
     def test_balance_report_and_workload(self, mech, quick_odenet):
         hb = HybridBackend(SurrogateBackend(quick_odenet),

@@ -207,6 +207,23 @@ class TestDecomposedSolver:
         # iteration across the step's Krylov solves
         assert comm["messages"] >= dist.last_diag.solver_iterations
 
+    @pytest.mark.parametrize("ranks", [2, 3, 4])
+    def test_by_src_accounts_for_every_message(self, mech, ranks):
+        """Every exchange sends one message per neighbour pair, and the
+        ledger charges each to its sender: rank ``r``'s row is the
+        exchange count times its neighbour count, and the rows sum to
+        the totals."""
+        dist = DecomposedSolver(build_tgv_case(n=6, mech=mech),
+                                SolverSettings(ranks=ranks),
+                                properties=IdealGasProperties(mech))
+        dist.step(1e-8)
+        led = dist.comm.ledger
+        assert sorted(led.by_src) == list(range(ranks))
+        for sub in dist.decomp.subdomains:
+            assert led.by_src[sub.rank][0] == led.exchanges * len(sub.send)
+        assert sum(m for m, _ in led.by_src.values()) == led.messages
+        assert sum(b for _, b in led.by_src.values()) == led.bytes_sent
+
     def test_diagnostics_match_serial(self, mech):
         serial = DeepFlameSolver(build_tgv_case(n=6, mech=mech),
                                  SolverSettings(**TIGHT),

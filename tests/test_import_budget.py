@@ -4,11 +4,12 @@ Each rank of a parallel run is one process, so every module a solver
 imports without running it is paid once per rank.  A fresh interpreter
 builds and steps the two step paths no workload leaves (a real-fluid
 serial solver, an ideal-gas two-rank driver-stepped solver) and must
-not have loaded the training stack, the modeled runtime, the I/O and
-ensemble layers, the unused solvers or scipy's dense and sparse linear
-algebra.  The hybrid chemistry is the positive control: it does load
-the inference engine, and still not the training stack (a trained
-artifact is only evaluated).
+not have loaded the training stack, the modeled runtime and its
+load-balance metrics, the I/O layer, the unused solvers, sparse formats
+and mesh transforms, the threaded matrix construction, the partition
+metrics or scipy's dense and sparse linear algebra.  The hybrid
+chemistry is the positive control: it does load the inference engine,
+and still not the training stack (a trained artifact is only evaluated).
 """
 
 import json
@@ -21,8 +22,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: modules no plain serial or decomposed step executes
 NOT_LOADED = ("scipy.linalg", "scipy.sparse.linalg", "repro.dnn",
-              "repro.io", "repro.orchestrate", "repro.runtime.perf_model",
-              "repro.solvers.gamg", "repro.partition.hierarchical")
+              "repro.io", "repro.runtime.perf_model",
+              "repro.runtime.machine", "repro.runtime.scaling",
+              "repro.runtime.load_balance", "repro.solvers.gamg",
+              "repro.sparse.gauss_seidel", "repro.sparse.block_csr",
+              "repro.sparse.convert", "repro.mesh.refine",
+              "repro.mesh.renumber", "repro.fv.construction",
+              "repro.partition.hierarchical", "repro.partition.metrics")
 
 _SCRIPT = f"""
 import json, sys

@@ -22,7 +22,6 @@ from repro.dist.krylov import DistributedSystem, solve_distributed
 from repro.dist.solver import DecomposedSolver
 from repro.dist import spmd
 from repro.dist.spmd import ParallelExecutor
-from repro.orchestrate.ensemble import Ensemble
 from repro.runtime.comm import CommLedger, SimulatedComm
 from repro.runtime.executor import WorkerError, WorkerPool
 from repro.runtime.seeding import (
@@ -657,8 +656,10 @@ class TestSpmdParity:
         """A decomposed hybrid run audits the same cells driver-stepped
         as on parallel ranks: each hosted rank builds its own backend,
         so every rank's audit counter advances once per step on both
-        schedules.  On the committed artifact's manifold (the n = 12
-        hot spot ``hotspot_hybrid`` steps), real fluid."""
+        schedules.  The workers hand back their ranks' chemistry stats
+        with the step, so each rank's work and cell count read the
+        same in both modes.  On the committed artifact's manifold (the
+        n = 12 hot spot ``hotspot_hybrid`` steps), real fluid."""
         settings = SolverSettings(ranks=2, chemistry="hybrid-trained",
                                   chemistry_options={"audit_fraction": 0.2})
 
@@ -672,6 +673,11 @@ class TestSpmdParity:
             for _ in range(3):
                 driver.step(1e-8)
                 par.step(1e-8)
+                work = [[(st.n_cells, st.total_work)
+                         for st in s.last_backend_stats]
+                        for s in (driver, par)]
+                assert work[0] == work[1]
+                assert all(w > 0 for _, w in work[0])
                 gates = [[st.gate for st in s.last_backend_stats]
                          for s in (driver, par)]
                 assert gates[0] == gates[1]
@@ -836,82 +842,40 @@ class TestFailedConstruction:
         assert _shm_entries() == before
 
 
-# ---------------------------------------------------------------------
-# parallel ensembles
-# ---------------------------------------------------------------------
-class TestParallelEnsemble:
-    VALUES = [1e-6, 1e-7, 1e-8, 1e-9, 1e-10]
-
-    def _sweep(self, mech, parallel, workers=None):
-        return Ensemble.sweep(
-            lambda: build_tgv_case(n=6, mech=mech), SolverSettings(),
-            "scalar_controls.tolerance", self.VALUES,
-            parallel=parallel, workers=workers)
-
-    def test_matches_serial_bitwise(self, mech):
-        serial = self._sweep(mech, parallel=False)
-        with self._sweep(mech, parallel=True, workers=2) as par:
-            for _ in range(2):
-                ds = serial.step(1e-8)
-                dp = par.step(1e-8)
-                for a, b in zip(ds, dp):
-                    assert a.solver_iterations == b.solver_iterations
-                    assert a.total_mass == b.total_mass
-            for i in range(len(self.VALUES)):
-                for f in ("y", "h", "p", "T"):
-                    np.testing.assert_array_equal(par[i].field(f),
-                                                  serial[i].field(f))
-            rs, rp = serial.cost_report(), par.cost_report()
-            for a, b in zip(rs.instances, rp.instances):
-                assert a.steps == b.steps
-                assert a.solver_iterations == b.solver_iterations
-                assert a.solver_flops == b.solver_flops
-
-    def test_conduits_refused(self, mech):
-        ens = self._sweep(mech, parallel=True, workers=2)
-        with pytest.raises(RuntimeError, match="conduit"):
-            ens.connect("sweep[0].out", "sweep[1].in")
-
-    def test_decomposed_instances_refused(self, mech):
-        ens = Ensemble(lambda: build_tgv_case(n=6, mech=mech),
-                       SolverSettings(ranks=2), parallel=True)
-        ens.add_instance("a")
-        ens.add_instance("b")
-        with pytest.raises(RuntimeError, match="serial instances"):
-            ens.step(1e-8)
-
-
-
-class TestParallelDecomposedMember:
-    """An ensemble member with ``ranks=2, execution="parallel"``."""
+class TestTeardown:
+    """A parallel decomposed solver that has stepped leaves no worker
+    process and no shared-memory segment once it is closed."""
 
     @staticmethod
-    def _ensemble(mech, **base):
-        ens = Ensemble(lambda: build_tgv_case(n=6, mech=mech),
-                       SolverSettings(**base))
-        ens.add_instance("serial")
-        ens.add_instance("driver", overrides={"ranks": 2})
-        ens.add_instance("parallel", overrides={"ranks": 2,
-                                                "execution": "parallel"})
-        return ens
-
-    def test_reports_the_same_chemistry_work(self, mech):
-        """The workers hand back their ranks' backend stats with the
-        step, so the cost report counts chemistry in every mode."""
-        with self._ensemble(mech, chemistry="direct") as ens:
-            ens.step(1e-8)
-            costs = ens.cost_report().instances
-        n = build_tgv_case(n=6, mech=mech).mesh.n_cells
-        assert costs[0].chemistry_cells == n and costs[0].chemistry_work > 0
-        for c in costs[1:]:
-            assert (c.chemistry_work, c.chemistry_cells) == \
-                (costs[0].chemistry_work, costs[0].chemistry_cells), c.name
+    def _solver(mech):
+        return DecomposedSolver(
+            build_tgv_case(n=6, mech=mech),
+            SolverSettings(ranks=2, execution="parallel", chemistry="direct"),
+            properties=IdealGasProperties(mech))
 
     def test_close_stops_workers_and_unlinks_memory(self, mech):
         before = _shm_entries()
-        with self._ensemble(mech) as ens:
-            ens.step(1e-8)
+        with self._solver(mech) as solver:
+            solver.step(1e-8)
             assert len(_shm_entries()) > len(before)
             assert multiprocessing.active_children()
+        assert _shm_entries() == before
+        assert not multiprocessing.active_children()
+
+    def test_close_is_idempotent(self, mech):
+        before = _shm_entries()
+        solver = self._solver(mech)
+        solver.step(1e-8)
+        solver.close()
+        solver.close()
+        assert _shm_entries() == before
+        assert not multiprocessing.active_children()
+
+    def test_error_inside_the_context_still_tears_down(self, mech):
+        before = _shm_entries()
+        with pytest.raises(KeyError):
+            with self._solver(mech) as solver:
+                solver.step(1e-8)
+                solver.gather("nope")
         assert _shm_entries() == before
         assert not multiprocessing.active_children()

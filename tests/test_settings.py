@@ -2,6 +2,7 @@
 precedence (defaults < settings), the one constructor surface and the
 settings-driven builders."""
 
+import importlib.util
 import inspect
 from dataclasses import fields
 
@@ -16,6 +17,7 @@ import repro.dist.halo
 import repro.dist.krylov
 import repro.runtime
 import repro.runtime.comm
+import repro.runtime.load_balance
 import repro.runtime.shm
 import repro.solvers
 import repro.solvers.blocked
@@ -27,6 +29,7 @@ from repro.chemistry.backends.surrogate import SurrogateBackend
 from repro.core.cases import build_hotspot_tgv_case, build_tgv_case
 from repro.core.chemistry_source import BackendChemistry, NoChemistry
 from repro.core.deepflame import DeepFlameSolver
+from repro.core.properties import IdealGasProperties
 from repro.core.settings import (EXECUTION_MODES, SolverSettings,
                                  build_chemistry, build_solver)
 from repro.core.step import advance_step
@@ -110,6 +113,40 @@ class TestOverlayRoundtrip:
         # untouched sibling fields of the nested controls survive
         assert s.scalar_controls.max_iterations \
             == SolverSettings().scalar_controls.max_iterations
+
+    def test_empty_overlay_is_the_base(self):
+        base = SolverSettings(n_correctors=3)
+        assert base.overlay() is base
+
+    def test_chained_overlays_later_wins(self):
+        """An overlay of an overlay keeps the first one's other fields;
+        the later value of a field given twice wins."""
+        s = SolverSettings(n_correctors=3).overlay(
+            n_correctors=4, solve_momentum=False).overlay(n_correctors=5)
+        assert (s.n_correctors, s.solve_momentum) == (5, False)
+        s = s.overlay(**{"scalar_controls.tolerance": 1e-11}).overlay(
+            **{"scalar_controls.max_iterations": 7})
+        assert s.scalar_controls.tolerance == 1e-11
+        assert s.scalar_controls.max_iterations == 7
+
+    def test_dotted_option_merges_into_the_dict(self):
+        base = SolverSettings(chemistry="hybrid-trained",
+                              chemistry_options={"audit_fraction": 0.1,
+                                                 "model": "tgv-hotspot"})
+        s = base.overlay(**{"chemistry_options.audit_fraction": 0.2})
+        assert s.chemistry_options == {"audit_fraction": 0.2,
+                                       "model": "tgv-hotspot"}
+        assert base.chemistry_options["audit_fraction"] == 0.1
+
+    def test_whole_and_dotted_field_raises(self):
+        with pytest.raises(KeyError, match="both whole and dotted"):
+            SolverSettings().overlay(**{
+                "scalar_controls": SolverControls(),
+                "scalar_controls.tolerance": 1e-12})
+
+    def test_dotted_path_into_a_plain_field_raises(self):
+        with pytest.raises(KeyError, match="dotted"):
+            SolverSettings().overlay(**{"ranks.value": 2})
 
     def test_overlay_unknown_field_raises(self):
         with pytest.raises(KeyError):
@@ -196,8 +233,7 @@ class TestOneSurface:
             ("case", "POSITIONAL_OR_KEYWORD", required),
             ("settings", "POSITIONAL_OR_KEYWORD", None),
             ("properties", "KEYWORD_ONLY", None),
-            ("chemistry", "KEYWORD_ONLY", None),
-            ("workspace", "KEYWORD_ONLY", None)]
+            ("chemistry", "KEYWORD_ONLY", None)]
         assert surface(DecomposedSolver) == [
             ("case", "POSITIONAL_OR_KEYWORD", required),
             ("settings", "POSITIONAL_OR_KEYWORD", required),
@@ -205,6 +241,11 @@ class TestOneSurface:
             ("decomp", "KEYWORD_ONLY", None),
             ("properties", "KEYWORD_ONLY", None),
             ("chemistry", "KEYWORD_ONLY", None)]
+        assert surface(build_solver) == [
+            ("case", "POSITIONAL_OR_KEYWORD", required),
+            ("settings", "POSITIONAL_OR_KEYWORD", required),
+            ("properties", "POSITIONAL_OR_KEYWORD", None),
+            ("chemistry", "POSITIONAL_OR_KEYWORD", None)]
 
     def test_removed_field_is_an_unknown_field(self):
         for name, value in (("transport", "coupled"), ("overlap_halo", True),
@@ -241,13 +282,13 @@ class TestOneSurface:
         "pipelined_pcg_solve_multi", "fused_pbicgstab_solve_multi",
         "PendingRefresh", "PendingExchange", "PendingReduce",
         "ShmPendingExchange", "ShmPendingReduce",
-        "overlapped_phase_time"])
+        "overlapped_phase_time", "price_comm_totals"])
     def test_removed_names_not_exported(self, name):
         for module in (repro.core, repro.core.settings, repro.dist,
                        repro.dist.halo, repro.dist.krylov,
                        repro.chemistry, repro.runtime, repro.runtime.comm,
-                       repro.runtime.shm, repro.solvers,
-                       repro.solvers.blocked):
+                       repro.runtime.load_balance, repro.runtime.shm,
+                       repro.solvers, repro.solvers.blocked):
             assert not hasattr(module, name)
             assert name not in module.__all__
 
@@ -265,6 +306,13 @@ class TestOneSurface:
         """Every collective is blocking: no nonblocking spelling, no
         grouped reduction and no overlap tally is left."""
         assert not hasattr(cls, name)
+
+    def test_no_ensemble_layer(self):
+        """A sweep is a loop over ``build_solver``: the in-process
+        ensemble package and the ledger's per-instance reader are gone
+        (the constructor signatures above have no ``workspace``)."""
+        assert importlib.util.find_spec("repro.orchestrate") is None
+        assert not hasattr(CommLedger, "src_totals")
 
     def test_krylov_solve_takes_no_variant(self):
         params = inspect.signature(krylov_solve).parameters
@@ -329,6 +377,16 @@ class TestBuilders:
         assert isinstance(dist, DecomposedSolver)
         assert len(dist.ranks) == 2
         assert dist.ranks[0].settings.ranks == 0  # rank solvers serial
+
+    @pytest.mark.parametrize("ranks", [0, 2])
+    def test_build_solver_shares_the_evaluator(self, tgv, mech, ranks):
+        """The evaluator handed to ``build_solver`` is used by identity
+        (on every rank), so one evaluator serves a whole sweep."""
+        props = IdealGasProperties(mech)
+        solver = build_solver(tgv(), SolverSettings(ranks=ranks),
+                              properties=props)
+        for r in getattr(solver, "ranks", [solver]):
+            assert r.properties is props
 
     def test_from_settings_wrong_archetype(self, tgv):
         with pytest.raises(ValueError):

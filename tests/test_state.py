@@ -13,7 +13,6 @@ from repro.core.properties import IdealGasProperties
 from repro.core.settings import SolverSettings, build_solver
 from repro.dist.decompose import Decomposition
 from repro.dist.solver import DecomposedSolver
-from repro.orchestrate.ensemble import Ensemble
 
 DT = 1e-6
 #: the three ways to host a step: one serial solver, two ranks stepped
@@ -153,6 +152,26 @@ class TestOwnState:
             np.testing.assert_array_equal(got, want[name], err_msg=name)
 
 
+    def test_decomposed_solvers_of_one_case_start_alike(self, mech,
+                                                         decomposed):
+        """A decomposed solver copies its case's fields into its ranks
+        too: a sweep may build every run from one case."""
+        case = build_tgv_case(n=6, mech=mech)
+        u0, p0 = case.velocity.values.copy(), case.pressure.values.copy()
+        settings = SolverSettings(**MODES[decomposed])
+        first, second = (
+            build_solver(case, settings, properties=IdealGasProperties(mech))
+            for _ in range(2))
+        with first, second:
+            first.step(DT)
+            np.testing.assert_array_equal(case.velocity.values, u0)
+            np.testing.assert_array_equal(case.pressure.values, p0)
+            second.step(DT)
+            want = _fields(first)
+            for name, got in _fields(second).items():
+                np.testing.assert_array_equal(got, want[name], err_msg=name)
+
+
 class TestMismatch:
     def test_serial_other_mesh(self, mech):
         small, big = _build(mech, "serial"), _build(mech, "serial", n=8)
@@ -201,21 +220,21 @@ class TestGather:
                 solver.gather("nope")
             _run(solver, 1)      # a parallel run's workers survive
 
+    def test_gather_is_a_copy(self, mech, mode):
+        """Writing into a gathered field leaves the solver's state (and
+        its next step) untouched, in every hosting."""
+        with _solver(mech, mode) as solver:
+            _run(solver, 1)
+            want = _fields(solver)
+            for name in FIELDS:
+                solver.gather(name)[...] = -1.0
+            for name, got in _fields(solver).items():
+                np.testing.assert_array_equal(got, want[name], err_msg=name)
+            _run(solver, 1)
+            assert solver.gather("y").min() >= 0.0
+
     def test_gather_into_out(self, mech, mode):
         with _solver(mech, mode) as solver:
             out = np.empty_like(solver.gather("y"))
             assert solver.gather("y", out=out) is out
             np.testing.assert_array_equal(out, solver.gather("y"))
-
-    @pytest.mark.parametrize("member", list(MODES))
-    def test_instance_field_is_a_copy(self, mech, member):
-        with Ensemble(lambda: build_tgv_case(n=6, mech=mech),
-                      SolverSettings(**MODES[member]),
-                      properties=IdealGasProperties(mech)) as ens:
-            inst = ens.add_instance("m")
-            ens.step(DT)
-            y = inst.field("y")
-            y[:] = -1.0
-            assert inst.field("y").min() >= 0.0
-            with pytest.raises(KeyError):
-                inst.field("nope")
