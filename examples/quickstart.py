@@ -29,7 +29,8 @@ Every flag above sets one field of a single validated
 ``repro.core.settings.SolverSettings`` object -- the unified configuration the
 solvers are built from (``DeepFlameSolver(case, settings)`` /
 ``DecomposedSolver(case, settings)``).  ``--sweep key=v1,v2,...`` runs
-that settings object once per value: a loop of
+that settings object -- ``--chemistry``, ``--trust-gate`` and
+``--ranks`` included -- once per value: a loop of
 ``build_solver(case, base.overlay(**{key: value}), properties=props)``
 over one case and one property evaluator, printing each run's
 diagnostics.  The key may be a dotted settings path, e.g.
@@ -39,6 +40,7 @@ Run:  python examples/quickstart.py [--chemistry direct] [--steps 5]
       python examples/quickstart.py --ranks 4
       python examples/quickstart.py --sweep n_correctors=1,2,3
       python examples/quickstart.py --sweep scalar_controls.tolerance=1e-6,1e-9,1e-12
+      python examples/quickstart.py --ranks 2 --sweep execution=serial,parallel
 """
 
 import argparse
@@ -160,8 +162,9 @@ def _coerce(text: str):
     return text
 
 
-def run_sweep(args, base: SolverSettings, dt: float) -> None:
-    """Run the base settings once per swept value.
+def run_sweep(args, dt: float) -> None:
+    """Run the settings the other flags select (``--chemistry``,
+    ``--trust-gate``, ``--ranks``) once per swept value.
 
     Every run is built from one case (a solver copies the initial state
     it evolves) and one property evaluator; only the overlaid field
@@ -171,16 +174,20 @@ def run_sweep(args, base: SolverSettings, dt: float) -> None:
     if not raw:
         raise SystemExit("--sweep expects key=v1,v2,...")
     values = [_coerce(v) for v in raw.split(",")]
+    case = build_tgv_case(n=args.n)
+    base = chemistry_settings(args.chemistry, case.mech, case, dt,
+                              args.trust_gate).overlay(ranks=args.ranks)
     print(f"\nSweeping {key!r} over {values} "
           f"({len(values)} runs of {args.steps} steps, one shared case) ...")
-    case = build_tgv_case(n=args.n)
     props = DirectRealFluidProperties(case.mech)
     for value in values:
         settings = base.overlay(**{key: value})
         solver = build_solver(case, settings, properties=props)
         solver.run(args.steps, dt)
         d = solver.last_diag
-        print(f"  {key}={value!r}: T [{d.t_min:.1f}, {d.t_max:.1f}] K, "
+        print(f"  {key}={value!r} ({settings.chemistry}, "
+              f"gate {settings.trust_gate}, ranks {settings.ranks} "
+              f"{settings.execution}): T [{d.t_min:.1f}, {d.t_max:.1f}] K, "
               f"|U|max {d.max_velocity:.2f} m/s, "
               f"iters {d.solver_iterations}, "
               f"last step {solver.last_timings.total * 1e3:.1f} ms")
@@ -212,8 +219,9 @@ def main() -> None:
                          "warm step reports zero construction/solving "
                          "allocations)")
     ap.add_argument("--sweep", metavar="KEY=V1,V2,...", default=None,
-                    help="instead of one run, run the default "
-                         "settings once per value of the (possibly "
+                    help="instead of one run, run the settings the "
+                         "other flags select (--chemistry, --trust-gate, "
+                         "--ranks) once per value of the (possibly "
                          "dotted) settings field KEY over one shared "
                          "case; prints each run's diagnostics (e.g. "
                          "--sweep n_correctors=1,2,3)")
@@ -224,7 +232,7 @@ def main() -> None:
     dt = 1e-8  # the paper's 10 ns step
 
     if args.sweep:
-        run_sweep(args, SolverSettings(), dt)
+        run_sweep(args, dt)
         return
 
     print(f"Building the supercritical TGV case ({args.n}^3 cells, 10 MPa)...")

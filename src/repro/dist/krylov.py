@@ -8,15 +8,19 @@ ranks -- the whole global system -- when the driver steps them over a
 over ``SharedMemComm``.  It is the distributed implementation of the
 *system* the blocked Krylov bodies are handed (see
 :class:`repro.solvers.blocked.LocalSystem` for the protocol), so they
-run unmodified on that layout -- only what the system does changes:
+run unmodified on that layout -- only what the system does changes.
+Blocks are column-major as everywhere in the Krylov layer: a
+C-contiguous ``(k, N)`` block whose row ``j`` is column ``j``, so a
+hosted rank's part is the cell slice ``x[:, sl]``.
 
 * ``matvec_multi`` -- scatter the stacked iterate to the ranks, **halo
-  exchange** the ghost rows, apply each local LDU block, restack the
-  owned rows (one packed message per neighbour pair per matvec);
-* ``coldot`` / ``colsum_abs`` -- per-rank partial reductions combined
-  through ``comm.allreduce`` (one blocking collective per reduction,
-  exactly the pattern whose ``log2(P) + beta*P`` cost drives the
-  paper's strong-scaling decay).
+  exchange** the ghost cells, apply each local LDU block, restack the
+  owned cells (one packed message per neighbour pair per matvec);
+* ``coldot`` / ``colsum_abs`` -- per-rank partial row reductions
+  combined through ``comm.allreduce`` (one blocking collective per
+  reduction, exactly the pattern whose ``log2(P) + beta*P`` cost drives
+  the paper's strong-scaling decay).  A column's partials, and so its
+  whole trajectory, do not depend on the other columns of its block.
 
 Every matvec refreshes the ghost rows (blocking), then applies each
 rank's owned rows in two halves: an **interior** part (faces with both
@@ -104,44 +108,47 @@ class DistributedSystem:
         return scratch_buffer(self._bufs, key, shape)
 
     def _next_out(self, k: int) -> np.ndarray:
-        """The next ``(n, k)`` slot of the rotating output pool: valid
+        """The next ``(k, n)`` slot of the rotating output pool: valid
         until ``_OUT_SLOTS - 1`` further matvecs, then reused."""
         # size the whole pool, not just this call's slot: later matvecs
         # of a solve see *compressed* blocks (converged columns retire),
         # so a slot first hit late in an iteration would otherwise grow
         # again when a wider solve lands on it steps later
         for slot in range(_OUT_SLOTS):
-            self._buf(("out", slot), (self.n, k))
-        out = self._buf(("out", self._out_rot), (self.n, k))
+            self._buf(("out", slot), (k, self.n))
+        out = self._buf(("out", self._out_rot), (k, self.n))
         self._out_rot = (self._out_rot + 1) % _OUT_SLOTS
         return out
 
     # -- product and reductions ----------------------------------------
     def matvec_multi(self, x: np.ndarray) -> np.ndarray:
-        """Y = A X on the stacked layout, with one ghost refresh.
+        """Y = A X on the stacked ``(k, N)`` layout, with one ghost
+        refresh (the exchanger sees each local block as its
+        ``(n_local, k)`` transpose, a view).
 
         The returned block is a slot of the rotating output pool.
         """
-        locs = [op.load(x[sl]) for op, sl in zip(self.ops, self.slices)]
-        out = self._next_out(x.shape[1])
-        self.exchanger.refresh(locs)
+        locs = [op.load(x[:, sl]) for op, sl in zip(self.ops, self.slices)]
+        out = self._next_out(x.shape[0])
+        self.exchanger.refresh([loc.T for loc in locs])
         for op, loc, sl in zip(self.ops, locs, self.slices):
-            op.apply_interior(loc, out[sl])
-            op.apply_boundary(loc, out[sl])
+            op.apply_interior(loc, out[:, sl])
+            op.apply_boundary(loc, out[:, sl])
         return out
 
     def coldot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-column dot products via per-rank partials + allreduce."""
-        parts = self._buf(("red",), (len(self.slices), a.shape[1]))
+        """Per-column dot products via per-rank row partials +
+        allreduce (``np.vecdot``: see :meth:`LocalSystem.coldot`)."""
+        parts = self._buf(("red",), (len(self.slices), a.shape[0]))
         for part, sl in zip(parts, self.slices):
-            np.einsum("ij,ij->j", a[sl], b[sl], out=part)
+            np.vecdot(a[:, sl], b[:, sl], out=part)
         return np.atleast_1d(self.comm.allreduce(parts, op="sum"))
 
     def colsum_abs(self, r: np.ndarray) -> np.ndarray:
-        """Per-column L1 norms via per-rank partials + allreduce."""
-        parts = self._buf(("red",), (len(self.slices), r.shape[1]))
+        """Per-column L1 norms via per-rank row partials + allreduce."""
+        parts = self._buf(("red",), (len(self.slices), r.shape[0]))
         for part, sl in zip(parts, self.slices):
-            np.abs(r[sl]).sum(axis=0, out=part)
+            np.abs(r[:, sl]).sum(axis=1, out=part)
         return np.atleast_1d(self.comm.allreduce(parts, op="sum"))
 
     # -- preconditioner and PCG's precondition ------------------------
@@ -155,8 +162,9 @@ class DistributedSystem:
         np.reciprocal(r_diag, out=r_diag)
 
         def apply(r: np.ndarray) -> np.ndarray:
-            """Scale (stacked) residual columns by the inverse diagonal."""
-            return r * (r_diag[:, None] if r.ndim == 2 else r_diag)
+            """Scale a stacked residual (1-D or ``(k, N)``) by the
+            inverse diagonal, along its last (cell) axis."""
+            return r * r_diag
 
         return apply
 
@@ -168,5 +176,6 @@ class DistributedSystem:
 
 #: :func:`~repro.solvers.blocked.krylov_solve` on a distributed system,
 #: under the name ``DecomposedSolver`` looks up in :mod:`.solver` (where
-#: a tracer can wrap it); ``b`` / ``x0`` are stacked ``(N, k)`` blocks
+#: a tracer can wrap it); ``b`` / ``x0`` are stacked ``(N, k)`` blocks,
+#: read in place when Fortran-ordered
 solve_distributed = krylov_solve

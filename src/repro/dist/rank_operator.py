@@ -23,6 +23,7 @@ from ..mesh.face_operators import structural_csr
 from ..runtime import alloc
 from ..sparse.ldu import LDUMatrix
 from ..sparse.pattern import CSRPattern
+from ..sparse.spmv import csr_rows_product
 
 __all__ = ["RankOperator", "scratch_buffer"]
 
@@ -94,20 +95,22 @@ class RankOperator:
 
     # -- matvec halves ---------------------------------------------------
     def load(self, x: np.ndarray) -> np.ndarray:
-        """Copy owned rows ``x`` into the persistent local (owned +
-        ghost) block and return it; the ghost rows await a refresh."""
+        """Copy the owned cells of a ``(k, n_owned)`` block ``x`` into
+        the persistent ``(k, n_local)`` local (owned + ghost) block and
+        return it; the ghost cells await a refresh."""
         loc = scratch_buffer(self._bufs, "loc",
-                             (self.sub.n_local, x.shape[1]))
-        loc[:self.sub.n_owned] = x
+                             (x.shape[0], self.sub.n_local))
+        loc[:, :self.sub.n_owned] = x
         return loc
 
     def apply_interior(self, loc: np.ndarray, out: np.ndarray) -> None:
-        """Owned rows of the product from owned data only."""
-        out[:] = self._csr @ loc[:self.sub.n_owned]
+        """Owned cells of the product from owned data only (``(k, n)``
+        blocks, like :meth:`load`'s)."""
+        csr_rows_product(self._csr, loc[:, :self.sub.n_owned], out)
 
     def apply_boundary(self, loc: np.ndarray, out: np.ndarray) -> None:
         """Add the cut-face (ghost-reading) contributions."""
-        out += self._cut @ loc
+        csr_rows_product(self._cut, loc, out, add=True)
 
     # -- the owned diagonal block --------------------------------------
     def interior_block(self) -> LDUMatrix:

@@ -185,21 +185,24 @@ class DecomposedSolver:
                controls: SolverControls) -> tuple[list, list]:
         """The decomposed solve hook: the hosted equations as one
         distributed system; returns (per-rank views of the stacked
-        ``(N, k)`` solution, per-column results)."""
-        b = np.concatenate([e.source[:s.n_owned]
-                            for e, s in zip(eqns, self.subs)])
-        x0 = np.concatenate([e.field.values[:s.n_owned]
-                             for e, s in zip(eqns, self.subs)])
-        if b.ndim == 1:
-            b, x0 = b[:, None], x0[:, None]
+        ``(N, k)`` solution, per-column results).  ``b`` and ``x0`` are
+        stacked column-major, as ``(k, N)`` blocks whose ``(N, k)``
+        transposes the solve reads in place."""
+        def stacked(blocks) -> np.ndarray:
+            return np.concatenate(
+                [np.atleast_2d(v[:s.n_owned].T)
+                 for v, s in zip(blocks, self.subs)], axis=1)
+
+        b = stacked(e.source for e in eqns)
+        x0 = stacked(e.field.values for e in eqns)
         mats = [e.a for e in eqns]
         if self._system is None:
             self._system = DistributedSystem(
                 self.decomp, self.comm, mats, exchanger=self.exchanger)
         else:
             self._system.bind(mats)
-        x, results = solve_distributed(self._system, b, x0=x0, solver=solver,
-                                       controls=controls,
+        x, results = solve_distributed(self._system, b.T, x0=x0.T,
+                                       solver=solver, controls=controls,
                                        workspace=self._krylov_workspace)
         return [x[sl] for sl in self._system.slices], results
 

@@ -165,7 +165,7 @@ class CoupledTransportEquation:
         mesh = field.mesh
         n, k = field.values.shape
         a = LDUMatrix.from_mesh(mesh)
-        b = np.zeros((n, k))
+        b = np.zeros((n, k), order="F")   # its (k, n) transpose is a view
         alloc.count()
         assemble_transport(a, b, field, rho, dt, phi=phi, gamma=gamma,
                            rho_old=rho_old, old_values=old_values,

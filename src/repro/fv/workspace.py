@@ -9,7 +9,10 @@ loop's equation assemblies and solves need:
   ``fvm_ddt + fvm_div - fvm_laplacian`` temporary chain),
 * per-shape source buffers -- ``(n,)`` for scalar equations, ``(n, k)``
   for the coupled species / momentum blocks,
-* per-width value blocks a coupled equation's caller fills in place,
+* per-width value blocks a coupled equation's caller fills in place
+  (the ``(n, k)`` sources and value blocks are Fortran-ordered: each
+  column is contiguous, so the ``(k, n)`` transpose a blocked Krylov
+  body computes on is a free view),
 * a :class:`~repro.sparse.pattern.CSRPattern` so every LDU->CSR
   conversion is an O(nnz) value scatter,
 * the cached Jacobi preconditioner, with a persistent
@@ -69,16 +72,17 @@ class EquationWorkspace:
         if b is None:
             shape = (self.mesh.n_cells,) if k is None \
                 else (self.mesh.n_cells, k)
-            b = self._sources[k] = np.zeros(shape)
+            b = self._sources[k] = np.zeros(shape, order="F")
             alloc.count()
         else:
             b[:] = 0.0
         return a, b
 
     def values(self, k: int) -> np.ndarray:
-        """The persistent ``(n, k)`` value block a caller fills in place."""
+        """The persistent ``(n, k)`` value block a caller fills in place
+        (Fortran-ordered: see the module docstring)."""
         if k not in self._values:
-            self._values[k] = np.empty((self.mesh.n_cells, k))
+            self._values[k] = np.empty((self.mesh.n_cells, k), order="F")
             alloc.count()
         return self._values[k]
 

@@ -50,17 +50,17 @@ class JacobiPreconditioner:
         return self._apply(r)
 
     def apply_multi(self, r):
-        """Scale an ``(n, k)`` residual block by the inverse diagonal."""
+        """Scale a ``(k, n)`` residual block (row ``j`` is column ``j``)
+        by the inverse diagonal."""
         return self._apply(r)
 
     def _apply(self, r):
         """The one body of :meth:`apply` / :meth:`apply_multi` (neither
         calls the other: a tracer wraps both names): the reciprocal
-        diagonal is cast to the residual's dtype (never the other way
-        -- no silent fp32 upcast)."""
+        diagonal, cast to the residual's dtype (never the other way --
+        no silent fp32 upcast), broadcast along the last (cell) axis."""
         r = np.asarray(r)
-        rd = self.r_diag.astype(r.dtype, copy=False)
-        return r * (rd[:, None] if r.ndim == 2 else rd)
+        return r * self.r_diag.astype(r.dtype, copy=False)
 
 
 class DICPreconditioner:
@@ -96,13 +96,14 @@ class DICPreconditioner:
         self.r_d = 1.0 / r_d
 
     def _sweeps(self, w: np.ndarray) -> np.ndarray:
-        """Forward/backward face sweeps; each row update broadcasts,
-        so one pass serves a 1-D vector or an ``(n, k)`` block alike."""
+        """Forward/backward face sweeps along the last (cell) axis;
+        each cell update broadcasts over the leading one, so one pass
+        serves a 1-D vector or a ``(k, n)`` block alike."""
         own, nb, up, rd = self.own, self.nb, self.upper, self.r_d
         for f in range(own.size):
-            w[nb[f]] -= rd[nb[f]] * up[f] * w[own[f]]
+            w[..., nb[f]] -= rd[nb[f]] * up[f] * w[..., own[f]]
         for f in range(own.size - 1, -1, -1):
-            w[own[f]] -= rd[own[f]] * up[f] * w[nb[f]]
+            w[..., own[f]] -= rd[own[f]] * up[f] * w[..., nb[f]]
         return w
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -110,11 +111,10 @@ class DICPreconditioner:
         return self._sweeps(r * self.r_d)
 
     def apply_multi(self, r: np.ndarray) -> np.ndarray:
-        """Apply to ``(n, k)``: one pair of face sweeps covers all k
-        columns, amortizing the sequential-sweep cost k-fold."""
-        if r.ndim == 1:
-            return self.apply(r)
-        return self._sweeps(r * self.r_d[:, None])
+        """Apply to a ``(k, n)`` block (row ``j`` is column ``j``): one
+        pair of face sweeps covers all k columns, amortizing the
+        sequential-sweep cost k-fold."""
+        return self._sweeps(r * self.r_d)
 
 
 class DICStructure:
@@ -240,24 +240,23 @@ class CachedDICPreconditioner:
 
     def _sweeps(self, w):
         """Forward then backward wavefront sweeps over ``w`` (1-D or
-        ``(n, k)``), in place.  Targets are unique within a level, so
-        each level is one fancy-indexed update."""
-        if w.ndim == 2 and w.shape[1] == 1:
+        ``(k, n)``) along its last (cell) axis, in place.  Targets are
+        unique within a level, so each level is one fancy-indexed
+        update."""
+        if w.ndim == 2 and w.shape[0] == 1:
             # one column (every scalar equation): sweep its 1-D view --
             # same arithmetic, without the 2-D fancy-indexing price
-            self._sweeps(w[:, 0])
+            self._sweeps(w[0])
             return w
         s = self.struct
         fwd = self._fwd_coef.astype(w.dtype, copy=False)
         bwd = self._bwd_coef.astype(w.dtype, copy=False)
-        if w.ndim == 2:
-            fwd, bwd = fwd[:, None], bwd[:, None]
         own, nb = s.fwd_own, s.fwd_nb
         for sl in s.fwd_levels:
-            w[nb[sl]] -= fwd[sl] * w.take(own[sl], axis=0)
+            w[..., nb[sl]] -= fwd[sl] * w.take(own[sl], axis=-1)
         own, nb = s.bwd_own, s.bwd_nb
         for sl in s.bwd_levels:
-            w[own[sl]] -= bwd[sl] * w.take(nb[sl], axis=0)
+            w[..., own[sl]] -= bwd[sl] * w.take(nb[sl], axis=-1)
         return w
 
     def apply(self, r):
@@ -265,10 +264,11 @@ class CachedDICPreconditioner:
         return self._apply(r, None)
 
     def apply_multi(self, r, out=None):
-        """Apply to ``(n, k)``: one sweep pair covers all columns.
+        """Apply to a ``(k, n)`` block (row ``j`` is column ``j``): one
+        sweep pair covers all columns.
 
         ``out`` (same shape as ``r``; may be a view, e.g. one rank's
-        row slice of a stacked block) receives the scaled residual and
+        cell slice of a stacked block) receives the scaled residual and
         is swept in place, so no temporary is allocated.
         """
         return self._apply(r, out)
@@ -279,8 +279,6 @@ class CachedDICPreconditioner:
         then the sweeps, in the residual's dtype."""
         r = np.asarray(r)
         rd = self.r_d.astype(r.dtype, copy=False)
-        if r.ndim == 2:
-            rd = rd[:, None]
         if out is None:
             return self._sweeps(r * rd)
         out[...] = r
@@ -335,20 +333,22 @@ class SymGaussSeidelPreconditioner:
         return w
 
     def apply_multi(self, r: np.ndarray) -> np.ndarray:
-        """Apply to ``(n, k)``: the triangular solves take the whole
-        multi-vector at once."""
+        """Apply to a ``(k, n)`` block (row ``j`` is column ``j``): the
+        triangular solves take the whole multi-vector at once."""
         if r.ndim == 1:
             return self.apply(r)
         from scipy.sparse.linalg import spsolve_triangular
 
+        r = r.T
         if self.mode == "serial":
             y = spsolve_triangular(self._dl, r, lower=True)
-            return spsolve_triangular(self._du, self._d[:, None] * y,
-                                      lower=False)
+            w = spsolve_triangular(self._du, self._d[:, None] * y,
+                                   lower=False)
+            return np.ascontiguousarray(w.T)
         w = np.empty_like(r)
         for i in range(self.block.t):
             r0, r1 = self.block.row_ranges[i]
             dl, du, d = self._tri[i]
             y = spsolve_triangular(dl, r[r0:r1], lower=True)
             w[r0:r1] = spsolve_triangular(du, d[:, None] * y, lower=False)
-        return w
+        return np.ascontiguousarray(w.T)

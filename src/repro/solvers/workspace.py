@@ -3,7 +3,7 @@
 A Krylov solve that allocates its solution block per call costs a
 tracked allocation per solve times ~10 solves per DeepFlame step.
 :class:`KrylovWorkspace` is a tiny named-buffer pool: a solver asks
-for ``("pcgm.x", (n, k))`` and gets the *same* array every call, so a
+for ``("pcgm.x", (k, n))`` and gets the *same* array every call, so a
 warm step performs zero tracked solver-vector allocations.
 
 The pooled paths are arranged to be **bitwise identical** to the cold
@@ -42,12 +42,4 @@ class KrylovWorkspace:
         """A pooled buffer cleared to zero."""
         buf = self.get(name, shape)
         buf[:] = 0.0
-        return buf
-
-    def copy_of(self, name: str, values: np.ndarray) -> np.ndarray:
-        """A pooled copy of ``values`` (the pooled replacement of
-        ``np.asarray(values, float).copy()``)."""
-        values = np.asarray(values, dtype=float)
-        buf = self.get(name, values.shape)
-        np.copyto(buf, values)
         return buf

@@ -15,8 +15,8 @@ import numpy as np
 if TYPE_CHECKING:  # ldu.py imports this module for its matvec body
     from .ldu import LDUMatrix
 
-__all__ = ["spmv_ldu", "spmv_ldu_multi", "spmv_faces",
-           "SpmvCost", "spmv_cost"]
+__all__ = ["spmv_ldu", "spmv_ldu_multi", "spmv_faces", "csr_rows_product",
+           "ROWWISE_MAX", "SpmvCost", "spmv_cost"]
 
 
 def spmv_faces(diag, lower, upper, owner, neighbour, x):
@@ -59,6 +59,39 @@ def spmv_ldu(ldu: LDUMatrix, x: np.ndarray) -> np.ndarray:
 #: sparse-dense product (~15x at 5k cells, k=17), which is what
 #: ``CoupledTransportEquation.solve`` hands the blocked Krylov solvers.
 spmv_ldu_multi = spmv_ldu
+
+#: the widest block :func:`csr_rows_product` multiplies one row at a
+#: time; a wider one takes one compiled product over a transposed copy,
+#: because scipy's per-call overhead then dominates (periodic-box
+#: Laplacian, one thread of a 2-vCPU x86 host: 3 rows of 32 768 cells
+#: took 716 us row by row and 1 106 us as one product, 18 rows of 1728
+#: cells 305 and 166 us)
+ROWWISE_MAX = 4
+
+
+def csr_rows_product(csr, x: np.ndarray, out: np.ndarray,
+                     add: bool = False) -> None:
+    """``out = A X`` (``out += A X`` with ``add``) on column-major blocks.
+
+    ``x`` is ``(k, n)`` and ``out`` ``(k, m)``: row ``j`` of each is
+    column ``j`` of the multi-vector (the layout of every Krylov
+    block).  Row ``j`` of the product is ``csr @ x[j]`` bit for bit
+    whatever ``k`` -- scipy's one-vector and multi-vector kernels add a
+    row's entries in the same order -- so a column's product does not
+    depend on the block it rides in.
+    """
+    if x.shape[0] <= ROWWISE_MAX:
+        for xj, oj in zip(x, out):
+            if add:
+                oj += csr @ xj
+            else:
+                oj[...] = csr @ xj
+        return
+    y = (csr @ x.T).T
+    if add:
+        out += y
+    else:
+        out[...] = y
 
 
 @dataclass(frozen=True)

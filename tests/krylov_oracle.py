@@ -33,11 +33,14 @@ __all__ = ["ldu_system", "oracle_pcg_solve", "oracle_pbicgstab_solve",
 
 
 def ldu_system(a: LDUMatrix, matvec=None) -> LocalSystem:
-    """The serial system of ``a`` multiplying with ``matvec`` -- by
-    default the LDU face loop the oracles below multiply with, so a
-    production body on it and an oracle see the same products."""
+    """The serial system of ``a`` multiplying its ``(k, n)`` blocks
+    with ``matvec`` -- by default the LDU face loop the oracles below
+    multiply with (column ``j`` of ``a.matvec_multi`` is ``a.matvec``
+    of that column bit for bit), so a production body on it and an
+    oracle see the same products."""
     system = LocalSystem(a)
-    system.matvec_multi = matvec if matvec is not None else a.matvec_multi
+    system.matvec_multi = matvec if matvec is not None else (
+        lambda x: np.ascontiguousarray(a.matvec_multi(x.T).T))
     return system
 
 
@@ -173,8 +176,8 @@ def solve_k1(body, a, b, x0=None, preconditioner=None, matvec=None, **kw):
     ``b`` / ``x0`` are 1-D and so are the vectors the ``preconditioner``
     and ``matvec`` hooks see; returns ``(x, result)`` with ``x`` 1-D.
     """
-    def lift(hook):
-        return None if hook is None else (lambda w: hook(w[:, 0])[:, None])
+    def lift(hook):   # the body's (1, n) blocks are the 1-D vectors
+        return None if hook is None else (lambda w: hook(w[0])[None])
 
     x, results = body(
         ldu_system(a, lift(matvec)), np.asarray(b, dtype=float)[:, None],

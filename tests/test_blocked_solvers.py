@@ -25,6 +25,7 @@ from repro.solvers.blocked import (
     pbicgstab_solve_multi,
     pcg_solve_multi,
 )
+from repro.sparse.spmv import ROWWISE_MAX
 from repro.solvers.controls import SolverControls
 from repro.solvers.preconditioners import (
     CachedDICPreconditioner,
@@ -89,13 +90,32 @@ class TestMultiVectorKernels:
 
 
 class TestLocalSystemReductions:
-    def test_reductions_are_einsum_and_l1(self, spd_ldu):
+    def test_reductions_are_row_dot_and_l1(self, spd_ldu):
+        """On ``(k, n)`` blocks: one dot and one L1 sum per row."""
         rng = np.random.default_rng(3)
-        a, b = rng.standard_normal((2, 400, 5))
+        a, b = rng.standard_normal((2, 5, 400))
         system = LocalSystem(spd_ldu)
-        assert np.array_equal(system.coldot(a, b),
-                              np.einsum("ij,ij->j", a, b))
-        assert np.array_equal(system.colsum_abs(a), np.abs(a).sum(axis=0))
+        assert np.array_equal(system.coldot(a, b), np.vecdot(a, b))
+        assert np.array_equal(system.colsum_abs(a), np.abs(a).sum(axis=1))
+
+    @pytest.mark.parametrize("n", [400, 20_000])
+    def test_a_row_reduces_alone(self, spd_ldu, n):
+        """Row ``j`` of each reduction and of the product is that row
+        reduced (multiplied) on its own, bit for bit, past numpy's
+        8192-element buffer too -- where ``einsum("ij,ij->i")`` is not
+        -- and on either side of the row-by-row / one-product switch."""
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((2, ROWWISE_MAX + 3, n))
+        system = LocalSystem(spd_ldu)
+        dot, l1 = system.coldot(a, b), system.colsum_abs(a)
+        for j in range(a.shape[0]):
+            one = slice(j, j + 1)
+            assert dot[j] == system.coldot(a[one], b[one])[0]
+            assert l1[j] == system.colsum_abs(a[one])[0]
+        x = rng.standard_normal((ROWWISE_MAX + 3, spd_ldu.n))
+        y = system.matvec_multi(x)
+        for k in (1, ROWWISE_MAX, ROWWISE_MAX + 1):
+            assert np.array_equal(system.matvec_multi(x[:k]), y[:k])
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("dt", [np.float32, np.float64])
@@ -103,34 +123,33 @@ class TestLocalSystemReductions:
         """In the operands' dtype, within the recursive-summation bound
         ``n eps sum|terms|`` of ``math.fsum``'s correctly rounded sums."""
         rng = np.random.default_rng(8)
-        a, b = rng.standard_normal((2, 400, k)).astype(dt)
+        a, b = rng.standard_normal((2, k, 400)).astype(dt)
         system = LocalSystem(spd_ldu)
         dot, l1 = system.coldot(a, b), system.colsum_abs(a)
         assert dot.dtype == dt and l1.dtype == dt and dot.shape == (k,)
-        gamma = a.shape[0] * np.finfo(dt).eps
+        gamma = a.shape[1] * np.finfo(dt).eps
         prods = a.astype(np.float64) * b.astype(np.float64)
         for j in range(k):
-            mag = np.abs(prods[:, j]).sum()
-            assert abs(dot[j] - math.fsum(prods[:, j])) <= gamma * mag
-            exact = math.fsum(np.abs(a[:, j].astype(np.float64)))
+            mag = np.abs(prods[j]).sum()
+            assert abs(dot[j] - math.fsum(prods[j])) <= gamma * mag
+            exact = math.fsum(np.abs(a[j].astype(np.float64)))
             assert abs(l1[j] - exact) <= gamma * exact
 
 
 class TestPreconditionersMulti:
     def test_jacobi_apply_multi(self, spd_ldu):
-        r = np.random.default_rng(3).random((spd_ldu.n, 4))
+        r = np.random.default_rng(3).random((4, spd_ldu.n))
         pre = JacobiPreconditioner(spd_ldu)
         w = pre.apply_multi(r)
         for j in range(4):
-            np.testing.assert_allclose(w[:, j], pre.apply(r[:, j]),
-                                       rtol=1e-14)
+            np.testing.assert_allclose(w[j], pre.apply(r[j]), rtol=1e-14)
 
     def test_dic_apply_multi(self, spd_ldu):
-        r = np.random.default_rng(4).random((spd_ldu.n, 4))
+        r = np.random.default_rng(4).random((4, spd_ldu.n))
         pre = DICPreconditioner(spd_ldu)
         w = pre.apply_multi(r)
         for j in range(4):
-            np.testing.assert_allclose(w[:, j], pre.apply(r[:, j].copy()),
+            np.testing.assert_allclose(w[j], pre.apply(r[j].copy()),
                                        rtol=1e-12)
 
     @pytest.mark.parametrize("dt", [np.float32, np.float64])
@@ -138,12 +157,11 @@ class TestPreconditionersMulti:
         rng = np.random.default_rng(6)
         pre = JacobiPreconditioner(spd_ldu)
         rd = (1.0 / spd_ldu.diag).astype(dt)
-        for shape in ((spd_ldu.n,), (spd_ldu.n, 3)):
+        for shape in ((spd_ldu.n,), (3, spd_ldu.n)):
             r = rng.standard_normal(shape).astype(dt)
             w = pre.apply_multi(r)
             assert w.dtype == dt, "silent dtype upcast"
-            assert np.array_equal(w, r * (rd[:, None] if r.ndim == 2
-                                          else rd))
+            assert np.array_equal(w, r * rd)
             assert np.array_equal(pre.apply(r), w)
 
     @pytest.mark.parametrize("dt", [np.float32, np.float64])
@@ -153,7 +171,7 @@ class TestPreconditionersMulti:
         rng = np.random.default_rng(7)
         pre = CachedDICPreconditioner(spd_ldu)
         oracle = DICPreconditioner(spd_ldu)
-        for shape in ((spd_ldu.n,), (spd_ldu.n, 3)):
+        for shape in ((spd_ldu.n,), (3, spd_ldu.n)):
             r = rng.standard_normal(shape).astype(dt)
             w = pre.apply_multi(r)
             assert w.dtype == dt, "silent dtype upcast"
@@ -163,16 +181,16 @@ class TestPreconditionersMulti:
                                       oracle.apply_multi(r))
 
     def test_dic_apply_multi_writes_into_the_callers_view(self, spd_ldu):
-        """``out`` may be one row slice of a larger stacked block."""
+        """``out`` may be one cell slice of a larger stacked block."""
         rng = np.random.default_rng(13)
         pre = CachedDICPreconditioner(spd_ldu)
-        r = rng.standard_normal((spd_ldu.n, 3))
-        stacked = np.full((spd_ldu.n + 5, 3), np.nan)
-        view = stacked[5:]
+        r = rng.standard_normal((3, spd_ldu.n))
+        stacked = np.full((3, spd_ldu.n + 5), np.nan)
+        view = stacked[:, 5:]
         w = pre.apply_multi(r, out=view)
         assert np.shares_memory(w, stacked)
         assert np.array_equal(view, pre.apply_multi(r))
-        assert np.isnan(stacked[:5]).all()
+        assert np.isnan(stacked[:, :5]).all()
 
     @pytest.mark.parametrize("shape", ["vector", "block"])
     def test_dic_inverts_its_incomplete_factor(self, topology_mesh, shape):
@@ -183,22 +201,21 @@ class TestPreconditionersMulti:
         ldu = make_random_spd_ldu(topology_mesh, rng)
         oracle = DICPreconditioner(ldu)
         r = rng.standard_normal((ldu.n,) if shape == "vector"
-                                else (ldu.n, 3))
+                                else (3, ldu.n))
         w = CachedDICPreconditioner(ldu).apply_multi(r)
         assert np.array_equal(w, oracle.apply_multi(r.copy()))
         a = ldu.to_csr()
         d, lower = sp.diags(1.0 / oracle.r_d), sp.tril(a, k=-1)
         m = (d + lower) @ sp.diags(oracle.r_d) @ (d + lower.T)
         np.testing.assert_allclose(m.diagonal(), a.diagonal(), rtol=1e-13)
-        assert np.abs(m @ w - r).max() <= 1e-12 * np.abs(r).max()
+        assert np.abs(m @ w.T - r.T).max() <= 1e-12 * np.abs(r).max()
 
     def test_sym_gs_apply_multi(self, spd_ldu):
-        r = np.random.default_rng(5).random((spd_ldu.n, 3))
+        r = np.random.default_rng(5).random((3, spd_ldu.n))
         pre = SymGaussSeidelPreconditioner(spd_ldu)
         w = pre.apply_multi(r)
         for j in range(3):
-            np.testing.assert_allclose(w[:, j], pre.apply(r[:, j]),
-                                       rtol=1e-12)
+            np.testing.assert_allclose(w[j], pre.apply(r[j]), rtol=1e-12)
 
 
 class TestBlockedMatchesColumns:
@@ -372,25 +389,25 @@ class TestOneColumn:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_dic_one_column_sweeps_its_1d_view(self, spd_ldu, dtype):
-        """``(n, 1)``, a strided ``out=`` row slice and 1-D all run the
-        same arithmetic, in the residual's dtype."""
+        """``(1, n)``, an ``out=`` cell slice and 1-D all run the same
+        arithmetic, in the residual's dtype."""
         pre = CachedDICPreconditioner(spd_ldu)
         n = spd_ldu.n
         r = np.random.default_rng(33).standard_normal(n).astype(dtype)
         ref = pre.apply(r)
         assert ref.dtype == dtype
-        col = pre.apply_multi(r[:, None])
-        assert col.shape == (n, 1) and col.dtype == dtype
-        np.testing.assert_array_equal(col[:, 0], ref)
-        # a row slice of one column of a wider stacked block: strided
-        w = np.zeros((n + 5, 3), dtype=dtype)
-        out = pre.apply_multi(r[:, None], out=w[2:n + 2, 1:2])
+        col = pre.apply_multi(r[None])
+        assert col.shape == (1, n) and col.dtype == dtype
+        np.testing.assert_array_equal(col[0], ref)
+        # a cell slice of one column (row) of a wider stacked block
+        w = np.zeros((3, n + 5), dtype=dtype)
+        out = pre.apply_multi(r[None], out=w[1:2, 2:n + 2])
         assert np.shares_memory(out, w)
-        np.testing.assert_array_equal(w[2:n + 2, 1], ref)
-        assert not w[:, [0, 2]].any() and not w[:2].any()
+        np.testing.assert_array_equal(w[1, 2:n + 2], ref)
+        assert not w[[0, 2]].any() and not w[:, :2].any()
         # and k > 1 still sweeps the block, column for column
-        blk = pre.apply_multi(np.stack([r, 2 * r], axis=1))
-        np.testing.assert_array_equal(blk[:, 0], ref)
+        blk = pre.apply_multi(np.stack([r, 2 * r]))
+        np.testing.assert_array_equal(blk[0], ref)
 
     def test_pcg_breakdown_retires_the_column(self):
         """A right-hand side in the null space of the periodic

@@ -36,7 +36,8 @@ def _make_system(mesh, nparts):
 
 
 def _stacked_reference(mesh, dec, x):
-    """Global-operator product of a *stacked* block, restacked."""
+    """Global-operator product of a *stacked* ``(N, k)`` block,
+    restacked."""
     owned = np.concatenate([s.owned_global for s in dec.subdomains])
     xg = np.empty_like(x)
     xg[owned] = x
@@ -50,10 +51,10 @@ class TestSplitMatvec:
                                             request):
         mesh = request.getfixturevalue(mesh_name)
         system = _make_system(mesh, nparts)
-        x = np.random.default_rng(1).normal(size=(system.n, 3))
+        x = np.random.default_rng(1).normal(size=(3, system.n))
         y = system.matvec_multi(x)
-        ref = _stacked_reference(mesh, system.decomp, x)
-        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12)
+        ref = _stacked_reference(mesh, system.decomp, x.T)
+        np.testing.assert_allclose(y, ref.T, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("nparts", [2, 3, 5])
     @pytest.mark.parametrize("mesh_name",
@@ -72,15 +73,16 @@ class TestSplitMatvec:
             m.lower[:] = -(0.5 + rng.random(m.lower.size))
         system = DistributedSystem(dec, SimulatedComm(nparts), mats)
         for op in system.ops:
-            loc = rng.normal(size=(op.sub.n_local, 4))
-            interior = np.empty((op.sub.n_owned, 4))
+            loc = rng.normal(size=(4, op.sub.n_local))
+            interior = np.empty((4, op.sub.n_owned))
             op.apply_interior(loc, interior)
             total = interior.copy()
             op.apply_boundary(loc, total)
-            ref_i, ref_b = face_oracle.rank_matvec_halves(op, loc)
+            ref_i, ref_b = face_oracle.rank_matvec_halves(op, loc.T)
             scale = np.abs(ref_i).max()
-            assert np.abs(interior - ref_i).max() <= 1e-14 * scale
-            assert np.abs(total - interior - ref_b).max() <= 1e-14 * scale
+            assert np.abs(interior - ref_i.T).max() <= 1e-14 * scale
+            assert np.abs(total - interior - ref_b.T).max() \
+                <= 1e-14 * scale
 
     @pytest.mark.parametrize("nparts", [2, 3, 4, 8])
     def test_matvec_halo_ledger(self, box_mesh, nparts):
@@ -89,7 +91,7 @@ class TestSplitMatvec:
         system = _make_system(box_mesh, nparts)
         expected = sum(len(s.send) for s in system.decomp.subdomains)
         before = system.comm.ledger.totals()
-        system.matvec_multi(np.ones((system.n, 1)))
+        system.matvec_multi(np.ones((1, system.n)))
         d = system.comm.ledger.delta(before)
         assert d["exchanges"] == 1
         assert d["messages"] == expected
@@ -100,7 +102,7 @@ class TestSplitMatvec:
         """``bind`` re-gathers the CSR values: the same system, re-bound
         to mutated matrices, multiplies with the new ones."""
         system = _make_system(box_mesh, nparts)
-        x = np.random.default_rng(6).normal(size=(system.n, 2))
+        x = np.random.default_rng(6).normal(size=(2, system.n))
         y = system.matvec_multi(x).copy()
         for m in system.mats:
             m.diag *= 2.0

@@ -177,7 +177,7 @@ class TestCachedDIC:
         r = rng.normal(size=mesh.n_cells)
         np.testing.assert_allclose(fast.apply(r.copy()), ref.apply(r.copy()),
                                    rtol=1e-14, atol=1e-300)
-        rb = rng.normal(size=(mesh.n_cells, 4))
+        rb = rng.normal(size=(4, mesh.n_cells))
         np.testing.assert_allclose(fast.apply_multi(rb.copy()),
                                    ref.apply_multi(rb.copy()),
                                    rtol=1e-14, atol=1e-300)

@@ -7,6 +7,7 @@ import contextlib
 import multiprocessing
 import os
 import pickle
+import re
 import threading
 import time
 
@@ -558,9 +559,9 @@ class TestSpmdSystem:
     @pytest.mark.parametrize("checkerboard", [False, True])
     def test_matches_driver_bitwise(self, box_mesh, checkerboard):
         """Both modes run the one system class: per rank, the worker's
-        preconditioner rows equal the driver's stacked apply bitwise
-        (1-D and ``(n, k)`` residuals, also on owned blocks with zero
-        interior faces), and so do the matvec rows and the reduced
+        preconditioner cells equal the driver's stacked apply bitwise
+        (1-D and ``(k, n)`` residuals, also on owned blocks with zero
+        interior faces), and so do the matvec cells and the reduced
         column dots."""
         parts = checkerboard_parts(box_mesh) if checkerboard else None
         dec = Decomposition.from_mesh(box_mesh, 2, parts=parts)
@@ -569,23 +570,24 @@ class TestSpmdSystem:
         driver = system.preconditioner()
         rng = np.random.default_rng(0)
         with _one_rank_pool(dec, mats) as pool:
-            for r in (rng.standard_normal((system.n, 3)),
+            for r in (rng.standard_normal((3, system.n)),
                       rng.standard_normal(system.n)):
                 want = driver(r)
                 got = pool.scatter(
                     "precondition",
-                    [(r[dec.rank_slice(q)],) for q in range(2)])
+                    [(r[..., dec.rank_slice(q)],) for q in range(2)])
                 for q in range(2):
-                    assert np.array_equal(got[q], want[dec.rank_slice(q)])
-            x, y = rng.standard_normal((2, system.n, 3))
+                    assert np.array_equal(got[q],
+                                          want[..., dec.rank_slice(q)])
+            x, y = rng.standard_normal((2, 3, system.n))
             want = system.matvec_multi(x)
             got = pool.scatter("matvec",
-                               [(x[dec.rank_slice(q)],) for q in range(2)])
+                               [(x[:, dec.rank_slice(q)],) for q in range(2)])
             for q in range(2):
-                assert np.array_equal(got[q], want[dec.rank_slice(q)])
+                assert np.array_equal(got[q], want[:, dec.rank_slice(q)])
             want = system.coldot(x, y)
             for got in pool.scatter("coldot", [
-                    (x[dec.rank_slice(q)], y[dec.rank_slice(q)])
+                    (x[:, dec.rank_slice(q)], y[:, dec.rank_slice(q)])
                     for q in range(2)]):
                 assert np.array_equal(got, want)
             assert sum(pool.broadcast("nnz")) == system.nnz \
@@ -806,7 +808,12 @@ class _FailingProperties(IdealGasProperties):
 
 
 def _shm_entries():
-    return sorted(f for f in os.listdir("/dev/shm") if f.startswith("repro"))
+    """The shared-memory segments an arena of *this* process can name
+    (``repro``, the pid in hex, an 8-hex-digit id, then the header,
+    counter or slab suffix), so a concurrent ``repro`` process cannot
+    move the leak asserts."""
+    own = re.compile(rf"repro{os.getpid():x}[0-9a-f]{{8}}(h|s|r\d+p\d+g\d+)")
+    return sorted(f for f in os.listdir("/dev/shm") if own.fullmatch(f))
 
 
 class TestFailedConstruction:

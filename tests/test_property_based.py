@@ -213,7 +213,7 @@ class TestDistProperties:
             self, nx, ny, nz, periodic, nparts, seed):
         """Any mesh x any partition (ragged, disconnected, faceless
         owned blocks included): the distributed preconditioner's
-        stacked rows equal the serial Jacobi of the undecomposed
+        stacked cells equal the serial Jacobi of the undecomposed
         operator bitwise -- it does not depend on the rank count."""
         mesh = build_box_mesh(nx, ny, nz, periodic=(periodic, False, False))
         rng = np.random.default_rng(seed)
@@ -225,8 +225,8 @@ class TestDistProperties:
                                   mats).preconditioner()
         serial = LocalSystem(make_laplacian_ldu(mesh)).preconditioner()
         owned = np.concatenate([s.owned_global for s in dec.subdomains])
-        r = rng.standard_normal((mesh.n_cells, 2))
-        assert np.array_equal(apply(r[owned]), serial(r)[owned])
+        r = rng.standard_normal((2, mesh.n_cells))
+        assert np.array_equal(apply(r[:, owned]), serial(r)[:, owned])
 
 
 _PROP_LDU = None
@@ -285,13 +285,13 @@ class TestDtypeProperties:
     def test_blocked_dot_preserves_dtype(self, dt, k, seed):
         npdt = _NP_DTYPES[dt]
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((64, k)).astype(npdt)
-        b = rng.standard_normal((64, k)).astype(npdt)
+        a = rng.standard_normal((k, 64)).astype(npdt)
+        b = rng.standard_normal((k, 64)).astype(npdt)
         system = LocalSystem(_prop_ldu())
         d, s = system.coldot(a, b), system.colsum_abs(a)
         assert d.dtype == npdt and s.dtype == npdt
-        assert np.array_equal(d, np.einsum("ij,ij->j", a, b))
-        assert np.array_equal(s, np.abs(a).sum(axis=0))
+        assert np.array_equal(d, np.vecdot(a, b))
+        assert np.array_equal(s, np.abs(a).sum(axis=1))
 
 
 # -- module-scoped heavyweight fixtures for hypothesis classes ----------

@@ -86,20 +86,43 @@ def test_each_run_equals_its_standalone_solver(mech, field):
             _close(run)
 
 
-@pytest.mark.parametrize("sweep", ["scalar_controls.tolerance=1e-6,1e-9",
-                                   "ranks=1,2"])
-def test_quickstart_sweep_prints_each_run(sweep):
-    """``examples/quickstart.py --sweep`` runs the loop and prints one
-    diagnostics line per value."""
+def _quickstart_sweep(sweep: str, *flags: str) -> list[str]:
+    """The run lines ``examples/quickstart.py --sweep`` prints, one per
+    swept value."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run(
-        [sys.executable, str(ROOT / "examples" / "quickstart.py"),
+        [sys.executable, str(ROOT / "examples" / "quickstart.py"), *flags,
          "--sweep", sweep, "--steps", "1", "--n", "4"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     key, _, raw = sweep.partition("=")
     lines = [ln for ln in out.stdout.splitlines()
              if ln.strip().startswith(f"{key}=")]
     assert len(lines) == len(raw.split(","))
+    return lines
+
+
+@pytest.mark.parametrize("sweep", ["scalar_controls.tolerance=1e-6,1e-9",
+                                   "ranks=1,2"])
+def test_quickstart_sweep_prints_each_run(sweep):
+    """``examples/quickstart.py --sweep`` runs the loop and prints one
+    diagnostics line per value."""
+    lines = _quickstart_sweep(sweep)
     assert all("iters" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("flags, sweep, tags", [
+    (("--chemistry", "hybrid-trained", "--trust-gate", "domain"),
+     "n_correctors=1,2", ["(hybrid-trained, gate domain, ranks 0 serial)"] * 2),
+    (("--ranks", "2"), "execution=serial,parallel",
+     ["(none, gate domain+audit, ranks 2 serial)",
+      "(none, gate domain+audit, ranks 2 parallel)"]),
+], ids=["chemistry+gate", "ranks"])
+def test_quickstart_sweep_keeps_the_other_flags(flags, sweep, tags):
+    """The swept base is the settings the other flags select:
+    ``--chemistry`` / ``--trust-gate`` reach every run, and ``--ranks
+    2`` lets a sweep over ``execution`` build its parallel run."""
+    lines = _quickstart_sweep(sweep, *flags)
+    for line, tag in zip(lines, tags, strict=True):
+        assert tag in line and "iters" in line, line
