@@ -10,11 +10,11 @@
 
 import numpy as np
 
+from repro.dist.decompose import Decomposition
 from repro.dnn.gelu_table import GeLUTable
 from repro.mesh.graph import cell_graph_from_mesh
 from repro.mesh.renumber import partition_renumbering
 from repro.mesh.rocket import build_rocket_mesh
-from repro.partition.metrics import edge_cut, offdiag_fraction
 from repro.partition.partitioner import partition_graph
 from repro.solvers.blocked import LocalSystem, pcg_solve_multi
 from repro.solvers.controls import SolverControls
@@ -26,19 +26,33 @@ from tests.conftest import make_laplacian_ldu
 from .conftest import emit
 
 
+def _blocks(mesh, graph, mem):
+    """The ``t x t`` block matrix of a Laplacian on ``mesh`` with the
+    rows of each part of ``mem`` grouped and Cuthill-McKee ordered."""
+    perm = partition_renumbering(graph, mem)
+    ldu = make_laplacian_ldu(mesh.renumbered(perm))
+    return build_block_converter(ldu, mem[np.argsort(perm)]).convert(ldu)
+
+
 def test_ablation_partitioner_methods(benchmark):
     mesh = build_rocket_mesh(nr=8, ntheta_per_sector=10, nz=28, n_sectors=2)
     graph = cell_graph_from_mesh(mesh)
-    lines = [f"rocket graph: {graph.n_vertices} cells, {graph.n_edges} faces"]
+    n = mesh.n_cells
+    lines = [f"rocket graph: {n} cells, {mesh.n_internal_faces} faces"]
     mem_ml = benchmark(partition_graph, graph, 8)
-    for method, mem in (("multilevel", mem_ml),
-                        ("strided", partition_graph(graph, 8, method="strided")),
-                        ("random", partition_graph(graph, 8, method="random"))):
-        lines.append(f"  {method:10s} cut {edge_cut(graph, mem):6d}  "
-                     f"offdiag {offdiag_fraction(graph, mem)*100:6.2f} %")
-    cut_ml = edge_cut(graph, mem_ml)
-    cut_rd = edge_cut(graph, partition_graph(graph, 8, method="random"))
-    assert cut_ml < cut_rd / 4
+    # the naive baselines: contiguous index blocks, balanced random labels
+    mem_st = np.arange(n) * 8 // n
+    mem_rd = np.random.default_rng(0).permutation(
+        np.repeat(np.arange(8), -(-n // 8))[:n])
+    cuts = {}
+    for method, mem in (("multilevel", mem_ml), ("strided", mem_st),
+                        ("random", mem_rd)):
+        cuts[method] = Decomposition.from_mesh(
+            mesh, 8, parts=mem).stats()["cut_faces"]
+        frac = _blocks(mesh, graph, mem).offdiag_nnz_fraction()
+        lines.append(f"  {method:10s} cut {cuts[method]:6d}  "
+                     f"offdiag {frac*100:6.2f} %")
+    assert cuts["multilevel"] < cuts["random"] / 4
     emit("Ablation: partitioner method", lines)
 
 
@@ -50,11 +64,7 @@ def test_ablation_thread_count_sweep(benchmark):
     def sweep():
         rows = []
         for t in (2, 4, 8, 16):
-            mem = partition_graph(graph, t)
-            perm = partition_renumbering(graph, mem)
-            mesh2 = mesh.renumbered(perm)
-            ldu = make_laplacian_ldu(mesh2)
-            blk = build_block_converter(ldu, mem[np.argsort(perm)]).convert(ldu)
+            blk = _blocks(mesh, graph, partition_graph(graph, t))
             rows.append((t, blk.offdiag_nnz_fraction(),
                          blk.nnz_per_thread().max()
                          / blk.nnz_per_thread().mean()))

@@ -9,15 +9,10 @@ magnitude* of every statistic at bench scale."""
 
 import numpy as np
 
+from repro.dist.decompose import Decomposition
 from repro.mesh.graph import cell_graph_from_mesh
 from repro.mesh.renumber import partition_renumbering
 from repro.mesh.rocket import build_rocket_mesh
-from repro.partition.hierarchical import decompose_two_level
-from repro.partition.metrics import (
-    balance_stats,
-    block_occupancy,
-    offdiag_fraction,
-)
 from repro.partition.partitioner import partition_graph
 from repro.sparse.convert import build_block_converter
 from tests.conftest import make_laplacian_ldu
@@ -25,31 +20,34 @@ from tests.conftest import make_laplacian_ldu
 from .conftest import emit
 
 
+def _blocks(mesh, mem):
+    """The ``t x t`` block matrix of a Laplacian on ``mesh`` with the
+    rows of each part of ``mem`` grouped and Cuthill-McKee ordered."""
+    perm = partition_renumbering(cell_graph_from_mesh(mesh), mem)
+    ldu = make_laplacian_ldu(mesh.renumbered(perm))
+    return build_block_converter(ldu, mem[np.argsort(perm)]).convert(ldu)
+
+
 def test_fig6_renumbering_statistics(benchmark):
     mesh = build_rocket_mesh(nr=10, ntheta_per_sector=12, nz=36, n_sectors=2)
     graph = cell_graph_from_mesh(mesh)
+    n = mesh.n_cells
     t = 16
 
     mem_ml = benchmark(partition_graph, graph, t)
     # "naive": strided blocks of a spatially-shuffled labelling (no
     # locality, which is what a generic unstructured numbering gives)
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(graph.n_vertices)
-    from repro.mesh.graph import CellGraph
+    shuffled = mesh.renumbered(np.random.default_rng(0).permutation(n))
+    blk_naive = _blocks(shuffled, np.arange(n) * t // n)
+    blk = _blocks(mesh, mem_ml)
 
-    src = np.repeat(np.arange(graph.n_vertices), np.diff(graph.xadj))
-    keep = src < graph.adjncy
-    shuffled = CellGraph.from_edges(graph.n_vertices, perm[src[keep]],
-                                    perm[graph.adjncy[keep]])
-    mem_naive = partition_graph(shuffled, t, method="strided")
-
-    f_ml = offdiag_fraction(graph, mem_ml)
-    f_naive = offdiag_fraction(shuffled, mem_naive)
-    occ_ml = block_occupancy(graph, mem_ml)
-    occ_naive = block_occupancy(shuffled, mem_naive)
+    f_ml = blk.offdiag_nnz_fraction()
+    f_naive = blk_naive.offdiag_nnz_fraction()
+    occ_ml = blk.n_nonzero_blocks
+    occ_naive = blk_naive.n_nonzero_blocks
 
     lines = [
-        f"threads t = {t}, cells = {graph.n_vertices}",
+        f"threads t = {t}, cells = {n}",
         f"off-diagonal nnz fraction: naive {f_naive*100:6.2f} %  ->  "
         f"SCOTCH-like+CM {f_ml*100:6.2f} %   (paper: 16.24 % -> 1.63 %)",
         f"non-zero blocks of {t}x{t}: naive {occ_naive}  ->  optimized "
@@ -59,11 +57,6 @@ def test_fig6_renumbering_statistics(benchmark):
     assert occ_ml < occ_naive
 
     # Block-CSR nnz balance per thread (Sec. 3.2.3)
-    perm2 = partition_renumbering(graph, mem_ml)
-    mesh2 = mesh.renumbered(perm2)
-    ldu = make_laplacian_ldu(mesh2)
-    conv = build_block_converter(ldu, mem_ml[np.argsort(perm2)])
-    blk = conv.convert(ldu)
     nnz = blk.nnz_per_thread()
     lines.append(f"nnz/thread: mean {nnz.mean():.0f} max {nnz.max()} "
                  f"std {nnz.std():.1f}   (paper: mean 241,634 max 246,198 "
@@ -75,17 +68,20 @@ def test_fig6_renumbering_statistics(benchmark):
 def test_sec31_two_level_load_balance(benchmark):
     mesh = build_rocket_mesh(nr=8, ntheta_per_sector=10, nz=30, n_sectors=2)
 
-    dec = benchmark(decompose_two_level, mesh, 8, 4)
-    stats = balance_stats(dec.process_membership)
+    stats = benchmark(Decomposition.from_mesh, mesh, 8).stats()
+    counts = np.array(stats["cells_per_rank"])
+    imbalance = counts.max() / counts.mean() - 1.0
+    nbrs = stats["neighbour_counts"]
+    avg_neighbours = float(np.mean(nbrs))
     lines = [
-        f"cells/process: mean {stats.mean:.0f} max {stats.max:.0f} "
-        f"std {stats.std:.1f}  (paper: 440k / 459k / 3222.8)",
-        f"relative imbalance max/mean-1 = {stats.imbalance*100:.2f} %  "
+        f"cells/process: mean {counts.mean():.0f} max {counts.max()} "
+        f"std {counts.std():.1f}  (paper: 440k / 459k / 3222.8)",
+        f"relative imbalance max/mean-1 = {imbalance*100:.2f} %  "
         f"(paper: 4.3 %)",
-        f"avg neighbours/process = {dec.avg_neighbours():.1f}  (paper: 15)",
-        f"avg shared faces/pair  = {dec.avg_shared_faces_per_pair():.0f}  "
+        f"avg neighbours/process = {avg_neighbours:.1f}  (paper: 15)",
+        f"avg shared faces/pair  = {2 * stats['cut_faces'] / sum(nbrs):.0f}  "
         f"(paper: 2855)",
     ]
-    assert stats.imbalance < 0.10
-    assert 3.0 <= dec.avg_neighbours() <= 16.0
+    assert imbalance < 0.10
+    assert 3.0 <= avg_neighbours <= 16.0
     emit("Sec. 3.1: two-level decomposition balance", lines)

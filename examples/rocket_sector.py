@@ -3,8 +3,9 @@ solver steps -- the paper's real-world workflow at laptop scale.
 
 Builds a 22.5-degree sector of the synthetic LOX/CH4 combustor
 (injector plate, chamber, converging-diverging nozzle), decomposes it
-with the two-level process x thread scheme, reports the Sec. 3.1/3.2
-statistics, and advances the flow a few steps.
+over processes (the production :class:`Decomposition`) and one
+process's cells over threads, reports the Sec. 3.1/3.2 statistics, and
+advances the flow a few steps.
 
 Run:  python examples/rocket_sector.py
 """
@@ -16,12 +17,26 @@ from repro.core.chemistry_source import NoChemistry
 from repro.core.deepflame import DeepFlameSolver
 from repro.core.properties import IdealGasProperties
 from repro.core.settings import SolverSettings
+from repro.dist.decompose import Decomposition
 from repro.mesh.graph import cell_graph_from_mesh
 from repro.mesh.renumber import partition_renumbering
-from repro.partition.hierarchical import decompose_two_level
-from repro.partition.metrics import balance_stats, offdiag_fraction
-from repro.sparse.convert import build_block_converter
+from repro.partition.partitioner import partition_graph
 from repro.solvers.controls import SolverControls
+from repro.sparse.convert import build_block_converter
+from repro.sparse.ldu import LDUMatrix
+
+
+def laplacian_blocks(mesh, thread_of_row):
+    """The ``t x t`` blocks of a graph Laplacian on ``mesh`` whose rows
+    are grouped by ``thread_of_row``."""
+    nif = mesh.n_internal_faces
+    ldu = LDUMatrix(mesh.n_cells, mesh.owner[:nif], mesh.neighbour)
+    ldu.upper[:] = -1.0
+    ldu.lower[:] = -1.0
+    deg = (np.bincount(mesh.owner[:nif], minlength=mesh.n_cells)
+           + np.bincount(mesh.neighbour, minlength=mesh.n_cells))
+    ldu.diag[:] = deg + 0.2
+    return build_block_converter(ldu, thread_of_row).convert(ldu)
 
 
 def main() -> None:
@@ -34,33 +49,31 @@ def main() -> None:
           f"{case.temperature.max():.0f}] K (cryogenic injection, hot core)")
 
     print("\nTwo-level decomposition (8 processes x 4 threads):")
-    dec = decompose_two_level(mesh, 8, 4)
-    stats = balance_stats(dec.process_membership)
-    print(f"  cells/process: mean {stats.mean:.0f}, max {stats.max:.0f}, "
-          f"std {stats.std:.1f} (imbalance {stats.imbalance:.2%})")
-    print(f"  avg neighbours {dec.avg_neighbours():.1f}, "
-          f"avg shared faces/pair {dec.avg_shared_faces_per_pair():.0f}")
+    dec = Decomposition.from_mesh(mesh, 8)
+    stats = dec.stats()
+    counts = np.array(stats["cells_per_rank"])
+    nbrs = stats["neighbour_counts"]
+    print(f"  cells/process: mean {counts.mean():.0f}, max {counts.max()}, "
+          f"std {counts.std():.1f} "
+          f"(imbalance {counts.max() / counts.mean() - 1:.2%})")
+    print(f"  avg neighbours {np.mean(nbrs):.1f}, avg shared faces/pair "
+          f"{2 * stats['cut_faces'] / sum(nbrs):.0f}")
+    sub = dec.subdomains[0]
+    owned = cell_graph_from_mesh(sub.mesh)[:sub.n_owned, :sub.n_owned]
+    threads = partition_graph(owned, 4)
+    print(f"  process 0's threads: {np.bincount(threads).tolist()} cells")
 
     print("\nThread-level block structure (Sec. 3.2):")
+    n, t = mesh.n_cells, 16
     graph = cell_graph_from_mesh(mesh)
-    from repro.partition.partitioner import partition_graph
-
-    mem = partition_graph(graph, 16)
+    mem = partition_graph(graph, t)
     perm = partition_renumbering(graph, mem)
-    mesh2 = mesh.renumbered(perm)
-    from repro.sparse.ldu import LDUMatrix
-
-    nif = mesh2.n_internal_faces
-    ldu = LDUMatrix(mesh2.n_cells, mesh2.owner[:nif], mesh2.neighbour)
-    ldu.upper[:] = -1.0
-    ldu.lower[:] = -1.0
-    deg = (np.bincount(mesh2.owner[:nif], minlength=mesh2.n_cells)
-           + np.bincount(mesh2.neighbour, minlength=mesh2.n_cells))
-    ldu.diag[:] = deg + 0.2
-    blk = build_block_converter(ldu, mem[np.argsort(perm)]).convert(ldu)
-    print(f"  16x16 blocks: {blk.n_nonzero_blocks} non-empty, "
-          f"off-diagonal nnz {blk.offdiag_nnz_fraction():.2%} "
-          f"(naive ordering: {offdiag_fraction(graph, np.arange(graph.n_vertices) * 16 // graph.n_vertices):.2%})")
+    blk = laplacian_blocks(mesh.renumbered(perm), mem[np.argsort(perm)])
+    naive = laplacian_blocks(mesh, np.arange(n) * t // n)
+    print(f"  {t}x{t} blocks, non-empty / off-diagonal nnz: "
+          f"partitioned + CM {blk.n_nonzero_blocks} / "
+          f"{blk.offdiag_nnz_fraction():.2%}, naive ordering "
+          f"{naive.n_nonzero_blocks} / {naive.offdiag_nnz_fraction():.2%}")
 
     print("\nAdvancing the sector flow 3 steps...")
     solver = DeepFlameSolver(

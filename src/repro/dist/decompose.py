@@ -120,8 +120,8 @@ class Decomposition:
         ``parts`` labels are given) and extract the per-rank
         subdomains."""
         if parts is None:
-            graph = cell_graph_from_mesh(mesh)
-            parts = partition_graph(graph, nparts, seed=seed)
+            parts = partition_graph(cell_graph_from_mesh(mesh), nparts,
+                                    seed=seed)
         parts = np.asarray(parts, dtype=np.int64)
         if parts.shape != (mesh.n_cells,):
             raise ValueError("need one part label per cell")
@@ -236,7 +236,10 @@ class Decomposition:
 
     # -- statistics ----------------------------------------------------
     def stats(self) -> dict:
-        """Communication-relevant decomposition statistics."""
+        """Communication-relevant decomposition statistics (Sec. 3.1):
+        owned and halo cells per rank, faces cut by the partition and
+        neighbour ranks per rank.  Shared faces per neighbour pair
+        average ``2 * cut_faces / sum(neighbour_counts)``."""
         cut_faces = int(sum(s.cut_mask.sum() for s in self.subdomains)) // 2
         return {
             "nparts": self.nparts,

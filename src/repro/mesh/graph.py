@@ -3,118 +3,31 @@
 Unstructured grids are represented as graphs (cells -> nodes, faces ->
 edges) for partitioning and renumbering: this is the representation the
 paper's two-level SCOTCH decomposition and sparse-matrix restructuring
-operate on.
+operate on.  The one graph format is a symmetric
+``scipy.sparse.csr_matrix`` adjacency; an induced subgraph on the cells
+``c`` is ``adj[c][:, c]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.sparse as sp
 
 from .unstructured import UnstructuredMesh
 
-__all__ = ["CellGraph", "cell_graph_from_mesh"]
+__all__ = ["cell_graph_from_mesh"]
 
 
-@dataclass
-class CellGraph:
-    """Undirected graph in CSR form.
-
-    Attributes
-    ----------
-    xadj, adjncy:
-        Standard CSR adjacency (neighbours of vertex ``v`` are
-        ``adjncy[xadj[v]:xadj[v+1]]``).
-    edge_faces:
-        For graphs built from a mesh: the internal-face index realizing
-        each CSR entry (parallel to ``adjncy``); -1 otherwise.
-    vertex_weights:
-        Optional per-vertex computational weights (uniform by default).
-    """
-
-    xadj: np.ndarray
-    adjncy: np.ndarray
-    edge_faces: np.ndarray
-    vertex_weights: np.ndarray
-
-    @property
-    def n_vertices(self) -> int:
-        return self.xadj.size - 1
-
-    @property
-    def n_edges(self) -> int:
-        return self.adjncy.size // 2
-
-    def degree(self, v: int | None = None):
-        if v is None:
-            return np.diff(self.xadj)
-        return self.xadj[v + 1] - self.xadj[v]
-
-    def neighbours(self, v: int) -> np.ndarray:
-        return self.adjncy[self.xadj[v]:self.xadj[v + 1]]
-
-    @classmethod
-    def from_edges(
-        cls,
-        n_vertices: int,
-        edges_u: np.ndarray,
-        edges_v: np.ndarray,
-        vertex_weights: np.ndarray | None = None,
-    ) -> "CellGraph":
-        """Build CSR adjacency from an undirected edge list.
-
-        Parallel edges are kept (a face pair between the same two cells
-        appears twice, matching its weight in the edge cut).
-        """
-        edges_u = np.asarray(edges_u, dtype=np.int64)
-        edges_v = np.asarray(edges_v, dtype=np.int64)
-        src = np.concatenate([edges_u, edges_v])
-        dst = np.concatenate([edges_v, edges_u])
-        face_ids = np.concatenate(
-            [np.arange(edges_u.size), np.arange(edges_u.size)]
-        )
-        order = np.argsort(src, kind="stable")
-        src, dst, face_ids = src[order], dst[order], face_ids[order]
-        xadj = np.zeros(n_vertices + 1, dtype=np.int64)
-        np.add.at(xadj, src + 1, 1)
-        np.cumsum(xadj, out=xadj)
-        vw = (
-            np.ones(n_vertices)
-            if vertex_weights is None
-            else np.asarray(vertex_weights, dtype=float)
-        )
-        return cls(xadj, dst, face_ids, vw)
-
-    def subgraph(self, vertices: np.ndarray) -> tuple["CellGraph", np.ndarray]:
-        """Induced subgraph on ``vertices``.
-
-        Returns ``(graph, local_to_global)``; vertices are relabelled
-        ``0..len(vertices)-1`` in the given order.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        g2l = -np.ones(self.n_vertices, dtype=np.int64)
-        g2l[vertices] = np.arange(vertices.size)
-        us, vs = [], []
-        for lv, gv in enumerate(vertices):
-            nbrs = self.neighbours(gv)
-            keep = g2l[nbrs] >= 0
-            for gn in nbrs[keep]:
-                ln = g2l[gn]
-                if lv < ln:
-                    us.append(lv)
-                    vs.append(ln)
-        sub = CellGraph.from_edges(
-            vertices.size, np.array(us, dtype=np.int64),
-            np.array(vs, dtype=np.int64), self.vertex_weights[vertices]
-        )
-        return sub, vertices
-
-
-def cell_graph_from_mesh(mesh: UnstructuredMesh) -> CellGraph:
-    """Cell adjacency graph of a mesh (cells = vertices, internal faces
-    = edges)."""
+def cell_graph_from_mesh(mesh: UnstructuredMesh) -> sp.csr_matrix:
+    """Cell adjacency of a mesh: cells are vertices, internal faces are
+    edges.  Symmetric CSR with sorted column indices; entry ``(u, v)``
+    holds the number of faces ``u`` and ``v`` share (its weight in the
+    edge cut)."""
     nif = mesh.n_internal_faces
-    return CellGraph.from_edges(
-        mesh.n_cells, mesh.owner[:nif], mesh.neighbour
-    )
+    own, nb = mesh.owner[:nif], mesh.neighbour
+    n = mesh.n_cells
+    adj = sp.csr_matrix(
+        (np.ones(2 * nif), (np.concatenate([own, nb]),
+                            np.concatenate([nb, own]))), shape=(n, n))
+    adj.sum_duplicates()
+    return adj

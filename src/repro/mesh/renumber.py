@@ -3,62 +3,34 @@
 The paper's thread-level optimization (Sec. 3.2.1) combines SCOTCH
 partitioning with Cuthill-McKee renumbering *within* each subdomain so
 that non-zeros concentrate in cache-friendly diagonal blocks.  This
-module provides the CM/RCM orderings and the combined
-partition-then-renumber permutation.
+module provides the ordering (scipy's reverse Cuthill-McKee: reversal
+changes neither the bandwidth nor the block structure) and the
+combined partition-then-renumber permutation over the CSR cell graph
+of :func:`~repro.mesh.graph.cell_graph_from_mesh`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
-
-from .graph import CellGraph
+import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = ["cuthill_mckee", "partition_renumbering", "bandwidth"]
 
 
-def cuthill_mckee(graph: CellGraph, reverse: bool = False) -> np.ndarray:
-    """Cuthill-McKee ordering of a graph.
+def cuthill_mckee(adj: sp.csr_matrix) -> np.ndarray:
+    """Reverse Cuthill-McKee ordering of a symmetric graph.
 
     Returns a permutation array ``perm`` with ``perm[old] = new``.
-    Starts each connected component from a minimum-degree vertex and
-    visits neighbours in increasing-degree order; ``reverse=True``
-    gives RCM.
     """
-    n = graph.n_vertices
-    degrees = graph.degree()
-    visited = np.zeros(n, dtype=bool)
-    order: list[int] = []
-
-    remaining = np.argsort(degrees, kind="stable")
-    rem_pos = 0
-    while len(order) < n:
-        while rem_pos < remaining.size and visited[remaining[rem_pos]]:
-            rem_pos += 1
-        start = int(remaining[rem_pos])
-        visited[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            nbrs = graph.neighbours(v)
-            nbrs = nbrs[~visited[nbrs]]
-            # np.unique also sorts; stable-sort unique nbrs by degree.
-            nbrs = np.unique(nbrs)
-            nbrs = nbrs[np.argsort(degrees[nbrs], kind="stable")]
-            for u in nbrs:
-                visited[u] = True
-                queue.append(int(u))
-    seq = np.array(order[::-1] if reverse else order, dtype=np.int64)
-    perm = np.empty(n, dtype=np.int64)
-    perm[seq] = np.arange(n)
+    order = reverse_cuthill_mckee(adj, symmetric_mode=True)
+    perm = np.empty(order.size, dtype=np.int64)
+    perm[order] = np.arange(order.size)
     return perm
 
 
-def partition_renumbering(
-    graph: CellGraph, membership: np.ndarray, reverse: bool = False
-) -> np.ndarray:
+def partition_renumbering(adj: sp.csr_matrix,
+                          membership: np.ndarray) -> np.ndarray:
     """Combined partition + Cuthill-McKee permutation (Sec. 3.2.1).
 
     Cells of partition 0 come first, then partition 1, etc.; within
@@ -67,27 +39,19 @@ def partition_renumbering(
     blocks with consecutive numbering inside each block.
     """
     membership = np.asarray(membership, dtype=np.int64)
-    n = graph.n_vertices
-    perm = np.empty(n, dtype=np.int64)
+    perm = np.empty(adj.shape[0], dtype=np.int64)
     offset = 0
     for part in range(int(membership.max()) + 1):
         cells = np.flatnonzero(membership == part)
-        if cells.size == 0:
-            continue
-        sub, l2g = graph.subgraph(cells)
-        local_perm = cuthill_mckee(sub, reverse=reverse)
-        perm[l2g] = offset + local_perm
+        perm[cells] = offset + cuthill_mckee(adj[cells][:, cells])
         offset += cells.size
     return perm
 
 
-def bandwidth(graph: CellGraph, perm: np.ndarray | None = None) -> int:
+def bandwidth(adj: sp.csr_matrix, perm: np.ndarray | None = None) -> int:
     """Matrix bandwidth induced by an ordering (identity by default)."""
-    if perm is None:
-        perm = np.arange(graph.n_vertices)
-    b = 0
-    for v in range(graph.n_vertices):
-        nbrs = graph.neighbours(v)
-        if nbrs.size:
-            b = max(b, int(np.max(np.abs(perm[nbrs] - perm[v]))))
-    return b
+    rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+    cols = adj.indices
+    if perm is not None:
+        rows, cols = perm[rows], perm[cols]
+    return int(np.abs(rows - cols).max(initial=0))

@@ -1,10 +1,8 @@
 """SCOTCH-like facade over the multilevel partitioner.
 
-Provides the entry points the rest of the package uses: partition a
-:class:`~repro.mesh.graph.CellGraph` (or a mesh) into ``nparts``
-balanced parts, with the strategy knob the experiments sweep
-("multilevel" = the real algorithm, "random"/"strided" = the naive
-baselines the ablations compare against).
+Partitions a cell graph (the CSR adjacency of
+:func:`~repro.mesh.graph.cell_graph_from_mesh`) into ``nparts``
+balanced parts by multilevel recursive bisection with FM refinement.
 """
 
 from __future__ import annotations
@@ -12,62 +10,24 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..mesh.graph import CellGraph
 from .multilevel import partition_weighted
 
-__all__ = ["graph_to_csr", "partition_graph"]
+__all__ = ["partition_graph"]
 
 
-def graph_to_csr(graph: CellGraph) -> sp.csr_matrix:
-    """Weighted CSR adjacency of a cell graph (unit face weights,
-    parallel faces accumulate)."""
-    n = graph.n_vertices
-    src = np.repeat(np.arange(n), np.diff(graph.xadj))
-    mat = sp.csr_matrix(
-        (np.ones(graph.adjncy.size), (src, graph.adjncy)), shape=(n, n)
-    )
-    mat.sum_duplicates()
-    return mat
+def partition_graph(adj: sp.csr_matrix, nparts: int,
+                    seed: int = 0) -> np.ndarray:
+    """Partition a cell graph into ``nparts`` parts of equal cell count
+    (unit vertex weights, face-multiplicity edge weights).
 
-
-def partition_graph(
-    graph: CellGraph,
-    nparts: int,
-    method: str = "multilevel",
-    seed: int = 0,
-) -> np.ndarray:
-    """Partition a cell graph into ``nparts`` parts.
-
-    Parameters
-    ----------
-    method:
-        * ``"multilevel"`` -- multilevel recursive bisection with FM
-          refinement (the SCOTCH-equivalent path used everywhere).
-        * ``"strided"`` -- contiguous index blocks (what naive
-          decomposition of an already-ordered mesh gives).
-        * ``"random"`` -- uniformly random assignment (worst case for
-          locality; ablation baseline).
-
-    Returns a membership array of length ``n_vertices``.
+    Returns a membership array of length ``adj.shape[0]``.
     """
-    n = graph.n_vertices
+    n = adj.shape[0]
     if nparts <= 0:
         raise ValueError("nparts must be positive")
     if nparts == 1:
         return np.zeros(n, dtype=np.int64)
     if nparts > n:
         raise ValueError(f"nparts={nparts} exceeds n_vertices={n}")
-    if method == "multilevel":
-        adj = graph_to_csr(graph)
-        return partition_weighted(
-            adj, graph.vertex_weights, nparts, np.random.default_rng(seed)
-        )
-    if method == "strided":
-        return np.minimum(
-            np.arange(n) * nparts // n, nparts - 1
-        ).astype(np.int64)
-    if method == "random":
-        rng = np.random.default_rng(seed)
-        base = np.repeat(np.arange(nparts), -(-n // nparts))[:n]
-        return rng.permutation(base).astype(np.int64)
-    raise ValueError(f"unknown method {method!r}")
+    return partition_weighted(adj, np.ones(n), nparts,
+                              np.random.default_rng(seed))

@@ -6,8 +6,8 @@ builds and steps the two step paths no workload leaves (a real-fluid
 serial solver, an ideal-gas two-rank driver-stepped solver) and must
 not have loaded the training stack, the modeled runtime and its
 load-balance metrics, the I/O layer, the unused solvers, sparse formats
-and mesh transforms, the threaded matrix construction, the partition
-metrics or scipy's dense and sparse linear algebra.  The hybrid
+and the renumbering (nor scipy's graph library it runs on), the threaded
+matrix construction or scipy's dense and sparse linear algebra.  The hybrid
 chemistry is the positive control: it does load the inference engine,
 and still not the training stack (a trained artifact is only evaluated).
 """
@@ -26,9 +26,8 @@ NOT_LOADED = ("scipy.linalg", "scipy.sparse.linalg", "repro.dnn",
               "repro.runtime.machine", "repro.runtime.scaling",
               "repro.runtime.load_balance", "repro.solvers.gamg",
               "repro.sparse.gauss_seidel", "repro.sparse.block_csr",
-              "repro.sparse.convert", "repro.mesh.refine",
-              "repro.mesh.renumber", "repro.fv.construction",
-              "repro.partition.hierarchical", "repro.partition.metrics")
+              "repro.sparse.convert", "repro.mesh.renumber",
+              "repro.fv.construction", "scipy.sparse.csgraph")
 
 _SCRIPT = f"""
 import json, sys

@@ -15,7 +15,6 @@ from repro.dnn.scaling import BoxCoxTransform, ZScoreScaler
 from repro.mesh.graph import cell_graph_from_mesh
 from repro.mesh.renumber import cuthill_mckee
 from repro.mesh.structured import build_box_mesh
-from repro.partition.metrics import balance_stats
 from repro.partition.partitioner import partition_graph
 from repro.runtime.comm import SimulatedComm
 from repro.solvers.blocked import LocalSystem
@@ -96,11 +95,11 @@ class TestPartitionProperties:
     @settings(**SETTINGS)
     def test_partition_is_balanced_total(self, graph_global, nparts, seed):
         mem = partition_graph(graph_global, nparts, seed=seed)
-        assert mem.shape == (graph_global.n_vertices,)
+        assert mem.shape == (graph_global.shape[0],)
         assert mem.min() >= 0 and mem.max() == nparts - 1
-        stats = balance_stats(mem, nparts=nparts)
-        assert stats.counts.sum() == graph_global.n_vertices
-        assert stats.imbalance < 0.35
+        counts = np.bincount(mem, minlength=nparts)
+        assert counts.sum() == graph_global.shape[0]
+        assert counts.max() / counts.mean() - 1.0 < 0.35
 
     @given(seed=st.integers(0, 20))
     @settings(**SETTINGS)
@@ -108,11 +107,10 @@ class TestPartitionProperties:
         # CM is deterministic; seed exercises different graphs via
         # random subsets
         rng = np.random.default_rng(seed)
-        verts = np.sort(rng.choice(graph_global.n_vertices,
+        verts = np.sort(rng.choice(graph_global.shape[0],
                                    size=60, replace=False))
-        sub, _ = graph_global.subgraph(verts)
-        perm = cuthill_mckee(sub)
-        assert np.array_equal(np.sort(perm), np.arange(sub.n_vertices))
+        perm = cuthill_mckee(graph_global[verts][:, verts])
+        assert np.array_equal(np.sort(perm), np.arange(verts.size))
 
 
 class TestSparseProperties:
