@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..solvers.blocked import krylov_solve
+from ..solvers.blocked import krylov_solve, row_dot
 from .decompose import Decomposition
 from .halo import HaloExchanger
 from .rank_operator import RankOperator, scratch_buffer
@@ -138,10 +138,10 @@ class DistributedSystem:
 
     def coldot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-column dot products via per-rank row partials +
-        allreduce (``np.vecdot``: see :meth:`LocalSystem.coldot`)."""
+        allreduce (``row_dot``: see :meth:`LocalSystem.coldot`)."""
         parts = self._buf(("red",), (len(self.slices), a.shape[0]))
         for part, sl in zip(parts, self.slices):
-            np.vecdot(a[:, sl], b[:, sl], out=part)
+            row_dot(a[:, sl], b[:, sl], out=part)
         return np.atleast_1d(self.comm.allreduce(parts, op="sum"))
 
     def colsum_abs(self, r: np.ndarray) -> np.ndarray:

@@ -61,16 +61,42 @@ from .workspace import KrylovWorkspace
 
 __all__ = [
     "REDUCTIONS_PER_PCG_ITER",
+    "DOT_TILE",
     "LocalSystem",
     "krylov_solve",
     "pbicgstab_solve_multi",
     "pcg_solve_multi",
+    "row_dot",
 ]
 
 
 #: Global reductions per PCG iteration (two dot products + one norm) --
 #: the allreduces that dominate strong-scaling communication (Sec. 5.3).
 REDUCTIONS_PER_PCG_ITER = 3
+
+#: width of the tiles a row dot is split into: below the row length
+#: above which OpenBLAS threads its dot (10 000), so each tile is one
+#: single-threaded kernel call whatever the BLAS thread count
+DOT_TILE = 4096
+
+
+def row_dot(a: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Per-row dot products of two ``(k, n)`` blocks whose bits do not
+    depend on the BLAS thread count: ``np.vecdot`` over
+    :data:`DOT_TILE`-wide tiles of each row, then a fixed-order sum of
+    the row's partials.  Each row is reduced on its own."""
+    k, n = a.shape
+    nt = n // DOT_TILE
+    if nt == 0:
+        return np.vecdot(a, b, out=out)
+    full = nt * DOT_TILE
+    parts = np.empty((k, nt + (full < n)))
+    np.vecdot(a[:, :full].reshape(k, nt, DOT_TILE),
+              b[:, :full].reshape(k, nt, DOT_TILE), out=parts[:, :nt])
+    if full < n:
+        np.vecdot(a[:, full:], b[:, full:], out=parts[:, nt])
+    return parts.sum(axis=1, out=out)
 
 
 class LocalSystem:
@@ -82,9 +108,9 @@ class LocalSystem:
     ``coldot`` / ``colsum_abs`` of such blocks, ``preconditioner()``
     and ``is_symmetric()``.  This is the serial implementation: the
     product is the CSR of ``a``, converted once per solve, and the
-    reductions are a row dot (``np.vecdot``) and a row L1 sum -- each
+    reductions are a row dot (:func:`row_dot`) and a row L1 sum -- each
     row reduced on its own, so a column's bits do not depend on the
-    block width.
+    block width, nor on the BLAS thread count.
 
     With ``workspace`` (an :class:`~repro.fv.workspace.EquationWorkspace`)
     the CSR pattern and the Jacobi preconditioner are its cached ones.
@@ -103,11 +129,12 @@ class LocalSystem:
         return out
 
     def coldot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-column dot products: one dot per row (no temporary).
+        """Per-column dot products: one :func:`row_dot` per row.
         ``np.einsum("ij,ij->i")`` would not do: its buffered reduction
         splits rows longer than 8192 at offsets set by the row's place
-        in the block."""
-        return np.vecdot(a, b)
+        in the block; nor would a plain ``np.vecdot``, whose bits on
+        long rows follow the BLAS thread count."""
+        return row_dot(a, b)
 
     def colsum_abs(self, r: np.ndarray) -> np.ndarray:
         """Per-column L1 norms: one pairwise sum per contiguous row."""

@@ -134,13 +134,15 @@ class SmootherStats:
     def residual_histories(
         self, b: np.ndarray, x0: np.ndarray, sweeps: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Residual 2-norms after each sweep for (serial, block)."""
+        """Residual 2-norms after each sweep for (serial, block), as
+        pairwise sums (a 1-D ``np.linalg.norm`` is a BLAS dot whose bits
+        follow the thread count on long vectors)."""
         hist_s, hist_b = [], []
         xs = np.asarray(x0, float).copy()
         xb = xs.copy()
         for _ in range(sweeps):
             xs = gauss_seidel_csr(self.csr, b, xs, 1, tri=self._tri_csr)
             xb = gauss_seidel_block(self.block, b, xb, 1, tri=self._tri_block)
-            hist_s.append(np.linalg.norm(b - self.csr @ xs))
-            hist_b.append(np.linalg.norm(b - self.csr @ xb))
+            hist_s.append(np.sqrt(np.square(b - self.csr @ xs).sum()))
+            hist_b.append(np.sqrt(np.square(b - self.csr @ xb).sum()))
         return np.array(hist_s), np.array(hist_b)

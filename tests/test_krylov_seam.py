@@ -3,6 +3,11 @@ serial ``LocalSystem`` or a ``DistributedSystem`` -- with one
 method table behind both, and PCG's symmetry requirement checked by
 the seam itself."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,8 @@ from repro.solvers.blocked import LocalSystem, krylov_solve
 from repro.solvers.controls import SolverControls
 from repro.sparse.ldu import LDUMatrix
 from tests.conftest import make_laplacian_ldu
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TIGHT = SolverControls(tolerance=1e-12, max_iterations=800)
 
@@ -223,3 +230,54 @@ class TestColumnsAreIndependent:
                 alone.iterations, alone.converged, alone.flops), j
             assert got.initial_residual == alone.initial_residual, j
             assert got.final_residual == alone.final_residual, j
+
+
+_BLAS_SCRIPT = """
+import hashlib
+import numpy as np
+from repro.dist.decompose import Decomposition
+from repro.dist.krylov import DistributedSystem
+from repro.mesh.structured import build_box_mesh
+from repro.runtime.comm import SimulatedComm
+from repro.solvers.blocked import LocalSystem, krylov_solve
+from repro.solvers.controls import SolverControls
+from tests.conftest import make_laplacian_ldu
+
+mesh = build_box_mesh(35, 35, 35)
+b = np.random.default_rng(3).standard_normal((mesh.n_cells, 3))
+controls = SolverControls(tolerance=1e-10, max_iterations=400)
+dec = Decomposition.from_mesh(mesh, 1)
+for system in (LocalSystem(make_laplacian_ldu(mesh)),
+               DistributedSystem(dec, SimulatedComm(1),
+                                 [make_laplacian_ldu(dec.subdomains[0].mesh)])):
+    x, res = krylov_solve(system, b, solver="PCG", controls=controls)
+    print(hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest(),
+          [r.iterations for r in res], [r.final_residual for r in res])
+"""
+
+
+class TestBlasThreads:
+    """A solve's bits do not depend on the BLAS thread count: OpenBLAS
+    threads a dot product over rows longer than ~10 000, and a threaded
+    dot sums its partials in another order."""
+
+    @staticmethod
+    def _run(threads: str) -> str:
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT)]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        return subprocess.run(
+            [sys.executable, "-c", _BLAS_SCRIPT], env=env, cwd=ROOT,
+            capture_output=True, text=True, timeout=300, check=True).stdout
+
+    def test_solve_bits_do_not_depend_on_blas_threads(self):
+        """PCG on a 35^3 = 42 875-cell Laplacian, three columns, serial
+        and over a one-rank decomposition: x, iterations and residuals
+        are equal bit for bit at one and at two BLAS threads."""
+        one, two = self._run("1"), self._run("2")
+        assert len(one.splitlines()) == 2
+        assert one == two
