@@ -61,7 +61,6 @@ from .workspace import KrylovWorkspace
 
 __all__ = [
     "REDUCTIONS_PER_PCG_ITER",
-    "DOT_TILE",
     "LocalSystem",
     "krylov_solve",
     "pbicgstab_solve_multi",
