@@ -13,25 +13,15 @@ import numpy as np
 from repro.dist.decompose import Decomposition
 from repro.dnn.gelu_table import GeLUTable
 from repro.mesh.graph import cell_graph_from_mesh
-from repro.mesh.renumber import partition_renumbering
 from repro.mesh.rocket import build_rocket_mesh
 from repro.partition.partitioner import partition_graph
 from repro.solvers.blocked import LocalSystem, pcg_solve_multi
 from repro.solvers.controls import SolverControls
 from repro.solvers.gamg import GAMGSolver
 from repro.solvers.preconditioners import DICPreconditioner
-from repro.sparse.convert import build_block_converter
-from tests.conftest import make_laplacian_ldu
+from tests.conftest import make_laplacian_ldu, partitioned_blocks
 
 from .conftest import emit
-
-
-def _blocks(mesh, graph, mem):
-    """The ``t x t`` block matrix of a Laplacian on ``mesh`` with the
-    rows of each part of ``mem`` grouped and Cuthill-McKee ordered."""
-    perm = partition_renumbering(graph, mem)
-    ldu = make_laplacian_ldu(mesh.renumbered(perm))
-    return build_block_converter(ldu, mem[np.argsort(perm)]).convert(ldu)
 
 
 def test_ablation_partitioner_methods(benchmark):
@@ -49,7 +39,7 @@ def test_ablation_partitioner_methods(benchmark):
                         ("random", mem_rd)):
         cuts[method] = Decomposition.from_mesh(
             mesh, 8, parts=mem).stats()["cut_faces"]
-        frac = _blocks(mesh, graph, mem).offdiag_nnz_fraction()
+        frac = partitioned_blocks(mesh, mem).offdiag_nnz_fraction()
         lines.append(f"  {method:10s} cut {cuts[method]:6d}  "
                      f"offdiag {frac*100:6.2f} %")
     assert cuts["multilevel"] < cuts["random"] / 4
@@ -64,7 +54,7 @@ def test_ablation_thread_count_sweep(benchmark):
     def sweep():
         rows = []
         for t in (2, 4, 8, 16):
-            blk = _blocks(mesh, graph, partition_graph(graph, t))
+            blk = partitioned_blocks(mesh, partition_graph(graph, t))
             rows.append((t, blk.offdiag_nnz_fraction(),
                          blk.nnz_per_thread().max()
                          / blk.nnz_per_thread().mean()))

@@ -11,21 +11,11 @@ import numpy as np
 
 from repro.dist.decompose import Decomposition
 from repro.mesh.graph import cell_graph_from_mesh
-from repro.mesh.renumber import partition_renumbering
 from repro.mesh.rocket import build_rocket_mesh
 from repro.partition.partitioner import partition_graph
-from repro.sparse.convert import build_block_converter
-from tests.conftest import make_laplacian_ldu
+from tests.conftest import partitioned_blocks
 
 from .conftest import emit
-
-
-def _blocks(mesh, mem):
-    """The ``t x t`` block matrix of a Laplacian on ``mesh`` with the
-    rows of each part of ``mem`` grouped and Cuthill-McKee ordered."""
-    perm = partition_renumbering(cell_graph_from_mesh(mesh), mem)
-    ldu = make_laplacian_ldu(mesh.renumbered(perm))
-    return build_block_converter(ldu, mem[np.argsort(perm)]).convert(ldu)
 
 
 def test_fig6_renumbering_statistics(benchmark):
@@ -38,8 +28,8 @@ def test_fig6_renumbering_statistics(benchmark):
     # "naive": strided blocks of a spatially-shuffled labelling (no
     # locality, which is what a generic unstructured numbering gives)
     shuffled = mesh.renumbered(np.random.default_rng(0).permutation(n))
-    blk_naive = _blocks(shuffled, np.arange(n) * t // n)
-    blk = _blocks(mesh, mem_ml)
+    blk_naive = partitioned_blocks(shuffled, np.arange(n) * t // n)
+    blk = partitioned_blocks(mesh, mem_ml)
 
     f_ml = blk.offdiag_nnz_fraction()
     f_naive = blk_naive.offdiag_nnz_fraction()

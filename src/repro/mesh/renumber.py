@@ -43,6 +43,8 @@ def partition_renumbering(adj: sp.csr_matrix,
     offset = 0
     for part in range(int(membership.max()) + 1):
         cells = np.flatnonzero(membership == part)
+        if cells.size == 0:
+            continue
         perm[cells] = offset + cuthill_mckee(adj[cells][:, cells])
         offset += cells.size
     return perm

@@ -13,8 +13,10 @@ import pytest
 from repro.chemistry.kinetics import KineticsEvaluator
 from repro.chemistry.mechanism import load_mechanism
 from repro.mesh.graph import cell_graph_from_mesh
+from repro.mesh.renumber import partition_renumbering
 from repro.mesh.rocket import build_rocket_mesh
 from repro.mesh.structured import build_box_mesh
+from repro.sparse.convert import build_block_converter
 from repro.sparse.ldu import LDUMatrix
 
 # -- shared comparison tolerances --------------------------------------
@@ -84,6 +86,17 @@ def make_laplacian_ldu(mesh, shift: float = 0.2) -> LDUMatrix:
            + np.bincount(mesh.neighbour, minlength=mesh.n_cells))
     ldu.diag[:] = deg + shift
     return ldu
+
+
+def partitioned_blocks(mesh, mem):
+    """The ``t x t`` block matrix of :func:`make_laplacian_ldu` on
+    ``mesh`` with the rows of each part of ``mem`` grouped and
+    Cuthill-McKee ordered (Fig. 6's pipeline): its
+    ``offdiag_nnz_fraction()`` and ``n_nonzero_blocks`` are the one
+    definition of a partition's block statistics."""
+    perm = partition_renumbering(cell_graph_from_mesh(mesh), mem)
+    ldu = make_laplacian_ldu(mesh.renumbered(perm))
+    return build_block_converter(ldu, mem[np.argsort(perm)]).convert(ldu)
 
 
 def make_random_spd_ldu(mesh, rng) -> LDUMatrix:

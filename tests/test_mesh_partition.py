@@ -19,8 +19,7 @@ from repro.mesh.structured import BoxSpec, build_box_mesh
 from repro.mesh.unstructured import UnstructuredMesh
 from repro.partition.multilevel import bisect_graph, fm_refine
 from repro.partition.partitioner import partition_graph
-from repro.sparse.convert import build_block_converter
-from tests.conftest import make_laplacian_ldu
+from tests.conftest import partitioned_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,15 +30,6 @@ def _cut(mesh, mem):
     mem = np.asarray(mem, dtype=np.int64)
     dec = Decomposition.from_mesh(mesh, int(mem.max()) + 1, parts=mem)
     return dec.stats()["cut_faces"]
-
-
-def _blocks(mesh, mem):
-    """The ``t x t`` block matrix of a Laplacian on ``mesh`` with the
-    rows of each part of ``mem`` grouped and Cuthill-McKee ordered
-    (Fig. 6's pipeline)."""
-    perm = partition_renumbering(cell_graph_from_mesh(mesh), mem)
-    ldu = make_laplacian_ldu(mesh.renumbered(perm))
-    return build_block_converter(ldu, mem[np.argsort(perm)]).convert(ldu)
 
 
 def _strided(n, nparts):
@@ -257,14 +247,14 @@ class TestPartition:
 
     def test_offdiag_fraction_improves(self, rocket_mesh, rocket_graph):
         """Fig. 6's metric: multilevel+CM beats naive numbering."""
-        f_ml = _blocks(rocket_mesh, partition_graph(rocket_graph, 16))
-        f_st = _blocks(rocket_mesh, _strided(rocket_mesh.n_cells, 16))
-        assert f_ml.offdiag_nnz_fraction() < f_st.offdiag_nnz_fraction()
+        ml = partitioned_blocks(rocket_mesh, partition_graph(rocket_graph, 16))
+        st = partitioned_blocks(rocket_mesh, _strided(rocket_mesh.n_cells, 16))
+        assert ml.offdiag_nnz_fraction() < st.offdiag_nnz_fraction()
 
     def test_block_occupancy_reduced(self, rocket_mesh, rocket_graph):
-        occ_ml = _blocks(rocket_mesh, partition_graph(rocket_graph, 16))
-        occ_rd = _blocks(rocket_mesh, _random(rocket_mesh.n_cells, 16))
-        assert occ_ml.n_nonzero_blocks < occ_rd.n_nonzero_blocks
+        ml = partitioned_blocks(rocket_mesh, partition_graph(rocket_graph, 16))
+        rd = partitioned_blocks(rocket_mesh, _random(rocket_mesh.n_cells, 16))
+        assert ml.n_nonzero_blocks < rd.n_nonzero_blocks
 
 
 def _periodic_box(n):
