@@ -161,11 +161,43 @@ class TestGraph:
     def test_symmetry(self, rocket_graph):
         assert (rocket_graph != rocket_graph.T).nnz == 0
 
+    def test_subgraph_preserves_internal_edges(self, box_mesh):
+        g = cell_graph_from_mesh(box_mesh)
+        verts = np.arange(0, 12)
+        sub = g[verts][:, verts].tocoo()
+        assert sub.shape == (verts.size, verts.size)
+        # every subgraph edge is a face of the mesh between its cells,
+        # and every such face is an edge of the subgraph
+        nif = box_mesh.n_internal_faces
+        own, nb = box_mesh.owner[:nif], box_mesh.neighbour
+        inside = np.isin(own, verts) & np.isin(nb, verts)
+        faces = set(zip(own[inside].tolist(), nb[inside].tolist()))
+        faces |= {(v, u) for u, v in faces}
+        edges = set(zip(verts[sub.row].tolist(), verts[sub.col].tolist()))
+        assert edges == faces
+        assert sub.data.sum() == 2 * inside.sum()
+
 
 class TestRenumber:
     def test_cm_is_permutation(self, rocket_graph):
         perm = cuthill_mckee(rocket_graph)
         assert np.array_equal(np.sort(perm), np.arange(rocket_graph.shape[0]))
+
+    def test_rcm_reverses(self, rocket_graph):
+        """The ordering is a Cuthill-McKee BFS read backwards; the
+        reversal moves neither the bandwidth nor the block structure."""
+        rcm = cuthill_mckee(rocket_graph)
+        n = rocket_graph.shape[0]
+        cm = n - 1 - rcm
+        assert bandwidth(rocket_graph, cm) == bandwidth(rocket_graph, rcm)
+        # in BFS order each vertex's earliest neighbour comes before it,
+        # and those parents come in the order their children do
+        g = rocket_graph.tocoo()
+        first = np.full(n, n, dtype=np.int64)
+        np.minimum.at(first, cm[g.row], cm[g.col])
+        parent = first[1:]
+        assert np.all(parent < np.arange(1, n))
+        assert np.all(np.diff(parent) >= 0)
 
     def test_cm_reduces_bandwidth_random_order(self, rocket_graph):
         rng = np.random.default_rng(0)
@@ -192,6 +224,21 @@ class TestRefine:
         fine = m.spec.refined(1).build()
         assert fine.n_cells == 64
         assert fine.cell_volumes.sum() == pytest.approx(1.0)
+
+    def test_refine_graph_counts(self, box_mesh):
+        g = cell_graph_from_mesh(box_mesh)
+        fine = cell_graph_from_mesh(box_mesh.spec.refined(1).build())
+        n, n_edges = g.shape[0], g.nnz // 2
+        assert fine.shape[0] == 8 * n
+        assert fine.nnz // 2 == 12 * n + 4 * n_edges
+
+    def test_refined_graph_degree_bounded(self, box_mesh):
+        """Refining the mesh keeps a hex mesh: no cell gains more than
+        the hex bound of 6 neighbours, and the mean stays hex-like."""
+        fine = cell_graph_from_mesh(box_mesh.spec.refined(1).build())
+        deg = np.diff(fine.indptr)
+        assert deg.max() <= 6
+        assert 4.0 < deg.mean() < 6.5
 
     def test_storage_reproduces_paper_121tb(self):
         """19 M cells x 8^5 = 618 B cells -> ~121 TB; coarse ~ GBs."""
